@@ -8,10 +8,7 @@ serves every domain instance.
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
-
-K = TypeVar("K")
-V = TypeVar("V")
+from typing import Callable
 
 
 def dict_join(a: dict, b: dict, join: Callable) -> dict:
@@ -24,24 +21,6 @@ def dict_join(a: dict, b: dict, join: Callable) -> dict:
 
 def dict_scale(u, d: dict, concat: Callable) -> dict:
     return {k: concat(u, v) for k, v in d.items()}
-
-
-def dict_leq(a: dict, b: dict, leq: Callable, bottom) -> bool:
-    return all(leq(v, b.get(k, bottom)) for k, v in a.items())
-
-
-def dict_eq(a: dict, b: dict, eq: Callable, is_bottom: Callable) -> bool:
-    for k, v in a.items():
-        w = b.get(k)
-        if w is None:
-            if not is_bottom(v):
-                return False
-        elif not eq(v, w):
-            return False
-    for k, w in b.items():
-        if k not in a and not is_bottom(w):
-            return False
-    return True
 
 
 def dict_drop_bottom(d: dict, is_bottom: Callable) -> dict:

@@ -267,7 +267,8 @@ def infer(
     sweep = 0
     while True:
         sweep += 1
-        assert sweep <= cap, "inference failed to converge within its cap"
+        if sweep > cap:
+            raise RuntimeError("inference failed to converge within its cap")
         changed = False
         for sig in bodied:
             if active is not None and sig not in active:

@@ -6,20 +6,22 @@ call δᵢ.  The intended value η(δ) is the abstraction of all complete —
 including infinite — event sequences of executions that start in δ and never
 return.
 
-``solve`` eliminates variables in a fixed order: rewrite the current
-equation with all previously solved forms, split off the self-coefficient A,
-and replace δ = A·δ ⊔ F by δ = A*·F ⊔ A^ω, distributing A* over F's terms;
-a back-substitution pass then closes every form.  The result is a fixpoint
-of the system — ``verify_fixpoint`` checks η(δ) = S(η)(δ) exactly — and the
-order of elimination does not affect it.
-
-``approx_eta`` is the executable reference: descend from the top element
-(all finite and infinite words) by iterating the system inside a concrete
-language domain, comparing successive iterates up to a length bound.  It
-reports the index at which the chain stabilizes, or that it did not within
-the cap.  ``naive_gfp`` does the same descent inside a finite abstract
-domain with exact equality; the contrast between its answer and ``solve``'s
-on self-loops is the reason the solver exists.
+``solve`` follows Tarjan's "Fast algorithms for solving path problems"
+(JACM 1981): it splits the call graph (signature → callee) into strongly
+connected components and solves them callees first.  When a component is
+reached, every callee outside it already has its final value, so each such
+edge folds straight into the constant: const ⊔= U·η(callee).  Inside the
+component, variables are eliminated in the given order (by default the
+canonical signature order): rewrite the current equation with the earlier
+members' solved forms, split off the self-coefficient A, and replace
+δ = A·δ ⊔ F by δ = A*·F ⊔ A^ω, distributing A* over F's terms; a
+back-substitution pass over the component then closes every form.  The
+work is linear in the size of the call graph plus the elimination inside
+each component, which is quadratic only in the size of that component.
+The result is a fixpoint of the system, η(δ) = S(η)(δ) exactly, and the
+elimination order does not affect it.  The reference computations the
+tests check it against (one application S(η), greatest-fixpoint descent)
+are in ``tests/solver_reference.py``.
 """
 
 from __future__ import annotations
@@ -54,11 +56,56 @@ class _LinForm:
     const: object  # mix element
 
 
+def _components(system: EquationSystem) -> list:
+    """Strongly connected components of the call graph, each callee's
+    component before its callers' (Tarjan 1972).  Iterative, so a long call
+    chain cannot exhaust the Python stack."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    out: list = []
+    for root in system.sigs:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(system.rhs[root]))]
+        while work:
+            var, callees = work[-1]
+            for callee in callees:
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    on_stack.add(callee)
+                    work.append((callee, iter(system.rhs[callee])))
+                    break
+                if callee in on_stack:
+                    low[var] = min(low[var], index[callee])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[var])
+                if low[var] == index[var]:
+                    comp = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        comp.append(member)
+                        if member == var:
+                            break
+                    out.append(comp)
+    return out
+
+
 def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict:
     order = list(order) if order is not None else list(system.sigs)
     if sorted(order, key=Sig.sort_key) != sorted(system.sigs, key=Sig.sort_key):
         raise ValueError("order must be a permutation of the system variables")
-    solved: dict = {}
+    rank = {var: i for i, var in enumerate(order)}
+    eta: dict = {}
 
     def substitute(form: _LinForm, var, sub: _LinForm) -> _LinForm:
         u = form.coeffs.pop(var, None)
@@ -73,89 +120,38 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
         )
         return form
 
-    for i, var in enumerate(order):
-        form = _LinForm(dict(system.rhs[var]), domain.mix_bottom())
-        for prev in order[:i]:
-            form = substitute(form, prev, solved[prev])
-        self_coeff = form.coeffs.pop(var, None)
-        if self_coeff is not None and not domain.fin_is_bottom(self_coeff):
-            star = domain.star(self_coeff)
-            form.coeffs = dict_scale(star, form.coeffs, domain.fin_concat)
-            form.const = domain.mix_join(
-                domain.fin_mix_concat(star, form.const),
-                domain.omega(self_coeff),
-            )
-        solved[var] = form
+    for comp in _components(system):
+        members = sorted(comp, key=rank.__getitem__)
+        inside = set(members)
+        solved: dict = {}
+        for i, var in enumerate(members):
+            form = _LinForm({}, domain.mix_bottom())
+            for callee, u in system.rhs[var].items():
+                if callee in inside:
+                    form.coeffs[callee] = u
+                else:
+                    form.const = domain.mix_join(
+                        form.const, domain.fin_mix_concat(u, eta[callee])
+                    )
+            for prev in members[:i]:
+                form = substitute(form, prev, solved[prev])
+            self_coeff = form.coeffs.pop(var, None)
+            if self_coeff is not None and not domain.fin_is_bottom(self_coeff):
+                star = domain.star(self_coeff)
+                form.coeffs = dict_scale(star, form.coeffs, domain.fin_concat)
+                form.const = domain.mix_join(
+                    domain.fin_mix_concat(star, form.const),
+                    domain.omega(self_coeff),
+                )
+            solved[var] = form
 
-    for var in reversed(order):
-        form = solved[var]
-        for later, u in sorted(form.coeffs.items(),
-                               key=lambda kv: Sig.sort_key(kv[0])):
-            form.const = domain.mix_join(
-                form.const, domain.fin_mix_concat(u, solved[later].const)
-            )
-        form.coeffs = {}
+        for var in reversed(members):
+            form = solved[var]
+            for later, u in sorted(form.coeffs.items(),
+                                   key=lambda kv: Sig.sort_key(kv[0])):
+                form.const = domain.mix_join(
+                    form.const, domain.fin_mix_concat(u, eta[later])
+                )
+            eta[var] = form.const
 
-    return {var: solved[var].const for var in system.sigs}
-
-
-def apply_system(system: EquationSystem, eta: dict, domain) -> dict:
-    """One application of the equations: S(η)."""
-    out = {}
-    for sig in system.sigs:
-        acc = domain.mix_bottom()
-        for callee, u in sorted(system.rhs[sig].items(),
-                                key=lambda kv: Sig.sort_key(kv[0])):
-            acc = domain.mix_join(acc, domain.fin_mix_concat(u, eta[callee]))
-        out[sig] = acc
-    return out
-
-
-def verify_fixpoint(system: EquationSystem, eta: dict, domain) -> bool:
-    applied = apply_system(system, eta, domain)
-    return all(domain.mix_eq(eta[sig], applied[sig]) for sig in system.sigs)
-
-
-@dataclass
-class ApproxResult:
-    etas: list  # η₀, η₁, ... as computed
-    stabilized_at: int | None  # least n with ηₙ ≈ ηₙ₊₁, None if cap exceeded
-
-    @property
-    def stabilized(self) -> bool:
-        return self.stabilized_at is not None
-
-    def describe(self) -> str:
-        if self.stabilized_at is None:
-            return (f"chain did not stabilize within {len(self.etas) - 1} "
-                    f"iterations")
-        return f"chain stabilized at iteration {self.stabilized_at}"
-
-
-def approx_eta(system: EquationSystem, domain, cap: int = 16,
-               bound: int = 6) -> ApproxResult:
-    """Iterate from the top element; compare successive iterates on all words
-    and lassos up to the bound.  The comparison is bounded, not exact, so the
-    result is a reference measurement, not a proof."""
-    eta = {sig: domain.mix_top() for sig in system.sigs}
-    etas = [eta]
-    for n in range(cap):
-        nxt = apply_system(system, eta, domain)
-        etas.append(nxt)
-        if all(domain.bounded_equiv(eta[sig], nxt[sig], bound)
-               for sig in system.sigs):
-            return ApproxResult(etas, n)
-        eta = nxt
-    return ApproxResult(etas, None)
-
-
-def naive_gfp(system: EquationSystem, domain, cap: int = 1000) -> dict:
-    """Greatest-fixpoint iteration inside a finite domain with exact equality
-    and a top element.  Converges by finiteness; the cap guards bugs."""
-    eta = {sig: domain.mix_top() for sig in system.sigs}
-    for _ in range(cap):
-        nxt = apply_system(system, eta, domain)
-        if all(domain.mix_eq(eta[sig], nxt[sig]) for sig in system.sigs):
-            return nxt
-        eta = nxt
-    raise RuntimeError("gfp iteration failed to converge within its cap")
+    return {var: eta[var] for var in system.sigs}

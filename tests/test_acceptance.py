@@ -26,6 +26,7 @@ from conftest import (
 )
 import corpus as soundness_corpus
 import taint_corpus
+from solver_reference import naive_gfp, verify_fixpoint
 
 from guidecheck.cli import analyze
 from guidecheck.domains import OracleDomain, ProfileDomain
@@ -64,7 +65,7 @@ from guidecheck.oracle import (
     nfa_union,
 )
 from guidecheck.regions import NULL_REGION, UNKNOWN, Sig, created_at, region_meta
-from guidecheck.solver import EquationSystem, naive_gfp, solve, verify_fixpoint
+from guidecheck.solver import EquationSystem, solve
 from guidecheck.toydomain import APLUS, EMPTY, ToyDomain, ToyMix
 
 A = ("a",)

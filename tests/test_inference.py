@@ -235,6 +235,28 @@ def test_infer_without_equality_needs_a_sweep_budget():
     assert list(t) == [NULL_REGION] and t[NULL_REGION].accepts(())
 
 
+class _ShortCapDomain(ProfileDomain):
+    """Claims a zero-height lattice, so the sweep cap is two sweeps."""
+
+    def fin_height(self) -> int:
+        return 0
+
+
+def test_infer_raises_when_sweeps_exceed_the_cap():
+    # the callers are analyzed before their callees, so each sweep moves the
+    # emitted a back by one call and the table needs more than two sweeps
+    prog = parse_program(
+        """
+class A { Object f() { B x = new[b] B(); return x.g(); } }
+class B { Object g() { C x = new[c] C(); return x.h(); } }
+class C { Object h() { emit a; return null; } }
+"""
+    )
+    domain = _ShortCapDomain(ONE_LETTER.guideline)
+    with pytest.raises(RuntimeError, match="converge within its cap"):
+        infer(prog, domain)
+
+
 def test_intrinsics_seed_and_pin():
     prog = parse_program(
         """

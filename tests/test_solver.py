@@ -1,25 +1,23 @@
 """Closed-form solution of the divergence equations.
 
-The hand-checkable systems here use one- and two-variable right-hand sides;
-the acceptance suite stresses order invariance and η = S(η) on the inferred
+The hand-checkable systems here are small enough to solve on paper: one- and
+two-variable right-hand sides, and a call cycle that leaves for a self-loop.
+A long call chain checks that splitting into components needs no recursion.
+The acceptance suite stresses order invariance and η = S(η) on the inferred
 systems of whole programs.
 """
 
+import random
+
 import pytest
 
+from solver_reference import apply_system, approx_eta, naive_gfp, verify_fixpoint
 from guidecheck.domains import OracleDomain, ProfileDomain
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import parse_guideline
 from guidecheck.inference import infer
 from guidecheck.regions import UNKNOWN, Sig
-from guidecheck.solver import (
-    EquationSystem,
-    apply_system,
-    approx_eta,
-    naive_gfp,
-    solve,
-    verify_fixpoint,
-)
+from guidecheck.solver import EquationSystem, solve
 from guidecheck.toydomain import APLUS, EMPTY, ToyDomain, ToyMix
 
 PAR = ProfileDomain(
@@ -95,6 +93,70 @@ def test_order_must_be_a_permutation():
         solve(system, PAR, order=[D1])
     with pytest.raises(ValueError, match="permutation"):
         solve(system, PAR, order=[D1, D1])
+
+
+# b only at an a-count divisible by three, then b forever
+GATE = ProfileDomain(
+    parse_guideline(
+        "alphabet: a b\nstates: c0 c1 c2 t\ninitial: c0\naccepting: t\n"
+        "trans: c0 a c1\ntrans: c1 a c2\ntrans: c2 a c0\n"
+        "trans: c0 b t\ntrans: t b t\n"
+    )
+)
+
+
+def test_cycle_calling_a_self_loop_matches_the_hand_solution():
+    # M → A → B → C → A is a 3-cycle entered from M; C also leaves it for L,
+    # a self-loop component of its own.
+    a, b = GATE.alpha_word(("a",)), GATE.alpha_word(("b",))
+    m, x, y, z, loop = (sig(n) for n in ("M", "A", "B", "C", "L"))
+    system = EquationSystem(
+        [m, x, y, z, loop],
+        {m: {x: a}, x: {y: a}, y: {z: a}, z: {x: a, loop: b}, loop: {loop: b}},
+    )
+    eta = solve(system, GATE)
+
+    # by hand: L = b^ω, C = (aaa)^ω ⊔ (aaa)*·b·b^ω, B = a·C, A = aa·C, M = aaa·C
+    aaa = GATE.alpha_word(("a", "a", "a"))
+    hand_c = GATE.mix_join(
+        GATE.omega(aaa),
+        GATE.fin_mix_concat(GATE.fin_concat(GATE.star(aaa), b), GATE.omega(b)),
+    )
+    hand = {
+        loop: GATE.omega(b),
+        z: hand_c,
+        y: GATE.fin_mix_concat(a, hand_c),
+        x: GATE.fin_mix_concat(GATE.alpha_word(("a", "a")), hand_c),
+        m: GATE.fin_mix_concat(aaa, hand_c),
+    }
+    for d in system.sigs:
+        assert GATE.mix_eq(eta[d], hand[d]), d
+        assert not eta[d].fin  # every path recurses forever
+    assert GATE.member_up([], ["a", "a", "a"], eta[z])
+    assert GATE.member_up(["a", "a", "a", "b"], ["b"], eta[z])
+    assert not GATE.member_up(["a", "b"], ["b"], eta[z])
+    assert GATE.member_up(["a", "a", "a", "b"], ["b"], eta[m])
+    assert not GATE.member_up(["b"], ["b"], eta[m])
+    assert verify_fixpoint(system, eta, GATE)
+
+    rng = random.Random(7)
+    for _ in range(20):
+        shuffled = solve(system, GATE, order=rng.sample(system.sigs, 5))
+        for d in system.sigs:
+            assert GATE.mix_eq(shuffled[d], eta[d]), d
+
+
+def test_long_call_chain_solves_without_recursion():
+    n = 5000
+    a = PAR.alpha_word(("a",))
+    chain = [sig(f"C{i}") for i in range(n)]
+    rhs = {chain[i]: {chain[i + 1]: a} for i in range(n - 1)}
+    rhs[chain[-1]] = {chain[-1]: a}
+    system = EquationSystem(chain, rhs)
+    eta = solve(system, PAR)
+    assert verify_fixpoint(system, eta, PAR)
+    assert PAR.member_up([], ["a"], eta[chain[0]])
+    assert not eta[chain[0]].fin
 
 
 def test_apply_system_is_one_substitution():
