@@ -80,11 +80,6 @@ def join_triple(domain, a: Triple, b: Triple) -> Triple:
     )
 
 
-def triples_equal(a: Triple, b: Triple) -> bool:
-    """Valid only for domains whose finite elements compare with ==."""
-    return a == b
-
-
 def close_ftable(table: ClassTable, prog: Program, meta: RegionMeta) -> bool:
     """Null membership, Unknown-row absorption, and agreement along the
     hierarchy for inherited fields.  Returns whether anything grew."""
@@ -124,12 +119,11 @@ def close_ftable(table: ClassTable, prog: Program, meta: RegionMeta) -> bool:
 def close_mtable(table: ClassTable, prog: Program, meta: RegionMeta, domain) -> bool:
     """Absorb subclass entries into superclass entries, children first so one
     sweep propagates along whole chains.  Pinned entries are never widened.
-    Returns whether anything grew (always True for domains without equality)."""
+    Returns whether anything grew, comparing entries with ``==``."""
     order = sorted(
         (c.name for c in prog.classes),
         key=lambda n: (-len(prog.supers(n)), n),
     )
-    exact = domain.has_exact_eq
     grew = False
     for cls in order:
         parent = prog.by_name[cls].parent
@@ -146,11 +140,7 @@ def close_mtable(table: ClassTable, prog: Program, meta: RegionMeta, domain) -> 
                     joined = join_triple(
                         domain, table.mtable[target], table.mtable[source]
                     )
-                    if exact:
-                        if not triples_equal(joined, table.mtable[target]):
-                            table.mtable[target] = joined
-                            grew = True
-                    else:
+                    if joined != table.mtable[target]:
                         table.mtable[target] = joined
                         grew = True
     return grew

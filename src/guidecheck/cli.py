@@ -11,7 +11,8 @@ diverging execution whose infinite trace the guideline rejects (validated by
 replaying its script).
 
 Exit codes: 0 all signatures conform, 1 some verdict failed, 2 the inputs
-were unusable (parse, type, guideline or config errors).
+were unusable (parse, type, guideline or config errors), 3 an internal limit
+was hit (recursion depth, the monoid, run or sweep caps).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .domains import OracleDomain, ProfileDomain
+from .domains import ProfileDomain
 from .fjast import FjError, Program
 from .fjparser import parse_programs
 from .fjtypes import fj_typecheck
@@ -53,14 +54,13 @@ class SigReport:
     returns_ok: bool
     throws_ok: bool
     diverges_ok: bool
-    effects: dict | None = None  # concrete-mode renderings
 
     @property
     def ok(self) -> bool:
         return self.returns_ok and self.throws_ok and self.diverges_ok
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "class": self.sig.cls,
             "receiver": str(self.sig.recv),
             "method": self.sig.method,
@@ -69,9 +69,6 @@ class SigReport:
             "throws_ok": self.throws_ok,
             "diverges_ok": self.diverges_ok,
         }
-        if self.effects is not None:
-            out["effects"] = self.effects
-        return out
 
 
 @dataclass
@@ -136,11 +133,6 @@ class Report:
                 )
             )
             lines.append(f"{s.sig}  {marks}")
-            if s.effects is not None:
-                for part in ("returns", "throws", "diverges"):
-                    val = s.effects.get(part)
-                    if val:
-                        lines.append(f"    {part}: {val}")
         for c in self.counterexamples:
             lines.append(f"counterexample: {c.describe()}")
         if self.counterexamples:
@@ -156,7 +148,6 @@ def analyze(
     prog: Program,
     guideline: GuidelineAutomaton,
     intrinsics: dict | None = None,
-    mode: str = "abstract",
     fuel: int = 32,
     entries: list | None = None,
     demand_driven: bool = False,
@@ -189,10 +180,6 @@ def analyze(
     system = EquationSystem.from_table(table, domain)
     eta = solve(system, domain)
 
-    effects_by_sig: dict = {}
-    if mode == "concrete":
-        effects_by_sig = _concrete_effects(prog, guideline, specs, meta)
-
     sig_reports = []
     all_ok = True
     for sig in sorted(table.mtable, key=Sig.sort_key):
@@ -206,8 +193,7 @@ def analyze(
             h.items(), key=lambda kv: kv[0].sort_key()))
         d_ok = domain.accepts_mix(div)
         all_ok = all_ok and r_ok and h_ok and d_ok
-        sig_reports.append(SigReport(
-            sig, r_ok, h_ok, d_ok, effects_by_sig.get(sig)))
+        sig_reports.append(SigReport(sig, r_ok, h_ok, d_ok))
 
     counterexamples = []
     if not all_ok and entries:
@@ -219,35 +205,6 @@ def analyze(
     return Report(
         "pass" if all_ok else "fail", sig_reports, counterexamples,
     )
-
-
-def _concrete_effects(prog, guideline, specs, meta) -> dict:
-    """Advisory language-level effects: iteration-capped, for rendering only."""
-    oracle = OracleDomain(guideline.alphabet)
-    table = infer(prog, oracle, intrinsics=specs, max_sweeps=8, meta=meta)
-    system = EquationSystem.from_table(table, oracle)
-    eta = solve(system, oracle)
-    out = {}
-    for sig in table.mtable:
-        t, h, _ = table.mtable[sig]
-        entry = {}
-        rendered_t = {str(r): oracle.render_fin(u) for r, u in sorted(
-            t.items(), key=lambda kv: kv[0].sort_key())
-            if not oracle.fin_is_bottom(u)}
-        rendered_h = {str(r): oracle.render_fin(u) for r, u in sorted(
-            h.items(), key=lambda kv: kv[0].sort_key())
-            if not oracle.fin_is_bottom(u)}
-        if rendered_t:
-            entry["returns"] = "; ".join(
-                f"{r} after {w}" for r, w in rendered_t.items())
-        if rendered_h:
-            entry["throws"] = "; ".join(
-                f"{r} after {w}" for r, w in rendered_h.items())
-        if not oracle.mix_is_bottom(eta[sig]):
-            entry["diverges"] = oracle.render_mix(eta[sig])
-        if entry:
-            out[sig] = entry
-    return out
 
 
 # -- counterexample search -----------------------------------------------------
@@ -346,9 +303,6 @@ def main(argv=None) -> int:
     pa.add_argument("--guideline", required=True, metavar="FILE")
     pa.add_argument("--config", metavar="FILE",
                     help="external-call stub declarations")
-    pa.add_argument("--mode", choices=("abstract", "concrete"),
-                    default="abstract",
-                    help="concrete adds advisory language renderings")
     pa.add_argument("--fuel", type=int, default=32,
                     help="interpreter call budget for counterexamples")
     pa.add_argument("--entry", action="append", metavar="Class.method",
@@ -372,13 +326,15 @@ def main(argv=None) -> int:
         if args.demand_driven and not args.entry:
             raise AnalysisError(["--demand-driven requires --entry"])
         report = analyze(
-            prog, guideline, intrinsics=specs, mode=args.mode,
-            fuel=args.fuel, entries=args.entry,
-            demand_driven=args.demand_driven,
+            prog, guideline, intrinsics=specs, fuel=args.fuel,
+            entries=args.entry, demand_driven=args.demand_driven,
         )
     except (FjError, GuidelineError, ConfigError, AnalysisError, OSError) as exc:
         print(f"guidecheck: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # includes RecursionError
+        print(f"guidecheck: error: internal limit: {exc}", file=sys.stderr)
+        return 3
 
     if args.report == "json":
         rendered = json.dumps(report.to_json(), indent=2, sort_keys=True)

@@ -1,20 +1,18 @@
-"""Effect domains: the common interface and its two main instances.
+"""Effect domains: the common interface and the profile domain.
 
 An effect domain supplies two abstract lattices — one for languages of finite
 words (method effects while control still returns) and one for languages that
 mix finite and infinite words (whole-program behaviours, including
 divergence) — together with the regular operators the analysis composes
 effects with: join, concatenation, Kleene star and infinite iteration.
+Inference runs to a fixpoint, so a domain's finite elements must compare
+exactly with ``==``.
 
 ``ProfileDomain`` interprets both lattices over the transition profiles of a
 guideline automaton; it is finite, has exact equality, and can answer whether
 everything an element denotes is accepted by the guideline.  It drives the
-authoritative verdict.
-
-``OracleDomain`` interprets effects as actual regular languages (NFAs and
-lasso pairs).  It has no exact equality, only probes and bounded comparison,
-and is used as an executable reference for the abstract computations and for
-readable rendering.
+verdict.  The test suite adds two reference domains behind the same
+interface: a language-level one over NFAs and a four-point toy domain.
 """
 
 from __future__ import annotations
@@ -22,15 +20,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from . import oracle as orc
 from .guideline import GuidelineAutomaton
-from .oracle import Nfa, WordLang
+from .oracle import Nfa
 from .profiles import FIN_BOTTOM, MIX_BOTTOM, MixAbs, ProfileMonoid
 
 
 class EffectDomain(ABC):
     alphabet: tuple[str, ...]
-    has_exact_eq: bool
 
     # -- finite-word lattice -------------------------------------------------
 
@@ -123,18 +119,8 @@ class EffectDomain(ABC):
         used only to cap fixpoint sweeps."""
         return None
 
-    # -- rendering ----------------------------------------------------------------
-
-    @abstractmethod
-    def render_fin(self, x) -> str: ...
-
-    @abstractmethod
-    def render_mix(self, m) -> str: ...
-
 
 class ProfileDomain(EffectDomain):
-    has_exact_eq = True
-
     def __init__(self, guideline: GuidelineAutomaton):
         self.guideline = guideline
         self.alphabet = guideline.alphabet
@@ -205,104 +191,3 @@ class ProfileDomain(EffectDomain):
 
     def fin_height(self) -> int:
         return len(self.monoid.elements) + 1
-
-    def render_fin(self, x) -> str:
-        return f"<{len(x)} profile(s)>"
-
-    def render_mix(self, m) -> str:
-        return f"<{len(m.fin)} profile(s), {len(m.inf)} loop pair(s)>"
-
-
-class OracleDomain(EffectDomain):
-    has_exact_eq = False
-
-    def __init__(self, alphabet: Sequence[str]):
-        self.alphabet = tuple(alphabet)
-
-    def fin_bottom(self):
-        return Nfa.none(self.alphabet)
-
-    def fin_is_bottom(self, x) -> bool:
-        return x.is_empty()
-
-    def fin_join(self, x, y):
-        return orc.nfa_union(x, y)
-
-    def fin_concat(self, x, y):
-        return orc.nfa_concat(x, y)
-
-    def fin_leq(self, x, y) -> bool:
-        raise NotImplementedError("no exact inclusion on language NFAs; "
-                                  "use bounded comparison")
-
-    def fin_eq(self, x, y) -> bool:
-        raise NotImplementedError("no exact equality on language NFAs; "
-                                  "use bounded comparison")
-
-    def alpha_word(self, w):
-        return Nfa.word(w, self.alphabet)
-
-    def alpha_nfa(self, nfa):
-        return nfa
-
-    def star(self, x):
-        return orc.nfa_star(x)
-
-    def mix_bottom(self):
-        return WordLang.none(self.alphabet)
-
-    def mix_is_bottom(self, x) -> bool:
-        return x.fin.is_empty() and not x.inf
-
-    def mix_join(self, x, y):
-        return orc.lang_union(x, y)
-
-    def fin_mix_concat(self, u, m):
-        return orc.lang_concat_fin(u, m)
-
-    def mix_eq(self, x, y) -> bool:
-        raise NotImplementedError("no exact equality on word languages; "
-                                  "use bounded_equiv")
-
-    def mix_leq(self, x, y) -> bool:
-        raise NotImplementedError("no exact inclusion on word languages; "
-                                  "use bounded comparison")
-
-    def omega(self, x):
-        return orc.lang_omega(x)
-
-    def mix_of_eps(self):
-        return WordLang.of_fin(Nfa.epsilon(self.alphabet))
-
-    def mix_top(self):
-        return WordLang.universal(self.alphabet)
-
-    def member_fin(self, w, x) -> bool:
-        return x.accepts(tuple(w))
-
-    def member_up(self, u, v, m) -> bool:
-        return orc.lang_member_up(u, v, m)
-
-    def bounded_equiv(self, x, y, bound: int = 6) -> bool:
-        return orc.bounded_equiv(x, y, self.alphabet, bound)
-
-    def render_fin(self, x) -> str:
-        sample = [
-            "ε" if not w else "".join(w) for w in x.words(4, limit=6)
-        ]
-        more = "" if len(sample) < 6 else ", ..."
-        return "{" + ", ".join(sample) + more + "}"
-
-    def render_mix(self, m) -> str:
-        fin = self.render_fin(m.fin)
-        loops = []
-        for u, v in m.inf:
-            us = next(iter(u.words(4, limit=1)), None)
-            vs = next(iter(v.words(4, limit=1)), None)
-            if vs is None:
-                continue
-            stem = "".join(us) if us else ""
-            loops.append(f"{stem}({''.join(vs)})^w")
-        if loops:
-            return fin + " + " + " | ".join(loops) + " (samples)"
-        return fin

@@ -52,11 +52,12 @@ class GuidelineAutomaton:
                 raise GuidelineError(f"undeclared state in transition {q} {a} {q2}")
             if a not in self.alphabet:
                 raise GuidelineError(f"undeclared letter {a}")
-        self._delta: dict[tuple[str, str], frozenset[str]] = {}
         grouped: dict[tuple[str, str], set[str]] = {}
         for q, a, q2 in self.transitions:
             grouped.setdefault((q, a), set()).add(q2)
-        self._delta = {k: frozenset(v) for k, v in grouped.items()}
+        self._delta: dict[tuple[str, str], frozenset[str]] = {
+            k: frozenset(v) for k, v in grouped.items()
+        }
 
     # -- NFA reading --------------------------------------------------------
 
@@ -144,8 +145,6 @@ class GuidelineAutomaton:
             cur = self.compose_rel(cur, rv)
         for s in stems:
             starts = {q2 for (q, _, q2) in s if q in self.initial}
-            if not stem and not cycle:  # unreachable, kept for clarity
-                starts |= self.initial
             for e in cycles:
                 loops = {q for (q, b, q2) in e if q == q2 and b == 1}
                 if starts & loops:

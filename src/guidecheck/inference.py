@@ -22,7 +22,6 @@ from .classtable import (
     check_class_table,
     init_table,
     join_triple,
-    triples_equal,
 )
 from .effexpr import dict_join, dict_scale
 from .fjast import (
@@ -41,8 +40,8 @@ from .fjast import (
     TryCatch,
     Var,
 )
-from .fjtypes import method_lookup, methods_of, preceq
-from .intrinsics import IntrinsicSpec, stub_lookup
+from .fjtypes import method_lookup, preceq
+from .intrinsics import stub_lookup
 from .regions import NULL_REGION, Region, RegionMeta, Sig, created_at, region_meta
 
 EMPTY: dict = {}
@@ -237,12 +236,12 @@ def infer(
     domain,
     intrinsics: dict | None = None,
     entries: list[str] | None = None,
-    max_sweeps: int | None = None,
     meta: RegionMeta | None = None,
 ) -> ClassTable:
-    """Compute the tables to a fixpoint (or for max_sweeps sweeps when the
-    domain has no decidable equality).  With entries given, only signatures
-    reachable from them are analyzed (demand-driven); the rest stay bottom."""
+    """Compute the tables to their least fixpoint: sweep until no entry
+    changes, compared with ``==``.  Raises ``RuntimeError`` past the sweep
+    cap.  With entries given, only signatures reachable from them are
+    analyzed (demand-driven); the rest stay bottom."""
     if meta is None:
         meta = region_meta(prog)
     specs = intrinsics or {}
@@ -261,8 +260,6 @@ def infer(
                     active.add(sig)
         active = _expand_active(active, table, prog)
 
-    if max_sweeps is None and not domain.has_exact_eq:
-        raise ValueError("domain has no equality; pass max_sweeps")
     cap = _sweep_cap(table, meta, domain)
     sweep = 0
     while True:
@@ -281,11 +278,7 @@ def infer(
                     table.ftable[key] = regs | {region}
                     changed = True
             joined = join_triple(domain, table.mtable[sig], eff.triple())
-            if domain.has_exact_eq:
-                if not triples_equal(joined, table.mtable[sig]):
-                    table.mtable[sig] = joined
-                    changed = True
-            else:
+            if joined != table.mtable[sig]:
                 table.mtable[sig] = joined
                 changed = True
             if active is not None:
@@ -296,10 +289,7 @@ def infer(
                     changed = True
         if check_class_table(table, prog, meta, domain):
             changed = True
-        if max_sweeps is not None:
-            if sweep >= max_sweeps:
-                break
-        elif not changed:
+        if not changed:
             break
     if active is not None:
         table.analyzed = set(active)

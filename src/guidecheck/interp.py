@@ -28,7 +28,7 @@ stem·cycle^ω; the analysis uses them to exhibit divergence counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fjast import (
     Call,
@@ -160,31 +160,14 @@ class Evaluator:
 
     # -- public driving ------------------------------------------------------
 
-    def run_expr(self, store: dict, expr: Expr):
-        try:
-            value = self._eval(dict(store), expr)
-            return Terminated(value, self.heap, tuple(self.trace))
-        except _Thrown as t:
-            return Thrown(t.location, self.heap, tuple(self.trace))
-        except _OutOfFuelExc:
-            return OutOfFuel(tuple(self.trace))
-        except _CastStuckExc as c:
-            return CastStuck(tuple(self.trace), c.pos)
-        except _ScriptExhausted as s:
-            self.exhausted = s.choices
-            return OutOfFuel(tuple(self.trace))
-
     def run_entry(self, cls: str, method: str):
+        """Run a fresh cls receiver's parameterless method to an outcome.
+        The entry goes through the call rule itself, so fuel and cycle
+        detection treat it like any other call."""
         md, _ = method_lookup(self.prog, cls, method)
         if md.params:
             raise ValueError(f"entry {cls}.{method} must take no parameters")
         loc = self._alloc(cls, "$entry")
-        return self.run_call_entry(loc, cls, method)
-
-    def run_call_entry(self, loc: int, cls: str, method: str):
-        """Entry through the call rule itself, so fuel and cycle detection
-        treat the entry like any other call."""
-        md, _ = method_lookup(self.prog, cls, method)
         try:
             value = self._call(loc, method, [], pos=md.pos)
             return Terminated(value, self.heap, tuple(self.trace))
@@ -207,11 +190,6 @@ class Evaluator:
             cls, label, {fd.name: None for fd in self.prog.fields_of(cls)}
         )
         return loc
-
-    def adopt_heap(self, heap: dict) -> None:
-        """Install a caller-supplied heap (copied; locations preserved)."""
-        self.heap = {loc: Obj(o.cls, o.label, dict(o.fields)) for loc, o in heap.items()}
-        self._next_loc = max(self.heap, default=-1) + 1
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -352,21 +330,6 @@ class Evaluator:
 
 
 # -- public API ----------------------------------------------------------------
-
-
-def eval_expr(
-    prog: Program,
-    store: dict,
-    heap: dict,
-    expr: Expr,
-    fuel: int = DEFAULT_FUEL,
-    script: Sequence[IntrinsicChoice] = (),
-    intrinsics: dict | None = None,
-):
-    """Evaluate one expression; the caller's heap is copied, not mutated."""
-    ev = Evaluator(prog, intrinsics, fuel, script)
-    ev.adopt_heap(heap)
-    return ev.run_expr(store, expr)
 
 
 @dataclass

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from pathlib import Path
 
+import guidecheck
 from guidecheck.guideline import GuidelineAutomaton
-from guidecheck.oracle import Nfa, WordLang, nfa_nonempty_part
+from guidecheck.oracle import Nfa
+from language_oracle import WordLang, nfa_nonempty_part
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -16,6 +19,17 @@ def fixture(name: str) -> str:
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+PACKAGE_DIR = Path(guidecheck.__file__).parent
+
+
+def fresh_python_env() -> dict:
+    """Environment for a fresh interpreter that imports this guidecheck."""
+    env = dict(os.environ)
+    paths = [str(PACKAGE_DIR.parent), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
 
 
 def random_automaton(rng: random.Random) -> GuidelineAutomaton:

@@ -26,10 +26,17 @@ from conftest import (
 )
 import corpus as soundness_corpus
 import taint_corpus
+from language_oracle import (
+    OracleDomain,
+    bounded_equiv as lang_bounded_equiv,
+    lang_concat_fin,
+    lang_omega,
+)
 from solver_reference import naive_gfp, verify_fixpoint
+from toydomain import APLUS, EMPTY, ToyDomain, ToyMix
 
 from guidecheck.cli import analyze
-from guidecheck.domains import OracleDomain, ProfileDomain
+from guidecheck.domains import ProfileDomain
 from guidecheck.fjast import (
     OBJECT,
     Call,
@@ -55,18 +62,9 @@ from guidecheck.interp import (
     value_satisfies,
 )
 from guidecheck.intrinsics import load_config, parse_config
-from guidecheck.oracle import (
-    Nfa,
-    bounded_equiv as lang_bounded_equiv,
-    lang_concat_fin,
-    lang_omega,
-    nfa_concat,
-    nfa_star,
-    nfa_union,
-)
+from guidecheck.oracle import Nfa, nfa_concat, nfa_star, nfa_union
 from guidecheck.regions import NULL_REGION, UNKNOWN, Sig, created_at, region_meta
 from guidecheck.solver import EquationSystem, solve
-from guidecheck.toydomain import APLUS, EMPTY, ToyDomain, ToyMix
 
 A = ("a",)
 

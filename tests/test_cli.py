@@ -9,10 +9,13 @@ every stub-choice combination, which is exponential in fuel.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from conftest import fixture, read_fixture
+from conftest import fixture, fresh_python_env, read_fixture
+from guidecheck import profiles
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import load_guideline
@@ -115,20 +118,6 @@ def test_silent_method_fails_a_guideline_rejecting_eps():
     report = analyze(prog, load_guideline(fixture("parity.gl")))
     assert report.verdict == "fail"
     assert all(not s.returns_ok for s in report.signatures)
-
-
-def test_concrete_mode_renders_effects():
-    prog, gl, cfg = serve_inputs("serve_safety.gl")
-    report = analyze(prog, gl, intrinsics=cfg, mode="concrete", fuel=FUEL)
-    serves = [s for s in report.signatures if s.sig.method == "serve"]
-    assert serves
-    rendered = [s.effects for s in serves if s.effects]
-    assert rendered
-    # serve never returns: the renderings speak only of divergence
-    assert any("diverges" in e for e in rendered)
-    assert all("returns" not in e for e in rendered)
-    text = report.to_text()
-    assert "diverges:" in text
 
 
 def test_demand_driven_restricts_to_reachable():
@@ -296,3 +285,41 @@ def test_main_type_error_message_names_the_problem(tmp_path, capsys):
                     "--guideline", fixture("parity.gl"))
     assert code == 2
     assert "y" in capsys.readouterr().err
+
+
+def test_main_exit_three_on_deep_program_without_traceback(tmp_path):
+    # 3,000 statements nest 3,000 deep once desugared: past the recursion limit
+    src = tmp_path / "deep.fj"
+    src.write_text(
+        "class M extends Object {\n    Object go() {\n"
+        + "        emit a;\n" * 3000
+        + "        return null;\n    }\n}\n",
+        encoding="utf-8",
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "guidecheck.cli", "analyze",
+         "--program", str(src), "--guideline", fixture("parity.gl")],
+        capture_output=True, text=True, env=fresh_python_env(), timeout=120,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("guidecheck: error: internal limit:")
+    assert "Traceback" not in done.stderr
+
+
+def test_main_exit_three_on_the_monoid_cap(monkeypatch, capsys):
+    monkeypatch.setattr(profiles, "MONOID_CAP", 1)
+    code = run_main("--program", fixture("list_last.fj"),
+                    "--guideline", fixture("count_mod3.gl"))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "guidecheck: error: internal limit: profile monoid exceeded size cap\n"
+    )
+
+
+def test_main_has_no_mode_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main("--program", fixture("serve.fj"),
+                 "--guideline", fixture("serve_safety.gl"),
+                 "--mode", "concrete")
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err

@@ -1,21 +1,22 @@
-"""The three effect domains behind the analysis.
+"""The analysis' effect domain and the two reference domains of the tests.
 
 ProfileDomain and OracleDomain are exercised hard by the law battery in
 test_acceptance; this module pins their interface behaviour (bottoms, eps,
-renders, the deliberate NotImplementedErrors) and checks the toy domain's
-tables exhaustively — small enough to enumerate completely.
+the deliberate NotImplementedErrors) and checks the toy domain's tables
+exhaustively — small enough to enumerate completely.
 """
 
 import itertools
 
 import pytest
 
-from guidecheck.domains import OracleDomain, ProfileDomain
+from guidecheck.domains import ProfileDomain
 from guidecheck.guideline import parse_guideline
 from guidecheck.oracle import Nfa
-from guidecheck.toydomain import APLUS, ASTAR, EMPTY, EPS, ToyDomain, ToyMix
 
 from conftest import fixture
+from language_oracle import OracleDomain
+from toydomain import APLUS, ASTAR, EMPTY, EPS, ToyDomain, ToyMix
 
 
 def load_domain(name):
@@ -36,7 +37,6 @@ def test_profile_domain_lattice_basics():
     assert d.fin_eq(d.fin_concat(a, d.alpha_word([])), a)
     assert d.mix_is_bottom(d.mix_bottom())
     assert d.member_fin([], d.alpha_word([]))
-    assert d.has_exact_eq
     assert d.fin_height() == len(d.monoid.elements) + 1
 
 
@@ -67,7 +67,6 @@ def test_profile_domain_alpha_words_default():
 
 def test_oracle_domain_has_no_exact_equality():
     d = OracleDomain(("a", "b"))
-    assert not d.has_exact_eq
     x = d.alpha_word(["a"])
     for op in (d.fin_eq, d.fin_leq):
         with pytest.raises(NotImplementedError):
@@ -94,14 +93,6 @@ def test_oracle_domain_language_ops():
     assert d.mix_is_bottom(d.mix_bottom())
     top = d.mix_top()
     assert d.member_fin(["b", "a"], top.fin) and d.member_up([], ["b"], top)
-
-
-def test_oracle_domain_renders_samples():
-    d = OracleDomain(("a", "b"))
-    assert d.render_fin(d.alpha_word([])) == "{ε}"
-    assert "ab" in d.render_fin(d.alpha_word(["a", "b"]))
-    shown = d.render_mix(d.omega(d.alpha_word(["a"])))
-    assert "(a)^w" in shown
 
 
 def test_fin_height_known_only_where_finite():

@@ -3,7 +3,7 @@
 import pytest
 
 from guidecheck.classtable import init_table
-from guidecheck.domains import OracleDomain, ProfileDomain
+from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import parse_guideline
 from guidecheck.inference import (
@@ -224,15 +224,6 @@ class M { Object go() { A x = new[l] A(); return x.f(); } }
         NULL_REGION: d.alpha_word(("a",))
     }
     assert table.mtable[Sig("B", UNKNOWN, "g", ())] == ({}, {}, {})
-
-
-def test_infer_without_equality_needs_a_sweep_budget():
-    prog = parse_program("class M { Object go() { return null; } }")
-    with pytest.raises(ValueError, match="max_sweeps"):
-        infer(prog, OracleDomain(("a",)))
-    table = infer(prog, OracleDomain(("a",)), max_sweeps=3)
-    t = table.tdict(Sig("M", UNKNOWN, "go", ()))
-    assert list(t) == [NULL_REGION] and t[NULL_REGION].accepts(())
 
 
 class _ShortCapDomain(ProfileDomain):

@@ -14,7 +14,6 @@ from guidecheck.interp import (
     Terminated,
     Thrown,
     enumerate_traces,
-    eval_expr,
     first_heap_violation,
     heap_satisfies,
     replay_entry,

@@ -7,10 +7,8 @@ profile values for the one-letter parity automaton were worked out by hand
 
 import random
 
-import pytest
-
 from guidecheck.guideline import parse_guideline
-from guidecheck.oracle import Nfa, lang_omega
+from guidecheck.oracle import Nfa
 from guidecheck.profiles import (
     FIN_BOTTOM,
     MIX_BOTTOM,
@@ -20,6 +18,7 @@ from guidecheck.profiles import (
 )
 
 from conftest import all_words, fixture, random_automaton
+from language_oracle import lang_omega
 
 
 def load_monoid(name):

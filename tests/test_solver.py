@@ -11,14 +11,15 @@ import random
 
 import pytest
 
+from language_oracle import OracleDomain
 from solver_reference import apply_system, approx_eta, naive_gfp, verify_fixpoint
-from guidecheck.domains import OracleDomain, ProfileDomain
+from toydomain import APLUS, EMPTY, ToyDomain, ToyMix
+from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import parse_guideline
 from guidecheck.inference import infer
 from guidecheck.regions import UNKNOWN, Sig
 from guidecheck.solver import EquationSystem, solve
-from guidecheck.toydomain import APLUS, EMPTY, ToyDomain, ToyMix
 
 PAR = ProfileDomain(
     parse_guideline(
