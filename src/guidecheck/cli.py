@@ -8,11 +8,13 @@ be accepted by the guideline.  When a verdict fails and entry points are
 given, ``find_counterexample`` searches interpreter runs for a concrete
 witness: a rejected complete trace, a prefix no accepted word extends, or a
 diverging execution whose infinite trace the guideline rejects (validated by
-replaying its script).
+replaying its script).  The search deepens the fuel one call at a time, so
+the witness it reports needs the least fuel of any.
 
 Exit codes: 0 all signatures conform, 1 some verdict failed, 2 the inputs
-were unusable (parse, type, guideline or config errors), 3 an internal limit
-was hit (recursion depth, the monoid, run or sweep caps).
+were unusable (parse, type, guideline, config or entry errors, or a report
+file that cannot be written), 3 an internal limit was hit (recursion depth,
+the monoid, run or sweep caps).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from .domains import ProfileDomain
 from .fjast import FjError, Program
 from .fjparser import parse_programs
-from .fjtypes import fj_typecheck
+from .fjtypes import fj_typecheck, method_lookup
 from .guideline import GuidelineAutomaton, GuidelineError, load_guideline
 from .inference import check_well_typed, infer
 from .interp import (
@@ -79,6 +81,7 @@ class Counterexample:
     cycle: tuple | None = None
     position: int | None = None
     script: tuple = ()
+    fuel: int | None = None  # the least fuel at which the search found it
 
     def to_json(self) -> dict:
         out = {
@@ -90,9 +93,18 @@ class Counterexample:
             out["cycle"] = list(self.cycle)
         if self.position is not None:
             out["position"] = self.position
+        if self.fuel is not None:
+            out["fuel"] = self.fuel
         return out
 
     def describe(self) -> str:
+        text = self._describe_kind()
+        if self.fuel is not None:
+            text += (f" (found at fuel {self.fuel}; no run with less fuel "
+                     f"shows a violation)")
+        return text
+
+    def _describe_kind(self) -> str:
         word = " ".join(self.trace) if self.trace else "(empty)"
         if self.kind == "finite-trace":
             return (f"{self.entry}: run emits '{word}', rejected at "
@@ -104,8 +116,9 @@ class Counterexample:
             return (f"{self.entry}: diverges after '{word}' emitting "
                     f"nothing further; the finite trace is rejected")
         cyc = " ".join(self.cycle or ())
-        return (f"{self.entry}: diverges emitting '{word}' then "
-                f"'{cyc}' forever; the infinite trace is rejected")
+        stem = f"emitting '{word}' then " if self.trace else ""
+        return (f"{self.entry}: diverges {stem}emitting '{cyc}' forever; "
+                f"the infinite trace is rejected")
 
 
 @dataclass
@@ -155,6 +168,7 @@ def analyze(
     type_errors = fj_typecheck(prog)
     if type_errors:
         raise AnalysisError(type_errors)
+    _check_entries(prog, entries or [])
     missing = sorted(prog.alphabet - set(guideline.alphabet))
     if missing:
         raise AnalysisError(
@@ -207,6 +221,28 @@ def analyze(
     )
 
 
+def _check_entries(prog: Program, entries: list) -> None:
+    """Each entry must name a parameterless method of a declared class."""
+    problems = []
+    for entry in entries:
+        cls, dot, method = entry.partition(".")
+        if not dot or not cls or not method:
+            problems.append(f"entry must be 'Class.method', got {entry!r}")
+            continue
+        if cls not in prog.by_name:
+            problems.append(f"entry {entry}: no class {cls} in the program")
+            continue
+        try:
+            md, _ = method_lookup(prog, cls, method)
+        except FjError:
+            problems.append(f"entry {entry}: {cls} has no method {method}")
+            continue
+        if md.params:
+            problems.append(f"entry {entry}: an entry must take no parameters")
+    if problems:
+        raise AnalysisError(problems)
+
+
 # -- counterexample search -----------------------------------------------------
 
 
@@ -219,14 +255,30 @@ def find_counterexample(
 ):
     """A concrete guideline violation reachable from entry, or None.
 
-    Tried in order: (1) the first complete run (terminated or thrown) whose
-    trace the guideline rejects as a finite word; (2) the first fuel-stopped
-    run whose emitted prefix kills every automaton run; (3) the first
-    diverging execution — witnessed by a repeated call configuration and
-    validated by replay — whose trace stem·cycle^ω the guideline rejects.
+    The fuel deepens from 1 to fuel.  At each level every run is enumerated
+    and searched for a witness; the first one found is returned with its
+    level, so no run with less fuel shows a violation.  The search stops
+    early once no run at a level runs out of fuel: every higher level would
+    repeat the same runs.
     """
-    runs = enumerate_traces(prog, entry, fuel, intrinsics)
+    for level in range(1, fuel + 1):
+        runs = enumerate_traces(prog, entry, level, intrinsics)
+        ce = _witness_in(prog, guideline, entry, runs, level, intrinsics)
+        if ce is not None:
+            ce.fuel = level
+            return ce
+        if not any(isinstance(run.outcome, OutOfFuel) for run in runs):
+            return None
+    return None
 
+
+def _witness_in(prog, guideline, entry, runs, fuel, intrinsics):
+    """The first witness among one level's runs, tried in order: (1) the
+    first complete run (terminated or thrown) whose trace the guideline
+    rejects as a finite word; (2) the first fuel-stopped run whose emitted
+    prefix kills every automaton run; (3) the first diverging execution —
+    witnessed by a repeated call configuration and validated by replay —
+    whose trace stem·cycle^ω the guideline rejects."""
     for run in runs:
         if isinstance(run.outcome, (Terminated, Thrown)):
             w = run.outcome.trace
@@ -290,6 +342,16 @@ def _replay_confirms(prog, entry, cand, fuel, intrinsics) -> bool:
 # -- command line ----------------------------------------------------------------
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="guidecheck",
@@ -303,8 +365,9 @@ def main(argv=None) -> int:
     pa.add_argument("--guideline", required=True, metavar="FILE")
     pa.add_argument("--config", metavar="FILE",
                     help="external-call stub declarations")
-    pa.add_argument("--fuel", type=int, default=32,
-                    help="interpreter call budget for counterexamples")
+    pa.add_argument("--fuel", type=_at_least_one, default=32,
+                    help="most interpreter calls per run in the "
+                         "counterexample search (at least 1)")
     pa.add_argument("--entry", action="append", metavar="Class.method",
                     help="entry point for counterexample search (repeatable)")
     pa.add_argument("--demand-driven", action="store_true",
@@ -329,24 +392,22 @@ def main(argv=None) -> int:
             prog, guideline, intrinsics=specs, fuel=args.fuel,
             entries=args.entry, demand_driven=args.demand_driven,
         )
+        if args.report == "json":
+            rendered = json.dumps(report.to_json(), indent=2, sort_keys=True)
+        else:
+            rendered = report.to_text()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        else:
+            print(rendered)
     except (FjError, GuidelineError, ConfigError, AnalysisError, OSError) as exc:
         print(f"guidecheck: error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # includes RecursionError
         print(f"guidecheck: error: internal limit: {exc}", file=sys.stderr)
         return 3
-
-    if args.report == "json":
-        rendered = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    else:
-        rendered = report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-    else:
-        print(rendered)
     return 0 if report.verdict == "pass" else 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

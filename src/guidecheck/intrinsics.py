@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .fjast import Program
@@ -62,6 +63,12 @@ class IntrinsicSpec:
     throw_nfa: Nfa | None = field(default=None, compare=False)
 
     def choices(self) -> list[IntrinsicChoice]:
+        """The scripted outcomes of one call, sorted.  Computed once per
+        spec; callers must not modify the list."""
+        return self._choices
+
+    @cached_property
+    def _choices(self) -> list[IntrinsicChoice]:
         words = list(self.emit_nfa.words(STUB_WORD_MAXLEN, STUB_WORD_LIMIT))
         out = [IntrinsicChoice(0, w) for w in words]
         if self.result_region == UNKNOWN:

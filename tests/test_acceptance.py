@@ -253,6 +253,19 @@ def test_serve_loop_end_to_end():
     _done("serve-end-to-end", t0, 2.0)
 
 
+def test_serve_witness_at_fuel_ten_within_budget():
+    # 3^10 runs at full fuel; the deepening search stops at the fuel-2 witness
+    prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    liveness = load_guideline(fixture("serve_liveness.gl"))
+    cfg = load_config(fixture("serve.cfg"), liveness.alphabet)
+    t0 = time.perf_counter()
+    bad = analyze(prog, liveness, intrinsics=cfg, fuel=10,
+                  entries=["Server.serve"])
+    (ce,) = bad.counterexamples
+    assert (ce.trace, ce.cycle, ce.fuel) == ((), ("authcheck", "access"), 2)
+    _done("serve-fuel-10", t0, 1.0)
+
+
 # -- 5. the algebra of effects, randomized ----------------------------------------
 
 

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from conftest import fixture, fresh_python_env, read_fixture
-from guidecheck import profiles
+from guidecheck import cli, profiles
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import load_guideline
@@ -55,6 +55,54 @@ def test_serve_fails_liveness_with_divergence_witness():
     assert ce.cycle == ("authcheck", "access")
     # the witness really is rejected: pumping the cycle never logs again
     assert not gl.accepts_lasso(ce.trace, ce.cycle)
+
+
+def test_serve_witness_is_the_least_fuel_one():
+    prog, gl, cfg = serve_inputs("serve_liveness.gl")
+    report = analyze(prog, gl, intrinsics=cfg, fuel=FUEL,
+                     entries=["Server.serve"])
+    (ce,) = report.counterexamples
+    assert ce.trace == ()
+    assert ce.cycle == ("authcheck", "access")
+    assert ce.fuel == 2
+    assert ce.to_json()["fuel"] == 2
+    assert "no run with less fuel shows a violation" in ce.describe()
+
+
+def test_search_stops_deepening_once_every_run_terminates(monkeypatch):
+    # ok() is three calls deep and fine; bad() emits nothing, which parity
+    # rejects, so the verdict fails but no run from ok() can show it
+    src = """
+    class A extends Object {
+        Object ok() {
+            return this.two();
+        }
+        Object two() {
+            return this.one();
+        }
+        Object one() {
+            emit a;
+            return null;
+        }
+        Object bad() {
+            return null;
+        }
+    }
+    """
+    levels = []
+    enumerate_traces = cli.enumerate_traces
+
+    def recording(prog, entry, fuel, intrinsics=None):
+        levels.append(fuel)
+        return enumerate_traces(prog, entry, fuel, intrinsics)
+
+    monkeypatch.setattr(cli, "enumerate_traces", recording)
+    prog = parse_program(src, "deep.fj")
+    report = analyze(prog, load_guideline(fixture("parity.gl")), fuel=32,
+                     entries=["A.ok"])
+    assert report.verdict == "fail"
+    assert report.counterexamples == []
+    assert levels == [1, 2, 3]  # fuel 3 runs ok() to its end
 
 
 def test_no_counterexample_search_without_entries():
@@ -262,13 +310,57 @@ def test_main_json_report_to_file(tmp_path, capsys):
         ("--program", fixture("serve.fj"),
          "--guideline", fixture("serve_safety.gl"),
          "--config", fixture("serve.cfg"), "--demand-driven"),
+        # entry in a class the program lacks, with and without demand-driven
+        ("--program", fixture("serve.fj"),
+         "--guideline", fixture("serve_liveness.gl"),
+         "--config", fixture("serve.cfg"), "--entry", "Nope.serve"),
+        ("--program", fixture("serve.fj"),
+         "--guideline", fixture("serve_liveness.gl"),
+         "--config", fixture("serve.cfg"), "--entry", "Nope.serve",
+         "--demand-driven"),
+        # entry not of the form Class.method
+        ("--program", fixture("serve.fj"),
+         "--guideline", fixture("serve_liveness.gl"),
+         "--config", fixture("serve.cfg"), "--entry", "Mgo"),
+        # entry method that takes parameters
+        ("--program", fixture("serve.fj"),
+         "--guideline", fixture("serve_liveness.gl"),
+         "--config", fixture("serve.cfg"), "--entry", "Server.ask"),
     ],
-    ids=["missing-file", "bad-guideline", "bad-config", "alphabet", "no-entry"],
+    ids=["missing-file", "bad-guideline", "bad-config", "alphabet", "no-entry",
+         "entry-unknown-class", "entry-unknown-class-demand-driven",
+         "entry-unqualified", "entry-with-parameters"],
 )
 def test_main_exit_two_on_unusable_inputs(argv, capsys):
     assert run_main(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("guidecheck: error:")
+
+
+def test_main_exit_two_on_an_unwritable_report_file(tmp_path, capsys):
+    out_path = tmp_path / "missing-dir" / "report.txt"
+    code = run_main(
+        "--program", fixture("serve.fj"),
+        "--guideline", fixture("serve_safety.gl"),
+        "--config", fixture("serve.cfg"), "--out", str(out_path),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guidecheck: error:")
+    assert "report.txt" in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("fuel", ["0", "-3", "many"])
+def test_main_rejects_fuel_below_one(fuel, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main("--program", fixture("serve.fj"),
+                 "--guideline", fixture("serve_liveness.gl"),
+                 "--config", fixture("serve.cfg"),
+                 "--entry", "Server.serve", "--fuel", fuel)
+    assert exc.value.code == 2
+    assert "--fuel" in capsys.readouterr().err
 
 
 def test_main_type_error_message_names_the_problem(tmp_path, capsys):

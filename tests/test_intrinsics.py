@@ -2,7 +2,9 @@
 
 import pytest
 
+from conftest import fixture, read_fixture
 from guidecheck.fjparser import parse_program
+from guidecheck.interp import enumerate_traces
 from guidecheck.intrinsics import (
     ConfigError,
     IntrinsicChoice,
@@ -11,6 +13,7 @@ from guidecheck.intrinsics import (
     stub_lookup,
     validate_against_program,
 )
+from guidecheck.oracle import Nfa
 from guidecheck.regions import NULL_REGION, UNKNOWN, created_at, region_meta
 
 AB = ("a", "b")
@@ -96,6 +99,24 @@ def test_choices_rank_and_order():
 def test_choices_cap_infinite_languages():
     s = one("A.m() -> Null emits a*\n")
     assert [c.word for c in s.choices()] == [(), ("a",), ("a", "a")]
+
+
+def test_stub_words_are_listed_once_per_spec(monkeypatch):
+    calls = []
+    words = Nfa.words
+
+    def counting_words(self, *args, **kwargs):
+        calls.append(self)
+        return words(self, *args, **kwargs)
+
+    monkeypatch.setattr(Nfa, "words", counting_words)
+    prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    specs = load_config(fixture("serve.cfg"), ("log", "authcheck", "access"))
+    runs = enumerate_traces(prog, "Server.serve", 4, specs)
+    assert len(runs) == 3 ** 4  # dozens of stub calls...
+    # ...but each spec's word list is built once
+    nfas = [s.emit_nfa for s in specs.values()]
+    assert sorted(map(id, calls)) == sorted(map(id, nfas))
 
 
 PROG = parse_program(
