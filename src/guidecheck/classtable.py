@@ -42,7 +42,7 @@ class ClassTable:
     ftable: dict  # (cls, Region, fname) -> frozenset[Region]
     mtable: dict  # Sig -> (T, H, S)
     pinned: set = field(default_factory=set)
-    analyzed: set | None = None  # demand-driven: sigs actually swept
+    analyzed: set | None = None  # demand-driven: the sigs activated
 
     def tdict(self, sig: Sig) -> dict:
         return self.mtable[sig][0]
@@ -80,28 +80,31 @@ def join_triple(domain, a: Triple, b: Triple) -> Triple:
     )
 
 
-def close_ftable(table: ClassTable, prog: Program, meta: RegionMeta) -> bool:
+def close_ftable(table: ClassTable, prog: Program, meta: RegionMeta) -> set:
     """Null membership, Unknown-row absorption, and agreement along the
-    hierarchy for inherited fields.  Returns whether anything grew."""
+    hierarchy for inherited fields.  Returns the keys of the rows that
+    grew."""
     ftable = table.ftable
-    grew = False
+    grown: set = set()
     while True:
         changed = False
         for (cls, r, fname), regs in list(ftable.items()):
             if NULL_REGION not in regs:
                 ftable[(cls, r, fname)] = regs | {NULL_REGION}
+                grown.add((cls, r, fname))
                 changed = True
         for c in prog.classes:
             if c.parent not in prog.by_name:
                 continue
             for fd in prog.fields_of(c.parent):
                 for r in meta.regions:
-                    lo = ftable[(c.name, r, fd.name)]
-                    hi = ftable[(c.parent, r, fd.name)]
-                    if lo != hi:
-                        ftable[(c.name, r, fd.name)] = lo | hi
-                        ftable[(c.parent, r, fd.name)] = lo | hi
-                        changed = True
+                    keys = ((c.name, r, fd.name), (c.parent, r, fd.name))
+                    merged = ftable[keys[0]] | ftable[keys[1]]
+                    for key in keys:
+                        if ftable[key] != merged:
+                            ftable[key] = merged
+                            grown.add(key)
+                            changed = True
         for c in prog.classes:
             for fd in prog.fields_of(c.name):
                 out = ftable[(c.name, UNKNOWN, fd.name)]
@@ -110,21 +113,22 @@ def close_ftable(table: ClassTable, prog: Program, meta: RegionMeta) -> bool:
                     merged = merged | ftable[(c.name, r, fd.name)]
                 if merged != out:
                     ftable[(c.name, UNKNOWN, fd.name)] = merged
+                    grown.add((c.name, UNKNOWN, fd.name))
                     changed = True
         if not changed:
-            return grew
-        grew = True
+            return grown
 
 
-def close_mtable(table: ClassTable, prog: Program, meta: RegionMeta, domain) -> bool:
+def close_mtable(table: ClassTable, prog: Program, meta: RegionMeta,
+                 domain) -> set:
     """Absorb subclass entries into superclass entries, children first so one
-    sweep propagates along whole chains.  Pinned entries are never widened.
-    Returns whether anything grew, comparing entries with ``==``."""
+    pass propagates along whole chains.  Pinned entries are never widened.
+    Returns the signatures whose entries grew, comparing with ``==``."""
     order = sorted(
         (c.name for c in prog.classes),
         key=lambda n: (-len(prog.supers(n)), n),
     )
-    grew = False
+    grown: set = set()
     for cls in order:
         parent = prog.by_name[cls].parent
         if parent not in prog.by_name:
@@ -142,13 +146,13 @@ def close_mtable(table: ClassTable, prog: Program, meta: RegionMeta, domain) -> 
                     )
                     if joined != table.mtable[target]:
                         table.mtable[target] = joined
-                        grew = True
-    return grew
+                        grown.add(target)
+    return grown
 
 
 def check_class_table(table: ClassTable, prog: Program, meta: RegionMeta,
-                      domain) -> bool:
-    """Close both tables; returns whether anything grew."""
-    grew = close_ftable(table, prog, meta)
-    grew = close_mtable(table, prog, meta, domain) or grew
-    return grew
+                      domain) -> set:
+    """Close both tables.  Returns the rows that grew: field-table keys and
+    method-table signatures, so inference can re-type just their readers."""
+    return (close_ftable(table, prog, meta)
+            | close_mtable(table, prog, meta, domain))

@@ -14,7 +14,7 @@ the witness it reports needs the least fuel of any.
 Exit codes: 0 all signatures conform, 1 some verdict failed, 2 the inputs
 were unusable (parse, type, guideline, config or entry errors, or a report
 file that cannot be written), 3 an internal limit was hit (recursion depth,
-the monoid, run or sweep caps).
+the monoid, run or inference re-typing caps).
 """
 
 from __future__ import annotations

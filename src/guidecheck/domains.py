@@ -116,7 +116,7 @@ class EffectDomain(ABC):
 
     def fin_height(self) -> int | None:
         """Height of the finite-element lattice, None if unbounded/unknown;
-        used only to cap fixpoint sweeps."""
+        used only to cap how often inference re-types a body."""
         return None
 
 

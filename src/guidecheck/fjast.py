@@ -138,21 +138,22 @@ class TryCatch(Expr):
 
 
 def subexprs(e: Expr) -> Iterator[Expr]:
-    """Yield e and every expression nested inside it."""
-    yield e
-    if isinstance(e, Cast):
-        yield from subexprs(e.expr)
-    elif isinstance(e, Let):
-        yield from subexprs(e.init)
-        yield from subexprs(e.body)
-    elif isinstance(e, If):
-        yield from subexprs(e.then)
-        yield from subexprs(e.els)
-    elif isinstance(e, Throw):
-        yield from subexprs(e.expr)
-    elif isinstance(e, TryCatch):
-        yield from subexprs(e.body)
-        yield from subexprs(e.handler)
+    """Yield e and every expression nested inside it, in preorder.
+    Iterative, so a deeply nested body cannot exhaust the Python stack."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Cast):
+            stack.append(e.expr)
+        elif isinstance(e, Let):
+            stack += (e.body, e.init)
+        elif isinstance(e, If):
+            stack += (e.els, e.then)
+        elif isinstance(e, Throw):
+            stack.append(e.expr)
+        elif isinstance(e, TryCatch):
+            stack += (e.handler, e.body)
 
 
 # ---------------------------------------------------------------------------

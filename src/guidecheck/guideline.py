@@ -58,6 +58,14 @@ class GuidelineAutomaton:
         self._delta: dict[tuple[str, str], frozenset[str]] = {
             k: frozenset(v) for k, v in grouped.items()
         }
+        rels: dict[str, set] = {a: set() for a in self.alphabet}
+        for (q, a), targets in self._delta.items():
+            for q2 in targets:
+                bit = 1 if (q in self.accepting or q2 in self.accepting) else 0
+                rels[a].add((q, bit, q2))
+        self._letter_rels: dict[str, Rel] = {
+            a: frozenset(r) for a, r in rels.items()
+        }
 
     # -- NFA reading --------------------------------------------------------
 
@@ -98,14 +106,9 @@ class GuidelineAutomaton:
         return rel
 
     def letter_rel(self, a: str) -> Rel:
-        out = set()
-        for (q, la), targets in self._delta.items():
-            if la != a:
-                continue
-            for q2 in targets:
-                bit = 1 if (q in self.accepting or q2 in self.accepting) else 0
-                out.add((q, bit, q2))
-        return frozenset(out)
+        """Triples (q, b, q') of the transitions on a, b marking an accepting
+        endpoint; built once per automaton."""
+        return self._letter_rels.get(a, frozenset())
 
     @staticmethod
     def compose_rel(r1: Rel, r2: Rel) -> Rel:

@@ -2,19 +2,21 @@
 
 ``typeff`` types one expression under a region environment and a current
 table, producing the effect triple (T, H, S) described in ``classtable`` plus
-the field-table updates the expression demands.  ``infer`` sweeps all method
-bodies, applies updates, re-closes the tables and repeats until nothing
+the field-table updates the expression demands.  ``infer`` types the method
+bodies callees first from a worklist, applies updates, re-closes the tables
+and re-types only the bodies that read a row that grew, until nothing
 grows.  ``check_well_typed`` re-types every body against a frozen table and
 reports any entry the table fails to cover — the shape of claim a soundness
 argument needs, and a useful internal sanity check.
 
 Environments map variable names (including ``this``) to regions.  A body is
-typed once per signature: receiver region from the signature, parameter
-regions from the signature's argument tuple.
+typed per signature: receiver region from the signature, parameter regions
+from the signature's argument tuple.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .classtable import (
@@ -39,10 +41,12 @@ from .fjast import (
     Throw,
     TryCatch,
     Var,
+    subexprs,
 )
-from .fjtypes import method_lookup, preceq
+from .fjtypes import method_lookup, methods_of, preceq
 from .intrinsics import stub_lookup
 from .regions import NULL_REGION, Region, RegionMeta, Sig, created_at, region_meta
+from .solver import components
 
 EMPTY: dict = {}
 
@@ -231,6 +235,43 @@ def _gamma_of(sig: Sig, prog: Program) -> dict:
     return gamma
 
 
+def _callee_first(sigs: list, prog: Program) -> list:
+    """Order signatures callees first: by the strongly connected component
+    of their (class, method) node in the static call graph, then
+    canonically.  The graph's edges are the call sites of each resolved
+    body, plus one from each method to the same method at every direct
+    subclass, whose entry closure absorbs into it."""
+    succ: dict = {}
+    for c in prog.classes:
+        for mname, (md, _) in methods_of(prog, c.name).items():
+            succ[(c.name, mname)] = [(e.recv_cls, e.method)
+                                     for e in subexprs(md.body)
+                                     if isinstance(e, Call)]
+    for c in prog.classes:
+        if c.parent in prog.by_name:
+            for mname in methods_of(prog, c.parent):
+                succ[(c.parent, mname)].append((c.name, mname))
+    comp_of = {node: i
+               for i, comp in enumerate(components(succ, succ.__getitem__))
+               for node in comp}
+    return sorted(sigs, key=lambda s: (comp_of[(s.cls, s.method)],
+                                       s.sort_key()))
+
+
+class _ReadLog:
+    """The table as one typing sees it, noting the field rows it reads.
+    The method rows it reads are the keys of the typing's S."""
+
+    def __init__(self, table: ClassTable):
+        self._table = table
+        self.mtable = table.mtable
+        self.field_rows: set = set()
+
+    def fields_at(self, cls: str, region: Region, fname: str) -> frozenset:
+        self.field_rows.add((cls, region, fname))
+        return self._table.fields_at(cls, region, fname)
+
+
 def infer(
     prog: Program,
     domain,
@@ -238,87 +279,117 @@ def infer(
     entries: list[str] | None = None,
     meta: RegionMeta | None = None,
 ) -> ClassTable:
-    """Compute the tables to their least fixpoint: sweep until no entry
-    changes, compared with ``==``.  Raises ``RuntimeError`` past the sweep
-    cap.  With entries given, only signatures reachable from them are
-    analyzed (demand-driven); the rest stay bottom."""
+    """Compute the tables to their least fixpoint with a worklist (Kildall,
+    POPL 1973).  Bodied signatures are typed callees first (``_callee_first``);
+    each typing records the rows it reads, and when a row grows only its
+    readers go back on the worklist.  When the worklist empties, the tables
+    are closed under the hierarchy and the readers of the rows that grew go
+    back on it; the fixpoint is reached when closing grows nothing.  Table
+    entries are compared with ``==``.  Raises ``RuntimeError`` past the
+    typing cap.
+
+    With entries given (demand-driven), the worklist starts from the entry
+    signatures, and a signature is activated, with its same-shape subclass
+    signatures (closure joins those into it), the first time a body reads
+    it.  Only active bodies are typed, the rest stay bottom, and
+    ``table.analyzed`` is the set of active signatures."""
     if meta is None:
         meta = region_meta(prog)
     specs = intrinsics or {}
     table = init_table(prog, meta)
     seed_intrinsics(table, prog, meta, domain, specs)
     check_class_table(table, prog, meta, domain)
-    bodied = bodied_sigs(table, prog, meta, specs)
+    bodied = _callee_first(bodied_sigs(table, prog, meta, specs), prog)
+    rank = {sig: i for i, sig in enumerate(bodied)}
+    readers: dict = {}  # row (field-table key or Sig) -> ranks of its readers
+    queue: list = []  # heap of ranks: the lowest, most callee-like, first
+    queued = [False] * len(bodied)
 
-    active: set | None = None
-    if entries is not None:
-        active = set()
+    def push(i: int) -> None:
+        if not queued[i]:
+            queued[i] = True
+            heapq.heappush(queue, i)
+
+    def push_readers(rows) -> None:
+        for row in rows:
+            for i in readers.get(row, ()):
+                push(i)
+
+    active: set | None = None if entries is None else set()
+
+    def activate(sigs) -> None:
+        """Demand-driven: make sigs active, with the same-shape signatures
+        at their subclasses, whose entries closure joins into them."""
+        frontier = [s for s in sigs if s not in active]
+        active.update(frontier)
+        while frontier:
+            sig = frontier.pop()
+            if sig in rank:
+                push(rank[sig])
+            for c in prog.classes:
+                sub = Sig(c.name, sig.recv, sig.method, sig.args)
+                if (sig.cls in prog.supers(c.name) and sub in table.mtable
+                        and sub not in active):
+                    active.add(sub)
+                    frontier.append(sub)
+
+    if active is None:
+        for i in range(len(bodied)):
+            push(i)
+    else:
         for entry in entries:
             cls, _, method = entry.partition(".")
-            for sig in table.mtable:
-                if sig.cls == cls and sig.method == method and not sig.args:
-                    active.add(sig)
-        active = _expand_active(active, table, prog)
+            activate([sig for sig in table.mtable
+                      if sig.cls == cls and sig.method == method
+                      and not sig.args])
 
-    cap = _sweep_cap(table, meta, domain)
-    sweep = 0
-    while True:
-        sweep += 1
-        if sweep > cap:
+    cap = _typing_cap(table, meta, domain, len(bodied))
+    typings = 0
+    while queue:
+        i = heapq.heappop(queue)
+        queued[i] = False
+        typings += 1
+        if typings > cap:
             raise RuntimeError("inference failed to converge within its cap")
-        changed = False
-        for sig in bodied:
-            if active is not None and sig not in active:
-                continue
-            md, _ = method_lookup(prog, sig.cls, sig.method)
-            eff = typeff(prog, meta, table, domain, _gamma_of(sig, prog), md.body)
-            for (key, region) in eff.fupdates:
-                regs = table.ftable[key]
-                if region not in regs:
-                    table.ftable[key] = regs | {region}
-                    changed = True
-            joined = join_triple(domain, table.mtable[sig], eff.triple())
-            if joined != table.mtable[sig]:
-                table.mtable[sig] = joined
-                changed = True
-            if active is not None:
-                before = len(active)
-                active |= {s for s in eff.s if s in table.mtable}
-                active = _expand_active(active, table, prog)
-                if len(active) != before:
-                    changed = True
-        if check_class_table(table, prog, meta, domain):
-            changed = True
-        if not changed:
-            break
+        sig = bodied[i]
+        md, _ = method_lookup(prog, sig.cls, sig.method)
+        log = _ReadLog(table)
+        eff = typeff(prog, meta, log, domain, _gamma_of(sig, prog), md.body)
+        for row in log.field_rows | eff.s.keys():
+            readers.setdefault(row, set()).add(i)
+        grown = []
+        for (key, region) in eff.fupdates:
+            regs = table.ftable[key]
+            if region not in regs:
+                table.ftable[key] = regs | {region}
+                grown.append(key)
+        joined = join_triple(domain, table.mtable[sig], eff.triple())
+        if joined != table.mtable[sig]:
+            table.mtable[sig] = joined
+            grown.append(sig)
+        push_readers(grown)
+        if active is not None:
+            activate(eff.s)
+        if not queue:
+            push_readers(check_class_table(table, prog, meta, domain))
     if active is not None:
         table.analyzed = set(active)
     return table
 
 
-def _expand_active(active: set, table: ClassTable, prog: Program) -> set:
-    """A demanded signature needs every same-shape signature at a subclass:
-    closure joins those up into it."""
-    out = set(active)
-    frontier = list(active)
-    while frontier:
-        sig = frontier.pop()
-        for c in prog.classes:
-            if sig.cls not in prog.supers(c.name):
-                continue
-            sub = Sig(c.name, sig.recv, sig.method, sig.args)
-            if sub in table.mtable and sub not in out:
-                out.add(sub)
-                frontier.append(sub)
-    return out
-
-
-def _sweep_cap(table: ClassTable, meta: RegionMeta, domain) -> int:
+def _typing_cap(table: ClassTable, meta: RegionMeta, domain,
+                bodies: int) -> int:
+    """Bound on the typings of bodies.  Besides its first typing, a body is
+    re-typed only after a row it reads grew, and rows grow a bounded number
+    of times: each method entry at most ``fin_height`` times per key, each
+    field row at most once per region."""
     height = domain.fin_height()
     if height is None:
         return 1 << 30
     per_entry = (2 * len(meta.regions) + len(table.mtable)) * height
-    return 2 + len(table.mtable) * per_entry
+    growths = (len(table.mtable) * per_entry
+               + len(table.ftable) * len(meta.regions))
+    return bodies * (1 + growths)
 
 
 @dataclass

@@ -27,7 +27,7 @@ are in ``tests/solver_reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .classtable import ClassTable
 from .effexpr import dict_drop_bottom, dict_join, dict_scale
@@ -56,45 +56,46 @@ class _LinForm:
     const: object  # mix element
 
 
-def _components(system: EquationSystem) -> list:
-    """Strongly connected components of the call graph, each callee's
-    component before its callers' (Tarjan 1972).  Iterative, so a long call
-    chain cannot exhaust the Python stack."""
+def components(nodes: Iterable, successors: Callable) -> list:
+    """Strongly connected components of the graph that ``successors`` gives
+    on ``nodes``, each successor's component before its predecessors'
+    (Tarjan 1972).  Roots are taken in the order of ``nodes``.  Iterative, so
+    a long chain cannot exhaust the Python stack."""
     index: dict = {}
     low: dict = {}
     stack: list = []
     on_stack: set = set()
     out: list = []
-    for root in system.sigs:
+    for root in nodes:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(system.rhs[root]))]
+        work = [(root, iter(successors(root)))]
         while work:
-            var, callees = work[-1]
-            for callee in callees:
-                if callee not in index:
-                    index[callee] = low[callee] = len(index)
-                    stack.append(callee)
-                    on_stack.add(callee)
-                    work.append((callee, iter(system.rhs[callee])))
+            node, succ = work[-1]
+            for nxt in succ:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(successors(nxt))))
                     break
-                if callee in on_stack:
-                    low[var] = min(low[var], index[callee])
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
             else:
                 work.pop()
                 if work:
-                    caller = work[-1][0]
-                    low[caller] = min(low[caller], low[var])
-                if low[var] == index[var]:
+                    pred = work[-1][0]
+                    low[pred] = min(low[pred], low[node])
+                if low[node] == index[node]:
                     comp = []
                     while True:
                         member = stack.pop()
                         on_stack.discard(member)
                         comp.append(member)
-                        if member == var:
+                        if member == node:
                             break
                     out.append(comp)
     return out
@@ -120,7 +121,7 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
         )
         return form
 
-    for comp in _components(system):
+    for comp in components(system.sigs, system.rhs.__getitem__):
         members = sorted(comp, key=rank.__getitem__)
         inside = set(members)
         solved: dict = {}

@@ -111,6 +111,15 @@ class M { A go() { B b = new[k] B(); return b.id(b); } }
     assert calls and calls[0].recv_cls == "B"
 
 
+def test_subexprs_walks_deep_nesting_in_preorder():
+    body = Var("x")
+    for _ in range(5000):
+        body = Let("x", None, Emit("a"), body)
+    kinds = [type(e) for e in subexprs(body)]
+    assert len(kinds) == 10001
+    assert kinds[:4] == [Let, Emit, Let, Emit] and kinds[-1] is Var
+
+
 def test_cast_try_throw_setfield_all_survive_roundtrip():
     src = read_fixture("roundtrip.fj")
     p1 = parse_program(src, filename="roundtrip.fj")

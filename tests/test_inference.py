@@ -2,17 +2,25 @@
 
 import pytest
 
+import corpus as soundness_corpus
+import taint_corpus
+from conftest import FIXTURES, fixture
+from inference_reference import infer_by_sweeps
+
+from guidecheck import inference
 from guidecheck.classtable import init_table
 from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
-from guidecheck.guideline import parse_guideline
+from guidecheck.fjtypes import methods_of
+from guidecheck.guideline import load_guideline, parse_guideline
 from guidecheck.inference import (
+    bodied_sigs,
     check_well_typed,
     except_filter,
     infer,
     typeff,
 )
-from guidecheck.intrinsics import parse_config
+from guidecheck.intrinsics import load_config, parse_config
 from guidecheck.regions import NULL_REGION, UNKNOWN, Sig, created_at, region_meta
 
 ONE_LETTER = ProfileDomain(
@@ -227,20 +235,23 @@ class M { Object go() { A x = new[l] A(); return x.f(); } }
 
 
 class _ShortCapDomain(ProfileDomain):
-    """Claims a zero-height lattice, so the sweep cap is two sweeps."""
+    """Claims a zero-height lattice, so on a program without fields the cap
+    lets each body be typed once."""
 
     def fin_height(self) -> int:
         return 0
 
 
 def test_infer_raises_when_sweeps_exceed_the_cap():
-    # the callers are analyzed before their callees, so each sweep moves the
-    # emitted a back by one call and the table needs more than two sweeps
+    # f's returning effect grows round by round (the empty word, then a,
+    # then a a, ...), and each round re-types f against its own row, so the
+    # table needs more typings than one per body
     prog = parse_program(
         """
-class A { Object f() { B x = new[b] B(); return x.g(); } }
-class B { Object g() { C x = new[c] C(); return x.h(); } }
-class C { Object h() { emit a; return null; } }
+class L { Object f() {
+    L z = null;
+    if (this == z) { return null; } else { emit a; Object y = this.f(); return y; }
+} }
 """
     )
     domain = _ShortCapDomain(ONE_LETTER.guideline)
@@ -277,3 +288,104 @@ def test_check_well_typed_catches_a_tampered_table():
     assert offenses
     assert any("not covered" in str(o) for o in offenses)
     assert any(o.sig == sig_f and o.part == "T" for o in offenses)
+
+
+# --- the worklist against the sweep it replaced ------------------------------------
+
+
+def _reference_cases():
+    """(name, program, domain, stub specs) over the soundness corpus, the
+    taint corpus, and every fixture program under every fixture guideline
+    whose alphabet covers it."""
+    domains = {}
+
+    def domain_of(gl_name):
+        if gl_name not in domains:
+            domains[gl_name] = ProfileDomain(load_guideline(fixture(gl_name)))
+        return domains[gl_name]
+
+    d = domain_of("count_mod3.gl")
+    for name, (src, _, _, cfg) in sorted(soundness_corpus.PROGRAMS.items()):
+        prog = parse_program(src, f"{name}.fj", alphabet=d.alphabet)
+        yield name, prog, d, parse_config(cfg, d.alphabet) if cfg else {}
+    d = domain_of("taint.gl")
+    for name, src in sorted(taint_corpus.PROGRAMS.items()):
+        yield name, parse_program(src, f"{name}.fj", alphabet=d.alphabet), d, {}
+    for fj in sorted(FIXTURES.glob("*.fj")):
+        prog = parse_program(fj.read_text(encoding="utf-8"), fj.name)
+        for gl in sorted(FIXTURES.glob("*.gl")):
+            d = domain_of(gl.name)
+            if not prog.alphabet <= set(d.alphabet):
+                continue
+            specs = {}
+            if fj.name == "serve.fj":
+                specs = load_config(fixture("serve.cfg"), d.alphabet)
+            yield f"{fj.name}/{gl.name}", prog, d, specs
+
+
+def _entry_points(prog):
+    return [f"{c.name}.{m}" for c in prog.classes
+            for m, (md, _) in sorted(methods_of(prog, c.name).items())
+            if not md.params]
+
+
+@pytest.mark.parametrize("demand_driven", [False, True],
+                         ids=["full", "demand-driven"])
+def test_worklist_matches_the_sweep_reference(demand_driven):
+    runs = 0
+    for name, prog, d, specs in _reference_cases():
+        for entries in ([[e] for e in _entry_points(prog)] if demand_driven
+                        else [None]):
+            got = infer(prog, d, intrinsics=specs, entries=entries)
+            want = infer_by_sweeps(prog, d, intrinsics=specs, entries=entries)
+            assert got.mtable == want.mtable, (name, entries)
+            assert got.ftable == want.ftable, (name, entries)
+            assert got.analyzed == want.analyzed, (name, entries)
+            assert got.pinned == want.pinned, (name, entries)
+            runs += 1
+    assert runs >= 44  # 23 soundness, 12 taint, 9 fixture pairings
+
+
+def _chain_program(n):
+    """An acyclic chain of n methods: C.m0 calls m1, which calls m2, and so
+    on; each emits a after its call returns."""
+    methods = [f"Object m{i}() {{ Object y = this.m{i + 1}(); emit a; "
+               f"return y; }}" for i in range(n - 1)]
+    methods.append(f"Object m{n - 1}() {{ emit a; return null; }}")
+    return "class C {\n" + "\n".join(methods) + "\n}\n"
+
+
+def test_worklist_types_each_body_of_an_acyclic_chain_once(monkeypatch):
+    prog = parse_program(_chain_program(40))
+    typings = []
+    depth = [0]
+    real = inference.typeff
+
+    def counting(prog, meta, table, domain, gamma, e):
+        if depth[0] == 0:
+            typings.append((gamma["this"], id(e)))
+        depth[0] += 1
+        try:
+            return real(prog, meta, table, domain, gamma, e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(inference, "typeff", counting)
+    d = ONE_LETTER
+    table = infer(prog, d)
+    meta = region_meta(prog)
+    bodied = bodied_sigs(table, prog, meta, {})
+    assert len(bodied) == 40
+    assert sorted(typings, key=lambda t: t[1]) == sorted(
+        ((UNKNOWN, id(md.body)) for md in prog.by_name["C"].methods),
+        key=lambda t: t[1])
+    assert table.tdict(Sig("C", UNKNOWN, "m0", ())) == {
+        NULL_REGION: d.alpha_word(("a",) * 40)}
+
+
+def test_worklist_infers_a_long_call_chain_without_recursion_error():
+    prog = parse_program(_chain_program(2000))
+    d = ONE_LETTER
+    table = infer(prog, d)
+    assert table.tdict(Sig("C", UNKNOWN, "m0", ())) == {
+        NULL_REGION: d.alpha_word(("a",) * 2000)}
