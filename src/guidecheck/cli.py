@@ -12,9 +12,11 @@ replaying its script).  The search deepens the fuel one call at a time, so
 the witness it reports needs the least fuel of any.
 
 Exit codes: 0 all signatures conform, 1 some verdict failed, 2 the inputs
-were unusable (parse, type, guideline, config or entry errors, or a report
-file that cannot be written), 3 an internal limit was hit (recursion depth,
-the monoid, run or inference re-typing caps).
+were unusable (an input file that cannot be read or is not UTF-8, parse,
+type, guideline, config or entry errors, or a report file that cannot be
+written), 3 an internal limit was hit (recursion depth, the run or
+inference re-typing caps, or the profile monoid's size cap, which inference
+meets only when it closes the monoid for its exact re-typing cap).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .domains import ProfileDomain
 from .fjast import FjError, Program
 from .fjparser import parse_programs
 from .fjtypes import fj_typecheck, method_lookup
-from .guideline import GuidelineAutomaton, GuidelineError, load_guideline
+from .guideline import GuidelineAutomaton, GuidelineError, parse_guideline
 from .inference import check_well_typed, infer
 from .interp import (
     OutOfFuel,
@@ -37,7 +39,7 @@ from .interp import (
     enumerate_traces,
     replay_entry,
 )
-from .intrinsics import ConfigError, load_config, validate_against_program
+from .intrinsics import ConfigError, parse_config, validate_against_program
 from .regions import Sig, region_meta
 from .solver import EquationSystem, solve
 
@@ -352,6 +354,17 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 is unusable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise AnalysisError(
+            [f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]
+        ) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="guidecheck",
@@ -377,15 +390,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        guideline = load_guideline(args.guideline)
-        sources = []
-        for path in args.program:
-            with open(path, encoding="utf-8") as fh:
-                sources.append((fh.read(), path))
+        guideline = parse_guideline(_read_text(args.guideline))
+        sources = [(_read_text(path), path) for path in args.program]
         prog = parse_programs(sources, alphabet=guideline.alphabet)
         specs = {}
         if args.config:
-            specs = load_config(args.config, guideline.alphabet)
+            specs = parse_config(_read_text(args.config), guideline.alphabet)
         if args.demand_driven and not args.entry:
             raise AnalysisError(["--demand-driven requires --entry"])
         report = analyze(

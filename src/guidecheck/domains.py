@@ -9,10 +9,13 @@ Inference runs to a fixpoint, so a domain's finite elements must compare
 exactly with ``==``.
 
 ``ProfileDomain`` interprets both lattices over the transition profiles of a
-guideline automaton; it is finite, has exact equality, and can answer whether
-everything an element denotes is accepted by the guideline.  It drives the
-verdict.  The test suite adds two reference domains behind the same
-interface: a language-level one over NFAs and a four-point toy domain.
+guideline automaton; it is finite, has exact equality on finite elements,
+and can answer whether everything an element denotes is accepted by the
+guideline.  It drives the verdict.  The analysis needs no equality on mixed
+elements and no membership probes, so the interface has none; the test
+suite adds them, on the profile domain through a subclass that
+canonicalizes mixed elements, and in two reference domains behind the same
+interface, a language-level one over NFAs and a four-point toy domain.
 """
 
 from __future__ import annotations
@@ -46,16 +49,7 @@ class EffectDomain(ABC):
     def fin_leq(self, x, y) -> bool: ...
 
     @abstractmethod
-    def fin_eq(self, x, y) -> bool: ...
-
-    @abstractmethod
     def alpha_word(self, w: Sequence[str]): ...
-
-    def alpha_words(self, words):
-        out = self.fin_bottom()
-        for w in words:
-            out = self.fin_join(out, self.alpha_word(w))
-        return out
 
     @abstractmethod
     def alpha_nfa(self, nfa: Nfa): ...
@@ -78,28 +72,10 @@ class EffectDomain(ABC):
     def fin_mix_concat(self, u, m): ...
 
     @abstractmethod
-    def mix_eq(self, x, y) -> bool: ...
-
-    @abstractmethod
-    def mix_leq(self, x, y) -> bool: ...
-
-    @abstractmethod
     def omega(self, x): ...
-
-    def fin_to_mix(self, x):
-        """Embed a finite-word element as a mixed element with no infinite part."""
-        return self.fin_mix_concat(x, self.mix_of_eps())
 
     @abstractmethod
     def mix_of_eps(self): ...
-
-    # -- membership probes ------------------------------------------------------
-
-    @abstractmethod
-    def member_fin(self, w: Sequence[str], x) -> bool: ...
-
-    @abstractmethod
-    def member_up(self, u: Sequence[str], v: Sequence[str], m) -> bool: ...
 
     # -- guideline verdict (profile domain only) ---------------------------------
 
@@ -109,15 +85,16 @@ class EffectDomain(ABC):
     def accepts_mix(self, m) -> bool:
         raise NotImplementedError(f"{type(self).__name__} carries no verdict")
 
-    # -- top element (only where the lattice has a useful one) -------------------
-
-    def mix_top(self):
-        raise NotImplementedError(f"{type(self).__name__} has no top element")
-
     def fin_height(self) -> int | None:
         """Height of the finite-element lattice, None if unbounded/unknown;
         used only to cap how often inference re-types a body."""
         return None
+
+    def fin_height_floor(self) -> int | None:
+        """A lower bound on ``fin_height`` that is cheap to compute.
+        Inference sizes its typing cap with it first, and asks for the exact
+        height only once a count passes that cap."""
+        return self.fin_height()
 
 
 class ProfileDomain(EffectDomain):
@@ -141,9 +118,6 @@ class ProfileDomain(EffectDomain):
     def fin_leq(self, x, y) -> bool:
         return x <= y
 
-    def fin_eq(self, x, y) -> bool:
-        return x == y
-
     def alpha_word(self, w):
         return frozenset({self.monoid.profile_of_word(w)})
 
@@ -165,23 +139,11 @@ class ProfileDomain(EffectDomain):
     def fin_mix_concat(self, u, m):
         return self.monoid.concat_fin_mix(u, m)
 
-    def mix_eq(self, x, y) -> bool:
-        return self.monoid.mix_eq(x, y)
-
-    def mix_leq(self, x, y) -> bool:
-        return self.monoid.mix_leq(x, y)
-
     def omega(self, x):
         return self.monoid.omega(x)
 
     def mix_of_eps(self):
         return MixAbs(frozenset({self.monoid.eps}), frozenset())
-
-    def member_fin(self, w, x) -> bool:
-        return self.monoid.member_fin(w, x)
-
-    def member_up(self, u, v, m) -> bool:
-        return self.monoid.member_up_word(u, v, m)
 
     def accepts_fin(self, x) -> bool:
         return self.monoid.accepts_fin(x)
@@ -190,4 +152,11 @@ class ProfileDomain(EffectDomain):
         return self.monoid.accepts_mix(m)
 
     def fin_height(self) -> int:
+        """The finite elements are the subsets of the realizable monoid, so
+        the height is its size plus one.  Closes the monoid."""
         return len(self.monoid.elements) + 1
+
+    def fin_height_floor(self) -> int:
+        """The same count over the empty-word and letter profiles, a subset
+        of the monoid; closes nothing."""
+        return len({self.monoid.eps, *self.monoid.letters.values()}) + 1

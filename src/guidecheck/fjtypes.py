@@ -2,8 +2,9 @@
 
 The class hierarchy is single-inheritance with Object on top and NullType
 below every class; neither is ever declared.  Receiver annotations on calls
-and field accesses are verified here against the declared static types, and
-override signatures must be invariant.
+and field accesses are verified here against the declared static types,
+methods and parameters must not be redeclared, and override signatures must
+be invariant.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ def fj_typecheck(prog: Program) -> list[FjError]:
     """Check every method body; returns the list of violations (empty = ok)."""
     errors: list[FjError] = []
     for c in prog.classes:
+        _check_declarations(c, errors)
         _check_overrides(prog, c, errors)
         for md in c.methods:
             for p in md.params:
@@ -122,6 +124,24 @@ def fj_typecheck(prog: Program) -> list[FjError]:
                     )
                 )
     return errors
+
+
+def _check_declarations(c: ClassDecl, errors: list[FjError]) -> None:
+    """A class declares each method once, and a method each parameter once,
+    none of them named ``this``."""
+    names: set[str] = set()
+    for md in c.methods:
+        if md.name in names:
+            errors.append(FjError(f"method {md.name} redeclared in {c.name}", md.pos))
+        names.add(md.name)
+        where = f"{c.name}.{md.name}"
+        params: set[str] = set()
+        for p in md.params:
+            if p.name == "this":
+                errors.append(FjError(f"parameter name this is reserved in {where}", md.pos))
+            elif p.name in params:
+                errors.append(FjError(f"parameter {p.name} redeclared in {where}", md.pos))
+            params.add(p.name)
 
 
 def _check_overrides(prog: Program, c: ClassDecl, errors: list[FjError]) -> None:

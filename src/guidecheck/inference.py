@@ -343,14 +343,11 @@ def infer(
                       if sig.cls == cls and sig.method == method
                       and not sig.args])
 
-    cap = _typing_cap(table, meta, domain, len(bodied))
-    typings = 0
+    cap = _TypingCap(table, meta, domain, len(bodied))
     while queue:
         i = heapq.heappop(queue)
         queued[i] = False
-        typings += 1
-        if typings > cap:
-            raise RuntimeError("inference failed to converge within its cap")
+        cap.spend()
         sig = bodied[i]
         md, _ = method_lookup(prog, sig.cls, sig.method)
         log = _ReadLog(table)
@@ -377,19 +374,46 @@ def infer(
     return table
 
 
-def _typing_cap(table: ClassTable, meta: RegionMeta, domain,
-                bodies: int) -> int:
+def _typing_cap(table: ClassTable, meta: RegionMeta, bodies: int,
+                height: int | None) -> int:
     """Bound on the typings of bodies.  Besides its first typing, a body is
     re-typed only after a row it reads grew, and rows grow a bounded number
-    of times: each method entry at most ``fin_height`` times per key, each
-    field row at most once per region."""
-    height = domain.fin_height()
+    of times: each method entry at most ``height`` times per key, each field
+    row at most once per region.  Nondecreasing in the height."""
     if height is None:
         return 1 << 30
     per_entry = (2 * len(meta.regions) + len(table.mtable)) * height
     growths = (len(table.mtable) * per_entry
                + len(table.ftable) * len(meta.regions))
     return bodies * (1 + growths)
+
+
+class _TypingCap:
+    """Counts typings against ``_typing_cap`` at the domain's exact lattice
+    height, which may be costly (the profile domain closes its monoid for
+    it).  The count is held first against the cap at the cheap
+    ``fin_height_floor``; the exact height is asked for only once the count
+    passes that smaller cap.  The table's keys are fixed, so the cap raises
+    at the same count as one sized up front at the exact height."""
+
+    def __init__(self, table: ClassTable, meta: RegionMeta, domain,
+                 bodies: int):
+        self._table, self._meta = table, meta
+        self._domain, self._bodies = domain, bodies
+        self._limit = _typing_cap(table, meta, bodies,
+                                  domain.fin_height_floor())
+        self._exact = False
+        self._typings = 0
+
+    def spend(self) -> None:
+        """Count one typing; raises ``RuntimeError`` past the exact cap."""
+        self._typings += 1
+        if self._typings > self._limit and not self._exact:
+            self._limit = _typing_cap(self._table, self._meta, self._bodies,
+                                      self._domain.fin_height())
+            self._exact = True
+        if self._typings > self._limit:
+            raise RuntimeError("inference failed to converge within its cap")
 
 
 @dataclass

@@ -10,22 +10,21 @@ iteration, so equality on profiles includes the tag.
 Sets of profiles abstract languages of finite words (``FinAbs``); pairs of a
 stem profile and an idempotent cycle profile, together with a finite part,
 abstract languages of finite and infinite words (``MixAbs``).  These carry
-union, concatenation, Kleene star and an infinite-iteration operator, and
-they admit membership probes for finite words and for ultimately periodic
-words u·v^ω.
+union, concatenation, Kleene star and an infinite-iteration operator, and an
+acceptance check against the automaton.
 
 Two MixAbs values that denote the same language can differ in their raw pair
-sets (a pair may be rotated through a factorization of its cycle).  Equality
-and inclusion therefore go through rotation saturation: close the pair set
-under (s, e) ↦ (s·χ, ξ·e·χ) for every factorization e = χ·ξ over the
-automaton's full realizable monoid.  Saturated sets are canonical forms;
-acceptance and membership are invariant under saturation, so those use the
-raw sets.
+sets (a pair may be rotated through a factorization of its cycle).
+Acceptance is invariant under that rotation, so the analysis works on raw
+pair sets and never needs a canonical form.  Rotation saturation, which gives
+one, and the membership probes for finite and ultimately periodic words live
+with the tests, which compare MixAbs values by the languages they denote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .guideline import GuidelineAutomaton
@@ -60,11 +59,11 @@ MIX_BOTTOM = MixAbs(frozenset(), frozenset())
 
 
 class ProfileMonoid:
-    """All realizable profiles of one automaton, with composition.
+    """The profiles of one automaton, with composition.
 
-    Eagerly closes the letter profiles under composition; the closure is the
-    set of profiles of all finite words, which the rotation saturation and
-    the prefix-extension probe quantify over.
+    Profiles are built as the operators compose them.  ``elements``, the
+    closure of the letter profiles under composition (the profiles of all
+    finite words), is computed on first use only.
     """
 
     def __init__(self, g: GuidelineAutomaton):
@@ -79,11 +78,10 @@ class ProfileMonoid:
             a: Profile(g.letter_rel(a)) for a in g.alphabet
         }
         self._compose_cache: dict[tuple[Profile, Profile], Profile] = {}
-        self._factor_cache: dict[Profile, tuple[tuple[Profile, Profile], ...]] = {}
-        self._sat_cache: dict[frozenset, frozenset] = {}
-        self.elements: frozenset[Profile] = self._close()
 
-    def _close(self) -> frozenset[Profile]:
+    @cached_property
+    def elements(self) -> frozenset[Profile]:
+        """The realizable monoid; raises ``RuntimeError`` past ``MONOID_CAP``."""
         seen: set[Profile] = set(self.letters.values())
         frontier = list(seen)
         while frontier:
@@ -135,20 +133,7 @@ class ProfileMonoid:
                     frontier.append(q)
         return frozenset(seen)
 
-    def factorizations(self, e: Profile) -> tuple[tuple[Profile, Profile], ...]:
-        cached = self._factor_cache.get(e)
-        if cached is None:
-            elems = self.elements
-            cached = tuple(
-                (x, y) for x in elems for y in elems if self.compose(x, y) == e
-            )
-            self._factor_cache[e] = cached
-        return cached
-
     # -- FinAbs operations ----------------------------------------------------
-
-    def alpha_words(self, words: Iterable[Sequence[str]]) -> FinAbs:
-        return frozenset(self.profile_of_word(w) for w in words)
 
     def alpha_nfa(self, nfa) -> FinAbs:
         """Profiles of all words of an NFA, by pair reachability.
@@ -173,28 +158,6 @@ class ProfileMonoid:
                     seen.add(item)
                     queue.append(item)
         return frozenset(out)
-
-    def alpha_lang(self, lang) -> MixAbs:
-        """Abstraction of an NFA-backed language of finite and infinite words
-        (anything with a ``fin`` NFA and ``inf`` pairs of NFAs denoting U·V^ω):
-        stems are profiles of U·V^k, cycles are idempotent profiles of V⁺,
-        keeping the linked pairs."""
-        fin = self.alpha_nfa(lang.fin)
-        pairs: set[tuple[Profile, Profile]] = set()
-        for u_nfa, v_nfa in lang.inf:
-            heads = self.alpha_nfa(u_nfa)
-            body = self.s_plus(self.alpha_nfa(v_nfa))
-            stems = set(heads)
-            for p in heads:
-                for m in body:
-                    stems.add(self.compose(p, m))
-            for e in body:
-                if self.compose(e, e) != e:
-                    continue
-                for s in stems:
-                    if self.compose(s, e) == s:
-                        pairs.add((s, e))
-        return MixAbs(fin, frozenset(pairs))
 
     def concat_fin(self, a: FinAbs, b: FinAbs) -> FinAbs:
         return frozenset(self.compose(p, q) for p in a for q in b)
@@ -230,77 +193,7 @@ class ProfileMonoid:
     def mix_join(self, x: MixAbs, y: MixAbs) -> MixAbs:
         return MixAbs(x.fin | y.fin, x.inf | y.inf)
 
-    # -- canonical forms ------------------------------------------------------
-
-    def saturate(self, pairs: frozenset) -> frozenset:
-        cached = self._sat_cache.get(pairs)
-        if cached is not None:
-            return cached
-        cur: set[tuple[Profile, Profile]] = set()
-        for s, e in pairs:
-            if self.compose(e, e) == e and self.compose(s, e) == s:
-                cur.add((s, e))
-        work = list(cur)
-        while work:
-            s, e = work.pop()
-            for chi, xi in self.factorizations(e):
-                s2 = self.compose(s, chi)
-                e2 = self.compose(xi, self.compose(e, chi))
-                pair = (s2, e2)
-                if pair not in cur:
-                    cur.add(pair)
-                    work.append(pair)
-        out = frozenset(cur)
-        self._sat_cache[pairs] = out
-        return out
-
-    def normalize_mix(self, x: MixAbs) -> MixAbs:
-        return MixAbs(x.fin, self.saturate(x.inf))
-
-    def mix_eq(self, x: MixAbs, y: MixAbs) -> bool:
-        if x.fin != y.fin:
-            return False
-        if x.inf == y.inf:
-            return True
-        return self.saturate(x.inf) == self.saturate(y.inf)
-
-    def mix_leq(self, x: MixAbs, y: MixAbs) -> bool:
-        if not x.fin <= y.fin:
-            return False
-        if x.inf <= y.inf:
-            return True
-        return self.saturate(x.inf) <= self.saturate(y.inf)
-
-    # -- membership and acceptance --------------------------------------------
-
-    def member_fin(self, word: Sequence[str], a: FinAbs) -> bool:
-        return self.profile_of_word(word) in a
-
-    def member_up_word(self, u: Sequence[str], v: Sequence[str], x: MixAbs) -> bool:
-        """Is u·v^ω denoted by x?  Holds iff some (profile(u·v^k), profile(v^m))
-        is a pair of x; both power sequences are eventually periodic, so one
-        pass over each orbit is complete."""
-        if not v:
-            raise ValueError("v must be nonempty")
-        inf = self.saturate(x.inf)
-        if not inf:
-            return False
-        pv = self.profile_of_word(v)
-        cycles = []
-        seen: set[Profile] = set()
-        cur = pv
-        while cur not in seen:
-            seen.add(cur)
-            cycles.append(cur)
-            cur = self.compose(cur, pv)
-        stems = []
-        seen2: set[Profile] = set()
-        cur = self.profile_of_word(u)
-        while cur not in seen2:
-            seen2.add(cur)
-            stems.append(cur)
-            cur = self.compose(cur, pv)
-        return any((s, e) in inf for s in stems for e in cycles)
+    # -- acceptance ------------------------------------------------------------
 
     def accepts_fin(self, a: FinAbs) -> bool:
         """Every finite word denoted by a is accepted by the automaton."""
@@ -312,8 +205,9 @@ class ProfileMonoid:
 
     def accepts_mix(self, x: MixAbs) -> bool:
         """Every word denoted by x (finite under the NFA reading, infinite
-        under the Büchi reading) is accepted.  Invariant under saturation,
-        checked on the raw pairs."""
+        under the Büchi reading) is accepted.  Invariant under rotating a
+        pair through a factorization of its cycle, so checked on the raw
+        pairs."""
         if not self.accepts_fin(x.fin):
             return False
         ini = self.g.initial
@@ -323,19 +217,3 @@ class ProfileMonoid:
             if not (starts & loops):
                 return False
         return True
-
-    def extendable_into(self, p: Profile, fins: Iterable[FinAbs],
-                        mixes: Iterable[MixAbs]) -> bool:
-        """Can p be right-extended by some realizable profile into one of the
-        given abstractions (a finite-part profile or an infinite-pair stem)?"""
-        fin_targets: set[Profile] = set()
-        for a in fins:
-            fin_targets |= a
-        stem_targets: set[Profile] = set()
-        for x in mixes:
-            for s, _ in self.saturate(x.inf):
-                stem_targets.add(s)
-        targets = fin_targets | stem_targets
-        if not targets:
-            return False
-        return any(self.compose(p, tau) in targets for tau in self.elements)

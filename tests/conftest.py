@@ -6,7 +6,8 @@ import random
 from pathlib import Path
 
 import guidecheck
-from guidecheck.guideline import GuidelineAutomaton
+from canonical_forms import CanonicalDomain
+from guidecheck.guideline import GuidelineAutomaton, load_guideline
 from guidecheck.oracle import Nfa
 from language_oracle import WordLang, nfa_nonempty_part
 
@@ -19,6 +20,14 @@ def fixture(name: str) -> str:
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def load_domain(guideline: GuidelineAutomaton | str) -> CanonicalDomain:
+    """The profile domain with the tests' canonical forms and membership
+    probes, over an automaton or the guideline fixture of that name."""
+    if isinstance(guideline, str):
+        guideline = load_guideline(fixture(guideline))
+    return CanonicalDomain(guideline)
 
 
 PACKAGE_DIR = Path(guidecheck.__file__).parent

@@ -20,6 +20,7 @@ from conftest import (
     all_words,
     fixture,
     gamma_nfa,
+    load_domain,
     own_language,
     random_automaton,
     read_fixture,
@@ -32,11 +33,11 @@ from language_oracle import (
     lang_concat_fin,
     lang_omega,
 )
+from region_satisfaction import heap_satisfies, value_satisfies
 from solver_reference import naive_gfp, verify_fixpoint
 from toydomain import APLUS, EMPTY, ToyDomain, ToyMix
 
 from guidecheck.cli import analyze
-from guidecheck.domains import ProfileDomain
 from guidecheck.fjast import (
     OBJECT,
     Call,
@@ -58,8 +59,6 @@ from guidecheck.interp import (
     Terminated,
     Thrown,
     enumerate_traces,
-    heap_satisfies,
-    value_satisfies,
 )
 from guidecheck.intrinsics import load_config, parse_config
 from guidecheck.oracle import Nfa, nfa_concat, nfa_star, nfa_union
@@ -81,7 +80,7 @@ def _done(tag: str, t0: float, limit: float | None) -> None:
 def _pipeline(prog: Program, g: GuidelineAutomaton, specs=None):
     """infer + re-check + solve; returns (domain, table, eta)."""
     assert fj_typecheck(prog) == []
-    dom = ProfileDomain(g)
+    dom = load_domain(g)
     meta = region_meta(prog)
     table = infer(prog, dom, intrinsics=specs or {}, meta=meta)
     assert check_well_typed(prog, table, dom, specs or {}, meta) == []
@@ -285,7 +284,7 @@ def test_algebra_and_abstraction_law_battery():
 
     for case in range(1000):
         g = random_automaton(rng)
-        dom = ProfileDomain(g)
+        dom = load_domain(g)
         mon = dom.monoid
         sigma = g.alphabet
         pool = list(all_words(sigma, 3))
@@ -434,7 +433,7 @@ def test_algebra_and_abstraction_law_battery():
     ]
     probes = 0
     for g in sample + goldens:
-        mon = ProfileDomain(g).monoid
+        mon = load_domain(g).monoid
         abstracted = mon.alpha_lang(own_language(g))
         max_w = 8 if len(g.alphabet) <= 2 else 5
         for w in all_words(g.alphabet, max_w):
@@ -460,7 +459,7 @@ def test_omega_completion_beats_naive_gfp():
 
     # delta_f = alpha({a}) . delta_f over the profile domain: the closed form
     # produces exactly a^w -- no finite word sneaks in
-    dom = ProfileDomain(load_guideline(fixture("parity.gl")))
+    dom = load_domain("parity.gl")
     system = EquationSystem([f], {f: {f: dom.alpha_word(A)}})
     eta = solve(system, dom)
     assert verify_fixpoint(system, eta, dom)
@@ -566,22 +565,22 @@ def _golden_systems():
     safety = load_guideline(fixture("serve_safety.gl"))
 
     prog = parse_program(read_fixture("list_last.fj"), "list_last.fj")
-    dom = ProfileDomain(parity)
+    dom = load_domain(parity)
     table = infer(prog, dom, meta=region_meta(prog))
     yield "list", EquationSystem.from_table(table, dom), dom
 
     prog = parse_program(read_fixture("narrow.fj"), "narrow.fj")
-    dom = ProfileDomain(letters)
+    dom = load_domain(letters)
     table = infer(prog, dom, meta=region_meta(prog))
     yield "narrow", EquationSystem.from_table(table, dom), dom
 
     prog = parse_program(read_fixture("serve.fj"), "serve.fj")
     cfg = load_config(fixture("serve.cfg"), safety.alphabet)
-    dom = ProfileDomain(safety)
+    dom = load_domain(safety)
     table = infer(prog, dom, intrinsics=cfg, meta=region_meta(prog))
     yield "serve", EquationSystem.from_table(table, dom), dom
 
-    dom = ProfileDomain(parity)
+    dom = load_domain(parity)
     f = Sig("F", UNKNOWN, "f", ())
     yield "selfloop", EquationSystem([f], {f: {f: dom.alpha_word(A)}}), dom
 

@@ -14,8 +14,9 @@ import sys
 
 import pytest
 
-from conftest import fixture, fresh_python_env, read_fixture
-from guidecheck import cli, profiles
+import taint_corpus
+from conftest import FIXTURES, fixture, fresh_python_env, read_fixture
+from guidecheck import cli
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import load_guideline
@@ -166,6 +167,34 @@ def test_silent_method_fails_a_guideline_rejecting_eps():
     report = analyze(prog, load_guideline(fixture("parity.gl")))
     assert report.verdict == "fail"
     assert all(not s.returns_ok for s in report.signatures)
+
+
+def test_analyze_never_closes_the_profile_monoid(monkeypatch):
+    # the monoid is closed only when inference passes its floor cap and
+    # needs the exact lattice height; no fixture or corpus program does
+    built = []
+
+    class Recording(cli.ProfileDomain):
+        def __init__(self, guideline):
+            super().__init__(guideline)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "ProfileDomain", Recording)
+    for fj in sorted(FIXTURES.glob("*.fj")):
+        prog = parse_program(fj.read_text(encoding="utf-8"), fj.name)
+        for gl_path in sorted(FIXTURES.glob("*.gl")):
+            gl = load_guideline(str(gl_path))
+            if not prog.alphabet <= set(gl.alphabet):
+                continue
+            specs = {}
+            if fj.name == "serve.fj":
+                specs = load_config(fixture("serve.cfg"), gl.alphabet)
+            analyze(prog, gl, intrinsics=specs)
+    gl = load_guideline(fixture("taint.gl"))
+    for name, src in sorted(taint_corpus.PROGRAMS.items()):
+        analyze(parse_program(src, f"{name}.fj", alphabet=gl.alphabet), gl)
+    assert len(built) == 9 + len(taint_corpus.PROGRAMS)
+    assert all("elements" not in d.monoid.__dict__ for d in built)
 
 
 def test_demand_driven_restricts_to_reachable():
@@ -326,15 +355,36 @@ def test_main_json_report_to_file(tmp_path, capsys):
         ("--program", fixture("serve.fj"),
          "--guideline", fixture("serve_liveness.gl"),
          "--config", fixture("serve.cfg"), "--entry", "Server.ask"),
+        # each input file option given a file that is not UTF-8
+        ("--program", fixture("not_utf8.txt"),
+         "--guideline", fixture("parity.gl")),
+        ("--program", fixture("list_last.fj"),
+         "--guideline", fixture("not_utf8.txt")),
+        ("--program", fixture("serve.fj"),
+         "--guideline", fixture("serve_safety.gl"),
+         "--config", fixture("not_utf8.txt")),
     ],
     ids=["missing-file", "bad-guideline", "bad-config", "alphabet", "no-entry",
          "entry-unknown-class", "entry-unknown-class-demand-driven",
-         "entry-unqualified", "entry-with-parameters"],
+         "entry-unqualified", "entry-with-parameters", "program-not-utf8",
+         "guideline-not-utf8", "config-not-utf8"],
 )
 def test_main_exit_two_on_unusable_inputs(argv, capsys):
     assert run_main(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("guidecheck: error:")
+    if "not_utf8.txt" in str(argv):
+        assert "not_utf8.txt: not UTF-8 text" in err
+
+
+def test_main_exit_two_on_a_redeclared_method(tmp_path, capsys):
+    src = tmp_path / "twice.fj"
+    src.write_text("class A { Object f() { emit a; return null; } "
+                   "Object f() { return null; } }\n", encoding="utf-8")
+    code = run_main("--program", str(src),
+                    "--guideline", fixture("first_letter.gl"))
+    assert code == 2
+    assert "method f redeclared in A" in capsys.readouterr().err
 
 
 def test_main_exit_two_on_an_unwritable_report_file(tmp_path, capsys):
@@ -396,16 +446,6 @@ def test_main_exit_three_on_deep_program_without_traceback(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("guidecheck: error: internal limit:")
     assert "Traceback" not in done.stderr
-
-
-def test_main_exit_three_on_the_monoid_cap(monkeypatch, capsys):
-    monkeypatch.setattr(profiles, "MONOID_CAP", 1)
-    code = run_main("--program", fixture("list_last.fj"),
-                    "--guideline", fixture("count_mod3.gl"))
-    assert code == 3
-    assert capsys.readouterr().err == (
-        "guidecheck: error: internal limit: profile monoid exceeded size cap\n"
-    )
 
 
 def test_main_has_no_mode_option(capsys):

@@ -11,17 +11,12 @@ import itertools
 import pytest
 
 from guidecheck.domains import ProfileDomain
-from guidecheck.guideline import parse_guideline
+from guidecheck.guideline import load_guideline
 from guidecheck.oracle import Nfa
 
-from conftest import fixture
+from conftest import fixture, load_domain
 from language_oracle import OracleDomain
 from toydomain import APLUS, ASTAR, EMPTY, EPS, ToyDomain, ToyMix
-
-
-def load_domain(name):
-    with open(fixture(name), encoding="utf-8") as fh:
-        return ProfileDomain(parse_guideline(fh.read()))
 
 
 # --- ProfileDomain ------------------------------------------------------------
@@ -38,6 +33,16 @@ def test_profile_domain_lattice_basics():
     assert d.mix_is_bottom(d.mix_bottom())
     assert d.member_fin([], d.alpha_word([]))
     assert d.fin_height() == len(d.monoid.elements) + 1
+
+
+def test_profile_domain_height_floor_closes_nothing():
+    for name in ("parity.gl", "count_mod3.gl", "serve_liveness.gl"):
+        d = ProfileDomain(load_guideline(fixture(name)))
+        floor = d.fin_height_floor()
+        # the empty word's profile and one per letter, all distinct here
+        assert floor == len(d.alphabet) + 2
+        assert "elements" not in d.monoid.__dict__
+        assert 1 <= floor <= d.fin_height()
 
 
 def test_profile_domain_eps_units():
@@ -98,6 +103,9 @@ def test_oracle_domain_language_ops():
 def test_fin_height_known_only_where_finite():
     assert OracleDomain(("a",)).fin_height() is None
     assert ToyDomain().fin_height() == 3
+    # without a cheaper bound, the floor is the height itself
+    assert OracleDomain(("a",)).fin_height_floor() is None
+    assert ToyDomain().fin_height_floor() == 3
 
 
 # --- ToyDomain: exhaustive over the four finite values --------------------------

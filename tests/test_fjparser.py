@@ -198,3 +198,32 @@ def test_typecheck_flags_body_result_mismatch():
     prog = parse_program("class A { } class B { A m() { B b = null; return b; } }")
     msgs = [str(e) for e in fj_typecheck(prog)]
     assert any("not a subclass of declared" in m for m in msgs)
+
+
+def test_typecheck_flags_a_redeclared_method():
+    # without the check the second f is silently ignored: lookup finds the first
+    prog = parse_program(
+        "class A { Object f() { emit a; return null; } Object f() { return null; } }"
+    )
+    msgs = [str(e) for e in fj_typecheck(prog)]
+    assert msgs == ["1:54: method f redeclared in A"]
+
+
+def test_typecheck_flags_a_redeclared_parameter():
+    prog = parse_program("class A { Object f(A x, A x) { return x; } }")
+    msgs = [str(e) for e in fj_typecheck(prog)]
+    assert msgs == ["1:18: parameter x redeclared in A.f"]
+
+
+def test_typecheck_flags_a_parameter_named_this():
+    prog = parse_program("class A { Object f(A this) { return this; } }")
+    msgs = [str(e) for e in fj_typecheck(prog)]
+    assert msgs == ["1:18: parameter name this is reserved in A.f"]
+
+
+def test_typecheck_allows_the_same_names_in_different_scopes():
+    prog = parse_program(
+        "class A { Object f(A x) { return x; } Object g(A x) { return x; } }\n"
+        "class B extends A { Object f(A y) { return y; } }"
+    )
+    assert fj_typecheck(prog) == []

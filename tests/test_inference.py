@@ -7,7 +7,7 @@ import taint_corpus
 from conftest import FIXTURES, fixture
 from inference_reference import infer_by_sweeps
 
-from guidecheck import inference
+from guidecheck import inference, profiles
 from guidecheck.classtable import init_table
 from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
@@ -234,29 +234,99 @@ class M { Object go() { A x = new[l] A(); return x.f(); } }
     assert table.mtable[Sig("B", UNKNOWN, "g", ())] == ({}, {}, {})
 
 
-class _ShortCapDomain(ProfileDomain):
-    """Claims a zero-height lattice, so on a program without fields the cap
-    lets each body be typed once."""
-
-    def fin_height(self) -> int:
-        return 0
-
-
-def test_infer_raises_when_sweeps_exceed_the_cap():
-    # f's returning effect grows round by round (the empty word, then a,
-    # then a a, ...), and each round re-types f against its own row, so the
-    # table needs more typings than one per body
-    prog = parse_program(
-        """
+# f's returning effect grows round by round (the empty word, then a, then
+# a a, ...), and each round re-types f against its own row, so the table
+# needs more typings than one per body
+GROWING = """
 class L { Object f() {
     L z = null;
     if (this == z) { return null; } else { emit a; Object y = this.f(); return y; }
 } }
 """
-    )
+
+
+class _ShortCapDomain(ProfileDomain):
+    """Claims a zero-height lattice, so on a program without fields the cap
+    lets each body be typed once.  The floor must not claim more."""
+
+    def fin_height(self) -> int:
+        return 0
+
+    def fin_height_floor(self) -> int:
+        return 0
+
+
+def test_infer_raises_when_sweeps_exceed_the_cap():
+    prog = parse_program(GROWING)
     domain = _ShortCapDomain(ONE_LETTER.guideline)
     with pytest.raises(RuntimeError, match="converge within its cap"):
         infer(prog, domain)
+
+
+class _LowFloorDomain(ProfileDomain):
+    """The profile domain with a floor of zero, below its true height: on a
+    program without fields the floor cap lets each body be typed once, and
+    the next typing asks for the exact height."""
+
+    def fin_height_floor(self) -> int:
+        return 0
+
+
+def test_infer_reaches_the_exact_cap_past_the_floor_cap():
+    prog = parse_program(GROWING)
+    domain = _LowFloorDomain(ONE_LETTER.guideline)
+    table = infer(prog, domain)
+    assert "elements" in domain.monoid.__dict__  # the exact height was read
+    assert table.mtable == infer(prog, ProfileDomain(domain.guideline)).mtable
+
+
+def test_infer_hits_the_monoid_cap_past_the_floor_cap(monkeypatch):
+    monkeypatch.setattr(profiles, "MONOID_CAP", 1)
+    prog = parse_program(GROWING)
+    domain = _LowFloorDomain(ONE_LETTER.guideline)
+    with pytest.raises(RuntimeError, match="profile monoid exceeded size cap"):
+        infer(prog, domain)
+
+
+class _Heights:
+    """A domain as the typing cap sees it: two heights, and a count of the
+    times the exact one was asked for."""
+
+    def __init__(self, floor, height):
+        self.floor, self.height, self.asked = floor, height, 0
+
+    def fin_height_floor(self):
+        return self.floor
+
+    def fin_height(self):
+        self.asked += 1
+        return self.height
+
+
+@pytest.mark.parametrize("floor, height", [(0, 0), (0, 2), (1, 3), (3, 3)])
+def test_typing_cap_raises_exactly_past_the_exact_cap(floor, height):
+    prog, meta, table, _ = setup("""
+class Box { Object v;
+    Object get() { Object x = this.v; return x; }
+    Object put(Object y) { Object z = this.v = y; return z; }
+}
+""")
+    bodies = 3
+    regions, mrows, frows = len(meta.regions), len(table.mtable), len(table.ftable)
+
+    def cap_at(h):
+        # the cap sized up front at the exact height, as it always was
+        return bodies * (1 + mrows * (2 * regions + mrows) * h + frows * regions)
+
+    domain = _Heights(floor, height)
+    cap = inference._TypingCap(table, meta, domain, bodies)
+    for count in range(1, cap_at(height) + 2):
+        if count > cap_at(height):
+            with pytest.raises(RuntimeError, match="converge within its cap"):
+                cap.spend()
+        else:
+            cap.spend()
+        assert domain.asked == (1 if count > cap_at(floor) else 0), count
 
 
 def test_intrinsics_seed_and_pin():

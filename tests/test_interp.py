@@ -6,6 +6,12 @@ detection see the same code paths the analyses rely on.
 
 import pytest
 
+from region_satisfaction import (
+    first_heap_violation,
+    heap_satisfies,
+    store_satisfies,
+    value_satisfies,
+)
 from guidecheck.fjparser import parse_program
 from guidecheck.interp import (
     CastStuck,
@@ -14,11 +20,7 @@ from guidecheck.interp import (
     Terminated,
     Thrown,
     enumerate_traces,
-    first_heap_violation,
-    heap_satisfies,
     replay_entry,
-    store_satisfies,
-    value_satisfies,
 )
 from guidecheck.intrinsics import parse_config
 from guidecheck.regions import NULL_REGION, UNKNOWN, created_at, region_meta

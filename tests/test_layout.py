@@ -1,14 +1,30 @@
 """What ships in src/: every module is one that the analysis itself loads.
 
 Reference code used only by the tests (the language-level and toy domains,
-the solver's naive fixpoints) lives under tests/.  A module in the package
-that ``guidecheck analyze`` never imports is test-only code drifting back.
+the solver's naive fixpoints, the canonical forms of the profile domain and
+the region satisfaction checks) lives under tests/.  A module in the package
+that ``guidecheck analyze`` never imports, or one of the moved functions
+back in the package, is test-only code drifting back.
 """
 
 import subprocess
 import sys
 
 from conftest import PACKAGE_DIR, fresh_python_env
+from guidecheck import interp
+from guidecheck.domains import EffectDomain, ProfileDomain
+from guidecheck.guideline import parse_guideline
+from guidecheck.profiles import ProfileMonoid
+
+# Names that analyze never calls; their code lives in tests/canonical_forms.py
+# and tests/region_satisfaction.py.
+MONOID_ONLY = ("saturate", "factorizations", "normalize_mix", "mix_eq",
+               "mix_leq", "extendable_into", "alpha_lang", "alpha_words",
+               "member_fin", "member_up_word", "_factor_cache", "_sat_cache")
+DOMAIN_ONLY = ("fin_eq", "alpha_words", "fin_to_mix", "mix_top", "member_fin",
+               "member_up", "mix_eq", "mix_leq")
+INTERP_ONLY = ("value_satisfies", "store_satisfies", "heap_satisfies",
+               "first_heap_violation")
 
 
 def test_the_cli_loads_every_package_module():
@@ -23,3 +39,15 @@ def test_the_cli_loads_every_package_module():
     )
     loaded = set(done.stdout.split())
     assert shipped - loaded == set()
+
+
+def test_test_only_functions_stay_out_of_the_package():
+    g = parse_guideline("alphabet: a\nstates: q\ninitial: q\naccepting: q\n"
+                        "trans: q a q\n")
+    owners = [("ProfileMonoid", ProfileMonoid(g), MONOID_ONLY),
+              ("EffectDomain", EffectDomain, DOMAIN_ONLY),
+              ("ProfileDomain", ProfileDomain(g), DOMAIN_ONLY),
+              ("interp", interp, INTERP_ONLY)]
+    back = [f"{label}.{name}" for label, owner, names in owners
+            for name in names if hasattr(owner, name)]
+    assert back == []

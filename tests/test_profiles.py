@@ -7,7 +7,10 @@ profile values for the one-letter parity automaton were worked out by hand
 
 import random
 
-from guidecheck.guideline import parse_guideline
+import pytest
+
+from guidecheck import profiles
+from guidecheck.guideline import load_guideline, parse_guideline
 from guidecheck.oracle import Nfa
 from guidecheck.profiles import (
     FIN_BOTTOM,
@@ -17,13 +20,14 @@ from guidecheck.profiles import (
     ProfileMonoid,
 )
 
+from canonical_forms import CanonicalMonoid
 from conftest import all_words, fixture, random_automaton
 from language_oracle import lang_omega
 
 
 def load_monoid(name):
     with open(fixture(name), encoding="utf-8") as fh:
-        return ProfileMonoid(parse_guideline(fh.read()))
+        return CanonicalMonoid(parse_guideline(fh.read()))
 
 
 def brute_profile(g, word):
@@ -103,6 +107,23 @@ def test_elements_cover_all_word_profiles():
             assert m.profile_of_word(w) in m.elements
 
 
+def test_elements_close_on_first_use_only():
+    m = ProfileMonoid(load_guideline(fixture("serve_liveness.gl")))
+    m.omega(frozenset({m.profile_of_word(["log"])}))
+    assert "elements" not in m.__dict__
+    assert m.elements is m.elements
+    assert "elements" in m.__dict__
+
+
+def test_elements_raise_past_the_monoid_cap(monkeypatch):
+    g = load_guideline(fixture("count_mod3.gl"))
+    assert len(ProfileMonoid(g).elements) > 1
+    monkeypatch.setattr(profiles, "MONOID_CAP", 1)
+    m = ProfileMonoid(g)  # constructing it closes nothing
+    with pytest.raises(RuntimeError, match="profile monoid exceeded size cap"):
+        m.elements
+
+
 def test_alpha_nfa_agrees_with_word_sweep():
     # languages are infinite, but profiles saturate quickly on these automata
     for gl, nfa_words in [
@@ -122,7 +143,7 @@ def test_alpha_nfa_on_random_pairs():
     rng = random.Random(33)
     for _ in range(25):
         g = random_automaton(rng)
-        m = ProfileMonoid(g)
+        m = CanonicalMonoid(g)
         words = [
             tuple(rng.choice(g.alphabet) for _ in range(rng.randrange(4)))
             for _ in range(rng.randrange(1, 5))
@@ -163,7 +184,7 @@ def test_accepts_fin_quantifies_over_every_member():
 
 
 # Two states bouncing on a/b; P(ab) ≠ P(ba), so rotations genuinely move pairs.
-PINGPONG = ProfileMonoid(
+PINGPONG = CanonicalMonoid(
     parse_guideline(
         "alphabet: a b\nstates: s0 s1\ninitial: s0\naccepting: s0\n"
         "trans: s0 a s1\ntrans: s1 b s0\n"
@@ -215,7 +236,7 @@ def test_acceptance_invariant_under_saturation():
     rng = random.Random(34)
     for _ in range(30):
         g = random_automaton(rng)
-        m = ProfileMonoid(g)
+        m = CanonicalMonoid(g)
         elems = sorted(m.elements, key=repr)
         pairs = set()
         for _ in range(3):

@@ -11,17 +11,17 @@ import random
 
 import pytest
 
+from conftest import load_domain
 from language_oracle import OracleDomain
 from solver_reference import apply_system, approx_eta, naive_gfp, verify_fixpoint
 from toydomain import APLUS, EMPTY, ToyDomain, ToyMix
-from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import parse_guideline
 from guidecheck.inference import infer
 from guidecheck.regions import UNKNOWN, Sig
 from guidecheck.solver import EquationSystem, solve
 
-PAR = ProfileDomain(
+PAR = load_domain(
     parse_guideline(
         "alphabet: a\nstates: even odd\ninitial: even\naccepting: odd\n"
         "trans: even a odd\ntrans: odd a even\n"
@@ -97,7 +97,7 @@ def test_order_must_be_a_permutation():
 
 
 # b only at an a-count divisible by three, then b forever
-GATE = ProfileDomain(
+GATE = load_domain(
     parse_guideline(
         "alphabet: a b\nstates: c0 c1 c2 t\ninitial: c0\naccepting: t\n"
         "trans: c0 a c1\ntrans: c1 a c2\ntrans: c2 a c0\n"
