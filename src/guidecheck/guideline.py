@@ -26,9 +26,6 @@ class GuidelineError(Exception):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-Rel = frozenset  # of (state, bit, state) triples
-
-
 class GuidelineAutomaton:
     def __init__(
         self,
@@ -57,14 +54,6 @@ class GuidelineAutomaton:
             grouped.setdefault((q, a), set()).add(q2)
         self._delta: dict[tuple[str, str], frozenset[str]] = {
             k: frozenset(v) for k, v in grouped.items()
-        }
-        rels: dict[str, set] = {a: set() for a in self.alphabet}
-        for (q, a), targets in self._delta.items():
-            for q2 in targets:
-                bit = 1 if (q in self.accepting or q2 in self.accepting) else 0
-                rels[a].add((q, bit, q2))
-        self._letter_rels: dict[str, Rel] = {
-            a: frozenset(r) for a, r in rels.items()
         }
 
     # -- NFA reading --------------------------------------------------------
@@ -95,64 +84,40 @@ class GuidelineAutomaton:
 
     # -- Büchi reading ------------------------------------------------------
 
-    def rel_of_word(self, word: Sequence[str]) -> Rel:
-        """Triples (q, b, q'): a path reads word from q to q'; b marks an
-        accepting visit, both endpoints counted."""
-        rel = frozenset(
-            (q, 1 if q in self.accepting else 0, q) for q in self.states
-        )
-        for a in word:
-            rel = self.compose_rel(rel, self.letter_rel(a))
-        return rel
-
-    def letter_rel(self, a: str) -> Rel:
-        """Triples (q, b, q') of the transitions on a, b marking an accepting
-        endpoint; built once per automaton."""
-        return self._letter_rels.get(a, frozenset())
-
-    @staticmethod
-    def compose_rel(r1: Rel, r2: Rel) -> Rel:
-        by_src: dict[str, list[tuple[int, str]]] = {}
-        for q, b, q2 in r2:
-            by_src.setdefault(q, []).append((b, q2))
-        out = set()
-        for q, b1, mid in r1:
-            for b2, q2 in by_src.get(mid, ()):
-                out.add((q, b1 | b2, q2))
-        return frozenset(out)
-
     def accepts_lasso(self, stem: Sequence[str], cycle: Sequence[str]) -> bool:
         """Büchi acceptance of stem·cycle^ω (cycle must be nonempty).
 
-        Uses the classical reduction: accepted iff for some k, m a state q is
-        reachable from an initial state reading stem·cycle^k and cycle^m loops
-        on q through an accepting visit.  The relation powers are eventually
-        periodic, so scanning each orbit once is complete.
+        Searches the product of the automaton with the positions of cycle:
+        node (q, i) is state q about to read cycle[i].  Every run on the
+        word enters the product at (q, 0) for a state q that stem reaches,
+        and reading more copies of cycle only moves it around the product,
+        so the states after each stem·cycle^k need no pass of their own.
+        The word is accepted iff a node reachable from those starts is
+        accepting and lies on a loop of the product.
         """
         if not cycle:
             raise ValueError("cycle must be nonempty")
-        rv = self.rel_of_word(cycle)
-        cycles: list[Rel] = []
-        seen: set[Rel] = set()
-        cur = rv
-        while cur not in seen:
-            seen.add(cur)
-            cycles.append(cur)
-            cur = self.compose_rel(cur, rv)
-        stems: list[Rel] = []
-        seen2: set[Rel] = set()
-        cur = self.rel_of_word(stem)
-        while cur not in seen2:
-            seen2.add(cur)
-            stems.append(cur)
-            cur = self.compose_rel(cur, rv)
-        for s in stems:
-            starts = {q2 for (q, _, q2) in s if q in self.initial}
-            for e in cycles:
-                loops = {q for (q, b, q2) in e if q == q2 and b == 1}
-                if starts & loops:
-                    return True
-        return False
+        n = len(cycle)
+
+        def successors(node):
+            q, i = node
+            j = (i + 1) % n
+            return [(q2, j) for q2 in self._delta.get((q, cycle[i]), ())]
+
+        def reach(starts) -> set:
+            seen = set(starts)
+            todo = list(seen)
+            while todo:
+                for nxt in successors(todo.pop()):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            return seen
+
+        return any(
+            q in self.accepting and (q, i) in reach(successors((q, i)))
+            for q, i in reach([(q, 0) for q in self.run_states(stem)])
+        )
 
     def __repr__(self) -> str:
         return (

@@ -1,11 +1,22 @@
 """Transition-profile algebra over a guideline automaton.
 
-A profile records, for a finite word, the triples (q, b, q') such that the
-automaton can read the word from q to q', with b = 1 iff some accepting state
-occurs along that path (endpoints included).  Profiles of the empty word are
-tagged: the empty word's profile has the same triples as some nonempty words
-on degenerate automata, but the two behave differently under the infinite
-iteration, so equality on profiles includes the tag.
+A profile records, for a finite word, which states the automaton can read
+the word between, and whether such a path visits an accepting state
+(endpoints included).  It is stored as bit rows over the state indices:
+``zero[i]`` has bit j set iff some path reads the word from state i to state
+j without an accepting visit, and ``one[i]`` has bit j set iff some path
+from i to j visits an accepting state.  A word may connect i to j both ways,
+so both masks are kept.  Collapsing them into "some path accepts" preserves
+acceptance but merges profiles, which changes the monoid's size and so the
+lattice height that caps inference; the rows are exact instead.
+
+Composition ORs the rows of the right operand over the set bits of the
+left's.  Each monoid interns its profiles, so equal profiles of one monoid
+are one object and compare by identity first; equality is still on values,
+so profiles of two monoids over one guideline compare equal too.  Profiles
+of the empty word are tagged: the empty word's profile has the same rows as
+some nonempty words on degenerate automata, but the two behave differently
+under the infinite iteration, so equality on profiles includes the tag.
 
 Sets of profiles abstract languages of finite words (``FinAbs``); pairs of a
 stem profile and an idempotent cycle profile, together with a finite part,
@@ -23,7 +34,6 @@ with the tests, which compare MixAbs values by the languages they denote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,16 +43,45 @@ from .guideline import GuidelineAutomaton
 # small specification automata, and a blow-up almost certainly means a bug.
 MONOID_CAP = 20000
 
+Rows = tuple[int, ...]  # one bitmask over the state indices per state
 
-@dataclass(frozen=True)
+
 class Profile:
-    triples: frozenset[tuple[str, int, str]]
-    empty: bool = False
+    """The profile of a word: rows ``zero`` and ``one`` (see the module
+    docstring) over the automaton's ``states``, and the empty-word tag.
+    Build profiles through ``ProfileMonoid.profile``, which interns them."""
+
+    __slots__ = ("zero", "one", "empty", "states", "_hash")
+
+    def __init__(self, zero: Rows, one: Rows, empty: bool,
+                 states: tuple[str, ...]):
+        self.zero = zero
+        self.one = one
+        self.empty = empty
+        self.states = states
+        self._hash = hash((zero, one, empty))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Profile):
+            return NotImplemented
+        return (self._hash == other._hash and self.zero == other.zero
+                and self.one == other.one and self.empty == other.empty
+                and self.states == other.states)
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"({q},{b},{q2})" for q, b, q2 in sorted(self.triples)
-        )
+        names = self.states
+        triples = [
+            (q, b, names[j])
+            for q, z, o in zip(names, self.zero, self.one)
+            for b, row in ((0, z), (1, o))
+            for j in range(len(names)) if row >> j & 1
+        ]
+        inner = ", ".join(f"({q},{b},{q2})" for q, b, q2 in sorted(triples))
         tag = "ε:" if self.empty else ""
         return "{" + tag + inner + "}"
 
@@ -68,16 +107,36 @@ class ProfileMonoid:
 
     def __init__(self, g: GuidelineAutomaton):
         self.g = g
-        self.eps = Profile(
-            frozenset(
-                (q, 1 if q in g.accepting else 0, q) for q in g.states
-            ),
+        n = len(g.states)
+        index = {q: i for i, q in enumerate(g.states)}
+        accepting = [q in g.accepting for q in g.states]
+        self._initial = [index[q] for q in g.initial]
+        self._accepting_mask = sum(1 << i for i in range(n) if accepting[i])
+        self._interned: dict[tuple[Rows, Rows, bool], Profile] = {}
+        self._compose_cache: dict[tuple[Profile, Profile], Profile] = {}
+        # ε̂ connects each state to itself, through an accepting visit iff
+        # the state is accepting; a letter's rows are its transitions
+        self.eps = self.profile(
+            tuple(0 if accepting[i] else 1 << i for i in range(n)),
+            tuple(1 << i if accepting[i] else 0 for i in range(n)),
             empty=True,
         )
+        zero = {a: [0] * n for a in g.alphabet}
+        one = {a: [0] * n for a in g.alphabet}
+        for q, a, q2 in g.transitions:
+            i, j = index[q], index[q2]
+            (one if accepting[i] or accepting[j] else zero)[a][i] |= 1 << j
         self.letters: dict[str, Profile] = {
-            a: Profile(g.letter_rel(a)) for a in g.alphabet
+            a: self.profile(tuple(zero[a]), tuple(one[a])) for a in g.alphabet
         }
-        self._compose_cache: dict[tuple[Profile, Profile], Profile] = {}
+
+    def profile(self, zero: Rows, one: Rows, empty: bool = False) -> Profile:
+        """The interned profile with these rows and tag."""
+        key = (zero, one, empty)
+        p = self._interned.get(key)
+        if p is None:
+            p = self._interned[key] = Profile(zero, one, empty, self.g.states)
+        return p
 
     @cached_property
     def elements(self) -> frozenset[Profile]:
@@ -102,14 +161,24 @@ class ProfileMonoid:
         cached = self._compose_cache.get((p1, p2))
         if cached is not None:
             return cached
-        by_src: dict[str, list[tuple[int, str]]] = {}
-        for q, b, q2 in p2.triples:
-            by_src.setdefault(q, []).append((b, q2))
-        triples = set()
-        for q, b1, mid in p1.triples:
-            for b2, q2 in by_src.get(mid, ()):
-                triples.add((q, b1 | b2, q2))
-        out = Profile(frozenset(triples), p1.empty and p2.empty)
+        zero2, one2 = p2.zero, p2.one
+        zero, one = [], []
+        for z1, o1 in zip(p1.zero, p1.one):
+            z = o = 0
+            while z1:  # b = 0 so far: the right row decides the bit
+                low = z1 & -z1
+                m = low.bit_length() - 1
+                z |= zero2[m]
+                o |= one2[m]
+                z1 ^= low
+            while o1:  # b = 1 so far: every path on stays b = 1
+                low = o1 & -o1
+                m = low.bit_length() - 1
+                o |= zero2[m] | one2[m]
+                o1 ^= low
+            zero.append(z)
+            one.append(o)
+        out = self.profile(tuple(zero), tuple(one), p1.empty and p2.empty)
         self._compose_cache[(p1, p2)] = out
         return out
 
@@ -197,9 +266,9 @@ class ProfileMonoid:
 
     def accepts_fin(self, a: FinAbs) -> bool:
         """Every finite word denoted by a is accepted by the automaton."""
-        ini, acc = self.g.initial, self.g.accepting
+        ini, acc = self._initial, self._accepting_mask
         for p in a:
-            if not any(q in ini and q2 in acc for (q, _, q2) in p.triples):
+            if not any((p.zero[i] | p.one[i]) & acc for i in ini):
                 return False
         return True
 
@@ -210,10 +279,12 @@ class ProfileMonoid:
         pairs."""
         if not self.accepts_fin(x.fin):
             return False
-        ini = self.g.initial
+        ini = self._initial
         for s, e in x.inf:
-            starts = {q2 for (q, _, q2) in s.triples if q in ini}
-            loops = {q for (q, b, q2) in e.triples if q == q2 and b == 1}
-            if not (starts & loops):
+            starts = 0
+            for i in ini:
+                starts |= s.zero[i] | s.one[i]
+            if not any(starts >> q & 1 and e.one[q] >> q & 1
+                       for q in range(len(e.one))):
                 return False
         return True

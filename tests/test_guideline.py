@@ -1,8 +1,9 @@
 """Guideline automata: parsing, finite reading, and Büchi lasso acceptance.
 
-The lasso check is validated against a brute-force oracle that works on the
-configuration graph of the ultimately periodic word directly, without the
-relation algebra the implementation uses.
+The lasso check is validated against two oracles: a brute-force search of
+the configuration graph of the ultimately periodic word, and the classical
+reduction over powers of the word's transition relations, computed on the
+string triples of tests/profile_reference.py.
 """
 
 import itertools
@@ -11,8 +12,11 @@ import random
 import pytest
 
 from guidecheck.guideline import GuidelineAutomaton, GuidelineError, parse_guideline
+from guidecheck.profiles import ProfileMonoid
 
 from conftest import fixture, random_automaton
+from profile_reference import accepts_lasso as lasso_by_relation_powers
+from profile_reference import compose_triples, rel_of_word, triples_of
 
 
 def load(name):
@@ -126,17 +130,20 @@ def test_dead_position():
 
 def test_rel_of_word_is_compositional():
     g = load("count_mod3.gl")
+    m = ProfileMonoid(g)
     rng = random.Random(5)
     for _ in range(40):
         u = [rng.choice(g.alphabet) for _ in range(rng.randrange(4))]
         v = [rng.choice(g.alphabet) for _ in range(rng.randrange(4))]
-        assert g.rel_of_word(u + v) == g.compose_rel(g.rel_of_word(u), g.rel_of_word(v))
+        assert rel_of_word(g, u + v) == compose_triples(rel_of_word(g, u), rel_of_word(g, v))
+        assert triples_of(m.profile_of_word(u + v)) == rel_of_word(g, u + v)
 
 
 def test_letter_rel_marks_accepting_endpoints():
     g = load("parity.gl")
-    assert ("even", 1, "odd") in g.letter_rel("a")  # target accepting
-    assert ("odd", 1, "even") in g.letter_rel("a")  # source accepting
+    letter = triples_of(ProfileMonoid(g).letters["a"])
+    assert ("even", 1, "odd") in letter  # target accepting
+    assert ("odd", 1, "even") in letter  # source accepting
 
 
 # --- lasso acceptance --------------------------------------------------------
@@ -190,6 +197,17 @@ def test_lasso_against_bruteforce_on_random_automata():
             assert g.accepts_lasso(u, v) == brute_lasso(g, u, v), (g, u, v)
             checked += 1
     assert checked == 1800
+
+
+def test_lasso_against_the_relation_power_reduction():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        g = random_automaton(rng)
+        for _ in range(12):
+            u = [rng.choice(g.alphabet) for _ in range(rng.randrange(3))]
+            v = [rng.choice(g.alphabet) for _ in range(1, 5)]
+            assert g.accepts_lasso(u, v) == lasso_by_relation_powers(
+                g, u, v), (g, u, v)
 
 
 def test_lasso_exhaustive_small_words():

@@ -2,7 +2,8 @@
 
 profile_of_word is checked against brute-force path enumeration; the frozen
 profile values for the one-letter parity automaton were worked out by hand
-(two states, four triples — see the comments at the fixtures).
+(two states, four triples — see the comments at the fixtures).  The packed
+rows are checked against the string-triple reference of profile_reference.py.
 """
 
 import random
@@ -16,13 +17,14 @@ from guidecheck.profiles import (
     FIN_BOTTOM,
     MIX_BOTTOM,
     MixAbs,
-    Profile,
     ProfileMonoid,
 )
 
+import profile_reference as ref
 from canonical_forms import CanonicalMonoid
 from conftest import all_words, fixture, random_automaton
 from language_oracle import lang_omega
+from profile_reference import profile_of_triples, triples_of
 
 
 def load_monoid(name):
@@ -45,14 +47,14 @@ def brute_profile(g, word):
                 for t in delta.get((s, a), ())
             }
         triples |= {(q0, b, s) for (s, b) in cur}
-    return Profile(frozenset(triples), empty=not word)
+    return profile_of_triples(g, triples, empty=not word)
 
 
 # Hand-computed profiles over parity.gl (states even/odd, odd accepting,
 # a toggles): one a always crosses an accepting endpoint, two a's loop.
 PAR = load_monoid("parity.gl")
-P_A = Profile(frozenset({("even", 1, "odd"), ("odd", 1, "even")}))
-P_AA = Profile(frozenset({("even", 1, "even"), ("odd", 1, "odd")}))
+P_A = profile_of_triples(PAR.g, {("even", 1, "odd"), ("odd", 1, "even")})
+P_AA = profile_of_triples(PAR.g, {("even", 1, "even"), ("odd", 1, "odd")})
 
 
 def test_parity_letter_profiles_match_hand_computation():
@@ -93,7 +95,7 @@ def test_empty_word_tag_distinguishes_degenerate_profiles():
         )
     )
     pa = m.profile_of_word(["a"])
-    assert pa.triples == m.eps.triples
+    assert triples_of(pa) == triples_of(m.eps)
     assert pa != m.eps
     # and the tag is what keeps aω alive: ε̂ alone can never build a cycle pair
     assert m.omega(frozenset({pa})).inf
@@ -273,3 +275,82 @@ def test_alpha_lang_matches_omega_on_pure_iteration():
         got = m.alpha_lang(lang_omega(base))
         want = m.omega(m.alpha_nfa(base))
         assert m.mix_eq(got, want)
+
+
+# -- packed rows against the triple reference -----------------------------------
+
+
+def _random_profile(rng, g):
+    """A profile holding a random set of triples over g's states, realizable
+    or not, with a random empty-word tag."""
+    triples = {(q, rng.randrange(2), q2) for q in g.states for q2 in g.states
+               if rng.random() < 0.4}
+    return profile_of_triples(g, triples, empty=rng.random() < 0.2)
+
+
+def _operand(rng, m):
+    """A word profile (ε̂ among them) or an arbitrary one."""
+    if rng.random() < 0.5:
+        word = [rng.choice(m.g.alphabet) for _ in range(rng.randrange(4))]
+        return m.profile_of_word(word)
+    return _random_profile(rng, m.g)
+
+
+def test_packed_compose_agrees_with_triple_composition():
+    rng = random.Random(35)
+    checked = tagged = 0
+    for _ in range(100):
+        m = ProfileMonoid(random_automaton(rng))
+        for _ in range(25):
+            p, q = _operand(rng, m), _operand(rng, m)
+            pq = m.compose(p, q)
+            assert triples_of(pq) == ref.compose_triples(
+                triples_of(p), triples_of(q)), (m.g, p, q)
+            assert pq.empty == (p.empty and q.empty)
+            checked += 1
+            tagged += p.empty or q.empty
+    assert checked == 2500 and tagged > 500
+
+
+def test_letter_and_word_profiles_agree_with_triple_relations():
+    rng = random.Random(36)
+    for _ in range(50):
+        g = random_automaton(rng)
+        m = ProfileMonoid(g)
+        assert triples_of(m.eps) == ref.rel_of_word(g, []) and m.eps.empty
+        for a in g.alphabet:
+            assert triples_of(m.letters[a]) == ref.letter_rel(g, a)
+        for _ in range(8):
+            w = [rng.choice(g.alphabet) for _ in range(rng.randrange(5))]
+            assert triples_of(m.profile_of_word(w)) == ref.rel_of_word(g, w)
+
+
+def test_packed_acceptance_agrees_with_triple_definitions():
+    rng = random.Random(37)
+    for _ in range(200):
+        g = random_automaton(rng)
+        m = ProfileMonoid(g)
+        fin = frozenset(_operand(rng, m) for _ in range(rng.randrange(3)))
+        inf = frozenset((_operand(rng, m), _operand(rng, m))
+                        for _ in range(rng.randrange(3)))
+        assert m.accepts_fin(fin) == ref.accepts_fin(g, fin), (g, fin)
+        x = MixAbs(fin, inf)
+        assert m.accepts_mix(x) == ref.accepts_mix(g, x), (g, x)
+
+
+def test_profiles_are_interned_per_monoid_and_equal_across_monoids():
+    rng = random.Random(38)
+    for _ in range(30):
+        g = random_automaton(rng)
+        m, m2 = ProfileMonoid(g), ProfileMonoid(g)
+        u = [rng.choice(g.alphabet) for _ in range(rng.randrange(4))]
+        v = [rng.choice(g.alphabet) for _ in range(rng.randrange(4))]
+        p, q = m.profile_of_word(u), m.profile_of_word(v)
+        assert m.compose(p, q) is m.compose(p, q)
+        assert m.compose(p, q) is m.profile_of_word(u + v)
+        other = m2.profile_of_word(u + v)
+        assert other is not m.profile_of_word(u + v)
+        assert other == m.profile_of_word(u + v)
+        assert hash(other) == hash(m.profile_of_word(u + v))
+        assert m.compose(p, q) == profile_of_triples(
+            g, triples_of(m.compose(p, q)), empty=not u + v)
