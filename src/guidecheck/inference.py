@@ -9,9 +9,15 @@ grows.  ``check_well_typed`` re-types every body against a frozen table and
 reports any entry the table fails to cover — the shape of claim a soundness
 argument needs, and a useful internal sanity check.
 
-Environments map variable names (including ``this``) to regions.  A body is
-typed per signature: receiver region from the signature, parameter regions
-from the signature's argument tuple.
+Environments map variable names (including ``this``) to regions.  A
+signature's environment takes the receiver region from the signature and
+the parameter regions from its argument tuple.  ``typeff`` never reads the
+signature's class and looks the environment up only at the variables the
+body reads, so a body is typed once per group of signatures that resolve to
+the same declared method and agree on the regions of those variables
+(``_typing_groups``), and that one typing stands for every member: the
+summary-sharing of Sharir and Pnueli (1981), keyed by what the procedure
+can observe of its input.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .fjast import (
     GetField,
     If,
     Let,
+    MethodDecl,
     New,
     Null,
     Program,
@@ -235,6 +242,64 @@ def _gamma_of(sig: Sig, prog: Program) -> dict:
     return gamma
 
 
+def _env_reads(md: MethodDecl) -> tuple:
+    """The variables of the environment (``this`` and the parameters) that
+    md's body reads, in name order.  Besides ``Var`` nodes, the let-normal
+    operands that are plain names count: comparison operands, call
+    receivers and arguments, field receivers and stored values.  A local
+    that shadows one of them counts as a read, which only splits groups."""
+    env = {"this", *(p.name for p in md.params)}
+    read: set = set()
+    for e in subexprs(md.body):
+        if isinstance(e, Var):
+            read.add(e.name)
+        elif isinstance(e, If):
+            read.update((e.left, e.right))
+        elif isinstance(e, Call):
+            read.add(e.recv)
+            read.update(e.args)
+        elif isinstance(e, GetField):
+            read.add(e.recv)
+        elif isinstance(e, SetField):
+            read.update((e.recv, e.value))
+        else:
+            continue
+        if env <= read:
+            break  # every variable is read; the rest of the body can't add one
+    return tuple(sorted(env & read))
+
+
+def _typing_groups(sigs: list, prog: Program) -> list:
+    """Split sigs into groups whose bodies type alike: the key is the
+    declaring class and the method (so inherited bodies are shared) and the
+    regions of the variables the body reads (``_env_reads``), in name
+    order.  Groups come in the order of their first member in sigs, and
+    members keep that order."""
+    # (declaring class, method) -> where in (receiver, *arguments) a
+    # signature holds the regions of the variables read, in name order
+    reads: dict = {}
+    groups: dict = {}
+    for sig in sigs:
+        md, decl = method_lookup(prog, sig.cls, sig.method)
+        at = reads.get((decl, sig.method))
+        if at is None:
+            env = ("this", *(p.name for p in md.params))
+            at = tuple(env.index(v) for v in _env_reads(md))
+            reads[(decl, sig.method)] = at
+        regions = (sig.recv, *sig.args)
+        key = (decl, sig.method, tuple(regions[i] for i in at))
+        groups.setdefault(key, []).append(sig)
+    return list(groups.values())
+
+
+def _type_group(prog: Program, meta: RegionMeta, table, domain,
+                members: list) -> Effects:
+    """Type the body shared by a group, in its first member's environment."""
+    sig = members[0]
+    md, _ = method_lookup(prog, sig.cls, sig.method)
+    return typeff(prog, meta, table, domain, _gamma_of(sig, prog), md.body)
+
+
 def _callee_first(sigs: list, prog: Program) -> list:
     """Order signatures callees first: by the strongly connected component
     of their (class, method) node in the static call graph, then
@@ -280,30 +345,36 @@ def infer(
     meta: RegionMeta | None = None,
 ) -> ClassTable:
     """Compute the tables to their least fixpoint with a worklist (Kildall,
-    POPL 1973).  Bodied signatures are typed callees first (``_callee_first``);
-    each typing records the rows it reads, and when a row grows only its
-    readers go back on the worklist.  When the worklist empties, the tables
-    are closed under the hierarchy and the readers of the rows that grew go
-    back on it; the fixpoint is reached when closing grows nothing.  Table
-    entries are compared with ``==``.  Raises ``RuntimeError`` past the
-    typing cap.
+    POPL 1973).  The worklist holds groups of bodied signatures
+    (``_typing_groups``), callees first (``_callee_first``, ranked by a
+    group's first member).  A group's body is typed once, its field updates
+    are applied once, and its triple is joined into every member's row.
+    Each typing records the rows it reads, and when a row grows only the
+    groups that read it go back on the worklist.  When the worklist
+    empties, the tables are closed under the hierarchy and the readers of
+    the rows that grew go back on it; the fixpoint is reached when closing
+    grows nothing.  Table entries are compared with ``==``.  Raises
+    ``RuntimeError`` past the typing cap.
 
     With entries given (demand-driven), the worklist starts from the entry
     signatures, and a signature is activated, with its same-shape subclass
     signatures (closure joins those into it), the first time a body reads
-    it.  Only active bodies are typed, the rest stay bottom, and
-    ``table.analyzed`` is the set of active signatures."""
+    it.  Activating a signature puts its group on the worklist, typed
+    before or not; a typing is joined only into the active members, the
+    rest stay bottom, and ``table.analyzed`` is the set of active
+    signatures."""
     if meta is None:
         meta = region_meta(prog)
     specs = intrinsics or {}
     table = init_table(prog, meta)
     seed_intrinsics(table, prog, meta, domain, specs)
     check_class_table(table, prog, meta, domain)
-    bodied = _callee_first(bodied_sigs(table, prog, meta, specs), prog)
-    rank = {sig: i for i, sig in enumerate(bodied)}
+    bodied = bodied_sigs(table, prog, meta, specs)
+    groups = _typing_groups(_callee_first(bodied, prog), prog)
+    rank = {sig: i for i, members in enumerate(groups) for sig in members}
     readers: dict = {}  # row (field-table key or Sig) -> ranks of its readers
-    queue: list = []  # heap of ranks: the lowest, most callee-like, first
-    queued = [False] * len(bodied)
+    queue: list = []  # heap of group ranks: the lowest, most callee-like, first
+    queued = [False] * len(groups)
 
     def push(i: int) -> None:
         if not queued[i]:
@@ -334,7 +405,7 @@ def infer(
                     frontier.append(sub)
 
     if active is None:
-        for i in range(len(bodied)):
+        for i in range(len(groups)):
             push(i)
     else:
         for entry in entries:
@@ -343,15 +414,16 @@ def infer(
                       if sig.cls == cls and sig.method == method
                       and not sig.args])
 
-    cap = _TypingCap(table, meta, domain, len(bodied))
+    # demand-driven, a group is typed again for each member activated
+    # after its first typing, which no row growth accounts for
+    extra = 0 if active is None else len(bodied) - len(groups)
+    cap = _TypingCap(table, meta, domain, len(groups), extra)
     while queue:
         i = heapq.heappop(queue)
         queued[i] = False
         cap.spend()
-        sig = bodied[i]
-        md, _ = method_lookup(prog, sig.cls, sig.method)
         log = _ReadLog(table)
-        eff = typeff(prog, meta, log, domain, _gamma_of(sig, prog), md.body)
+        eff = _type_group(prog, meta, log, domain, groups[i])
         for row in log.field_rows | eff.s.keys():
             readers.setdefault(row, set()).add(i)
         grown = []
@@ -360,10 +432,14 @@ def infer(
             if region not in regs:
                 table.ftable[key] = regs | {region}
                 grown.append(key)
-        joined = join_triple(domain, table.mtable[sig], eff.triple())
-        if joined != table.mtable[sig]:
-            table.mtable[sig] = joined
-            grown.append(sig)
+        triple = eff.triple()
+        for sig in groups[i]:
+            if active is not None and sig not in active:
+                continue
+            joined = join_triple(domain, table.mtable[sig], triple)
+            if joined != table.mtable[sig]:
+                table.mtable[sig] = joined
+                grown.append(sig)
         push_readers(grown)
         if active is not None:
             activate(eff.s)
@@ -376,10 +452,11 @@ def infer(
 
 def _typing_cap(table: ClassTable, meta: RegionMeta, bodies: int,
                 height: int | None) -> int:
-    """Bound on the typings of bodies.  Besides its first typing, a body is
-    re-typed only after a row it reads grew, and rows grow a bounded number
-    of times: each method entry at most ``height`` times per key, each field
-    row at most once per region.  Nondecreasing in the height."""
+    """Bound on the typings of ``bodies`` typing groups.  Besides its first
+    typing, a group is re-typed only after a row it reads grew, and rows
+    grow a bounded number of times: each method entry at most ``height``
+    times per key, each field row at most once per region.  Nondecreasing
+    in the height."""
     if height is None:
         return 1 << 30
     per_entry = (2 * len(meta.regions) + len(table.mtable)) * height
@@ -394,14 +471,15 @@ class _TypingCap:
     it).  The count is held first against the cap at the cheap
     ``fin_height_floor``; the exact height is asked for only once the count
     passes that smaller cap.  The table's keys are fixed, so the cap raises
-    at the same count as one sized up front at the exact height."""
+    at the same count as one sized up front at the exact height.  Both caps
+    allow ``extra`` typings besides."""
 
     def __init__(self, table: ClassTable, meta: RegionMeta, domain,
-                 bodies: int):
+                 bodies: int, extra: int = 0):
         self._table, self._meta = table, meta
-        self._domain, self._bodies = domain, bodies
-        self._limit = _typing_cap(table, meta, bodies,
-                                  domain.fin_height_floor())
+        self._domain, self._bodies, self._extra = domain, bodies, extra
+        self._limit = extra + _typing_cap(table, meta, bodies,
+                                          domain.fin_height_floor())
         self._exact = False
         self._typings = 0
 
@@ -409,8 +487,9 @@ class _TypingCap:
         """Count one typing; raises ``RuntimeError`` past the exact cap."""
         self._typings += 1
         if self._typings > self._limit and not self._exact:
-            self._limit = _typing_cap(self._table, self._meta, self._bodies,
-                                      self._domain.fin_height())
+            self._limit = self._extra + _typing_cap(
+                self._table, self._meta, self._bodies,
+                self._domain.fin_height())
             self._exact = True
         if self._typings > self._limit:
             raise RuntimeError("inference failed to converge within its cap")
@@ -434,17 +513,24 @@ def check_well_typed(
     intrinsics: dict | None = None,
     meta: RegionMeta | None = None,
 ) -> list[Offense]:
-    """Re-type every analyzed body against the frozen table.  A sound table
-    covers each body's triple and needs no further field updates."""
+    """Re-type every analyzed body against the frozen table, once per
+    typing group (``_typing_groups``), and check each member's stored row
+    and the field rows against its group's typing, member by member in
+    signature order.  A sound table covers each body's triple and needs no
+    further field updates."""
     if meta is None:
         meta = region_meta(prog)
     specs = intrinsics or {}
+    # demand-driven, the bodies outside table.analyzed were deliberately skipped
+    sigs = [sig for sig in bodied_sigs(table, prog, meta, specs)
+            if table.analyzed is None or sig in table.analyzed]
+    eff_of: dict = {}
+    for members in _typing_groups(sigs, prog):
+        eff_of.update(dict.fromkeys(
+            members, _type_group(prog, meta, table, domain, members)))
     offenses: list[Offense] = []
-    for sig in bodied_sigs(table, prog, meta, specs):
-        if table.analyzed is not None and sig not in table.analyzed:
-            continue  # demand-driven: this body was deliberately skipped
-        md, _ = method_lookup(prog, sig.cls, sig.method)
-        eff = typeff(prog, meta, table, domain, _gamma_of(sig, prog), md.body)
+    for sig in sigs:
+        eff = eff_of[sig]
         for (key, region) in eff.fupdates:
             if region not in table.ftable.get(key, frozenset()):
                 offenses.append(Offense(

@@ -1,5 +1,7 @@
 """Region-and-effect typing of method bodies, and the table fixpoint."""
 
+from collections import Counter
+
 import pytest
 
 import corpus as soundness_corpus
@@ -425,8 +427,8 @@ def _chain_program(n):
     return "class C {\n" + "\n".join(methods) + "\n}\n"
 
 
-def test_worklist_types_each_body_of_an_acyclic_chain_once(monkeypatch):
-    prog = parse_program(_chain_program(40))
+def _count_typings(monkeypatch):
+    """Patch typeff to record each top-level typing as (this, body)."""
     typings = []
     depth = [0]
     real = inference.typeff
@@ -441,6 +443,12 @@ def test_worklist_types_each_body_of_an_acyclic_chain_once(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(inference, "typeff", counting)
+    return typings
+
+
+def test_worklist_types_each_body_of_an_acyclic_chain_once(monkeypatch):
+    prog = parse_program(_chain_program(40))
+    typings = _count_typings(monkeypatch)
     d = ONE_LETTER
     table = infer(prog, d)
     meta = region_meta(prog)
@@ -459,3 +467,127 @@ def test_worklist_infers_a_long_call_chain_without_recursion_error():
     table = infer(prog, d)
     assert table.tdict(Sig("C", UNKNOWN, "m0", ())) == {
         NULL_REGION: d.alpha_word(("a",) * 2000)}
+
+
+# --- one typing per group of signatures ------------------------------------------
+
+
+# Each via* method reads its parameter p through one kind of plain-name
+# operand only, and its typing depends on p's region; a key that misses that
+# operand would share one typing among signatures that type differently.
+OPERANDS = """
+class Node extends Object {
+    Node next;
+    Object m() { emit a; return null; }
+    Object take(Node q) { Node z = null; if (q == z) { emit a; } else { } return null; }
+    Object viaIf(Node p) { Node z = null; if (p == z) { emit a; } else { } return null; }
+    Object viaRecv(Node p) { Object r = p.m(); return r; }
+    Object viaArg(Node p) { Object r = this.take(p); return r; }
+    Object viaGet(Node p) { Node n = p.next; return n; }
+    Object viaSetRecv(Node p) { Node z = null; p.next = z; return null; }
+    Object viaSetVal(Node p) { this.next = p; return null; }
+}
+class Main extends Object {
+    Object go() {
+        Node x = new[lx] Node();
+        Node y = new[ly] Node();
+        x.next = y;
+        Object r1 = x.viaIf(y);
+        Object r2 = x.viaRecv(y);
+        Object r3 = y.viaArg(x);
+        Object r4 = x.viaGet(x);
+        Object r5 = y.viaSetRecv(x);
+        Object r6 = y.viaSetVal(y);
+        return null;
+    }
+}
+"""
+
+# Sub inherits who from Base, so their signatures share typings; Over
+# redeclares it and must not.
+INHERITED = """
+class Base extends Object {
+    Object who(Base p) { Base z = null; if (p == z) { emit a; } else { } return null; }
+}
+class Sub extends Base { }
+class Over extends Base {
+    Object who(Base p) { emit a; emit a; return null; }
+}
+class Main extends Object {
+    Object go() {
+        Base b = new[lb] Base();
+        Sub s = new[ls] Sub();
+        Over o = new[lo] Over();
+        Object r1 = s.who(b);
+        Object r2 = b.who(s);
+        Object r3 = o.who(o);
+        return null;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("src", [OPERANDS, INHERITED],
+                         ids=["operands", "inherited"])
+def test_grouped_typing_matches_the_sweep_reference(src):
+    prog = parse_program(src)
+    d = ONE_LETTER
+    for entries in [None] + [[e] for e in _entry_points(prog)]:
+        got = infer(prog, d, entries=entries)
+        want = infer_by_sweeps(prog, d, entries=entries)
+        assert got.mtable == want.mtable, entries
+        assert got.ftable == want.ftable, entries
+        assert got.analyzed == want.analyzed, entries
+        assert got.pinned == want.pinned, entries
+        assert check_well_typed(prog, got, d) == [], entries
+
+
+def test_inherited_bodies_share_one_typing_group():
+    prog = parse_program(INHERITED)
+    meta = region_meta(prog)
+    table = init_table(prog, meta)
+    groups = inference._typing_groups(bodied_sigs(table, prog, meta, {}), prog)
+    classes = [{sig.cls for sig in members} for members in groups
+               if members[0].method == "who"]
+    assert {"Base", "Sub"} in classes
+    assert all("Over" not in c or c == {"Over"} for c in classes)
+
+
+def _ladder(nodes, tags):
+    """ROADMAP family (b): Node.step(p0, p1) reads only this and its next
+    field; Main.go links the Nodes, head at the last label in sort order,
+    allocates unused Tags, and calls step on the head."""
+    allocs = [f"Node x{i} = new[l{nodes - 1 - i:02d}] Node();"
+              for i in range(nodes)]
+    allocs += [f"Tag y{k} = new[t{k:02d}] Tag();" for k in range(tags)]
+    links = [f"x{i}.next = x{i + 1};" for i in range(nodes - 1)]
+    return ("class Tag extends Object { }\n"
+            "class Node extends Object { Node next;\n"
+            "  Node step(Node p0, Node p1) { emit a; Node n = this.next;"
+            " Node z = null; if (n == z) { return this; }"
+            " else { return n.step(n, n); } } }\n"
+            "class Main extends Object { Object go() { emit a; "
+            + " ".join(allocs + links)
+            + " Node r = x0.step(x0, x0); return this.go(); } }\n")
+
+
+def test_ladder_types_one_body_per_key(monkeypatch):
+    prog = parse_program(_ladder(2, 6))
+    meta = region_meta(prog)
+    d = ONE_LETTER
+    step = id(prog.by_name["Node"].methods[0].body)
+    go = id(prog.by_name["Main"].methods[0].body)
+    # both bodies read only this, so a key is a receiver region and a body
+    keys = [(created_at("l00"), step), (created_at("l01"), step),
+            (UNKNOWN, step), (UNKNOWN, go)]
+    typings = _count_typings(monkeypatch)
+    table = infer(prog, d)
+    assert len(bodied_sigs(table, prog, meta, {})) == 301
+    # 301 bodies, four keys; a key is typed again only after a row it read
+    # grew: step at l01 once Main.go links x0 to x1, step at Unknown once
+    # closure absorbs that link into the Unknown row, go once its own row
+    # and once step at l01's row grew
+    assert Counter(typings) == dict(zip(keys, (1, 2, 2, 3)))
+    typings.clear()
+    assert check_well_typed(prog, table, d) == []
+    assert sorted(typings, key=repr) == sorted(keys, key=repr)
