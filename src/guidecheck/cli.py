@@ -198,15 +198,13 @@ def analyze(
 
     sig_reports = []
     all_ok = True
-    for sig in sorted(table.mtable, key=Sig.sort_key):
+    for sig in system.sigs:
         t, h, _ = table.mtable[sig]
         div = eta[sig]
         if not t and not h and domain.mix_is_bottom(div):
             continue
-        r_ok = all(domain.accepts_fin(u) for _, u in sorted(
-            t.items(), key=lambda kv: kv[0].sort_key()))
-        h_ok = all(domain.accepts_fin(u) for _, u in sorted(
-            h.items(), key=lambda kv: kv[0].sort_key()))
+        r_ok = all(domain.accepts_fin(u) for u in t.values())
+        h_ok = all(domain.accepts_fin(u) for u in h.values())
         d_ok = domain.accepts_mix(div)
         all_ok = all_ok and r_ok and h_ok and d_ok
         sig_reports.append(SigReport(sig, r_ok, h_ok, d_ok))

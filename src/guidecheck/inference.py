@@ -94,8 +94,7 @@ def typeff(
         return typeff(prog, meta, table, domain, gamma, e.expr)
     if isinstance(e, GetField):
         t: dict = {}
-        for r in sorted(table.fields_at(e.recv_cls, gamma[e.recv], e.fname),
-                        key=Region.sort_key):
+        for r in sorted(table.fields_at(e.recv_cls, gamma[e.recv], e.fname)):
             t = dict_join(t, {r: _eps(domain)}, domain.fin_join)
         return Effects(t, {}, {}, [])
     if isinstance(e, SetField):
@@ -113,7 +112,7 @@ def typeff(
         h = dict(first.h)
         s = dict(first.s)
         ups = list(first.fupdates)
-        for r in sorted(first.t, key=Region.sort_key):
+        for r in sorted(first.t):
             u = first.t[r]
             g2 = dict(gamma)
             g2[e.var] = r
@@ -152,7 +151,7 @@ def typeff(
         h = except_filter(body.h, e.exc_cls, prog, meta)
         s = dict(body.s)
         ups = list(body.fupdates)
-        for r in sorted(body.h, key=Region.sort_key):
+        for r in sorted(body.h):
             if not _catchable(r, e.exc_cls, prog, meta):
                 continue
             u = body.h[r]
@@ -221,13 +220,18 @@ def bodied_sigs(table: ClassTable, prog: Program, meta: RegionMeta,
                 specs: dict) -> list[Sig]:
     """Signatures whose method body gets typed directly: the receiver class
     is creatable in the receiver region and the resolved method is no stub."""
+    stubbed: dict = {}  # (class, method) -> whether it resolves to a stub
     out = []
     for sig in table.mtable:
         if sig in table.pinned:
             continue
         if sig.cls not in meta.cls_of(sig.recv):
             continue
-        if stub_lookup(specs, prog, sig.cls, sig.method) is not None:
+        key = (sig.cls, sig.method)
+        stub = stubbed.get(key)
+        if stub is None:
+            stub = stubbed[key] = stub_lookup(specs, prog, *key) is not None
+        if stub:
             continue
         out.append(sig)
     out.sort(key=Sig.sort_key)

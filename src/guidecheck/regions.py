@@ -3,23 +3,26 @@
 A region abstracts where a value comes from: the constant null, a specific
 allocation site, or anywhere (Unknown).  Regions other than Unknown are
 pairwise disjoint; Unknown overlaps everything.
+
+Regions and signatures are plain tuples, so every table keyed by them hashes
+and compares its keys in C.  A region's natural tuple order is the canonical
+one: the kinds sort as "null" < "site" < "unknown", then by label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fjast import NULL_TYPE, Program
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     kind: str  # "null" | "site" | "unknown"
     label: str = ""
 
-    def sort_key(self) -> tuple[int, str]:
-        return ({"null": 0, "site": 1, "unknown": 2}[self.kind], self.label)
+    def sort_key(self) -> "Region":
+        """The region itself: its natural order is the canonical one."""
+        return self
 
     def __str__(self) -> str:
         if self.kind == "null":
@@ -45,13 +48,9 @@ class Sig(NamedTuple):
     method: str
     args: tuple[Region, ...]
 
-    def sort_key(self):
-        return (
-            self.cls,
-            self.method,
-            self.recv.sort_key(),
-            tuple(a.sort_key() for a in self.args),
-        )
+    def sort_key(self) -> tuple:
+        """Canonical order: class, method, receiver region, argument regions."""
+        return (self.cls, self.method, self.recv, self.args)
 
     def __str__(self) -> str:
         args = ", ".join(str(a) for a in self.args)

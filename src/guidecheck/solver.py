@@ -103,7 +103,7 @@ def components(nodes: Iterable, successors: Callable) -> list:
 
 def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict:
     order = list(order) if order is not None else list(system.sigs)
-    if sorted(order, key=Sig.sort_key) != sorted(system.sigs, key=Sig.sort_key):
+    if len(order) != len(system.sigs) or set(order) != set(system.sigs):
         raise ValueError("order must be a permutation of the system variables")
     rank = {var: i for i, var in enumerate(order)}
     eta: dict = {}
