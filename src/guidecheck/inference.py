@@ -220,18 +220,13 @@ def bodied_sigs(table: ClassTable, prog: Program, meta: RegionMeta,
                 specs: dict) -> list[Sig]:
     """Signatures whose method body gets typed directly: the receiver class
     is creatable in the receiver region and the resolved method is no stub."""
-    stubbed: dict = {}  # (class, method) -> whether it resolves to a stub
     out = []
     for sig in table.mtable:
         if sig in table.pinned:
             continue
         if sig.cls not in meta.cls_of(sig.recv):
             continue
-        key = (sig.cls, sig.method)
-        stub = stubbed.get(key)
-        if stub is None:
-            stub = stubbed[key] = stub_lookup(specs, prog, *key) is not None
-        if stub:
+        if stub_lookup(specs, prog, sig.cls, sig.method) is not None:
             continue
         out.append(sig)
     out.sort(key=Sig.sort_key)
