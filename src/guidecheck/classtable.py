@@ -47,9 +47,6 @@ class ClassTable:
     def tdict(self, sig: Sig) -> dict:
         return self.mtable[sig][0]
 
-    def hdict(self, sig: Sig) -> dict:
-        return self.mtable[sig][1]
-
     def sdict(self, sig: Sig) -> dict:
         return self.mtable[sig][2]
 

@@ -258,7 +258,7 @@ class Program:
         return self._fields[cls]
 
     def _collect_labels_and_events(self) -> None:
-        labels: dict[str, Pos | None] = {}
+        labels: dict[str, frozenset[str]] = {}  # label -> class allocated there
         events: set[str] = set()
         for c in self.classes:
             for m in c.methods:
@@ -266,21 +266,16 @@ class Program:
                     if isinstance(e, New):
                         if e.label in labels:
                             raise FjError(f"duplicate allocation label {e.label}", e.pos)
-                        labels[e.label] = e.pos
+                        labels[e.label] = frozenset({e.cls})
                     elif isinstance(e, Emit):
                         events.add(e.event)
         self.labels: tuple[str, ...] = tuple(labels)
         self.alphabet: frozenset[str] = frozenset(events)
+        self._label_classes = labels
 
     def new_classes_at(self, label: str) -> frozenset[str]:
         """Classes allocated at a given label (at most one in a valid program)."""
-        out = set()
-        for c in self.classes:
-            for m in c.methods:
-                for e in subexprs(m.body):
-                    if isinstance(e, New) and e.label == label:
-                        out.add(e.cls)
-        return frozenset(out)
+        return self._label_classes.get(label, frozenset())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Program) and self.classes == other.classes

@@ -1,4 +1,4 @@
-"""Surface parser, desugarer and printer for the object language.
+"""Surface lexer, parser and desugarer for the object language.
 
 The surface syntax is a small Java-like statement language::
 
@@ -15,20 +15,20 @@ The surface syntax is a small Java-like statement language::
 Statement sequences desugar into let chains with fresh ``$``-variables,
 locals into lets, and ``return e;`` simply ends the chain.  Allocation sites
 may carry an explicit label (``new[l1] Node()``); unlabeled sites get
-``file:line:col``.  Receiver annotations on calls and field accesses are
-filled in from the declared static types during parsing.
-
-``print_program`` renders a parsed program back to surface text such that
-reparsing yields an equal Program.
+``file:line:col``.  Every parsed method goes through
+``fjtypes.check_method``, which fills in the receiver annotations on calls
+and field accesses and raises on name errors; typing violations are left to
+``fjtypes.fj_typecheck``.  The printer behind the round-trip test lives in
+``tests/fjprinter.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Iterable, NamedTuple
 
 from .fjast import (
-    NULL_TYPE,
     OBJECT,
     Call,
     Cast,
@@ -67,7 +67,21 @@ _KEYWORDS = {
     "null",
 }
 
-_PUNCT = ("==", "{", "}", "(", ")", "[", "]", ";", ",", ".", "=")
+# One alternative per token class.  '[' opens a raw label (labels may contain
+# ':' and '.') and is in no other class, so an unclosed one matches nothing.
+# ``\w+`` also matches runs starting with a digit such as '1' or '²'; _lex
+# rejects those.
+_TOKEN = re.compile(
+    r"""
+      (?P<newline>\n)
+    | (?P<blank>[ \t\r]+)
+    | (?P<comment>//[^\n]*)
+    | \[(?P<label>[^\]]*)\]
+    | (?P<punct>==|[{}();,.=\]])
+    | (?P<id>\w+)
+    """,
+    re.VERBOSE,
+)
 
 
 class Token(NamedTuple):
@@ -84,51 +98,28 @@ class Token(NamedTuple):
 def _lex(text: str) -> list[Token]:
     toks: list[Token] = []
     line, col, i, n = 1, 1, 0, len(text)
+    match = _TOKEN.match
     while i < n:
+        m = match(text, i)
         c = text[i]
-        if c == "\n":
-            line, col, i = line + 1, 1, i + 1
+        if m is None or (m.lastgroup == "id" and not (c.isalpha() or c == "_")):
+            msg = "unterminated '['" if c == "[" else f"unexpected character {c!r}"
+            raise FjError(msg, Pos(line, col))
+        kind, j = m.lastgroup, m.end()
+        if kind == "newline":
+            line, col, i = line + 1, 1, j
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if c == "[":
-            # labels may contain ':' and '.', so scan the bracket raw
-            j = text.find("]", i)
-            if j < 0:
-                raise FjError("unterminated '['", Pos(line, col))
-            inner = text[i + 1 : j].strip()
+        if kind == "label":
+            # a label spanning a newline does not advance the line count
             toks.append(Token("punct", "[", line, col))
+            inner = m.group("label").strip()
             if inner:
                 toks.append(Token("label", inner, line, col + 1))
-            toks.append(Token("punct", "]", line, col + (j - i)))
-            col += j - i + 1
-            i = j + 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("id", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise FjError(f"unexpected character {c!r}", Pos(line, col))
+            toks.append(Token("punct", "]", line, col + j - i - 1))
+        elif kind in ("punct", "id"):
+            toks.append(Token(kind, m.group(), line, col))
+        col += j - i
+        i = j
     toks.append(Token("eof", "", line, col))
     return toks
 
@@ -365,97 +356,6 @@ def _desugar(stmts: list[tuple]) -> Expr:
     return go(stmts)
 
 
-# ---------------------------------------------------------------------------
-# Annotation pass: fill receiver static classes, validate names
-# ---------------------------------------------------------------------------
-
-
-def _annotate(prog: Program, env: dict[str, str], e: Expr, alphabet) -> tuple[Expr, str]:
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise FjError(f"unbound variable {e.name}", e.pos)
-        return e, env[e.name]
-    if isinstance(e, Null):
-        return e, NULL_TYPE
-    if isinstance(e, New):
-        if e.cls not in prog.by_name:
-            raise FjError(f"cannot allocate undeclared class {e.cls}", e.pos)
-        return e, e.cls
-    if isinstance(e, Emit):
-        if alphabet is not None and e.event not in alphabet:
-            raise FjError(f"event {e.event} is not in the declared alphabet", e.pos)
-        return e, NULL_TYPE
-    if isinstance(e, Cast):
-        if e.cls != OBJECT and e.cls not in prog.by_name:
-            raise FjError(f"unknown cast class {e.cls}", e.pos)
-        inner, _ = _annotate(prog, env, e.expr, alphabet)
-        return dataclasses.replace(e, expr=inner), e.cls
-    if isinstance(e, Let):
-        init, t1 = _annotate(prog, env, e.init, alphabet)
-        bound = e.decl if e.decl is not None else t1
-        if e.decl is not None and e.decl not in prog.by_name and e.decl != OBJECT:
-            raise FjError(f"unknown class {e.decl}", e.pos)
-        env2 = dict(env)
-        env2[e.var] = bound
-        body, t2 = _annotate(prog, env2, e.body, alphabet)
-        return dataclasses.replace(e, init=init, body=body), t2
-    if isinstance(e, If):
-        for v in (e.left, e.right):
-            if v not in env:
-                raise FjError(f"unbound variable {v}", e.pos)
-        then, t1 = _annotate(prog, env, e.then, alphabet)
-        els, t2 = _annotate(prog, env, e.els, alphabet)
-        return dataclasses.replace(e, then=then, els=els), fjtypes.lub(prog, t1, t2)
-    if isinstance(e, Call):
-        ann = _receiver_class(prog, env, e.recv, e.pos)
-        try:
-            md, _ = fjtypes.method_lookup(prog, ann, e.method)
-        except FjError:
-            raise FjError(f"no method {e.method} on {ann}", e.pos) from None
-        for a in e.args:
-            if a not in env:
-                raise FjError(f"unbound variable {a}", e.pos)
-        return dataclasses.replace(e, recv_cls=ann), md.result
-    if isinstance(e, GetField):
-        ann = _receiver_class(prog, env, e.recv, e.pos)
-        fc = fjtypes.field_class(prog, ann, e.fname)
-        if fc is None:
-            raise FjError(f"no field {e.fname} on {ann}", e.pos)
-        return dataclasses.replace(e, recv_cls=ann), fc
-    if isinstance(e, SetField):
-        ann = _receiver_class(prog, env, e.recv, e.pos)
-        fc = fjtypes.field_class(prog, ann, e.fname)
-        if fc is None:
-            raise FjError(f"no field {e.fname} on {ann}", e.pos)
-        if e.value not in env:
-            raise FjError(f"unbound variable {e.value}", e.pos)
-        return dataclasses.replace(e, recv_cls=ann), env[e.value]
-    if isinstance(e, Throw):
-        inner, _ = _annotate(prog, env, e.expr, alphabet)
-        return dataclasses.replace(e, expr=inner), NULL_TYPE
-    if isinstance(e, TryCatch):
-        body, t1 = _annotate(prog, env, e.body, alphabet)
-        if e.exc_cls not in prog.by_name and e.exc_cls != OBJECT:
-            raise FjError(f"unknown exception class {e.exc_cls}", e.pos)
-        env2 = dict(env)
-        env2[e.var] = e.exc_cls
-        handler, t2 = _annotate(prog, env2, e.handler, alphabet)
-        return (
-            dataclasses.replace(e, body=body, handler=handler),
-            fjtypes.lub(prog, t1, t2),
-        )
-    raise AssertionError(f"unhandled expression {e!r}")
-
-
-def _receiver_class(prog: Program, env: dict[str, str], recv: str, pos) -> str:
-    if recv not in env:
-        raise FjError(f"unbound variable {recv}", pos)
-    ann = env[recv]
-    if ann not in prog.by_name:
-        raise FjError(f"receiver {recv} has type {ann}, which has no members", pos)
-    return ann
-
-
 def parse_program(
     text: str, filename: str = "<input>", alphabet: Iterable[str] | None = None
 ) -> Program:
@@ -476,95 +376,11 @@ def parse_programs(
         raw_classes.extend(_Parser(_lex(text), filename).program())
     prelim = Program(raw_classes)
     alpha = frozenset(alphabet) if alphabet is not None else None
-    final_classes = []
-    for c in prelim.classes:
-        methods = []
-        for md in c.methods:
-            env = fjtypes.method_env(prelim, c.name, md)
-            for p in md.params:
-                if p.cls != OBJECT and p.cls not in prelim.by_name:
-                    raise FjError(f"unknown parameter class {p.cls}", md.pos)
-            body, _ = _annotate(prelim, env, md.body, alpha)
-            methods.append(dataclasses.replace(md, body=body))
-        final_classes.append(dataclasses.replace(c, methods=tuple(methods)))
-    return Program(final_classes)
-
-
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-
-def print_program(prog: Program) -> str:
-    out: list[str] = []
-    for c in prog.classes:
-        ext = f" extends {c.parent}" if c.parent != OBJECT else ""
-        out.append(f"class {c.name}{ext} {{")
-        for f in c.fields:
-            out.append(f"  {f.cls} {f.name};")
-        for m in c.methods:
-            params = ", ".join(f"{p.cls} {p.name}" for p in m.params)
-            out.append(f"  {m.result} {m.name}({params}) {{")
-            out.extend(_render_body(m.body, "    "))
-            out.append("  }")
-        out.append("}")
-        out.append("")
-    return "\n".join(out)
-
-
-def _render_body(e: Expr, ind: str) -> list[str]:
-    lines: list[str] = []
-    while isinstance(e, Let):
-        if e.decl is not None:
-            lines.append(f"{ind}{e.decl} {e.var} = {_render_expr(e.init)};")
-        else:
-            lines.extend(_render_stmt(e.init, ind))
-        e = e.body
-    # final expression
-    if isinstance(e, Null):
-        lines.append(f"{ind}return null;")
-    elif isinstance(e, (Emit, If, Throw, TryCatch)):
-        lines.extend(_render_stmt(e, ind))
-    else:
-        lines.append(f"{ind}return {_render_expr(e)};")
-    return lines
-
-
-def _render_stmt(e: Expr, ind: str) -> list[str]:
-    if isinstance(e, Emit):
-        return [f"{ind}emit {e.event};"]
-    if isinstance(e, If):
-        out = [f"{ind}if ({e.left} == {e.right}) {{"]
-        out.extend(_render_body(e.then, ind + "  "))
-        out.append(f"{ind}}} else {{")
-        out.extend(_render_body(e.els, ind + "  "))
-        out.append(f"{ind}}}")
-        return out
-    if isinstance(e, Throw):
-        return [f"{ind}throw {_render_expr(e.expr)};"]
-    if isinstance(e, TryCatch):
-        out = [f"{ind}try {{"]
-        out.extend(_render_body(e.body, ind + "  "))
-        out.append(f"{ind}}} catch ({e.exc_cls} {e.var}) {{")
-        out.extend(_render_body(e.handler, ind + "  "))
-        out.append(f"{ind}}}")
-        return out
-    return [f"{ind}{_render_expr(e)};"]
-
-
-def _render_expr(e: Expr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Null):
-        return "null"
-    if isinstance(e, New):
-        return f"new[{e.label}] {e.cls}()"
-    if isinstance(e, Cast):
-        return f"({e.cls}) {_render_expr(e.expr)}"
-    if isinstance(e, Call):
-        return f"{e.recv}.{e.method}({', '.join(e.args)})"
-    if isinstance(e, GetField):
-        return f"{e.recv}.{e.fname}"
-    if isinstance(e, SetField):
-        return f"{e.recv}.{e.fname} = {e.value}"
-    raise ValueError(f"expression cannot be rendered inline: {e!r}")
+    # typing violations are fj_typecheck's to report; only name errors raise
+    dropped: list[FjError] = []
+    return Program([
+        dataclasses.replace(c, methods=tuple(
+            fjtypes.check_method(prelim, c.name, md, dropped, alpha)
+            for md in c.methods))
+        for c in prelim.classes
+    ])

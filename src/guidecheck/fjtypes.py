@@ -1,13 +1,17 @@
-"""Subtyping, member lookup and the standard well-typedness check.
+"""Subtyping, member lookup and the one typing walk over method bodies.
 
 The class hierarchy is single-inheritance with Object on top and NullType
-below every class; neither is ever declared.  Receiver annotations on calls
-and field accesses are verified here against the declared static types,
-methods and parameters must not be redeclared, and override signatures must
-be invariant.
+below every class; neither is ever declared.  ``check_method`` is the only
+place that works out static classes: one walk returns a body with its
+receiver annotations filled in.  Name errors (unbound variable, unknown
+class or member, event outside the alphabet) raise FjError; typing
+violations are collected and the walk goes on.  ``fj_typecheck`` adds the
+redeclaration and invariant-override checks.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from .fjast import (
     NULL_TYPE,
@@ -106,24 +110,37 @@ def fj_typecheck(prog: Program) -> list[FjError]:
         _check_declarations(c, errors)
         _check_overrides(prog, c, errors)
         for md in c.methods:
-            for p in md.params:
-                if not known_class(prog, p.cls) or p.cls in (OBJECT, NULL_TYPE):
-                    if p.cls != OBJECT:
-                        errors.append(FjError(f"unknown parameter class {p.cls}", md.pos))
-            if not known_class(prog, md.result):
-                errors.append(FjError(f"unknown result class {md.result}", md.pos))
-                continue
-            env = method_env(prog, c.name, md)
-            t = _type_expr(prog, env, md.body, errors)
-            if t is not None and not preceq(prog, t, md.result):
-                errors.append(
-                    FjError(
-                        f"body of {c.name}.{md.name} has type {t}, "
-                        f"not a subclass of declared {md.result}",
-                        md.pos,
-                    )
-                )
+            try:
+                check_method(prog, c.name, md, errors)
+            except FjError as exc:
+                errors.append(exc)
     return errors
+
+
+def check_method(
+    prog: Program,
+    cls: str,
+    md: MethodDecl,
+    errors: list[FjError],
+    alphabet: frozenset[str] | None = None,
+) -> MethodDecl:
+    """Type md's body in class cls and return md with every receiver
+    annotation filled in.  Raises FjError at the first name error; appends
+    each typing violation to errors and goes on.  When ``alphabet`` is given,
+    every emitted event must belong to it."""
+    for p in md.params:
+        if p.cls != OBJECT and p.cls not in prog.by_name:
+            raise FjError(f"unknown parameter class {p.cls}", md.pos)
+    env = method_env(prog, cls, md)
+    if not known_class(prog, md.result):
+        errors.append(FjError(f"unknown result class {md.result}", md.pos))
+        body, _ = _type_expr(prog, env, md.body, [], alphabet)
+    else:
+        body, t = _type_expr(prog, env, md.body, errors, alphabet)
+        if not preceq(prog, t, md.result):
+            errors.append(FjError(f"body of {cls}.{md.name} has type {t}, "
+                                  f"not a subclass of declared {md.result}", md.pos))
+    return md if body is md.body else dataclasses.replace(md, body=body)
 
 
 def _check_declarations(c: ClassDecl, errors: list[FjError]) -> None:
@@ -165,118 +182,114 @@ def _check_overrides(prog: Program, c: ClassDecl, errors: list[FjError]) -> None
 
 
 def _type_expr(
-    prog: Program, env: dict[str, str], e: Expr, errors: list[FjError]
-) -> str | None:
-    """Static type of e, or None after an unrecoverable local error."""
+    prog: Program, env: dict[str, str], e: Expr, errors: list[FjError], alphabet
+) -> tuple[Expr, str]:
+    """The static class of e, and e with its receiver annotations filled.
+    At each node the name errors raise before any violation is appended."""
     if isinstance(e, Var):
-        if e.name not in env:
-            errors.append(FjError(f"unbound variable {e.name}", e.pos))
-            return None
-        return env[e.name]
+        return e, _lookup(env, e.name, e.pos)
     if isinstance(e, Null):
-        return NULL_TYPE
+        return e, NULL_TYPE
     if isinstance(e, New):
         if e.cls not in prog.by_name:
-            errors.append(FjError(f"cannot allocate undeclared class {e.cls}", e.pos))
-            return None
-        return e.cls
+            raise FjError(f"cannot allocate undeclared class {e.cls}", e.pos)
+        return e, e.cls
     if isinstance(e, Emit):
-        return NULL_TYPE
+        if alphabet is not None and e.event not in alphabet:
+            raise FjError(f"event {e.event} is not in the declared alphabet", e.pos)
+        return e, NULL_TYPE
     if isinstance(e, Cast):
-        _type_expr(prog, env, e.expr, errors)
-        if e.cls == NULL_TYPE or not known_class(prog, e.cls):
-            errors.append(FjError(f"bad cast target {e.cls}", e.pos))
-            return None
-        return e.cls
+        if e.cls != OBJECT and e.cls not in prog.by_name:
+            raise FjError(f"unknown cast class {e.cls}", e.pos)
+        inner, _ = _type_expr(prog, env, e.expr, errors, alphabet)
+        return (e if inner is e.expr else dataclasses.replace(e, expr=inner)), e.cls
     if isinstance(e, Let):
-        t1 = _type_expr(prog, env, e.init, errors)
+        init, t1 = _type_expr(prog, env, e.init, errors, alphabet)
+        if e.decl is not None and e.decl != OBJECT and e.decl not in prog.by_name:
+            raise FjError(f"unknown class {e.decl}", e.pos)
         if e.var in env:
             errors.append(FjError(f"variable {e.var} already declared", e.pos))
-        bound = e.decl if e.decl is not None else (t1 or OBJECT)
-        if e.decl is not None:
-            if not known_class(prog, e.decl) or e.decl == NULL_TYPE:
-                errors.append(FjError(f"unknown class {e.decl}", e.pos))
-                bound = OBJECT
-            elif t1 is not None and not preceq(prog, t1, e.decl):
-                errors.append(
-                    FjError(f"initializer of {e.var} has type {t1}, expected {e.decl}", e.pos)
-                )
+        if e.decl is not None and not preceq(prog, t1, e.decl):
+            errors.append(
+                FjError(f"initializer of {e.var} has type {t1}, expected {e.decl}", e.pos)
+            )
         env2 = dict(env)
-        env2[e.var] = bound
-        return _type_expr(prog, env2, e.body, errors)
+        env2[e.var] = e.decl if e.decl is not None else t1
+        body, t2 = _type_expr(prog, env2, e.body, errors, alphabet)
+        if init is not e.init or body is not e.body:
+            e = dataclasses.replace(e, init=init, body=body)
+        return e, t2
     if isinstance(e, If):
-        for v in (e.left, e.right):
-            if v not in env:
-                errors.append(FjError(f"unbound variable {v}", e.pos))
-        t1 = _type_expr(prog, env, e.then, errors)
-        t2 = _type_expr(prog, env, e.els, errors)
-        if t1 is None or t2 is None:
-            return t1 or t2
-        return lub(prog, t1, t2)
+        _lookup(env, e.left, e.pos)
+        _lookup(env, e.right, e.pos)
+        then, t1 = _type_expr(prog, env, e.then, errors, alphabet)
+        els, t2 = _type_expr(prog, env, e.els, errors, alphabet)
+        if then is not e.then or els is not e.els:
+            e = dataclasses.replace(e, then=then, els=els)
+        return e, lub(prog, t1, t2)
     if isinstance(e, Call):
-        return _type_member(prog, env, e, errors, is_call=True)
+        rt, ann = _receiver(prog, env, e)
+        try:
+            md, _ = method_lookup(prog, ann, e.method)
+        except FjError:
+            raise FjError(f"no method {e.method} on {ann}", e.pos) from None
+        arg_types = [_lookup(env, a, e.pos) for a in e.args]
+        _check_annotation(prog, e, rt, ann, errors)
+        if len(md.params) != len(e.args):
+            errors.append(FjError(f"{ann}.{e.method} expects {len(md.params)} args", e.pos))
+        else:
+            for a, t, p in zip(e.args, arg_types, md.params):
+                if not preceq(prog, t, p.cls):
+                    errors.append(
+                        FjError(f"argument {a}: {t} is not a subclass of {p.cls}", e.pos)
+                    )
+        return (e if e.recv_cls else dataclasses.replace(e, recv_cls=ann)), md.result
     if isinstance(e, (GetField, SetField)):
-        return _type_member(prog, env, e, errors, is_call=False)
+        rt, ann = _receiver(prog, env, e)
+        fc = field_class(prog, ann, e.fname)
+        if fc is None:
+            raise FjError(f"no field {e.fname} on {ann}", e.pos)
+        t = fc if isinstance(e, GetField) else _lookup(env, e.value, e.pos)
+        _check_annotation(prog, e, rt, ann, errors)
+        if not preceq(prog, t, fc):
+            errors.append(FjError(f"assigning {t} into field {e.fname}: {fc}", e.pos))
+        return (e if e.recv_cls else dataclasses.replace(e, recv_cls=ann)), t
     if isinstance(e, Throw):
-        _type_expr(prog, env, e.expr, errors)
-        return NULL_TYPE
+        inner, _ = _type_expr(prog, env, e.expr, errors, alphabet)
+        return (e if inner is e.expr else dataclasses.replace(e, expr=inner)), NULL_TYPE
     if isinstance(e, TryCatch):
-        t1 = _type_expr(prog, env, e.body, errors)
-        if e.exc_cls not in prog.by_name and e.exc_cls != OBJECT:
-            errors.append(FjError(f"unknown exception class {e.exc_cls}", e.pos))
-            return t1
-        env2 = dict(env)
+        body, t1 = _type_expr(prog, env, e.body, errors, alphabet)
+        if e.exc_cls != OBJECT and e.exc_cls not in prog.by_name:
+            raise FjError(f"unknown exception class {e.exc_cls}", e.pos)
         if e.var in env:
             errors.append(FjError(f"variable {e.var} already declared", e.pos))
+        env2 = dict(env)
         env2[e.var] = e.exc_cls
-        t2 = _type_expr(prog, env2, e.handler, errors)
-        if t1 is None or t2 is None:
-            return t1 or t2
-        return lub(prog, t1, t2)
+        handler, t2 = _type_expr(prog, env2, e.handler, errors, alphabet)
+        if body is not e.body or handler is not e.handler:
+            e = dataclasses.replace(e, body=body, handler=handler)
+        return e, lub(prog, t1, t2)
     raise AssertionError(f"unhandled expression {e!r}")
 
 
-def _type_member(prog, env, e, errors, *, is_call: bool) -> str | None:
-    if e.recv not in env:
-        errors.append(FjError(f"unbound variable {e.recv}", e.pos))
-        return None
-    rt = env[e.recv]
-    ann = e.recv_cls
+def _lookup(env: dict[str, str], name: str, pos) -> str:
+    if name not in env:
+        raise FjError(f"unbound variable {name}", pos)
+    return env[name]
+
+
+def _receiver(prog: Program, env: dict[str, str], e) -> tuple[str, str]:
+    """The static class of e's receiver, and the class whose members e uses:
+    its annotation if it has one, else that static class."""
+    rt = _lookup(env, e.recv, e.pos)
+    ann = e.recv_cls or rt
     if ann not in prog.by_name:
-        errors.append(FjError(f"receiver annotation {ann} is not a declared class", e.pos))
-        return None
+        raise FjError(f"receiver {e.recv} has type {ann}, which has no members", e.pos)
+    return rt, ann
+
+
+def _check_annotation(prog: Program, e, rt: str, ann: str, errors: list[FjError]) -> None:
     if not preceq(prog, rt, ann):
         errors.append(
             FjError(f"receiver {e.recv} has type {rt}, annotation says {ann}", e.pos)
         )
-    if is_call:
-        try:
-            md, _ = method_lookup(prog, ann, e.method)
-        except FjError:
-            errors.append(FjError(f"no method {e.method} on {ann}", e.pos))
-            return None
-        if len(md.params) != len(e.args):
-            errors.append(FjError(f"{ann}.{e.method} expects {len(md.params)} args", e.pos))
-            return md.result
-        for a, p in zip(e.args, md.params):
-            if a not in env:
-                errors.append(FjError(f"unbound variable {a}", e.pos))
-            elif not preceq(prog, env[a], p.cls):
-                errors.append(
-                    FjError(f"argument {a}: {env[a]} is not a subclass of {p.cls}", e.pos)
-                )
-        return md.result
-    fc = field_class(prog, ann, e.fname)
-    if fc is None:
-        errors.append(FjError(f"no field {e.fname} on {ann}", e.pos))
-        return None
-    if isinstance(e, SetField):
-        if e.value not in env:
-            errors.append(FjError(f"unbound variable {e.value}", e.pos))
-            return fc
-        if not preceq(prog, env[e.value], fc):
-            errors.append(
-                FjError(f"assigning {env[e.value]} into field {e.fname}: {fc}", e.pos)
-            )
-        return env[e.value]
-    return fc

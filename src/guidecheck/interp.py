@@ -50,6 +50,7 @@ from .fjtypes import method_lookup, preceq
 from .intrinsics import IntrinsicChoice, IntrinsicSpec, stub_lookup
 
 DEFAULT_FUEL = 32
+MAX_RUNS = 100000  # most complete runs enumerate_traces collects for one entry
 
 Value = int | None  # heap location or null
 
@@ -344,7 +345,6 @@ def enumerate_traces(
     entry: str,
     fuel: int = DEFAULT_FUEL,
     intrinsics: dict | None = None,
-    max_runs: int = 100000,
 ) -> list[TraceRun]:
     """Every complete run of entry ('Class.method', no parameters) under the
     fuel bound, one per stub-choice script, in lexicographic script order."""
@@ -366,8 +366,8 @@ def enumerate_traces(
                 pending.append(script + (choice,))
             continue
         runs.append(TraceRun(script, outcome, ev.cycles))
-        if len(runs) > max_runs:
-            raise RuntimeError(f"more than {max_runs} runs for {entry}")
+        if len(runs) > MAX_RUNS:
+            raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs
 
 

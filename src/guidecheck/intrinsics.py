@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .fjast import Program
+from .fjast import FjError, Program
 from .fjtypes import method_lookup
 from .oracle import Nfa, RegexError, regex_to_nfa
 from .regions import NULL_REGION, UNKNOWN, Region, RegionMeta, created_at
@@ -180,7 +180,7 @@ def validate_against_program(
             raise ConfigError(f"stub for unknown class {cls}")
         try:
             md, _ = method_lookup(prog, cls, method)
-        except Exception:
+        except FjError:
             raise ConfigError(f"stub for unknown method {cls}.{method}") from None
         if len(md.params) != len(spec.arg_patterns):
             raise ConfigError(
@@ -199,6 +199,6 @@ def stub_lookup(
         return None
     try:
         _, declaring = method_lookup(prog, cls, method)
-    except Exception:
+    except FjError:
         return None
     return specs.get((declaring, method))

@@ -429,6 +429,198 @@ def test_main_type_error_message_names_the_problem(tmp_path, capsys):
     assert "y" in capsys.readouterr().err
 
 
+# One ill-typed program per front-end message: the lexer, the parser, the
+# Program's shape checks, the name errors and the typing violations.
+ILL_TYPED = [
+    pytest.param(
+        'class A { Object m() { return null; } } #',
+        "1:41: unexpected character '#'",
+        id='unexpected-character'),
+    pytest.param(
+        'class A {\n  Object m() { return new[l A(); }\n}',
+        "2:26: unterminated '['",
+        id='unterminated-bracket'),
+    pytest.param(
+        'class A { Object m() { return new[ ] A(); } }',
+        '1:36: expected a label inside [ ]',
+        id='missing-label'),
+    pytest.param(
+        'class A { Object m(A x) { if (x == x) { emit a; } return null; } }',
+        "1:51: expected 'else', found 'return'",
+        id='missing-else'),
+    pytest.param(
+        'class A { Object m() { return null; emit a; } }',
+        '1:37: unreachable statements after return',
+        id='statement-after-return'),
+    pytest.param(
+        'class A { Object m() { return null } }',
+        "1:36: expected ';', found '}'",
+        id='missing-semicolon'),
+    pytest.param(
+        'class A {',
+        "1:10: expected member class, found 'end of input'",
+        id='end-of-input'),
+    pytest.param(
+        'class Object { }',
+        '1:1: class name Object is reserved',
+        id='reserved-class-name'),
+    pytest.param(
+        'class A { } class A { }',
+        '1:13: duplicate class A',
+        id='duplicate-class'),
+    pytest.param(
+        'class A extends B { }',
+        '1:1: unknown superclass B of A',
+        id='unknown-superclass'),
+    pytest.param(
+        'class A extends B { } class B extends A { }',
+        '1:1: inheritance cycle through A',
+        id='inheritance-cycle'),
+    pytest.param(
+        'class A { A f; } class B extends A { A f; }',
+        '1:40: field f redeclared in B',
+        id='field-redeclared'),
+    pytest.param(
+        'class A { Object m() { A x = new[h] A(); return new[h] A(); } }',
+        '1:49: duplicate allocation label h',
+        id='duplicate-label'),
+    pytest.param(
+        'class A { Object m() { return q; } }',
+        '1:31: unbound variable q',
+        id='unbound-variable'),
+    pytest.param(
+        'class A { Object m(A x) { if (x == q) { emit a; } else { emit b; } } }',
+        '1:27: unbound variable q',
+        id='unbound-if-operand'),
+    pytest.param(
+        'class A { Object m() { return new B(); } }',
+        '1:31: cannot allocate undeclared class B',
+        id='undeclared-new'),
+    pytest.param(
+        'class A { Object m() { emit c; return null; } }',
+        '1:24: event c is not in the declared alphabet',
+        id='event-outside-alphabet'),
+    pytest.param(
+        'class A { Object m(A x) { return (B) x; } }',
+        '1:34: unknown cast class B',
+        id='unknown-cast-class'),
+    pytest.param(
+        'class A { Object m(A x) { return (NullType) x; } }',
+        '1:34: unknown cast class NullType',
+        id='cast-to-nulltype'),
+    pytest.param(
+        'class A { Object m() { B y = null; return y; } }',
+        '1:24: unknown class B',
+        id='unknown-local-class'),
+    pytest.param(
+        'class A { Object m() { try { emit a; } catch (B e) { emit b; } } }',
+        '1:24: unknown exception class B',
+        id='unknown-exception-class'),
+    pytest.param(
+        'class A { Object m(A x, B y) { return x; } }',
+        '1:18: unknown parameter class B',
+        id='unknown-parameter-class'),
+    pytest.param(
+        'class A { Object m(Object o) { return o.m(); } }',
+        '1:39: receiver o has type Object, which has no members',
+        id='receiver-without-members'),
+    pytest.param(
+        'class A { Object m() { return this.g(); } }',
+        '1:31: no method g on A',
+        id='no-method'),
+    pytest.param(
+        'class A { Object m() { return this.m(q); } }',
+        '1:31: unbound variable q',
+        id='unbound-argument-before-arity'),
+    pytest.param(
+        'class A { Object m() { return this.g; } }',
+        '1:31: no field g on A',
+        id='no-field-read'),
+    pytest.param(
+        'class A { A f; Object m(A x) { this.g = x; return null; } }',
+        '1:32: no field g on A',
+        id='no-field-store'),
+    pytest.param(
+        'class A { A f; Object m() { this.f = q; return null; } }',
+        '1:29: unbound variable q',
+        id='unbound-stored-value'),
+    pytest.param(
+        'class A { Object m(A x) { A x = null; return x; } }',
+        '1:27: variable x already declared',
+        id='local-shadowing'),
+    pytest.param(
+        'class A { Object m(A x) { try { emit a; } catch (A x) { emit b; } } }',
+        '1:27: variable x already declared',
+        id='catch-shadowing'),
+    pytest.param(
+        'class A { } class B { Object m() { B y = new A(); return y; } }',
+        '1:36: initializer of y has type A, expected B',
+        id='initializer-subtyping'),
+    pytest.param(
+        'class A { Object m(A x) { return x; } }'
+        ' class B { Object n(A a, B b) { return a.m(b); } }',
+        '1:79: argument b: B is not a subclass of A',
+        id='argument-subtyping'),
+    pytest.param(
+        'class A { A f; } class B { Object n(A a, B b) { a.f = b; return null; } }',
+        '1:49: assigning B into field f: A',
+        id='field-store-subtyping'),
+    pytest.param(
+        'class A { } class B { A m() { B b = null; return b; } }',
+        '1:25: body of B.m has type B, not a subclass of declared A',
+        id='body-result-subtyping'),
+    pytest.param(
+        'class A { Object m(A x) { return this.m(); } }',
+        '1:34: A.m expects 1 args',
+        id='arity'),
+    pytest.param(
+        'class A { Foo m() { return null; } }',
+        '1:15: unknown result class Foo',
+        id='unknown-result-class'),
+    pytest.param(
+        'class A { Foo m(A x) { A x = null; return x; } }',
+        '1:15: unknown result class Foo',
+        id='unknown-result-class-hides-body'),
+    pytest.param(
+        'class A { Object f() { return null; } Object f() { return null; } }',
+        '1:46: method f redeclared in A',
+        id='method-redeclared'),
+    pytest.param(
+        'class A { Object f(A x, A x) { return x; } }',
+        '1:18: parameter x redeclared in A.f',
+        id='parameter-redeclared'),
+    pytest.param(
+        'class A { Object f(A this) { return this; } }',
+        '1:18: parameter name this is reserved in A.f',
+        id='parameter-named-this'),
+    pytest.param(
+        'class A { A m() { return this; } }'
+        ' class B extends A { Object m() { return this; } }',
+        '1:63: B.m overrides A.m with a different signature',
+        id='override-signature'),
+    pytest.param(
+        'class A { A f; }'
+        ' class B { Object n(A a, B b) { a.f = b; A c = b; return c; } }\n'
+        'class C extends A { Object g() { return null; } Object g() { return null; } }',
+        '1:49: assigning B into field f: A; '
+        '1:58: initializer of c has type B, expected A; '
+        '2:56: method g redeclared in C',
+        id='several-errors'),
+]
+
+
+@pytest.mark.parametrize("source, message", ILL_TYPED)
+def test_main_names_each_front_end_error(source, message, tmp_path, capsys):
+    bad = tmp_path / "bad.fj"
+    bad.write_text(source, encoding="utf-8")
+    code = run_main("--program", str(bad),
+                    "--guideline", fixture("first_letter.gl"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"guidecheck: error: {message}\n"
+
+
 def test_main_exit_three_on_deep_program_without_traceback(tmp_path):
     # 3,000 statements nest 3,000 deep once desugared: past the recursion limit
     src = tmp_path / "deep.fj"

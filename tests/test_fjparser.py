@@ -3,25 +3,31 @@
 import pytest
 
 from guidecheck.fjast import (
+    OBJECT,
     Call,
     Cast,
+    ClassDecl,
     Emit,
     FjError,
     GetField,
     If,
     Let,
+    MethodDecl,
     New,
     Null,
+    Param,
+    Program,
     SetField,
     Throw,
     TryCatch,
     Var,
     subexprs,
 )
-from guidecheck.fjparser import parse_program, parse_programs, print_program
+from guidecheck.fjparser import _lex, parse_program, parse_programs
 from guidecheck.fjtypes import fj_typecheck, lub, preceq
 
 from conftest import read_fixture
+from fjprinter import print_program
 
 
 SMALL = """
@@ -49,6 +55,44 @@ def test_parse_shape():
     assert isinstance(inner, Let) and inner.decl is None
     assert inner.init == Emit("a")
     assert inner.body == Var("p")
+
+
+def test_lexer_kinds_and_positions():
+    text = ("class\tA {\r\n  // note [x\n  A f; new[ file.fj:3:4 ] A();\n"
+            "  new[a\nb] x.y==z _\u00e99}")
+    toks = [tuple(t) for t in _lex(text)]
+    assert toks == [
+        ("id", "class", 1, 1), ("id", "A", 1, 7), ("punct", "{", 1, 9),
+        ("id", "A", 3, 3), ("id", "f", 3, 5), ("punct", ";", 3, 6),
+        ("id", "new", 3, 8), ("punct", "[", 3, 11),
+        ("label", "file.fj:3:4", 3, 12), ("punct", "]", 3, 25),
+        ("id", "A", 3, 27), ("punct", "(", 3, 28), ("punct", ")", 3, 29),
+        ("punct", ";", 3, 30),
+        # a label spanning a newline does not advance the line count
+        ("id", "new", 4, 3), ("punct", "[", 4, 6), ("label", "a\nb", 4, 7),
+        ("punct", "]", 4, 10), ("id", "x", 4, 12), ("punct", ".", 4, 13),
+        ("id", "y", 4, 14), ("punct", "==", 4, 15), ("id", "z", 4, 17),
+        ("id", "_\u00e99", 4, 19), ("punct", "}", 4, 22), ("eof", "", 4, 23),
+    ]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ab\n  $", "2:3: unexpected character '$'"),
+    ("a\n new[l1 A()", "2:5: unterminated '['"),
+    # an identifier starts with a letter or '_', not any alphanumeric
+    ("x \u00b2a", "1:3: unexpected character '\u00b2'"),
+    ("x 1a", "1:3: unexpected character '1'"),
+])
+def test_lexer_error_positions(text, message):
+    with pytest.raises(FjError) as exc:
+        _lex(text)
+    assert str(exc.value) == message
+
+
+def test_end_of_input_after_a_trailing_comment_is_where_the_input_ends():
+    with pytest.raises(FjError) as exc:
+        parse_program("class A {\n  // trailing")
+    assert str(exc.value) == "2:14: expected member class, found 'end of input'"
 
 
 def test_auto_labels_are_positions():
@@ -227,3 +271,15 @@ def test_typecheck_allows_the_same_names_in_different_scopes():
         "class B extends A { Object f(A y) { return y; } }"
     )
     assert fj_typecheck(prog) == []
+
+
+def test_typecheck_checks_a_hand_built_receiver_annotation():
+    body = Call("x", "B", "m", ())
+    prog = Program([
+        ClassDecl("A", OBJECT, (), (MethodDecl(OBJECT, "m", (), Null()),)),
+        ClassDecl("B", OBJECT, (), (
+            MethodDecl(OBJECT, "m", (), Null()),
+            MethodDecl(OBJECT, "go", (Param("A", "x"),), body))),
+    ])
+    msgs = [str(e) for e in fj_typecheck(prog)]
+    assert msgs == ["receiver x has type A, annotation says B"]

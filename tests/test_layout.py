@@ -2,7 +2,8 @@
 
 Reference code used only by the tests (the language-level and toy domains,
 the solver's naive fixpoints, the canonical forms of the profile domain,
-the triple form of profiles and the region satisfaction checks) lives under
+the triple form of profiles, the region satisfaction checks and the program
+printer) lives under
 tests/.  A module in the package that ``guidecheck analyze`` never imports,
 or one of the moved functions back in the package, is test-only code
 drifting back.  The package keeps one relation algebra, the packed profiles:
@@ -14,7 +15,7 @@ import subprocess
 import sys
 
 from conftest import PACKAGE_DIR, fresh_python_env
-from guidecheck import guideline, interp
+from guidecheck import fjparser, guideline, interp
 from guidecheck.domains import EffectDomain, ProfileDomain
 from guidecheck.guideline import parse_guideline
 from guidecheck.profiles import Profile, ProfileMonoid
@@ -34,6 +35,8 @@ DOMAIN_ONLY = ("fin_eq", "alpha_words", "fin_to_mix", "mix_top", "member_fin",
                "member_up", "mix_eq", "mix_leq")
 INTERP_ONLY = ("value_satisfies", "store_satisfies", "heap_satisfies",
                "first_heap_violation")
+# The printer behind the round-trip test; its code lives in tests/fjprinter.py.
+PARSER_ONLY = ("print_program", "_render_body", "_render_stmt", "_render_expr")
 
 
 def test_the_cli_loads_every_package_module():
@@ -57,6 +60,7 @@ def test_test_only_functions_stay_out_of_the_package():
               ("EffectDomain", EffectDomain, DOMAIN_ONLY),
               ("ProfileDomain", ProfileDomain(g), DOMAIN_ONLY),
               ("interp", interp, INTERP_ONLY),
+              ("fjparser", fjparser, PARSER_ONLY),
               ("Profile", Profile, PROFILE_ONLY),
               ("GuidelineAutomaton", g, AUTOMATON_ONLY)]
     back = [f"{label}.{name}" for label, owner, names in owners
