@@ -44,12 +44,6 @@ class ClassTable:
     pinned: set = field(default_factory=set)
     analyzed: set | None = None  # demand-driven: the sigs activated
 
-    def tdict(self, sig: Sig) -> dict:
-        return self.mtable[sig][0]
-
-    def sdict(self, sig: Sig) -> dict:
-        return self.mtable[sig][2]
-
     def fields_at(self, cls: str, region: Region, fname: str) -> frozenset:
         return self.ftable.get((cls, region, fname), frozenset())
 

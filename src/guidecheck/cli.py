@@ -33,6 +33,7 @@ from .fjtypes import fj_typecheck, method_lookup
 from .guideline import GuidelineAutomaton, GuidelineError, parse_guideline
 from .inference import check_well_typed, infer
 from .interp import (
+    DEFAULT_FUEL,
     OutOfFuel,
     Terminated,
     Thrown,
@@ -163,7 +164,7 @@ def analyze(
     prog: Program,
     guideline: GuidelineAutomaton,
     intrinsics: dict | None = None,
-    fuel: int = 32,
+    fuel: int = DEFAULT_FUEL,
     entries: list | None = None,
     demand_driven: bool = False,
 ) -> Report:
@@ -250,7 +251,7 @@ def find_counterexample(
     prog: Program,
     guideline: GuidelineAutomaton,
     entry: str,
-    fuel: int = 32,
+    fuel: int = DEFAULT_FUEL,
     intrinsics: dict | None = None,
 ):
     """A concrete guideline violation reachable from entry, or None.
@@ -376,7 +377,7 @@ def main(argv=None) -> int:
     pa.add_argument("--guideline", required=True, metavar="FILE")
     pa.add_argument("--config", metavar="FILE",
                     help="external-call stub declarations")
-    pa.add_argument("--fuel", type=_at_least_one, default=32,
+    pa.add_argument("--fuel", type=_at_least_one, default=DEFAULT_FUEL,
                     help="most interpreter calls per run in the "
                          "counterexample search (at least 1)")
     pa.add_argument("--entry", action="append", metavar="Class.method",

@@ -198,6 +198,10 @@ class Program:
     Construction validates shape-level well-formedness: unique class names,
     an acyclic parent relation rooted at Object, no field redeclaration along
     a chain, unique allocation labels.  Typing proper lives in fjtypes.
+
+    ``violations`` holds the typing violations of a parsed program, found by
+    the one typing walk that also annotated its bodies; it is None for a
+    program built by hand, which ``fjtypes.fj_typecheck`` walks itself.
     """
 
     def __init__(self, classes: Sequence[ClassDecl]):
@@ -217,6 +221,17 @@ class Program:
         for c in self.classes:
             self._fields[c.name] = self._collect_fields(c)
         self._collect_labels_and_events()
+        self.violations: tuple[FjError, ...] | None = None
+
+    def set_typing(
+        self, classes: Sequence[ClassDecl], violations: Sequence[FjError]
+    ) -> None:
+        """Swap in the same classes with typed bodies, and keep the
+        violations their typing found.  Typing changes nothing but method
+        bodies, so the shape checks, labels and alphabet still hold."""
+        self.classes = tuple(classes)
+        self.by_name = {c.name: c for c in self.classes}
+        self.violations = tuple(violations)
 
     def _check_acyclic(self) -> None:
         for c in self.classes:

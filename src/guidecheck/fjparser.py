@@ -16,15 +16,14 @@ Statement sequences desugar into let chains with fresh ``$``-variables,
 locals into lets, and ``return e;`` simply ends the chain.  Allocation sites
 may carry an explicit label (``new[l1] Node()``); unlabeled sites get
 ``file:line:col``.  Every parsed method goes through
-``fjtypes.check_method``, which fills in the receiver annotations on calls
-and field accesses and raises on name errors; typing violations are left to
-``fjtypes.fj_typecheck``.  The printer behind the round-trip test lives in
-``tests/fjprinter.py``.
+``fjtypes.check_method`` once, which fills in the receiver annotations on
+calls and field accesses and raises on name errors; the typing violations it
+finds stay on the Program, where ``fjtypes.fj_typecheck`` reads them.  The
+printer behind the round-trip test lives in ``tests/fjprinter.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import Iterable, NamedTuple
 
@@ -374,13 +373,8 @@ def parse_programs(
     raw_classes = []
     for text, filename in sources:
         raw_classes.extend(_Parser(_lex(text), filename).program())
-    prelim = Program(raw_classes)
+    prog = Program(raw_classes)
     alpha = frozenset(alphabet) if alphabet is not None else None
-    # typing violations are fj_typecheck's to report; only name errors raise
-    dropped: list[FjError] = []
-    return Program([
-        dataclasses.replace(c, methods=tuple(
-            fjtypes.check_method(prelim, c.name, md, dropped, alpha)
-            for md in c.methods))
-        for c in prelim.classes
-    ])
+    violations: list[FjError] = []
+    prog.set_typing(fjtypes.typed_classes(prog, violations, alpha), violations)
+    return prog

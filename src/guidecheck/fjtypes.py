@@ -5,8 +5,10 @@ below every class; neither is ever declared.  ``check_method`` is the only
 place that works out static classes: one walk returns a body with its
 receiver annotations filled in.  Name errors (unbound variable, unknown
 class or member, event outside the alphabet) raise FjError; typing
-violations are collected and the walk goes on.  ``fj_typecheck`` adds the
-redeclaration and invariant-override checks.
+violations are collected and the walk goes on.  ``typed_classes`` adds the
+redeclaration and invariant-override checks and types every body; the
+parser runs it once per program and keeps the violations on the Program, so
+``fj_typecheck`` walks only a program built by hand.
 """
 
 from __future__ import annotations
@@ -104,17 +106,40 @@ def method_env(prog: Program, cls: str, md: MethodDecl) -> dict[str, str]:
 
 
 def fj_typecheck(prog: Program) -> list[FjError]:
-    """Check every method body; returns the list of violations (empty = ok)."""
+    """The typing violations of prog (empty = ok).  A parsed program keeps
+    those of its one typing walk; a program built by hand is walked here,
+    and its name errors join the list instead of raising."""
+    if prog.violations is not None:
+        return list(prog.violations)
     errors: list[FjError] = []
+    typed_classes(prog, errors, raise_names=False)
+    return errors
+
+
+def typed_classes(
+    prog: Program,
+    errors: list[FjError],
+    alphabet: frozenset[str] | None = None,
+    raise_names: bool = True,
+) -> list[ClassDecl]:
+    """prog's classes with every body typed by ``check_method``.  Per class,
+    the declaration checks, the override checks, then each method append
+    their violations to errors in that order.  A name error raises, or with
+    ``raise_names`` off joins errors."""
+    classes = []
     for c in prog.classes:
         _check_declarations(c, errors)
         _check_overrides(prog, c, errors)
+        methods = []
         for md in c.methods:
             try:
-                check_method(prog, c.name, md, errors)
+                methods.append(check_method(prog, c.name, md, errors, alphabet))
             except FjError as exc:
+                if raise_names:
+                    raise
                 errors.append(exc)
-    return errors
+        classes.append(dataclasses.replace(c, methods=tuple(methods)))
+    return classes
 
 
 def check_method(

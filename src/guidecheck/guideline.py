@@ -35,16 +35,18 @@ class GuidelineAutomaton:
         accepting: Iterable[str],
         transitions: Iterable[tuple[str, str, str]],
     ):
+        initial, accepting = tuple(initial), tuple(accepting)
+        transitions = tuple(transitions)
         self.alphabet: tuple[str, ...] = tuple(dict.fromkeys(alphabet))
         self.states: tuple[str, ...] = tuple(dict.fromkeys(states))
         self.initial: frozenset[str] = frozenset(initial)
         self.accepting: frozenset[str] = frozenset(accepting)
         self.transitions: frozenset[tuple[str, str, str]] = frozenset(transitions)
         sset = set(self.states)
-        for q in self.initial | self.accepting:
+        for q in initial + accepting:
             if q not in sset:
                 raise GuidelineError(f"undeclared state {q}")
-        for q, a, q2 in self.transitions:
+        for q, a, q2 in transitions:
             if q not in sset or q2 not in sset:
                 raise GuidelineError(f"undeclared state in transition {q} {a} {q2}")
             if a not in self.alphabet:
@@ -127,10 +129,11 @@ class GuidelineAutomaton:
 
 
 def parse_guideline(text: str) -> GuidelineAutomaton:
-    alphabet: list[str] | None = None
-    states: list[str] | None = None
-    initial: list[str] | None = None
-    accepting: list[str] | None = None
+    """Read the file format above.  Transitions are checked here, where their
+    line numbers are known; the automaton checks the initial and accepting
+    states."""
+    sets: dict[str, list[str] | None] = dict.fromkeys(
+        ("alphabet", "states", "initial", "accepting"))
     transitions: list[tuple[str, str, str]] = []
     trans_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -142,22 +145,10 @@ def parse_guideline(text: str) -> GuidelineAutomaton:
         key, _, rest = line.partition(":")
         key = key.strip()
         parts = rest.split()
-        if key == "alphabet":
-            if alphabet is not None:
-                raise GuidelineError("duplicate alphabet line", lineno)
-            alphabet = parts
-        elif key == "states":
-            if states is not None:
-                raise GuidelineError("duplicate states line", lineno)
-            states = parts
-        elif key == "initial":
-            if initial is not None:
-                raise GuidelineError("duplicate initial line", lineno)
-            initial = parts
-        elif key == "accepting":
-            if accepting is not None:
-                raise GuidelineError("duplicate accepting line", lineno)
-            accepting = parts
+        if key in sets:
+            if sets[key] is not None:
+                raise GuidelineError(f"duplicate {key} line", lineno)
+            sets[key] = parts
         elif key == "trans":
             if len(parts) != 3:
                 raise GuidelineError("trans needs 'state letter state'", lineno)
@@ -165,6 +156,7 @@ def parse_guideline(text: str) -> GuidelineAutomaton:
             trans_lines.append(lineno)
         else:
             raise GuidelineError(f"unknown key {key!r}", lineno)
+    alphabet, states, initial = sets["alphabet"], sets["states"], sets["initial"]
     if alphabet is None:
         raise GuidelineError("missing alphabet line")
     if not states:
@@ -178,10 +170,8 @@ def parse_guideline(text: str) -> GuidelineAutomaton:
             raise GuidelineError(f"undeclared state in '{q} {a} {q2}'", ln)
         if a not in aset:
             raise GuidelineError(f"undeclared letter {a}", ln)
-    for q in (initial or []) + (accepting or []):
-        if q not in sset:
-            raise GuidelineError(f"undeclared state {q}")
-    return GuidelineAutomaton(alphabet, states, initial, accepting or [], transitions)
+    return GuidelineAutomaton(alphabet, states, initial, sets["accepting"] or [],
+                              transitions)
 
 
 def load_guideline(path: str) -> GuidelineAutomaton:

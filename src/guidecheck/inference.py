@@ -55,8 +55,6 @@ from .intrinsics import stub_lookup
 from .regions import NULL_REGION, Region, RegionMeta, Sig, created_at, region_meta
 from .solver import components
 
-EMPTY: dict = {}
-
 
 @dataclass
 class Effects:

@@ -13,7 +13,7 @@ configuration and by tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class Nfa(NamedTuple):
@@ -26,10 +26,6 @@ class Nfa(NamedTuple):
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def none(alphabet: Sequence[str]) -> "Nfa":
-        return Nfa(tuple(alphabet), 0, {}, frozenset(), frozenset())
-
-    @staticmethod
     def epsilon(alphabet: Sequence[str]) -> "Nfa":
         return Nfa(tuple(alphabet), 1, {}, frozenset({0}), frozenset({0}))
 
@@ -40,27 +36,6 @@ class Nfa(NamedTuple):
             frozenset({0}), frozenset({1}),
         )
 
-    @staticmethod
-    def word(w: Sequence[str], alphabet: Sequence[str]) -> "Nfa":
-        if not w:
-            return Nfa.epsilon(alphabet)
-        delta = {(i, a): frozenset({i + 1}) for i, a in enumerate(w)}
-        return Nfa(tuple(alphabet), len(w) + 1, delta,
-                   frozenset({0}), frozenset({len(w)}))
-
-    @staticmethod
-    def of_words(words: Iterable[Sequence[str]], alphabet: Sequence[str]) -> "Nfa":
-        out = Nfa.none(alphabet)
-        for w in words:
-            out = nfa_union(out, Nfa.word(w, alphabet))
-        return out
-
-    @staticmethod
-    def full(alphabet: Sequence[str]) -> "Nfa":
-        """All finite words."""
-        delta = {(0, a): frozenset({0}) for a in alphabet}
-        return Nfa(tuple(alphabet), 1, delta, frozenset({0}), frozenset({0}))
-
     # -- queries -------------------------------------------------------------
 
     def step(self, states: frozenset, a: str) -> frozenset:
@@ -68,14 +43,6 @@ class Nfa(NamedTuple):
         for q in states:
             out |= self.delta.get((q, a), frozenset())
         return frozenset(out)
-
-    def accepts(self, word: Sequence[str]) -> bool:
-        cur = self.initial
-        for a in word:
-            cur = self.step(cur, a)
-            if not cur:
-                return False
-        return bool(cur & self.accepting)
 
     def has_eps(self) -> bool:
         return bool(self.initial & self.accepting)

@@ -61,7 +61,6 @@ class RegionMeta:
     """Per-program region data: the region universe, Cls(·), and disjointness."""
 
     def __init__(self, prog: Program):
-        self.prog = prog
         self.regions: tuple[Region, ...] = (
             NULL_REGION,
             *[created_at(l) for l in prog.labels],

@@ -21,6 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 from guidecheck.domains import EffectDomain
 from guidecheck.guideline import GuidelineAutomaton
 from guidecheck.oracle import Nfa, nfa_concat, nfa_star, nfa_union
+from nfa_words import nfa_accepts, nfa_full, nfa_none, nfa_word
 
 
 def nfa_nonempty_part(a: Nfa) -> Nfa:
@@ -47,7 +48,7 @@ class WordLang(NamedTuple):
 
     @staticmethod
     def none(alphabet: Sequence[str]) -> "WordLang":
-        return WordLang(Nfa.none(alphabet), ())
+        return WordLang(nfa_none(alphabet), ())
 
     @staticmethod
     def of_fin(nfa: Nfa) -> "WordLang":
@@ -56,10 +57,10 @@ class WordLang(NamedTuple):
     @staticmethod
     def universal(alphabet: Sequence[str]) -> "WordLang":
         """All finite and infinite words."""
-        letters = Nfa.none(alphabet)
+        letters = nfa_none(alphabet)
         for a in alphabet:
             letters = nfa_union(letters, Nfa.letter(a, alphabet))
-        return WordLang(Nfa.full(alphabet), ((Nfa.epsilon(alphabet), letters),))
+        return WordLang(nfa_full(alphabet), ((Nfa.epsilon(alphabet), letters),))
 
 
 def lang_union(x: WordLang, y: WordLang) -> WordLang:
@@ -77,7 +78,7 @@ def lang_omega(u: Nfa) -> WordLang:
     """U^ω: the finite words are U* when ε ∈ U (drop ε infinitely often),
     the infinite words are (U ∖ {ε})^ω."""
     alphabet = u.alphabet
-    fin = nfa_star(u) if u.has_eps() else Nfa.none(alphabet)
+    fin = nfa_star(u) if u.has_eps() else nfa_none(alphabet)
     w = nfa_nonempty_part(u)
     inf: tuple = () if w.is_empty() else ((Nfa.epsilon(alphabet), w),)
     return WordLang(fin, inf)
@@ -135,7 +136,7 @@ _products = _LassoCache()
 
 
 def lang_member_fin(w: Sequence[str], x: WordLang) -> bool:
-    return x.fin.accepts(w)
+    return nfa_accepts(x.fin, w)
 
 
 def lang_member_up(u: Sequence[str], v: Sequence[str], x: WordLang) -> bool:
@@ -157,7 +158,7 @@ def bounded_equiv(x: WordLang, y: WordLang, alphabet: Sequence[str],
     """Agreement on every finite word of length ≤ bound and every lasso u·v^ω
     with |u| ≤ bound, 1 ≤ |v| ≤ bound."""
     for w in all_words(alphabet, bound):
-        if x.fin.accepts(w) != y.fin.accepts(w):
+        if nfa_accepts(x.fin, w) != nfa_accepts(y.fin, w):
             return False
     for u in all_words(alphabet, bound):
         for v in all_words(alphabet, bound):
@@ -173,7 +174,7 @@ class OracleDomain(EffectDomain):
         self.alphabet = tuple(alphabet)
 
     def fin_bottom(self):
-        return Nfa.none(self.alphabet)
+        return nfa_none(self.alphabet)
 
     def fin_is_bottom(self, x) -> bool:
         return x.is_empty()
@@ -193,7 +194,7 @@ class OracleDomain(EffectDomain):
                                   "use bounded comparison")
 
     def alpha_word(self, w):
-        return Nfa.word(w, self.alphabet)
+        return nfa_word(w, self.alphabet)
 
     def alpha_nfa(self, nfa):
         return nfa
@@ -231,7 +232,7 @@ class OracleDomain(EffectDomain):
         return WordLang.universal(self.alphabet)
 
     def member_fin(self, w, x) -> bool:
-        return x.accepts(tuple(w))
+        return nfa_accepts(x, tuple(w))
 
     def member_up(self, u, v, m) -> bool:
         return lang_member_up(u, v, m)

@@ -33,6 +33,7 @@ from language_oracle import (
     lang_concat_fin,
     lang_omega,
 )
+from nfa_words import nfa_of_words
 from region_satisfaction import heap_satisfies, value_satisfies
 from solver_reference import naive_gfp, verify_fixpoint
 from toydomain import APLUS, EMPTY, ToyDomain, ToyMix
@@ -99,7 +100,7 @@ def test_list_traversal_effect_table_is_exact():
     l1, l2, l3 = created_at("l1"), created_at("l2"), created_at("l3")
 
     def live_t(recv):
-        t = table.tdict(Sig("Node", recv, "last", ()))
+        t = table.mtable[Sig("Node", recv, "last", ())][0]
         return {r: u for r, u in t.items() if not dom.fin_is_bottom(u)}
 
     # last on the final node: exactly one a, result stays on that node
@@ -172,7 +173,7 @@ def test_branch_correlated_effects_compose_exactly():
         )),
     ])
     dom, table, _ = _pipeline(prog, gl)
-    t = table.tdict(Sig("Driver", UNKNOWN, "run", (UNKNOWN, UNKNOWN)))
+    t = table.mtable[Sig("Driver", UNKNOWN, "run", (UNKNOWN, UNKNOWN))][0]
     live = {r: u for r, u in t.items() if not dom.fin_is_bottom(u)}
     assert set(live) == {NULL_REGION}
     u = live[NULL_REGION]
@@ -199,12 +200,12 @@ def test_receiver_region_narrows_dispatch():
     l1, l2 = created_at("l1"), created_at("l2")
 
     # only B objects live at l2, so a static-A call there can only emit b
-    t_l2 = table.tdict(Sig("A", l2, "f", ()))[NULL_REGION]
+    t_l2 = table.mtable[Sig("A", l2, "f", ())][0][NULL_REGION]
     assert dom.member_fin(("b",), t_l2)
     assert not dom.member_fin(("a",), t_l2)
 
     # an unknown receiver may be either class
-    t_unk = table.tdict(Sig("A", UNKNOWN, "f", ()))[NULL_REGION]
+    t_unk = table.mtable[Sig("A", UNKNOWN, "f", ())][0][NULL_REGION]
     assert dom.member_fin(("a",), t_unk)
     assert dom.member_fin(("b",), t_unk)
 
@@ -349,8 +350,8 @@ def test_algebra_and_abstraction_law_battery():
                                                  dom.omega(a)))
 
         # the abstraction is a homomorphism from the language side
-        u1 = Nfa.of_words(s1, sigma)
-        u2 = Nfa.of_words(s2, sigma)
+        u1 = nfa_of_words(s1, sigma)
+        u2 = nfa_of_words(s2, sigma)
         check(case, "alpha-agree", dom.fin_eq(dom.alpha_nfa(u1), a))
         check(case, "hom-union", dom.fin_eq(
             dom.alpha_nfa(nfa_union(u1, u2)), dom.fin_join(a, b)))
@@ -408,8 +409,8 @@ def test_algebra_and_abstraction_law_battery():
         if case % 25 == 0:
             # lasso probes cost seconds on full-size products, so this runs
             # on every 25th case with short-word operands and a small bound
-            k1 = Nfa.of_words([w[:2] for w in s1[:2]], sigma)
-            k2 = Nfa.of_words([w[:2] for w in s2[:2]], sigma)
+            k1 = nfa_of_words([w[:2] for w in s1[:2]], sigma)
+            k2 = nfa_of_words([w[:2] for w in s2[:2]], sigma)
             check(case, "lang-omega-unfold", lang_bounded_equiv(
                 odom.omega(k1), odom.fin_mix_concat(k1, odom.omega(k1)),
                 sigma, bound=3))

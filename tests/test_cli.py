@@ -16,9 +16,11 @@ import pytest
 
 import taint_corpus
 from conftest import FIXTURES, fixture, fresh_python_env, read_fixture
-from guidecheck import cli
+from guidecheck import cli, fjtypes
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
+from guidecheck.fjast import FjError, Program
 from guidecheck.fjparser import parse_program
+from guidecheck.fjtypes import fj_typecheck
 from guidecheck.guideline import load_guideline
 from guidecheck.intrinsics import load_config
 
@@ -619,6 +621,71 @@ def test_main_names_each_front_end_error(source, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"guidecheck: error: {message}\n"
+
+
+def test_parsed_programs_keep_what_a_fresh_typing_walk_finds():
+    # Each case that gets past the name errors: the violations kept from the
+    # parser's one walk equal, in order, those of a walk over a hand-built
+    # copy, and they are what main prints.
+    alphabet = load_guideline(fixture("first_letter.gl")).alphabet
+    typed = []
+    for case in ILL_TYPED:
+        source, message = case.values
+        try:
+            prog = parse_program(source, "bad.fj", alphabet)
+        except FjError:
+            continue  # a lexer, parser, shape or name error
+        kept = [str(e) for e in fj_typecheck(prog)]
+        assert kept == [str(e) for e in fj_typecheck(Program(prog.classes))]
+        assert "; ".join(kept) == message
+        typed.append(case.id)
+    assert len(typed) == 14
+
+
+def test_main_types_each_method_once_in_one_program(monkeypatch):
+    prog, _, _ = serve_inputs("serve_liveness.gl")
+    declared = [(c.name, md.name) for c in prog.classes for md in c.methods]
+    check_method = fjtypes.check_method
+    collect = Program._collect_labels_and_events
+    typed, collected = [], []
+
+    def counting_check_method(prog, cls, md, *args):
+        typed.append((cls, md.name))
+        return check_method(prog, cls, md, *args)
+
+    def counting_collect(prog):
+        collected.append(prog)
+        collect(prog)
+
+    monkeypatch.setattr(fjtypes, "check_method", counting_check_method)
+    monkeypatch.setattr(Program, "_collect_labels_and_events", counting_collect)
+    code = run_main("--program", fixture("serve.fj"),
+                    "--guideline", fixture("serve_liveness.gl"),
+                    "--config", fixture("serve.cfg"),
+                    "--entry", "Server.serve", "--fuel", str(FUEL))
+    assert code == 1
+    assert typed == declared
+    assert len(collected) == 1
+
+
+# A program whose only fault is a typing violation.
+MISTYPED = "class A { } class B { Object m() { B y = new A(); return y; } }"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--config", "bad.cfg"),
+     "line 1: expected 'Class.method(patterns)', got 'A.m('"),
+    (("--demand-driven",), "--demand-driven requires --entry"),
+], ids=["bad-config", "demand-driven-without-entry"])
+def test_main_reports_config_and_option_errors_before_typing_violations(
+        extra, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.fj").write_text(MISTYPED, encoding="utf-8")
+    (tmp_path / "bad.cfg").write_text("A.m( -> Null emits a\n", encoding="utf-8")
+    code = run_main("--program", "bad.fj",
+                    "--guideline", fixture("first_letter.gl"), *extra)
+    assert code == 2
+    assert capsys.readouterr().err == f"guidecheck: error: {message}\n"
 
 
 def test_main_exit_three_on_deep_program_without_traceback(tmp_path):

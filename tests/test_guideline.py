@@ -8,13 +8,15 @@ string triples of tests/profile_reference.py.
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
 from guidecheck.guideline import GuidelineAutomaton, GuidelineError, parse_guideline
 from guidecheck.profiles import ProfileMonoid
 
-from conftest import fixture, random_automaton
+from conftest import fixture, fresh_python_env, random_automaton
 from profile_reference import accepts_lasso as lasso_by_relation_powers
 from profile_reference import compose_triples, rel_of_word, triples_of
 
@@ -219,3 +221,26 @@ def test_lasso_exhaustive_small_words():
                     assert g.accepts_lasso(list(u), list(v)) == brute_lasso(
                         g, list(u), list(v)
                     )
+
+
+def test_the_automaton_names_undeclared_states_in_the_order_given():
+    # The first undeclared state given is named, whatever the hash seed.
+    script = (
+        "from guidecheck.guideline import GuidelineAutomaton, GuidelineError\n"
+        "for args in [(['p1', 'p2', 'p3'], ['q'], []),\n"
+        "             (['q'], ['r1', 'r2', 'r3'], []),\n"
+        "             (['q'], ['q'], [('q', 'a', 'x1'), ('q', 'a', 'x2')])]:\n"
+        "    try:\n"
+        "        GuidelineAutomaton(['a'], ['q'], *args)\n"
+        "    except GuidelineError as exc:\n"
+        "        print(exc)\n"
+    )
+    for seed in ("0", "1"):
+        env = dict(fresh_python_env(), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60, check=True)
+        assert done.stdout.splitlines() == [
+            "undeclared state p1",
+            "undeclared state r1",
+            "undeclared state in transition q a x1",
+        ]

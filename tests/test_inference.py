@@ -187,10 +187,10 @@ def test_infer_call_pulls_callee_summary():
     table = infer(prog, d)
     sig_go = Sig("M", UNKNOWN, "go", ())
     sig_f = Sig("A", created_at("l"), "f", ())
-    assert table.tdict(sig_f) == {NULL_REGION: d.alpha_word(("a",))}
-    assert table.tdict(sig_go) == {NULL_REGION: d.alpha_word(("a",))}
+    assert table.mtable[sig_f][0] == {NULL_REGION: d.alpha_word(("a",))}
+    assert table.mtable[sig_go][0] == {NULL_REGION: d.alpha_word(("a",))}
     # the call-site map records f at prefix ε
-    assert table.sdict(sig_go) == {sig_f: d.alpha_word(())}
+    assert table.mtable[sig_go][2] == {sig_f: d.alpha_word(())}
     assert check_well_typed(prog, table, d) == []
 
 
@@ -213,10 +213,10 @@ def test_infer_recursion_reaches_a_fixpoint():
     d = ONE_LETTER
     table = infer(prog, d)
     sig = Sig("L", UNKNOWN, "spin", ())
-    t = table.tdict(sig)
+    t = table.mtable[sig][0]
     # normal termination never happens; T stays empty, the callsite map grows
     assert t == {}
-    assert Sig("L", UNKNOWN, "spin", ()) in table.sdict(sig)
+    assert Sig("L", UNKNOWN, "spin", ()) in table.mtable[sig][2]
     assert check_well_typed(prog, table, d) == []
 
 
@@ -230,7 +230,7 @@ class M { Object go() { A x = new[l] A(); return x.f(); } }
     )
     d = ONE_LETTER
     table = infer(prog, d, entries=["M.go"])
-    assert table.tdict(Sig("M", UNKNOWN, "go", ())) == {
+    assert table.mtable[Sig("M", UNKNOWN, "go", ())][0] == {
         NULL_REGION: d.alpha_word(("a",))
     }
     assert table.mtable[Sig("B", UNKNOWN, "g", ())] == ({}, {}, {})
@@ -343,9 +343,9 @@ class M { Object go() { Net n = new[k] Net(); Net c = n.poll(); return null; } }
     table = infer(prog, d, intrinsics=specs)
     sig_poll = Sig("Net", created_at("k"), "poll", ())
     assert sig_poll in table.pinned
-    assert table.tdict(sig_poll) == {UNKNOWN: d.alpha_word(("a",))}
+    assert table.mtable[sig_poll][0] == {UNKNOWN: d.alpha_word(("a",))}
     # the caller sees the stubbed effect, not the `return null` body
-    assert table.tdict(Sig("M", UNKNOWN, "go", ())) == {
+    assert table.mtable[Sig("M", UNKNOWN, "go", ())][0] == {
         NULL_REGION: d.alpha_word(("a",))
     }
 
@@ -457,7 +457,7 @@ def test_worklist_types_each_body_of_an_acyclic_chain_once(monkeypatch):
     assert sorted(typings, key=lambda t: t[1]) == sorted(
         ((UNKNOWN, id(md.body)) for md in prog.by_name["C"].methods),
         key=lambda t: t[1])
-    assert table.tdict(Sig("C", UNKNOWN, "m0", ())) == {
+    assert table.mtable[Sig("C", UNKNOWN, "m0", ())][0] == {
         NULL_REGION: d.alpha_word(("a",) * 40)}
 
 
@@ -465,7 +465,7 @@ def test_worklist_infers_a_long_call_chain_without_recursion_error():
     prog = parse_program(_chain_program(2000))
     d = ONE_LETTER
     table = infer(prog, d)
-    assert table.tdict(Sig("C", UNKNOWN, "m0", ())) == {
+    assert table.mtable[Sig("C", UNKNOWN, "m0", ())][0] == {
         NULL_REGION: d.alpha_word(("a",) * 2000)}
 
 

@@ -2,23 +2,27 @@
 
 Reference code used only by the tests (the language-level and toy domains,
 the solver's naive fixpoints, the canonical forms of the profile domain,
-the triple form of profiles, the region satisfaction checks and the program
-printer) lives under
-tests/.  A module in the package that ``guidecheck analyze`` never imports,
-or one of the moved functions back in the package, is test-only code
-drifting back.  The package keeps one relation algebra, the packed profiles:
-the guideline automaton composes no relations of its own.
+the triple form of profiles, the region satisfaction checks, the program
+printer and the NFA builders) lives under tests/.  A module in the package
+that ``guidecheck analyze`` never imports, one of the moved functions back
+in the package, or a name that nothing in src/ or perfbench/ refers to is
+test-only code drifting back.  The package keeps one relation algebra, the
+packed profiles: the guideline automaton composes no relations of its own.
 """
 
 import ast
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import PACKAGE_DIR, fresh_python_env
-from guidecheck import fjparser, guideline, interp
+from guidecheck import fjparser, guideline, inference, interp
+from guidecheck.classtable import ClassTable
 from guidecheck.domains import EffectDomain, ProfileDomain
 from guidecheck.guideline import parse_guideline
+from guidecheck.oracle import Nfa
 from guidecheck.profiles import Profile, ProfileMonoid
+from guidecheck.regions import region_meta
 
 # Names that analyze never calls; their code lives in tests/canonical_forms.py,
 # tests/profile_reference.py and tests/region_satisfaction.py.
@@ -37,6 +41,17 @@ INTERP_ONLY = ("value_satisfies", "store_satisfies", "heap_satisfies",
                "first_heap_violation")
 # The printer behind the round-trip test; its code lives in tests/fjprinter.py.
 PARSER_ONLY = ("print_program", "_render_body", "_render_stmt", "_render_expr")
+# The NFA builders and word membership; their code lives in tests/nfa_words.py.
+NFA_ONLY = ("none", "word", "of_words", "full", "accepts")
+# Names nothing reads; the tests index table.mtable directly.
+CLASSTABLE_ONLY = ("tdict", "sdict")
+INFERENCE_ONLY = ("EMPTY",)
+REGION_META_ONLY = ("prog",)
+# Defined in the package but referred to only from tests/: the one-file
+# entry point, and the members of the EffectDomain interface that the
+# reference domains and the domain-law tests use.
+UNREFERENCED_BY_DESIGN = {"parse_program", "fin_bottom", "mix_of_eps"}
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_the_cli_loads_every_package_module():
@@ -62,7 +77,12 @@ def test_test_only_functions_stay_out_of_the_package():
               ("interp", interp, INTERP_ONLY),
               ("fjparser", fjparser, PARSER_ONLY),
               ("Profile", Profile, PROFILE_ONLY),
-              ("GuidelineAutomaton", g, AUTOMATON_ONLY)]
+              ("GuidelineAutomaton", g, AUTOMATON_ONLY),
+              ("Nfa", Nfa, NFA_ONLY),
+              ("ClassTable", ClassTable, CLASSTABLE_ONLY),
+              ("inference", inference, INFERENCE_ONLY),
+              ("RegionMeta", region_meta(fjparser.parse_program("")),
+               REGION_META_ONLY)]
     back = [f"{label}.{name}" for label, owner, names in owners
             for name in names if hasattr(owner, name)]
     assert back == []
@@ -79,3 +99,46 @@ def test_the_guideline_module_does_not_import_profiles():
             imported.add(node.module or "")
             imported |= {alias.name for alias in node.names}
     assert not {name for name in imported if "profiles" in name}
+
+
+def _definitions(tree: ast.Module):
+    """The functions, classes and methods at any depth, and the names that
+    the module body assigns."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        yield from (t.id for t in targets if isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def _references(tree: ast.Module):
+    """Every name the module reads, as a variable, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_every_package_name_is_used_outside_the_tests():
+    def tree(path):
+        return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+    users = [*PACKAGE_DIR.glob("*.py"), *PERFBENCH_DIR.glob("*.py")]
+    referenced = {name for path in users for name in _references(tree(path))}
+    unused = sorted(
+        f"{path.stem}.{name}"
+        for path in PACKAGE_DIR.glob("*.py")
+        for name in _definitions(tree(path))
+        if name not in referenced and name not in UNREFERENCED_BY_DESIGN
+        and not (name.startswith("__") and name.endswith("__"))  # Python calls these
+    )
+    assert unused == []

@@ -28,12 +28,13 @@ from language_oracle import (
     lang_union,
     nfa_nonempty_part,
 )
+from nfa_words import nfa_accepts, nfa_full, nfa_none, nfa_of_words, nfa_word
 
 AB = ("a", "b")
 
 
 def accepted_set(nfa: Nfa, max_len: int) -> set:
-    return {w for w in all_words(nfa.alphabet, max_len) if nfa.accepts(w)}
+    return {w for w in all_words(nfa.alphabet, max_len) if nfa_accepts(nfa, w)}
 
 
 def rand_nfa(rng: random.Random, alphabet=AB, max_states=3) -> Nfa:
@@ -53,27 +54,27 @@ def rand_nfa(rng: random.Random, alphabet=AB, max_states=3) -> Nfa:
 
 
 def test_primitive_constructors():
-    assert accepted_set(Nfa.none(AB), 3) == set()
+    assert accepted_set(nfa_none(AB), 3) == set()
     assert accepted_set(Nfa.epsilon(AB), 3) == {()}
     assert accepted_set(Nfa.letter("a", AB), 2) == {("a",)}
-    assert accepted_set(Nfa.word(["a", "b", "a"], AB), 4) == {("a", "b", "a")}
-    assert accepted_set(Nfa.of_words([(), ("b",), ("a", "a")], AB), 3) == {
+    assert accepted_set(nfa_word(["a", "b", "a"], AB), 4) == {("a", "b", "a")}
+    assert accepted_set(nfa_of_words([(), ("b",), ("a", "a")], AB), 3) == {
         (),
         ("b",),
         ("a", "a"),
     }
-    assert accepted_set(Nfa.full(AB), 2) == set(all_words(AB, 2))
+    assert accepted_set(nfa_full(AB), 2) == set(all_words(AB, 2))
 
 
 def test_words_enumeration_is_shortlex():
-    nfa = Nfa.full(AB)
+    nfa = nfa_full(AB)
     got = list(nfa.words(2))
     assert got == [(), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     assert list(nfa.words(4, limit=3)) == [(), ("a",), ("b",)]
 
 
 def test_is_empty_and_has_eps():
-    assert Nfa.none(AB).is_empty()
+    assert nfa_none(AB).is_empty()
     assert not Nfa.epsilon(AB).is_empty()
     assert Nfa.epsilon(AB).has_eps()
     assert not Nfa.letter("a", AB).has_eps()
@@ -125,9 +126,9 @@ def test_nonempty_part_drops_epsilon_only():
 def test_regex_membership(src, members, non):
     nfa = regex_to_nfa(src, AB)
     for w in members:
-        assert nfa.accepts(w), (src, w)
+        assert nfa_accepts(nfa, w), (src, w)
     for w in non:
-        assert not nfa.accepts(w), (src, w)
+        assert not nfa_accepts(nfa, w), (src, w)
 
 
 @pytest.mark.parametrize("src", ["a |", "(a", "a)", "*", "c", "( )"])
@@ -140,11 +141,11 @@ def test_regex_rejects_garbage(src):
 
 
 def omega_lang(alphabet, u_words, v_words):
-    return lang_omega(Nfa.of_words(u_words, alphabet))  # convenience for u^ω
+    return lang_omega(nfa_of_words(u_words, alphabet))  # convenience for u^ω
 
 
 def test_lang_omega_membership():
-    x = lang_omega(Nfa.of_words([("a",), ("b", "b")], AB))
+    x = lang_omega(nfa_of_words([("a",), ("b", "b")], AB))
     # {a,bb}^ω contains a^ω, (bb)^ω, (abb)^ω...
     assert lang_member_up([], ["a"], x)
     assert lang_member_up(["a"], ["b", "b"], x)
@@ -155,7 +156,7 @@ def test_lang_omega_membership():
 
 
 def test_lang_omega_of_empty_or_epsilon_language():
-    empty = lang_omega(Nfa.none(AB))
+    empty = lang_omega(nfa_none(AB))
     assert empty.inf == () and not lang_member_fin([], empty)
     # unfolding ε forever emits nothing: the observable trace is the finite ε
     x = lang_omega(Nfa.epsilon(AB))
@@ -165,8 +166,8 @@ def test_lang_omega_of_empty_or_epsilon_language():
 
 
 def test_lang_concat_and_union():
-    fin_ab = WordLang.of_fin(Nfa.of_words([("a",), ("b",)], AB))
-    x = lang_concat_fin(Nfa.word(["a"], AB), fin_ab)
+    fin_ab = WordLang.of_fin(nfa_of_words([("a",), ("b",)], AB))
+    x = lang_concat_fin(nfa_word(["a"], AB), fin_ab)
     assert lang_member_fin(["a", "a"], x) and lang_member_fin(["a", "b"], x)
     assert not lang_member_fin(["a"], x)
     y = lang_union(x, lang_omega(Nfa.letter("b", AB)))
@@ -188,15 +189,15 @@ def test_universal_language():
 
 def test_bounded_equiv():
     x = lang_omega(Nfa.letter("a", AB))
-    y = lang_omega(Nfa.of_words([("a",), ("a", "a")], AB))
+    y = lang_omega(nfa_of_words([("a",), ("a", "a")], AB))
     assert bounded_equiv(x, y, AB)  # {a}^ω = {a,aa}^ω = a^ω
-    z = lang_omega(Nfa.full(AB))
+    z = lang_omega(nfa_full(AB))
     assert not bounded_equiv(x, z, AB)
 
 
 def test_lasso_membership_matches_unrolling():
     rng = random.Random(13)
-    x = lang_omega(Nfa.of_words([("a", "b"), ("b",)], AB))
+    x = lang_omega(nfa_of_words([("a", "b"), ("b",)], AB))
     for _ in range(80):
         u = tuple(rng.choice(AB) for _ in range(rng.randrange(3)))
         v = tuple(rng.choice(AB) for _ in range(1, 4))
@@ -212,16 +213,16 @@ def test_product_cache_keys_by_value_not_identity():
     import gc
 
     def probe():
-        u = Nfa.word(["a"], AB)
+        u = nfa_word(["a"], AB)
         v = Nfa.letter("b", AB)
-        return lang_member_up(["a"], ["b"], WordLang(Nfa.none(AB), ((u, v),)))
+        return lang_member_up(["a"], ["b"], WordLang(nfa_none(AB), ((u, v),)))
 
     first = probe()
     gc.collect()
     # fresh, differently-shaped pair that could land on recycled ids
-    u2 = Nfa.word(["b"], AB)
+    u2 = nfa_word(["b"], AB)
     v2 = Nfa.letter("a", AB)
-    x2 = WordLang(Nfa.none(AB), ((u2, v2),))
+    x2 = WordLang(nfa_none(AB), ((u2, v2),))
     assert lang_member_up(["a"], ["b"], x2) is False
     assert lang_member_up(["b"], ["a"], x2) is True
     assert first is True

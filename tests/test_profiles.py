@@ -24,6 +24,7 @@ import profile_reference as ref
 from canonical_forms import CanonicalMonoid
 from conftest import all_words, fixture, random_automaton
 from language_oracle import lang_omega
+from nfa_words import nfa_accepts, nfa_full, nfa_of_words, nfa_word
 from profile_reference import profile_of_triples, triples_of
 
 
@@ -134,10 +135,10 @@ def test_alpha_nfa_agrees_with_word_sweep():
     ]:
         m = load_monoid(gl)
         if nfa_words is None:
-            nfa = Nfa.full(m.g.alphabet)
+            nfa = nfa_full(m.g.alphabet)
         else:
-            nfa = Nfa.of_words(nfa_words, m.g.alphabet)
-        swept = m.alpha_words(w for w in all_words(m.g.alphabet, 10) if nfa.accepts(w))
+            nfa = nfa_of_words(nfa_words, m.g.alphabet)
+        swept = m.alpha_words(w for w in all_words(m.g.alphabet, 10) if nfa_accepts(nfa, w))
         assert swept == m.alpha_nfa(nfa)
 
 
@@ -150,7 +151,7 @@ def test_alpha_nfa_on_random_pairs():
             tuple(rng.choice(g.alphabet) for _ in range(rng.randrange(4)))
             for _ in range(rng.randrange(1, 5))
         ]
-        nfa = Nfa.of_words(words, g.alphabet)
+        nfa = nfa_of_words(words, g.alphabet)
         assert m.alpha_nfa(nfa) == m.alpha_words(words)
 
 
@@ -196,7 +197,7 @@ PINGPONG = CanonicalMonoid(
 
 def test_member_up_word_saturates_rotations():
     m = PINGPONG
-    u = Nfa.word(["a", "b"], m.g.alphabet)
+    u = nfa_word(["a", "b"], m.g.alphabet)
     x = m.alpha_lang(lang_omega(u))
     # (ab)^ω written as a·(ba)^ω: same word, rotated factorization
     assert m.member_up_word([], ["a", "b"], x)
@@ -208,7 +209,7 @@ def test_member_up_word_saturates_rotations():
 
 def test_mix_eq_modulo_saturation():
     m = PINGPONG
-    x = m.alpha_lang(lang_omega(Nfa.word(["a", "b"], m.g.alphabet)))
+    x = m.alpha_lang(lang_omega(nfa_word(["a", "b"], m.g.alphabet)))
     rotated = MixAbs(
         x.fin,
         frozenset(
@@ -269,7 +270,7 @@ def test_extendable_into():
 def test_alpha_lang_matches_omega_on_pure_iteration():
     for name in ("parity.gl", "double_letter.gl", "count_mod3.gl"):
         m = load_monoid(name)
-        base = Nfa.of_words([("a",), ("b", "b")], m.g.alphabet) if len(
+        base = nfa_of_words([("a",), ("b", "b")], m.g.alphabet) if len(
             m.g.alphabet
         ) > 1 else Nfa.letter("a", m.g.alphabet)
         got = m.alpha_lang(lang_omega(base))
