@@ -1,9 +1,11 @@
 """Region-indexed field and method summary tables.
 
-The field table maps (class, region of the receiver, field name) to the set
-of regions the field's value may lie in; every row starts at {Null} because
-fields are null-initialized.  The method table maps a signature — receiver
-class and region, method, argument regions — to an effect triple:
+The field table maps (class declaring the field, region of the receiver,
+field name) to the set of regions the field's value may lie in; every row
+starts at {Null} because fields are null-initialized.  A field has one row
+per region, whichever class inheriting it reads or writes it.  The method
+table maps a signature — receiver class and region, method, argument
+regions — to an effect triple:
 
 * T: per result region, the finite event words of runs that return there;
 * H: per thrown-value region, the words of runs that end in that throw;
@@ -11,12 +13,13 @@ class and region, method, argument regions — to an effect triple:
   that is still on the stack (the divergence frontier, resolved later by the
   equation solver).
 
-Both tables are closed under the hierarchy: rows of a field inherited from a
-superclass agree across the chain, the Unknown receiver row absorbs every
-site row, and a method entry absorbs the entries of the same method at every
-subclass (dispatch may pick any of them).  Entries seeded from external-call
-stubs are pinned: closure never widens them, and inference never re-analyzes
-them.
+Both tables are closed at every write, so no pass ever closes them: the
+Unknown receiver row of a field absorbs every site row (``add_field``), and
+a method entry absorbs the entries of the same method at every subclass,
+since dispatch may pick any of them (``join_rows``).  Entries seeded from
+external-call stubs are pinned (``pin``): they are never widened, inference
+never re-analyzes them, and they are joined into the entries above them
+like any other.  These three methods are the only writers of the tables.
 """
 
 from __future__ import annotations
@@ -39,28 +42,89 @@ def empty_triple() -> Triple:
 
 @dataclass
 class ClassTable:
-    ftable: dict  # (cls, Region, fname) -> frozenset[Region]
+    ftable: dict  # (declaring cls, Region, fname) -> frozenset[Region]
     mtable: dict  # Sig -> (T, H, S)
+    owner: dict  # (cls, fname) -> the class declaring the field
+    supers: dict  # cls -> its declared proper superclasses, nearest first
     pinned: set = field(default_factory=set)
     analyzed: set | None = None  # demand-driven: the sigs activated
 
+    def field_row(self, cls: str, region: Region, fname: str) -> tuple:
+        """The key of the row that class cls reads for field fname."""
+        return (self.owner.get((cls, fname)), region, fname)
+
     def fields_at(self, cls: str, region: Region, fname: str) -> frozenset:
-        return self.ftable.get((cls, region, fname), frozenset())
+        return self.ftable.get(self.field_row(cls, region, fname), frozenset())
+
+    def add_field(self, key: tuple, region: Region) -> list:
+        """Add region to the field row of key, a (class, receiver region,
+        field name) triple, and to the field's Unknown row.  Returns the
+        keys of the rows that grew."""
+        owner, recv, fname = self.field_row(*key)
+        grown = []
+        for row in ((owner, recv, fname), (owner, UNKNOWN, fname)):
+            regs = self.ftable[row]
+            if region not in regs:
+                self.ftable[row] = regs | {region}
+                grown.append(row)
+        return grown
+
+    def join_rows(self, domain, sigs, triple: Triple) -> list:
+        """Join triple into the entry of each of sigs and into the
+        same-shape entry at every declared superclass, skipping pinned
+        entries but not what lies above them.  Returns the signatures
+        whose entries grew, comparing with ``==``."""
+        grown = []
+        for sig in sigs:
+            row = self.mtable[sig]
+            joined = join_triple(domain, row, triple)
+            if joined != row:  # else the entries above already cover it
+                self.mtable[sig] = joined
+                grown.append(sig)
+                self._join_up(domain, sig, triple, grown)
+        return grown
+
+    def pin(self, domain, sig: Sig, row: Triple) -> None:
+        """Seed sig's entry with a stub's row, never to be widened, and
+        join the row into the entries above it."""
+        self.mtable[sig] = row
+        self.pinned.add(sig)
+        self._join_up(domain, sig, row, [])
+
+    def _join_up(self, domain, sig: Sig, triple: Triple, grown: list) -> None:
+        for cls in self.supers[sig.cls]:
+            up = Sig(cls, sig.recv, sig.method, sig.args)
+            if up not in self.mtable:
+                return  # declared below cls, so absent further up too
+            if up in self.pinned:
+                continue
+            row = self.mtable[up]
+            joined = join_triple(domain, row, triple)
+            if joined != row:
+                self.mtable[up] = joined
+                grown.append(up)
 
 
 def init_table(prog: Program, meta: RegionMeta) -> ClassTable:
     ftable = {}
     mtable = {}
+    owner = {}
+    supers = {}
     for c in prog.classes:
+        chain = prog.supers(c.name)[:-1]  # c, its parent, ..., below Object
+        supers[c.name] = tuple(chain[1:])
+        for cls in chain:
+            for fd in prog.by_name[cls].fields:
+                owner[(c.name, fd.name)] = cls
         for r in meta.regions:
-            for fd in prog.fields_of(c.name):
+            for fd in c.fields:
                 ftable[(c.name, r, fd.name)] = frozenset({NULL_REGION})
         for mname, (md, _) in sorted(methods_of(prog, c.name).items()):
             arity = len(md.params)
             for recv in meta.regions:
                 for args in product(meta.regions, repeat=arity):
                     mtable[Sig(c.name, recv, mname, args)] = empty_triple()
-    return ClassTable(ftable, mtable)
+    return ClassTable(ftable, mtable, owner, supers)
 
 
 def join_triple(domain, a: Triple, b: Triple) -> Triple:
@@ -69,81 +133,3 @@ def join_triple(domain, a: Triple, b: Triple) -> Triple:
         dict_join(a[1], b[1], domain.fin_join),
         dict_join(a[2], b[2], domain.fin_join),
     )
-
-
-def close_ftable(table: ClassTable, prog: Program, meta: RegionMeta) -> set:
-    """Null membership, Unknown-row absorption, and agreement along the
-    hierarchy for inherited fields.  Returns the keys of the rows that
-    grew."""
-    ftable = table.ftable
-    grown: set = set()
-    while True:
-        changed = False
-        for (cls, r, fname), regs in list(ftable.items()):
-            if NULL_REGION not in regs:
-                ftable[(cls, r, fname)] = regs | {NULL_REGION}
-                grown.add((cls, r, fname))
-                changed = True
-        for c in prog.classes:
-            if c.parent not in prog.by_name:
-                continue
-            for fd in prog.fields_of(c.parent):
-                for r in meta.regions:
-                    keys = ((c.name, r, fd.name), (c.parent, r, fd.name))
-                    merged = ftable[keys[0]] | ftable[keys[1]]
-                    for key in keys:
-                        if ftable[key] != merged:
-                            ftable[key] = merged
-                            grown.add(key)
-                            changed = True
-        for c in prog.classes:
-            for fd in prog.fields_of(c.name):
-                out = ftable[(c.name, UNKNOWN, fd.name)]
-                merged = out
-                for r in meta.regions:
-                    merged = merged | ftable[(c.name, r, fd.name)]
-                if merged != out:
-                    ftable[(c.name, UNKNOWN, fd.name)] = merged
-                    grown.add((c.name, UNKNOWN, fd.name))
-                    changed = True
-        if not changed:
-            return grown
-
-
-def close_mtable(table: ClassTable, prog: Program, meta: RegionMeta,
-                 domain) -> set:
-    """Absorb subclass entries into superclass entries, children first so one
-    pass propagates along whole chains.  Pinned entries are never widened.
-    Returns the signatures whose entries grew, comparing with ``==``."""
-    order = sorted(
-        (c.name for c in prog.classes),
-        key=lambda n: (-len(prog.supers(n)), n),
-    )
-    grown: set = set()
-    for cls in order:
-        parent = prog.by_name[cls].parent
-        if parent not in prog.by_name:
-            continue
-        for mname, (md, _) in sorted(methods_of(prog, parent).items()):
-            arity = len(md.params)
-            for recv in meta.regions:
-                for args in product(meta.regions, repeat=arity):
-                    target = Sig(parent, recv, mname, args)
-                    if target in table.pinned:
-                        continue
-                    source = Sig(cls, recv, mname, args)
-                    joined = join_triple(
-                        domain, table.mtable[target], table.mtable[source]
-                    )
-                    if joined != table.mtable[target]:
-                        table.mtable[target] = joined
-                        grown.add(target)
-    return grown
-
-
-def check_class_table(table: ClassTable, prog: Program, meta: RegionMeta,
-                      domain) -> set:
-    """Close both tables.  Returns the rows that grew: field-table keys and
-    method-table signatures, so inference can re-type just their readers."""
-    return (close_ftable(table, prog, meta)
-            | close_mtable(table, prog, meta, domain))

@@ -13,10 +13,11 @@ the witness it reports needs the least fuel of any.
 
 Exit codes: 0 all signatures conform, 1 some verdict failed, 2 the inputs
 were unusable (an input file that cannot be read or is not UTF-8, parse,
-type, guideline, config or entry errors, or a report file that cannot be
-written), 3 an internal limit was hit (recursion depth, the run or
-inference re-typing caps, or the profile monoid's size cap, which inference
-meets only when it closes the monoid for its exact re-typing cap).
+type, guideline, config or entry errors, a call to a stub that none of its
+argument patterns matches, or a report file that cannot be written), 3 an
+internal limit was hit (recursion depth, the run or inference re-typing
+caps, or the profile monoid's size cap, which inference meets only when it
+closes the monoid for its exact re-typing cap).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .domains import ProfileDomain
-from .fjast import FjError, Program
+from .fjast import NULL_TYPE, FjError, Program
 from .fjparser import parse_programs
 from .fjtypes import fj_typecheck, method_lookup
 from .guideline import GuidelineAutomaton, GuidelineError, parse_guideline
@@ -40,7 +41,12 @@ from .interp import (
     enumerate_traces,
     replay_entry,
 )
-from .intrinsics import ConfigError, parse_config, validate_against_program
+from .intrinsics import (
+    ConfigError,
+    parse_config,
+    stub_lookup,
+    validate_against_program,
+)
 from .regions import Sig, region_meta
 from .solver import EquationSystem, solve
 
@@ -188,6 +194,7 @@ def analyze(
         prog, domain, intrinsics=specs,
         entries=entries if demand_driven else None, meta=meta,
     )
+    _check_stub_calls(prog, table, specs, meta)
     offenses = check_well_typed(prog, table, domain, specs, meta)
     if offenses:
         raise RuntimeError(
@@ -220,6 +227,28 @@ def analyze(
     return Report(
         "pass" if all_ok else "fail", sig_reports, counterexamples,
     )
+
+
+def _check_stub_calls(prog: Program, table, specs: dict, meta) -> None:
+    """Each call that dispatches to a stub must match its argument
+    patterns: only the matching signatures are seeded, and the rest would
+    stay bottom, as if the call never returned.  A call dispatches on the
+    receiver's dynamic class, so it is checked against each class the
+    receiver region may hold that is a subclass of the static one."""
+    if not specs:
+        return
+    called = {callee for _, _, s in table.mtable.values() for callee in s}
+    targets = {Sig(c, sig.recv, sig.method, sig.args)
+               for sig in called for c in meta.cls_of(sig.recv)
+               if c != NULL_TYPE and sig.cls in prog.supers(c)}
+    problems = []
+    for sig in sorted(targets - table.pinned, key=Sig.sort_key):
+        spec = stub_lookup(specs, prog, sig.cls, sig.method)
+        if spec is not None:
+            problems.append(f"call {sig} matches no argument pattern of the "
+                            f"stub {spec.cls}.{spec.method}")
+    if problems:
+        raise AnalysisError(problems)
 
 
 def _check_entries(prog: Program, entries: list) -> None:

@@ -3,10 +3,11 @@
 ``typeff`` types one expression under a region environment and a current
 table, producing the effect triple (T, H, S) described in ``classtable`` plus
 the field-table updates the expression demands.  ``infer`` types the method
-bodies callees first from a worklist, applies updates, re-closes the tables
-and re-types only the bodies that read a row that grew, until nothing
-grows.  ``check_well_typed`` re-types every body against a frozen table and
-reports any entry the table fails to cover — the shape of claim a soundness
+bodies callees first from a worklist, writes the results through the
+table's own mutators, which keep it closed under the hierarchy, and
+re-types only the bodies that read a row that grew, until nothing grows.
+``check_well_typed`` re-types every body against a frozen table and reports
+any entry the table fails to cover — the shape of claim a soundness
 argument needs, and a useful internal sanity check.
 
 Environments map variable names (including ``this``) to regions.  A
@@ -25,12 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .classtable import (
-    ClassTable,
-    check_class_table,
-    init_table,
-    join_triple,
-)
+from .classtable import ClassTable, init_table
 from .effexpr import dict_join, dict_scale
 from .fjast import (
     Call,
@@ -205,13 +201,8 @@ def seed_intrinsics(
                 continue
             for recv in meta.regions:
                 for args in spec.arg_regions(meta):
-                    sig = Sig(c.name, recv, method, args)
-                    if sig not in table.mtable:
-                        continue
-                    table.mtable[sig] = (
-                        {spec.result_region: t_fin}, dict(h), {},
-                    )
-                    table.pinned.add(sig)
+                    table.pin(domain, Sig(c.name, recv, method, args),
+                              ({spec.result_region: t_fin}, dict(h), {}))
 
 
 def bodied_sigs(table: ClassTable, prog: Program, meta: RegionMeta,
@@ -302,7 +293,7 @@ def _callee_first(sigs: list, prog: Program) -> list:
     of their (class, method) node in the static call graph, then
     canonically.  The graph's edges are the call sites of each resolved
     body, plus one from each method to the same method at every direct
-    subclass, whose entry closure absorbs into it."""
+    subclass, whose entry ``ClassTable.join_rows`` joins into it."""
     succ: dict = {}
     for c in prog.classes:
         for mname, (md, _) in methods_of(prog, c.name).items():
@@ -330,8 +321,9 @@ class _ReadLog:
         self.field_rows: set = set()
 
     def fields_at(self, cls: str, region: Region, fname: str) -> frozenset:
-        self.field_rows.add((cls, region, fname))
-        return self._table.fields_at(cls, region, fname)
+        row = self._table.field_row(cls, region, fname)
+        self.field_rows.add(row)
+        return self._table.ftable.get(row, frozenset())
 
 
 def infer(
@@ -346,17 +338,18 @@ def infer(
     (``_typing_groups``), callees first (``_callee_first``, ranked by a
     group's first member).  A group's body is typed once, its field updates
     are applied once, and its triple is joined into every member's row.
-    Each typing records the rows it reads, and when a row grows only the
-    groups that read it go back on the worklist.  When the worklist
-    empties, the tables are closed under the hierarchy and the readers of
-    the rows that grew go back on it; the fixpoint is reached when closing
-    grows nothing.  Table entries are compared with ``==``.  Raises
+    The table's mutators keep it closed as it grows: a field update also
+    reaches the field's Unknown row, and a joined entry also reaches the
+    same method's entries at the superclasses.  Each typing records the rows
+    it reads, and when a row grows, there or above, only the groups that
+    read it go back on the worklist; the fixpoint is reached when the
+    worklist empties.  Table entries are compared with ``==``.  Raises
     ``RuntimeError`` past the typing cap.
 
     With entries given (demand-driven), the worklist starts from the entry
     signatures, and a signature is activated, with its same-shape subclass
-    signatures (closure joins those into it), the first time a body reads
-    it.  Activating a signature puts its group on the worklist, typed
+    signatures (whose entries are joined into it), the first time a body
+    reads it.  Activating a signature puts its group on the worklist, typed
     before or not; a typing is joined only into the active members, the
     rest stay bottom, and ``table.analyzed`` is the set of active
     signatures."""
@@ -365,7 +358,6 @@ def infer(
     specs = intrinsics or {}
     table = init_table(prog, meta)
     seed_intrinsics(table, prog, meta, domain, specs)
-    check_class_table(table, prog, meta, domain)
     bodied = bodied_sigs(table, prog, meta, specs)
     groups = _typing_groups(_callee_first(bodied, prog), prog)
     rank = {sig: i for i, members in enumerate(groups) for sig in members}
@@ -387,7 +379,7 @@ def infer(
 
     def activate(sigs) -> None:
         """Demand-driven: make sigs active, with the same-shape signatures
-        at their subclasses, whose entries closure joins into them."""
+        at their subclasses, whose entries are joined into them."""
         frontier = [s for s in sigs if s not in active]
         active.update(frontier)
         while frontier:
@@ -425,23 +417,14 @@ def infer(
             readers.setdefault(row, set()).add(i)
         grown = []
         for (key, region) in eff.fupdates:
-            regs = table.ftable[key]
-            if region not in regs:
-                table.ftable[key] = regs | {region}
-                grown.append(key)
-        triple = eff.triple()
-        for sig in groups[i]:
-            if active is not None and sig not in active:
-                continue
-            joined = join_triple(domain, table.mtable[sig], triple)
-            if joined != table.mtable[sig]:
-                table.mtable[sig] = joined
-                grown.append(sig)
+            grown += table.add_field(key, region)
+        members = groups[i]
+        if active is not None:
+            members = [sig for sig in members if sig in active]
+        grown += table.join_rows(domain, members, eff.triple())
         push_readers(grown)
         if active is not None:
             activate(eff.s)
-        if not queue:
-            push_readers(check_class_table(table, prog, meta, domain))
     if active is not None:
         table.analyzed = set(active)
     return table
@@ -529,7 +512,7 @@ def check_well_typed(
     for sig in sigs:
         eff = eff_of[sig]
         for (key, region) in eff.fupdates:
-            if region not in table.ftable.get(key, frozenset()):
+            if region not in table.fields_at(*key):
                 offenses.append(Offense(
                     sig, "F", f"field row {key} lacks {region}"))
         stored = table.mtable[sig]

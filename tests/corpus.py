@@ -422,6 +422,62 @@ class Main extends Object {
 }
 """, fuel=5)
 
+# -- class hierarchies ------------------------------------------------------------
+
+_add("mid_stub", "Main.go", """
+// only C.m emits; the stub on P.m sits between C and G, and the call
+// dispatches through G, so G's entry must still cover C's: the one run
+// emits a a
+class G extends Object {
+    Object m() { return null; }
+}
+
+class P extends G {
+    Object m() { return null; }
+}
+
+class C extends P {
+    Object m() { emit a; return null; }
+}
+
+class Main extends Object {
+    Object go() {
+        G x = new[g1] C();
+        emit a;
+        return x.m();
+    }
+}
+""", config="P.m() -> Null emits eps\n")
+
+_add("inherited_field", "Main.go", """
+// f is declared in A; a write through a B reaches a read through an A,
+// and the value read dispatches to C's override
+class A extends Object {
+    A f;
+
+    A get() { A v = this.f; return v; }
+}
+
+class B extends A { }
+
+class C extends B {
+    A get() { emit b; A v = this.f; return v; }
+}
+
+class Main extends Object {
+    A go() {
+        B x = new[h1] B();
+        C y = new[h2] C();
+        x.f = y;
+        A ax = x;
+        A got = ax.f;
+        emit a;
+        A r = got.get();
+        return r;
+    }
+}
+""")
+
 # -- the linked-list fixture, both entries ---------------------------------------
 
 _LIST = (_FIXTURES / "list_last.fj").read_text(encoding="utf-8")

@@ -28,13 +28,14 @@ def store_satisfies(store: dict, heap: dict, gamma: dict) -> bool:
     )
 
 
-def heap_satisfies(heap: dict, ftable: dict, prog: Program, meta) -> bool:
+def heap_satisfies(heap: dict, fields_at, prog: Program, meta) -> bool:
     """Every field of every object lies in some region allowed by the field
-    table, for every class/region description the object meets."""
-    return first_heap_violation(heap, ftable, prog, meta) is None
+    table, for every class/region description the object meets.  The
+    table is read through ``fields_at(cls, region, fname)``."""
+    return first_heap_violation(heap, fields_at, prog, meta) is None
 
 
-def first_heap_violation(heap: dict, ftable: dict, prog: Program, meta):
+def first_heap_violation(heap: dict, fields_at, prog: Program, meta):
     for loc in sorted(heap):
         obj = heap[loc]
         supers = prog.supers(obj.cls) if obj.cls in prog.by_name else []
@@ -46,7 +47,7 @@ def first_heap_violation(heap: dict, ftable: dict, prog: Program, meta):
                 for r in meta.regions:
                     if not value_satisfies(loc, heap, r):
                         continue
-                    allowed = ftable.get((c, r, fd.name), frozenset())
+                    allowed = fields_at(c, r, fd.name)
                     if not any(value_satisfies(v, heap, r2) for r2 in allowed):
                         return (loc, c, r, fd.name)
     return None

@@ -518,7 +518,7 @@ def test_soundness_sweep_over_corpus():
                     violations.append(
                         f"{name}: terminated trace {out.trace} has no "
                         f"T entry with a matching result region")
-                if not heap_satisfies(out.heap, table.ftable, prog, meta):
+                if not heap_satisfies(out.heap, table.fields_at, prog, meta):
                     violations.append(f"{name}: final heap escapes the "
                                       f"field table")
             elif isinstance(out, Thrown):
@@ -530,7 +530,7 @@ def test_soundness_sweep_over_corpus():
                     violations.append(
                         f"{name}: thrown trace {out.trace} has no H entry "
                         f"with a matching exception region")
-                if not heap_satisfies(out.heap, table.ftable, prog, meta):
+                if not heap_satisfies(out.heap, table.fields_at, prog, meta):
                     violations.append(f"{name}: heap at throw escapes the "
                                       f"field table")
             else:

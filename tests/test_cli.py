@@ -714,3 +714,215 @@ def test_main_has_no_mode_option(capsys):
                  "--mode", "concrete")
     assert exc.value.code == 2
     assert "--mode" in capsys.readouterr().err
+
+
+# -- programs and guidelines written for one test each -------------------------
+
+
+def analyze_sources(tmp_path, capsys, program, guideline, *argv, config=None):
+    """Run ``analyze`` on the given source texts; returns (exit code, stdout,
+    stderr)."""
+    files = {"prog.fj": program, "rules.gl": guideline}
+    if config is not None:
+        files["stubs.cfg"] = config
+        argv = ("--config", str(tmp_path / "stubs.cfg"), *argv)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code = run_main("--program", str(tmp_path / "prog.fj"),
+                    "--guideline", str(tmp_path / "rules.gl"), *argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Only C.m emits bad, and the stub on P.m sits between C and G; x.m()
+# dispatches through G, so G's entry must cover C's past the stub.
+MID_HIERARCHY_STUB = """
+class G extends Object { Object m() { return null; } }
+class P extends G { Object m() { return null; } }
+class C extends P { Object m() { emit bad; return null; } }
+class Main extends Object {
+    Object run() { G x = new[l1] C(); emit start; return x.m(); }
+}
+"""
+# bad may not follow start
+NO_BAD_AFTER_START = ("alphabet: start bad\nstates: s t\ninitial: s\n"
+                      "accepting: s t\ntrans: s start t\ntrans: t start t\n"
+                      "trans: s bad s\n")
+
+
+@pytest.mark.parametrize("mode", [(), ("--demand-driven",)],
+                         ids=["full", "demand-driven"])
+def test_main_sees_a_subclass_entry_past_a_mid_hierarchy_stub(
+        mode, tmp_path, capsys):
+    code, out, _ = analyze_sources(
+        tmp_path, capsys, MID_HIERARCHY_STUB, NO_BAD_AFTER_START,
+        "--entry", "Main.run", *mode, config="P.m() -> Null emits eps\n")
+    assert code == 1
+    assert ("(Main, Unknown, run, [])  returns:FAIL, throws:ok, diverges:ok"
+            in out.splitlines())
+    assert ("counterexample: Main.run: run emits 'start bad', rejected at "
+            "position 2" in out)
+
+
+# The stub covers only a null argument; the call passes an object.
+FETCH_AN_OBJECT = """
+class T extends Object { }
+class Net extends Object { Object fetch(Object t) { return null; } }
+class Main extends Object {
+    Object run() {
+        Net n = new[k] Net();
+        T t = new[o] T();
+        Object r = n.fetch(t);
+        emit bad;
+        return r;
+    }
+}
+"""
+NO_BAD_AFTER_OK = NO_BAD_AFTER_START.replace("start", "ok")
+
+
+def test_main_exit_two_on_a_stub_call_no_pattern_matches(tmp_path, capsys):
+    code, out, err = analyze_sources(
+        tmp_path, capsys, FETCH_AN_OBJECT, NO_BAD_AFTER_OK,
+        "--entry", "Main.run", config="Net.fetch(Null) -> Null emits ok\n")
+    assert code == 2
+    assert out == ""
+    assert err == ("guidecheck: error: call (Net, @k, fetch, [@o]) matches "
+                   "no argument pattern of the stub Net.fetch\n")
+    # with a pattern that covers the call, the run emitting ok bad is found
+    code, out, _ = analyze_sources(
+        tmp_path, capsys, FETCH_AN_OBJECT, NO_BAD_AFTER_OK,
+        "--entry", "Main.run", config="Net.fetch(_) -> Null emits ok\n")
+    assert code == 1
+    assert "counterexample: Main.run: run emits 'ok bad'" in out
+
+
+# The call can never reach the stub: the receiver is a FakeNet, whose
+# override emits ok, or null.
+FETCH_PAST_THE_STUB = {
+    "override": """
+class T extends Object { }
+class Net extends Object { Object fetch(Object t) { return null; } }
+class FakeNet extends Net { Object fetch(Object t) { emit ok; return null; } }
+class Main extends Object {
+    Object run() {
+        Net n = new[k] FakeNet();
+        T t = new[o] T();
+        Object r = n.fetch(t);
+        emit bad;
+        return r;
+    }
+}
+""",
+    "null-receiver": """
+class T extends Object { }
+class Net extends Object { Object fetch(Object t) { return null; } }
+class Main extends Object {
+    Object run() {
+        Net n = null;
+        T t = new[o] T();
+        Object r = n.fetch(t);
+        emit bad;
+        return r;
+    }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("mode", [(), ("--demand-driven",)],
+                         ids=["full", "demand-driven"])
+@pytest.mark.parametrize("name, code, verdict", [
+    ("override", 1, "counterexample: Main.run: run emits 'ok bad'"),
+    ("null-receiver", 0, "verdict: pass"),
+])
+def test_main_checks_stub_patterns_only_where_a_call_dispatches_to_the_stub(
+        name, code, verdict, mode, tmp_path, capsys):
+    got, out, err = analyze_sources(
+        tmp_path, capsys, FETCH_PAST_THE_STUB[name], NO_BAD_AFTER_OK,
+        "--entry", "Main.run", *mode,
+        config="Net.fetch(Null) -> Null emits ok\n")
+    assert (got, err) == (code, "")
+    assert verdict in out
+
+
+# x is typed G but holds a P, whose m is the stub.
+FETCH_THROUGH_A_SUPERCLASS = """
+class T extends Object { }
+class G extends Object { Object m(Object t) { return null; } }
+class P extends G { Object m(Object t) { return null; } }
+class Main extends Object {
+    Object run() {
+        G x = new[l] P();
+        T t = new[o] T();
+        Object r = x.m(t);
+        emit bad;
+        return r;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("mode", [(), ("--demand-driven",)],
+                         ids=["full", "demand-driven"])
+def test_main_exit_two_on_a_stub_reached_through_a_superclass_type(
+        mode, tmp_path, capsys):
+    code, out, err = analyze_sources(
+        tmp_path, capsys, FETCH_THROUGH_A_SUPERCLASS, NO_BAD_AFTER_OK,
+        "--entry", "Main.run", *mode, config="P.m(Null) -> Null emits ok\n")
+    assert code == 2
+    assert out == ""
+    assert err == ("guidecheck: error: call (P, @l, m, [@o]) matches no "
+                   "argument pattern of the stub P.m\n")
+
+
+# Accepts the finite word a, but keeps a run alive on it.
+A_IS_UNFINISHED = ("alphabet: a\nstates: p q\ninitial: p\naccepting: p\n"
+                   "trans: p a q\n")
+
+
+@pytest.mark.parametrize("body, guideline, witness", [
+    ("Object go() { emit a; emit b; return null; }",
+     read_fixture("first_letter.gl"),
+     {"kind": "finite-trace", "trace": ["a", "b"], "position": 2, "fuel": 1}),
+    ("Object go() { emit a; emit b; return this.go(); }",
+     read_fixture("first_letter.gl"),
+     {"kind": "dead-prefix", "trace": ["a", "b"], "position": 2, "fuel": 1}),
+    ("Object go() { emit a; return this.spin(); }"
+     " Object spin() { return this.spin(); }",
+     A_IS_UNFINISHED,
+     {"kind": "silent-divergence", "trace": ["a"], "cycle": [], "fuel": 3}),
+], ids=["finite-trace", "dead-prefix", "silent-divergence"])
+def test_main_reports_each_witness_kind_as_json(body, guideline, witness,
+                                                tmp_path, capsys):
+    code, out, _ = analyze_sources(
+        tmp_path, capsys, f"class M extends Object {{ {body} }}\n", guideline,
+        "--entry", "M.go", "--report", "json")
+    assert code == 1
+    (ce,) = json.loads(out)["counterexamples"]
+    assert ce == {"entry": "M.go", **witness}
+
+
+# The stub may throw after emitting fail; fail must be followed by ok.
+THROWING_STUB = "Net.get() -> Null emits eps throws Unknown fail\n"
+OK_AFTER_FAIL = ("alphabet: fail ok\nstates: s f\ninitial: s\naccepting: s\n"
+                 "trans: s ok s\ntrans: s fail f\ntrans: f ok s\n")
+
+
+@pytest.mark.parametrize("call, row", [
+    ("Object r = n.get();",
+     "(Main, Unknown, go, [])  returns:ok, throws:FAIL, diverges:ok"),
+    ("try { Object r = n.get(); } catch (Object e) { emit ok; }",
+     "(Main, Unknown, go, [])  returns:ok, throws:ok, diverges:ok"),
+], ids=["uncaught", "caught"])
+def test_main_seeds_a_stub_throws_clause(call, row, tmp_path, capsys):
+    program = ("class Net extends Object { Object get() { return null; } }\n"
+               "class Main extends Object { Object go() {"
+               f" Net n = new[k] Net(); {call} return null; }} }}\n")
+    code, out, _ = analyze_sources(tmp_path, capsys, program, OK_AFTER_FAIL,
+                                   config=THROWING_STUB)
+    # the stub's own rows throw fail with no ok after it
+    assert code == 1
+    lines = out.splitlines()
+    assert row in lines
+    assert "(Net, @k, get, [])  returns:ok, throws:FAIL, diverges:ok" in lines

@@ -395,6 +395,15 @@ def _reference_cases():
             yield f"{fj.name}/{gl.name}", prog, d, specs
 
 
+def assert_same_tables(got, want, what):
+    """The worklist's tables equal the sweep reference's, the field rows
+    compared at every class, region and field, inherited ones included."""
+    assert got.mtable == want.mtable, what
+    assert {key: got.fields_at(*key) for key in want.ftable} == want.ftable, what
+    assert got.analyzed == want.analyzed, what
+    assert got.pinned == want.pinned, what
+
+
 def _entry_points(prog):
     return [f"{c.name}.{m}" for c in prog.classes
             for m, (md, _) in sorted(methods_of(prog, c.name).items())
@@ -410,12 +419,9 @@ def test_worklist_matches_the_sweep_reference(demand_driven):
                         else [None]):
             got = infer(prog, d, intrinsics=specs, entries=entries)
             want = infer_by_sweeps(prog, d, intrinsics=specs, entries=entries)
-            assert got.mtable == want.mtable, (name, entries)
-            assert got.ftable == want.ftable, (name, entries)
-            assert got.analyzed == want.analyzed, (name, entries)
-            assert got.pinned == want.pinned, (name, entries)
+            assert_same_tables(got, want, (name, entries))
             runs += 1
-    assert runs >= 44  # 23 soundness, 12 taint, 9 fixture pairings
+    assert runs >= 46  # 25 soundness, 12 taint, 9 fixture pairings
 
 
 def _chain_program(n):
@@ -535,10 +541,7 @@ def test_grouped_typing_matches_the_sweep_reference(src):
     for entries in [None] + [[e] for e in _entry_points(prog)]:
         got = infer(prog, d, entries=entries)
         want = infer_by_sweeps(prog, d, entries=entries)
-        assert got.mtable == want.mtable, entries
-        assert got.ftable == want.ftable, entries
-        assert got.analyzed == want.analyzed, entries
-        assert got.pinned == want.pinned, entries
+        assert_same_tables(got, want, entries)
         assert check_well_typed(prog, got, d) == [], entries
 
 

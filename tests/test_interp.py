@@ -292,6 +292,12 @@ def test_store_satisfies():
     assert not store_satisfies({}, heap, {"x": UNKNOWN})
 
 
+def _rows(ftable):
+    """A field table given as a dict, read as ``ClassTable.fields_at``."""
+    return lambda cls, region, fname: ftable.get((cls, region, fname),
+                                                 frozenset())
+
+
 def test_heap_satisfaction_against_field_table():
     prog = parse_program(
         "class A { A f; A mk() { A x = new[s] A(); A y = x.f = x; return x; } }"
@@ -306,13 +312,13 @@ def test_heap_satisfaction_against_field_table():
         ("A", at_s, "f"): frozenset({at_s}),
         ("A", UNKNOWN, "f"): frozenset({at_s, NULL_REGION}),
     }
-    assert heap_satisfies(heap, ok, prog, meta)
+    assert heap_satisfies(heap, _rows(ok), prog, meta)
     bad = dict(ok)
     bad[("A", at_s, "f")] = frozenset({NULL_REGION})
-    violation = first_heap_violation(heap, bad, prog, meta)
+    violation = first_heap_violation(heap, _rows(bad), prog, meta)
     assert violation is not None
     loc, cls, region, fname = violation
     assert (cls, region, fname) == ("A", at_s, "f")
     assert heap[loc].label == "s"
     # a missing row means nothing is allowed
-    assert not heap_satisfies(heap, {}, prog, meta)
+    assert not heap_satisfies(heap, _rows({}), prog, meta)

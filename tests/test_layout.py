@@ -142,3 +142,40 @@ def test_every_package_name_is_used_outside_the_tests():
         and not (name.startswith("__") and name.endswith("__"))  # Python calls these
     )
     assert unused == []
+
+
+# The class tables stay closed under the hierarchy only if every write goes
+# through the mutators of ClassTable, which keep them so.
+TABLES = ("mtable", "ftable", "pinned")
+MUTATING_METHODS = ("add", "update", "setdefault", "pop", "popitem", "clear",
+                    "discard", "remove")
+
+
+def _table_writes(tree: ast.Module):
+    """The lines that write into a table attribute directly: an item
+    assigned or deleted, an augmented assignment, or a mutating call."""
+    def is_table(node):
+        return isinstance(node, ast.Attribute) and node.attr in TABLES
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            if is_table(node.value):
+                yield node.lineno
+        elif isinstance(node, ast.AugAssign) and is_table(node.target):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATING_METHODS
+              and is_table(node.func.value)):
+            yield node.lineno
+
+
+def test_only_the_class_table_writes_table_rows():
+    writers = sorted(
+        f"{path.name}:{line}"
+        for path in PACKAGE_DIR.glob("*.py") if path.name != "classtable.py"
+        for line in _table_writes(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert writers == []
+    # the guard sees the writes the class table itself makes
+    own = (PACKAGE_DIR / "classtable.py").read_text(encoding="utf-8")
+    assert len(list(_table_writes(ast.parse(own)))) >= 4
