@@ -119,6 +119,8 @@ class ProfileDomain(EffectDomain):
         return x <= y
 
     def alpha_word(self, w):
+        if not w:
+            return self.monoid.fin_eps
         return frozenset({self.monoid.profile_of_word(w)})
 
     def alpha_nfa(self, nfa):
@@ -143,7 +145,7 @@ class ProfileDomain(EffectDomain):
         return self.monoid.omega(x)
 
     def mix_of_eps(self):
-        return MixAbs(frozenset({self.monoid.eps}), frozenset())
+        return MixAbs(self.monoid.fin_eps, frozenset())
 
     def accepts_fin(self, x) -> bool:
         return self.monoid.accepts_fin(x)

@@ -10,26 +10,28 @@ so both masks are kept.  Collapsing them into "some path accepts" preserves
 acceptance but merges profiles, which changes the monoid's size and so the
 lattice height that caps inference; the rows are exact instead.
 
-Composition ORs the rows of the right operand over the set bits of the
-left's.  Each monoid interns its profiles, so equal profiles of one monoid
-are one object and compare by identity first; equality is still on values,
-so profiles of two monoids over one guideline compare equal too.  Profiles
-of the empty word are tagged: the empty word's profile has the same rows as
-some nonempty words on degenerate automata, but the two behave differently
-under the infinite iteration, so equality on profiles includes the tag.
+A profile is the dense ``int`` its monoid gives it when interning its rows:
+the monoid keeps the rows, the empty-word tag and the acceptance masks in
+lists by index, and caches composition in one dict per left operand.
+Indices are local to one monoid; two monoids over one guideline may number
+the same profile differently.  Profiles of the empty word are tagged: the
+empty word's profile has the same rows as some nonempty words on degenerate
+automata, but the two behave differently under the infinite iteration, so
+the tag is part of the interning key.
 
-Sets of profiles abstract languages of finite words (``FinAbs``); pairs of a
-stem profile and an idempotent cycle profile, together with a finite part,
-abstract languages of finite and infinite words (``MixAbs``).  These carry
-union, concatenation, Kleene star and an infinite-iteration operator, and an
-acceptance check against the automaton.
+Composition ORs the rows of the right operand over the set bits of the
+left's.  Sets of profiles abstract languages of finite words (``FinAbs``);
+pairs of a stem profile and an idempotent cycle profile, together with a
+finite part, abstract languages of finite and infinite words (``MixAbs``).
+These carry union, concatenation, Kleene star and an infinite-iteration
+operator, and an acceptance check against the automaton.
 
 Two MixAbs values that denote the same language can differ in their raw pair
 sets (a pair may be rotated through a factorization of its cycle).
 Acceptance is invariant under that rotation, so the analysis works on raw
 pair sets and never needs a canonical form.  Rotation saturation, which gives
-one, and the membership probes for finite and ultimately periodic words live
-with the tests, which compare MixAbs values by the languages they denote.
+one, the membership probes for finite and ultimately periodic words, and the
+decoding of an index back into rows live with the tests.
 """
 
 from __future__ import annotations
@@ -46,52 +48,12 @@ MONOID_CAP = 20000
 Rows = tuple[int, ...]  # one bitmask over the state indices per state
 
 
-class Profile:
-    """The profile of a word: rows ``zero`` and ``one`` (see the module
-    docstring) over the automaton's ``states``, and the empty-word tag.
-    Build profiles through ``ProfileMonoid.profile``, which interns them."""
-
-    __slots__ = ("zero", "one", "empty", "states", "_hash")
-
-    def __init__(self, zero: Rows, one: Rows, empty: bool,
-                 states: tuple[str, ...]):
-        self.zero = zero
-        self.one = one
-        self.empty = empty
-        self.states = states
-        self._hash = hash((zero, one, empty))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return (self._hash == other._hash and self.zero == other.zero
-                and self.one == other.one and self.empty == other.empty
-                and self.states == other.states)
-
-    def __repr__(self) -> str:
-        names = self.states
-        triples = [
-            (q, b, names[j])
-            for q, z, o in zip(names, self.zero, self.one)
-            for b, row in ((0, z), (1, o))
-            for j in range(len(names)) if row >> j & 1
-        ]
-        inner = ", ".join(f"({q},{b},{q2})" for q, b, q2 in sorted(triples))
-        tag = "ε:" if self.empty else ""
-        return "{" + tag + inner + "}"
-
-
 class MixAbs(NamedTuple):
-    fin: frozenset[Profile]
-    inf: frozenset[tuple[Profile, Profile]]
+    fin: frozenset[int]
+    inf: frozenset[tuple[int, int]]
 
 
-FinAbs = frozenset  # of Profile
+FinAbs = frozenset  # of profile indices
 
 FIN_BOTTOM: FinAbs = frozenset()
 MIX_BOTTOM = MixAbs(frozenset(), frozenset())
@@ -100,7 +62,7 @@ MIX_BOTTOM = MixAbs(frozenset(), frozenset())
 class ProfileMonoid:
     """The profiles of one automaton, with composition.
 
-    Profiles are built as the operators compose them.  ``elements``, the
+    Profiles are interned as the operators compose them.  ``elements``, the
     closure of the letter profiles under composition (the profiles of all
     finite words), is computed on first use only.
     """
@@ -112,8 +74,17 @@ class ProfileMonoid:
         accepting = [q in g.accepting for q in g.states]
         self._initial = [index[q] for q in g.initial]
         self._accepting_mask = sum(1 << i for i in range(n) if accepting[i])
-        self._interned: dict[tuple[Rows, Rows, bool], Profile] = {}
-        self._compose_cache: dict[tuple[Profile, Profile], Profile] = {}
+        self._interned: dict[tuple[Rows, Rows, bool], int] = {}
+        # by profile index: the rows and tag, the states the word reaches
+        # from an initial state, whether one of those accepts, and the states
+        # the word loops on through an accepting visit
+        self.zero: list[Rows] = []
+        self.one: list[Rows] = []
+        self.empty: list[bool] = []
+        self._starts: list[int] = []
+        self._accepts: list[bool] = []
+        self._loops: list[int] = []
+        self._mul: list[dict[int, int]] = []  # _mul[p1][p2] == p1·p2
         # ε̂ connects each state to itself, through an accepting visit iff
         # the state is accepting; a letter's rows are its transitions
         self.eps = self.profile(
@@ -121,27 +92,39 @@ class ProfileMonoid:
             tuple(1 << i if accepting[i] else 0 for i in range(n)),
             empty=True,
         )
+        self.fin_eps: FinAbs = frozenset({self.eps})
         zero = {a: [0] * n for a in g.alphabet}
         one = {a: [0] * n for a in g.alphabet}
         for q, a, q2 in g.transitions:
             i, j = index[q], index[q2]
             (one if accepting[i] or accepting[j] else zero)[a][i] |= 1 << j
-        self.letters: dict[str, Profile] = {
+        self.letters: dict[str, int] = {
             a: self.profile(tuple(zero[a]), tuple(one[a])) for a in g.alphabet
         }
 
-    def profile(self, zero: Rows, one: Rows, empty: bool = False) -> Profile:
-        """The interned profile with these rows and tag."""
+    def profile(self, zero: Rows, one: Rows, empty: bool = False) -> int:
+        """The index of the profile with these rows and tag."""
         key = (zero, one, empty)
         p = self._interned.get(key)
         if p is None:
-            p = self._interned[key] = Profile(zero, one, empty, self.g.states)
+            p = self._interned[key] = len(self.zero)
+            starts = 0
+            for i in self._initial:
+                starts |= zero[i] | one[i]
+            self.zero.append(zero)
+            self.one.append(one)
+            self.empty.append(empty)
+            self._starts.append(starts)
+            self._accepts.append(bool(starts & self._accepting_mask))
+            self._loops.append(
+                sum(1 << q for q, row in enumerate(one) if row >> q & 1))
+            self._mul.append({})
         return p
 
     @cached_property
-    def elements(self) -> frozenset[Profile]:
+    def elements(self) -> frozenset[int]:
         """The realizable monoid; raises ``RuntimeError`` past ``MONOID_CAP``."""
-        seen: set[Profile] = set(self.letters.values())
+        seen: set[int] = set(self.letters.values())
         frontier = list(seen)
         while frontier:
             p = frontier.pop()
@@ -157,13 +140,14 @@ class ProfileMonoid:
 
     # -- monoid structure ---------------------------------------------------
 
-    def compose(self, p1: Profile, p2: Profile) -> Profile:
-        cached = self._compose_cache.get((p1, p2))
-        if cached is not None:
-            return cached
-        zero2, one2 = p2.zero, p2.one
+    def compose(self, p1: int, p2: int) -> int:
+        products = self._mul[p1]
+        out = products.get(p2)
+        if out is not None:
+            return out
+        zero2, one2 = self.zero[p2], self.one[p2]
         zero, one = [], []
-        for z1, o1 in zip(p1.zero, p1.one):
+        for z1, o1 in zip(self.zero[p1], self.one[p1]):
             z = o = 0
             while z1:  # b = 0 so far: the right row decides the bit
                 low = z1 & -z1
@@ -178,20 +162,20 @@ class ProfileMonoid:
                 o1 ^= low
             zero.append(z)
             one.append(o)
-        out = self.profile(tuple(zero), tuple(one), p1.empty and p2.empty)
-        self._compose_cache[(p1, p2)] = out
+        out = products[p2] = self.profile(
+            tuple(zero), tuple(one), self.empty[p1] and self.empty[p2])
         return out
 
-    def profile_of_word(self, word: Sequence[str]) -> Profile:
+    def profile_of_word(self, word: Sequence[str]) -> int:
         p = self.eps
         for a in word:
             p = self.compose(p, self.letters[a])
         return p
 
-    def s_plus(self, gens: Iterable[Profile]) -> frozenset[Profile]:
+    def s_plus(self, gens: Iterable[int]) -> frozenset[int]:
         """Closure of gens under composition (products of one or more)."""
         gens = list(gens)
-        seen: set[Profile] = set(gens)
+        seen: set[int] = set(gens)
         frontier = list(gens)
         while frontier:
             p = frontier.pop()
@@ -213,7 +197,7 @@ class ProfileMonoid:
         start = (nfa.initial, self.eps)
         seen = {start}
         queue = [start]
-        out: set[Profile] = set()
+        out: set[int] = set()
         while queue:
             sset, p = queue.pop()
             if sset & nfa.accepting:
@@ -229,28 +213,34 @@ class ProfileMonoid:
         return frozenset(out)
 
     def concat_fin(self, a: FinAbs, b: FinAbs) -> FinAbs:
-        return frozenset(self.compose(p, q) for p in a for q in b)
+        # most products are cached: look them up here, saving a call each
+        out = []
+        for p in a:
+            products = self._mul[p]
+            for q in b:
+                pq = products.get(q)
+                out.append(self.compose(p, q) if pq is None else pq)
+        return frozenset(out)
 
     def star(self, a: FinAbs) -> FinAbs:
-        return frozenset({self.eps}) | self.s_plus(a)
+        return self.fin_eps | self.s_plus(a)
 
     def omega(self, a: FinAbs) -> MixAbs:
         """Abstraction of (γ a)^ω: finite words from infinitely many ε picks,
-        infinite words as linked stem/idempotent-cycle pairs."""
-        gens = [p for p in a if not p.empty]
-        has_eps = len(gens) < len(a)
-        fin = self.star(a) if has_eps else FIN_BOTTOM
+        infinite words as linked stem/idempotent-cycle pairs.
+
+        ε̂ is the only empty-tagged profile, and a two-sided identity on the
+        profiles of nonempty words, so with ε̂ ∈ a the star of a is ε̂ and
+        S⁺ of the other generators."""
+        gens = [p for p in a if not self.empty[p]]
         splus = self.s_plus(gens)
-        pairs = set()
-        for e in splus:
-            if self.compose(e, e) != e:
-                continue
-            for s in splus:
-                # stems with an ε̂ prefix factor are covered by s ∈ S⁺ itself;
-                # a bare ε̂ stem never satisfies s·e = s since e is nonempty.
-                if self.compose(s, e) == s:
-                    pairs.add((s, e))
-        return MixAbs(fin, frozenset(pairs))
+        fin = self.fin_eps | splus if len(gens) < len(a) else FIN_BOTTOM
+        # stems with an ε̂ prefix factor are covered by s ∈ S⁺ itself;
+        # a bare ε̂ stem never satisfies s·e = s since e is nonempty.
+        idempotents = [e for e in splus if self.compose(e, e) == e]
+        pairs = frozenset((s, e) for e in idempotents for s in splus
+                          if self.compose(s, e) == s)
+        return MixAbs(fin, pairs)
 
     def concat_fin_mix(self, a: FinAbs, x: MixAbs) -> MixAbs:
         fin = self.concat_fin(a, x.fin)
@@ -266,25 +256,15 @@ class ProfileMonoid:
 
     def accepts_fin(self, a: FinAbs) -> bool:
         """Every finite word denoted by a is accepted by the automaton."""
-        ini, acc = self._initial, self._accepting_mask
-        for p in a:
-            if not any((p.zero[i] | p.one[i]) & acc for i in ini):
-                return False
-        return True
+        accepts = self._accepts
+        return all(accepts[p] for p in a)
 
     def accepts_mix(self, x: MixAbs) -> bool:
         """Every word denoted by x (finite under the NFA reading, infinite
-        under the Büchi reading) is accepted.  Invariant under rotating a
-        pair through a factorization of its cycle, so checked on the raw
-        pairs."""
-        if not self.accepts_fin(x.fin):
-            return False
-        ini = self._initial
-        for s, e in x.inf:
-            starts = 0
-            for i in ini:
-                starts |= s.zero[i] | s.one[i]
-            if not any(starts >> q & 1 and e.one[q] >> q & 1
-                       for q in range(len(e.one))):
-                return False
-        return True
+        under the Büchi reading) is accepted: each stem reaches, from an
+        initial state, a state its cycle loops on through an accepting
+        visit.  Invariant under rotating a pair through a factorization of
+        its cycle, so checked on the raw pairs."""
+        starts, loops = self._starts, self._loops
+        return self.accepts_fin(x.fin) and all(
+            starts[s] & loops[e] for s, e in x.inf)

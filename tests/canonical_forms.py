@@ -22,16 +22,16 @@ from typing import Iterable, Sequence
 
 from guidecheck.domains import ProfileDomain
 from guidecheck.guideline import GuidelineAutomaton
-from guidecheck.profiles import FinAbs, MixAbs, Profile, ProfileMonoid
+from guidecheck.profiles import FinAbs, MixAbs, ProfileMonoid
 
 
 class CanonicalMonoid(ProfileMonoid):
     def __init__(self, g: GuidelineAutomaton):
         super().__init__(g)
-        self._factor_cache: dict[Profile, tuple[tuple[Profile, Profile], ...]] = {}
+        self._factor_cache: dict[int, tuple[tuple[int, int], ...]] = {}
         self._sat_cache: dict[frozenset, frozenset] = {}
 
-    def factorizations(self, e: Profile) -> tuple[tuple[Profile, Profile], ...]:
+    def factorizations(self, e: int) -> tuple[tuple[int, int], ...]:
         cached = self._factor_cache.get(e)
         if cached is None:
             elems = self.elements
@@ -52,7 +52,7 @@ class CanonicalMonoid(ProfileMonoid):
         stems are profiles of U·V^k, cycles are idempotent profiles of V⁺,
         keeping the linked pairs."""
         fin = self.alpha_nfa(lang.fin)
-        pairs: set[tuple[Profile, Profile]] = set()
+        pairs: set[tuple[int, int]] = set()
         for u_nfa, v_nfa in lang.inf:
             heads = self.alpha_nfa(u_nfa)
             body = self.s_plus(self.alpha_nfa(v_nfa))
@@ -74,7 +74,7 @@ class CanonicalMonoid(ProfileMonoid):
         cached = self._sat_cache.get(pairs)
         if cached is not None:
             return cached
-        cur: set[tuple[Profile, Profile]] = set()
+        cur: set[tuple[int, int]] = set()
         for s, e in pairs:
             if self.compose(e, e) == e and self.compose(s, e) == s:
                 cur.add((s, e))
@@ -125,14 +125,14 @@ class CanonicalMonoid(ProfileMonoid):
             return False
         pv = self.profile_of_word(v)
         cycles = []
-        seen: set[Profile] = set()
+        seen: set[int] = set()
         cur = pv
         while cur not in seen:
             seen.add(cur)
             cycles.append(cur)
             cur = self.compose(cur, pv)
         stems = []
-        seen2: set[Profile] = set()
+        seen2: set[int] = set()
         cur = self.profile_of_word(u)
         while cur not in seen2:
             seen2.add(cur)
@@ -140,14 +140,14 @@ class CanonicalMonoid(ProfileMonoid):
             cur = self.compose(cur, pv)
         return any((s, e) in inf for s in stems for e in cycles)
 
-    def extendable_into(self, p: Profile, fins: Iterable[FinAbs],
+    def extendable_into(self, p: int, fins: Iterable[FinAbs],
                         mixes: Iterable[MixAbs]) -> bool:
         """Can p be right-extended by some realizable profile into one of the
         given abstractions (a finite-part profile or an infinite-pair stem)?"""
-        fin_targets: set[Profile] = set()
+        fin_targets: set[int] = set()
         for a in fins:
             fin_targets |= a
-        stem_targets: set[Profile] = set()
+        stem_targets: set[int] = set()
         for x in mixes:
             for s, _ in self.saturate(x.inf):
                 stem_targets.add(s)

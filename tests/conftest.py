@@ -56,6 +56,19 @@ def random_automaton(rng: random.Random) -> GuidelineAutomaton:
     return GuidelineAutomaton(alphabet, states, initial, accepting, trans)
 
 
+def bench_sized_automaton(rng: random.Random) -> GuidelineAutomaton:
+    """A guideline of 5 to 7 states over three letters, drawn like the
+    benchmark's guideline batch: the first state initial, each state
+    accepting with probability 1/2 (the last if none is), each transition
+    present with probability 0.3."""
+    letters = ("a", "b", "c")
+    states = [f"q{i}" for i in range(rng.randint(5, 7))]
+    accepting = [q for q in states if rng.random() < 0.5] or [states[-1]]
+    trans = [(q, a, q2) for q in states for a in letters for q2 in states
+             if rng.random() < 0.3]
+    return GuidelineAutomaton(letters, states, [states[0]], accepting, trans)
+
+
 def guideline_nfa(g: GuidelineAutomaton, initial=None, accepting=None) -> Nfa:
     """The guideline reinterpreted as a plain NFA, with overridable state sets."""
     idx = {q: i for i, q in enumerate(g.states)}
@@ -86,7 +99,7 @@ def own_language(g: GuidelineAutomaton) -> WordLang:
 def gamma_nfa(monoid, fin, alphabet) -> Nfa:
     """NFA of the concretization of a profile set: states are the realizable
     profiles, the run computes the word's profile, accept iff it is in fin."""
-    elems = sorted(monoid.elements, key=repr)
+    elems = sorted(monoid.elements)
     idx = {p: i for i, p in enumerate(elems)}
     delta = {}
     for p in elems:

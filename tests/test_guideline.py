@@ -138,12 +138,13 @@ def test_rel_of_word_is_compositional():
         u = [rng.choice(g.alphabet) for _ in range(rng.randrange(4))]
         v = [rng.choice(g.alphabet) for _ in range(rng.randrange(4))]
         assert rel_of_word(g, u + v) == compose_triples(rel_of_word(g, u), rel_of_word(g, v))
-        assert triples_of(m.profile_of_word(u + v)) == rel_of_word(g, u + v)
+        assert triples_of(m, m.profile_of_word(u + v)) == rel_of_word(g, u + v)
 
 
 def test_letter_rel_marks_accepting_endpoints():
     g = load("parity.gl")
-    letter = triples_of(ProfileMonoid(g).letters["a"])
+    m = ProfileMonoid(g)
+    letter = triples_of(m, m.letters["a"])
     assert ("even", 1, "odd") in letter  # target accepting
     assert ("odd", 1, "even") in letter  # source accepting
 

@@ -16,23 +16,23 @@ import sys
 from pathlib import Path
 
 from conftest import PACKAGE_DIR, fresh_python_env
-from guidecheck import fjparser, guideline, inference, interp
+from guidecheck import fjparser, guideline, inference, interp, profiles
 from guidecheck.classtable import ClassTable
 from guidecheck.domains import EffectDomain, ProfileDomain
 from guidecheck.guideline import parse_guideline
 from guidecheck.oracle import Nfa
-from guidecheck.profiles import Profile, ProfileMonoid
+from guidecheck.profiles import ProfileMonoid
 from guidecheck.regions import region_meta
 
 # Names that analyze never calls; their code lives in tests/canonical_forms.py,
 # tests/profile_reference.py and tests/region_satisfaction.py.
 TRIPLE_HELPERS = ("profile_of_triples", "triples_of", "compose_triples",
-                  "pack", "unpack")
+                  "pack", "unpack", "triples", "describe", "decode",
+                  "decode_fin", "decode_mix", "decode_mtable", "omega_triples")
 MONOID_ONLY = ("saturate", "factorizations", "normalize_mix", "mix_eq",
                "mix_leq", "extendable_into", "alpha_lang", "alpha_words",
                "member_fin", "member_up_word", "_factor_cache", "_sat_cache",
                *TRIPLE_HELPERS)
-PROFILE_ONLY = ("triples", *TRIPLE_HELPERS)
 # The second relation algebra the automaton once carried.
 AUTOMATON_ONLY = ("compose_rel", "rel_of_word", "letter_rel", "_letter_rels")
 DOMAIN_ONLY = ("fin_eq", "alpha_words", "fin_to_mix", "mix_top", "member_fin",
@@ -46,6 +46,8 @@ NFA_ONLY = ("none", "word", "of_words", "full", "accepts")
 # Names nothing reads; the tests index table.mtable directly.
 CLASSTABLE_ONLY = ("tdict", "sdict")
 INFERENCE_ONLY = ("EMPTY",)
+# A profile is an index into its monoid; no class holds its rows.
+PROFILES_ONLY = ("Profile",)
 REGION_META_ONLY = ("prog",)
 # Defined in the package but referred to only from tests/: the one-file
 # entry point, and the members of the EffectDomain interface that the
@@ -76,11 +78,11 @@ def test_test_only_functions_stay_out_of_the_package():
               ("ProfileDomain", ProfileDomain(g), DOMAIN_ONLY),
               ("interp", interp, INTERP_ONLY),
               ("fjparser", fjparser, PARSER_ONLY),
-              ("Profile", Profile, PROFILE_ONLY),
               ("GuidelineAutomaton", g, AUTOMATON_ONLY),
               ("Nfa", Nfa, NFA_ONLY),
               ("ClassTable", ClassTable, CLASSTABLE_ONLY),
               ("inference", inference, INFERENCE_ONLY),
+              ("profiles", profiles, PROFILES_ONLY),
               ("RegionMeta", region_meta(fjparser.parse_program("")),
                REGION_META_ONLY)]
     back = [f"{label}.{name}" for label, owner, names in owners

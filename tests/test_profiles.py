@@ -11,7 +11,10 @@ import random
 import pytest
 
 from guidecheck import profiles
+from guidecheck.domains import ProfileDomain
+from guidecheck.fjparser import parse_program
 from guidecheck.guideline import load_guideline, parse_guideline
+from guidecheck.inference import infer
 from guidecheck.oracle import Nfa
 from guidecheck.profiles import (
     FIN_BOTTOM,
@@ -19,10 +22,11 @@ from guidecheck.profiles import (
     MixAbs,
     ProfileMonoid,
 )
+from guidecheck.solver import EquationSystem, solve
 
 import profile_reference as ref
 from canonical_forms import CanonicalMonoid
-from conftest import all_words, fixture, random_automaton
+from conftest import all_words, bench_sized_automaton, fixture, random_automaton
 from language_oracle import lang_omega
 from nfa_words import nfa_accepts, nfa_full, nfa_of_words, nfa_word
 from profile_reference import profile_of_triples, triples_of
@@ -33,8 +37,10 @@ def load_monoid(name):
         return CanonicalMonoid(parse_guideline(fh.read()))
 
 
-def brute_profile(g, word):
-    """Every (start, accepting-seen, end) triple over explicit paths."""
+def brute_profile(m, word):
+    """Every (start, accepting-seen, end) triple over explicit paths, as a
+    profile of m."""
+    g = m.g
     delta = {}
     for q, a, q2 in g.transitions:
         delta.setdefault((q, a), set()).add(q2)
@@ -48,14 +54,14 @@ def brute_profile(g, word):
                 for t in delta.get((s, a), ())
             }
         triples |= {(q0, b, s) for (s, b) in cur}
-    return profile_of_triples(g, triples, empty=not word)
+    return profile_of_triples(m, triples, empty=not word)
 
 
 # Hand-computed profiles over parity.gl (states even/odd, odd accepting,
 # a toggles): one a always crosses an accepting endpoint, two a's loop.
 PAR = load_monoid("parity.gl")
-P_A = profile_of_triples(PAR.g, {("even", 1, "odd"), ("odd", 1, "even")})
-P_AA = profile_of_triples(PAR.g, {("even", 1, "even"), ("odd", 1, "odd")})
+P_A = profile_of_triples(PAR, {("even", 1, "odd"), ("odd", 1, "even")})
+P_AA = profile_of_triples(PAR, {("even", 1, "even"), ("odd", 1, "odd")})
 
 
 def test_parity_letter_profiles_match_hand_computation():
@@ -72,7 +78,7 @@ def test_profile_of_word_against_path_enumeration():
         m = ProfileMonoid(g)
         for _ in range(8):
             w = [rng.choice(g.alphabet) for _ in range(rng.randrange(5))]
-            assert m.profile_of_word(w) == brute_profile(g, w), (g, w)
+            assert m.profile_of_word(w) == brute_profile(m, w), (g, w)
 
 
 def test_profile_composition_is_a_homomorphism():
@@ -96,7 +102,7 @@ def test_empty_word_tag_distinguishes_degenerate_profiles():
         )
     )
     pa = m.profile_of_word(["a"])
-    assert triples_of(pa) == triples_of(m.eps)
+    assert triples_of(m, pa) == triples_of(m, m.eps)
     assert pa != m.eps
     # and the tag is what keeps aω alive: ε̂ alone can never build a cycle pair
     assert m.omega(frozenset({pa})).inf
@@ -240,7 +246,7 @@ def test_acceptance_invariant_under_saturation():
     for _ in range(30):
         g = random_automaton(rng)
         m = CanonicalMonoid(g)
-        elems = sorted(m.elements, key=repr)
+        elems = sorted(m.elements, key=lambda p: ref.describe(m, p))
         pairs = set()
         for _ in range(3):
             s, e = rng.choice(elems), rng.choice(elems)
@@ -281,12 +287,13 @@ def test_alpha_lang_matches_omega_on_pure_iteration():
 # -- packed rows against the triple reference -----------------------------------
 
 
-def _random_profile(rng, g):
-    """A profile holding a random set of triples over g's states, realizable
-    or not, with a random empty-word tag."""
-    triples = {(q, rng.randrange(2), q2) for q in g.states for q2 in g.states
+def _random_profile(rng, m):
+    """A profile of m holding a random set of triples over its states,
+    realizable or not, with a random empty-word tag."""
+    states = m.g.states
+    triples = {(q, rng.randrange(2), q2) for q in states for q2 in states
                if rng.random() < 0.4}
-    return profile_of_triples(g, triples, empty=rng.random() < 0.2)
+    return profile_of_triples(m, triples, empty=rng.random() < 0.2)
 
 
 def _operand(rng, m):
@@ -294,7 +301,7 @@ def _operand(rng, m):
     if rng.random() < 0.5:
         word = [rng.choice(m.g.alphabet) for _ in range(rng.randrange(4))]
         return m.profile_of_word(word)
-    return _random_profile(rng, m.g)
+    return _random_profile(rng, m)
 
 
 def test_packed_compose_agrees_with_triple_composition():
@@ -305,11 +312,11 @@ def test_packed_compose_agrees_with_triple_composition():
         for _ in range(25):
             p, q = _operand(rng, m), _operand(rng, m)
             pq = m.compose(p, q)
-            assert triples_of(pq) == ref.compose_triples(
-                triples_of(p), triples_of(q)), (m.g, p, q)
-            assert pq.empty == (p.empty and q.empty)
+            assert triples_of(m, pq) == ref.compose_triples(
+                triples_of(m, p), triples_of(m, q)), (m.g, p, q)
+            assert m.empty[pq] == (m.empty[p] and m.empty[q])
             checked += 1
-            tagged += p.empty or q.empty
+            tagged += m.empty[p] or m.empty[q]
     assert checked == 2500 and tagged > 500
 
 
@@ -318,12 +325,13 @@ def test_letter_and_word_profiles_agree_with_triple_relations():
     for _ in range(50):
         g = random_automaton(rng)
         m = ProfileMonoid(g)
-        assert triples_of(m.eps) == ref.rel_of_word(g, []) and m.eps.empty
+        assert triples_of(m, m.eps) == ref.rel_of_word(g, [])
+        assert m.empty[m.eps]
         for a in g.alphabet:
-            assert triples_of(m.letters[a]) == ref.letter_rel(g, a)
+            assert triples_of(m, m.letters[a]) == ref.letter_rel(g, a)
         for _ in range(8):
             w = [rng.choice(g.alphabet) for _ in range(rng.randrange(5))]
-            assert triples_of(m.profile_of_word(w)) == ref.rel_of_word(g, w)
+            assert triples_of(m, m.profile_of_word(w)) == ref.rel_of_word(g, w)
 
 
 def test_packed_acceptance_agrees_with_triple_definitions():
@@ -334,9 +342,9 @@ def test_packed_acceptance_agrees_with_triple_definitions():
         fin = frozenset(_operand(rng, m) for _ in range(rng.randrange(3)))
         inf = frozenset((_operand(rng, m), _operand(rng, m))
                         for _ in range(rng.randrange(3)))
-        assert m.accepts_fin(fin) == ref.accepts_fin(g, fin), (g, fin)
+        assert m.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
         x = MixAbs(fin, inf)
-        assert m.accepts_mix(x) == ref.accepts_mix(g, x), (g, x)
+        assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
 
 
 def test_profiles_are_interned_per_monoid_and_equal_across_monoids():
@@ -347,11 +355,104 @@ def test_profiles_are_interned_per_monoid_and_equal_across_monoids():
         u = [rng.choice(g.alphabet) for _ in range(rng.randrange(4))]
         v = [rng.choice(g.alphabet) for _ in range(rng.randrange(4))]
         p, q = m.profile_of_word(u), m.profile_of_word(v)
-        assert m.compose(p, q) is m.compose(p, q)
-        assert m.compose(p, q) is m.profile_of_word(u + v)
-        other = m2.profile_of_word(u + v)
-        assert other is not m.profile_of_word(u + v)
-        assert other == m.profile_of_word(u + v)
-        assert hash(other) == hash(m.profile_of_word(u + v))
-        assert m.compose(p, q) == profile_of_triples(
-            g, triples_of(m.compose(p, q)), empty=not u + v)
+        pq = m.compose(p, q)
+        assert pq == m.profile_of_word(u + v)
+        assert pq == profile_of_triples(m, triples_of(m, pq), empty=not u + v)
+        # m2 numbers its profiles in its own order; the rows agree
+        for w in (v + u + v, u + v):
+            assert ref.decode(m2, m2.profile_of_word(w)) == ref.decode(
+                m, m.profile_of_word(w))
+        for mon in (m, m2):  # dense: the indices are 0, 1, ..., n - 1
+            n = len(mon._interned)
+            assert sorted(mon._interned.values()) == list(range(n))
+            assert len(mon.zero) == len(mon.one) == len(mon.empty) == n
+
+
+# -- omega's one closure, and automata of the benchmark's size ------------------
+
+
+def _words_profiles(rng, m, size, with_eps):
+    """The profiles of `size` random nonempty words of up to three letters,
+    and ε̂ if asked."""
+    words = [[rng.choice(m.g.alphabet) for _ in range(rng.randint(1, 3))]
+             for _ in range(size)]
+    out = {m.profile_of_word(w) for w in words}
+    return frozenset(out | {m.eps} if with_eps else out)
+
+
+def test_eps_is_the_only_tagged_profile_and_a_two_sided_identity():
+    rng = random.Random(39)
+    automata = [random_automaton(rng) for _ in range(30)]
+    automata += [bench_sized_automaton(rng) for _ in range(4)]
+    for g in automata:
+        m = ProfileMonoid(g)
+        for p in _words_profiles(rng, m, 12, with_eps=False):
+            assert m.compose(m.eps, p) == p == m.compose(p, m.eps), (g, p)
+    for g in automata[:30]:
+        m = ProfileMonoid(g)
+        assert [p for p in m.elements if m.empty[p]] == [m.eps]
+
+
+def test_omega_matches_its_two_closure_reference():
+    rng = random.Random(40)
+    for k in range(60):
+        g = random_automaton(rng)
+        m = ProfileMonoid(g)
+        a = _words_profiles(rng, m, rng.randint(0, 3), with_eps=k % 2 == 0)
+        got = ref.decode_mix(m, m.omega(a))
+        assert got == ref.omega_triples(g, ref.decode_fin(m, a)), (g, a)
+
+
+def test_operators_agree_with_triples_on_bench_sized_automata():
+    rng = random.Random(41)
+    for _ in range(4):
+        g = bench_sized_automaton(rng)
+        m = ProfileMonoid(g)
+        for _ in range(40):
+            p, q = _operand(rng, m), _operand(rng, m)
+            assert triples_of(m, m.compose(p, q)) == ref.compose_triples(
+                triples_of(m, p), triples_of(m, q)), (g, p, q)
+        for _ in range(40):
+            fin = frozenset(_operand(rng, m) for _ in range(rng.randrange(3)))
+            inf = frozenset((_operand(rng, m), _operand(rng, m))
+                            for _ in range(rng.randrange(3)))
+            assert m.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
+            x = MixAbs(fin, inf)
+            assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
+        for k in range(6):
+            a = _words_profiles(rng, m, rng.randint(1, 2), with_eps=k % 2 == 0)
+            x = m.omega(a)
+            assert ref.decode_mix(m, x) == ref.omega_triples(
+                g, ref.decode_fin(m, a)), (g, a)
+            assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, a)
+
+
+# emits every letter, loops through two methods, and diverges, so inference,
+# the solve's star and omega and the verdict all build profiles
+THREE_LETTER_LOOP = """
+class Main {
+    Object go() { emit a; Object r = this.ping(); return r; }
+    Object ping() {
+        Main z = null;
+        if (this == z) { emit b; Object r = this.pong(); return r; }
+        else { return null; }
+    }
+    Object pong() { emit c; Object r = this.ping(); return r; }
+}
+"""
+
+
+def test_the_analysis_builds_only_dense_indices():
+    rng = random.Random(42)
+    for _ in range(3):
+        domain = ProfileDomain(bench_sized_automaton(rng))
+        prog = parse_program(THREE_LETTER_LOOP, alphabet=domain.alphabet)
+        table = infer(prog, domain)
+        eta = solve(EquationSystem.from_table(table, domain), domain)
+        n = len(domain.monoid._interned)
+        built = [p for t, h, s in table.mtable.values()
+                 for part in (t, h, s) for a in part.values() for p in a]
+        built += [p for x in eta.values() for p in x.fin]
+        built += [p for x in eta.values() for pair in x.inf for p in pair]
+        assert any(x.inf for x in eta.values())
+        assert built and all(type(p) is int and 0 <= p < n for p in built)
