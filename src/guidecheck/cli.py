@@ -47,6 +47,7 @@ from .intrinsics import (
     stub_lookup,
     validate_against_program,
 )
+from .profiles import monoid_of
 from .regions import Sig, region_meta
 from .solver import EquationSystem, solve
 
@@ -177,6 +178,8 @@ def analyze(
     type_errors = fj_typecheck(prog)
     if type_errors:
         raise AnalysisError(type_errors)
+    if entries:
+        entries = list(dict.fromkeys(entries))  # a repeated entry is one
     _check_entries(prog, entries or [])
     missing = sorted(prog.alphabet - set(guideline.alphabet))
     if missing:
@@ -289,11 +292,13 @@ def find_counterexample(
     and searched for a witness; the first one found is returned with its
     level, so no run with less fuel shows a violation.  The search stops
     early once no run at a level runs out of fuel: every higher level would
-    repeat the same runs.
+    repeat the same runs.  Traces are checked on the guideline's profile
+    monoid, the one the analysis built, so most products are cached.
     """
+    monoid = monoid_of(guideline)
     for level in range(1, fuel + 1):
         runs = enumerate_traces(prog, entry, level, intrinsics)
-        ce = _witness_in(prog, guideline, entry, runs, level, intrinsics)
+        ce = _witness_in(prog, monoid, entry, runs, level, intrinsics)
         if ce is not None:
             ce.fuel = level
             return ce
@@ -302,7 +307,7 @@ def find_counterexample(
     return None
 
 
-def _witness_in(prog, guideline, entry, runs, fuel, intrinsics):
+def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
     """The first witness among one level's runs, tried in order: (1) the
     first complete run (terminated or thrown) whose trace the guideline
     rejects as a finite word; (2) the first fuel-stopped run whose emitted
@@ -312,8 +317,8 @@ def _witness_in(prog, guideline, entry, runs, fuel, intrinsics):
     for run in runs:
         if isinstance(run.outcome, (Terminated, Thrown)):
             w = run.outcome.trace
-            if not guideline.accepts_finite(w):
-                pos = guideline.dead_position(w)
+            if not monoid.accepts_finite(w):
+                pos = monoid.dead_position(w)
                 return Counterexample(
                     entry, "finite-trace", w,
                     position=pos if pos is not None else len(w),
@@ -323,7 +328,7 @@ def _witness_in(prog, guideline, entry, runs, fuel, intrinsics):
     for run in runs:
         if isinstance(run.outcome, OutOfFuel):
             w = run.outcome.trace
-            pos = guideline.dead_position(w)
+            pos = monoid.dead_position(w)
             if pos is not None:
                 return Counterexample(
                     entry, "dead-prefix", w, position=pos, script=run.script,
@@ -338,7 +343,7 @@ def _witness_in(prog, guideline, entry, runs, fuel, intrinsics):
                 continue
             seen.add(key)
             if not cand.cycle_trace:
-                if guideline.accepts_finite(cand.stem_trace):
+                if monoid.accepts_finite(cand.stem_trace):
                     continue
                 if _replay_confirms(prog, entry, cand, fuel, intrinsics):
                     return Counterexample(
@@ -346,7 +351,7 @@ def _witness_in(prog, guideline, entry, runs, fuel, intrinsics):
                         cycle=(), script=cand.stem_script,
                     )
             else:
-                if guideline.accepts_lasso(cand.stem_trace, cand.cycle_trace):
+                if monoid.accepts_lasso(cand.stem_trace, cand.cycle_trace):
                     continue
                 if _replay_confirms(prog, entry, cand, fuel, intrinsics):
                     return Counterexample(

@@ -11,11 +11,13 @@ exactly with ``==``.
 ``ProfileDomain`` interprets both lattices over the transition profiles of a
 guideline automaton; it is finite, has exact equality on finite elements,
 and can answer whether everything an element denotes is accepted by the
-guideline.  It drives the verdict.  The analysis needs no equality on mixed
-elements and no membership probes, so the interface has none; the test
-suite adds them, on the profile domain through a subclass that
-canonicalizes mixed elements, and in two reference domains behind the same
-interface, a language-level one over NFAs and a four-point toy domain.
+guideline.  It drives the verdict.  Its monoid is the guideline's own
+(``profiles.monoid_of``), which the counterexample search reads too.  The
+analysis needs no equality on mixed elements and no membership probes, so
+the interface has none; the test suite adds them, on the profile domain
+through a subclass that canonicalizes mixed elements, and in two reference
+domains behind the same interface, a language-level one over NFAs and a
+four-point toy domain.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from .guideline import GuidelineAutomaton
 from .oracle import Nfa
-from .profiles import FIN_BOTTOM, MIX_BOTTOM, MixAbs, ProfileMonoid
+from .profiles import FIN_BOTTOM, MIX_BOTTOM, MixAbs, monoid_of
 
 
 class EffectDomain(ABC):
@@ -101,7 +103,7 @@ class ProfileDomain(EffectDomain):
     def __init__(self, guideline: GuidelineAutomaton):
         self.guideline = guideline
         self.alphabet = guideline.alphabet
-        self.monoid = ProfileMonoid(guideline)
+        self.monoid = monoid_of(guideline)
 
     def fin_bottom(self):
         return FIN_BOTTOM

@@ -5,6 +5,12 @@ a transition relation.  The same automaton is read as an NFA over finite
 words and as a Büchi automaton over infinite words; the guideline's language
 is the union of both readings.
 
+This module parses and validates the automaton; it reads no words itself.
+Both readings are decided on the automaton's transition profiles
+(``profiles.ProfileMonoid``): the verdict on sets of profiles, and each
+counterexample on the profiles of its words.  The guideline remembers the
+monoid that everything checking against it shares.
+
 File format (line oriented, ``#`` starts a comment)::
 
     alphabet: authcheck access log
@@ -17,7 +23,7 @@ File format (line oriented, ``#`` starts a comment)::
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class GuidelineError(Exception):
@@ -51,75 +57,10 @@ class GuidelineAutomaton:
                 raise GuidelineError(f"undeclared state in transition {q} {a} {q2}")
             if a not in self.alphabet:
                 raise GuidelineError(f"undeclared letter {a}")
-        grouped: dict[tuple[str, str], set[str]] = {}
-        for q, a, q2 in self.transitions:
-            grouped.setdefault((q, a), set()).add(q2)
-        self._delta: dict[tuple[str, str], frozenset[str]] = {
-            k: frozenset(v) for k, v in grouped.items()
-        }
-
-    # -- NFA reading --------------------------------------------------------
-
-    def step(self, states: frozenset[str], letter: str) -> frozenset[str]:
-        out: set[str] = set()
-        for q in states:
-            out |= self._delta.get((q, letter), frozenset())
-        return frozenset(out)
-
-    def run_states(self, word: Sequence[str]) -> frozenset[str]:
-        cur = self.initial
-        for a in word:
-            cur = self.step(cur, a)
-        return cur
-
-    def accepts_finite(self, word: Sequence[str]) -> bool:
-        return bool(self.run_states(word) & self.accepting)
-
-    def dead_position(self, word: Sequence[str]) -> int | None:
-        """Index after which no run survives, or None if some run reads all of word."""
-        cur = self.initial
-        for i, a in enumerate(word):
-            cur = self.step(cur, a)
-            if not cur:
-                return i + 1
-        return None
-
-    # -- Büchi reading ------------------------------------------------------
-
-    def accepts_lasso(self, stem: Sequence[str], cycle: Sequence[str]) -> bool:
-        """Büchi acceptance of stem·cycle^ω (cycle must be nonempty).
-
-        Searches the product of the automaton with the positions of cycle:
-        node (q, i) is state q about to read cycle[i].  Every run on the
-        word enters the product at (q, 0) for a state q that stem reaches,
-        and reading more copies of cycle only moves it around the product,
-        so the states after each stem·cycle^k need no pass of their own.
-        The word is accepted iff a node reachable from those starts is
-        accepting and lies on a loop of the product.
-        """
-        if not cycle:
-            raise ValueError("cycle must be nonempty")
-        n = len(cycle)
-
-        def successors(node):
-            q, i = node
-            j = (i + 1) % n
-            return [(q2, j) for q2 in self._delta.get((q, cycle[i]), ())]
-
-        def reach(starts) -> set:
-            seen = set(starts)
-            todo = list(seen)
-            while todo:
-                for nxt in successors(todo.pop()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        todo.append(nxt)
-            return seen
-
-        return any(
-            q in self.accepting and (q, i) in reach(successors((q, i)))
-            for q, i in reach([(q, 0) for q in self.run_states(stem)])
-        )
+        # A weak reference to the profile monoid over this automaton, which
+        # profiles.monoid_of builds on first use: the analysis and the
+        # search share it while either holds it.
+        self.monoid_ref = None
 
     def __repr__(self) -> str:
         return (

@@ -24,7 +24,9 @@ left's.  Sets of profiles abstract languages of finite words (``FinAbs``);
 pairs of a stem profile and an idempotent cycle profile, together with a
 finite part, abstract languages of finite and infinite words (``MixAbs``).
 These carry union, concatenation, Kleene star and an infinite-iteration
-operator, and an acceptance check against the automaton.
+operator, and an acceptance check against the automaton.  The same masks
+decide single words for the counterexample search: a finite word, the first
+dead prefix of a word, and a lasso stem·cycle^ω.
 
 Two MixAbs values that denote the same language can differ in their raw pair
 sets (a pair may be rotated through a factorization of its cycle).
@@ -36,6 +38,7 @@ decoding of an index back into rows live with the tests.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -252,7 +255,39 @@ class ProfileMonoid:
     def mix_join(self, x: MixAbs, y: MixAbs) -> MixAbs:
         return MixAbs(x.fin | y.fin, x.inf | y.inf)
 
-    # -- acceptance ------------------------------------------------------------
+    # -- acceptance of words ---------------------------------------------------
+
+    def accepts_finite(self, word: Sequence[str]) -> bool:
+        """The automaton accepts word under the NFA reading."""
+        return self._accepts[self.profile_of_word(word)]
+
+    def dead_position(self, word: Sequence[str]) -> int | None:
+        """The length of the shortest prefix of word that no run from an
+        initial state reads, or None if some run reads all of word."""
+        p, starts, letters = self.eps, self._starts, self.letters
+        for i, a in enumerate(word):
+            p = self.compose(p, letters[a])
+            if not starts[p]:
+                return i + 1
+        return None
+
+    def accepts_lasso(self, stem: Sequence[str], cycle: Sequence[str]) -> bool:
+        """Büchi acceptance of stem·cycle^ω (cycle must be nonempty).
+
+        With e the idempotent power of cycle's profile, the word is
+        stem·w·w·w··· for a word w with profile e, so it is accepted iff a
+        state that stem·w reaches from an initial state loops on e through
+        an accepting visit: the test ``accepts_mix`` makes of the pair
+        (stem·e, e), exact for ultimately periodic words (Büchi 1962)."""
+        if not cycle:
+            raise ValueError("cycle must be nonempty")
+        v = e = self.profile_of_word(cycle)
+        while self.compose(e, e) != e:  # some power of v is idempotent
+            e = self.compose(e, v)
+        s = self.compose(self.profile_of_word(stem), e)
+        return bool(self._starts[s] & self._loops[e])
+
+    # -- acceptance of abstractions --------------------------------------------
 
     def accepts_fin(self, a: FinAbs) -> bool:
         """Every finite word denoted by a is accepted by the automaton."""
@@ -268,3 +303,16 @@ class ProfileMonoid:
         starts, loops = self._starts, self._loops
         return self.accepts_fin(x.fin) and all(
             starts[s] & loops[e] for s, e in x.inf)
+
+
+def monoid_of(g: GuidelineAutomaton) -> ProfileMonoid:
+    """The guideline's monoid, built when none is alive: the analysis and
+    the counterexample search share its interned profiles and cached
+    products.  The guideline holds it weakly, since the monoid refers back
+    to the guideline and a cycle would outlive the analysis until the next
+    cyclic collection."""
+    m = g.monoid_ref() if g.monoid_ref is not None else None
+    if m is None:
+        m = ProfileMonoid(g)
+        g.monoid_ref = weakref.ref(m)
+    return m

@@ -21,6 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 from guidecheck.domains import EffectDomain
 from guidecheck.guideline import GuidelineAutomaton
 from guidecheck.oracle import Nfa, nfa_concat, nfa_star, nfa_union
+from nfa_reading import NfaReading
 from nfa_words import nfa_accepts, nfa_full, nfa_none, nfa_word
 
 
@@ -123,11 +124,11 @@ def _nfa_key(a: Nfa) -> tuple:
 
 
 class _LassoCache(dict):
-    def product(self, pair: tuple[Nfa, Nfa]) -> GuidelineAutomaton:
+    def product(self, pair: tuple[Nfa, Nfa]) -> NfaReading:
         key = (_nfa_key(pair[0]), _nfa_key(pair[1]))
         got = self.get(key)
         if got is None:
-            got = _lasso_product(*pair)
+            got = NfaReading(_lasso_product(*pair))
             self[key] = got
         return got
 

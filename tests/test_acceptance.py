@@ -33,6 +33,7 @@ from language_oracle import (
     lang_concat_fin,
     lang_omega,
 )
+from nfa_reading import NfaReading
 from nfa_words import nfa_of_words
 from region_satisfaction import heap_satisfies, value_satisfies
 from solver_reference import naive_gfp, verify_fixpoint
@@ -247,9 +248,9 @@ def test_serve_loop_end_to_end():
     assert ce.kind == "divergence"
     assert ce.cycle == ("authcheck", "access")
     # the reported witness is a genuine violation of the Büchi condition
-    assert not liveness.accepts_lasso(ce.trace, ce.cycle)
+    assert not NfaReading(liveness).accepts_lasso(ce.trace, ce.cycle)
     # ... while the safety reading of the same lasso is fine
-    assert safety.accepts_lasso(ce.trace, ce.cycle)
+    assert NfaReading(safety).accepts_lasso(ce.trace, ce.cycle)
     _done("serve-end-to-end", t0, 2.0)
 
 
@@ -435,16 +436,17 @@ def test_algebra_and_abstraction_law_battery():
     probes = 0
     for g in sample + goldens:
         mon = load_domain(g).monoid
+        reading = NfaReading(g)
         abstracted = mon.alpha_lang(own_language(g))
         max_w = 8 if len(g.alphabet) <= 2 else 5
         for w in all_words(g.alphabet, max_w):
-            assert mon.member_fin(w, abstracted.fin) == g.accepts_finite(w), \
+            assert mon.member_fin(w, abstracted.fin) == reading.accepts_finite(w), \
                 f"finite {w} disagrees on {g.states}"
             probes += 1
         for u in all_words(g.alphabet, 5):
             for v in all_words(g.alphabet, 5, min_len=1):
                 assert (mon.member_up_word(u, v, abstracted)
-                        == g.accepts_lasso(u, v)), \
+                        == reading.accepts_lasso(u, v)), \
                     f"lasso {u}/{v} disagrees on {g.states}"
                 probes += 1
     assert probes > 50000

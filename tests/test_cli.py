@@ -16,6 +16,7 @@ import pytest
 
 import taint_corpus
 from conftest import FIXTURES, fixture, fresh_python_env, read_fixture
+from nfa_reading import NfaReading
 from guidecheck import cli, fjtypes
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
 from guidecheck.fjast import FjError, Program
@@ -57,7 +58,7 @@ def test_serve_fails_liveness_with_divergence_witness():
     assert ce.kind == "divergence"
     assert ce.cycle == ("authcheck", "access")
     # the witness really is rejected: pumping the cycle never logs again
-    assert not gl.accepts_lasso(ce.trace, ce.cycle)
+    assert not NfaReading(gl).accepts_lasso(ce.trace, ce.cycle)
 
 
 def test_serve_witness_is_the_least_fuel_one():
@@ -199,6 +200,28 @@ def test_analyze_never_closes_the_profile_monoid(monkeypatch):
     assert all("elements" not in d.monoid.__dict__ for d in built)
 
 
+def test_the_search_reads_the_monoid_the_analysis_built(monkeypatch):
+    domains, searched = [], []
+
+    class Recording(cli.ProfileDomain):
+        def __init__(self, guideline):
+            super().__init__(guideline)
+            domains.append(self)
+
+    real = cli.monoid_of
+
+    def recording(guideline):
+        searched.append(real(guideline))
+        return searched[-1]
+
+    monkeypatch.setattr(cli, "ProfileDomain", Recording)
+    monkeypatch.setattr(cli, "monoid_of", recording)
+    prog, gl, cfg = serve_inputs("serve_liveness.gl")
+    analyze(prog, gl, intrinsics=cfg, fuel=FUEL, entries=["Server.serve"])
+    (domain,) = domains
+    assert searched and all(m is domain.monoid for m in searched)
+
+
 def test_demand_driven_restricts_to_reachable():
     src = """
     class A extends Object {
@@ -306,6 +329,27 @@ def test_main_exit_one_on_fail_and_prints_witness(capsys):
     assert "verdict: fail" in out
     assert "counterexample:" in out
     assert "forever" in out
+
+
+def test_a_repeated_entry_is_searched_and_reported_once(monkeypatch, capsys):
+    args = ("--program", fixture("serve.fj"),
+            "--guideline", fixture("serve_liveness.gl"),
+            "--config", fixture("serve.cfg"), "--fuel", str(FUEL))
+    assert run_main(*args, "--entry", "Server.serve") == 1
+    once = capsys.readouterr().out
+    searched = []
+    real = cli.find_counterexample
+
+    def recording(prog, guideline, entry, *rest):
+        searched.append(entry)
+        return real(prog, guideline, entry, *rest)
+
+    monkeypatch.setattr(cli, "find_counterexample", recording)
+    assert run_main(*args, "--entry", "Server.serve",
+                    "--entry", "Server.serve") == 1
+    assert capsys.readouterr().out == once
+    assert once.count("counterexample: Server.serve") == 1
+    assert searched == ["Server.serve"]
 
 
 def test_main_json_report_to_file(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Guideline automata: parsing, finite reading, and Büchi lasso acceptance.
 
-The lasso check is validated against two oracles: a brute-force search of
-the configuration graph of the ultimately periodic word, and the classical
-reduction over powers of the word's transition relations, computed on the
-string triples of tests/profile_reference.py.
+The analysis reads words on the guideline's profile monoid
+(``ProfileMonoid.accepts_finite``, ``dead_position``, ``accepts_lasso``).
+Those checks are validated against the automaton read state set by state
+set (tests/nfa_reading.py), and the lasso check also against a brute-force
+search of the configuration graph of the ultimately periodic word and the
+classical reduction over powers of the word's transition relations,
+computed on the string triples of tests/profile_reference.py.
 """
 
 import itertools
@@ -14,9 +17,16 @@ import sys
 import pytest
 
 from guidecheck.guideline import GuidelineAutomaton, GuidelineError, parse_guideline
-from guidecheck.profiles import ProfileMonoid
+from guidecheck.profiles import ProfileMonoid, monoid_of
 
-from conftest import fixture, fresh_python_env, random_automaton
+from conftest import (
+    all_words,
+    bench_sized_automaton,
+    fixture,
+    fresh_python_env,
+    random_automaton,
+)
+from nfa_reading import NfaReading
 from profile_reference import accepts_lasso as lasso_by_relation_powers
 from profile_reference import compose_triples, rel_of_word, triples_of
 
@@ -110,24 +120,25 @@ def test_comments_and_blank_lines_ignored():
     g = parse_guideline(
         "# a comment\nalphabet: a b\n\nstates: s\ninitial: s\naccepting: s\ntrans: s a s\n"
     )
-    assert g.accepts_finite(["a"])
+    assert monoid_of(g).accepts_finite(["a"])
 
 
 # --- finite reading ----------------------------------------------------------
 
 
 def test_parity_membership():
-    g = load("parity.gl")
+    m = monoid_of(load("parity.gl"))
     for k in range(9):
-        assert g.accepts_finite(["a"] * k) == (k % 2 == 1)
+        assert m.accepts_finite(["a"] * k) == (k % 2 == 1)
 
 
 def test_dead_position():
     g = load("double_letter.gl")
-    assert g.dead_position(["a", "a"]) is None
-    # qf has no outgoing edges, so a third letter kills the run
-    assert g.dead_position(["a", "a", "b"]) == 3
-    assert g.dead_position(["a", "b"]) == 2  # qa only continues on a
+    for reading in (monoid_of(g), NfaReading(g)):
+        assert reading.dead_position(["a", "a"]) is None
+        # qf has no outgoing edges, so a third letter kills the run
+        assert reading.dead_position(["a", "a", "b"]) == 3
+        assert reading.dead_position(["a", "b"]) == 2  # qa only continues on a
 
 
 def test_rel_of_word_is_compositional():
@@ -154,38 +165,41 @@ def test_letter_rel_marks_accepting_endpoints():
 
 def test_parity_lassos():
     g = load("parity.gl")
-    assert g.accepts_lasso([], ["a"])  # visits odd every other step
-    assert g.accepts_lasso(["a"], ["a", "a"]) is True
-    assert g.accepts_lasso([], ["a", "a"]) is True  # run still crosses odd
-    assert g.accepts_lasso([], ["a"]) == brute_lasso(g, [], ["a"])
+    m = monoid_of(g)
+    assert m.accepts_lasso([], ["a"])  # visits odd every other step
+    assert m.accepts_lasso(["a"], ["a", "a"]) is True
+    assert m.accepts_lasso([], ["a", "a"]) is True  # run still crosses odd
+    assert m.accepts_lasso([], ["a"]) == brute_lasso(g, [], ["a"])
 
 
 def test_liveness_fixture_rejects_silent_debtor():
-    g = load("serve_liveness.gl")
+    m = monoid_of(load("serve_liveness.gl"))
     # access then nothing but more accesses: owing forever
-    assert not g.accepts_lasso(["access"], ["access"])
-    assert g.accepts_lasso([], ["log"])
-    assert g.accepts_lasso([], ["access", "log"])
-    assert not g.accepts_lasso(["log"], ["access", "authcheck"])
+    assert not m.accepts_lasso(["access"], ["access"])
+    assert m.accepts_lasso([], ["log"])
+    assert m.accepts_lasso([], ["access", "log"])
+    assert not m.accepts_lasso(["log"], ["access", "authcheck"])
 
 
 def test_cycle_must_be_nonempty():
     g = load("parity.gl")
-    with pytest.raises(ValueError):
-        g.accepts_lasso(["a"], [])
+    for reading in (monoid_of(g), NfaReading(g)):
+        with pytest.raises(ValueError):
+            reading.accepts_lasso(["a"], [])
 
 
 def test_lasso_rotation_and_unrolling_invariance():
     g = load("double_letter.gl")
+    m = monoid_of(g)
     rng = random.Random(11)
     for _ in range(60):
         u = [rng.choice(g.alphabet) for _ in range(rng.randrange(3))]
         v = [rng.choice(g.alphabet) for _ in range(1, 4)]
-        base = g.accepts_lasso(u, v)
-        assert g.accepts_lasso(u + v, v) == base  # unroll into the stem
-        assert g.accepts_lasso(u, v + v) == base  # square the cycle
+        base = m.accepts_lasso(u, v)
+        assert m.accepts_lasso(u + v, v) == base  # unroll into the stem
+        assert m.accepts_lasso(u, v + v) == base  # square the cycle
         k = rng.randrange(len(v))
-        assert g.accepts_lasso(u + v[:k], v[k:] + v[:k]) == base  # rotate
+        assert m.accepts_lasso(u + v[:k], v[k:] + v[:k]) == base  # rotate
 
 
 def test_lasso_against_bruteforce_on_random_automata():
@@ -193,11 +207,14 @@ def test_lasso_against_bruteforce_on_random_automata():
     checked = 0
     for _ in range(150):
         g = random_automaton(rng)
+        m, reading = monoid_of(g), NfaReading(g)
         letters = list(g.alphabet)
         for _ in range(12):
             u = [rng.choice(letters) for _ in range(rng.randrange(3))]
             v = [rng.choice(letters) for _ in range(1, 4)]
-            assert g.accepts_lasso(u, v) == brute_lasso(g, u, v), (g, u, v)
+            want = brute_lasso(g, u, v)
+            assert m.accepts_lasso(u, v) == want, (g, u, v)
+            assert reading.accepts_lasso(u, v) == want, (g, u, v)
             checked += 1
     assert checked == 1800
 
@@ -206,22 +223,56 @@ def test_lasso_against_the_relation_power_reduction():
     rng = random.Random(20261018)
     for _ in range(150):
         g = random_automaton(rng)
+        m = monoid_of(g)
         for _ in range(12):
             u = [rng.choice(g.alphabet) for _ in range(rng.randrange(3))]
             v = [rng.choice(g.alphabet) for _ in range(1, 5)]
-            assert g.accepts_lasso(u, v) == lasso_by_relation_powers(
+            assert m.accepts_lasso(u, v) == lasso_by_relation_powers(
                 g, u, v), (g, u, v)
 
 
 def test_lasso_exhaustive_small_words():
     g = load("serve_safety.gl")
+    m, reading = monoid_of(g), NfaReading(g)
     for ul in range(3):
         for vl in range(1, 3):
             for u in itertools.product(g.alphabet, repeat=ul):
                 for v in itertools.product(g.alphabet, repeat=vl):
-                    assert g.accepts_lasso(list(u), list(v)) == brute_lasso(
-                        g, list(u), list(v)
-                    )
+                    want = brute_lasso(g, list(u), list(v))
+                    assert m.accepts_lasso(list(u), list(v)) == want
+                    assert reading.accepts_lasso(list(u), list(v)) == want
+
+
+FIXTURE_GUIDELINES = ("parity.gl", "double_letter.gl", "first_letter.gl",
+                      "count_mod3.gl", "taint.gl", "serve_safety.gl",
+                      "serve_liveness.gl")
+
+
+def test_profile_checks_match_the_nfa_reading():
+    """Every word up to length 6 and every lasso with stem and cycle up to
+    length 4, on the fixture guidelines and 20 benchmark-sized automata."""
+    rng = random.Random(20261018)
+    automata = [load(name) for name in FIXTURE_GUIDELINES]
+    automata += [bench_sized_automaton(rng) for _ in range(20)]
+    lassos = 0
+    for g in automata:
+        m, reading = ProfileMonoid(g), NfaReading(g)
+        for w in all_words(g.alphabet, 6):
+            assert m.accepts_finite(w) == reading.accepts_finite(w), (g, w)
+            assert m.dead_position(w) == reading.dead_position(w), (g, w)
+        # the NFA reading of a lasso depends on the stem only through the
+        # states it reaches: decide each (states, cycle) once
+        by_states: dict = {}
+        cycles = list(all_words(g.alphabet, 4, min_len=1))
+        for u in all_words(g.alphabet, 4):
+            starts = reading.run_states(u)
+            for v in cycles:
+                key = (starts, v)
+                if key not in by_states:
+                    by_states[key] = reading.accepts_lasso_from(starts, v)
+                assert m.accepts_lasso(u, v) == by_states[key], (g, u, v)
+                lassos += 1
+    assert lassos > 300000
 
 
 def test_the_automaton_names_undeclared_states_in_the_order_given():

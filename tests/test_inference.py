@@ -26,12 +26,11 @@ from guidecheck.inference import (
 from guidecheck.intrinsics import load_config, parse_config
 from guidecheck.regions import NULL_REGION, UNKNOWN, Sig, created_at, region_meta
 
-ONE_LETTER = ProfileDomain(
-    parse_guideline(
-        "alphabet: a\nstates: even odd\ninitial: even\naccepting: odd\n"
-        "trans: even a odd\ntrans: odd a even\n"
-    )
+ONE_LETTER_GUIDELINE = (
+    "alphabet: a\nstates: even odd\ninitial: even\naccepting: odd\n"
+    "trans: even a odd\ntrans: odd a even\n"
 )
+ONE_LETTER = ProfileDomain(parse_guideline(ONE_LETTER_GUIDELINE))
 TWO_LETTER = ProfileDomain(
     parse_guideline(
         "alphabet: a b\nstates: q\ninitial: q\naccepting: q\n"
@@ -261,7 +260,7 @@ class _ShortCapDomain(ProfileDomain):
 
 def test_infer_raises_when_sweeps_exceed_the_cap():
     prog = parse_program(GROWING)
-    domain = _ShortCapDomain(ONE_LETTER.guideline)
+    domain = _ShortCapDomain(parse_guideline(ONE_LETTER_GUIDELINE))
     with pytest.raises(RuntimeError, match="converge within its cap"):
         infer(prog, domain)
 
@@ -277,10 +276,11 @@ class _LowFloorDomain(ProfileDomain):
 
 def test_infer_reaches_the_exact_cap_past_the_floor_cap():
     prog = parse_program(GROWING)
-    domain = _LowFloorDomain(ONE_LETTER.guideline)
+    # a guideline of its own: the monoid it shares with the domain is fresh
+    domain = _LowFloorDomain(parse_guideline(ONE_LETTER_GUIDELINE))
     table = infer(prog, domain)
     assert "elements" in domain.monoid.__dict__  # the exact height was read
-    fresh = ProfileDomain(domain.guideline)
+    fresh = ProfileDomain(parse_guideline(ONE_LETTER_GUIDELINE))
     assert decode_mtable(domain.monoid, table.mtable) == decode_mtable(
         fresh.monoid, infer(prog, fresh).mtable)
 
@@ -288,7 +288,7 @@ def test_infer_reaches_the_exact_cap_past_the_floor_cap():
 def test_infer_hits_the_monoid_cap_past_the_floor_cap(monkeypatch):
     monkeypatch.setattr(profiles, "MONOID_CAP", 1)
     prog = parse_program(GROWING)
-    domain = _LowFloorDomain(ONE_LETTER.guideline)
+    domain = _LowFloorDomain(parse_guideline(ONE_LETTER_GUIDELINE))
     with pytest.raises(RuntimeError, match="profile monoid exceeded size cap"):
         infer(prog, domain)
 

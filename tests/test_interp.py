@@ -6,12 +6,18 @@ detection see the same code paths the analyses rely on.
 
 import pytest
 
+import corpus
+import taint_corpus
+from conftest import FIXTURES, read_fixture
+from interp_reference import enumerate_by_restarts
 from region_satisfaction import (
     first_heap_violation,
     heap_satisfies,
     store_satisfies,
     value_satisfies,
 )
+from guidecheck import interp
+from guidecheck.fjast import ClassDecl, Emit, Let, MethodDecl, Null, Program
 from guidecheck.fjparser import parse_program
 from guidecheck.interp import (
     CastStuck,
@@ -322,3 +328,99 @@ def test_heap_satisfaction_against_field_table():
     assert heap[loc].label == "s"
     # a missing row means nothing is allowed
     assert not heap_satisfies(heap, _rows({}), prog, meta)
+
+
+# -- the enumeration against the restart-per-choice reference ---------------------
+
+
+def _runs_as_data(runs):
+    """What a run shows: its script, outcome kind, trace and cycles."""
+    return [(r.script, type(r.outcome).__name__,
+             None if r.outcome is None else r.outcome.trace,
+             r.stuck and r.stuck.kind, r.cycles) for r in runs]
+
+
+def _entries(prog):
+    return [f"{c.name}.{md.name}" for c in prog.classes for md in c.methods
+            if not md.params]
+
+
+def _enumeration_cases():
+    """(label, program, entry, fuel, stubs): every fixture entry, both
+    corpora, serve.fj at fuel 1 to 6, a program whose null stub results
+    get stuck between branches, and a stub with no scripted choice."""
+    prog = parse_program(STUCK_BETWEEN_BRANCHES)
+    specs = parse_config("R.tick() -> Unknown emits a | b\n", ("a", "b"))
+    yield "stuck", prog, "M.go", 2, specs
+    # every word of this stub is longer than the scripted words go: no run
+    specs = parse_config("R.tick() -> Null emits a a a a a\n", ("a", "b"))
+    yield "no-choice", parse_program(STUB_PROG), "M.go", 2, specs
+    serve_cfg = read_fixture("serve.cfg")
+    for path in sorted(FIXTURES.glob("*.fj")):
+        prog = parse_program(path.read_text(encoding="utf-8"), path.name)
+        specs = (parse_config(serve_cfg, sorted(prog.alphabet))
+                 if path.name == "serve.fj" else {})
+        for entry in _entries(prog):
+            yield path.name, prog, entry, 5, specs
+    prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    specs = parse_config(serve_cfg, sorted(prog.alphabet))
+    for fuel in range(1, 7):
+        yield f"serve.fj@{fuel}", prog, "Server.serve", fuel, specs
+    for name, (src, entry, fuel, cfg) in sorted(corpus.PROGRAMS.items()):
+        prog = parse_program(src, f"{name}.fj")
+        specs = parse_config(cfg, ("a", "b")) if cfg else {}
+        yield name, prog, entry, fuel, specs
+    for name, src in sorted(taint_corpus.PROGRAMS.items()):
+        prog = parse_program(src, f"{name}.fj")
+        for entry in _entries(prog):
+            yield name, prog, entry, 6, {}
+
+
+def test_enumeration_matches_the_restart_reference_run_for_run():
+    cases = 0
+    for label, prog, entry, fuel, specs in _enumeration_cases():
+        got = enumerate_traces(prog, entry, fuel, specs)
+        want = enumerate_by_restarts(prog, entry, fuel, specs)
+        assert _runs_as_data(got) == _runs_as_data(want), (label, entry, fuel)
+        cases += 1
+    assert cases >= 50
+
+
+# A null result from the first or second tick is called on: stuck.
+STUCK_BETWEEN_BRANCHES = """
+class R { R tick() { return null; } }
+class M { Object go() {
+    R r = new R(); R x = r.tick(); emit a; R y = x.tick(); R z = y.tick();
+    return this.go();
+} }
+"""
+
+
+def test_enumeration_builds_one_evaluator_per_run(monkeypatch):
+    built = []
+
+    class Counting(interp.Evaluator):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(interp, "Evaluator", Counting)
+    prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    specs = parse_config(read_fixture("serve.cfg"), sorted(prog.alphabet))
+    for fuel in range(1, 6):
+        built.clear()
+        runs = enumerate_traces(prog, "Server.serve", fuel, specs)
+        assert len(runs) == 3 ** fuel
+        assert len(built) == len(runs)
+
+
+def test_a_long_let_chain_runs_without_deepening_the_stack():
+    # 5,000 statements built by hand: the parser's own depth limit stays out
+    body = Null()
+    for i in range(5000):
+        body = Let(f"x{i}", None, Emit("a"), body)
+    go = MethodDecl("Object", "go", (), body)
+    prog = Program([ClassDecl("M", "Object", (), (go,))])
+    (run,) = enumerate_traces(prog, "M.go")
+    assert isinstance(run.outcome, Terminated)
+    assert run.outcome.trace == ("a",) * 5000
