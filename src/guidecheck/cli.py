@@ -16,8 +16,8 @@ were unusable (an input file that cannot be read or is not UTF-8, parse,
 type, guideline, config or entry errors, a call to a stub that none of its
 argument patterns matches, or a report file that cannot be written), 3 an
 internal limit was hit (recursion depth, the run or inference re-typing
-caps, or the profile monoid's size cap, which inference meets only when it
-closes the monoid for its exact re-typing cap).
+caps, or the profile monoid's size cap, which holds wherever profiles are
+built: in inference, the divergence solve and the counterexample search).
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ class Counterexample:
     trace: tuple
     cycle: tuple | None = None
     position: int | None = None
-    script: tuple = ()
     fuel: int | None = None  # the least fuel at which the search found it
 
     def to_json(self) -> dict:
@@ -322,7 +321,6 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
                 return Counterexample(
                     entry, "finite-trace", w,
                     position=pos if pos is not None else len(w),
-                    script=run.script,
                 )
 
     for run in runs:
@@ -330,9 +328,7 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
             w = run.outcome.trace
             pos = monoid.dead_position(w)
             if pos is not None:
-                return Counterexample(
-                    entry, "dead-prefix", w, position=pos, script=run.script,
-                )
+                return Counterexample(entry, "dead-prefix", w, position=pos)
 
     seen = set()
     for run in runs:
@@ -346,19 +342,15 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
                 if monoid.accepts_finite(cand.stem_trace):
                     continue
                 if _replay_confirms(prog, entry, cand, fuel, intrinsics):
-                    return Counterexample(
-                        entry, "silent-divergence", cand.stem_trace,
-                        cycle=(), script=cand.stem_script,
-                    )
+                    return Counterexample(entry, "silent-divergence",
+                                          cand.stem_trace, cycle=())
             else:
                 if monoid.accepts_lasso(cand.stem_trace, cand.cycle_trace):
                     continue
                 if _replay_confirms(prog, entry, cand, fuel, intrinsics):
-                    return Counterexample(
-                        entry, "divergence", cand.stem_trace,
-                        cycle=cand.cycle_trace,
-                        script=cand.stem_script + cand.cycle_script,
-                    )
+                    return Counterexample(entry, "divergence",
+                                          cand.stem_trace,
+                                          cycle=cand.cycle_trace)
     return None
 
 

@@ -6,18 +6,20 @@ mix finite and infinite words (whole-program behaviours, including
 divergence) — together with the regular operators the analysis composes
 effects with: join, concatenation, Kleene star and infinite iteration.
 Inference runs to a fixpoint, so a domain's finite elements must compare
-exactly with ``==``.
+exactly with ``==``, and it caps its re-typings by ``fin_height``, a bound
+on the chains among the elements built so far.
 
 ``ProfileDomain`` interprets both lattices over the transition profiles of a
 guideline automaton; it is finite, has exact equality on finite elements,
 and can answer whether everything an element denotes is accepted by the
 guideline.  It drives the verdict.  Its monoid is the guideline's own
-(``profiles.monoid_of``), which the counterexample search reads too.  The
-analysis needs no equality on mixed elements and no membership probes, so
-the interface has none; the test suite adds them, on the profile domain
-through a subclass that canonicalizes mixed elements, and in two reference
-domains behind the same interface, a language-level one over NFAs and a
-four-point toy domain.
+(``profiles.monoid_of``), which the counterexample search reads too; its
+height is the count of profiles interned so far plus one, so the analysis
+never closes the monoid.  The analysis needs no equality on mixed elements
+and no membership probes, so the interface has none; the test suite adds
+them, on the profile domain through a subclass that canonicalizes mixed
+elements, and in two reference domains behind the same interface, a
+language-level one over NFAs and a four-point toy domain.
 """
 
 from __future__ import annotations
@@ -88,15 +90,10 @@ class EffectDomain(ABC):
         raise NotImplementedError(f"{type(self).__name__} carries no verdict")
 
     def fin_height(self) -> int | None:
-        """Height of the finite-element lattice, None if unbounded/unknown;
-        used only to cap how often inference re-types a body."""
+        """A bound on every ascending chain among the finite elements built
+        so far, None if unbounded/unknown; it may grow as more are built.
+        Used only to cap how often inference re-types a body."""
         return None
-
-    def fin_height_floor(self) -> int | None:
-        """A lower bound on ``fin_height`` that is cheap to compute.
-        Inference sizes its typing cap with it first, and asks for the exact
-        height only once a count passes that cap."""
-        return self.fin_height()
 
 
 class ProfileDomain(EffectDomain):
@@ -156,11 +153,7 @@ class ProfileDomain(EffectDomain):
         return self.monoid.accepts_mix(m)
 
     def fin_height(self) -> int:
-        """The finite elements are the subsets of the realizable monoid, so
-        the height is its size plus one.  Closes the monoid."""
-        return len(self.monoid.elements) + 1
-
-    def fin_height_floor(self) -> int:
-        """The same count over the empty-word and letter profiles, a subset
-        of the monoid; closes nothing."""
-        return len({self.monoid.eps, *self.monoid.letters.values()}) + 1
+        """Every finite element built so far is a set of the profiles the
+        monoid has interned, so their count plus one bounds every chain.
+        Closes nothing; grows as the operators intern profiles."""
+        return len(self.monoid.zero) + 1

@@ -102,23 +102,9 @@ def typeff(
         return Effects(dict(t), dict(h), {sig: _eps(domain)}, [])
     if isinstance(e, Let):
         first = typeff(prog, meta, table, domain, gamma, e.init)
-        t: dict = {}
-        h = dict(first.h)
-        s = dict(first.s)
-        ups = list(first.fupdates)
-        for r in sorted(first.t):
-            u = first.t[r]
-            g2 = dict(gamma)
-            g2[e.var] = r
-            body = typeff(prog, meta, table, domain, g2, e.body)
-            t = dict_join(t, dict_scale(u, body.t, domain.fin_concat),
-                          domain.fin_join)
-            h = dict_join(h, dict_scale(u, body.h, domain.fin_concat),
-                          domain.fin_join)
-            s = dict_join(s, dict_scale(u, body.s, domain.fin_concat),
-                          domain.fin_join)
-            ups.extend(body.fupdates)
-        return Effects(t, h, s, ups)
+        # the init's returning values go on to the body; its throws stay
+        return _sequence(prog, meta, table, domain, gamma, e.var, e.body,
+                         first.t, {}, first.h, first.s, first.fupdates)
     if isinstance(e, If):
         rl, rr = gamma[e.left], gamma[e.right]
         els = typeff(prog, meta, table, domain, gamma, e.els)
@@ -141,26 +127,34 @@ def typeff(
         )
     if isinstance(e, TryCatch):
         body = typeff(prog, meta, table, domain, gamma, e.body)
-        t = dict(body.t)
-        h = except_filter(body.h, e.exc_cls, prog, meta)
-        s = dict(body.s)
-        ups = list(body.fupdates)
-        for r in sorted(body.h):
-            if not _catchable(r, e.exc_cls, prog, meta):
-                continue
-            u = body.h[r]
-            g2 = dict(gamma)
-            g2[e.var] = r
-            hnd = typeff(prog, meta, table, domain, g2, e.handler)
-            t = dict_join(t, dict_scale(u, hnd.t, domain.fin_concat),
-                          domain.fin_join)
-            h = dict_join(h, dict_scale(u, hnd.h, domain.fin_concat),
-                          domain.fin_join)
-            s = dict_join(s, dict_scale(u, hnd.s, domain.fin_concat),
-                          domain.fin_join)
-            ups.extend(hnd.fupdates)
-        return Effects(t, h, s, ups)
+        caught = {r: u for r, u in body.h.items()
+                  if _catchable(r, e.exc_cls, prog, meta)}
+        escaped = except_filter(body.h, e.exc_cls, prog, meta)
+        return _sequence(prog, meta, table, domain, gamma, e.var, e.handler,
+                         caught, body.t, escaped, body.s, body.fupdates)
     raise AssertionError(f"unhandled expression {e!r}")
+
+
+def _sequence(prog: Program, meta: RegionMeta, table, domain, gamma: dict,
+              var: str, cont: Expr, values: dict, t: dict, h: dict, s: dict,
+              ups: list) -> Effects:
+    """The effects t, h, s and field updates ups joined with those of the
+    continuation cont run after each value region r of values, with var
+    bound to r, its T, H and S each prefixed by the effect values[r] of
+    reaching it.  The maps and the list are not modified."""
+    for r in sorted(values):
+        u = values[r]
+        g2 = dict(gamma)
+        g2[var] = r
+        rest = typeff(prog, meta, table, domain, g2, cont)
+        t = dict_join(t, dict_scale(u, rest.t, domain.fin_concat),
+                      domain.fin_join)
+        h = dict_join(h, dict_scale(u, rest.h, domain.fin_concat),
+                      domain.fin_join)
+        s = dict_join(s, dict_scale(u, rest.s, domain.fin_concat),
+                      domain.fin_join)
+        ups = ups + rest.fupdates
+    return Effects(t, h, s, ups)
 
 
 def _catchable(r: Region, exc_cls: str, prog: Program, meta: RegionMeta) -> bool:
@@ -344,7 +338,9 @@ def infer(
     it reads, and when a row grows, there or above, only the groups that
     read it go back on the worklist; the fixpoint is reached when the
     worklist empties.  Table entries are compared with ``==``.  Raises
-    ``RuntimeError`` past the typing cap.
+    ``RuntimeError`` past the typing cap (``_typing_cap``), sized from the
+    domain's ``fin_height``.  The height may grow as typings build new
+    elements, so the cap is read again when the count passes it.
 
     With entries given (demand-driven), the worklist starts from the entry
     signatures, and a signature is activated, with its same-shape subclass
@@ -406,11 +402,18 @@ def infer(
     # demand-driven, a group is typed again for each member activated
     # after its first typing, which no row growth accounts for
     extra = 0 if active is None else len(bodied) - len(groups)
-    cap = _TypingCap(table, meta, domain, len(groups), extra)
+    typings = 0
+    limit = extra + _typing_cap(table, meta, len(groups), domain.fin_height())
     while queue:
         i = heapq.heappop(queue)
         queued[i] = False
-        cap.spend()
+        typings += 1
+        if typings > limit:  # the height may have grown since it was read
+            limit = extra + _typing_cap(table, meta, len(groups),
+                                        domain.fin_height())
+            if typings > limit:
+                raise RuntimeError(
+                    "inference failed to converge within its cap")
         log = _ReadLog(table)
         eff = _type_group(prog, meta, log, domain, groups[i])
         for row in log.field_rows | eff.s.keys():
@@ -435,44 +438,15 @@ def _typing_cap(table: ClassTable, meta: RegionMeta, bodies: int,
     """Bound on the typings of ``bodies`` typing groups.  Besides its first
     typing, a group is re-typed only after a row it reads grew, and rows
     grow a bounded number of times: each method entry at most ``height``
-    times per key, each field row at most once per region.  Nondecreasing
-    in the height."""
+    times per key, each field row at most once per region.  With the height
+    read after any number of typings, the bound holds for those typings,
+    since every entry so far is an element built by then."""
     if height is None:
         return 1 << 30
     per_entry = (2 * len(meta.regions) + len(table.mtable)) * height
     growths = (len(table.mtable) * per_entry
                + len(table.ftable) * len(meta.regions))
     return bodies * (1 + growths)
-
-
-class _TypingCap:
-    """Counts typings against ``_typing_cap`` at the domain's exact lattice
-    height, which may be costly (the profile domain closes its monoid for
-    it).  The count is held first against the cap at the cheap
-    ``fin_height_floor``; the exact height is asked for only once the count
-    passes that smaller cap.  The table's keys are fixed, so the cap raises
-    at the same count as one sized up front at the exact height.  Both caps
-    allow ``extra`` typings besides."""
-
-    def __init__(self, table: ClassTable, meta: RegionMeta, domain,
-                 bodies: int, extra: int = 0):
-        self._table, self._meta = table, meta
-        self._domain, self._bodies, self._extra = domain, bodies, extra
-        self._limit = extra + _typing_cap(table, meta, bodies,
-                                          domain.fin_height_floor())
-        self._exact = False
-        self._typings = 0
-
-    def spend(self) -> None:
-        """Count one typing; raises ``RuntimeError`` past the exact cap."""
-        self._typings += 1
-        if self._typings > self._limit and not self._exact:
-            self._limit = self._extra + _typing_cap(
-                self._table, self._meta, self._bodies,
-                self._domain.fin_height())
-            self._exact = True
-        if self._typings > self._limit:
-            raise RuntimeError("inference failed to converge within its cap")
 
 
 @dataclass

@@ -336,7 +336,7 @@ class Evaluator:
     def _stub_call(self, spec: IntrinsicSpec, md) -> Value:
         choices = spec.choices()
         if self.script_pos == len(self.script):
-            if self.pending is None or not choices:
+            if self.pending is None:
                 self.exhausted = choices
                 raise _ScriptExhausted()
             so_far = tuple(self.script)
@@ -426,8 +426,6 @@ def enumerate_traces(
             outcome = ev.run_entry(cls, method)
         except EvalStuck as stuck:
             runs.append(TraceRun(tuple(ev.script), None, ev.cycles, stuck=stuck))
-            continue
-        if ev.exhausted is not None:  # a stub without outcomes: no run
             continue
         runs.append(TraceRun(tuple(ev.script), outcome, ev.cycles))
         if len(runs) > MAX_RUNS:

@@ -17,8 +17,10 @@ The analysis seeds the method table with these summaries and never analyzes
 the stub bodies.  The interpreter replaces a stub call by a scripted choice:
 which emitted word to append, and whether to return null or a fresh object of
 the declared result class (only in region Unknown, so fresh objects carry a
-synthetic allocation label no region pattern matches).  Stubs never throw at
-run time; the throws clause only widens the analyzed summary.
+synthetic allocation label no region pattern matches).  The words tried are
+the language's first ``STUB_WORD_LIMIT`` in shortlex order up to length
+``STUB_WORD_MAXLEN``, or its shortest word when none is that short.  Stubs
+never throw at run time; the throws clause only widens the analyzed summary.
 """
 
 from __future__ import annotations
@@ -69,7 +71,10 @@ class IntrinsicSpec:
 
     @cached_property
     def _choices(self) -> list[IntrinsicChoice]:
-        words = list(self.emit_nfa.words(STUB_WORD_MAXLEN, STUB_WORD_LIMIT))
+        # parse_config rejects an empty emit language, so a stub always
+        # has a choice
+        words = (list(self.emit_nfa.words(STUB_WORD_MAXLEN, STUB_WORD_LIMIT))
+                 or [self.emit_nfa.shortest_word()])
         out = [IntrinsicChoice(0, w) for w in words]
         if self.result_region == UNKNOWN:
             out += [IntrinsicChoice(1, w) for w in words]

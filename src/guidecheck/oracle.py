@@ -82,6 +82,29 @@ class Nfa(NamedTuple):
             if not layer:
                 return
 
+    def shortest_word(self) -> tuple[str, ...] | None:
+        """The first word ``words`` yields (shortest, then least in alphabet
+        order), or None if none is accepted.  A breadth-first walk that
+        extends only the first word to reach each state set: any later word
+        reaching that set could be replaced by the first in an accepted
+        word, so the walk keeps one word per set and never the exponential
+        layers of ``words``."""
+        seen = {self.initial}
+        layer: list[tuple[tuple[str, ...], frozenset]] = [((), self.initial)]
+        while layer:
+            for w, sset in layer:
+                if sset & self.accepting:
+                    return w
+            nxt = []
+            for w, sset in layer:
+                for a in self.alphabet:
+                    t = self.step(sset, a)
+                    if t and t not in seen:
+                        seen.add(t)
+                        nxt.append((w + (a,), t))
+            layer = nxt
+        return None
+
 
 def _shift(nfa: Nfa, off: int) -> dict:
     return {

@@ -44,8 +44,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .guideline import GuidelineAutomaton
 
-# Hard cap on the realizable profile monoid; the analyses here are meant for
-# small specification automata, and a blow-up almost certainly means a bug.
+# Hard cap on the profiles one monoid interns, ε̂ aside; the analyses here are
+# meant for small specification automata, and a blow-up almost certainly
+# means a bug.  Every profile is interned by ``ProfileMonoid.profile``, so
+# the cap holds for every closure the operators and the search run.
 MONOID_CAP = 20000
 
 Rows = tuple[int, ...]  # one bitmask over the state indices per state
@@ -65,9 +67,10 @@ MIX_BOTTOM = MixAbs(frozenset(), frozenset())
 class ProfileMonoid:
     """The profiles of one automaton, with composition.
 
-    Profiles are interned as the operators compose them.  ``elements``, the
-    closure of the letter profiles under composition (the profiles of all
-    finite words), is computed on first use only.
+    Profiles are interned as the operators compose them, up to
+    ``MONOID_CAP``.  ``elements``, the closure of the letter profiles under
+    composition (the profiles of all finite words), is computed on first
+    use only; the analysis never asks for it.
     """
 
     def __init__(self, g: GuidelineAutomaton):
@@ -106,10 +109,14 @@ class ProfileMonoid:
         }
 
     def profile(self, zero: Rows, one: Rows, empty: bool = False) -> int:
-        """The index of the profile with these rows and tag."""
+        """The index of the profile with these rows and tag; raises
+        ``RuntimeError`` rather than intern more than ``MONOID_CAP`` profiles
+        besides ε̂."""
         key = (zero, one, empty)
         p = self._interned.get(key)
         if p is None:
+            if len(self.zero) > MONOID_CAP:
+                raise RuntimeError("profile monoid exceeded size cap")
             p = self._interned[key] = len(self.zero)
             starts = 0
             for i in self._initial:
@@ -126,20 +133,8 @@ class ProfileMonoid:
 
     @cached_property
     def elements(self) -> frozenset[int]:
-        """The realizable monoid; raises ``RuntimeError`` past ``MONOID_CAP``."""
-        seen: set[int] = set(self.letters.values())
-        frontier = list(seen)
-        while frontier:
-            p = frontier.pop()
-            for lp in self.letters.values():
-                q = self.compose(p, lp)
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-            if len(seen) > MONOID_CAP:
-                raise RuntimeError("profile monoid exceeded size cap")
-        seen.add(self.eps)
-        return frozenset(seen)
+        """The realizable monoid: the closure of the letter profiles, and ε̂."""
+        return self.s_plus(self.letters.values()) | self.fin_eps
 
     # -- monoid structure ---------------------------------------------------
 

@@ -122,11 +122,11 @@ def infer_by_sweeps(
                     active.add(sig)
         active = _expand_active(active, table, prog)
 
-    cap = _sweep_cap(table, meta, domain)
     sweep = 0
     while True:
         sweep += 1
-        if sweep > cap:
+        # the height may grow as sweeps build new elements: read it again
+        if sweep > _sweep_cap(table, meta, domain):
             raise RuntimeError("inference failed to converge within its cap")
         changed = False
         for sig in bodied:

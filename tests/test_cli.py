@@ -17,7 +17,7 @@ import pytest
 import taint_corpus
 from conftest import FIXTURES, fixture, fresh_python_env, read_fixture
 from nfa_reading import NfaReading
-from guidecheck import cli, fjtypes
+from guidecheck import cli, fjtypes, profiles
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
 from guidecheck.fjast import FjError, Program
 from guidecheck.fjparser import parse_program
@@ -749,6 +749,45 @@ def test_main_exit_three_on_deep_program_without_traceback(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("guidecheck: error: internal limit:")
     assert "Traceback" not in done.stderr
+
+
+def test_main_exit_three_past_the_monoid_cap(monkeypatch, capsys):
+    # the run interns ε̂, the three letters and at least one product; the
+    # cap holds wherever profiles are built, not only where the monoid
+    # is closed, which the analysis never does
+    monkeypatch.setattr(profiles, "MONOID_CAP", 3)
+    code = run_main(
+        "--program", fixture("serve.fj"),
+        "--guideline", fixture("serve_liveness.gl"),
+        "--config", fixture("serve.cfg"),
+        "--fuel", "2", "--entry", "Server.serve",
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("guidecheck: error: internal limit: "
+                            "profile monoid exceeded size cap\n")
+
+
+def test_main_scripts_a_stub_whose_words_are_all_long(tmp_path, capsys):
+    # every word of tick is longer than the scripted words go, so the
+    # search takes its shortest one rather than drop the runs calling it
+    (tmp_path / "p.fj").write_text(
+        "class R { R tick() { return null; } }\n"
+        "class M { Object go() { R r = new R(); R x = r.tick(); emit b; "
+        "return null; } }\n", encoding="utf-8")
+    (tmp_path / "s.cfg").write_text("R.tick() -> Null emits a a a a a\n",
+                                    encoding="utf-8")
+    (tmp_path / "g.gl").write_text(
+        "alphabet: a b\nstates: q\ninitial: q\naccepting: q\n"
+        "trans: q a q\n", encoding="utf-8")
+    code = run_main("--program", str(tmp_path / "p.fj"),
+                    "--guideline", str(tmp_path / "g.gl"),
+                    "--config", str(tmp_path / "s.cfg"), "--entry", "M.go")
+    assert code == 1
+    assert ("counterexample: M.go: run emits 'a a a a a b', rejected at "
+            "position 6 (found at fuel 1; no run with less fuel shows a "
+            "violation)") in capsys.readouterr().out
 
 
 def test_main_has_no_mode_option(capsys):

@@ -32,17 +32,22 @@ def test_profile_domain_lattice_basics():
     assert d.fin_eq(d.fin_concat(a, d.alpha_word([])), a)
     assert d.mix_is_bottom(d.mix_bottom())
     assert d.member_fin([], d.alpha_word([]))
-    assert d.fin_height() == len(d.monoid.elements) + 1
+    elements = d.monoid.elements
+    assert d.fin_height() == len(elements) + 1  # exact once closed
 
 
-def test_profile_domain_height_floor_closes_nothing():
+def test_profile_domain_height_counts_the_interned_profiles():
     for name in ("parity.gl", "count_mod3.gl", "serve_liveness.gl"):
         d = ProfileDomain(load_guideline(fixture(name)))
-        floor = d.fin_height_floor()
         # the empty word's profile and one per letter, all distinct here
-        assert floor == len(d.alphabet) + 2
+        assert d.fin_height() == len(d.alphabet) + 2
+        before = d.fin_height()
+        letters = frozenset(d.monoid.letters.values())
+        d.omega(d.star(letters))
+        grown = d.fin_height()
         assert "elements" not in d.monoid.__dict__
-        assert 1 <= floor <= d.fin_height()
+        assert before < grown == len(d.monoid.zero) + 1
+        assert grown <= len(d.monoid.elements) + 1
 
 
 def test_profile_domain_eps_units():
@@ -103,9 +108,6 @@ def test_oracle_domain_language_ops():
 def test_fin_height_known_only_where_finite():
     assert OracleDomain(("a",)).fin_height() is None
     assert ToyDomain().fin_height() == 3
-    # without a cheaper bound, the floor is the height itself
-    assert OracleDomain(("a",)).fin_height_floor() is None
-    assert ToyDomain().fin_height_floor() == 3
 
 
 # --- ToyDomain: exhaustive over the four finite values --------------------------

@@ -247,91 +247,106 @@ class L { Object f() {
 """
 
 
-class _ShortCapDomain(ProfileDomain):
-    """Claims a zero-height lattice, so on a program without fields the cap
-    lets each body be typed once.  The floor must not claim more."""
+class _ReadHeights(ProfileDomain):
+    """The profile domain with the heights inference reads taken from
+    heights in turn, the last one repeated (None: the domain's own), and a
+    count of the reads."""
 
-    def fin_height(self) -> int:
-        return 0
+    def __init__(self, guideline, heights):
+        super().__init__(guideline)
+        self.heights, self.asked = heights, 0
 
-    def fin_height_floor(self) -> int:
-        return 0
+    def fin_height(self):
+        h = self.heights[min(self.asked, len(self.heights) - 1)]
+        self.asked += 1
+        return super().fin_height() if h is None else h
 
 
 def test_infer_raises_when_sweeps_exceed_the_cap():
+    # a zero height lets each body of a program without fields be typed once
     prog = parse_program(GROWING)
-    domain = _ShortCapDomain(parse_guideline(ONE_LETTER_GUIDELINE))
+    domain = _ReadHeights(parse_guideline(ONE_LETTER_GUIDELINE), [0])
     with pytest.raises(RuntimeError, match="converge within its cap"):
         infer(prog, domain)
+    assert domain.asked == 2  # the height was read again before raising
 
 
-class _LowFloorDomain(ProfileDomain):
-    """The profile domain with a floor of zero, below its true height: on a
-    program without fields the floor cap lets each body be typed once, and
-    the next typing asks for the exact height."""
-
-    def fin_height_floor(self) -> int:
-        return 0
-
-
-def test_infer_reaches_the_exact_cap_past_the_floor_cap():
+def test_infer_reads_the_height_again_past_the_cap():
     prog = parse_program(GROWING)
     # a guideline of its own: the monoid it shares with the domain is fresh
-    domain = _LowFloorDomain(parse_guideline(ONE_LETTER_GUIDELINE))
+    domain = _ReadHeights(parse_guideline(ONE_LETTER_GUIDELINE), [0, None])
     table = infer(prog, domain)
-    assert "elements" in domain.monoid.__dict__  # the exact height was read
+    assert domain.asked == 2
     fresh = ProfileDomain(parse_guideline(ONE_LETTER_GUIDELINE))
     assert decode_mtable(domain.monoid, table.mtable) == decode_mtable(
         fresh.monoid, infer(prog, fresh).mtable)
 
 
-def test_infer_hits_the_monoid_cap_past_the_floor_cap(monkeypatch):
+def test_infer_hits_the_monoid_cap_where_profiles_are_built(monkeypatch):
+    # ε̂ and the letter fit under the cap; f's effect a a is one too many
     monkeypatch.setattr(profiles, "MONOID_CAP", 1)
     prog = parse_program(GROWING)
-    domain = _LowFloorDomain(parse_guideline(ONE_LETTER_GUIDELINE))
+    domain = ProfileDomain(parse_guideline(ONE_LETTER_GUIDELINE))
     with pytest.raises(RuntimeError, match="profile monoid exceeded size cap"):
         infer(prog, domain)
+    assert "elements" not in domain.monoid.__dict__
 
 
-class _Heights:
-    """A domain as the typing cap sees it: two heights, and a count of the
-    times the exact one was asked for."""
+def _typings_of(monkeypatch):
+    """Count the typings infer performs from here on."""
+    typed = []
+    real = inference._type_group
 
-    def __init__(self, floor, height):
-        self.floor, self.height, self.asked = floor, height, 0
+    def counted(*args):
+        typed.append(1)
+        return real(*args)
 
-    def fin_height_floor(self):
-        return self.floor
-
-    def fin_height(self):
-        self.asked += 1
-        return self.height
+    monkeypatch.setattr(inference, "_type_group", counted)
+    return typed
 
 
-@pytest.mark.parametrize("floor, height", [(0, 0), (0, 2), (1, 3), (3, 3)])
-def test_typing_cap_raises_exactly_past_the_exact_cap(floor, height):
-    prog, meta, table, _ = setup("""
-class Box { Object v;
-    Object get() { Object x = this.v; return x; }
-    Object put(Object y) { Object z = this.v = y; return z; }
-}
-""")
-    bodies = 3
-    regions, mrows, frows = len(meta.regions), len(table.mtable), len(table.ftable)
+@pytest.mark.parametrize("first_short, second_short, raises, asked", [
+    (0, 0, False, 1), (0, 1, False, 1), (1, 0, False, 2), (1, 1, True, 2),
+    ("all", 0, False, 2), ("all", 1, True, 3),
+])
+def test_typing_cap_raises_exactly_past_the_reread_cap(
+        monkeypatch, first_short, second_short, raises, asked):
+    """With the cap equal to the height, infer reads the height again each
+    time the count of typings passes the cap, and raises exactly when the
+    typings GROWING needs pass the height read then.  Heights are given as
+    typings short of what GROWING needs ("all": a height of zero)."""
+    prog = parse_program(GROWING)
+    typed = _typings_of(monkeypatch)
+    infer(prog, ProfileDomain(parse_guideline(ONE_LETTER_GUIDELINE)))
+    needed = len(typed)
+    assert needed > 1  # f is re-typed as its own row grows
+    monkeypatch.setattr(inference, "_typing_cap",
+                        lambda table, meta, bodies, height: height)
+    first = 0 if first_short == "all" else needed - first_short
+    domain = _ReadHeights(parse_guideline(ONE_LETTER_GUIDELINE),
+                          [first, needed - second_short])
+    if raises:
+        with pytest.raises(RuntimeError, match="converge within its cap"):
+            infer(prog, domain)
+    else:
+        infer(prog, domain)
+    assert domain.asked == asked
 
-    def cap_at(h):
-        # the cap sized up front at the exact height, as it always was
-        return bodies * (1 + mrows * (2 * regions + mrows) * h + frows * regions)
 
-    domain = _Heights(floor, height)
-    cap = inference._TypingCap(table, meta, domain, bodies)
-    for count in range(1, cap_at(height) + 2):
-        if count > cap_at(height):
-            with pytest.raises(RuntimeError, match="converge within its cap"):
-                cap.spend()
-        else:
-            cap.spend()
-        assert domain.asked == (1 if count > cap_at(floor) else 0), count
+def test_typings_stay_within_the_cap_at_the_final_height(monkeypatch):
+    """The count infer makes is within ``_typing_cap`` at the height its
+    domain reaches by the end: the bound the re-read cap relies on."""
+    cases = 0
+    for name, prog, d, specs in _reference_cases():
+        typed = _typings_of(monkeypatch)
+        table = infer(prog, d, intrinsics=specs)
+        meta = region_meta(prog)
+        groups = inference._typing_groups(
+            bodied_sigs(table, prog, meta, specs), prog)
+        assert len(typed) <= inference._typing_cap(
+            table, meta, len(groups), d.fin_height()), name
+        cases += 1
+    assert cases >= 30
 
 
 def test_intrinsics_seed_and_pin():

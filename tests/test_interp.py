@@ -352,9 +352,10 @@ def _enumeration_cases():
     prog = parse_program(STUCK_BETWEEN_BRANCHES)
     specs = parse_config("R.tick() -> Unknown emits a | b\n", ("a", "b"))
     yield "stuck", prog, "M.go", 2, specs
-    # every word of this stub is longer than the scripted words go: no run
+    # every word of this stub is longer than the scripted words go: its
+    # one choice is its shortest word
     specs = parse_config("R.tick() -> Null emits a a a a a\n", ("a", "b"))
-    yield "no-choice", parse_program(STUB_PROG), "M.go", 2, specs
+    yield "long-words", parse_program(STUB_PROG), "M.go", 2, specs
     serve_cfg = read_fixture("serve.cfg")
     for path in sorted(FIXTURES.glob("*.fj")):
         prog = parse_program(path.read_text(encoding="utf-8"), path.name)

@@ -102,6 +102,12 @@ def test_choices_cap_infinite_languages():
     assert [c.word for c in s.choices()] == [(), ("a",), ("a", "a")]
 
 
+def test_choices_fall_back_to_the_shortest_word():
+    s = one("A.m() -> Unknown emits a a a a a | b b b b b b\n")
+    assert s.choices() == [IntrinsicChoice(0, ("a",) * 5),
+                           IntrinsicChoice(1, ("a",) * 5)]
+
+
 def test_stub_words_are_listed_once_per_spec(monkeypatch):
     calls = []
     words = Nfa.words

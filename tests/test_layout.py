@@ -46,6 +46,10 @@ NFA_ONLY = ("none", "word", "of_words", "full", "accepts")
 # Names nothing reads; the tests index table.mtable directly.
 CLASSTABLE_ONLY = ("tdict", "sdict")
 INFERENCE_ONLY = ("EMPTY",)
+# The typing cap's two tiers, a cheap floor height and the exact height past
+# it: one height, the count of interned profiles read again past the cap,
+# replaced them.
+TWO_TIER_CAP = ("_TypingCap", "fin_height_floor")
 # A profile is an index into its monoid; no class holds its rows.
 PROFILES_ONLY = ("Profile",)
 REGION_META_ONLY = ("prog",)
@@ -81,7 +85,9 @@ def test_test_only_functions_stay_out_of_the_package():
               ("GuidelineAutomaton", g, AUTOMATON_ONLY),
               ("Nfa", Nfa, NFA_ONLY),
               ("ClassTable", ClassTable, CLASSTABLE_ONLY),
-              ("inference", inference, INFERENCE_ONLY),
+              ("inference", inference, INFERENCE_ONLY + TWO_TIER_CAP),
+              ("EffectDomain", EffectDomain, TWO_TIER_CAP),
+              ("ProfileDomain", ProfileDomain(g), TWO_TIER_CAP),
               ("profiles", profiles, PROFILES_ONLY),
               ("RegionMeta", region_meta(fjparser.parse_program("")),
                REGION_META_ONLY)]
@@ -181,3 +187,27 @@ def test_only_the_class_table_writes_table_rows():
     # the guard sees the writes the class table itself makes
     own = (PACKAGE_DIR / "classtable.py").read_text(encoding="utf-8")
     assert len(list(_table_writes(ast.parse(own)))) >= 4
+
+
+def _attribute_reads(tree: ast.Module, name: str):
+    """The lines that read the attribute name of any object."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                and not isinstance(node.ctx, ast.Store)):
+            yield node.lineno
+
+
+def test_only_the_monoid_reads_its_closure():
+    """The analysis never closes the profile monoid: no package module but
+    profiles.py reads ``elements``, and the height that caps inference
+    counts the profiles interned so far instead."""
+    readers = sorted(
+        f"{path.name}:{line}"
+        for path in PACKAGE_DIR.glob("*.py") if path.name != "profiles.py"
+        for line in _attribute_reads(
+            ast.parse(path.read_text(encoding="utf-8")), "elements")
+    )
+    assert readers == []
+    # the guard sees such a read
+    probe = ast.parse("height = len(domain.monoid.elements) + 1")
+    assert list(_attribute_reads(probe, "elements")) == [1]

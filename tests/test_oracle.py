@@ -73,6 +73,19 @@ def test_words_enumeration_is_shortlex():
     assert list(nfa.words(4, limit=3)) == [(), ("a",), ("b",)]
 
 
+def test_shortest_word_is_the_first_word():
+    rng = random.Random(11)
+    for _ in range(200):
+        nfa = rand_nfa(rng, max_states=6)
+        first = next(iter(nfa.words(nfa.nstates, 1)), None)
+        assert nfa.shortest_word() == first
+        assert (first is None) == nfa.is_empty()
+    # every prefix of (a|b)* stays live, so the layers of words() double
+    # with each letter; the walk over state sets does not
+    nfa = regex_to_nfa("(a | b)* " + "c " * 40, ("a", "b", "c"))
+    assert nfa.shortest_word() == ("c",) * 40
+
+
 def test_is_empty_and_has_eps():
     assert nfa_none(AB).is_empty()
     assert not Nfa.epsilon(AB).is_empty()

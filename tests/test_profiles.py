@@ -124,13 +124,28 @@ def test_elements_close_on_first_use_only():
     assert "elements" in m.__dict__
 
 
-def test_elements_raise_past_the_monoid_cap(monkeypatch):
+@pytest.mark.parametrize("close", [
+    lambda m: m.elements,
+    lambda m: m.star(frozenset(m.letters.values())),
+    lambda m: m.profile_of_word(["a"] * 3),
+], ids=["elements", "star", "word"])
+def test_every_closure_raises_past_the_monoid_cap(monkeypatch, close):
     g = load_guideline(fixture("count_mod3.gl"))
-    assert len(ProfileMonoid(g).elements) > 1
-    monkeypatch.setattr(profiles, "MONOID_CAP", 1)
-    m = ProfileMonoid(g)  # constructing it closes nothing
+    full = len(ProfileMonoid(g).elements)
+    letters = len(g.alphabet)
+    assert full > letters + 1
+    # ε̂ and the letters fit under the cap, so construction succeeds
+    monkeypatch.setattr(profiles, "MONOID_CAP", letters)
+    m = ProfileMonoid(g)
     with pytest.raises(RuntimeError, match="profile monoid exceeded size cap"):
-        m.elements
+        close(m)
+    assert len(m.zero) == letters + 1  # nothing interned past the cap
+    # at the monoid's own size less ε̂, the closure fits exactly
+    monkeypatch.setattr(profiles, "MONOID_CAP", full - 1)
+    assert len(ProfileMonoid(g).elements) == full
+    monkeypatch.setattr(profiles, "MONOID_CAP", full - 2)
+    with pytest.raises(RuntimeError, match="profile monoid exceeded size cap"):
+        ProfileMonoid(g).elements
 
 
 def test_alpha_nfa_agrees_with_word_sweep():
