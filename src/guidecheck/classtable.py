@@ -48,6 +48,7 @@ class ClassTable:
     supers: dict  # cls -> its declared proper superclasses, nearest first
     pinned: set = field(default_factory=set)
     analyzed: set | None = None  # demand-driven: the sigs activated
+    reads: dict | None = None  # the read sets infer typed with (reads_of)
 
     def field_row(self, cls: str, region: Region, fname: str) -> tuple:
         """The key of the row that class cls reads for field fname."""

@@ -16,8 +16,9 @@ were unusable (an input file that cannot be read or is not UTF-8, parse,
 type, guideline, config or entry errors, a call to a stub that none of its
 argument patterns matches, or a report file that cannot be written), 3 an
 internal limit was hit (recursion depth, the run or inference re-typing
-caps, or the profile monoid's size cap, which holds wherever profiles are
-built: in inference, the divergence solve and the counterexample search).
+caps, the cap on the work of typing one method body, or the profile
+monoid's size cap, which holds wherever profiles are built: in inference,
+the divergence solve and the counterexample search).
 """
 
 from __future__ import annotations

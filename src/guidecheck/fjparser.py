@@ -321,36 +321,45 @@ def _desugar(stmts: list[tuple]) -> Expr:
         return f"$t{counter[0] - 1}"
 
     def go(items: list[tuple]) -> Expr:
-        if not items:
-            return Null()
-        head, rest = items[0], items[1:]
-        tag = head[0]
-        if tag == "local":
-            _, cls, var, e, pos = head
-            return Let(var, cls, e, go(rest), pos=pos)
-        if tag == "return":
-            _, e, pos = head
-            if rest:
-                raise FjError("unreachable statements after return", rest[0][-1])
-            return e
-        if tag == "emit":
-            _, ev, pos = head
-            node: Expr = Emit(ev, pos=pos)
-        elif tag == "if":
-            _, left, right, then, els, pos = head
-            node = If(left, right, go(then), go(els), pos=pos)
-        elif tag == "throw":
-            _, e, pos = head
-            node = Throw(e, pos=pos)
-        elif tag == "try":
-            _, body, ec, ev, handler, pos = head
-            node = TryCatch(go(body), ec, ev, go(handler), pos=pos)
-        else:
-            assert tag == "expr"
-            _, node, pos = head
-        if not rest:
-            return node
-        return Let(fresh(), None, node, go(rest), pos=pos)
+        """The chain of items, built in a loop: a block of any length costs
+        no stack, only a nested block does."""
+        spine = []  # (var, decl, init, pos) of each Let, outermost first
+        tail: Expr = Null()
+        for i, head in enumerate(items):
+            last = i + 1 == len(items)
+            tag = head[0]
+            if tag == "local":
+                _, cls, var, e, pos = head
+                spine.append((var, cls, e, pos))
+                continue
+            if tag == "return":
+                _, tail, pos = head
+                if not last:
+                    raise FjError("unreachable statements after return",
+                                  items[i + 1][-1])
+                break
+            if tag == "emit":
+                _, ev, pos = head
+                node: Expr = Emit(ev, pos=pos)
+            elif tag == "if":
+                _, left, right, then, els, pos = head
+                node = If(left, right, go(then), go(els), pos=pos)
+            elif tag == "throw":
+                _, e, pos = head
+                node = Throw(e, pos=pos)
+            elif tag == "try":
+                _, body, ec, ev, handler, pos = head
+                node = TryCatch(go(body), ec, ev, go(handler), pos=pos)
+            else:
+                assert tag == "expr"
+                _, node, pos = head
+            if last:
+                tail = node
+            else:
+                spine.append((fresh(), None, node, pos))
+        for var, decl, init, pos in reversed(spine):
+            tail = Let(var, decl, init, tail, pos=pos)
+        return tail
 
     return go(stmts)
 

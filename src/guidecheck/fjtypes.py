@@ -229,21 +229,7 @@ def _type_expr(
         inner, _ = _type_expr(prog, env, e.expr, errors, alphabet)
         return (e if inner is e.expr else dataclasses.replace(e, expr=inner)), e.cls
     if isinstance(e, Let):
-        init, t1 = _type_expr(prog, env, e.init, errors, alphabet)
-        if e.decl is not None and e.decl != OBJECT and e.decl not in prog.by_name:
-            raise FjError(f"unknown class {e.decl}", e.pos)
-        if e.var in env:
-            errors.append(FjError(f"variable {e.var} already declared", e.pos))
-        if e.decl is not None and not preceq(prog, t1, e.decl):
-            errors.append(
-                FjError(f"initializer of {e.var} has type {t1}, expected {e.decl}", e.pos)
-            )
-        env2 = dict(env)
-        env2[e.var] = e.decl if e.decl is not None else t1
-        body, t2 = _type_expr(prog, env2, e.body, errors, alphabet)
-        if init is not e.init or body is not e.body:
-            e = dataclasses.replace(e, init=init, body=body)
-        return e, t2
+        return _type_spine(prog, env, e, errors, alphabet)
     if isinstance(e, If):
         _lookup(env, e.left, e.pos)
         _lookup(env, e.right, e.pos)
@@ -295,6 +281,35 @@ def _type_expr(
             e = dataclasses.replace(e, body=body, handler=handler)
         return e, lub(prog, t1, t2)
     raise AssertionError(f"unhandled expression {e!r}")
+
+
+def _type_spine(
+    prog: Program, env: dict[str, str], e: Let, errors: list[FjError], alphabet
+) -> tuple[Expr, str]:
+    """``_type_expr`` of a let spine, followed in a loop: each init, then
+    each binding's checks, in order, and the tail; the spine is rebuilt
+    from the tail up where a node below it changed."""
+    spine = []  # (Let, its typed init), outermost first
+    env = dict(env)
+    while isinstance(e, Let):
+        init, t1 = _type_expr(prog, env, e.init, errors, alphabet)
+        if e.decl is not None and e.decl != OBJECT and e.decl not in prog.by_name:
+            raise FjError(f"unknown class {e.decl}", e.pos)
+        if e.var in env:
+            errors.append(FjError(f"variable {e.var} already declared", e.pos))
+        if e.decl is not None and not preceq(prog, t1, e.decl):
+            errors.append(
+                FjError(f"initializer of {e.var} has type {t1}, expected {e.decl}", e.pos)
+            )
+        env[e.var] = e.decl if e.decl is not None else t1
+        spine.append((e, init))
+        e = e.body
+    body, t = _type_expr(prog, env, e, errors, alphabet)
+    for let, init in reversed(spine):
+        if init is not let.init or body is not let.body:
+            let = dataclasses.replace(let, init=init, body=body)
+        body = let
+    return body, t
 
 
 def _lookup(env: dict[str, str], name: str, pos) -> str:

@@ -7,24 +7,22 @@ bodies callees first from a worklist, writes the results through the
 table's own mutators, which keep it closed under the hierarchy, and
 re-types only the bodies that read a row that grew, until nothing grows.
 ``check_well_typed`` re-types every body against a frozen table and reports
-any entry the table fails to cover — the shape of claim a soundness
-argument needs, and a useful internal sanity check.
+any entry the table fails to cover.
 
-Environments map variable names (including ``this``) to regions.  A
-signature's environment takes the receiver region from the signature and
-the parameter regions from its argument tuple.  ``typeff`` never reads the
-signature's class and looks the environment up only at the variables the
-body reads, so a body is typed once per group of signatures that resolve to
-the same declared method and agree on the regions of those variables
-(``_typing_groups``), and that one typing stands for every member: the
-summary-sharing of Sharir and Pnueli (1981), keyed by what the procedure
-can observe of its input.
+Environments map variable names (including ``this``) to regions.  A typing
+of a node looks its environment up only at the variables the node reads
+(``reads_of``), so one key, the node and its reading (``_key``), shares
+typings: of a body among the signatures that resolve to it (Sharir and
+Pnueli's summaries, 1981), of a ``Let`` body or handler among the value
+regions it binds (Might and Shivers' abstract garbage collection, 2006),
+and of both across the whole re-check.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 from .classtable import ClassTable, init_table
 from .effexpr import dict_join, dict_scale
@@ -36,7 +34,6 @@ from .fjast import (
     GetField,
     If,
     Let,
-    MethodDecl,
     New,
     Null,
     Program,
@@ -48,7 +45,7 @@ from .fjast import (
 )
 from .fjtypes import method_lookup, methods_of, preceq
 from .intrinsics import stub_lookup
-from .regions import NULL_REGION, Region, RegionMeta, Sig, created_at, region_meta
+from .regions import NULL_REGION, RegionMeta, Sig, created_at, region_meta
 from .solver import components
 
 
@@ -63,119 +60,208 @@ class Effects:
         return (self.t, self.h, self.s)
 
 
-def _eps(domain):
-    return domain.alpha_word(())
+TYPING_WORK_CAP = 1 << 18  # the most steps (_rule) of one body's typing
 
 
-def typeff(
-    prog: Program,
-    meta: RegionMeta,
-    table: ClassTable,
-    domain,
-    gamma: dict,
-    e: Expr,
-) -> Effects:
+@dataclass
+class _Typing:
+    """What a typing reads besides its environment: the program, its
+    regions, a table, the domain and the read sets (``reads_of``), with the
+    memo of typings by (node, reading), the steps taken so far and the
+    field rows read; the method rows read are the keys of the typing's S."""
+    prog: Program
+    meta: RegionMeta
+    table: ClassTable
+    domain: object
+    reads: dict
+    memo: dict = field(default_factory=dict)
+    work: int = 0
+    field_rows: set = field(default_factory=set)
+
+
+def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
+    """e's effects under gamma.  A let spine is followed in a loop: a value
+    of one region is bound directly; values in several regions are joined
+    when the rest of the spine does not read the variable, so cannot tell
+    them apart, and otherwise the rest is typed per reading (``_then``).
+    The effects are folded back from the spine's tail."""
+    domain = ty.domain
+    frames = []  # (u, h, s) per binding: the effect of reaching its body
+    ups: list = []
+    while isinstance(e, Let):
+        if not frames:
+            gamma = dict(gamma)  # the spine's bindings extend a copy
+        first = _rule(ty, gamma, e.init)
+        ups += first.fupdates
+        if len(first.t) == 1:
+            ((r, u),) = first.t.items()
+            gamma[e.var] = r
+        elif first.t and e.var not in ty.reads[id(e.body)]:
+            u = reduce(domain.fin_join, first.t.values())
+        else:
+            # the init's returning values go on to the body; its throws stay
+            tail = _then(ty, gamma, e.var, e.body, first.t, {}, first.h,
+                         first.s, [])
+            break
+        frames.append((u, first.h, first.s))
+        e = e.body
+    else:
+        tail = _rule(ty, gamma, e)
+    t, h, s = tail.t, tail.h, tail.s
+    concat, join = domain.fin_concat, domain.fin_join
+    for u, h0, s0 in reversed(frames):
+        t = dict_scale(u, t, concat)
+        h = dict_join(h0, dict_scale(u, h, concat), join)
+        s = dict_join(s0, dict_scale(u, s, concat), join)
+    return Effects(t, h, s, ups + tail.fupdates)
+
+
+def _rule(ty: _Typing, gamma: dict, e: Expr) -> Effects:
+    """One step: the typing rule of e; a ``Let`` spine is ``typeff``'s."""
+    ty.work += 1
+    domain = ty.domain
     if isinstance(e, Var):
-        return Effects({gamma[e.name]: _eps(domain)}, {}, {}, [])
+        return Effects({gamma[e.name]: domain.alpha_word(())}, {}, {}, [])
     if isinstance(e, Null):
-        return Effects({NULL_REGION: _eps(domain)}, {}, {}, [])
+        return Effects({NULL_REGION: domain.alpha_word(())}, {}, {}, [])
     if isinstance(e, New):
-        return Effects({created_at(e.label): _eps(domain)}, {}, {}, [])
+        return Effects({created_at(e.label): domain.alpha_word(())}, {}, {}, [])
     if isinstance(e, Emit):
         return Effects({NULL_REGION: domain.alpha_word((e.event,))}, {}, {}, [])
     if isinstance(e, Cast):
         # the value is unchanged; a failing cast has no outcome to cover
-        return typeff(prog, meta, table, domain, gamma, e.expr)
+        return typeff(ty, gamma, e.expr)
     if isinstance(e, GetField):
+        row = ty.table.field_row(e.recv_cls, gamma[e.recv], e.fname)
+        ty.field_rows.add(row)
         t: dict = {}
-        for r in sorted(table.fields_at(e.recv_cls, gamma[e.recv], e.fname)):
-            t = dict_join(t, {r: _eps(domain)}, domain.fin_join)
+        for r in sorted(ty.table.ftable.get(row, ())):
+            t = dict_join(t, {r: domain.alpha_word(())}, domain.fin_join)
         return Effects(t, {}, {}, [])
     if isinstance(e, SetField):
         src = gamma[e.value]
         update = ((e.recv_cls, gamma[e.recv], e.fname), src)
-        return Effects({src: _eps(domain)}, {}, {}, [update])
+        return Effects({src: domain.alpha_word(())}, {}, {}, [update])
     if isinstance(e, Call):
         sig = Sig(e.recv_cls, gamma[e.recv], e.method,
                   tuple(gamma[a] for a in e.args))
-        t, h, _ = table.mtable[sig]
-        return Effects(dict(t), dict(h), {sig: _eps(domain)}, [])
-    if isinstance(e, Let):
-        first = typeff(prog, meta, table, domain, gamma, e.init)
-        # the init's returning values go on to the body; its throws stay
-        return _sequence(prog, meta, table, domain, gamma, e.var, e.body,
-                         first.t, {}, first.h, first.s, first.fupdates)
+        t, h, _ = ty.table.mtable[sig]
+        return Effects(dict(t), dict(h), {sig: domain.alpha_word(())}, [])
     if isinstance(e, If):
         rl, rr = gamma[e.left], gamma[e.right]
-        els = typeff(prog, meta, table, domain, gamma, e.els)
-        if meta.disjoint(rl, rr):
+        els = typeff(ty, gamma, e.els)
+        if ty.meta.disjoint(rl, rr):
             return els
-        then = typeff(prog, meta, table, domain, gamma, e.then)
-        return Effects(
-            dict_join(then.t, els.t, domain.fin_join),
-            dict_join(then.h, els.h, domain.fin_join),
-            dict_join(then.s, els.s, domain.fin_join),
-            then.fupdates + els.fupdates,
-        )
+        then = typeff(ty, gamma, e.then)
+        join = domain.fin_join
+        return Effects(dict_join(then.t, els.t, join), dict_join(then.h, els.h, join),
+                       dict_join(then.s, els.s, join), then.fupdates + els.fupdates)
     if isinstance(e, Throw):
-        inner = typeff(prog, meta, table, domain, gamma, e.expr)
-        return Effects(
-            {},
-            dict_join(inner.t, inner.h, domain.fin_join),
-            inner.s,
-            inner.fupdates,
-        )
+        inner = typeff(ty, gamma, e.expr)
+        h = dict_join(inner.t, inner.h, domain.fin_join)
+        return Effects({}, h, inner.s, inner.fupdates)
     if isinstance(e, TryCatch):
-        body = typeff(prog, meta, table, domain, gamma, e.body)
-        caught = {r: u for r, u in body.h.items()
-                  if _catchable(r, e.exc_cls, prog, meta)}
-        escaped = except_filter(body.h, e.exc_cls, prog, meta)
-        return _sequence(prog, meta, table, domain, gamma, e.var, e.handler,
-                         caught, body.t, escaped, body.s, body.fupdates)
+        body = typeff(ty, gamma, e.body)
+        caught, escaped = catch_split(body.h, e.exc_cls, ty.prog, ty.meta)
+        return _then(ty, gamma, e.var, e.handler, caught, body.t, escaped,
+                     body.s, body.fupdates)
+    if isinstance(e, Let):
+        return typeff(ty, gamma, e)
     raise AssertionError(f"unhandled expression {e!r}")
 
 
-def _sequence(prog: Program, meta: RegionMeta, table, domain, gamma: dict,
-              var: str, cont: Expr, values: dict, t: dict, h: dict, s: dict,
-              ups: list) -> Effects:
-    """The effects t, h, s and field updates ups joined with those of the
-    continuation cont run after each value region r of values, with var
-    bound to r, its T, H and S each prefixed by the effect values[r] of
-    reaching it.  The maps and the list are not modified."""
-    for r in sorted(values):
-        u = values[r]
-        g2 = dict(gamma)
-        g2[var] = r
-        rest = typeff(prog, meta, table, domain, g2, cont)
-        t = dict_join(t, dict_scale(u, rest.t, domain.fin_concat),
-                      domain.fin_join)
-        h = dict_join(h, dict_scale(u, rest.h, domain.fin_concat),
-                      domain.fin_join)
-        s = dict_join(s, dict_scale(u, rest.s, domain.fin_concat),
-                      domain.fin_join)
+def _then(ty: _Typing, gamma: dict, var: str, cont: Expr, values: dict,
+          t: dict, h: dict, s: dict, ups: list) -> Effects:
+    """t, h, s and ups joined with the effects of cont run after each value
+    region r of values with var bound to r, each prefixed by values[r].
+    Regions that cont cannot tell apart, not reading var, share a typing."""
+    concat, join = ty.domain.fin_concat, ty.domain.fin_join
+    for r, u in sorted(values.items()):
+        rest = _typed(ty, {**gamma, var: r}, cont)
+        t = dict_join(t, dict_scale(u, rest.t, concat), join)
+        h = dict_join(h, dict_scale(u, rest.h, concat), join)
+        s = dict_join(s, dict_scale(u, rest.s, concat), join)
         ups = ups + rest.fupdates
     return Effects(t, h, s, ups)
 
 
-def _catchable(r: Region, exc_cls: str, prog: Program, meta: RegionMeta) -> bool:
-    """Could a value in r be caught by a handler for exc_cls?  Null regions
-    vacuously qualify (nothing in them is ever thrown)."""
-    if r == NULL_REGION:
-        return True
-    return any(preceq(prog, c, exc_cls) for c in meta.cls_of(r))
+def _key(reads: dict, gamma: dict, e: Expr) -> tuple:
+    """The one key of every shared typing: node e and its reading, the
+    regions gamma gives the variables e reads, in name order."""
+    return (id(e), tuple([gamma[v] for v in sorted(reads[id(e)])]))
 
 
-def except_filter(h: dict, exc_cls: str, prog: Program, meta: RegionMeta) -> dict:
-    """Drop throw entries certainly caught by a handler for exc_cls: those
-    whose region holds only subclasses of it."""
-    out = {}
+def _typed(ty: _Typing, gamma: dict, e: Expr) -> Effects:
+    """typeff of e, made once per reading.  Only a typing made here repeats
+    steps, and only the multi-region variables live at once multiply them,
+    as they multiply the per-region rule's typings; so here the steps are
+    checked against ``TYPING_WORK_CAP``."""
+    key = _key(ty.reads, gamma, e)
+    eff = ty.memo.get(key)
+    if eff is None:
+        if ty.work > TYPING_WORK_CAP:
+            raise RuntimeError(f"typing a method body took more than "
+                               f"{TYPING_WORK_CAP} steps")
+        eff = ty.memo[key] = typeff(ty, gamma, e)
+    return eff
+
+
+def catch_split(h: dict, exc_cls: str, prog: Program,
+                meta: RegionMeta) -> tuple:
+    """Split throw entries h at a handler for exc_cls into those it may
+    catch and those that may escape it, holding some class that is no
+    subclass of exc_cls.  Null holds only NullType, below every class, so
+    it is caught, vacuously: nothing in it is ever thrown."""
+    caught, escaped = {}, {}
     for r, u in h.items():
-        if r == NULL_REGION:
-            continue
-        if all(preceq(prog, c, exc_cls) for c in meta.cls_of(r)):
-            continue
-        out[r] = u
+        subclass = [preceq(prog, c, exc_cls) for c in meta.cls_of(r)]
+        if any(subclass):
+            caught[r] = u
+        if not all(subclass):
+            escaped[r] = u
+    return caught, escaped
+
+
+def reads_of(prog: Program) -> dict:
+    """The variables each method body, ``Let`` body and handler of prog
+    reads before binding them, keyed by the node's id: what a typing of the
+    node can observe of its environment.  One post-order pass."""
+    out: dict = {}
+    for c in prog.classes:
+        for md in c.methods:
+            out[id(md.body)] = _reads(md.body, out)
     return out
+
+
+def _reads(e: Expr, out: dict) -> frozenset:
+    """The variables e reads before binding them.  Stores those of each
+    ``Let`` body and handler below e in out, one set shared along a spine
+    until a binding changes it."""
+    spine = []
+    while isinstance(e, Let):
+        spine.append(e)
+        e = e.body
+    if isinstance(e, (Cast, Throw)):
+        names = _reads(e.expr, out)
+    elif isinstance(e, If):
+        names = _reads(e.then, out) | _reads(e.els, out) | {e.left, e.right}
+    elif isinstance(e, TryCatch):
+        out[id(e.handler)] = handler = _reads(e.handler, out)
+        names = _reads(e.body, out) | (handler - {e.var})
+    elif isinstance(e, Var):
+        names = frozenset((e.name,))
+    elif isinstance(e, Call):
+        names = frozenset((e.recv, *e.args))
+    elif isinstance(e, (GetField, SetField)):
+        names = frozenset((e.recv, e.value) if isinstance(e, SetField) else (e.recv,))
+    else:
+        names = frozenset()
+    for let in reversed(spine):
+        out[id(let.body)] = names
+        init = _reads(let.init, out)
+        if let.var in names or not init <= names:
+            names = (names - {let.var}) | init
+    return names
 
 
 # -- the fixpoint --------------------------------------------------------------
@@ -216,70 +302,22 @@ def bodied_sigs(table: ClassTable, prog: Program, meta: RegionMeta,
     return out
 
 
-def _gamma_of(sig: Sig, prog: Program) -> dict:
+def _body_env(sig: Sig, prog: Program) -> tuple:
+    """The body sig resolves to, and the environment it is typed in."""
     md, _ = method_lookup(prog, sig.cls, sig.method)
-    gamma = {"this": sig.recv}
-    for p, r in zip(md.params, sig.args):
-        gamma[p.name] = r
-    return gamma
+    return md.body, {"this": sig.recv,
+                     **{p.name: r for p, r in zip(md.params, sig.args)}}
 
 
-def _env_reads(md: MethodDecl) -> tuple:
-    """The variables of the environment (``this`` and the parameters) that
-    md's body reads, in name order.  Besides ``Var`` nodes, the let-normal
-    operands that are plain names count: comparison operands, call
-    receivers and arguments, field receivers and stored values.  A local
-    that shadows one of them counts as a read, which only splits groups."""
-    env = {"this", *(p.name for p in md.params)}
-    read: set = set()
-    for e in subexprs(md.body):
-        if isinstance(e, Var):
-            read.add(e.name)
-        elif isinstance(e, If):
-            read.update((e.left, e.right))
-        elif isinstance(e, Call):
-            read.add(e.recv)
-            read.update(e.args)
-        elif isinstance(e, GetField):
-            read.add(e.recv)
-        elif isinstance(e, SetField):
-            read.update((e.recv, e.value))
-        else:
-            continue
-        if env <= read:
-            break  # every variable is read; the rest of the body can't add one
-    return tuple(sorted(env & read))
-
-
-def _typing_groups(sigs: list, prog: Program) -> list:
-    """Split sigs into groups whose bodies type alike: the key is the
-    declaring class and the method (so inherited bodies are shared) and the
-    regions of the variables the body reads (``_env_reads``), in name
-    order.  Groups come in the order of their first member in sigs, and
-    members keep that order."""
-    # (declaring class, method) -> where in (receiver, *arguments) a
-    # signature holds the regions of the variables read, in name order
-    reads: dict = {}
+def _typing_groups(sigs: list, prog: Program, reads: dict) -> list:
+    """Split sigs into groups whose bodies type alike, by ``_key``: so
+    inherited bodies are shared.  Groups come in the order of their first
+    member in sigs, and members keep that order."""
     groups: dict = {}
     for sig in sigs:
-        md, decl = method_lookup(prog, sig.cls, sig.method)
-        at = reads.get((decl, sig.method))
-        if at is None:
-            env = ("this", *(p.name for p in md.params))
-            at = tuple(env.index(v) for v in _env_reads(md))
-            reads[(decl, sig.method)] = at
-        regions = (sig.recv, *sig.args)
-        key = (decl, sig.method, tuple(regions[i] for i in at))
-        groups.setdefault(key, []).append(sig)
+        body, gamma = _body_env(sig, prog)
+        groups.setdefault(_key(reads, gamma, body), []).append(sig)
     return list(groups.values())
-
-
-def _type_group(prog: Program, meta: RegionMeta, table, domain,
-                members: list) -> Effects:
-    """Type the body shared by a group, in its first member's environment."""
-    sig = members[0]
-    md, _ = method_lookup(prog, sig.cls, sig.method)
-    return typeff(prog, meta, table, domain, _gamma_of(sig, prog), md.body)
 
 
 def _callee_first(sigs: list, prog: Program) -> list:
@@ -303,21 +341,6 @@ def _callee_first(sigs: list, prog: Program) -> list:
                for node in comp}
     return sorted(sigs, key=lambda s: (comp_of[(s.cls, s.method)],
                                        s.sort_key()))
-
-
-class _ReadLog:
-    """The table as one typing sees it, noting the field rows it reads.
-    The method rows it reads are the keys of the typing's S."""
-
-    def __init__(self, table: ClassTable):
-        self._table = table
-        self.mtable = table.mtable
-        self.field_rows: set = set()
-
-    def fields_at(self, cls: str, region: Region, fname: str) -> frozenset:
-        row = self._table.field_row(cls, region, fname)
-        self.field_rows.add(row)
-        return self._table.ftable.get(row, frozenset())
 
 
 def infer(
@@ -355,7 +378,8 @@ def infer(
     table = init_table(prog, meta)
     seed_intrinsics(table, prog, meta, domain, specs)
     bodied = bodied_sigs(table, prog, meta, specs)
-    groups = _typing_groups(_callee_first(bodied, prog), prog)
+    reads = table.reads = reads_of(prog)
+    groups = _typing_groups(_callee_first(bodied, prog), prog, reads)
     rank = {sig: i for i, members in enumerate(groups) for sig in members}
     readers: dict = {}  # row (field-table key or Sig) -> ranks of its readers
     queue: list = []  # heap of group ranks: the lowest, most callee-like, first
@@ -365,11 +389,6 @@ def infer(
         if not queued[i]:
             queued[i] = True
             heapq.heappush(queue, i)
-
-    def push_readers(rows) -> None:
-        for row in rows:
-            for i in readers.get(row, ()):
-                push(i)
 
     active: set | None = None if entries is None else set()
 
@@ -414,9 +433,10 @@ def infer(
             if typings > limit:
                 raise RuntimeError(
                     "inference failed to converge within its cap")
-        log = _ReadLog(table)
-        eff = _type_group(prog, meta, log, domain, groups[i])
-        for row in log.field_rows | eff.s.keys():
+        ty = _Typing(prog, meta, table, domain, reads)
+        body, gamma = _body_env(groups[i][0], prog)
+        eff = typeff(ty, gamma, body)
+        for row in ty.field_rows | eff.s.keys():
             readers.setdefault(row, set()).add(i)
         grown = []
         for (key, region) in eff.fupdates:
@@ -425,7 +445,9 @@ def infer(
         if active is not None:
             members = [sig for sig in members if sig in active]
         grown += table.join_rows(domain, members, eff.triple())
-        push_readers(grown)
+        for row in grown:
+            for j in readers.get(row, ()):
+                push(j)
         if active is not None:
             activate(eff.s)
     if active is not None:
@@ -451,13 +473,12 @@ def _typing_cap(table: ClassTable, meta: RegionMeta, bodies: int,
 
 @dataclass
 class Offense:
-    sig: Sig | None
+    sig: Sig
     part: str
     detail: str
 
     def __str__(self) -> str:
-        where = f"{self.sig}: " if self.sig is not None else ""
-        return f"{where}{self.part}: {self.detail}"
+        return f"{self.sig}: {self.part}: {self.detail}"
 
 
 def check_well_typed(
@@ -467,35 +488,29 @@ def check_well_typed(
     intrinsics: dict | None = None,
     meta: RegionMeta | None = None,
 ) -> list[Offense]:
-    """Re-type every analyzed body against the frozen table, once per
-    typing group (``_typing_groups``), and check each member's stored row
-    and the field rows against its group's typing, member by member in
-    signature order.  A sound table covers each body's triple and needs no
-    further field updates."""
+    """Re-type every analyzed body against the frozen table, once per key
+    (``_key``), and check each signature's stored row and the field rows
+    against its body's typing, in signature order.  A sound table covers
+    each body's triple and needs no further field updates."""
     if meta is None:
         meta = region_meta(prog)
     specs = intrinsics or {}
     # demand-driven, the bodies outside table.analyzed were deliberately skipped
     sigs = [sig for sig in bodied_sigs(table, prog, meta, specs)
             if table.analyzed is None or sig in table.analyzed]
-    eff_of: dict = {}
-    for members in _typing_groups(sigs, prog):
-        eff_of.update(dict.fromkeys(
-            members, _type_group(prog, meta, table, domain, members)))
+    # one memo over the frozen table, for bodies and continuations alike
+    ty = _Typing(prog, meta, table, domain, table.reads)
     offenses: list[Offense] = []
     for sig in sigs:
-        eff = eff_of[sig]
+        body, gamma = _body_env(sig, prog)
+        ty.work = 0  # the cap counts one body's typing
+        eff = _typed(ty, gamma, body)
         for (key, region) in eff.fupdates:
             if region not in table.fields_at(*key):
-                offenses.append(Offense(
-                    sig, "F", f"field row {key} lacks {region}"))
-        stored = table.mtable[sig]
-        for part, got, have in (("T", eff.t, stored[0]),
-                                ("H", eff.h, stored[1]),
-                                ("S", eff.s, stored[2])):
+                offenses.append(Offense(sig, "F", f"field row {key} lacks {region}"))
+        for part, got, have in zip("THS", eff.triple(), table.mtable[sig]):
             for k, v in got.items():
                 held = have.get(k)
                 if held is None or not domain.fin_leq(v, held):
-                    offenses.append(Offense(
-                        sig, part, f"entry {k} not covered"))
+                    offenses.append(Offense(sig, part, f"entry {k} not covered"))
     return offenses

@@ -178,20 +178,32 @@ def load_config(path: str, alphabet) -> dict[tuple[str, str], IntrinsicSpec]:
 def validate_against_program(
     specs: dict[tuple[str, str], IntrinsicSpec], prog: Program
 ) -> None:
-    """Each stub must name a declared method whose arity matches."""
+    """Each stub must name a method where it is declared, with a matching
+    arity, and a throws clause must name a region of the program.  A stub
+    on a class that inherits the method would never be looked up: the
+    method's calls resolve to the declaring class."""
     for (cls, method), spec in sorted(specs.items()):
         decl = prog.by_name.get(cls)
         if decl is None:
             raise ConfigError(f"stub for unknown class {cls}")
         try:
-            md, _ = method_lookup(prog, cls, method)
+            md, declaring = method_lookup(prog, cls, method)
         except FjError:
             raise ConfigError(f"stub for unknown method {cls}.{method}") from None
+        if declaring != cls:
+            raise ConfigError(
+                f"stub {cls}.{method} names a class that inherits the method; "
+                f"it is declared in {declaring}"
+            )
         if len(md.params) != len(spec.arg_patterns):
             raise ConfigError(
                 f"stub {cls}.{method} has {len(spec.arg_patterns)} "
                 f"pattern(s), method declares {len(md.params)} parameter(s)"
             )
+        thrown = spec.throw_region
+        if (thrown is not None and thrown.kind == "site"
+                and thrown.label not in prog.labels):
+            raise ConfigError(f"no allocation site labelled {thrown.label!r}")
 
 
 def stub_lookup(

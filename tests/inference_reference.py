@@ -1,4 +1,5 @@
-"""The round-robin sweep that ``guidecheck.inference.infer`` replaced.
+"""The round-robin sweep that ``guidecheck.inference.infer`` replaced, and
+the per-region typing rule that ``guidecheck.inference.typeff`` replaced.
 
 ``infer_by_sweeps`` re-types every bodied signature on every sweep, in the
 canonical signature order, and closes the tables from scratch after each
@@ -6,6 +7,11 @@ sweep, until a sweep changes nothing; under ``entries`` it grows the set of
 analyzed signatures sweep by sweep.  It computes the same least fixpoint as
 the worklist in ``infer``, with far more re-typings, and the tests check the
 two against each other table for table.
+
+``typeff`` here types a ``Let`` body and a handler once per region of the
+value they bind (``_sequence``), whether or not they read it, recursing at
+every binding; the sweep types with it, so the tests check the rule keyed by
+reading against it as well.
 
 The reference keeps its own tables and closure, written apart from the
 mutators of ``guidecheck.classtable.ClassTable``: a field row per class
@@ -20,10 +26,149 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from guidecheck.classtable import empty_triple, join_triple
-from guidecheck.fjast import Program
-from guidecheck.fjtypes import method_lookup, methods_of
-from guidecheck.inference import _gamma_of, bodied_sigs, seed_intrinsics, typeff
-from guidecheck.regions import NULL_REGION, UNKNOWN, RegionMeta, Sig, region_meta
+from guidecheck.effexpr import dict_join, dict_scale
+from guidecheck.fjast import (
+    Call,
+    Cast,
+    Emit,
+    Expr,
+    GetField,
+    If,
+    Let,
+    New,
+    Null,
+    Program,
+    SetField,
+    Throw,
+    TryCatch,
+    Var,
+)
+from guidecheck.fjtypes import method_lookup, methods_of, preceq
+from guidecheck.inference import Effects, _body_env, bodied_sigs, seed_intrinsics
+from guidecheck.regions import (
+    NULL_REGION,
+    UNKNOWN,
+    Region,
+    RegionMeta,
+    Sig,
+    created_at,
+    region_meta,
+)
+
+
+def _eps(domain):
+    return domain.alpha_word(())
+
+
+def typeff(
+    prog: Program,
+    meta: RegionMeta,
+    table: ClassTable,
+    domain,
+    gamma: dict,
+    e: Expr,
+) -> Effects:
+    if isinstance(e, Var):
+        return Effects({gamma[e.name]: _eps(domain)}, {}, {}, [])
+    if isinstance(e, Null):
+        return Effects({NULL_REGION: _eps(domain)}, {}, {}, [])
+    if isinstance(e, New):
+        return Effects({created_at(e.label): _eps(domain)}, {}, {}, [])
+    if isinstance(e, Emit):
+        return Effects({NULL_REGION: domain.alpha_word((e.event,))}, {}, {}, [])
+    if isinstance(e, Cast):
+        # the value is unchanged; a failing cast has no outcome to cover
+        return typeff(prog, meta, table, domain, gamma, e.expr)
+    if isinstance(e, GetField):
+        t: dict = {}
+        for r in sorted(table.fields_at(e.recv_cls, gamma[e.recv], e.fname)):
+            t = dict_join(t, {r: _eps(domain)}, domain.fin_join)
+        return Effects(t, {}, {}, [])
+    if isinstance(e, SetField):
+        src = gamma[e.value]
+        update = ((e.recv_cls, gamma[e.recv], e.fname), src)
+        return Effects({src: _eps(domain)}, {}, {}, [update])
+    if isinstance(e, Call):
+        sig = Sig(e.recv_cls, gamma[e.recv], e.method,
+                  tuple(gamma[a] for a in e.args))
+        t, h, _ = table.mtable[sig]
+        return Effects(dict(t), dict(h), {sig: _eps(domain)}, [])
+    if isinstance(e, Let):
+        first = typeff(prog, meta, table, domain, gamma, e.init)
+        # the init's returning values go on to the body; its throws stay
+        return _sequence(prog, meta, table, domain, gamma, e.var, e.body,
+                         first.t, {}, first.h, first.s, first.fupdates)
+    if isinstance(e, If):
+        rl, rr = gamma[e.left], gamma[e.right]
+        els = typeff(prog, meta, table, domain, gamma, e.els)
+        if meta.disjoint(rl, rr):
+            return els
+        then = typeff(prog, meta, table, domain, gamma, e.then)
+        return Effects(
+            dict_join(then.t, els.t, domain.fin_join),
+            dict_join(then.h, els.h, domain.fin_join),
+            dict_join(then.s, els.s, domain.fin_join),
+            then.fupdates + els.fupdates,
+        )
+    if isinstance(e, Throw):
+        inner = typeff(prog, meta, table, domain, gamma, e.expr)
+        return Effects(
+            {},
+            dict_join(inner.t, inner.h, domain.fin_join),
+            inner.s,
+            inner.fupdates,
+        )
+    if isinstance(e, TryCatch):
+        body = typeff(prog, meta, table, domain, gamma, e.body)
+        caught = {r: u for r, u in body.h.items()
+                  if _catchable(r, e.exc_cls, prog, meta)}
+        escaped = except_filter(body.h, e.exc_cls, prog, meta)
+        return _sequence(prog, meta, table, domain, gamma, e.var, e.handler,
+                         caught, body.t, escaped, body.s, body.fupdates)
+    raise AssertionError(f"unhandled expression {e!r}")
+
+
+def _sequence(prog: Program, meta: RegionMeta, table, domain, gamma: dict,
+              var: str, cont: Expr, values: dict, t: dict, h: dict, s: dict,
+              ups: list) -> Effects:
+    """The effects t, h, s and field updates ups joined with those of the
+    continuation cont run after each value region r of values, with var
+    bound to r, its T, H and S each prefixed by the effect values[r] of
+    reaching it.  The maps and the list are not modified."""
+    for r in sorted(values):
+        u = values[r]
+        g2 = dict(gamma)
+        g2[var] = r
+        rest = typeff(prog, meta, table, domain, g2, cont)
+        t = dict_join(t, dict_scale(u, rest.t, domain.fin_concat),
+                      domain.fin_join)
+        h = dict_join(h, dict_scale(u, rest.h, domain.fin_concat),
+                      domain.fin_join)
+        s = dict_join(s, dict_scale(u, rest.s, domain.fin_concat),
+                      domain.fin_join)
+        ups = ups + rest.fupdates
+    return Effects(t, h, s, ups)
+
+
+def _catchable(r: Region, exc_cls: str, prog: Program, meta: RegionMeta) -> bool:
+    """Could a value in r be caught by a handler for exc_cls?  Null regions
+    vacuously qualify (nothing in them is ever thrown)."""
+    if r == NULL_REGION:
+        return True
+    return any(preceq(prog, c, exc_cls) for c in meta.cls_of(r))
+
+
+def except_filter(h: dict, exc_cls: str, prog: Program, meta: RegionMeta) -> dict:
+    """Drop throw entries certainly caught by a handler for exc_cls: those
+    whose region holds only subclasses of it."""
+    out = {}
+    for r, u in h.items():
+        if r == NULL_REGION:
+            continue
+        if all(preceq(prog, c, exc_cls) for c in meta.cls_of(r)):
+            continue
+        out[r] = u
+    return out
 
 
 @dataclass
@@ -132,8 +277,8 @@ def infer_by_sweeps(
         for sig in bodied:
             if active is not None and sig not in active:
                 continue
-            md, _ = method_lookup(prog, sig.cls, sig.method)
-            eff = typeff(prog, meta, table, domain, _gamma_of(sig, prog), md.body)
+            body, gamma = _body_env(sig, prog)
+            eff = typeff(prog, meta, table, domain, gamma, body)
             for (key, region) in eff.fupdates:
                 regs = table.ftable[key]
                 if region not in regs:

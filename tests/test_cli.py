@@ -17,7 +17,7 @@ import pytest
 import taint_corpus
 from conftest import FIXTURES, fixture, fresh_python_env, read_fixture
 from nfa_reading import NfaReading
-from guidecheck import cli, fjtypes, profiles
+from guidecheck import cli, fjtypes, inference, profiles
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
 from guidecheck.fjast import FjError, Program
 from guidecheck.fjparser import parse_program
@@ -733,11 +733,14 @@ def test_main_reports_config_and_option_errors_before_typing_violations(
 
 
 def test_main_exit_three_on_deep_program_without_traceback(tmp_path):
-    # 3,000 statements nest 3,000 deep once desugared: past the recursion limit
+    # 3,000 nested blocks: past the recursion limit, however long a block
+    # may be
     src = tmp_path / "deep.fj"
     src.write_text(
         "class M extends Object {\n    Object go() {\n"
-        + "        emit a;\n" * 3000
+        + "        if (this == this) {\n" * 3000
+        + "        emit a;\n"
+        + "        } else { }\n" * 3000
         + "        return null;\n    }\n}\n",
         encoding="utf-8",
     )
@@ -749,6 +752,47 @@ def test_main_exit_three_on_deep_program_without_traceback(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("guidecheck: error: internal limit:")
     assert "Traceback" not in done.stderr
+
+
+def test_main_passes_a_method_of_five_thousand_statements(tmp_path, capsys):
+    # as long as the interpreter's 5,000-Let chain: parsing, typing and
+    # inference follow a block in a loop
+    src = tmp_path / "long.fj"
+    src.write_text(
+        "class M extends Object {\n    M f;\n    Object go() {\n"
+        + "".join(f"        M x{i} = this.f;\n        emit a;\n"
+                  for i in range(2500))
+        + "        emit a;\n        return null;\n    }\n}\n",
+        encoding="utf-8",
+    )
+    code = run_main("--program", str(src), "--guideline", fixture("parity.gl"))
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")  # 2,501 a's: an odd number
+    assert out.rstrip().endswith("verdict: pass")
+
+
+def _live_bindings(k):
+    """k Nodes read from a three-region field, each compared at the end:
+    all k live at once, so the per-region rule types the tail 3^k times."""
+    return ("class Node extends Object {\n    Node f;\n    Object go() {\n"
+            "        Node p = new[p] Node();\n        Node q = new[q] Node();\n"
+            "        this.f = p;\n        this.f = q;\n        Node z = null;\n"
+            + "".join(f"        Node x{i} = this.f;\n" for i in range(k))
+            + "".join(f"        if (x{i} == z) {{ emit a; }} else {{ }}\n"
+                      for i in range(k))
+            + "        return null;\n    }\n}\n")
+
+
+def test_main_exit_three_past_the_typing_work_cap(monkeypatch, tmp_path, capsys):
+    gl = "alphabet: a\nstates: q\ninitial: q\naccepting: q\ntrans: q a q\n"
+    code, out, err = analyze_sources(tmp_path, capsys, _live_bindings(4), gl)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(inference, "TYPING_WORK_CAP", 200)
+    code, out, err = analyze_sources(tmp_path, capsys, _live_bindings(4), gl)
+    assert code == 3
+    assert out == ""
+    assert err == ("guidecheck: error: internal limit: typing a method body "
+                   "took more than 200 steps\n")
 
 
 def test_main_exit_three_past_the_monoid_cap(monkeypatch, capsys):
@@ -1009,3 +1053,42 @@ def test_main_seeds_a_stub_throws_clause(call, row, tmp_path, capsys):
     lines = out.splitlines()
     assert row in lines
     assert "(Net, @k, get, [])  returns:ok, throws:FAIL, diverges:ok" in lines
+
+
+STUB_THROWS = """
+class E extends Object { }
+class M extends Object {
+    Object f() { return null; }
+    Object go() { try { Object r = this.f(); } catch (E x) { emit b; } return null; }
+}
+"""
+AB_ANY = ("alphabet: a b\nstates: q\ninitial: q\naccepting: q\n"
+          "trans: q a q\ntrans: q b q\n")
+
+
+def test_main_exit_two_on_a_stub_throwing_from_no_allocation_site(
+        tmp_path, capsys):
+    code, out, err = analyze_sources(
+        tmp_path, capsys, STUB_THROWS, AB_ANY,
+        config="M.f() -> Null emits a throws @nosuch a\n")
+    assert (code, out) == (2, "")
+    assert err == "guidecheck: error: no allocation site labelled 'nosuch'\n"
+
+
+def test_main_exit_two_on_a_stub_on_a_class_inheriting_the_method(
+        tmp_path, capsys):
+    src = """
+class Base extends Object { Object f() { emit b; return null; } }
+class Sub extends Base { }
+class M extends Object {
+    Object go() { Sub s = new[s] Sub(); Object r = s.f(); return null; }
+}
+"""
+    code, out, err = analyze_sources(tmp_path, capsys, src, AB_ANY,
+                                     config="Sub.f() -> Null emits a\n")
+    assert (code, out) == (2, "")
+    assert err == ("guidecheck: error: stub Sub.f names a class that inherits "
+                   "the method; it is declared in Base\n")
+    code, _, _ = analyze_sources(tmp_path, capsys, src, AB_ANY,
+                                 config="Base.f() -> Null emits a\n")
+    assert code == 0

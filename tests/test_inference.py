@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import corpus as soundness_corpus
+import inference_reference
 import taint_corpus
 from conftest import FIXTURES, fixture
 from inference_reference import infer_by_sweeps
@@ -17,10 +18,12 @@ from guidecheck.fjparser import parse_program
 from guidecheck.fjtypes import methods_of
 from guidecheck.guideline import load_guideline, parse_guideline
 from guidecheck.inference import (
+    _Typing,
     bodied_sigs,
+    catch_split,
     check_well_typed,
-    except_filter,
     infer,
+    reads_of,
     typeff,
 )
 from guidecheck.intrinsics import load_config, parse_config
@@ -49,6 +52,11 @@ def body_of(prog, cls, idx=0):
     return prog.by_name[cls].methods[idx].body
 
 
+def typeff_in(prog, meta, table, domain, gamma, e):
+    """typeff in a fresh typing of prog against table."""
+    return typeff(_Typing(prog, meta, table, domain, reads_of(prog)), gamma, e)
+
+
 # --- typeff, rule by rule ------------------------------------------------------
 
 
@@ -57,17 +65,17 @@ def test_typeff_leaves():
     eps = d.alpha_word(())
     at_s = created_at("s")
 
-    git = typeff(prog, meta, table, d, {"x": at_s}, body_of(prog, "M"))
+    git = typeff_in(prog, meta, table, d, {"x": at_s}, body_of(prog, "M"))
     assert git.t == {at_s: eps} and git.h == {} and git.s == {} and git.fupdates == []
 
     prog2, meta2, table2, _ = setup("class M { Object go() { return null; } }")
-    eff = typeff(prog2, meta2, table2, d, {"this": UNKNOWN}, body_of(prog2, "M"))
+    eff = typeff_in(prog2, meta2, table2, d, {"this": UNKNOWN}, body_of(prog2, "M"))
     assert eff.t == {NULL_REGION: eps}
 
 
 def test_typeff_emit_charges_the_null_result():
     prog, meta, table, d = setup("class M { Object go() { emit a; return null; } }")
-    eff = typeff(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
+    eff = typeff_in(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
     assert eff.t == {NULL_REGION: d.alpha_word(("a",))}
 
 
@@ -75,7 +83,7 @@ def test_typeff_let_concatenates_left_to_right():
     prog, meta, table, d = setup(
         "class M { Object go() { emit a; emit a; emit a; return null; } }"
     )
-    eff = typeff(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
+    eff = typeff_in(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
     assert eff.t == {NULL_REGION: d.alpha_word(("a", "a", "a"))}
 
 
@@ -83,7 +91,7 @@ def test_typeff_cast_is_effect_transparent():
     prog, meta, table, d = setup(
         "class M { Object go() { emit a; M x = (M) this; return x; } }"
     )
-    eff = typeff(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
+    eff = typeff_in(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
     assert eff.t == {UNKNOWN: d.alpha_word(("a",))}
 
 
@@ -99,11 +107,11 @@ class M {
     eps = d.alpha_word(())
     # Null vs @s can never alias: only the else branch contributes
     g = {"this": UNKNOWN, "p": NULL_REGION, "q": created_at("s")}
-    eff = typeff(prog, meta, table, d, g, body)
+    eff = typeff_in(prog, meta, table, d, g, body)
     assert eff.t == {NULL_REGION: eps}
     # Unknown may alias anything: both branches contribute
     g2 = {"this": UNKNOWN, "p": UNKNOWN, "q": created_at("s")}
-    eff2 = typeff(prog, meta, table, d, g2, body)
+    eff2 = typeff_in(prog, meta, table, d, g2, body)
     assert eff2.t == {NULL_REGION: d.fin_join(eps, d.alpha_word(("a",)))}
 
 
@@ -111,7 +119,7 @@ def test_typeff_setfield_requests_a_table_update():
     prog, meta, table, d = setup(
         "class C { C f; C go() { C x = new[s] C(); x.f = x; return x; } }"
     )
-    eff = typeff(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "C"))
+    eff = typeff_in(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "C"))
     at_s = created_at("s")
     assert (("C", at_s, "f"), at_s) in eff.fupdates
     assert eff.t == {at_s: d.alpha_word(())}
@@ -123,7 +131,7 @@ def test_typeff_getfield_reads_the_field_table():
     )
     at_s = created_at("s")
     table.ftable[("C", at_s, "f")] = frozenset({NULL_REGION, at_s})
-    eff = typeff(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "C"))
+    eff = typeff_in(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "C"))
     assert set(eff.t) == {NULL_REGION, at_s}
 
 
@@ -131,7 +139,7 @@ def test_typeff_throw_moves_value_effect_to_h():
     prog, meta, table, d = setup(
         "class E { } class M { Object go() { emit a; E e = new[es] E(); throw e; } }"
     )
-    eff = typeff(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
+    eff = typeff_in(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
     assert eff.t == {}
     assert eff.h == {created_at("es"): d.alpha_word(("a",))}
 
@@ -145,7 +153,7 @@ class M { Object go() {
 } }
 """
     prog, meta, table, d = setup(src, TWO_LETTER)
-    eff = typeff(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
+    eff = typeff_in(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
     assert eff.h == {}  # E-in-@es is certainly caught
     assert eff.t == {NULL_REGION: d.alpha_word(("a", "b"))}
 
@@ -159,7 +167,7 @@ class M { Object go() {
 } }
 """
     prog, meta, table, d = setup(src, TWO_LETTER)
-    eff = typeff(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
+    eff = typeff_in(prog, meta, table, d, {"this": UNKNOWN}, body_of(prog, "M"))
     assert eff.t == {}  # the try block never completes normally
     assert eff.h == {created_at("es"): d.alpha_word(("a",))}
 
@@ -168,8 +176,9 @@ def test_except_filter_keeps_unknown():
     prog = parse_program("class E { } class F extends E { } class G { }")
     meta = region_meta(prog)
     h = {UNKNOWN: "u", NULL_REGION: "n"}
-    kept = except_filter(h, "E", prog, meta)
-    assert kept == {UNKNOWN: "u"}  # Unknown may hold a G, Null never throws
+    caught, escaped = catch_split(h, "E", prog, meta)
+    assert escaped == {UNKNOWN: "u"}  # Unknown may hold a G, Null never throws
+    assert caught == h  # Unknown may hold an E or an F; Null vacuously
 
 
 # --- infer ----------------------------------------------------------------------
@@ -293,16 +302,8 @@ def test_infer_hits_the_monoid_cap_where_profiles_are_built(monkeypatch):
 
 
 def _typings_of(monkeypatch):
-    """Count the typings infer performs from here on."""
-    typed = []
-    real = inference._type_group
-
-    def counted(*args):
-        typed.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(inference, "_type_group", counted)
-    return typed
+    """Record the typings infer performs from here on."""
+    return _count_typings(monkeypatch)
 
 
 @pytest.mark.parametrize("first_short, second_short, raises, asked", [
@@ -342,7 +343,7 @@ def test_typings_stay_within_the_cap_at_the_final_height(monkeypatch):
         table = infer(prog, d, intrinsics=specs)
         meta = region_meta(prog)
         groups = inference._typing_groups(
-            bodied_sigs(table, prog, meta, specs), prog)
+            bodied_sigs(table, prog, meta, specs), prog, reads_of(prog))
         assert len(typed) <= inference._typing_cap(
             table, meta, len(groups), d.fin_height()), name
         cases += 1
@@ -442,6 +443,70 @@ def test_worklist_matches_the_sweep_reference(demand_driven):
     assert runs >= 46  # 25 soundness, 12 taint, 9 fixture pairings
 
 
+@pytest.mark.parametrize("demand_driven", [False, True],
+                         ids=["full", "demand-driven"])
+def test_keyed_rule_matches_the_per_region_rule(demand_driven):
+    """Against infer's own table, every analyzed body typed once per
+    reading gives exactly the effects of the per-region reference rule: the
+    rows are raw ``==``, both rules building profiles in one domain."""
+    bodies = 0
+    for name, prog, d, specs in _reference_cases():
+        meta = region_meta(prog)
+        for entries in ([[e] for e in _entry_points(prog)] if demand_driven
+                        else [None]):
+            table = infer(prog, d, intrinsics=specs, entries=entries,
+                          meta=meta)
+            for sig in bodied_sigs(table, prog, meta, specs):
+                if table.analyzed is not None and sig not in table.analyzed:
+                    continue
+                body, gamma = inference._body_env(sig, prog)
+                got = typeff(_Typing(prog, meta, table, d, table.reads),
+                             gamma, body)
+                want = inference_reference.typeff(prog, meta, table, d,
+                                                  gamma, body)
+                assert got.triple() == want.triple(), (name, sig)
+                assert set(got.fupdates) == set(want.fupdates), (name, sig)
+                bodies += 1
+    assert bodies >= 130
+
+
+def _let_chain(k):
+    """k Nodes read from a three-region field and never read again."""
+    return ("class Node extends Object { Node f;\n  Object go() {\n"
+            "    Node p = new[p] Node(); Node q = new[q] Node();\n"
+            "    this.f = p; this.f = q;\n"
+            + "".join(f"    Node x{i} = this.f;\n" for i in range(k))
+            + "    emit a; return null; } }\n")
+
+
+class _CountingWords(ProfileDomain):
+    """The profile domain, counting the calls to ``alpha_word``: one per
+    leaf a typing visits."""
+
+    def __init__(self, guideline):
+        super().__init__(guideline)
+        self.words = 0
+
+    def alpha_word(self, word):
+        self.words += 1
+        return super().alpha_word(word)
+
+
+def test_let_chain_typing_grows_linearly_with_the_bindings():
+    """The per-region rule types the tail of k dead three-region bindings
+    3^k times; one typing per reading types it once."""
+    counts = []
+    for k in (2, 4, 8, 16):
+        prog = parse_program(_let_chain(k))
+        d = _CountingWords(parse_guideline(ONE_LETTER_GUIDELINE))
+        table = infer(prog, d)
+        assert check_well_typed(prog, table, d) == []
+        counts.append(d.words)
+    steps = [b - a for a, b in zip(counts, counts[1:])]
+    assert steps[0] > 0
+    assert steps == [steps[0], 2 * steps[0], 4 * steps[0]], counts
+
+
 def _chain_program(n):
     """An acyclic chain of n methods: C.m0 calls m1, which calls m2, and so
     on; each emits a after its call returns."""
@@ -457,12 +522,12 @@ def _count_typings(monkeypatch):
     depth = [0]
     real = inference.typeff
 
-    def counting(prog, meta, table, domain, gamma, e):
+    def counting(ty, gamma, e):
         if depth[0] == 0:
             typings.append((gamma["this"], id(e)))
         depth[0] += 1
         try:
-            return real(prog, meta, table, domain, gamma, e)
+            return real(ty, gamma, e)
         finally:
             depth[0] -= 1
 
@@ -567,7 +632,8 @@ def test_inherited_bodies_share_one_typing_group():
     prog = parse_program(INHERITED)
     meta = region_meta(prog)
     table = init_table(prog, meta)
-    groups = inference._typing_groups(bodied_sigs(table, prog, meta, {}), prog)
+    groups = inference._typing_groups(bodied_sigs(table, prog, meta, {}), prog,
+                                      reads_of(prog))
     classes = [{sig.cls for sig in members} for members in groups
                if members[0].method == "who"]
     assert {"Base", "Sub"} in classes

@@ -158,6 +158,12 @@ def test_validate_against_program():
         validate_against_program(parse_config("Net.zap() -> Null emits a\n", AB), PROG)
     with pytest.raises(ConfigError, match="parameter"):
         validate_against_program(parse_config("Net.send() -> Null emits a\n", AB), PROG)
+    # Sub inherits poll: calls on a Sub resolve to Net's declaration
+    with pytest.raises(ConfigError, match="declared in Net"):
+        validate_against_program(parse_config("Sub.poll() -> Null emits a\n", AB), PROG)
+    with pytest.raises(ConfigError, match="no allocation site labelled 'k'"):
+        validate_against_program(
+            parse_config("Net.poll() -> Null emits a throws @k a\n", AB), PROG)
 
 
 def test_stub_lookup_resolves_through_inheritance():
