@@ -20,12 +20,19 @@ since dispatch may pick any of them (``join_rows``).  Entries seeded from
 external-call stubs are pinned (``pin``): they are never widened, inference
 never re-analyzes them, and they are joined into the entries above them
 like any other.  These three methods are the only writers of the tables.
+
+Method rows are shared: every signature starts at the one ``EMPTY_ROW``,
+and a join gives the signatures that held one row object one new row
+object, so the members of a typing group keep holding one row and later
+passes can do their work once per distinct row.  A row is therefore never
+mutated in place, only replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Callable
 
 from .effexpr import dict_join
 from .fjast import Program
@@ -35,13 +42,14 @@ from .regions import NULL_REGION, UNKNOWN, Region, RegionMeta, Sig
 # effect triple: (T, H, S) as dicts keyed by Region / Region / Sig
 Triple = tuple
 
-
-def empty_triple() -> Triple:
-    return ({}, {}, {})
+EMPTY_ROW: Triple = ({}, {}, {})  # every signature's first row, shared
 
 
 @dataclass
 class ClassTable:
+    """The field and method tables.  Method rows are shared among
+    signatures and never mutated in place: a writer replaces a row."""
+
     ftable: dict  # (declaring cls, Region, fname) -> frozenset[Region]
     mtable: dict  # Sig -> (T, H, S)
     owner: dict  # (cls, fname) -> the class declaring the field
@@ -74,15 +82,20 @@ class ClassTable:
         """Join triple into the entry of each of sigs and into the
         same-shape entry at every declared superclass, skipping pinned
         entries but not what lies above them.  Returns the signatures
-        whose entries grew, comparing with ``==``."""
+        whose entries grew, comparing with ``==``.  Each distinct row
+        object is joined once, and the signatures that held it, members
+        or superclass entries alike, all get the one joined row; a row
+        that does not grow stays the object it was.  Rows are replaced,
+        never mutated in place, for other signatures may hold them."""
         grown = []
+        joined = _joiner(domain, triple)
         for sig in sigs:
             row = self.mtable[sig]
-            joined = join_triple(domain, row, triple)
-            if joined != row:  # else the entries above already cover it
-                self.mtable[sig] = joined
+            new = joined(row)
+            if new is not row:  # else the entries above already cover it
+                self.mtable[sig] = new
                 grown.append(sig)
-                self._join_up(domain, sig, triple, grown)
+                self._join_up(sig, joined, grown)
         return grown
 
     def pin(self, domain, sig: Sig, row: Triple) -> None:
@@ -90,9 +103,9 @@ class ClassTable:
         join the row into the entries above it."""
         self.mtable[sig] = row
         self.pinned.add(sig)
-        self._join_up(domain, sig, row, [])
+        self._join_up(sig, _joiner(domain, row), [])
 
-    def _join_up(self, domain, sig: Sig, triple: Triple, grown: list) -> None:
+    def _join_up(self, sig: Sig, joined, grown: list) -> None:
         for cls in self.supers[sig.cls]:
             up = Sig(cls, sig.recv, sig.method, sig.args)
             if up not in self.mtable:
@@ -100,10 +113,40 @@ class ClassTable:
             if up in self.pinned:
                 continue
             row = self.mtable[up]
-            joined = join_triple(domain, row, triple)
-            if joined != row:
-                self.mtable[up] = joined
+            new = joined(row)
+            if new is not row:
+                self.mtable[up] = new
                 grown.append(up)
+
+
+def once_per_object(f: Callable) -> Callable:
+    """f, applied once per distinct argument object, the result reused for
+    every later argument that is the same object: rows and their parts are
+    shared among signatures, so work on them is done once per row.  The
+    memo holds each object it is keyed by, so no id is reused while it
+    lives."""
+    memo: dict = {}  # id(x) -> (x, f(x))
+
+    def once(x):
+        hit = memo.get(id(x))
+        if hit is None or hit[0] is not x:
+            hit = memo[id(x)] = (x, f(x))
+        return hit[1]
+
+    return once
+
+
+def _joiner(domain, triple: Triple) -> Callable:
+    """Rows joined with triple, once per distinct row object; a row the
+    join leaves equal stays the object it was."""
+
+    def join(row: Triple) -> Triple:
+        if row == triple:  # as when a typing confirms its row
+            return row
+        joined = join_triple(domain, row, triple)
+        return row if joined == row else joined
+
+    return once_per_object(join)
 
 
 def init_table(prog: Program, meta: RegionMeta) -> ClassTable:
@@ -124,7 +167,7 @@ def init_table(prog: Program, meta: RegionMeta) -> ClassTable:
             arity = len(md.params)
             for recv in meta.regions:
                 for args in product(meta.regions, repeat=arity):
-                    mtable[Sig(c.name, recv, mname, args)] = empty_triple()
+                    mtable[Sig(c.name, recv, mname, args)] = EMPTY_ROW
     return ClassTable(ftable, mtable, owner, supers)
 
 

@@ -7,7 +7,9 @@ divergence) — together with the regular operators the analysis composes
 effects with: join, concatenation, Kleene star and infinite iteration.
 Inference runs to a fixpoint, so a domain's finite elements must compare
 exactly with ``==``, and it caps its re-typings by ``fin_height``, a bound
-on the chains among the elements built so far.
+on the chains among the elements built so far.  They must hash too: the
+solver finds equal equations by hashing their coefficients.  The verdict
+judges each distinct finite and mixed element once, by hash.
 
 ``ProfileDomain`` interprets both lattices over the transition profiles of a
 guideline automaton; it is finite, has exact equality on finite elements,

@@ -7,7 +7,8 @@ bodies callees first from a worklist, writes the results through the
 table's own mutators, which keep it closed under the hierarchy, and
 re-types only the bodies that read a row that grew, until nothing grows.
 ``check_well_typed`` re-types every body against a frozen table and reports
-any entry the table fails to cover.
+any entry the table fails to cover, checking each row object that the
+signatures of a typing group share once.
 
 Environments map variable names (including ``this``) to regions.  A typing
 of a node looks its environment up only at the variables the node reads
@@ -15,7 +16,7 @@ of a node looks its environment up only at the variables the node reads
 typings: of a body among the signatures that resolve to it (Sharir and
 Pnueli's summaries, 1981), of a ``Let`` body or handler among the value
 regions it binds (Might and Shivers' abstract garbage collection, 2006),
-and of both across the whole re-check.
+and of the latter across the whole re-check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .classtable import ClassTable, init_table
+from .classtable import ClassTable, init_table, once_per_object
 from .effexpr import dict_join, dict_scale
 from .fjast import (
     Call,
@@ -276,13 +277,13 @@ def seed_intrinsics(
         h = {}
         if spec.throw_region is not None:
             h[spec.throw_region] = domain.alpha_nfa(spec.throw_nfa)
+        row = ({spec.result_region: t_fin}, h, {})  # one row per stub
         for c in prog.classes:
             if stub_lookup(specs, prog, c.name, method) is not spec:
                 continue
             for recv in meta.regions:
                 for args in spec.arg_regions(meta):
-                    table.pin(domain, Sig(c.name, recv, method, args),
-                              ({spec.result_region: t_fin}, dict(h), {}))
+                    table.pin(domain, Sig(c.name, recv, method, args), row)
 
 
 def bodied_sigs(table: ClassTable, prog: Program, meta: RegionMeta,
@@ -312,11 +313,25 @@ def _body_env(sig: Sig, prog: Program) -> tuple:
 def _typing_groups(sigs: list, prog: Program, reads: dict) -> list:
     """Split sigs into groups whose bodies type alike, by ``_key``: so
     inherited bodies are shared.  Groups come in the order of their first
-    member in sigs, and members keep that order."""
+    member in sigs, and members keep that order.  Each (class, method) is
+    resolved once, to its body and the positions in (receiver, *arguments)
+    of the variables the body reads, in name order: ``_key`` without an
+    environment per signature."""
+    where: dict = {}  # (cls, method) -> (body, positions)
     groups: dict = {}
     for sig in sigs:
-        body, gamma = _body_env(sig, prog)
-        groups.setdefault(_key(reads, gamma, body), []).append(sig)
+        at = where.get((sig.cls, sig.method))
+        if at is None:
+            md, _ = method_lookup(prog, sig.cls, sig.method)
+            # as in _body_env's environment, a later name wins
+            pos = {name: i for i, name in
+                   enumerate(["this", *(p.name for p in md.params)])}
+            at = where[sig.cls, sig.method] = (
+                md.body, [pos[v] for v in sorted(reads[id(md.body)])])
+        body, positions = at
+        regions = (sig.recv, *sig.args)
+        key = (id(body), tuple([regions[i] for i in positions]))
+        groups.setdefault(key, []).append(sig)
     return list(groups.values())
 
 
@@ -354,7 +369,8 @@ def infer(
     POPL 1973).  The worklist holds groups of bodied signatures
     (``_typing_groups``), callees first (``_callee_first``, ranked by a
     group's first member).  A group's body is typed once, its field updates
-    are applied once, and its triple is joined into every member's row.
+    are applied once, and its triple is joined into every member's row,
+    once per distinct row object, so the members keep sharing one row.
     The table's mutators keep it closed as it grows: a field update also
     reaches the field's Unknown row, and a joined entry also reaches the
     same method's entries at the superclasses.  Each typing records the rows
@@ -488,29 +504,42 @@ def check_well_typed(
     intrinsics: dict | None = None,
     meta: RegionMeta | None = None,
 ) -> list[Offense]:
-    """Re-type every analyzed body against the frozen table, once per key
-    (``_key``), and check each signature's stored row and the field rows
-    against its body's typing, in signature order.  A sound table covers
-    each body's triple and needs no further field updates."""
+    """Re-type every analyzed body against the frozen table, once per
+    typing group (``_typing_groups``), and check the field rows and each
+    distinct row object its members hold against the typing.  A row's
+    offenses are reported for every signature holding it, in signature
+    order.  A sound table covers each body's triple and needs no further
+    field updates."""
     if meta is None:
         meta = region_meta(prog)
     specs = intrinsics or {}
     # demand-driven, the bodies outside table.analyzed were deliberately skipped
     sigs = [sig for sig in bodied_sigs(table, prog, meta, specs)
             if table.analyzed is None or sig in table.analyzed]
-    # one memo over the frozen table, for bodies and continuations alike
+    # one memo over the frozen table, for the continuations of every body
     ty = _Typing(prog, meta, table, domain, table.reads)
-    offenses: list[Offense] = []
-    for sig in sigs:
-        body, gamma = _body_env(sig, prog)
+    found: dict = {}  # sig -> its offenses as (part, detail), if any
+    for members in _typing_groups(sigs, prog, table.reads):
+        body, gamma = _body_env(members[0], prog)
         ty.work = 0  # the cap counts one body's typing
-        eff = _typed(ty, gamma, body)
-        for (key, region) in eff.fupdates:
-            if region not in table.fields_at(*key):
-                offenses.append(Offense(sig, "F", f"field row {key} lacks {region}"))
-        for part, got, have in zip("THS", eff.triple(), table.mtable[sig]):
-            for k, v in got.items():
-                held = have.get(k)
-                if held is None or not domain.fin_leq(v, held):
-                    offenses.append(Offense(sig, part, f"entry {k} not covered"))
-    return offenses
+        eff = typeff(ty, gamma, body)
+        fields = [("F", f"field row {key} lacks {region}")
+                  for key, region in eff.fupdates
+                  if region not in table.fields_at(*key)]
+        offenses_of = once_per_object(
+            lambda row: fields + _uncovered(domain, eff, row))
+        for sig in members:
+            mine = offenses_of(table.mtable[sig])
+            if mine:
+                found[sig] = mine
+    return [Offense(sig, part, detail)
+            for sig in sigs for part, detail in found.get(sig, ())]
+
+
+def _uncovered(domain, eff: Effects, row: tuple) -> list:
+    """The entries of eff's triple that row fails to cover, as (part,
+    detail) pairs."""
+    return [(part, f"entry {k} not covered")
+            for part, got, have in zip("THS", eff.triple(), row)
+            for k, v in got.items()
+            if k not in have or not domain.fin_leq(v, have[k])]

@@ -15,13 +15,21 @@ component, variables are eliminated in the given order (by default the
 canonical signature order): rewrite the current equation with the earlier
 members' solved forms, split off the self-coefficient A, and replace
 δ = A·δ ⊔ F by δ = A*·F ⊔ A^ω, distributing A* over F's terms; a
-back-substitution pass over the component then closes every form.  The
-work is linear in the size of the call graph plus the elimination inside
-each component, which is quadratic only in the size of that component.
+back-substitution pass over the component then closes every form.
+
+A one-member component is solved once per block: signatures whose
+equations are equal once each callee is replaced by its block, and the
+signature itself by a marker, get one η.  The blocks are found callees
+first by hash-consing each equation's (block, coefficient) pairs, so the
+domain operators run once per block, not once per signature; the rest of
+the work is one hash per signature and edge.  Inside a multi-member
+component the elimination is quadratic in the size of that component.
 The result is a fixpoint of the system, η(δ) = S(η)(δ) exactly, and the
-elimination order does not affect it.  The reference computations the
-tests check it against (one application S(η), greatest-fixpoint descent)
-are in ``tests/solver_reference.py``.
+elimination order does not affect it; η is equal (``==``) to what solving
+each signature's equation alone gives, since equal equations over equal
+callee values build equal values.  The reference computations the tests
+check it against (one application S(η), greatest-fixpoint descent, the
+solve of one equation per signature) are in ``tests/solver_reference.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .classtable import ClassTable
+from .classtable import ClassTable, once_per_object
 from .effexpr import dict_drop_bottom, dict_join, dict_scale
 from .regions import Sig
 
@@ -41,13 +49,14 @@ class EquationSystem:
 
     @staticmethod
     def from_table(table: ClassTable, domain) -> "EquationSystem":
+        """The equations of table's S-components, bottom entries dropped
+        once per distinct S dict: signatures that share a row share one
+        right-hand side, which nothing mutates."""
         sigs = sorted(table.mtable, key=Sig.sort_key)
-        rhs = {
-            sig: dict_drop_bottom(dict(table.mtable[sig][2]),
-                                  domain.fin_is_bottom)
-            for sig in sigs
-        }
-        return EquationSystem(sigs, rhs)
+        drop = once_per_object(
+            lambda s: dict_drop_bottom(s, domain.fin_is_bottom))
+        return EquationSystem(
+            sigs, {sig: drop(table.mtable[sig][2]) for sig in sigs})
 
 
 @dataclass
@@ -58,9 +67,10 @@ class _LinForm:
 
 def components(nodes: Iterable, successors: Callable) -> list:
     """Strongly connected components of the graph that ``successors`` gives
-    on ``nodes``, each successor's component before its predecessors'
-    (Tarjan 1972).  Roots are taken in the order of ``nodes``.  Iterative, so
-    a long chain cannot exhaust the Python stack."""
+    on ``nodes``, as a collection per node, each successor's component
+    before its predecessors' (Tarjan 1972).  Roots are taken in the order of
+    ``nodes``.  Iterative, so a long chain cannot exhaust the Python
+    stack."""
     index: dict = {}
     low: dict = {}
     stack: list = []
@@ -68,6 +78,10 @@ def components(nodes: Iterable, successors: Callable) -> list:
     out: list = []
     for root in nodes:
         if root in index:
+            continue
+        if not successors(root):  # a component of its own, at once
+            index[root] = len(index)
+            out.append([root])
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
@@ -102,9 +116,13 @@ def components(nodes: Iterable, successors: Callable) -> list:
 
 
 def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict:
-    order = list(order) if order is not None else list(system.sigs)
-    if len(order) != len(system.sigs) or set(order) != set(system.sigs):
-        raise ValueError("order must be a permutation of the system variables")
+    if order is None:
+        order = system.sigs
+    else:
+        order = list(order)
+        if len(order) != len(system.sigs) or set(order) != set(system.sigs):
+            raise ValueError(
+                "order must be a permutation of the system variables")
     rank = {var: i for i, var in enumerate(order)}
     eta: dict = {}
 
@@ -121,7 +139,22 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
         )
         return form
 
+    block: dict = {}  # var -> the index in etas of its block's η
+    etas: list = []
+    equations: dict = {}  # a one-member equation's key -> its block
+
     for comp in components(system.sigs, system.rhs.__getitem__):
+        if len(comp) == 1:
+            # an equation up to its own name: callees by block, itself as -1
+            (var,) = comp
+            key = frozenset((-1 if callee == var else block[callee], u)
+                            for callee, u in system.rhs[var].items())
+            b = equations.get(key)
+            if b is not None:
+                block[var] = b
+                eta[var] = etas[b]
+                continue
+            equations[key] = len(etas)
         members = sorted(comp, key=rank.__getitem__)
         inside = set(members)
         solved: dict = {}
@@ -154,5 +187,7 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
                     form.const, domain.fin_mix_concat(u, eta[later])
                 )
             eta[var] = form.const
+            block[var] = len(etas)
+            etas.append(form.const)
 
     return {var: eta[var] for var in system.sigs}

@@ -13,6 +13,10 @@ value they bind (``_sequence``), whether or not they read it, recursing at
 every binding; the sweep types with it, so the tests check the rule keyed by
 reading against it as well.
 
+``check_per_signature`` is the re-check before it worked per typing group
+and row object: it checks every signature's row on its own, and the tests
+check that ``check_well_typed`` reports the same offenses in the same order.
+
 The reference keeps its own tables and closure, written apart from the
 mutators of ``guidecheck.classtable.ClassTable``: a field row per class
 that has the field, made to agree with the parent's row when the field is
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from guidecheck.classtable import empty_triple, join_triple
+from guidecheck.classtable import join_triple
 from guidecheck.effexpr import dict_join, dict_scale
 from guidecheck.fjast import (
     Call,
@@ -44,7 +48,15 @@ from guidecheck.fjast import (
     Var,
 )
 from guidecheck.fjtypes import method_lookup, methods_of, preceq
-from guidecheck.inference import Effects, _body_env, bodied_sigs, seed_intrinsics
+from guidecheck.inference import (
+    Effects,
+    Offense,
+    _body_env,
+    _typed,
+    _Typing,
+    bodied_sigs,
+    seed_intrinsics,
+)
 from guidecheck.regions import (
     NULL_REGION,
     UNKNOWN,
@@ -197,7 +209,7 @@ def _sweep_table(prog: Program, meta: RegionMeta) -> SweepTable:
         for mname, (md, _) in methods_of(prog, c.name).items():
             for recv in meta.regions:
                 for args in product(meta.regions, repeat=len(md.params)):
-                    mtable[Sig(c.name, recv, mname, args)] = empty_triple()
+                    mtable[Sig(c.name, recv, mname, args)] = ({}, {}, {})
     return SweepTable(ftable, mtable)
 
 
@@ -326,3 +338,35 @@ def _sweep_cap(table: SweepTable, meta: RegionMeta, domain) -> int:
         return 1 << 30
     per_entry = (2 * len(meta.regions) + len(table.mtable)) * height
     return 2 + len(table.mtable) * per_entry
+
+
+def check_per_signature(
+    prog: Program,
+    table,
+    domain,
+    intrinsics: dict | None = None,
+    meta: RegionMeta | None = None,
+) -> list[Offense]:
+    """Re-type every analyzed body against the frozen table, once per key
+    (``_key``), and check each signature's stored row and the field rows
+    against its body's typing, in signature order."""
+    if meta is None:
+        meta = region_meta(prog)
+    specs = intrinsics or {}
+    sigs = [sig for sig in bodied_sigs(table, prog, meta, specs)
+            if table.analyzed is None or sig in table.analyzed]
+    ty = _Typing(prog, meta, table, domain, table.reads)
+    offenses: list[Offense] = []
+    for sig in sigs:
+        body, gamma = _body_env(sig, prog)
+        ty.work = 0
+        eff = _typed(ty, gamma, body)
+        for (key, region) in eff.fupdates:
+            if region not in table.fields_at(*key):
+                offenses.append(Offense(sig, "F", f"field row {key} lacks {region}"))
+        for part, got, have in zip("THS", eff.triple(), table.mtable[sig]):
+            for k, v in got.items():
+                held = have.get(k)
+                if held is None or not domain.fin_leq(v, held):
+                    offenses.append(Offense(sig, part, f"entry {k} not covered"))
+    return offenses

@@ -1,7 +1,10 @@
 """Reference computations the solver is checked against.
 
 ``apply_system`` is one application S(η) of the divergence equations, and
-``verify_fixpoint`` checks η(δ) = S(η)(δ) exactly.
+``verify_fixpoint`` checks η(δ) = S(η)(δ) exactly.  ``solve_per_signature``
+is the solver before one-member equations were solved once per block: it
+eliminates every signature's equation on its own, and the tests check that
+``solve`` gives an equal η.
 
 ``approx_eta`` is the executable reference: descend from the top element
 (all finite and infinite words) by iterating the system inside a concrete
@@ -15,9 +18,11 @@ on self-loops is the reason the solver exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from guidecheck.effexpr import dict_join, dict_scale
 from guidecheck.regions import Sig
-from guidecheck.solver import EquationSystem
+from guidecheck.solver import EquationSystem, _LinForm, components
 
 
 def apply_system(system: EquationSystem, eta: dict, domain) -> dict:
@@ -80,3 +85,64 @@ def naive_gfp(system: EquationSystem, domain, cap: int = 1000) -> dict:
             return nxt
         eta = nxt
     raise RuntimeError("gfp iteration failed to converge within its cap")
+
+
+def solve_per_signature(system: EquationSystem, domain,
+                        order: Sequence | None = None) -> dict:
+    """The solve that ran every signature's equation on its own: the one
+    ``guidecheck.solver.solve`` replaced by a solve per block, which must
+    give an equal (``==``) η."""
+    order = list(order) if order is not None else list(system.sigs)
+    if len(order) != len(system.sigs) or set(order) != set(system.sigs):
+        raise ValueError("order must be a permutation of the system variables")
+    rank = {var: i for i, var in enumerate(order)}
+    eta: dict = {}
+
+    def substitute(form: _LinForm, var, sub: _LinForm) -> _LinForm:
+        u = form.coeffs.pop(var, None)
+        if u is None:
+            return form
+        form.coeffs = dict_join(
+            form.coeffs, dict_scale(u, sub.coeffs, domain.fin_concat),
+            domain.fin_join,
+        )
+        form.const = domain.mix_join(
+            form.const, domain.fin_mix_concat(u, sub.const)
+        )
+        return form
+
+    for comp in components(system.sigs, system.rhs.__getitem__):
+        members = sorted(comp, key=rank.__getitem__)
+        inside = set(members)
+        solved: dict = {}
+        for i, var in enumerate(members):
+            form = _LinForm({}, domain.mix_bottom())
+            for callee, u in system.rhs[var].items():
+                if callee in inside:
+                    form.coeffs[callee] = u
+                else:
+                    form.const = domain.mix_join(
+                        form.const, domain.fin_mix_concat(u, eta[callee])
+                    )
+            for prev in members[:i]:
+                form = substitute(form, prev, solved[prev])
+            self_coeff = form.coeffs.pop(var, None)
+            if self_coeff is not None and not domain.fin_is_bottom(self_coeff):
+                star = domain.star(self_coeff)
+                form.coeffs = dict_scale(star, form.coeffs, domain.fin_concat)
+                form.const = domain.mix_join(
+                    domain.fin_mix_concat(star, form.const),
+                    domain.omega(self_coeff),
+                )
+            solved[var] = form
+
+        for var in reversed(members):
+            form = solved[var]
+            for later, u in sorted(form.coeffs.items(),
+                                   key=lambda kv: Sig.sort_key(kv[0])):
+                form.const = domain.mix_join(
+                    form.const, domain.fin_mix_concat(u, eta[later])
+                )
+            eta[var] = form.const
+
+    return {var: eta[var] for var in system.sigs}

@@ -4,19 +4,16 @@ from collections import Counter
 
 import pytest
 
-import corpus as soundness_corpus
 import inference_reference
-import taint_corpus
-from conftest import FIXTURES, fixture
 from inference_reference import infer_by_sweeps
 from profile_reference import decode_mtable
+from reference_cases import entry_points, ladder, reference_cases
 
 from guidecheck import inference, profiles
 from guidecheck.classtable import init_table
 from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
-from guidecheck.fjtypes import methods_of
-from guidecheck.guideline import load_guideline, parse_guideline
+from guidecheck.guideline import parse_guideline
 from guidecheck.inference import (
     _Typing,
     bodied_sigs,
@@ -26,7 +23,7 @@ from guidecheck.inference import (
     reads_of,
     typeff,
 )
-from guidecheck.intrinsics import load_config, parse_config
+from guidecheck.intrinsics import parse_config
 from guidecheck.regions import NULL_REGION, UNKNOWN, Sig, created_at, region_meta
 
 ONE_LETTER_GUIDELINE = (
@@ -338,7 +335,7 @@ def test_typings_stay_within_the_cap_at_the_final_height(monkeypatch):
     """The count infer makes is within ``_typing_cap`` at the height its
     domain reaches by the end: the bound the re-read cap relies on."""
     cases = 0
-    for name, prog, d, specs in _reference_cases():
+    for name, prog, d, specs in reference_cases():
         typed = _typings_of(monkeypatch)
         table = infer(prog, d, intrinsics=specs)
         meta = region_meta(prog)
@@ -384,36 +381,6 @@ def test_check_well_typed_catches_a_tampered_table():
 # --- the worklist against the sweep it replaced ------------------------------------
 
 
-def _reference_cases():
-    """(name, program, domain, stub specs) over the soundness corpus, the
-    taint corpus, and every fixture program under every fixture guideline
-    whose alphabet covers it."""
-    domains = {}
-
-    def domain_of(gl_name):
-        if gl_name not in domains:
-            domains[gl_name] = ProfileDomain(load_guideline(fixture(gl_name)))
-        return domains[gl_name]
-
-    d = domain_of("count_mod3.gl")
-    for name, (src, _, _, cfg) in sorted(soundness_corpus.PROGRAMS.items()):
-        prog = parse_program(src, f"{name}.fj", alphabet=d.alphabet)
-        yield name, prog, d, parse_config(cfg, d.alphabet) if cfg else {}
-    d = domain_of("taint.gl")
-    for name, src in sorted(taint_corpus.PROGRAMS.items()):
-        yield name, parse_program(src, f"{name}.fj", alphabet=d.alphabet), d, {}
-    for fj in sorted(FIXTURES.glob("*.fj")):
-        prog = parse_program(fj.read_text(encoding="utf-8"), fj.name)
-        for gl in sorted(FIXTURES.glob("*.gl")):
-            d = domain_of(gl.name)
-            if not prog.alphabet <= set(d.alphabet):
-                continue
-            specs = {}
-            if fj.name == "serve.fj":
-                specs = load_config(fixture("serve.cfg"), d.alphabet)
-            yield f"{fj.name}/{gl.name}", prog, d, specs
-
-
 def assert_same_tables(got, want, what):
     """The worklist's tables equal the sweep reference's, the field rows
     compared at every class, region and field, inherited ones included."""
@@ -423,18 +390,12 @@ def assert_same_tables(got, want, what):
     assert got.pinned == want.pinned, what
 
 
-def _entry_points(prog):
-    return [f"{c.name}.{m}" for c in prog.classes
-            for m, (md, _) in sorted(methods_of(prog, c.name).items())
-            if not md.params]
-
-
 @pytest.mark.parametrize("demand_driven", [False, True],
                          ids=["full", "demand-driven"])
 def test_worklist_matches_the_sweep_reference(demand_driven):
     runs = 0
-    for name, prog, d, specs in _reference_cases():
-        for entries in ([[e] for e in _entry_points(prog)] if demand_driven
+    for name, prog, d, specs in reference_cases():
+        for entries in ([[e] for e in entry_points(prog)] if demand_driven
                         else [None]):
             got = infer(prog, d, intrinsics=specs, entries=entries)
             want = infer_by_sweeps(prog, d, intrinsics=specs, entries=entries)
@@ -450,9 +411,9 @@ def test_keyed_rule_matches_the_per_region_rule(demand_driven):
     reading gives exactly the effects of the per-region reference rule: the
     rows are raw ``==``, both rules building profiles in one domain."""
     bodies = 0
-    for name, prog, d, specs in _reference_cases():
+    for name, prog, d, specs in reference_cases():
         meta = region_meta(prog)
-        for entries in ([[e] for e in _entry_points(prog)] if demand_driven
+        for entries in ([[e] for e in entry_points(prog)] if demand_driven
                         else [None]):
             table = infer(prog, d, intrinsics=specs, entries=entries,
                           meta=meta)
@@ -621,7 +582,7 @@ class Main extends Object {
 def test_grouped_typing_matches_the_sweep_reference(src):
     prog = parse_program(src)
     d = ONE_LETTER
-    for entries in [None] + [[e] for e in _entry_points(prog)]:
+    for entries in [None] + [[e] for e in entry_points(prog)]:
         got = infer(prog, d, entries=entries)
         want = infer_by_sweeps(prog, d, entries=entries)
         assert_same_tables(got, want, entries)
@@ -640,26 +601,8 @@ def test_inherited_bodies_share_one_typing_group():
     assert all("Over" not in c or c == {"Over"} for c in classes)
 
 
-def _ladder(nodes, tags):
-    """ROADMAP family (b): Node.step(p0, p1) reads only this and its next
-    field; Main.go links the Nodes, head at the last label in sort order,
-    allocates unused Tags, and calls step on the head."""
-    allocs = [f"Node x{i} = new[l{nodes - 1 - i:02d}] Node();"
-              for i in range(nodes)]
-    allocs += [f"Tag y{k} = new[t{k:02d}] Tag();" for k in range(tags)]
-    links = [f"x{i}.next = x{i + 1};" for i in range(nodes - 1)]
-    return ("class Tag extends Object { }\n"
-            "class Node extends Object { Node next;\n"
-            "  Node step(Node p0, Node p1) { emit a; Node n = this.next;"
-            " Node z = null; if (n == z) { return this; }"
-            " else { return n.step(n, n); } } }\n"
-            "class Main extends Object { Object go() { emit a; "
-            + " ".join(allocs + links)
-            + " Node r = x0.step(x0, x0); return this.go(); } }\n")
-
-
 def test_ladder_types_one_body_per_key(monkeypatch):
-    prog = parse_program(_ladder(2, 6))
+    prog = parse_program(ladder(2, 6))
     meta = region_meta(prog)
     d = ONE_LETTER
     step = id(prog.by_name["Node"].methods[0].body)

@@ -3,6 +3,8 @@
 The hand-checkable systems here are small enough to solve on paper: one- and
 two-variable right-hand sides, and a call cycle that leaves for a self-loop.
 A long call chain checks that splitting into components needs no recursion.
+Solving one equation per block gives η equal (``==``) to solving each
+signature's equation on its own, on every whole program the tests analyze.
 The acceptance suite stresses order invariance and η = S(η) on the inferred
 systems of whole programs.
 """
@@ -11,9 +13,17 @@ import random
 
 import pytest
 
+from canonical_forms import CanonicalDomain
 from conftest import load_domain
 from language_oracle import OracleDomain
-from solver_reference import apply_system, approx_eta, naive_gfp, verify_fixpoint
+from reference_cases import entry_points, ladder, reference_cases
+from solver_reference import (
+    apply_system,
+    approx_eta,
+    naive_gfp,
+    solve_per_signature,
+    verify_fixpoint,
+)
 from toydomain import APLUS, EMPTY, ToyDomain, ToyMix
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import parse_guideline
@@ -195,6 +205,49 @@ def test_from_table_reads_the_callsite_component():
     eta = solve(system, PAR)
     assert PAR.member_up([], ["a"], eta[me])
     assert verify_fixpoint(system, eta, PAR)
+
+
+def test_equations_share_a_block_only_when_equal():
+    """D1 and D2 call the same silent loop after prefixes of different
+    parity, so they differ; D4 loops silently on itself as D3 does, so
+    they share a block."""
+    eps = PAR.alpha_word(())
+    a = PAR.alpha_word(("a",))
+    aa = PAR.alpha_word(("a", "a"))
+    d1, d2, d3, d4 = (sig(f"D{i}") for i in range(1, 5))
+    system = EquationSystem([d1, d2, d3, d4], {
+        d1: {d3: a}, d2: {d3: aa}, d3: {d3: eps}, d4: {d4: eps}})
+    eta = solve(system, PAR)
+    assert eta == solve_per_signature(system, PAR)
+    assert eta[d1] != eta[d2]
+    assert eta[d3] == eta[d4]
+    assert verify_fixpoint(system, eta, PAR)
+
+
+def _inferred_systems(demand_driven):
+    """(name, equation system, domain) of every reference case and of two
+    wide ladders, each entry point on its own when demand_driven."""
+    cases = list(reference_cases(CanonicalDomain))
+    for nodes, tags in ((2, 6), (3, 2)):
+        cases.append((f"ladder({nodes}, {tags})",
+                      parse_program(ladder(nodes, tags)), PAR, {}))
+    for name, prog, d, specs in cases:
+        for entries in ([[e] for e in entry_points(prog)] if demand_driven
+                        else [None]):
+            table = infer(prog, d, intrinsics=specs, entries=entries)
+            yield (name, entries), EquationSystem.from_table(table, d), d
+
+
+@pytest.mark.parametrize("demand_driven", [False, True],
+                         ids=["full", "demand-driven"])
+def test_solve_per_block_equals_the_per_signature_solve(demand_driven):
+    systems = 0
+    for what, system, d in _inferred_systems(demand_driven):
+        eta = solve(system, d)
+        assert eta == solve_per_signature(system, d), what
+        assert verify_fixpoint(system, eta, d), what
+        systems += 1
+    assert systems >= (48 if not demand_driven else 89)
 
 
 # --- the executable reference ----------------------------------------------------
