@@ -141,8 +141,6 @@ def _joiner(domain, triple: Triple) -> Callable:
     join leaves equal stays the object it was."""
 
     def join(row: Triple) -> Triple:
-        if row == triple:  # as when a typing confirms its row
-            return row
         joined = join_triple(domain, row, triple)
         return row if joined == row else joined
 

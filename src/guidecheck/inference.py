@@ -303,34 +303,35 @@ def bodied_sigs(table: ClassTable, prog: Program, meta: RegionMeta,
     return out
 
 
+def _env(md, values) -> dict:
+    """The environment md's body is typed in: ``this`` and the parameters
+    bound to values, in that order; a later name wins."""
+    return dict(zip(["this", *(p.name for p in md.params)], values))
+
+
 def _body_env(sig: Sig, prog: Program) -> tuple:
     """The body sig resolves to, and the environment it is typed in."""
     md, _ = method_lookup(prog, sig.cls, sig.method)
-    return md.body, {"this": sig.recv,
-                     **{p.name: r for p, r in zip(md.params, sig.args)}}
+    return md.body, _env(md, (sig.recv, *sig.args))
 
 
 def _typing_groups(sigs: list, prog: Program, reads: dict) -> list:
     """Split sigs into groups whose bodies type alike, by ``_key``: so
     inherited bodies are shared.  Groups come in the order of their first
     member in sigs, and members keep that order.  Each (class, method) is
-    resolved once, to its body and the positions in (receiver, *arguments)
-    of the variables the body reads, in name order: ``_key`` without an
-    environment per signature."""
-    where: dict = {}  # (cls, method) -> (body, positions)
+    resolved once, and ``_key`` taken once over the environment of
+    positions in (receiver, *arguments), so no signature builds one."""
+    where: dict = {}  # (cls, method) -> _key over positions
     groups: dict = {}
     for sig in sigs:
         at = where.get((sig.cls, sig.method))
         if at is None:
             md, _ = method_lookup(prog, sig.cls, sig.method)
-            # as in _body_env's environment, a later name wins
-            pos = {name: i for i, name in
-                   enumerate(["this", *(p.name for p in md.params)])}
-            at = where[sig.cls, sig.method] = (
-                md.body, [pos[v] for v in sorted(reads[id(md.body)])])
-        body, positions = at
+            at = where[sig.cls, sig.method] = _key(
+                reads, _env(md, range(1 + len(md.params))), md.body)
+        body_id, positions = at
         regions = (sig.recv, *sig.args)
-        key = (id(body), tuple([regions[i] for i in positions]))
+        key = (body_id, tuple([regions[i] for i in positions]))
         groups.setdefault(key, []).append(sig)
     return list(groups.values())
 

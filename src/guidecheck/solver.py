@@ -67,10 +67,9 @@ class _LinForm:
 
 def components(nodes: Iterable, successors: Callable) -> list:
     """Strongly connected components of the graph that ``successors`` gives
-    on ``nodes``, as a collection per node, each successor's component
-    before its predecessors' (Tarjan 1972).  Roots are taken in the order of
-    ``nodes``.  Iterative, so a long chain cannot exhaust the Python
-    stack."""
+    on ``nodes``, each successor's component before its predecessors'
+    (Tarjan 1972).  Roots are taken in the order of ``nodes``.  Iterative, so
+    a long chain cannot exhaust the Python stack."""
     index: dict = {}
     low: dict = {}
     stack: list = []
@@ -78,10 +77,6 @@ def components(nodes: Iterable, successors: Callable) -> list:
     out: list = []
     for root in nodes:
         if root in index:
-            continue
-        if not successors(root):  # a component of its own, at once
-            index[root] = len(index)
-            out.append([root])
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
@@ -116,13 +111,9 @@ def components(nodes: Iterable, successors: Callable) -> list:
 
 
 def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict:
-    if order is None:
-        order = system.sigs
-    else:
-        order = list(order)
-        if len(order) != len(system.sigs) or set(order) != set(system.sigs):
-            raise ValueError(
-                "order must be a permutation of the system variables")
+    order = list(order) if order is not None else list(system.sigs)
+    if len(order) != len(system.sigs) or set(order) != set(system.sigs):
+        raise ValueError("order must be a permutation of the system variables")
     rank = {var: i for i, var in enumerate(order)}
     eta: dict = {}
 

@@ -72,9 +72,9 @@ def test_ladder_work_scales_with_distinct_values(monkeypatch):
     (domain,), (table,) = domains, tables
     assert len(table.mtable) == 1010
     assert len(report.signatures) == 301
-    # 7 typings of 4 groups, one join each; the rows: the shared empty
+    # 8 typings of 4 groups, one join each; the rows: the shared empty
     # row, step at l00, l01 and Unknown, and go
-    assert joins["join_triple"] <= 7, joins
+    assert joins["join_triple"] <= 8, joins
     assert len({id(row) for row in table.mtable.values()}) <= 5
     # blocks: the empty equations, step at l00, step at l01 and Unknown
     # (two callees each), and go's self-loop with its call
