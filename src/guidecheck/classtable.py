@@ -30,7 +30,6 @@ mutated in place, only replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
 
@@ -45,18 +44,21 @@ Triple = tuple
 EMPTY_ROW: Triple = ({}, {}, {})  # every signature's first row, shared
 
 
-@dataclass
 class ClassTable:
     """The field and method tables.  Method rows are shared among
     signatures and never mutated in place: a writer replaces a row."""
 
-    ftable: dict  # (declaring cls, Region, fname) -> frozenset[Region]
-    mtable: dict  # Sig -> (T, H, S)
-    owner: dict  # (cls, fname) -> the class declaring the field
-    supers: dict  # cls -> its declared proper superclasses, nearest first
-    pinned: set = field(default_factory=set)
-    analyzed: set | None = None  # demand-driven: the sigs activated
-    reads: dict | None = None  # the read sets infer typed with (reads_of)
+    def __init__(self, ftable: dict, mtable: dict, owner: dict, supers: dict):
+        # (declaring cls, Region, fname) -> frozenset[Region]
+        self.ftable = ftable
+        self.mtable = mtable  # Sig -> (T, H, S)
+        self.owner = owner  # (cls, fname) -> the class declaring the field
+        # cls -> its declared proper superclasses, nearest first
+        self.supers = supers
+        self.pinned: set = set()
+        self.analyzed: set | None = None  # demand-driven: the sigs activated
+        # the read sets infer typed with (reads_of)
+        self.reads: dict | None = None
 
     def field_row(self, cls: str, region: Region, fname: str) -> tuple:
         """The key of the row that class cls reads for field fname."""

@@ -27,7 +27,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .domains import ProfileDomain
 from .fjast import NULL_TYPE, FjError, Program
@@ -62,12 +61,13 @@ class AnalysisError(Exception):
         super().__init__("; ".join(str(m) for m in self.messages))
 
 
-@dataclass
 class SigReport:
-    sig: Sig
-    returns_ok: bool
-    throws_ok: bool
-    diverges_ok: bool
+    def __init__(self, sig: Sig, returns_ok: bool, throws_ok: bool,
+                 diverges_ok: bool):
+        self.sig = sig
+        self.returns_ok = returns_ok
+        self.throws_ok = throws_ok
+        self.diverges_ok = diverges_ok
 
     @property
     def ok(self) -> bool:
@@ -85,14 +85,17 @@ class SigReport:
         }
 
 
-@dataclass
 class Counterexample:
-    entry: str
-    kind: str  # finite-trace | dead-prefix | silent-divergence | divergence
-    trace: tuple
-    cycle: tuple | None = None
-    position: int | None = None
-    fuel: int | None = None  # the least fuel at which the search found it
+    def __init__(self, entry: str, kind: str, trace: tuple,
+                 cycle: tuple | None = None, position: int | None = None,
+                 fuel: int | None = None):
+        self.entry = entry
+        # finite-trace | dead-prefix | silent-divergence | divergence
+        self.kind = kind
+        self.trace = trace
+        self.cycle = cycle
+        self.position = position
+        self.fuel = fuel  # the least fuel at which the search found it
 
     def to_json(self) -> dict:
         out = {
@@ -132,11 +135,11 @@ class Counterexample:
                 f"the infinite trace is rejected")
 
 
-@dataclass
 class Report:
-    verdict: str  # "pass" | "fail"
-    signatures: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
+    def __init__(self, verdict: str, signatures: list, counterexamples: list):
+        self.verdict = verdict  # "pass" | "fail"
+        self.signatures = signatures
+        self.counterexamples = counterexamples
 
     def to_json(self) -> dict:
         return {
@@ -297,12 +300,15 @@ def find_counterexample(
     level, so no run with less fuel shows a violation.  The search stops
     early once no run at a level runs out of fuel: every higher level would
     repeat the same runs.  Traces are checked on the guideline's profile
-    monoid, the one the analysis built, so most products are cached.
+    monoid, the one the analysis built, so most products are cached, and
+    each divergence the guideline accepts is judged once per search.
     """
     monoid = monoid_of(guideline)
+    accepted: set = set()  # (stem, cycle) traces the guideline accepts
     for level in range(1, fuel + 1):
         runs = enumerate_traces(prog, entry, level, intrinsics)
-        ce = _witness_in(prog, monoid, entry, runs, level, intrinsics)
+        ce = _witness_in(prog, monoid, entry, runs, level, intrinsics,
+                         accepted)
         if ce is not None:
             ce.fuel = level
             return ce
@@ -311,13 +317,17 @@ def find_counterexample(
     return None
 
 
-def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
+def _witness_in(prog, monoid, entry, runs, fuel, intrinsics, accepted):
     """The first witness among one level's runs, tried in order: (1) the
     first complete run (terminated or thrown) whose trace the guideline
     rejects as a finite word; (2) the first fuel-stopped run whose emitted
     prefix kills every automaton run; (3) the first diverging execution —
     witnessed by a repeated call configuration and validated by replay —
-    whose trace stem·cycle^ω the guideline rejects."""
+    whose trace stem·cycle^ω the guideline rejects.  ``accepted`` holds the
+    (stem, cycle) traces of candidates the guideline accepted, at this
+    level or a lower one; they are skipped, and this level's are added.  A
+    rejected candidate is replayed at every level, since the replay's fuel
+    grows with the level."""
     for run in runs:
         if isinstance(run.outcome, (Terminated, Thrown)):
             w = run.outcome.trace
@@ -338,24 +348,20 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
     seen = set()
     for run in runs:
         for cand in run.cycles:
-            key = (cand.stem_trace, cand.cycle_trace,
-                   cand.stem_script, cand.cycle_script)
+            traces = (cand.stem_trace, cand.cycle_trace)
+            if traces in accepted:
+                continue
+            key = cand.key()
             if key in seen:
                 continue
             seen.add(key)
-            if not cand.cycle_trace:
-                if monoid.accepts_finite(cand.stem_trace):
-                    continue
-                if _replay_confirms(prog, entry, cand, fuel, intrinsics):
-                    return Counterexample(entry, "silent-divergence",
-                                          cand.stem_trace, cycle=())
-            else:
-                if monoid.accepts_lasso(cand.stem_trace, cand.cycle_trace):
-                    continue
-                if _replay_confirms(prog, entry, cand, fuel, intrinsics):
-                    return Counterexample(entry, "divergence",
-                                          cand.stem_trace,
-                                          cycle=cand.cycle_trace)
+            if (monoid.accepts_lasso(*traces) if cand.cycle_trace
+                    else monoid.accepts_finite(cand.stem_trace)):
+                accepted.add(traces)
+            elif _replay_confirms(prog, entry, cand, fuel, intrinsics):
+                kind = "divergence" if cand.cycle_trace else "silent-divergence"
+                return Counterexample(entry, kind, cand.stem_trace,
+                                      cycle=cand.cycle_trace)
     return None
 
 

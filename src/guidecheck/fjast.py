@@ -6,23 +6,69 @@ label.  The surface statement language (locals, sequencing, ``return``) is
 desugared into this core by the parser; fresh variables introduced by
 desugaring start with ``$`` and can never clash with source identifiers.
 
-Positions are kept on nodes for error reporting but excluded from equality,
-so a program printed and reparsed compares equal to the original.
+Nodes are immutable records (``Node``).  Positions are kept on nodes for
+error reporting but excluded from equality and hashing, so a program printed
+and reparsed compares equal to the original; ``replace`` keeps a node's
+position unless it is given a new one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 OBJECT = "Object"
 NULL_TYPE = "NullType"
 
+_set = object.__setattr__  # how a node's __init__ sets its fields
 
-@dataclass(frozen=True)
-class Pos:
-    line: int
-    col: int
+
+class Node:
+    """An immutable record whose fields are its ``__slots__``, in the order
+    of its constructor's parameters.  Equality and the hash cover every
+    field but ``pos``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._compared = tuple(n for n in cls.__slots__ if n != "pos")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def replace(self, **changes) -> "Node":
+        """This node with the given fields changed and the others, its
+        position included, kept."""
+        values = [changes.pop(n, getattr(self, n)) for n in self.__slots__]
+        if changes:
+            raise TypeError(f"{self.__class__.__qualname__} has no field "
+                            f"{next(iter(changes))!r}")
+        return self.__class__(*values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Pos(Node):
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int, col: int):
+        _set(self, "line", line)
+        _set(self, "col", col)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -42,99 +88,130 @@ class FjError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expr:
-    pass
+class Expr(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: Pos | None = None):
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Null(Expr):
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: Pos | None = None):
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class New(Expr):
-    cls: str
-    label: str
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("cls", "label", "pos")
+
+    def __init__(self, cls: str, label: str, pos: Pos | None = None):
+        _set(self, "cls", cls)
+        _set(self, "label", label)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Cast(Expr):
-    cls: str
-    expr: Expr
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("cls", "expr", "pos")
+
+    def __init__(self, cls: str, expr: Expr, pos: Pos | None = None):
+        _set(self, "cls", cls)
+        _set(self, "expr", expr)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Emit(Expr):
-    event: str
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("event", "pos")
+
+    def __init__(self, event: str, pos: Pos | None = None):
+        _set(self, "event", event)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Let(Expr):
-    var: str
-    decl: str | None  # declared class for surface locals, None for fresh names
-    init: Expr
-    body: Expr
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("var", "decl", "init", "body", "pos")
+
+    def __init__(self, var: str, decl: str | None, init: Expr, body: Expr,
+                 pos: Pos | None = None):
+        _set(self, "var", var)
+        # declared class for surface locals, None for fresh names
+        _set(self, "decl", decl)
+        _set(self, "init", init)
+        _set(self, "body", body)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class If(Expr):
-    left: str
-    right: str
-    then: Expr
-    els: Expr
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("left", "right", "then", "els", "pos")
+
+    def __init__(self, left: str, right: str, then: Expr, els: Expr,
+                 pos: Pos | None = None):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "then", then)
+        _set(self, "els", els)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    recv: str
-    recv_cls: str  # static class of the receiver, filled by the parser
-    method: str
-    args: tuple[str, ...]
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("recv", "recv_cls", "method", "args", "pos")
+
+    def __init__(self, recv: str, recv_cls: str, method: str,
+                 args: tuple[str, ...], pos: Pos | None = None):
+        _set(self, "recv", recv)
+        # static class of the receiver, filled by the parser
+        _set(self, "recv_cls", recv_cls)
+        _set(self, "method", method)
+        _set(self, "args", args)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class GetField(Expr):
-    recv: str
-    recv_cls: str
-    fname: str
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("recv", "recv_cls", "fname", "pos")
+
+    def __init__(self, recv: str, recv_cls: str, fname: str,
+                 pos: Pos | None = None):
+        _set(self, "recv", recv)
+        _set(self, "recv_cls", recv_cls)
+        _set(self, "fname", fname)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class SetField(Expr):
-    recv: str
-    recv_cls: str
-    fname: str
-    value: str
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("recv", "recv_cls", "fname", "value", "pos")
+
+    def __init__(self, recv: str, recv_cls: str, fname: str, value: str,
+                 pos: Pos | None = None):
+        _set(self, "recv", recv)
+        _set(self, "recv_cls", recv_cls)
+        _set(self, "fname", fname)
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Throw(Expr):
-    expr: Expr
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("expr", "pos")
+
+    def __init__(self, expr: Expr, pos: Pos | None = None):
+        _set(self, "expr", expr)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class TryCatch(Expr):
-    body: Expr
-    exc_cls: str
-    var: str
-    handler: Expr
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("body", "exc_cls", "var", "handler", "pos")
+
+    def __init__(self, body: Expr, exc_cls: str, var: str, handler: Expr,
+                 pos: Pos | None = None):
+        _set(self, "body", body)
+        _set(self, "exc_cls", exc_cls)
+        _set(self, "var", var)
+        _set(self, "handler", handler)
+        _set(self, "pos", pos)
 
 
 def subexprs(e: Expr) -> Iterator[Expr]:
@@ -161,35 +238,46 @@ def subexprs(e: Expr) -> Iterator[Expr]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldDecl:
-    cls: str  # declared class of the field's contents
-    name: str
-    pos: Pos | None = field(default=None, compare=False)
+class FieldDecl(Node):
+    __slots__ = ("cls", "name", "pos")
+
+    def __init__(self, cls: str, name: str, pos: Pos | None = None):
+        _set(self, "cls", cls)  # declared class of the field's contents
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Param:
-    cls: str
-    name: str
+class Param(Node):
+    __slots__ = ("cls", "name")
+
+    def __init__(self, cls: str, name: str):
+        _set(self, "cls", cls)
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class MethodDecl:
-    result: str
-    name: str
-    params: tuple[Param, ...]
-    body: Expr
-    pos: Pos | None = field(default=None, compare=False)
+class MethodDecl(Node):
+    __slots__ = ("result", "name", "params", "body", "pos")
+
+    def __init__(self, result: str, name: str, params: tuple[Param, ...],
+                 body: Expr, pos: Pos | None = None):
+        _set(self, "result", result)
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "body", body)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ClassDecl:
-    name: str
-    parent: str  # OBJECT or a declared class name
-    fields: tuple[FieldDecl, ...]  # declared here; inherited ones live upstream
-    methods: tuple[MethodDecl, ...]
-    pos: Pos | None = field(default=None, compare=False)
+class ClassDecl(Node):
+    __slots__ = ("name", "parent", "fields", "methods", "pos")
+
+    def __init__(self, name: str, parent: str, fields: tuple[FieldDecl, ...],
+                 methods: tuple[MethodDecl, ...], pos: Pos | None = None):
+        _set(self, "name", name)
+        _set(self, "parent", parent)  # OBJECT or a declared class name
+        # declared here; inherited ones live upstream
+        _set(self, "fields", fields)
+        _set(self, "methods", methods)
+        _set(self, "pos", pos)
 
 
 class Program:

@@ -13,8 +13,6 @@ parser runs it once per program and keeps the violations on the Program, so
 
 from __future__ import annotations
 
-import dataclasses
-
 from .fjast import (
     NULL_TYPE,
     OBJECT,
@@ -138,7 +136,7 @@ def typed_classes(
                 if raise_names:
                     raise
                 errors.append(exc)
-        classes.append(dataclasses.replace(c, methods=tuple(methods)))
+        classes.append(c.replace(methods=tuple(methods)))
     return classes
 
 
@@ -165,7 +163,7 @@ def check_method(
         if not preceq(prog, t, md.result):
             errors.append(FjError(f"body of {cls}.{md.name} has type {t}, "
                                   f"not a subclass of declared {md.result}", md.pos))
-    return md if body is md.body else dataclasses.replace(md, body=body)
+    return md if body is md.body else md.replace(body=body)
 
 
 def _check_declarations(c: ClassDecl, errors: list[FjError]) -> None:
@@ -227,7 +225,7 @@ def _type_expr(
         if e.cls != OBJECT and e.cls not in prog.by_name:
             raise FjError(f"unknown cast class {e.cls}", e.pos)
         inner, _ = _type_expr(prog, env, e.expr, errors, alphabet)
-        return (e if inner is e.expr else dataclasses.replace(e, expr=inner)), e.cls
+        return (e if inner is e.expr else e.replace(expr=inner)), e.cls
     if isinstance(e, Let):
         return _type_spine(prog, env, e, errors, alphabet)
     if isinstance(e, If):
@@ -236,7 +234,7 @@ def _type_expr(
         then, t1 = _type_expr(prog, env, e.then, errors, alphabet)
         els, t2 = _type_expr(prog, env, e.els, errors, alphabet)
         if then is not e.then or els is not e.els:
-            e = dataclasses.replace(e, then=then, els=els)
+            e = e.replace(then=then, els=els)
         return e, lub(prog, t1, t2)
     if isinstance(e, Call):
         rt, ann = _receiver(prog, env, e)
@@ -254,7 +252,7 @@ def _type_expr(
                     errors.append(
                         FjError(f"argument {a}: {t} is not a subclass of {p.cls}", e.pos)
                     )
-        return (e if e.recv_cls else dataclasses.replace(e, recv_cls=ann)), md.result
+        return (e if e.recv_cls else e.replace(recv_cls=ann)), md.result
     if isinstance(e, (GetField, SetField)):
         rt, ann = _receiver(prog, env, e)
         fc = field_class(prog, ann, e.fname)
@@ -264,10 +262,10 @@ def _type_expr(
         _check_annotation(prog, e, rt, ann, errors)
         if not preceq(prog, t, fc):
             errors.append(FjError(f"assigning {t} into field {e.fname}: {fc}", e.pos))
-        return (e if e.recv_cls else dataclasses.replace(e, recv_cls=ann)), t
+        return (e if e.recv_cls else e.replace(recv_cls=ann)), t
     if isinstance(e, Throw):
         inner, _ = _type_expr(prog, env, e.expr, errors, alphabet)
-        return (e if inner is e.expr else dataclasses.replace(e, expr=inner)), NULL_TYPE
+        return (e if inner is e.expr else e.replace(expr=inner)), NULL_TYPE
     if isinstance(e, TryCatch):
         body, t1 = _type_expr(prog, env, e.body, errors, alphabet)
         if e.exc_cls != OBJECT and e.exc_cls not in prog.by_name:
@@ -278,7 +276,7 @@ def _type_expr(
         env2[e.var] = e.exc_cls
         handler, t2 = _type_expr(prog, env2, e.handler, errors, alphabet)
         if body is not e.body or handler is not e.handler:
-            e = dataclasses.replace(e, body=body, handler=handler)
+            e = e.replace(body=body, handler=handler)
         return e, lub(prog, t1, t2)
     raise AssertionError(f"unhandled expression {e!r}")
 
@@ -307,7 +305,7 @@ def _type_spine(
     body, t = _type_expr(prog, env, e, errors, alphabet)
     for let, init in reversed(spine):
         if init is not let.init or body is not let.body:
-            let = dataclasses.replace(let, init=init, body=body)
+            let = let.replace(init=init, body=body)
         body = let
     return body, t
 

@@ -22,7 +22,6 @@ and of the latter across the whole re-check.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .classtable import ClassTable, init_table, once_per_object
@@ -50,12 +49,12 @@ from .regions import NULL_REGION, RegionMeta, Sig, created_at, region_meta
 from .solver import components
 
 
-@dataclass
 class Effects:
-    t: dict  # Region -> fin element
-    h: dict  # Region -> fin element
-    s: dict  # Sig -> fin element
-    fupdates: list  # ((cls, Region, fname), Region) pairs
+    def __init__(self, t: dict, h: dict, s: dict, fupdates: list):
+        self.t = t  # Region -> fin element
+        self.h = h  # Region -> fin element
+        self.s = s  # Sig -> fin element
+        self.fupdates = fupdates  # ((cls, Region, fname), Region) pairs
 
     def triple(self):
         return (self.t, self.h, self.s)
@@ -64,20 +63,22 @@ class Effects:
 TYPING_WORK_CAP = 1 << 18  # the most steps (_rule) of one body's typing
 
 
-@dataclass
 class _Typing:
     """What a typing reads besides its environment: the program, its
     regions, a table, the domain and the read sets (``reads_of``), with the
     memo of typings by (node, reading), the steps taken so far and the
     field rows read; the method rows read are the keys of the typing's S."""
-    prog: Program
-    meta: RegionMeta
-    table: ClassTable
-    domain: object
-    reads: dict
-    memo: dict = field(default_factory=dict)
-    work: int = 0
-    field_rows: set = field(default_factory=set)
+
+    def __init__(self, prog: Program, meta: RegionMeta, table: ClassTable,
+                 domain, reads: dict):
+        self.prog = prog
+        self.meta = meta
+        self.table = table
+        self.domain = domain
+        self.reads = reads
+        self.memo: dict = {}
+        self.work = 0
+        self.field_rows: set = set()
 
 
 def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
@@ -488,11 +489,11 @@ def _typing_cap(table: ClassTable, meta: RegionMeta, bodies: int,
     return bodies * (1 + growths)
 
 
-@dataclass
 class Offense:
-    sig: Sig
-    part: str
-    detail: str
+    def __init__(self, sig: Sig, part: str, detail: str):
+        self.sig = sig
+        self.part = part
+        self.detail = detail
 
     def __str__(self) -> str:
         return f"{self.sig}: {self.part}: {self.detail}"

@@ -37,7 +37,6 @@ stem·cycle^ω; the analysis uses them to exhibit divergence counterexamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .fjast import (
@@ -65,39 +64,39 @@ MAX_RUNS = 100000  # most complete runs enumerate_traces collects for one entry
 Value = int | None  # heap location or null
 
 
-@dataclass
 class Obj:
-    cls: str
-    label: str
-    fields: dict  # field name -> Value
+    def __init__(self, cls: str, label: str, fields: dict):
+        self.cls = cls
+        self.label = label
+        self.fields = fields  # field name -> Value
 
 
 # -- outcomes ----------------------------------------------------------------
 
 
-@dataclass
 class Terminated:
-    value: Value
-    heap: dict
-    trace: tuple
+    def __init__(self, value: Value, heap: dict, trace: tuple):
+        self.value = value
+        self.heap = heap
+        self.trace = trace
 
 
-@dataclass
 class Thrown:
-    location: int
-    heap: dict
-    trace: tuple
+    def __init__(self, location: int, heap: dict, trace: tuple):
+        self.location = location
+        self.heap = heap
+        self.trace = trace
 
 
-@dataclass
 class OutOfFuel:
-    trace: tuple
+    def __init__(self, trace: tuple):
+        self.trace = trace
 
 
-@dataclass
 class CastStuck:
-    trace: tuple
-    pos: object = None
+    def __init__(self, trace: tuple, pos=None):
+        self.trace = trace
+        self.pos = pos
 
 
 class EvalStuck(Exception):
@@ -127,16 +126,27 @@ class _ScriptExhausted(Exception):
     pass
 
 
-@dataclass
 class CycleCandidate:
     """Evidence of divergence: re-entering an open call in an identical
     canonical configuration.  Replaying cycle_script forever from the stem
     produces the trace stem_trace·cycle_trace^ω."""
 
-    stem_trace: tuple
-    cycle_trace: tuple
-    stem_script: tuple
-    cycle_script: tuple
+    def __init__(self, stem_trace: tuple, cycle_trace: tuple,
+                 stem_script: tuple, cycle_script: tuple):
+        self.stem_trace = stem_trace
+        self.cycle_trace = cycle_trace
+        self.stem_script = stem_script
+        self.cycle_script = cycle_script
+
+    def key(self) -> tuple:
+        """The candidate's traces and scripts: what equality compares."""
+        return (self.stem_trace, self.cycle_trace,
+                self.stem_script, self.cycle_script)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CycleCandidate):
+            return NotImplemented
+        return self.key() == other.key()
 
 
 class Evaluator:
@@ -398,12 +408,13 @@ _RULES = {
 # -- public API ----------------------------------------------------------------
 
 
-@dataclass
 class TraceRun:
-    script: tuple
-    outcome: object
-    cycles: list = field(default_factory=list)
-    stuck: EvalStuck | None = None
+    def __init__(self, script: tuple, outcome, cycles: list,
+                 stuck: EvalStuck | None = None):
+        self.script = script
+        self.outcome = outcome
+        self.cycles = cycles
+        self.stuck = stuck
 
 
 def enumerate_traces(

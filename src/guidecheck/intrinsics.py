@@ -26,7 +26,6 @@ never throw at run time; the throws clause only widens the analyzed summary.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -52,17 +51,31 @@ class IntrinsicChoice(NamedTuple):
     word: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # how IntrinsicSpec.__init__ sets its fields
+
+
 class IntrinsicSpec:
-    cls: str
-    method: str
-    arg_patterns: tuple[str, ...]
-    result_region: Region
-    emit_src: str
-    emit_nfa: Nfa = field(compare=False)
-    throw_region: Region | None = None
-    throw_src: str | None = None
-    throw_nfa: Nfa | None = field(default=None, compare=False)
+    """One stub declaration.  Immutable: assigning a field raises."""
+
+    def __init__(self, cls: str, method: str, arg_patterns: tuple[str, ...],
+                 result_region: Region, emit_src: str, emit_nfa: Nfa,
+                 throw_region: Region | None = None,
+                 throw_src: str | None = None, throw_nfa: Nfa | None = None):
+        _set(self, "cls", cls)
+        _set(self, "method", method)
+        _set(self, "arg_patterns", arg_patterns)
+        _set(self, "result_region", result_region)
+        _set(self, "emit_src", emit_src)
+        _set(self, "emit_nfa", emit_nfa)
+        _set(self, "throw_region", throw_region)
+        _set(self, "throw_src", throw_src)
+        _set(self, "throw_nfa", throw_nfa)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def choices(self) -> list[IntrinsicChoice]:
         """The scripted outcomes of one call, sorted.  Computed once per

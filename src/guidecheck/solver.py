@@ -34,7 +34,6 @@ solve of one equation per signature) are in ``tests/solver_reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .classtable import ClassTable, once_per_object
@@ -42,10 +41,10 @@ from .effexpr import dict_drop_bottom, dict_join, dict_scale
 from .regions import Sig
 
 
-@dataclass
 class EquationSystem:
-    sigs: list  # canonical variable order
-    rhs: dict  # Sig -> {Sig: fin element}
+    def __init__(self, sigs: list, rhs: dict):
+        self.sigs = sigs  # canonical variable order
+        self.rhs = rhs  # Sig -> {Sig: fin element}
 
     @staticmethod
     def from_table(table: ClassTable, domain) -> "EquationSystem":
@@ -59,10 +58,10 @@ class EquationSystem:
             sigs, {sig: drop(table.mtable[sig][2]) for sig in sigs})
 
 
-@dataclass
 class _LinForm:
-    coeffs: dict  # Sig -> fin element
-    const: object  # mix element
+    def __init__(self, coeffs: dict, const):
+        self.coeffs = coeffs  # Sig -> fin element
+        self.const = const  # mix element
 
 
 def components(nodes: Iterable, successors: Callable) -> list:

@@ -109,6 +109,31 @@ def test_search_stops_deepening_once_every_run_terminates(monkeypatch):
     assert levels == [1, 2, 3]  # fuel 3 runs ok() to its end
 
 
+def test_a_fruitless_search_judges_each_accepted_lasso_once(monkeypatch):
+    # without its stubs serve() polls null and logs forever, which the
+    # liveness guideline accepts; the verdict fails but no run is a witness,
+    # and every level repeats the lower levels' cycles
+    prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    gl = load_guideline(fixture("serve_liveness.gl"))
+    judged = []
+    accepts_lasso = profiles.ProfileMonoid.accepts_lasso
+
+    def recording(monoid, stem, cycle):
+        judged.append((tuple(stem), tuple(cycle)))
+        return accepts_lasso(monoid, stem, cycle)
+
+    monkeypatch.setattr(profiles.ProfileMonoid, "accepts_lasso", recording)
+    report = analyze(prog, gl, fuel=20, entries=["Server.serve"])
+    assert report.verdict == "fail"
+    assert report.counterexamples == []
+    lassos = {(c.stem_trace, c.cycle_trace)
+              for level in range(1, 21)
+              for run in cli.enumerate_traces(prog, "Server.serve", level)
+              for c in run.cycles}
+    assert sorted(judged) == sorted(lassos)
+    assert len(judged) == 45  # 10 serve() calls; 330 when judged per level
+
+
 def test_no_counterexample_search_without_entries():
     prog, gl, cfg = serve_inputs("serve_liveness.gl")
     report = analyze(prog, gl, intrinsics=cfg, fuel=FUEL)

@@ -1,0 +1,128 @@
+"""The package's records are plain classes.
+
+Importing the command line compiles no methods and loads neither
+``dataclasses`` nor ``inspect``.  Syntax nodes compare and hash by value
+without their positions, ``replace`` keeps a node's position, and nodes,
+positions, parameters and stub specs refuse assignment.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from conftest import PACKAGE_DIR, fixture, read_fixture
+from guidecheck.fjast import (
+    Call,
+    Cast,
+    ClassDecl,
+    Emit,
+    Expr,
+    FieldDecl,
+    GetField,
+    If,
+    Let,
+    MethodDecl,
+    New,
+    Node,
+    Null,
+    Param,
+    Pos,
+    SetField,
+    Throw,
+    TryCatch,
+    Var,
+)
+from guidecheck.guideline import load_guideline
+from guidecheck.intrinsics import parse_config
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(PACKAGE_DIR.parent)!r})\n"
+            "import guidecheck.cli\n"
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.split() == ["False", "False"]
+
+
+def _nodes(pos):
+    """One node of every class with fields, each carrying pos."""
+    body = Emit("a", pos)
+    field = FieldDecl("A", "f", pos)
+    return [
+        Var("x", pos), Null(pos), New("A", "l", pos),
+        Cast("A", Var("x", pos), pos), body,
+        Let("x", "A", Null(pos), body, pos),
+        If("x", "y", body, Null(pos), pos),
+        Call("x", "A", "m", ("y",), pos), GetField("x", "A", "f", pos),
+        SetField("x", "A", "f", "y", pos), Throw(Var("x", pos), pos),
+        TryCatch(body, "E", "e", Null(pos), pos), field,
+        MethodDecl("Object", "m", (Param("A", "p"),), body, pos),
+        ClassDecl("A", "Object", (field,), (), pos),
+    ]
+
+
+def _node_classes(cls=Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+def test_the_samples_cover_every_node_class():
+    sampled = {type(n) for n in _nodes(Pos(1, 2))}
+    assert sampled | {Expr, Param, Pos} == set(_node_classes())
+
+
+def test_nodes_compare_and_hash_without_their_positions():
+    for a, b in zip(_nodes(Pos(1, 2)), _nodes(Pos(3, 4))):
+        assert a.pos != b.pos
+        assert a == b and hash(a) == hash(b)
+    assert Var("x") != Var("y")
+    assert Var("x") != Emit("x")  # same fields, another class
+    assert Pos(1, 2) == Pos(1, 2) != Pos(2, 1)
+    assert Param("A", "p") != Param("A", "q")
+    assert MethodDecl("Object", "m", (Param("A", "p"),), Null()) != \
+        MethodDecl("Object", "m", (Param("A", "q"),), Null())
+
+
+def test_repr_names_every_field():
+    assert repr(Var("x", Pos(1, 2))) == "Var(name='x', pos=Pos(line=1, col=2))"
+
+
+def test_replace_keeps_the_position_and_rejects_unknown_fields():
+    pos = Pos(1, 2)
+    for node in _nodes(pos):
+        same = node.replace()
+        assert same == node and same is not node and same.pos is pos
+    call = Call("x", "", "m", ("y",), pos).replace(recv_cls="A")
+    assert call == Call("x", "A", "m", ("y",)) and call.pos is pos
+    assert Var("x", pos).replace(pos=None).pos is None
+    with pytest.raises(TypeError, match="no field 'nam'"):
+        Var("x").replace(nam="y")
+
+
+def test_nodes_positions_and_parameters_refuse_assignment():
+    for node in [*_nodes(Pos(1, 2)), Pos(1, 2), Param("A", "p")]:
+        for name in node.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.extra = None
+
+
+def test_stub_specs_refuse_assignment_and_keep_their_choices():
+    alphabet = load_guideline(fixture("serve_liveness.gl")).alphabet
+    specs = parse_config(read_fixture("serve.cfg"), alphabet)
+    for spec in specs.values():
+        choices = spec.choices()
+        assert choices and spec.choices() is choices  # computed once
+        for name in ("cls", "method", "emit_nfa", "throw_region", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, None)
+        with pytest.raises(AttributeError):
+            del spec.cls
