@@ -57,8 +57,7 @@ class AnalysisError(Exception):
     """Input rejected before analysis: parse/type/config problems."""
 
     def __init__(self, messages):
-        self.messages = list(messages)
-        super().__init__("; ".join(str(m) for m in self.messages))
+        super().__init__("; ".join(str(m) for m in messages))
 
 
 class SigReport:

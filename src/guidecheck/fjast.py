@@ -14,7 +14,7 @@ position unless it is given a new one.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 OBJECT = "Object"
 NULL_TYPE = "NullType"
@@ -78,7 +78,6 @@ class FjError(Exception):
     """Syntax or well-formedness error in a source program."""
 
     def __init__(self, message: str, pos: Pos | None = None):
-        self.message = message
         self.pos = pos
         super().__init__(f"{pos}: {message}" if pos else message)
 
@@ -283,16 +282,18 @@ class ClassDecl(Node):
 class Program:
     """Class declarations plus the lookup tables derived from them.
 
-    Construction validates shape-level well-formedness: unique class names,
+    Construction validates shape-level well-formedness (unique class names,
     an acyclic parent relation rooted at Object, no field redeclaration along
-    a chain, unique allocation labels.  Typing proper lives in fjtypes.
-
-    ``violations`` holds the typing violations of a parsed program, found by
-    the one typing walk that also annotated its bodies; it is None for a
-    program built by hand, which ``fjtypes.fj_typecheck`` walks itself.
+    a chain, unique allocation labels), then types every body once with
+    ``fjtypes.typed_classes``: ``classes`` holds the bodies with their
+    receiver annotations filled in, and ``violations`` the typing violations
+    that walk found.  A name error raises FjError.  When ``alphabet`` is
+    given, every emitted event must belong to it.  A Program is never
+    changed after construction.
     """
 
-    def __init__(self, classes: Sequence[ClassDecl]):
+    def __init__(self, classes: Sequence[ClassDecl],
+                 alphabet: Iterable[str] | None = None):
         self.classes: tuple[ClassDecl, ...] = tuple(classes)
         self.by_name: dict[str, ClassDecl] = {}
         for c in self.classes:
@@ -309,17 +310,13 @@ class Program:
         for c in self.classes:
             self._fields[c.name] = self._collect_fields(c)
         self._collect_labels_and_events()
-        self.violations: tuple[FjError, ...] | None = None
-
-    def set_typing(
-        self, classes: Sequence[ClassDecl], violations: Sequence[FjError]
-    ) -> None:
-        """Swap in the same classes with typed bodies, and keep the
-        violations their typing found.  Typing changes nothing but method
-        bodies, so the shape checks, labels and alphabet still hold."""
-        self.classes = tuple(classes)
+        # typing changes nothing but method bodies, so the shape checks,
+        # labels and alphabet above hold for the typed classes too
+        violations: list[FjError] = []
+        self.classes = tuple(fjtypes.typed_classes(
+            self, violations, None if alphabet is None else frozenset(alphabet)))
         self.by_name = {c.name: c for c in self.classes}
-        self.violations = tuple(violations)
+        self.violations: tuple[FjError, ...] = tuple(violations)
 
     def _check_acyclic(self) -> None:
         for c in self.classes:
@@ -388,3 +385,7 @@ class Program:
 
     def __repr__(self) -> str:
         return f"Program({[c.name for c in self.classes]})"
+
+
+# fjtypes reads the node classes above, so it is imported once they exist
+from . import fjtypes  # noqa: E402

@@ -15,11 +15,11 @@ The surface syntax is a small Java-like statement language::
 Statement sequences desugar into let chains with fresh ``$``-variables,
 locals into lets, and ``return e;`` simply ends the chain.  Allocation sites
 may carry an explicit label (``new[l1] Node()``); unlabeled sites get
-``file:line:col``.  Every parsed method goes through
-``fjtypes.check_method`` once, which fills in the receiver annotations on
-calls and field accesses and raises on name errors; the typing violations it
-finds stay on the Program, where ``fjtypes.fj_typecheck`` reads them.  The
-printer behind the round-trip test lives in ``tests/fjprinter.py``.
+``file:line:col``.  The parser builds a Program from the raw classes, and
+building it types every method once (``fjast.Program``): the receiver
+annotations on calls and field accesses are filled in, a name error raises,
+and the typing violations stay on the Program.  The printer behind the
+round-trip test lives in ``tests/fjprinter.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .fjast import (
     TryCatch,
     Var,
 )
-from . import fjtypes
 
 _KEYWORDS = {
     "class",
@@ -382,8 +381,4 @@ def parse_programs(
     raw_classes = []
     for text, filename in sources:
         raw_classes.extend(_Parser(_lex(text), filename).program())
-    prog = Program(raw_classes)
-    alpha = frozenset(alphabet) if alphabet is not None else None
-    violations: list[FjError] = []
-    prog.set_typing(fjtypes.typed_classes(prog, violations, alpha), violations)
-    return prog
+    return Program(raw_classes, alphabet)

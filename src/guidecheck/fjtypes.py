@@ -6,9 +6,9 @@ place that works out static classes: one walk returns a body with its
 receiver annotations filled in.  Name errors (unbound variable, unknown
 class or member, event outside the alphabet) raise FjError; typing
 violations are collected and the walk goes on.  ``typed_classes`` adds the
-redeclaration and invariant-override checks and types every body; the
-parser runs it once per program and keeps the violations on the Program, so
-``fj_typecheck`` walks only a program built by hand.
+redeclaration and invariant-override checks and types every body; a
+Program runs it once, when it is built, and keeps the typed bodies and the
+violations, which ``fj_typecheck`` reads.
 """
 
 from __future__ import annotations
@@ -96,47 +96,26 @@ def field_class(prog: Program, cls: str, fname: str) -> str | None:
     return None
 
 
-def method_env(prog: Program, cls: str, md: MethodDecl) -> dict[str, str]:
-    env = {"this": cls}
-    for p in md.params:
-        env[p.name] = p.cls
-    return env
-
-
 def fj_typecheck(prog: Program) -> list[FjError]:
-    """The typing violations of prog (empty = ok).  A parsed program keeps
-    those of its one typing walk; a program built by hand is walked here,
-    and its name errors join the list instead of raising."""
-    if prog.violations is not None:
-        return list(prog.violations)
-    errors: list[FjError] = []
-    typed_classes(prog, errors, raise_names=False)
-    return errors
+    """The typing violations of prog (empty = ok), found when it was built."""
+    return list(prog.violations)
 
 
 def typed_classes(
     prog: Program,
     errors: list[FjError],
     alphabet: frozenset[str] | None = None,
-    raise_names: bool = True,
 ) -> list[ClassDecl]:
     """prog's classes with every body typed by ``check_method``.  Per class,
     the declaration checks, the override checks, then each method append
-    their violations to errors in that order.  A name error raises, or with
-    ``raise_names`` off joins errors."""
+    their violations to errors in that order.  A name error raises."""
     classes = []
     for c in prog.classes:
         _check_declarations(c, errors)
         _check_overrides(prog, c, errors)
-        methods = []
-        for md in c.methods:
-            try:
-                methods.append(check_method(prog, c.name, md, errors, alphabet))
-            except FjError as exc:
-                if raise_names:
-                    raise
-                errors.append(exc)
-        classes.append(c.replace(methods=tuple(methods)))
+        methods = tuple(check_method(prog, c.name, md, errors, alphabet)
+                        for md in c.methods)
+        classes.append(c.replace(methods=methods))
     return classes
 
 
@@ -154,7 +133,7 @@ def check_method(
     for p in md.params:
         if p.cls != OBJECT and p.cls not in prog.by_name:
             raise FjError(f"unknown parameter class {p.cls}", md.pos)
-    env = method_env(prog, cls, md)
+    env = {"this": cls, **{p.name: p.cls for p in md.params}}
     if not known_class(prog, md.result):
         errors.append(FjError(f"unknown result class {md.result}", md.pos))
         body, _ = _type_expr(prog, env, md.body, [], alphabet)

@@ -273,6 +273,11 @@ def seed_intrinsics(
     table: ClassTable, prog: Program, meta: RegionMeta, domain,
     specs: dict,
 ) -> None:
+    """Pin each stub's declared row at every signature it governs: each
+    class that resolves the method to the stub, each receiver region, and
+    each argument tuple its patterns match.  The specs come checked against
+    the program (``intrinsics.validate_against_program``): every region a
+    pattern names is one of the program's."""
     for (cls, method), spec in sorted(specs.items()):
         t_fin = domain.alpha_nfa(spec.emit_nfa)
         h = {}

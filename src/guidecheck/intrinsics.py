@@ -13,6 +13,9 @@ the region of the returned value (``Null`` or ``Unknown``), the language of
 events the call may emit, and optionally the region and event language of
 thrown exceptions.
 
+``parse_config`` checks each line; ``validate_against_program`` checks each
+stub against the program, every ``@label`` included, before the analysis.
+
 The analysis seeds the method table with these summaries and never analyzes
 the stub bodies.  The interpreter replaces a stub call by a scripted choice:
 which emitted word to append, and whether to return null or a fresh object of
@@ -57,18 +60,18 @@ _set = object.__setattr__  # how IntrinsicSpec.__init__ sets its fields
 class IntrinsicSpec:
     """One stub declaration.  Immutable: assigning a field raises."""
 
-    def __init__(self, cls: str, method: str, arg_patterns: tuple[str, ...],
-                 result_region: Region, emit_src: str, emit_nfa: Nfa,
+    def __init__(self, cls: str, method: str,
+                 arg_patterns: tuple[Region | None, ...],
+                 result_region: Region, emit_nfa: Nfa,
                  throw_region: Region | None = None,
-                 throw_src: str | None = None, throw_nfa: Nfa | None = None):
+                 throw_nfa: Nfa | None = None):
         _set(self, "cls", cls)
         _set(self, "method", method)
+        # one region per parameter, None for the wildcard ``_``
         _set(self, "arg_patterns", arg_patterns)
         _set(self, "result_region", result_region)
-        _set(self, "emit_src", emit_src)
         _set(self, "emit_nfa", emit_nfa)
         _set(self, "throw_region", throw_region)
-        _set(self, "throw_src", throw_src)
         _set(self, "throw_nfa", throw_nfa)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -84,8 +87,8 @@ class IntrinsicSpec:
 
     @cached_property
     def _choices(self) -> list[IntrinsicChoice]:
-        # parse_config rejects an empty emit language, so a stub always
-        # has a choice
+        # no regex of the config grammar denotes the empty language, so a
+        # stub always has a choice
         words = (list(self.emit_nfa.words(STUB_WORD_MAXLEN, STUB_WORD_LIMIT))
                  or [self.emit_nfa.shortest_word()])
         out = [IntrinsicChoice(0, w) for w in words]
@@ -94,26 +97,20 @@ class IntrinsicSpec:
         return sorted(out)
 
     def arg_regions(self, meta: RegionMeta) -> list[tuple[Region, ...]]:
-        """All argument-region tuples this spec seeds."""
-        per_slot: list[list[Region]] = []
-        for pat in self.arg_patterns:
-            if pat == "_":
-                per_slot.append(list(meta.regions))
-            else:
-                per_slot.append([_parse_region(pat, meta)])
-        return [tuple(combo) for combo in itertools.product(*per_slot)]
+        """All argument-region tuples this spec seeds: each wildcard
+        expanded to every region of the program."""
+        per_slot = [meta.regions if pat is None else (pat,)
+                    for pat in self.arg_patterns]
+        return list(itertools.product(*per_slot))
 
 
-def _parse_region(token: str, meta: RegionMeta | None = None) -> Region:
+def _parse_region(token: str) -> Region:
     if token == "Null":
         return NULL_REGION
     if token == "Unknown":
         return UNKNOWN
     if token.startswith("@") and len(token) > 1:
-        r = created_at(token[1:])
-        if meta is not None and r not in meta.regions:
-            raise ConfigError(f"no allocation site labelled {token[1:]!r}")
-        return r
+        return created_at(token[1:])
     raise ConfigError(f"bad region {token!r}")
 
 
@@ -146,11 +143,9 @@ def _parse_line(line: str, alphabet) -> IntrinsicSpec:
     if not dot or not cls or not method:
         raise ConfigError(f"expected 'Class.method', got {clsmeth!r}")
     arg_patterns = tuple(
-        p.strip() for p in argpart.split(",") if p.strip()
-    ) if argpart.strip() else ()
-    for p in arg_patterns:
-        if p != "_":
-            _parse_region(p)  # validates shape; labels checked at seed time
+        None if p == "_" else _parse_region(p)
+        for p in (p.strip() for p in argpart.split(",")) if p
+    )
 
     words = tail.split()
     if len(words) < 3 or words[1] != "emits":
@@ -159,27 +154,24 @@ def _parse_line(line: str, alphabet) -> IntrinsicSpec:
     result_region = _parse_region(words[0])
     if result_region not in (NULL_REGION, UNKNOWN):
         raise ConfigError("result region must be Null or Unknown")
-    throw_region = throw_src = throw_nfa = None
+    throw_region = throw_nfa = None
     if "throws" in words[2:]:
         ti = words.index("throws", 2)
-        emit_src = " ".join(words[2:ti])
+        emits = " ".join(words[2:ti])
         rest = words[ti + 1:]
         if len(rest) < 2:
             raise ConfigError("throws needs '<region> <regex>'")
         throw_region = _parse_region(rest[0])
-        throw_src = " ".join(rest[1:])
-        throw_nfa = regex_to_nfa(throw_src, alphabet)
+        throw_nfa = regex_to_nfa(" ".join(rest[1:]), alphabet)
     else:
-        emit_src = " ".join(words[2:])
-    if not emit_src:
+        emits = " ".join(words[2:])
+    if not emits:
         raise ConfigError("missing emitted-events regex")
-    emit_nfa = regex_to_nfa(emit_src, alphabet)
-    if emit_nfa.is_empty():
-        raise ConfigError(f"emit language of {cls}.{method} is empty")
     return IntrinsicSpec(
         cls=cls, method=method, arg_patterns=arg_patterns,
-        result_region=result_region, emit_src=emit_src, emit_nfa=emit_nfa,
-        throw_region=throw_region, throw_src=throw_src, throw_nfa=throw_nfa,
+        result_region=result_region,
+        emit_nfa=regex_to_nfa(emits, alphabet),
+        throw_region=throw_region, throw_nfa=throw_nfa,
     )
 
 
@@ -192,12 +184,13 @@ def validate_against_program(
     specs: dict[tuple[str, str], IntrinsicSpec], prog: Program
 ) -> None:
     """Each stub must name a method where it is declared, with a matching
-    arity, and a throws clause must name a region of the program.  A stub
-    on a class that inherits the method would never be looked up: the
-    method's calls resolve to the declaring class."""
+    arity, and every ``@label`` of a throws clause or an argument pattern
+    must name an allocation site of the program.  A stub on a class that
+    inherits the method would never be looked up: the method's calls
+    resolve to the declaring class.  The argument patterns are checked
+    last, once every stub has passed the other checks."""
     for (cls, method), spec in sorted(specs.items()):
-        decl = prog.by_name.get(cls)
-        if decl is None:
+        if cls not in prog.by_name:
             raise ConfigError(f"stub for unknown class {cls}")
         try:
             md, declaring = method_lookup(prog, cls, method)
@@ -213,10 +206,15 @@ def validate_against_program(
                 f"stub {cls}.{method} has {len(spec.arg_patterns)} "
                 f"pattern(s), method declares {len(md.params)} parameter(s)"
             )
-        thrown = spec.throw_region
-        if (thrown is not None and thrown.kind == "site"
-                and thrown.label not in prog.labels):
-            raise ConfigError(f"no allocation site labelled {thrown.label!r}")
+        _check_site(spec.throw_region, prog)
+    for _, spec in sorted(specs.items()):
+        for pat in spec.arg_patterns:
+            _check_site(pat, prog)
+
+
+def _check_site(r: Region | None, prog: Program) -> None:
+    if r is not None and r.kind == "site" and r.label not in prog.labels:
+        raise ConfigError(f"no allocation site labelled {r.label!r}")
 
 
 def stub_lookup(

@@ -47,20 +47,6 @@ class Nfa(NamedTuple):
     def has_eps(self) -> bool:
         return bool(self.initial & self.accepting)
 
-    def is_empty(self) -> bool:
-        seen = set(self.initial)
-        frontier = list(self.initial)
-        while frontier:
-            q = frontier.pop()
-            if q in self.accepting:
-                return False
-            for a in self.alphabet:
-                for q2 in self.delta.get((q, a), ()):
-                    if q2 not in seen:
-                        seen.add(q2)
-                        frontier.append(q2)
-        return True
-
     def words(self, max_len: int, limit: int | None = None) -> Iterator[tuple[str, ...]]:
         """Accepted words in shortlex order up to max_len."""
         count = 0

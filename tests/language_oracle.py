@@ -22,7 +22,7 @@ from guidecheck.domains import EffectDomain
 from guidecheck.guideline import GuidelineAutomaton
 from guidecheck.oracle import Nfa, nfa_concat, nfa_star, nfa_union
 from nfa_reading import NfaReading
-from nfa_words import nfa_accepts, nfa_full, nfa_none, nfa_word
+from nfa_words import nfa_accepts, nfa_full, nfa_is_empty, nfa_none, nfa_word
 
 
 def nfa_nonempty_part(a: Nfa) -> Nfa:
@@ -81,7 +81,7 @@ def lang_omega(u: Nfa) -> WordLang:
     alphabet = u.alphabet
     fin = nfa_star(u) if u.has_eps() else nfa_none(alphabet)
     w = nfa_nonempty_part(u)
-    inf: tuple = () if w.is_empty() else ((Nfa.epsilon(alphabet), w),)
+    inf: tuple = () if nfa_is_empty(w) else ((Nfa.epsilon(alphabet), w),)
     return WordLang(fin, inf)
 
 
@@ -178,7 +178,7 @@ class OracleDomain(EffectDomain):
         return nfa_none(self.alphabet)
 
     def fin_is_bottom(self, x) -> bool:
-        return x.is_empty()
+        return nfa_is_empty(x)
 
     def fin_join(self, x, y):
         return nfa_union(x, y)
@@ -207,7 +207,7 @@ class OracleDomain(EffectDomain):
         return WordLang.none(self.alphabet)
 
     def mix_is_bottom(self, x) -> bool:
-        return x.fin.is_empty() and not x.inf
+        return nfa_is_empty(x.fin) and not x.inf
 
     def mix_join(self, x, y):
         return lang_union(x, y)

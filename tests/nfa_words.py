@@ -1,8 +1,8 @@
-"""NFA builders and word membership that only the tests use.
+"""NFA builders, word membership and emptiness that only the tests use.
 
 The analysis builds its NFAs from stub regexes (``oracle.regex_to_nfa``)
-and never asks one whether it accepts a word; the tests use these helpers
-to write down expected languages and to probe them word by word.
+and never asks one whether it accepts a word or any word at all; the tests
+use these helpers to write down expected languages and to probe them.
 """
 
 from __future__ import annotations
@@ -46,3 +46,19 @@ def nfa_accepts(nfa: Nfa, word: Sequence[str]) -> bool:
         if not cur:
             return False
     return bool(cur & nfa.accepting)
+
+
+def nfa_is_empty(nfa: Nfa) -> bool:
+    """Whether nfa accepts no word: no accepting state is reachable."""
+    seen = set(nfa.initial)
+    frontier = list(nfa.initial)
+    while frontier:
+        q = frontier.pop()
+        if q in nfa.accepting:
+            return False
+        for a in nfa.alphabet:
+            for q2 in nfa.delta.get((q, a), ()):
+                if q2 not in seen:
+                    seen.add(q2)
+                    frontier.append(q2)
+    return True

@@ -757,6 +757,29 @@ def test_main_reports_config_and_option_errors_before_typing_violations(
     assert capsys.readouterr().err == f"guidecheck: error: {message}\n"
 
 
+@pytest.mark.parametrize("config, message", [
+    ("Server.ask(@nowhere) -> Unknown emits eps\n",
+     "no allocation site labelled 'nowhere'"),
+    # Server.ask sorts first, but the arity error of Server.poll wins
+    ("Server.poll(_) -> Unknown emits eps\n"
+     "Server.ask(@nowhere) -> Unknown emits eps\n",
+     "stub Server.poll has 1 pattern(s), method declares 0 parameter(s)"),
+], ids=["bad-argument-label", "arity-before-argument-label"])
+def test_main_checks_every_stub_label_before_inference(
+        config, message, tmp_path, monkeypatch, capsys):
+    def no_inference(*args, **kwargs):
+        raise AssertionError("inference ran on an unchecked config")
+
+    monkeypatch.setattr(cli, "infer", no_inference)
+    cfg = tmp_path / "stubs.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    code = run_main("--program", fixture("serve.fj"),
+                    "--guideline", fixture("serve_safety.gl"),
+                    "--config", str(cfg))
+    assert code == 2
+    assert capsys.readouterr().err == f"guidecheck: error: {message}\n"
+
+
 def test_main_exit_three_on_deep_program_without_traceback(tmp_path):
     # 3,000 nested blocks: past the recursion limit, however long a block
     # may be

@@ -283,3 +283,18 @@ def test_typecheck_checks_a_hand_built_receiver_annotation():
     ])
     msgs = [str(e) for e in fj_typecheck(prog)]
     assert msgs == ["receiver x has type A, annotation says B"]
+
+
+def test_a_hand_built_program_is_typed_when_it_is_built():
+    go = MethodDecl(OBJECT, "go", (Param("A", "x"),), Call("x", "", "go", ("x",)))
+    prog = Program([ClassDecl("A", OBJECT, (), (go,))])
+    assert prog.classes[0].methods[0].body.recv_cls == "A"
+    assert prog.by_name["A"] is prog.classes[0]
+    assert prog.violations == ()
+    # a name error raises for a hand-built program, as for a parsed one
+    unbound = MethodDecl(OBJECT, "go", (), Call("y", "", "go", ()))
+    with pytest.raises(FjError, match="unbound variable y"):
+        Program([ClassDecl("A", OBJECT, (), (unbound,))])
+    with pytest.raises(FjError, match="event b is not in the declared alphabet"):
+        Program([ClassDecl("A", OBJECT, (), (MethodDecl(OBJECT, "go", (), Emit("b")),))],
+                alphabet=("a",))

@@ -1,5 +1,7 @@
 """Stub config parsing, choice enumeration, and resolution through classes."""
 
+import random
+
 import pytest
 
 from conftest import fixture, read_fixture
@@ -14,7 +16,7 @@ from guidecheck.intrinsics import (
     stub_lookup,
     validate_against_program,
 )
-from guidecheck.oracle import Nfa
+from guidecheck.oracle import Nfa, regex_to_nfa
 from guidecheck.regions import NULL_REGION, UNKNOWN, created_at, region_meta
 
 AB = ("a", "b")
@@ -36,7 +38,7 @@ def test_parse_minimal_line():
 
 def test_parse_arguments_and_throws():
     s = one("Auth.login(_, Null) -> Null emits a* b throws Unknown b\n")
-    assert s.arg_patterns == ("_", "Null")
+    assert s.arg_patterns == (None, NULL_REGION)
     assert s.result_region == NULL_REGION
     assert nfa_accepts(s.emit_nfa, ("a", "a", "b"))
     assert s.throw_region == UNKNOWN
@@ -77,12 +79,31 @@ def test_error_carries_line_number():
     assert exc.value.line == 2
 
 
-def test_empty_emit_language_rejected():
-    # 'b' then 'a' from a language that... (a b) & per-letter regexes can't be
-    # empty syntactically, but an undeclared letter can't sneak one in either;
-    # the only empty case is a regex over the wrong alphabet, caught above.
-    s = one("A.m() -> Null emits a b\n")
-    assert not nfa_accepts(s.emit_nfa, ("a",))
+def _random_regex(rng, depth):
+    """A regex of the config grammar: a letter, ``eps``, a union, a
+    juxtaposition, a star or a parenthesised regex."""
+    kind = rng.randrange(6) if depth else rng.randrange(2)
+    if kind == 0:
+        return rng.choice(AB)
+    if kind == 1:
+        return "eps"
+    if kind == 2:
+        return f"{_random_regex(rng, depth - 1)} | {_random_regex(rng, depth - 1)}"
+    if kind == 3:
+        return f"{_random_regex(rng, depth - 1)} {_random_regex(rng, depth - 1)}"
+    if kind == 4:
+        return f"({_random_regex(rng, depth - 1)})*"
+    return f"({_random_regex(rng, depth - 1)})"
+
+
+def test_no_regex_of_the_config_grammar_is_empty():
+    # a letter and eps are non-empty, and |, juxtaposition and * of
+    # non-empty languages are non-empty: every stub has a choice
+    rng = random.Random(19)
+    for _ in range(300):
+        regex = _random_regex(rng, rng.randrange(5))
+        assert regex_to_nfa(regex, AB).shortest_word() is not None, regex
+        assert one(f"A.m() -> Unknown emits {regex}\n").choices(), regex
 
 
 def test_choices_rank_and_order():
@@ -146,8 +167,6 @@ def test_arg_regions_expand_wildcards():
     assert (created_at("s"), created_at("s")) in combos
     assert (UNKNOWN, created_at("s")) in combos
     assert len(combos) == len(meta.regions)
-    with pytest.raises(ConfigError, match="no allocation site"):
-        one("A.m(_, @nowhere) -> Null emits a\n").arg_regions(meta)
 
 
 def test_validate_against_program():
@@ -164,6 +183,9 @@ def test_validate_against_program():
     with pytest.raises(ConfigError, match="no allocation site labelled 'k'"):
         validate_against_program(
             parse_config("Net.poll() -> Null emits a throws @k a\n", AB), PROG)
+    with pytest.raises(ConfigError, match="no allocation site labelled 'k'"):
+        validate_against_program(
+            parse_config("Net.send(@k) -> Null emits a\n", AB), PROG)
 
 
 def test_stub_lookup_resolves_through_inheritance():

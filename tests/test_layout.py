@@ -19,7 +19,9 @@ from conftest import PACKAGE_DIR, fresh_python_env
 from guidecheck import fjparser, guideline, inference, interp, profiles
 from guidecheck.classtable import ClassTable
 from guidecheck.domains import EffectDomain, ProfileDomain
+from guidecheck.fjast import FjError
 from guidecheck.guideline import parse_guideline
+from guidecheck.intrinsics import parse_config
 from guidecheck.oracle import Nfa
 from guidecheck.profiles import ProfileMonoid
 from guidecheck.regions import region_meta
@@ -42,7 +44,13 @@ INTERP_ONLY = ("value_satisfies", "store_satisfies", "heap_satisfies",
 # The printer behind the round-trip test; its code lives in tests/fjprinter.py.
 PARSER_ONLY = ("print_program", "_render_body", "_render_stmt", "_render_expr")
 # The NFA builders and word membership; their code lives in tests/nfa_words.py.
-NFA_ONLY = ("none", "word", "of_words", "full", "accepts")
+NFA_ONLY = ("none", "word", "of_words", "full", "accepts", "is_empty")
+# A Program is typed when it is built and never changed after.
+PROGRAM_ONLY = ("set_typing",)
+# Fields nothing read: a stub keeps its languages as NFAs, and an error
+# its message only in its text.
+SPEC_ONLY = ("emit_src", "throw_src")
+FJ_ERROR_ONLY = ("message",)
 # Names nothing reads; the tests index table.mtable directly.
 CLASSTABLE_ONLY = ("tdict", "sdict")
 INFERENCE_ONLY = ("EMPTY",)
@@ -96,7 +104,12 @@ def test_test_only_functions_stay_out_of_the_package():
               ("ProfileDomain", ProfileDomain(g), TWO_TIER_CAP),
               ("profiles", profiles, PROFILES_ONLY),
               ("RegionMeta", region_meta(fjparser.parse_program("")),
-               REGION_META_ONLY)]
+               REGION_META_ONLY),
+              ("Program", fjparser.parse_program(""), PROGRAM_ONLY),
+              ("IntrinsicSpec",
+               parse_config("A.m() -> Null emits a throws Unknown a\n", ("a",))
+               [("A", "m")], SPEC_ONLY),
+              ("FjError", FjError("bad", None), FJ_ERROR_ONLY)]
     back = [f"{label}.{name}" for label, owner, names in owners
             for name in names if hasattr(owner, name)]
     assert back == []

@@ -28,7 +28,14 @@ from language_oracle import (
     lang_union,
     nfa_nonempty_part,
 )
-from nfa_words import nfa_accepts, nfa_full, nfa_none, nfa_of_words, nfa_word
+from nfa_words import (
+    nfa_accepts,
+    nfa_full,
+    nfa_is_empty,
+    nfa_none,
+    nfa_of_words,
+    nfa_word,
+)
 
 AB = ("a", "b")
 
@@ -79,7 +86,7 @@ def test_shortest_word_is_the_first_word():
         nfa = rand_nfa(rng, max_states=6)
         first = next(iter(nfa.words(nfa.nstates, 1)), None)
         assert nfa.shortest_word() == first
-        assert (first is None) == nfa.is_empty()
+        assert (first is None) == nfa_is_empty(nfa)
     # every prefix of (a|b)* stays live, so the layers of words() double
     # with each letter; the walk over state sets does not
     nfa = regex_to_nfa("(a | b)* " + "c " * 40, ("a", "b", "c"))
@@ -87,13 +94,13 @@ def test_shortest_word_is_the_first_word():
 
 
 def test_is_empty_and_has_eps():
-    assert nfa_none(AB).is_empty()
-    assert not Nfa.epsilon(AB).is_empty()
+    assert nfa_is_empty(nfa_none(AB))
+    assert not nfa_is_empty(Nfa.epsilon(AB))
     assert Nfa.epsilon(AB).has_eps()
     assert not Nfa.letter("a", AB).has_eps()
     # reachable but not co-reachable accepting state
     dead = Nfa(AB, 2, {(0, "a"): frozenset({0})}, frozenset({0}), frozenset({1}))
-    assert dead.is_empty()
+    assert nfa_is_empty(dead)
 
 
 # --- rational operations vs enumeration --------------------------------------

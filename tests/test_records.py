@@ -1,9 +1,11 @@
 """The package's records are plain classes.
 
 Importing the command line compiles no methods and loads neither
-``dataclasses`` nor ``inspect``.  Syntax nodes compare and hash by value
-without their positions, ``replace`` keeps a node's position, and nodes,
-positions, parameters and stub specs refuse assignment.
+``dataclasses`` nor ``inspect``; every module imports first on its own, and
+a Program can be built right after importing ``fjast``.  Syntax nodes
+compare and hash by value without their positions, ``replace`` keeps a
+node's position, and nodes, positions, parameters and stub specs refuse
+assignment.
 """
 
 import subprocess
@@ -46,6 +48,32 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert done.stdout.split() == ["False", "False"]
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh ``python -I`` that imports this guidecheck."""
+    code = f"import sys\nsys.path.insert(0, {str(PACKAGE_DIR.parent)!r})\n{code}"
+    return subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_every_module_imports_first_on_its_own():
+    # fjast and fjtypes import each other: either may load first
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        name = "guidecheck" if path.stem == "__init__" else f"guidecheck.{path.stem}"
+        done = _fresh(f"import {name}")
+        assert done.returncode == 0, (name, done.stderr)
+
+
+def test_a_program_is_built_right_after_importing_fjast():
+    done = _fresh(
+        "from guidecheck.fjast import Call, ClassDecl, MethodDecl, "
+        "Param, Program\n"
+        "go = MethodDecl('A', 'go', (Param('A', 'x'),), Call('x', '', 'go', ('x',)))\n"
+        "prog = Program([ClassDecl('A', 'Object', (), (go,))])\n"
+        "print(prog.classes[0].methods[0].body.recv_cls, prog.violations)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["A", "()"]
 
 
 def _nodes(pos):

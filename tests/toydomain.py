@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 from guidecheck.domains import EffectDomain
 from guidecheck.oracle import Nfa
 from language_oracle import nfa_nonempty_part
+from nfa_words import nfa_is_empty
 
 EMPTY, EPS, APLUS, ASTAR = "0", "eps", "a+", "a*"
 
@@ -84,7 +85,7 @@ class ToyDomain(EffectDomain):
 
     def alpha_nfa(self, nfa: Nfa):
         has_eps = nfa.has_eps()
-        has_nonempty = not nfa_nonempty_part(nfa).is_empty()
+        has_nonempty = not nfa_is_empty(nfa_nonempty_part(nfa))
         if has_eps and has_nonempty:
             return ASTAR
         if has_eps:
