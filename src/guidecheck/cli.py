@@ -300,14 +300,14 @@ def find_counterexample(
     early once no run at a level runs out of fuel: every higher level would
     repeat the same runs.  Traces are checked on the guideline's profile
     monoid, the one the analysis built, so most products are cached, and
-    each divergence the guideline accepts is judged once per search.
+    each cycle candidate is judged once per search, at the first level
+    that finds it.
     """
     monoid = monoid_of(guideline)
-    accepted: set = set()  # (stem, cycle) traces the guideline accepts
+    judged: set = set()  # (script prefix, *offsets) of each judged candidate
     for level in range(1, fuel + 1):
         runs = enumerate_traces(prog, entry, level, intrinsics)
-        ce = _witness_in(prog, monoid, entry, runs, level, intrinsics,
-                         accepted)
+        ce = _witness_in(prog, monoid, entry, runs, level, intrinsics, judged)
         if ce is not None:
             ce.fuel = level
             return ce
@@ -316,17 +316,22 @@ def find_counterexample(
     return None
 
 
-def _witness_in(prog, monoid, entry, runs, fuel, intrinsics, accepted):
+def _witness_in(prog, monoid, entry, runs, fuel, intrinsics, judged):
     """The first witness among one level's runs, tried in order: (1) the
     first complete run (terminated or thrown) whose trace the guideline
     rejects as a finite word; (2) the first fuel-stopped run whose emitted
     prefix kills every automaton run; (3) the first diverging execution —
     witnessed by a repeated call configuration and validated by replay —
-    whose trace stem·cycle^ω the guideline rejects.  ``accepted`` holds the
-    (stem, cycle) traces of candidates the guideline accepted, at this
-    level or a lower one; they are skipped, and this level's are added.  A
-    rejected candidate is replayed at every level, since the replay's fuel
-    grows with the level."""
+    whose trace stem·cycle^ω the guideline rejects.
+
+    ``judged`` holds (script up to the repeat, *offsets) for each candidate
+    judged in the search; execution is deterministic, so this key names the
+    same stem, cycle and scripts as the candidate, and a judged one is
+    skipped.  That loses no witness: acceptance depends only on the traces,
+    and a candidate found at fuel L repeats within L calls, so its stem and
+    two cycles take at most 2L+1 calls, under the replay's fuel of 4L+8.
+    The replay is deterministic in its script, so a rejected candidate is
+    confirmed at the first level that judges it or at none."""
     for run in runs:
         if isinstance(run.outcome, (Terminated, Thrown)):
             w = run.outcome.trace
@@ -344,36 +349,32 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics, accepted):
             if pos is not None:
                 return Counterexample(entry, "dead-prefix", w, position=pos)
 
-    seen = set()
     for run in runs:
         for cand in run.cycles:
-            traces = (cand.stem_trace, cand.cycle_trace)
-            if traces in accepted:
+            key = (run.script[:cand.cycle_choices], *cand)
+            if key in judged:
                 continue
-            key = cand.key()
-            if key in seen:
+            judged.add(key)
+            stem = run.trace[:cand.stem_end]
+            cycle = run.trace[cand.stem_end:cand.cycle_end]
+            if (monoid.accepts_lasso(stem, cycle) if cycle
+                    else monoid.accepts_finite(stem)):
                 continue
-            seen.add(key)
-            if (monoid.accepts_lasso(*traces) if cand.cycle_trace
-                    else monoid.accepts_finite(cand.stem_trace)):
-                accepted.add(traces)
-            elif _replay_confirms(prog, entry, cand, fuel, intrinsics):
-                kind = "divergence" if cand.cycle_trace else "silent-divergence"
-                return Counterexample(entry, kind, cand.stem_trace,
-                                      cycle=cand.cycle_trace)
+            if _replay_confirms(prog, entry, run, cand, fuel, intrinsics):
+                kind = "divergence" if cycle else "silent-divergence"
+                return Counterexample(entry, kind, stem, cycle=cycle)
     return None
 
 
-def _replay_confirms(prog, entry, cand, fuel, intrinsics) -> bool:
+def _replay_confirms(prog, entry, run, cand, fuel, intrinsics) -> bool:
     """Re-run the candidate's choices with the cycle pumped three times; the
     trace must follow stem·cycle·cycle."""
-    script = cand.stem_script + cand.cycle_script * 3
-    ev = replay_entry(prog, entry, script, fuel * 4 + 8, intrinsics)
-    expected = cand.stem_trace + cand.cycle_trace * 2
-    got = tuple(ev.trace)
-    if len(got) < len(expected):
-        return False
-    return got[: len(expected)] == expected
+    script = run.script[:cand.cycle_choices]
+    pumped = script + script[cand.stem_choices:] * 2
+    ev = replay_entry(prog, entry, pumped, fuel * 4 + 8, intrinsics)
+    expected = (run.trace[:cand.cycle_end]
+                + run.trace[cand.stem_end:cand.cycle_end])
+    return tuple(ev.trace[:len(expected)]) == expected
 
 
 # -- command line ----------------------------------------------------------------

@@ -33,11 +33,12 @@ reachable heap up to location renaming) equals that of an ancestor call still
 on the stack.  Replaying the choices made between the two entries yields an
 infinite run, so each candidate denotes a real diverging execution with trace
 stem·cycle^ω; the analysis uses them to exhibit divergence counterexamples.
+A candidate copies nothing: it is four offsets into its run's trace and script.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fjast import (
     Call,
@@ -126,27 +127,18 @@ class _ScriptExhausted(Exception):
     pass
 
 
-class CycleCandidate:
+class CycleCandidate(NamedTuple):
     """Evidence of divergence: re-entering an open call in an identical
-    canonical configuration.  Replaying cycle_script forever from the stem
-    produces the trace stem_trace·cycle_trace^ω."""
+    canonical configuration, as offsets into the run's trace and script.
+    stem_end and stem_choices are the trace length and script position at
+    the open call, cycle_end and cycle_choices at the repeat.  Replaying
+    script[stem_choices:cycle_choices] forever after script[:stem_choices]
+    produces the trace trace[:stem_end]·trace[stem_end:cycle_end]^ω."""
 
-    def __init__(self, stem_trace: tuple, cycle_trace: tuple,
-                 stem_script: tuple, cycle_script: tuple):
-        self.stem_trace = stem_trace
-        self.cycle_trace = cycle_trace
-        self.stem_script = stem_script
-        self.cycle_script = cycle_script
-
-    def key(self) -> tuple:
-        """The candidate's traces and scripts: what equality compares."""
-        return (self.stem_trace, self.cycle_trace,
-                self.stem_script, self.cycle_script)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycleCandidate):
-            return NotImplemented
-        return self.key() == other.key()
+    stem_end: int
+    cycle_end: int
+    stem_choices: int
+    cycle_choices: int
 
 
 class Evaluator:
@@ -325,16 +317,12 @@ class Evaluator:
             raise _OutOfFuelExc()
         self.fuel_left -= 1
         key = self._canonical_key(obj.cls, method, [recv, *args])
-        for open_key, trace_len, script_pos in self._stack:
+        trace_len, script_pos = len(self.trace), self.script_pos
+        for open_key, stem_end, stem_choices in self._stack:
             if open_key == key:
                 self.cycles.append(CycleCandidate(
-                    stem_trace=tuple(self.trace[:trace_len]),
-                    cycle_trace=tuple(self.trace[trace_len:]),
-                    stem_script=tuple(self.script[:script_pos]),
-                    cycle_script=tuple(
-                        self.script[script_pos: self.script_pos]),
-                ))
-        self._stack.append((key, len(self.trace), self.script_pos))
+                    stem_end, trace_len, stem_choices, script_pos))
+        self._stack.append((key, trace_len, script_pos))
         try:
             env = {"this": recv}
             for p, v in zip(md.params, args):
@@ -409,9 +397,13 @@ _RULES = {
 
 
 class TraceRun:
-    def __init__(self, script: tuple, outcome, cycles: list,
+    """One run.  ``trace`` is its outcome's trace, or the trace so far when
+    it is stuck; its cycle candidates index into it and into ``script``."""
+
+    def __init__(self, script: tuple, trace: tuple, outcome, cycles: list,
                  stuck: EvalStuck | None = None):
         self.script = script
+        self.trace = trace
         self.outcome = outcome
         self.cycles = cycles
         self.stuck = stuck
@@ -436,9 +428,11 @@ def enumerate_traces(
         try:
             outcome = ev.run_entry(cls, method)
         except EvalStuck as stuck:
-            runs.append(TraceRun(tuple(ev.script), None, ev.cycles, stuck=stuck))
+            runs.append(TraceRun(tuple(ev.script), tuple(ev.trace), None,
+                                 ev.cycles, stuck=stuck))
             continue
-        runs.append(TraceRun(tuple(ev.script), outcome, ev.cycles))
+        runs.append(TraceRun(tuple(ev.script), outcome.trace, outcome,
+                             ev.cycles))
         if len(runs) > MAX_RUNS:
             raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs

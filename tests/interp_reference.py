@@ -36,13 +36,14 @@ def enumerate_by_restarts(
         try:
             outcome = ev.run_entry(cls, method)
         except EvalStuck as stuck:
-            runs.append(TraceRun(script, None, ev.cycles, stuck=stuck))
+            runs.append(TraceRun(script, tuple(ev.trace), None, ev.cycles,
+                                 stuck=stuck))
             continue
         if ev.exhausted is not None:
             for choice in sorted(ev.exhausted, reverse=True):
                 pending.append(script + (choice,))
             continue
-        runs.append(TraceRun(script, outcome, ev.cycles))
+        runs.append(TraceRun(script, outcome.trace, outcome, ev.cycles))
         if len(runs) > MAX_RUNS:
             raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -126,12 +127,52 @@ def test_a_fruitless_search_judges_each_accepted_lasso_once(monkeypatch):
     report = analyze(prog, gl, fuel=20, entries=["Server.serve"])
     assert report.verdict == "fail"
     assert report.counterexamples == []
-    lassos = {(c.stem_trace, c.cycle_trace)
+    lassos = {(run.trace[:c.stem_end], run.trace[c.stem_end:c.cycle_end])
               for level in range(1, 21)
               for run in cli.enumerate_traces(prog, "Server.serve", level)
               for c in run.cycles}
     assert sorted(judged) == sorted(lassos)
     assert len(judged) == 45  # 10 serve() calls; 330 when judged per level
+
+
+def test_a_fruitless_search_copies_no_trace_per_candidate():
+    # the 100 levels' runs record 41,650 candidates, 1,225 of them at fuel
+    # 100, where the run nests 50 serve() calls; each candidate is four
+    # offsets into its run's trace, not a copy of up to 50 events
+    prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    gl = load_guideline(fixture("serve_liveness.gl"))
+    tracemalloc.start()
+    try:
+        ce = cli.find_counterexample(prog, gl, "Server.serve", 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ce is None
+    assert peak < 2**20
+
+
+def test_only_a_witness_is_replayed(monkeypatch):
+    # each candidate is judged once per search, and only a rejected one is
+    # replayed: the serve witness once, the accepted lassos of the fruitless
+    # search never
+    replays = []
+    replay_entry = cli.replay_entry
+
+    def recording(prog, entry, script, fuel, intrinsics=None):
+        replays.append(script)
+        return replay_entry(prog, entry, script, fuel, intrinsics)
+
+    monkeypatch.setattr(cli, "replay_entry", recording)
+    prog, gl, cfg = serve_inputs("serve_liveness.gl")
+    report = analyze(prog, gl, intrinsics=cfg, fuel=FUEL,
+                     entries=["Server.serve"])
+    assert report.counterexamples[0].kind == "divergence"
+    assert len(replays) == 1
+    replays.clear()
+    report = analyze(prog, gl, fuel=20, entries=["Server.serve"])
+    assert report.verdict == "fail"
+    assert report.counterexamples == []
+    assert replays == []
 
 
 def test_no_counterexample_search_without_entries():

@@ -192,18 +192,24 @@ def test_out_of_fuel_records_cycle_candidates():
     (run,) = runs
     assert isinstance(run.outcome, OutOfFuel)
     assert run.outcome.trace == ("t",) * 8
-    assert run.cycles
+    assert run.trace is run.outcome.trace
+    # the entry opens at trace length 0 and repeats after one emit, with no
+    # stub choice in between
+    assert run.cycles[0] == (0, 1, 0, 0)
     cand = run.cycles[0]
-    assert cand.cycle_trace == ("t",)
-    assert cand.cycle_script == ()
+    assert run.trace[cand.stem_end:cand.cycle_end] == ("t",)
+    assert run.script[cand.stem_choices:cand.cycle_choices] == ()
 
 
 def test_cycle_candidate_replays_to_a_longer_prefix():
     prog = parse_program(DIVERGE)
     (run,) = enumerate_traces(prog, "L.spin", fuel=6)
     cand = run.cycles[0]
-    ev = replay_entry(prog, "L.spin", cand.stem_script + cand.cycle_script * 3, fuel=40)
-    want = cand.stem_trace + cand.cycle_trace * 3
+    stem = run.script[:cand.stem_choices]
+    cycle = run.script[cand.stem_choices:cand.cycle_choices]
+    ev = replay_entry(prog, "L.spin", stem + cycle * 3, fuel=40)
+    want = (run.trace[:cand.stem_end]
+            + run.trace[cand.stem_end:cand.cycle_end] * 3)
     assert tuple(ev.trace[: len(want)]) == want
 
 
@@ -215,7 +221,7 @@ def test_silent_divergence_has_empty_cycle_trace():
     )
     assert isinstance(run.outcome, OutOfFuel)
     assert run.outcome.trace == ()
-    assert run.cycles and run.cycles[0].cycle_trace == ()
+    assert run.cycles and run.cycles[0].stem_end == run.cycles[0].cycle_end
 
 
 def test_entry_validation():

@@ -66,6 +66,10 @@ PER_REGION_RULE = ("_sequence", "_env_reads", "_type_group", "_catchable",
 # A profile is an index into its monoid; no class holds its rows.
 PROFILES_ONLY = ("Profile",)
 REGION_META_ONLY = ("prog",)
+# A cycle candidate is four offsets into its run's trace and script: it
+# copies neither, and tuple equality compares candidates.
+CANDIDATE_COPIES = ("stem_trace", "cycle_trace", "stem_script",
+                    "cycle_script", "key")
 # Defined in the package but referred to only from tests/: the one-file
 # entry point, and the members of the EffectDomain interface that the
 # reference domains and the domain-law tests use.
@@ -94,6 +98,7 @@ def test_test_only_functions_stay_out_of_the_package():
               ("EffectDomain", EffectDomain, DOMAIN_ONLY),
               ("ProfileDomain", ProfileDomain(g), DOMAIN_ONLY),
               ("interp", interp, INTERP_ONLY),
+              ("CycleCandidate", interp.CycleCandidate, CANDIDATE_COPIES),
               ("fjparser", fjparser, PARSER_ONLY),
               ("GuidelineAutomaton", g, AUTOMATON_ONLY),
               ("Nfa", Nfa, NFA_ONLY),
