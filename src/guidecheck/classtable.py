@@ -30,8 +30,9 @@ mutated in place, only replaced.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Callable
+from functools import partial
+from itertools import product, repeat
+from typing import Callable, Collection
 
 from .effexpr import dict_join
 from .fjast import Program
@@ -42,6 +43,7 @@ from .regions import NULL_REGION, UNKNOWN, Region, RegionMeta, Sig
 Triple = tuple
 
 EMPTY_ROW: Triple = ({}, {}, {})  # every signature's first row, shared
+_make_sig = partial(tuple.__new__, Sig)  # a Sig of a 4-tuple, in C
 
 
 class ClassTable:
@@ -59,6 +61,8 @@ class ClassTable:
         self.analyzed: set | None = None  # demand-driven: the sigs activated
         # the read sets infer typed with (reads_of)
         self.reads: dict | None = None
+        # infer's typing groups of the bodied signatures, for the re-check
+        self.groups: list | None = None
 
     def field_row(self, cls: str, region: Region, fname: str) -> tuple:
         """The key of the row that class cls reads for field fname."""
@@ -138,6 +142,13 @@ def once_per_object(f: Callable) -> Callable:
     return once
 
 
+def by_id(values: Collection) -> dict:
+    """The distinct objects among values, keyed by id, in first-seen order.
+    Per value the work is built-in calls only (``id``, ``zip``, the dict),
+    no Python frame: tables hold many signatures and few distinct rows."""
+    return dict(zip(map(id, values), values))
+
+
 def _joiner(domain, triple: Triple) -> Callable:
     """Rows joined with triple, once per distinct row object; a row the
     join leaves equal stays the object it was."""
@@ -150,24 +161,31 @@ def _joiner(domain, triple: Triple) -> Callable:
 
 
 def init_table(prog: Program, meta: RegionMeta) -> ClassTable:
+    """The tables of prog, every row at its start.  The method table is
+    built in the canonical signature order (``Sig.sort_key``: classes by
+    name, then methods by name, then regions in their natural order, which
+    ``meta.regions`` is not: it lists the sites in program order), and no
+    writer adds a key, so every later pass reads the table in that order
+    and none sorts it again."""
     ftable = {}
     mtable = {}
     owner = {}
     supers = {}
-    for c in prog.classes:
+    regions = sorted(meta.regions)
+    for c in sorted(prog.classes, key=lambda c: c.name):
         chain = prog.supers(c.name)[:-1]  # c, its parent, ..., below Object
         supers[c.name] = tuple(chain[1:])
         for cls in chain:
             for fd in prog.by_name[cls].fields:
                 owner[(c.name, fd.name)] = cls
-        for r in meta.regions:
+        for r in regions:
             for fd in c.fields:
                 ftable[(c.name, r, fd.name)] = frozenset({NULL_REGION})
         for mname, (md, _) in sorted(methods_of(prog, c.name).items()):
-            arity = len(md.params)
-            for recv in meta.regions:
-                for args in product(meta.regions, repeat=arity):
-                    mtable[Sig(c.name, recv, mname, args)] = EMPTY_ROW
+            # (cls, recv, method, args) tuples in that order, made Sigs in C
+            args = product(regions, repeat=len(md.params))
+            sigs = map(_make_sig, product((c.name,), regions, (mname,), args))
+            mtable.update(zip(sigs, repeat(EMPTY_ROW)))
     return ClassTable(ftable, mtable, owner, supers)
 
 

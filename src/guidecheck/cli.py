@@ -26,8 +26,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator
 
+from .classtable import by_id
 from .domains import ProfileDomain
 from .fjast import NULL_TYPE, FjError, Program
 from .fjparser import parse_programs
@@ -134,8 +138,39 @@ class Counterexample:
                 f"the infinite trace is rejected")
 
 
+class SigReports:
+    """The reports of a solved table's signatures, in the table's order,
+    made as they are read, from marks judged once per distinct row and once
+    per distinct η.  A signature with no entry and bottom η is left out."""
+
+    def __init__(self, mtable: dict, eta: dict, row_marks: dict,
+                 eta_marks: dict):
+        self.mtable = mtable
+        self.eta = eta
+        # id of a row -> (returns_ok, throws_ok, whether it has an entry)
+        self.row_marks = row_marks
+        # id of an η -> (diverges_ok, whether it is not bottom)
+        self.eta_marks = eta_marks
+
+    def __iter__(self) -> Iterator[SigReport]:
+        eta, row_marks, eta_marks = self.eta, self.row_marks, self.eta_marks
+        for sig, row in self.mtable.items():
+            returns_ok, throws_ok, entries = row_marks[id(row)]
+            diverges_ok, diverges = eta_marks[id(eta[sig])]
+            if entries or diverges:
+                yield SigReport(sig, returns_ok, throws_ok, diverges_ok)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 class Report:
-    def __init__(self, verdict: str, signatures: list, counterexamples: list):
+    """A verdict and its evidence.  ``signatures`` holds ``SigReport``s and
+    may be read more than once: a list, or the ``SigReports`` of a table.
+    ``write`` streams it, one signature at a time; ``to_json`` builds its
+    dict whole."""
+
+    def __init__(self, verdict: str, signatures, counterexamples: list):
         self.verdict = verdict  # "pass" | "fail"
         self.signatures = signatures
         self.counterexamples = counterexamples
@@ -147,27 +182,73 @@ class Report:
             "counterexamples": [c.to_json() for c in self.counterexamples],
         }
 
-    def to_text(self) -> str:
-        lines = []
+    def write(self, write: Callable[[str], object], form: str) -> None:
+        """Pass the report to write piece by piece, a signature at a time,
+        as text (``form`` "text": a line per signature, one per
+        counterexample and the verdict) or as JSON (``form`` "json": the
+        bytes of ``json.dumps(to_json(), indent=2, sort_keys=True)``), then
+        a newline.  Neither the whole report nor its dict is built."""
+        if form == "json":
+            for piece in self._json_pieces():
+                write(piece)
+        else:
+            for line in self._text_lines():
+                write(line + "\n")
+
+    def _text_lines(self) -> Iterator[str]:
         for s in self.signatures:
-            marks = ", ".join(
-                f"{name}:{'ok' if okay else 'FAIL'}"
-                for name, okay in (
-                    ("returns", s.returns_ok),
-                    ("throws", s.throws_ok),
-                    ("diverges", s.diverges_ok),
-                )
-            )
-            lines.append(f"{s.sig}  {marks}")
+            yield (f"{s.sig}  returns:{_TEXT_MARK[s.returns_ok]}, "
+                   f"throws:{_TEXT_MARK[s.throws_ok]}, "
+                   f"diverges:{_TEXT_MARK[s.diverges_ok]}")
         for c in self.counterexamples:
-            lines.append(f"counterexample: {c.describe()}")
+            yield f"counterexample: {c.describe()}"
         if self.counterexamples:
-            lines.append(
-                "(counterexamples come from a bounded enumeration of runs; "
-                "not finding one proves nothing)"
-            )
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines)
+            yield ("(counterexamples come from a bounded enumeration of runs; "
+                   "not finding one proves nothing)")
+        yield f"verdict: {self.verdict}"
+
+    def _json_pieces(self) -> Iterator[str]:
+        """The bytes of ``json.dumps(self.to_json(), indent=2,
+        sort_keys=True)`` and a newline: the keys in sorted order, each
+        item of the two arrays rendered at depth 2 on its own.  Names and
+        region texts are escaped once each, as ``json`` escapes them."""
+        enc = functools.cache(encode_basestring_ascii)
+        region = functools.cache(lambda r: enc(str(r)))
+
+        def sig_json(s: SigReport) -> str:
+            sig = s.sig
+            args = ("[\n        " + ",\n        ".join(map(region, sig.args))
+                    + "\n      ]" if sig.args else "[]")
+            return (f'{{\n      "args": {args},\n'
+                    f'      "class": {enc(sig.cls)},\n'
+                    f'      "diverges_ok": {_JSON_BOOL[s.diverges_ok]},\n'
+                    f'      "method": {enc(sig.method)},\n'
+                    f'      "receiver": {region(sig.recv)},\n'
+                    f'      "returns_ok": {_JSON_BOOL[s.returns_ok]},\n'
+                    f'      "throws_ok": {_JSON_BOOL[s.throws_ok]}\n    }}')
+
+        yield '{\n  "counterexamples": '
+        # few, so json renders them; an item's lines sit at depth 2
+        yield from _json_array(
+            json.dumps(c.to_json(), indent=2, sort_keys=True)
+            .replace("\n", "\n    ") for c in self.counterexamples)
+        yield ',\n  "signatures": '
+        yield from _json_array(map(sig_json, self.signatures))
+        yield f',\n  "verdict": {enc(self.verdict)}\n}}\n'
+
+
+_TEXT_MARK = {True: "ok", False: "FAIL"}
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_array(items: Iterable[str]) -> Iterator[str]:
+    """A JSON array at depth 1 of an indent-2 dump, piece by piece, from
+    its items rendered at depth 2."""
+    sep = "[\n    "
+    for item in items:
+        yield sep + item
+        sep = ",\n    "
+    yield "[]" if sep == "[\n    " else "\n  ]"
 
 
 def analyze(
@@ -207,24 +288,21 @@ def analyze(
             "inference produced a table its own re-check rejects: "
             + "; ".join(str(o) for o in offenses)
         )
-    system = EquationSystem.from_table(table, domain)
-    eta = solve(system, domain)
+    eta = solve(EquationSystem.from_table(table, domain), domain)
 
-    # one verdict per distinct value: signatures share rows and blocks
+    # one verdict per distinct row and per distinct η: signatures share
+    # them.  A signature left out of the report has no entry and bottom η,
+    # which every guideline accepts, so it cannot fail the verdict.
     accepts_fin = functools.cache(domain.accepts_fin)
-    accepts_mix = functools.cache(domain.accepts_mix)
-    sig_reports = []
-    all_ok = True
-    for sig in system.sigs:
-        t, h, _ = table.mtable[sig]
-        div = eta[sig]
-        if not t and not h and domain.mix_is_bottom(div):
-            continue
-        r_ok = all(accepts_fin(u) for u in t.values())
-        h_ok = all(accepts_fin(u) for u in h.values())
-        d_ok = accepts_mix(div)
-        all_ok = all_ok and r_ok and h_ok and d_ok
-        sig_reports.append(SigReport(sig, r_ok, h_ok, d_ok))
+    accepts_mix = functools.cache(domain.accepts_mix)  # blocks may be equal
+    row_marks = {
+        key: (all(accepts_fin(u) for u in t.values()),
+              all(accepts_fin(u) for u in h.values()), bool(t or h))
+        for key, (t, h, _) in by_id(table.mtable.values()).items()}
+    eta_marks = {key: (accepts_mix(div), not domain.mix_is_bottom(div))
+                 for key, div in by_id(eta.values()).items()}
+    all_ok = (all(r and h for r, h, _ in row_marks.values())
+              and all(d for d, _ in eta_marks.values()))
 
     counterexamples = []
     if not all_ok and entries:
@@ -234,7 +312,8 @@ def analyze(
                 counterexamples.append(ce)
 
     return Report(
-        "pass" if all_ok else "fail", sig_reports, counterexamples,
+        "pass" if all_ok else "fail",
+        SigReports(table.mtable, eta, row_marks, eta_marks), counterexamples,
     )
 
 
@@ -401,6 +480,20 @@ def _read_text(path: str) -> str:
         ) from None
 
 
+def _write_stdout(report: Report, form: str) -> None:
+    try:
+        report.write(sys.stdout.write, form)
+        sys.stdout.flush()
+    except OSError:
+        # what could not be written stays buffered, and the interpreter's
+        # flush at exit would fail on it again ("Exception ignored", exit
+        # 120): let that flush go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="guidecheck",
@@ -438,15 +531,11 @@ def main(argv=None) -> int:
             prog, guideline, intrinsics=specs, fuel=args.fuel,
             entries=args.entry, demand_driven=args.demand_driven,
         )
-        if args.report == "json":
-            rendered = json.dumps(report.to_json(), indent=2, sort_keys=True)
-        else:
-            rendered = report.to_text()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
+                report.write(fh.write, args.report)
         else:
-            print(rendered)
+            _write_stdout(report, args.report)
     except (FjError, GuidelineError, ConfigError, AnalysisError, OSError) as exc:
         print(f"guidecheck: error: {exc}", file=sys.stderr)
         return 2

@@ -295,17 +295,21 @@ def seed_intrinsics(
 def bodied_sigs(table: ClassTable, prog: Program, meta: RegionMeta,
                 specs: dict) -> list[Sig]:
     """Signatures whose method body gets typed directly: the receiver class
-    is creatable in the receiver region and the resolved method is no stub."""
+    is creatable in the receiver region and the resolved method is no stub.
+    In the table's order, the canonical one (``init_table``)."""
+    creatable = {r: meta.cls_of(r) for r in meta.regions}
+    stubbed: dict = {}  # (cls, method) -> whether it resolves to a stub
     out = []
     for sig in table.mtable:
-        if sig in table.pinned:
+        cls, recv, method, _ = sig
+        if cls not in creatable[recv] or sig in table.pinned:
             continue
-        if sig.cls not in meta.cls_of(sig.recv):
-            continue
-        if stub_lookup(specs, prog, sig.cls, sig.method) is not None:
-            continue
-        out.append(sig)
-    out.sort(key=Sig.sort_key)
+        stub = stubbed.get((cls, method))
+        if stub is None:
+            stub = stubbed[cls, method] = (
+                stub_lookup(specs, prog, cls, method) is not None)
+        if not stub:
+            out.append(sig)
     return out
 
 
@@ -344,10 +348,11 @@ def _typing_groups(sigs: list, prog: Program, reads: dict) -> list:
 
 def _callee_first(sigs: list, prog: Program) -> list:
     """Order signatures callees first: by the strongly connected component
-    of their (class, method) node in the static call graph, then
-    canonically.  The graph's edges are the call sites of each resolved
-    body, plus one from each method to the same method at every direct
-    subclass, whose entry ``ClassTable.join_rows`` joins into it."""
+    of their (class, method) node in the static call graph, then in their
+    given order, the canonical one.  The graph's edges are the call sites
+    of each resolved body, plus one from each method to the same method at
+    every direct subclass, whose entry ``ClassTable.join_rows`` joins into
+    it."""
     succ: dict = {}
     for c in prog.classes:
         for mname, (md, _) in methods_of(prog, c.name).items():
@@ -361,8 +366,8 @@ def _callee_first(sigs: list, prog: Program) -> list:
     comp_of = {node: i
                for i, comp in enumerate(components(succ, succ.__getitem__))
                for node in comp}
-    return sorted(sigs, key=lambda s: (comp_of[(s.cls, s.method)],
-                                       s.sort_key()))
+    # sorted is stable, and sigs come in the canonical order
+    return sorted(sigs, key=lambda s: comp_of[s.cls, s.method])
 
 
 def infer(
@@ -402,7 +407,8 @@ def infer(
     seed_intrinsics(table, prog, meta, domain, specs)
     bodied = bodied_sigs(table, prog, meta, specs)
     reads = table.reads = reads_of(prog)
-    groups = _typing_groups(_callee_first(bodied, prog), prog, reads)
+    groups = table.groups = _typing_groups(_callee_first(bodied, prog), prog,
+                                           reads)
     rank = {sig: i for i, members in enumerate(groups) for sig in members}
     readers: dict = {}  # row (field-table key or Sig) -> ranks of its readers
     queue: list = []  # heap of group ranks: the lowest, most callee-like, first
@@ -512,21 +518,23 @@ def check_well_typed(
     meta: RegionMeta | None = None,
 ) -> list[Offense]:
     """Re-type every analyzed body against the frozen table, once per
-    typing group (``_typing_groups``), and check the field rows and each
-    distinct row object its members hold against the typing.  A row's
-    offenses are reported for every signature holding it, in signature
-    order.  A sound table covers each body's triple and needs no further
-    field updates."""
+    typing group, the groups ``infer`` kept on the table, and check the
+    field rows and each distinct row object its members hold against the
+    typing.  A row's offenses are reported for every signature holding it,
+    in signature order.  A sound table covers each body's triple and needs
+    no further field updates.  ``intrinsics`` is unused: the groups hold
+    no stubbed signature."""
     if meta is None:
         meta = region_meta(prog)
-    specs = intrinsics or {}
-    # demand-driven, the bodies outside table.analyzed were deliberately skipped
-    sigs = [sig for sig in bodied_sigs(table, prog, meta, specs)
-            if table.analyzed is None or sig in table.analyzed]
     # one memo over the frozen table, for the continuations of every body
     ty = _Typing(prog, meta, table, domain, table.reads)
     found: dict = {}  # sig -> its offenses as (part, detail), if any
-    for members in _typing_groups(sigs, prog, table.reads):
+    for members in table.groups:
+        if table.analyzed is not None:
+            # demand-driven, the others were deliberately skipped
+            members = [sig for sig in members if sig in table.analyzed]
+            if not members:
+                continue
         body, gamma = _body_env(members[0], prog)
         ty.work = 0  # the cap counts one body's typing
         eff = typeff(ty, gamma, body)
@@ -540,7 +548,8 @@ def check_well_typed(
             if mine:
                 found[sig] = mine
     return [Offense(sig, part, detail)
-            for sig in sigs for part, detail in found.get(sig, ())]
+            for sig in sorted(found, key=Sig.sort_key)
+            for part, detail in found[sig]]
 
 
 def _uncovered(domain, eff: Effects, row: tuple) -> list:

@@ -17,13 +17,23 @@ members' solved forms, split off the self-coefficient A, and replace
 δ = A·δ ⊔ F by δ = A*·F ⊔ A^ω, distributing A* over F's terms; a
 back-substitution pass over the component then closes every form.
 
-A one-member component is solved once per block: signatures whose
-equations are equal once each callee is replaced by its block, and the
-signature itself by a marker, get one η.  The blocks are found callees
-first by hash-consing each equation's (block, coefficient) pairs, so the
-domain operators run once per block, not once per signature; the rest of
-the work is one hash per signature and edge.  Inside a multi-member
-component the elimination is quadratic in the size of that component.
+The work is per block, not per signature.  Signatures that share a row
+share one right-hand side object, so the components are first taken over
+the distinct right-hand sides, an edge running to each callee's right-hand
+side.  A cycle of signatures maps to a cycle there, so each of its
+signatures is called from inside its component of right-hand sides.  In
+each such component, callees first, the signatures called from inside it
+are split into components and solved on their own; every other holder of
+a right-hand side calls only solved signatures, so they all share one
+solve of its equation.  A component without a cycle calls none of its
+own signatures, so each of its right-hand sides is solved once.  A
+one-member equation is hash-consed: signatures whose equations are equal
+once each callee is replaced by its block, and the signature itself by a
+marker, get one η, so the domain operators run once per block; the work
+left per signature is a few built-in calls to group the right-hand sides
+and to hand out η.  Inside a multi-member component the elimination is
+quadratic in the size of that component.
+
 The result is a fixpoint of the system, η(δ) = S(η)(δ) exactly, and the
 elimination order does not affect it; η is equal (``==``) to what solving
 each signature's equation alone gives, since equal equations over equal
@@ -34,28 +44,32 @@ solve of one equation per signature) are in ``tests/solver_reference.py``.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, Sequence
 
-from .classtable import ClassTable, once_per_object
+from .classtable import ClassTable, by_id, once_per_object
 from .effexpr import dict_drop_bottom, dict_join, dict_scale
 from .regions import Sig
 
 
 class EquationSystem:
     def __init__(self, sigs: list, rhs: dict):
-        self.sigs = sigs  # canonical variable order
+        self.sigs = sigs  # variable order
         self.rhs = rhs  # Sig -> {Sig: fin element}
 
     @staticmethod
     def from_table(table: ClassTable, domain) -> "EquationSystem":
-        """The equations of table's S-components, bottom entries dropped
-        once per distinct S dict: signatures that share a row share one
-        right-hand side, which nothing mutates."""
-        sigs = sorted(table.mtable, key=Sig.sort_key)
+        """The equations of table's S-components, in the table's order, the
+        canonical one.  Bottom entries are dropped once per distinct S dict:
+        signatures that share a row share one right-hand side object, which
+        nothing mutates."""
         drop = once_per_object(
             lambda s: dict_drop_bottom(s, domain.fin_is_bottom))
-        return EquationSystem(
-            sigs, {sig: drop(table.mtable[sig][2]) for sig in sigs})
+        rows = table.mtable.values()
+        eq_of = {key: drop(row[2]) for key, row in by_id(rows).items()}
+        # per signature, built-in calls only
+        rhs = dict(zip(table.mtable, map(eq_of.__getitem__, map(id, rows))))
+        return EquationSystem(list(rhs), rhs)
 
 
 class _LinForm:
@@ -110,11 +124,69 @@ def components(nodes: Iterable, successors: Callable) -> list:
 
 
 def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict:
-    order = list(order) if order is not None else list(system.sigs)
-    if len(order) != len(system.sigs) or set(order) != set(system.sigs):
-        raise ValueError("order must be a permutation of the system variables")
-    rank = {var: i for i, var in enumerate(order)}
-    eta: dict = {}
+    """η of every signature, in ``system.sigs`` order.  ``order`` is the
+    elimination order inside a multi-member component; by default
+    ``system.sigs``."""
+    rhs = system.rhs
+    if order is not None:
+        order = list(order)
+        if len(order) != len(system.sigs) or set(order) != set(system.sigs):
+            raise ValueError(
+                "order must be a permutation of the system variables")
+    rank: dict = {}  # var -> its place in order, made when first needed
+
+    def ranked(comp: list) -> list:
+        if not rank:
+            rank.update((var, i) for i, var in enumerate(
+                system.sigs if order is None else order))
+        return sorted(comp, key=rank.__getitem__)
+
+    # the block graph: a node per distinct right-hand side object, with an
+    # edge to the right-hand side of each callee
+    eqs = by_id(rhs.values())
+    succ = {node: [id(rhs[callee]) for callee in eq]
+            for node, eq in eqs.items()}
+    holding: Counter | None = None  # node -> its holders' count
+
+    etas: list = []  # the η of each block
+    equations: dict = {}  # a one-member equation's key -> its block
+    node_block: dict = {}  # node -> the block of its holders not in sig_block
+    sig_block: dict = {}  # a signature solved on its own -> its block
+
+    def block_of(callee) -> int:
+        b = sig_block.get(callee)
+        return node_block[id(rhs[callee])] if b is None else b
+
+    def blocks(eq: dict, var=None) -> list:
+        """The block of each of eq's callees, in its order, var as -1."""
+        return [-1 if callee == var else sig_block[callee]
+                if callee in sig_block else node_block[id(rhs[callee])]
+                for callee in eq]
+
+    def known(eq: dict, callee_blocks: list) -> int | None:
+        """The block of an equal one-member equation solved before, if any:
+        the equation up to its own name, callees by block.  If there is
+        none, the key is kept for the block solved next."""
+        key = frozenset(zip(callee_blocks, eq.values()))
+        b = equations.get(key)
+        if b is None:
+            equations[key] = len(etas)
+        return b
+
+    def settle(eq: dict) -> int:
+        """The block of the signatures holding eq that no member of their
+        component calls: each is a one-member component, calling no
+        signature unsolved."""
+        callee_blocks = blocks(eq)
+        b = known(eq, callee_blocks)
+        if b is None:
+            b = len(etas)
+            const = domain.mix_bottom()
+            for callee_block, u in zip(callee_blocks, eq.values()):
+                const = domain.mix_join(
+                    const, domain.fin_mix_concat(u, etas[callee_block]))
+            etas.append(const)
+        return b
 
     def substitute(form: _LinForm, var, sub: _LinForm) -> _LinForm:
         u = form.coeffs.pop(var, None)
@@ -129,34 +201,20 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
         )
         return form
 
-    block: dict = {}  # var -> the index in etas of its block's η
-    etas: list = []
-    equations: dict = {}  # a one-member equation's key -> its block
-
-    for comp in components(system.sigs, system.rhs.__getitem__):
-        if len(comp) == 1:
-            # an equation up to its own name: callees by block, itself as -1
-            (var,) = comp
-            key = frozenset((-1 if callee == var else block[callee], u)
-                            for callee, u in system.rhs[var].items())
-            b = equations.get(key)
-            if b is not None:
-                block[var] = b
-                eta[var] = etas[b]
-                continue
-            equations[key] = len(etas)
-        members = sorted(comp, key=rank.__getitem__)
+    def eliminate(members: list) -> None:
+        """Solve one component of the signature graph, each member its own
+        block."""
         inside = set(members)
         solved: dict = {}
         for i, var in enumerate(members):
             form = _LinForm({}, domain.mix_bottom())
-            for callee, u in system.rhs[var].items():
+            for callee, u in rhs[var].items():
                 if callee in inside:
                     form.coeffs[callee] = u
                 else:
                     form.const = domain.mix_join(
-                        form.const, domain.fin_mix_concat(u, eta[callee])
-                    )
+                        form.const,
+                        domain.fin_mix_concat(u, etas[block_of(callee)]))
             for prev in members[:i]:
                 form = substitute(form, prev, solved[prev])
             self_coeff = form.coeffs.pop(var, None)
@@ -174,10 +232,44 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
             for later, u in sorted(form.coeffs.items(),
                                    key=lambda kv: Sig.sort_key(kv[0])):
                 form.const = domain.mix_join(
-                    form.const, domain.fin_mix_concat(u, eta[later])
-                )
-            eta[var] = form.const
-            block[var] = len(etas)
+                    form.const,
+                    domain.fin_mix_concat(u, etas[sig_block[later]]))
+            sig_block[var] = len(etas)
             etas.append(form.const)
 
-    return {var: eta[var] for var in system.sigs}
+    for comp in components(succ, succ.__getitem__):
+        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+            # no cycle: every holder calls only solved signatures
+            node_block[comp[0]] = settle(eqs[comp[0]])
+            continue
+        # a cycle of signatures maps to a cycle of nodes, so every signature
+        # on one is called from inside its component: the called ones are
+        # solved on their own, and the other holders of a node, which call
+        # only solved signatures, share one solve
+        inside = set(comp)
+        called = list(dict.fromkeys(
+            callee for node in comp for callee in eqs[node]
+            if id(rhs[callee]) in inside))
+        for sub in components(called, lambda sig: [
+                callee for callee in rhs[sig] if id(rhs[callee]) in inside]):
+            if len(sub) > 1:
+                eliminate(ranked(sub))
+                continue
+            eq = rhs[sub[0]]
+            b = known(eq, blocks(eq, sub[0]))
+            if b is None:
+                eliminate(sub)
+            else:
+                sig_block[sub[0]] = b
+        if holding is None:
+            holding = Counter(map(id, rhs.values()))
+        solved = Counter(id(rhs[sig]) for sig in called)
+        for node in comp:
+            if holding[node] > solved[node]:
+                node_block[node] = settle(eqs[node])
+
+    node_eta = {node: etas[b] for node, b in node_block.items()}
+    eta = dict(zip(system.sigs, map(node_eta.get, map(
+        id, map(rhs.__getitem__, system.sigs)))))
+    eta.update((sig, etas[b]) for sig, b in sig_block.items())
+    return eta

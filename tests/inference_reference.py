@@ -267,7 +267,8 @@ def infer_by_sweeps(
     table = _sweep_table(prog, meta)
     seed_intrinsics(table, prog, meta, domain, specs)
     _close(table, prog, meta, domain)
-    bodied = bodied_sigs(table, prog, meta, specs)
+    # the sweep table is built in program order, not the canonical one
+    bodied = sorted(bodied_sigs(table, prog, meta, specs), key=Sig.sort_key)
 
     active: set | None = None
     if entries is not None:

@@ -18,6 +18,7 @@ import pytest
 import taint_corpus
 from conftest import FIXTURES, fixture, fresh_python_env, read_fixture
 from nfa_reading import NfaReading
+from report_reference import streamed
 from guidecheck import cli, fjtypes, inference, profiles
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
 from guidecheck.fjast import FjError, Program
@@ -320,14 +321,14 @@ def report_for(gl_name, entries=("Server.serve",)):
 
 
 def test_text_report_shape():
-    text = report_for("serve_liveness.gl").to_text()
+    text = streamed(report_for("serve_liveness.gl"), "text")
     lines = text.splitlines()
     assert lines[-1] == "verdict: fail"
     assert any("diverges:FAIL" in ln for ln in lines)
     assert any(ln.startswith("counterexample: ") for ln in lines)
     assert any("bounded enumeration" in ln for ln in lines)
     # passing reports carry no counterexample apparatus
-    text_ok = report_for("serve_safety.gl").to_text()
+    text_ok = streamed(report_for("serve_safety.gl"), "text")
     assert text_ok.splitlines()[-1] == "verdict: pass"
     assert "counterexample" not in text_ok
 
@@ -348,7 +349,7 @@ def test_json_report_schema():
 def test_reports_are_deterministic():
     a = report_for("serve_liveness.gl")
     b = report_for("serve_liveness.gl")
-    assert a.to_text() == b.to_text()
+    assert streamed(a, "text") == streamed(b, "text")
     assert json.dumps(a.to_json(), sort_keys=True) == \
         json.dumps(b.to_json(), sort_keys=True)
 

@@ -224,6 +224,34 @@ def test_equations_share_a_block_only_when_equal():
     assert verify_fixpoint(system, eta, PAR)
 
 
+def test_shared_right_hand_sides_on_cycles_solve_as_each_signature_alone():
+    """Right-hand side objects are shared, as rows are.  D1 and D2 hold
+    one, D3 and D4 another: D1 and D3 call each other, so the objects form
+    a cycle, and D2 and D4 call into it from off it.  D5 and D6 share
+    {D5: a}, so D5 loops on itself and D6 only calls it.  D7 calls the
+    off-cycle holders.  Every order of the system gives the η of the
+    per-signature solve under that order."""
+    a = PAR.alpha_word(("a",))
+    aa = PAR.alpha_word(("a", "a"))
+    d = [sig(f"D{i}") for i in range(8)]
+    to_d3 = {d[3]: a}
+    to_d1 = {d[1]: aa, d[5]: a}
+    self_loop = {d[5]: a}
+    rhs = {d[0]: {}, d[1]: to_d3, d[2]: to_d3, d[3]: to_d1, d[4]: to_d1,
+           d[5]: self_loop, d[6]: self_loop,
+           d[7]: {d[2]: a, d[4]: a, d[6]: aa}}
+    system = EquationSystem(d, rhs)
+    eta = solve(system, PAR)
+    assert eta == solve_per_signature(system, PAR)
+    assert verify_fixpoint(system, eta, PAR)
+    assert list(eta) == d
+    rng = random.Random(5)
+    for _ in range(10):
+        order = rng.sample(d, len(d))
+        assert solve(system, PAR, order=order) == solve_per_signature(
+            system, PAR, order=order)
+
+
 def _inferred_systems(demand_driven):
     """(name, equation system, domain) of every reference case and of two
     wide ladders, each entry point on its own when demand_driven."""
