@@ -298,19 +298,9 @@ def bodied_sigs(table: ClassTable, prog: Program, meta: RegionMeta,
     is creatable in the receiver region and the resolved method is no stub.
     In the table's order, the canonical one (``init_table``)."""
     creatable = {r: meta.cls_of(r) for r in meta.regions}
-    stubbed: dict = {}  # (cls, method) -> whether it resolves to a stub
-    out = []
-    for sig in table.mtable:
-        cls, recv, method, _ = sig
-        if cls not in creatable[recv] or sig in table.pinned:
-            continue
-        stub = stubbed.get((cls, method))
-        if stub is None:
-            stub = stubbed[cls, method] = (
-                stub_lookup(specs, prog, cls, method) is not None)
-        if not stub:
-            out.append(sig)
-    return out
+    return [sig for sig in table.mtable
+            if sig.cls in creatable[sig.recv] and sig not in table.pinned
+            and stub_lookup(specs, prog, sig.cls, sig.method) is None]
 
 
 def _env(md, values) -> dict:
@@ -518,12 +508,15 @@ def check_well_typed(
     meta: RegionMeta | None = None,
 ) -> list[Offense]:
     """Re-type every analyzed body against the frozen table, once per
-    typing group, the groups ``infer`` kept on the table, and check the
-    field rows and each distinct row object its members hold against the
-    typing.  A row's offenses are reported for every signature holding it,
-    in signature order.  A sound table covers each body's triple and needs
-    no further field updates.  ``intrinsics`` is unused: the groups hold
-    no stubbed signature."""
+    typing group, and check the field rows and each distinct row object its
+    members hold against the typing.  The table must come from ``infer``,
+    which keeps the typing groups on it; any other table is a ValueError.
+    A row's offenses are reported for every signature holding it, in
+    signature order.  A sound table covers each body's triple and needs no
+    further field updates.  ``intrinsics`` is unused: the groups hold no
+    stubbed signature."""
+    if table.groups is None:
+        raise ValueError("the table was not built by infer")
     if meta is None:
         meta = region_meta(prog)
     # one memo over the frozen table, for the continuations of every body

@@ -133,20 +133,15 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
         if len(order) != len(system.sigs) or set(order) != set(system.sigs):
             raise ValueError(
                 "order must be a permutation of the system variables")
-    rank: dict = {}  # var -> its place in order, made when first needed
-
-    def ranked(comp: list) -> list:
-        if not rank:
-            rank.update((var, i) for i, var in enumerate(
-                system.sigs if order is None else order))
-        return sorted(comp, key=rank.__getitem__)
+    rank = {var: i for i, var in enumerate(
+        system.sigs if order is None else order)}
 
     # the block graph: a node per distinct right-hand side object, with an
     # edge to the right-hand side of each callee
     eqs = by_id(rhs.values())
     succ = {node: [id(rhs[callee]) for callee in eq]
             for node, eq in eqs.items()}
-    holding: Counter | None = None  # node -> its holders' count
+    holding = Counter(map(id, rhs.values()))  # node -> its holders' count
 
     etas: list = []  # the η of each block
     equations: dict = {}  # a one-member equation's key -> its block
@@ -238,10 +233,6 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
             etas.append(form.const)
 
     for comp in components(succ, succ.__getitem__):
-        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
-            # no cycle: every holder calls only solved signatures
-            node_block[comp[0]] = settle(eqs[comp[0]])
-            continue
         # a cycle of signatures maps to a cycle of nodes, so every signature
         # on one is called from inside its component: the called ones are
         # solved on their own, and the other holders of a node, which call
@@ -253,7 +244,7 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
         for sub in components(called, lambda sig: [
                 callee for callee in rhs[sig] if id(rhs[callee]) in inside]):
             if len(sub) > 1:
-                eliminate(ranked(sub))
+                eliminate(sorted(sub, key=rank.__getitem__))
                 continue
             eq = rhs[sub[0]]
             b = known(eq, blocks(eq, sub[0]))
@@ -261,8 +252,6 @@ def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict
                 eliminate(sub)
             else:
                 sig_block[sub[0]] = b
-        if holding is None:
-            holding = Counter(map(id, rhs.values()))
         solved = Counter(id(rhs[sig]) for sig in called)
         for node in comp:
             if holding[node] > solved[node]:

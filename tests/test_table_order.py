@@ -81,3 +81,10 @@ def test_bodied_signatures_are_found_once_per_analysis(entries, monkeypatch):
                          demand_driven=entries is not None)
     assert report.verdict == "fail"
     assert calls == {"bodied_sigs": 1}
+
+
+def test_the_recheck_needs_a_table_built_by_infer():
+    prog = parse_program(ladder(2, 2))
+    table = init_table(prog, region_meta(prog))
+    with pytest.raises(ValueError, match="not built by infer"):
+        inference.check_well_typed(prog, table, ONE_LETTER)
