@@ -93,14 +93,18 @@ class ClassTable:
         or superclass entries alike, all get the one joined row; a row
         that does not grow stays the object it was.  Rows are replaced,
         never mutated in place, for other signatures may hold them."""
-        grown = []
+        mtable = self.mtable
         joined = _joiner(domain, triple)
-        for sig in sigs:
-            row = self.mtable[sig]
+        rows = list(map(mtable.__getitem__, sigs))
+        grown = []
+        for row in by_id(rows).values():
             new = joined(row)
-            if new is not row:  # else the entries above already cover it
-                self.mtable[sig] = new
-                grown.append(sig)
+            if new is row:  # the entries above already cover it too
+                continue
+            holders = [sig for sig, held in zip(sigs, rows) if held is row]
+            mtable.update(zip(holders, repeat(new)))
+            grown += holders
+            for sig in holders:
                 self._join_up(sig, joined, grown)
         return grown
 

@@ -41,9 +41,9 @@ from .inference import check_well_typed, infer
 from .interp import (
     DEFAULT_FUEL,
     OutOfFuel,
+    Search,
     Terminated,
     Thrown,
-    enumerate_traces,
     replay_entry,
 )
 from .intrinsics import (
@@ -373,44 +373,43 @@ def find_counterexample(
 ):
     """A concrete guideline violation reachable from entry, or None.
 
-    The fuel deepens from 1 to fuel.  At each level every run is enumerated
-    and searched for a witness; the first one found is returned with its
-    level, so no run with less fuel shows a violation.  The search stops
-    early once no run at a level runs out of fuel: every higher level would
-    repeat the same runs.  Traces are checked on the guideline's profile
-    monoid, the one the analysis built, so most products are cached, and
-    each cycle candidate is judged once per search, at the first level
-    that finds it.
+    The fuel deepens from 1 to fuel.  Each level resumes the runs the last
+    level suspended for want of fuel, with one more unit each, and searches
+    the runs it ends or suspends for a witness; the first one found is
+    returned with its level, so no run with less fuel shows a violation.
+    A run that ended at a lower level was searched there, and ends the same
+    way at every higher one.  The search stops early once a level suspends
+    no run.  Traces are checked on the guideline's profile monoid, the one
+    the analysis built, so most products are cached.
     """
     monoid = monoid_of(guideline)
-    judged: set = set()  # (script prefix, *offsets) of each judged candidate
+    search = Search(prog, entry, intrinsics)
     for level in range(1, fuel + 1):
-        runs = enumerate_traces(prog, entry, level, intrinsics)
-        ce = _witness_in(prog, monoid, entry, runs, level, intrinsics, judged)
+        runs = search.deepen()
+        ce = _witness_in(prog, monoid, entry, runs, level, intrinsics)
         if ce is not None:
             ce.fuel = level
             return ce
-        if not any(isinstance(run.outcome, OutOfFuel) for run in runs):
+        if not search.frontier:
             return None
     return None
 
 
-def _witness_in(prog, monoid, entry, runs, fuel, intrinsics, judged):
-    """The first witness among one level's runs, tried in order: (1) the
-    first complete run (terminated or thrown) whose trace the guideline
+def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
+    """The first witness among one level's new runs, tried in order: (1)
+    the first complete run (terminated or thrown) whose trace the guideline
     rejects as a finite word; (2) the first fuel-stopped run whose emitted
     prefix kills every automaton run; (3) the first diverging execution —
     witnessed by a repeated call configuration and validated by replay —
     whose trace stem·cycle^ω the guideline rejects.
 
-    ``judged`` holds (script up to the repeat, *offsets) for each candidate
-    judged in the search; execution is deterministic, so this key names the
-    same stem, cycle and scripts as the candidate, and a judged one is
-    skipped.  That loses no witness: acceptance depends only on the traces,
-    and a candidate found at fuel L repeats within L calls, so its stem and
-    two cycles take at most 2L+1 calls, under the replay's fuel of 4L+8.
-    The replay is deterministic in its script, so a rejected candidate is
-    confirmed at the first level that judges it or at none."""
+    Each run holds only the candidates that calls of this level recorded,
+    so each candidate is judged once per search, at the first level that
+    finds it.  That loses no witness: acceptance depends only on the
+    traces, and a candidate found at fuel L repeats within L calls, so its
+    stem and two cycles take at most 2L+1 calls, under the replay's fuel of
+    4L+8.  The replay is deterministic in its script, so a rejected
+    candidate is confirmed at the level that judges it or at none."""
     for run in runs:
         if isinstance(run.outcome, (Terminated, Thrown)):
             w = run.outcome.trace
@@ -429,20 +428,42 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics, judged):
                 return Counterexample(entry, "dead-prefix", w, position=pos)
 
     for run in runs:
-        for cand in run.cycles:
-            key = (run.script[:cand.cycle_choices], *cand)
-            if key in judged:
-                continue
-            judged.add(key)
-            stem = run.trace[:cand.stem_end]
-            cycle = run.trace[cand.stem_end:cand.cycle_end]
-            if (monoid.accepts_lasso(stem, cycle) if cycle
-                    else monoid.accepts_finite(stem)):
+        for cand, accepted in _lasso_verdicts(monoid, run):
+            if accepted:
                 continue
             if _replay_confirms(prog, entry, run, cand, fuel, intrinsics):
+                stem = run.trace[:cand.stem_end]
+                cycle = run.trace[cand.stem_end:cand.cycle_end]
                 kind = "divergence" if cycle else "silent-divergence"
                 return Counterexample(entry, kind, stem, cycle=cycle)
     return None
+
+
+def _lasso_verdicts(monoid, run) -> Iterator[tuple]:
+    """Each of run's candidates, in order, with whether the guideline
+    accepts its trace: stem·cycle^ω, or the stem alone when the cycle is
+    empty.  The stems are prefixes of one trace, so their profiles are
+    built left to right once per run; the candidates one call records end
+    their cycles at the same offset, so the cycles' profiles are built
+    right to left from there, each letter composed once."""
+    trace, letters, compose = run.trace, monoid.letters, monoid.compose
+    prefix = [monoid.eps]  # prefix[i]: the profile of trace[:i]
+    end = start = None
+    suffix: dict = {}  # i -> the profile of trace[i:end], for i >= start
+    for cand in run.cycles:
+        while len(prefix) <= cand.stem_end:
+            prefix.append(compose(prefix[-1], letters[trace[len(prefix) - 1]]))
+        stem = prefix[cand.stem_end]
+        if cand.cycle_end == cand.stem_end:
+            yield cand, monoid.accepts_finite_of(stem)
+            continue
+        if cand.cycle_end != end:
+            end = start = cand.cycle_end
+            suffix = {end: monoid.eps}
+        while start > cand.stem_end:
+            start -= 1
+            suffix[start] = compose(letters[trace[start]], suffix[start + 1])
+        yield cand, monoid.accepts_lasso_of(stem, suffix[cand.stem_end])
 
 
 def _replay_confirms(prog, entry, run, cand, fuel, intrinsics) -> bool:

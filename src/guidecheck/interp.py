@@ -1,12 +1,18 @@
 """Trace-emitting reference interpreter.
 
-Big-step evaluation over an explicit store (variables to values) and heap
-(locations to objects).  A value is a heap location or None for null.  Every
-``emit`` appends one event to the run's trace; outcomes return the trace
-produced so far.
+A run is a machine state, and all of it is data: the heap (locations to
+objects), the trace emitted so far, the stub-choice script and the position
+in it, the calls still open, and a list of continuation frames, each saying
+what to do with the value the machine hands it (in the style of the CEK
+machine of Felleisen and Friedman, 1986).  ``Evaluator.run`` steps that
+state in a loop: no object-language call, block or handler nests a Python
+frame, so a run's depth is bounded by its fuel alone.  A value is a heap
+location or None for null.  An object is never changed once it is on the
+heap: a field write puts a new object at its location, so runs that share
+objects cannot see each other's writes.
 
 Four outcomes: normal termination, an uncaught exception, fuel exhaustion
-(fuel is decremented once per non-stub method call, so every run is finite),
+(each non-stub method call takes one unit of fuel, so every run is finite),
 and a failed cast.  Genuinely stuck configurations — unbound variables, field
 access or calls on null, throwing null — raise ``EvalStuck``; the static
 checks reject such programs, so reaching one is a bug in the caller's setup.
@@ -16,21 +22,23 @@ a script: each stub call takes the next scripted choice (which emitted word,
 and null versus a fresh object).  ``enumerate_traces`` explores all scripts
 depth-first in lexicographic choice order, which makes the set of runs for a
 given fuel bound reproducible.  It executes each script prefix once: a run
-that reaches a stub past the end of its script takes the least choice there
-and goes on, and queues its siblings, each its script so far plus one larger
-choice, to run later.  A replay (``replay_entry``) has no queue and stops
-at that point instead.
+that reaches a stub past the end of its script forks there.  Each larger
+choice gets a copy of the state, with the choice appended to its script, to
+run later; the run itself takes the least choice and goes on.  A replay
+(``replay_entry``) does not fork; it stops at that point instead.
 
-Evaluation dispatches on the node's type through a rule table.  A ``Let``
-body and the taken ``If`` branch are evaluated in place rather than by a
-nested call, so a long statement chain does not deepen the Python stack.
-Each enumeration resolves a (dynamic class, method) pair to its declaration
-and stub spec once and shares the answer among its runs.
+A run that needs fuel it does not have suspends at the call, with its state
+kept, and given more fuel it resumes there.  ``Search`` deepens the fuel one
+unit at a time on that: each level gives every run the last level suspended
+one more unit.  A run that ended at a lower level ends the same way at every
+higher one, so the search executes each (script prefix, call) state once:
+iterative deepening (Korf, 1985) that keeps its frontier rather than
+recomputing it.
 
 While running, the evaluator records repeat-configuration candidates: a call
 whose canonical configuration (dynamic receiver class, method, and the
 reachable heap up to location renaming) equals that of an ancestor call still
-on the stack.  Replaying the choices made between the two entries yields an
+open.  Replaying the choices made between the two entries yields an
 infinite run, so each candidate denotes a real diverging execution with trace
 stem·cycle^ω; the analysis uses them to exhibit divergence counterexamples.
 A candidate copies nothing: it is four offsets into its run's trace and script.
@@ -44,7 +52,6 @@ from .fjast import (
     Call,
     Cast,
     Emit,
-    Expr,
     GetField,
     If,
     Let,
@@ -57,15 +64,18 @@ from .fjast import (
     Var,
 )
 from .fjtypes import method_lookup, preceq
-from .intrinsics import IntrinsicChoice, IntrinsicSpec, stub_lookup
+from .intrinsics import IntrinsicChoice, stub_lookup
 
 DEFAULT_FUEL = 32
-MAX_RUNS = 100000  # most complete runs enumerate_traces collects for one entry
+MAX_RUNS = 100000  # most runs one fuel level may hold, ended ones included
 
 Value = int | None  # heap location or null
 
 
 class Obj:
+    """A heap object.  Never changed once on a heap: a field write puts a
+    new object at the location."""
+
     def __init__(self, cls: str, label: str, fields: dict):
         self.cls = cls
         self.label = label
@@ -94,6 +104,15 @@ class OutOfFuel:
         self.trace = trace
 
 
+class ScriptEnd:
+    """A run without forks stopped at a stub call past its script's end;
+    choices are the stub's."""
+
+    def __init__(self, trace: tuple, choices: list):
+        self.trace = trace
+        self.choices = choices
+
+
 class CastStuck:
     def __init__(self, trace: tuple, pos=None):
         self.trace = trace
@@ -107,24 +126,6 @@ class EvalStuck(Exception):
         self.kind = kind
         self.pos = pos
         super().__init__(f"{kind}: {detail}")
-
-
-class _Thrown(Exception):
-    def __init__(self, location: int):
-        self.location = location
-
-
-class _OutOfFuelExc(Exception):
-    pass
-
-
-class _CastStuckExc(Exception):
-    def __init__(self, pos):
-        self.pos = pos
-
-
-class _ScriptExhausted(Exception):
-    pass
 
 
 class CycleCandidate(NamedTuple):
@@ -141,13 +142,44 @@ class CycleCandidate(NamedTuple):
     cycle_choices: int
 
 
+# Continuation frames are tuples whose first item names the frame.
+_LET = 0     # (_LET, let, env, owned): bind the value, then run let.body
+_RETURN = 1  # (_RETURN, key): the end of a call; closes its open call
+_CAST = 2    # (_CAST, cast): check the value against cast.cls
+_THROW = 3   # (_THROW, throw): throw the value
+_TRY = 4     # (_TRY, try, env): run try.handler on an exception it catches
+
+# What the step loop does next: evaluate an expression, hand a value to the
+# top frame, or unwind the frames with a thrown location.
+_EVAL, _VALUE, _RAISE = range(3)
+
+
+def _lookup(env: dict, name: str, pos) -> Value:
+    try:
+        return env[name]
+    except KeyError:
+        raise EvalStuck("unbound-variable", name, pos) from None
+
+
+def _receiver(env: dict, recv: str, member: str, pos) -> int:
+    loc = _lookup(env, recv, pos)
+    if loc is None:
+        raise EvalStuck("field-access-on-null", f"{recv}.{member}", pos)
+    return loc
+
+
 class Evaluator:
-    """One run.  With a ``pending`` list, a stub call past the end of the
-    script takes the least choice and pushes the sibling scripts onto
-    pending, largest first; without one, it stops the run (the outcome is
-    ``OutOfFuel``) and leaves the stub's choices in ``exhausted``.
-    ``dispatch`` caches method resolution and may be shared by the runs of
-    one program and stub table."""
+    """One run.  ``start`` sets it at the entry's call and ``run`` steps it
+    until it ends or suspends.  ``fuel`` is the number of non-stub calls
+    the run may make and ``calls`` the number it has made; raising
+    ``fuel`` and running again resumes a run suspended for want of it.
+    ``cycles`` holds the run's candidates; those before ``new_from`` were
+    recorded before it forked from another run, which holds them too.  A
+    run and its forks share one cache of method resolution."""
+
+    __slots__ = ("prog", "specs", "fuel", "calls", "script", "script_pos",
+                 "trace", "heap", "frames", "cycles", "new_from", "_opens",
+                 "_at", "_next_loc", "_next_ext", "_dispatch", "_field_names")
 
     def __init__(
         self,
@@ -155,48 +187,191 @@ class Evaluator:
         intrinsics: dict | None = None,
         fuel: int = DEFAULT_FUEL,
         script: Sequence[IntrinsicChoice] = (),
-        pending: list | None = None,
-        dispatch: dict | None = None,
     ):
         self.prog = prog
         self.specs = intrinsics or {}
-        self.fuel_left = fuel
+        self.fuel = fuel
+        self.calls = 0
         self.script: list[IntrinsicChoice] = list(script)
         self.script_pos = 0
-        self.pending = pending
         self.trace: list[str] = []
         self.heap: dict[int, Obj] = {}
+        self.frames: list[tuple] = []
+        self.cycles: list[CycleCandidate] = []
+        self.new_from = 0
+        # canonical key -> (trace length, script position) at each open
+        # call with that key, outermost first
+        self._opens: dict[tuple, list] = {}
+        self._at: tuple | None = None  # (receiver, method, arguments)
         self._next_loc = 0
         self._next_ext = 0
-        self.exhausted: list | None = None
-        self.cycles: list[CycleCandidate] = []
-        # per open call: its canonical key, trace length and script position
-        self._stack: list[tuple[tuple, int, int]] = []
         # (dynamic class, method) -> (declaration, stub spec or None)
-        self._dispatch: dict = {} if dispatch is None else dispatch
+        self._dispatch: dict = {}
         self._field_names: dict[str, list[str]] = {}  # class -> sorted names
 
     # -- public driving ------------------------------------------------------
 
-    def run_entry(self, cls: str, method: str):
-        """Run a fresh cls receiver's parameterless method to an outcome.
-        The entry goes through the call rule itself, so fuel and cycle
-        detection treat it like any other call."""
+    def start(self, cls: str, method: str) -> None:
+        """Set the run at a fresh cls receiver's call of its parameterless
+        method.  The entry goes through the call rule itself, so fuel and
+        cycle detection treat it like any other call."""
         md, _ = self._resolve(cls, method)
         if md.params:
             raise ValueError(f"entry {cls}.{method} must take no parameters")
-        loc = self._alloc(cls, "$entry")
-        try:
-            value = self._call(loc, method, [], pos=md.pos)
-            return Terminated(value, self.heap, tuple(self.trace))
-        except _Thrown as t:
-            return Thrown(t.location, self.heap, tuple(self.trace))
-        except (_OutOfFuelExc, _ScriptExhausted):
-            return OutOfFuel(tuple(self.trace))
-        except _CastStuckExc as c:
-            return CastStuck(tuple(self.trace), c.pos)
+        self._at = (self._alloc(cls, "$entry"), method, [])
 
-    # -- heap helpers -----------------------------------------------------------
+    def run_entry(self, cls: str, method: str):
+        """Run the entry, without forking, to an outcome."""
+        self.start(cls, method)
+        return self.run()
+
+    def run(self, forks: list | None = None):
+        """Step the run from where it stands until it ends or suspends, and
+        return its outcome.  It suspends at a call that needs fuel it does
+        not have (the outcome is ``OutOfFuel``) and, without a ``forks``
+        list, at a stub call past the end of its script (``ScriptEnd``); it
+        then stands at that call.  With ``forks``, a stub call past the end
+        of the script pushes there a copy of the run for each larger choice,
+        largest first, and the run goes on with the least."""
+        heap, frames, trace = self.heap, self.frames, self.trace
+        prog, dispatch, opens = self.prog, self._dispatch, self._opens
+        recv, method, args = self._at
+        self._at = None
+        while True:
+            # -- the call of method on recv with args ---------------------------
+            cls = heap[recv].cls
+            target = dispatch.get((cls, method))
+            if target is None:
+                target = self._resolve(cls, method)
+            md, spec = target
+            if spec is not None:
+                if self.script_pos == len(self.script):
+                    choices = spec.choices()
+                    if forks is None:
+                        self._at = (recv, method, args)
+                        return ScriptEnd(tuple(trace), choices)
+                    if len(choices) > 1:
+                        self._fork((recv, method, args), choices, forks)
+                    self.script.append(choices[0])
+                value = self._stub_result(spec, md)
+                mode = _VALUE
+            elif self.calls >= self.fuel:
+                self._at = (recv, method, args)
+                return OutOfFuel(tuple(trace))
+            else:
+                self.calls += 1
+                key = self._canonical_key(cls, method, [recv, *args])
+                here = (len(trace), self.script_pos)
+                same = opens.get(key)
+                if same is None:
+                    same = opens[key] = []
+                for stem_end, stem_choices in same:
+                    self.cycles.append(
+                        CycleCandidate(stem_end, here[0], stem_choices, here[1]))
+                same.append(here)
+                frames.append((_RETURN, key))
+                env = {"this": recv}
+                for p, v in zip(md.params, args):
+                    env[p.name] = v
+                e = md.body
+                owned = True
+                mode = _EVAL
+            # -- steps up to the next call ---------------------------------------
+            while True:
+                if mode == _EVAL:
+                    kind = type(e)
+                    if kind is Let:
+                        frames.append((_LET, e, env, owned))
+                        e, owned = e.init, False
+                        continue
+                    if kind is If:
+                        left = _lookup(env, e.left, e.pos)
+                        e = e.then if left == _lookup(env, e.right, e.pos) else e.els
+                        continue
+                    if kind is Call:
+                        recv = _lookup(env, e.recv, e.pos)
+                        if recv is None:
+                            raise EvalStuck("call-on-null",
+                                            f"{e.recv}.{e.method}", e.pos)
+                        args = [_lookup(env, a, e.pos) for a in e.args]
+                        method = e.method
+                        break
+                    if kind is Emit:
+                        trace.append(e.event)
+                        value = None
+                    elif kind is Var:
+                        value = _lookup(env, e.name, e.pos)
+                    elif kind is Null:
+                        value = None
+                    elif kind is New:
+                        value = self._alloc(e.cls, e.label)
+                    elif kind is GetField:
+                        loc = _receiver(env, e.recv, e.fname, e.pos)
+                        value = heap[loc].fields[e.fname]
+                    elif kind is SetField:
+                        loc = _receiver(env, e.recv, e.fname, e.pos)
+                        value = _lookup(env, e.value, e.pos)
+                        obj = heap[loc]
+                        fields = dict(obj.fields)
+                        fields[e.fname] = value
+                        heap[loc] = Obj(obj.cls, obj.label, fields)
+                    elif kind is Cast:
+                        frames.append((_CAST, e))
+                        e, owned = e.expr, False
+                        continue
+                    elif kind is Throw:
+                        frames.append((_THROW, e))
+                        e, owned = e.expr, False
+                        continue
+                    elif kind is TryCatch:
+                        frames.append((_TRY, e, env))
+                        e, owned = e.body, False
+                        continue
+                    else:
+                        raise AssertionError(f"unhandled expression {e!r}")
+                    mode = _VALUE
+                elif mode == _VALUE:
+                    if not frames:
+                        return Terminated(value, heap, tuple(trace))
+                    frame = frames.pop()
+                    tag = frame[0]
+                    if tag == _LET:
+                        _, let, env, owned = frame
+                        if not owned:
+                            env, owned = dict(env), True
+                        env[let.var] = value
+                        e = let.body
+                        mode = _EVAL
+                    elif tag == _RETURN:
+                        opens[frame[1]].pop()
+                    elif tag == _CAST:
+                        cast = frame[1]
+                        if value is not None and not preceq(
+                                prog, heap[value].cls, cast.cls):
+                            return CastStuck(tuple(trace), cast.pos)
+                    elif tag == _THROW:
+                        if value is None:
+                            raise EvalStuck("throw-null",
+                                            "thrown expression is null",
+                                            frame[1].pos)
+                        mode = _RAISE
+                    # a _TRY frame's body ended normally: nothing to do
+                else:  # _RAISE: value is the thrown location
+                    if not frames:
+                        return Thrown(value, heap, tuple(trace))
+                    frame = frames.pop()
+                    tag = frame[0]
+                    if tag == _RETURN:
+                        opens[frame[1]].pop()
+                    elif tag == _TRY:
+                        _, catch, env = frame
+                        if preceq(prog, heap[value].cls, catch.exc_cls):
+                            env = dict(env)
+                            env[catch.var] = value
+                            e, owned = catch.handler, True
+                            mode = _EVAL
+
+    # -- helpers ------------------------------------------------------------------
 
     def _alloc(self, cls: str, label: str) -> int:
         loc = self._next_loc
@@ -208,96 +383,6 @@ class Evaluator:
         self.heap[loc] = Obj(cls, label, dict.fromkeys(names))
         return loc
 
-    # -- evaluation ----------------------------------------------------------------
-
-    def _lookup(self, env: dict, name: str, pos) -> Value:
-        try:
-            return env[name]
-        except KeyError:
-            raise EvalStuck("unbound-variable", name, pos) from None
-
-    def _eval(self, env: dict, e: Expr, owned: bool = False) -> Value:
-        """The value of e.  Let bodies and If branches are followed in a
-        loop; the first Let copies env unless the caller passed an env of
-        its own (owned), and the rest of the chain extends that copy, which
-        nothing else sees."""
-        while True:
-            kind = type(e)
-            if kind is Let:
-                v = self._eval(env, e.init)
-                if not owned:
-                    env = dict(env)
-                    owned = True
-                env[e.var] = v
-                e = e.body
-            elif kind is If:
-                vl = self._lookup(env, e.left, e.pos)
-                vr = self._lookup(env, e.right, e.pos)
-                e = e.then if vl == vr else e.els
-            else:
-                rule = _RULES.get(kind)
-                if rule is None:
-                    raise AssertionError(f"unhandled expression {e!r}")
-                return rule(self, env, e)
-
-    def _eval_var(self, env: dict, e: Var) -> Value:
-        return self._lookup(env, e.name, e.pos)
-
-    def _eval_null(self, env: dict, e: Null) -> Value:
-        return None
-
-    def _eval_new(self, env: dict, e: New) -> Value:
-        return self._alloc(e.cls, e.label)
-
-    def _eval_cast(self, env: dict, e: Cast) -> Value:
-        v = self._eval(env, e.expr)
-        if v is None:
-            return None
-        if preceq(self.prog, self.heap[v].cls, e.cls):
-            return v
-        raise _CastStuckExc(e.pos)
-
-    def _eval_emit(self, env: dict, e: Emit) -> Value:
-        self.trace.append(e.event)
-        return None
-
-    def _eval_call(self, env: dict, e: Call) -> Value:
-        recv = self._lookup(env, e.recv, e.pos)
-        if recv is None:
-            raise EvalStuck("call-on-null", f"{e.recv}.{e.method}", e.pos)
-        args = [self._lookup(env, a, e.pos) for a in e.args]
-        return self._call(recv, e.method, args, e.pos)
-
-    def _eval_get_field(self, env: dict, e: GetField) -> Value:
-        recv = self._lookup(env, e.recv, e.pos)
-        if recv is None:
-            raise EvalStuck("field-access-on-null", f"{e.recv}.{e.fname}", e.pos)
-        return self.heap[recv].fields[e.fname]
-
-    def _eval_set_field(self, env: dict, e: SetField) -> Value:
-        recv = self._lookup(env, e.recv, e.pos)
-        if recv is None:
-            raise EvalStuck("field-access-on-null", f"{e.recv}.{e.fname}", e.pos)
-        v = self._lookup(env, e.value, e.pos)
-        self.heap[recv].fields[e.fname] = v
-        return v
-
-    def _eval_throw(self, env: dict, e: Throw) -> Value:
-        v = self._eval(env, e.expr)
-        if v is None:
-            raise EvalStuck("throw-null", "thrown expression is null", e.pos)
-        raise _Thrown(v)
-
-    def _eval_try(self, env: dict, e: TryCatch) -> Value:
-        try:
-            return self._eval(env, e.body)
-        except _Thrown as t:
-            if preceq(self.prog, self.heap[t.location].cls, e.exc_cls):
-                env2 = dict(env)
-                env2[e.var] = t.location
-                return self._eval(env2, e.handler, owned=True)
-            raise
-
     def _resolve(self, cls: str, method: str) -> tuple:
         """The declaration that a call of method on a cls receiver runs,
         and the stub spec governing it (None for an ordinary method)."""
@@ -308,40 +393,11 @@ class Evaluator:
                 md, stub_lookup(self.specs, self.prog, cls, method))
         return target
 
-    def _call(self, recv: int, method: str, args: list, pos) -> Value:
-        obj = self.heap[recv]
-        md, spec = self._resolve(obj.cls, method)
-        if spec is not None:
-            return self._stub_call(spec, md)
-        if self.fuel_left <= 0:
-            raise _OutOfFuelExc()
-        self.fuel_left -= 1
-        key = self._canonical_key(obj.cls, method, [recv, *args])
-        trace_len, script_pos = len(self.trace), self.script_pos
-        for open_key, stem_end, stem_choices in self._stack:
-            if open_key == key:
-                self.cycles.append(CycleCandidate(
-                    stem_end, trace_len, stem_choices, script_pos))
-        self._stack.append((key, trace_len, script_pos))
-        try:
-            env = {"this": recv}
-            for p, v in zip(md.params, args):
-                env[p.name] = v
-            return self._eval(env, md.body, owned=True)
-        finally:
-            self._stack.pop()
-
-    def _stub_call(self, spec: IntrinsicSpec, md) -> Value:
-        choices = spec.choices()
-        if self.script_pos == len(self.script):
-            if self.pending is None:
-                self.exhausted = choices
-                raise _ScriptExhausted()
-            so_far = tuple(self.script)
-            self.pending.extend(so_far + (c,) for c in reversed(choices[1:]))
-            self.script.append(choices[0])
+    def _stub_result(self, spec, md) -> Value:
+        """Take the script's next choice for a call of spec: emit its word
+        and return null or a fresh object of the declared result class."""
         choice = self.script[self.script_pos]
-        if choice not in choices:
+        if choice not in spec.choices():
             raise ValueError(
                 f"script choice {choice} not available for "
                 f"{spec.cls}.{spec.method}"
@@ -353,6 +409,34 @@ class Evaluator:
         label = f"$ext{self._next_ext}"
         self._next_ext += 1
         return self._alloc(md.result, label)
+
+    def _fork(self, at: tuple, choices: list, forks: list) -> None:
+        """Push onto forks a copy of this run, standing at the stub call
+        at, for each choice but the least, largest first.  The copies
+        share the objects, which are never changed, and the frames' tuples;
+        an environment a frame holds is disowned, so that whichever run
+        binds into it first copies it."""
+        self.frames[:] = [(_LET, f[1], f[2], False)
+                          if f[0] == _LET and f[3] else f
+                          for f in self.frames]
+        for choice in reversed(choices[1:]):
+            twin = Evaluator.__new__(Evaluator)
+            twin.prog, twin.specs = self.prog, self.specs
+            twin.fuel, twin.calls = self.fuel, self.calls
+            twin.script = [*self.script, choice]
+            twin.script_pos = self.script_pos
+            twin.trace = self.trace.copy()
+            twin.heap = self.heap.copy()
+            twin.frames = self.frames.copy()
+            twin.cycles = self.cycles.copy()
+            twin.new_from = len(self.cycles)
+            twin._opens = {key: same.copy()
+                           for key, same in self._opens.items() if same}
+            twin._at = at
+            twin._next_loc, twin._next_ext = self._next_loc, self._next_ext
+            twin._dispatch = self._dispatch
+            twin._field_names = self._field_names
+            forks.append(twin)
 
     def _canonical_key(self, cls: str, method: str, roots: list) -> tuple:
         """Configuration up to location renaming; unreachable heap ignored.
@@ -379,20 +463,6 @@ class Evaluator:
         return (cls, method, root_ids, tuple(rendering))
 
 
-_RULES = {
-    Var: Evaluator._eval_var,
-    Null: Evaluator._eval_null,
-    New: Evaluator._eval_new,
-    Cast: Evaluator._eval_cast,
-    Emit: Evaluator._eval_emit,
-    Call: Evaluator._eval_call,
-    GetField: Evaluator._eval_get_field,
-    SetField: Evaluator._eval_set_field,
-    Throw: Evaluator._eval_throw,
-    TryCatch: Evaluator._eval_try,
-}  # Let and If are followed in place by Evaluator._eval
-
-
 # -- public API ----------------------------------------------------------------
 
 
@@ -409,6 +479,45 @@ class TraceRun:
         self.stuck = stuck
 
 
+def _split_entry(entry: str) -> tuple[str, str]:
+    cls, _, method = entry.partition(".")
+    if not method:
+        raise ValueError(f"entry must be 'Class.method', got {entry!r}")
+    return cls, method
+
+
+def _explore(roots: list, ended: int, entry: str,
+             forked_cycles: bool) -> tuple[list, list]:
+    """Run each root, and the runs forked from it, depth first, until each
+    ends or suspends.  Returns their runs in lexicographic script order and
+    the suspended runs.  A run holds all its candidates or, with
+    forked_cycles false, none recorded before it forked.  ``ended`` runs of
+    the same level are held elsewhere; with them, a level may hold at most
+    MAX_RUNS runs."""
+    runs: list[TraceRun] = []
+    suspended: list[Evaluator] = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            ev = stack.pop()
+            stuck = None
+            try:
+                outcome = ev.run(stack)
+            except EvalStuck as exc:
+                outcome, stuck = None, exc
+            trace = tuple(ev.trace) if outcome is None else outcome.trace
+            cycles = ev.cycles if forked_cycles else ev.cycles[ev.new_from:]
+            runs.append(TraceRun(tuple(ev.script), trace, outcome, cycles,
+                                 stuck))
+            if stuck is not None:
+                continue
+            if isinstance(outcome, OutOfFuel):
+                suspended.append(ev)
+            if ended + len(runs) > MAX_RUNS:
+                raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
+    return runs, suspended
+
+
 def enumerate_traces(
     prog: Program,
     entry: str,
@@ -417,25 +526,37 @@ def enumerate_traces(
 ) -> list[TraceRun]:
     """Every complete run of entry ('Class.method', no parameters) under the
     fuel bound, one per stub-choice script, in lexicographic script order."""
-    cls, _, method = entry.partition(".")
-    if not method:
-        raise ValueError(f"entry must be 'Class.method', got {entry!r}")
-    runs: list[TraceRun] = []
-    pending: list[tuple] = [()]
-    dispatch: dict = {}
-    while pending:
-        ev = Evaluator(prog, intrinsics, fuel, pending.pop(), pending, dispatch)
-        try:
-            outcome = ev.run_entry(cls, method)
-        except EvalStuck as stuck:
-            runs.append(TraceRun(tuple(ev.script), tuple(ev.trace), None,
-                                 ev.cycles, stuck=stuck))
-            continue
-        runs.append(TraceRun(tuple(ev.script), outcome.trace, outcome,
-                             ev.cycles))
-        if len(runs) > MAX_RUNS:
-            raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
-    return runs
+    root = Evaluator(prog, intrinsics, fuel)
+    root.start(*_split_entry(entry))
+    return _explore([root], 0, entry, True)[0]
+
+
+class Search:
+    """The runs of entry level by level, the fuel deepening one unit a
+    level, each level resuming the runs the last one suspended."""
+
+    def __init__(self, prog: Program, entry: str,
+                 intrinsics: dict | None = None):
+        root = Evaluator(prog, intrinsics, 0)
+        root.start(*_split_entry(entry))
+        self.entry = entry
+        self.frontier: list[Evaluator] = [root]  # the suspended runs
+        self.ended = 0  # runs that ended at a lower level
+
+    def deepen(self) -> list[TraceRun]:
+        """The next level's new runs, in lexicographic script order: each
+        suspended run gets one more unit of fuel and resumes, forking at
+        stub calls, until it ends or suspends again.  Each run holds the
+        candidates recorded at this level only.  The runs that ended at a
+        lower level end the same way at this one and are not repeated."""
+        for ev in self.frontier:
+            ev.fuel += 1
+        runs, self.frontier = _explore(self.frontier, self.ended, self.entry,
+                                       False)
+        self.ended += len(runs) - len(self.frontier)
+        for ev in self.frontier:
+            ev.cycles, ev.new_from = [], 0
+        return runs
 
 
 def replay_entry(
@@ -446,7 +567,6 @@ def replay_entry(
     intrinsics: dict | None = None,
 ) -> Evaluator:
     """Re-run one script (used to validate divergence candidates)."""
-    cls, _, method = entry.partition(".")
     ev = Evaluator(prog, intrinsics, fuel, script)
-    ev.run_entry(cls, method)
+    ev.run_entry(*_split_entry(entry))
     return ev

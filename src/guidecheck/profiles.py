@@ -254,7 +254,11 @@ class ProfileMonoid:
 
     def accepts_finite(self, word: Sequence[str]) -> bool:
         """The automaton accepts word under the NFA reading."""
-        return self._accepts[self.profile_of_word(word)]
+        return self.accepts_finite_of(self.profile_of_word(word))
+
+    def accepts_finite_of(self, p: int) -> bool:
+        """The automaton accepts the words of profile p (NFA reading)."""
+        return self._accepts[p]
 
     def dead_position(self, word: Sequence[str]) -> int | None:
         """The length of the shortest prefix of word that no run from an
@@ -267,19 +271,25 @@ class ProfileMonoid:
         return None
 
     def accepts_lasso(self, stem: Sequence[str], cycle: Sequence[str]) -> bool:
-        """Büchi acceptance of stem·cycle^ω (cycle must be nonempty).
-
-        With e the idempotent power of cycle's profile, the word is
-        stem·w·w·w··· for a word w with profile e, so it is accepted iff a
-        state that stem·w reaches from an initial state loops on e through
-        an accepting visit: the test ``accepts_mix`` makes of the pair
-        (stem·e, e), exact for ultimately periodic words (Büchi 1962)."""
+        """Büchi acceptance of stem·cycle^ω (cycle must be nonempty)."""
         if not cycle:
             raise ValueError("cycle must be nonempty")
-        v = e = self.profile_of_word(cycle)
+        v = self.profile_of_word(cycle)
+        return self.accepts_lasso_of(self.profile_of_word(stem), v)
+
+    def accepts_lasso_of(self, stem: int, cycle: int) -> bool:
+        """Büchi acceptance of u·v^ω for any words u of profile stem and v
+        of profile cycle, v nonempty.
+
+        With e the idempotent power of v's profile, the word is u·w·w·w···
+        for a word w with profile e, so it is accepted iff a state that u·w
+        reaches from an initial state loops on e through an accepting
+        visit: the test ``accepts_mix`` makes of the pair (stem·e, e),
+        exact for ultimately periodic words (Büchi 1962)."""
+        e = cycle
         while self.compose(e, e) != e:  # some power of v is idempotent
-            e = self.compose(e, v)
-        s = self.compose(self.profile_of_word(stem), e)
+            e = self.compose(e, cycle)
+        s = self.compose(stem, e)
         return bool(self._starts[s] & self._loops[e])
 
     # -- acceptance of abstractions --------------------------------------------

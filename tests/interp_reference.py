@@ -1,10 +1,13 @@
 """The restart-per-choice enumerator, kept as a reference.
 
-``enumerate_traces`` executes each script prefix once and branches at every
-stub call.  This enumerator explores the same scripts by restarting: a run
-whose script runs out at a stub is replayed from scratch once per choice of
-that stub, each with the script extended by that choice.  Its runs must
-agree with the interpreter's, one for one and in the same order.
+``enumerate_traces`` executes each script prefix once: a run that reaches a
+stub past the end of its script forks there, each larger choice getting a
+copy of the state, and goes on with the least choice.  ``Search`` goes
+further and resumes, at each fuel level, the runs the last level suspended.
+This enumerator shares neither: it replays every script from the entry, and
+a run whose script runs out at a stub is replayed from scratch once per
+choice of that stub, each with the script extended by that choice.  Its runs
+must agree with the interpreter's, one for one and in the same order.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from guidecheck.interp import (
     MAX_RUNS,
     EvalStuck,
     Evaluator,
+    ScriptEnd,
     TraceRun,
 )
 
@@ -39,8 +43,8 @@ def enumerate_by_restarts(
             runs.append(TraceRun(script, tuple(ev.trace), None, ev.cycles,
                                  stuck=stuck))
             continue
-        if ev.exhausted is not None:
-            for choice in sorted(ev.exhausted, reverse=True):
+        if isinstance(outcome, ScriptEnd):
+            for choice in sorted(outcome.choices, reverse=True):
                 pending.append(script + (choice,))
             continue
         runs.append(TraceRun(script, outcome.trace, outcome, ev.cycles))

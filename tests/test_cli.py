@@ -19,7 +19,7 @@ import taint_corpus
 from conftest import FIXTURES, fixture, fresh_python_env, read_fixture
 from nfa_reading import NfaReading
 from report_reference import streamed
-from guidecheck import cli, fjtypes, inference, profiles
+from guidecheck import cli, fjtypes, inference, interp, profiles
 from guidecheck.cli import AnalysisError, Counterexample, analyze, main
 from guidecheck.fjast import FjError, Program
 from guidecheck.fjparser import parse_program
@@ -96,13 +96,14 @@ def test_search_stops_deepening_once_every_run_terminates(monkeypatch):
     }
     """
     levels = []
-    enumerate_traces = cli.enumerate_traces
+    deepen = interp.Search.deepen
 
-    def recording(prog, entry, fuel, intrinsics=None):
-        levels.append(fuel)
-        return enumerate_traces(prog, entry, fuel, intrinsics)
+    def recording(search):
+        runs = deepen(search)
+        levels.append(len(levels) + 1)
+        return runs
 
-    monkeypatch.setattr(cli, "enumerate_traces", recording)
+    monkeypatch.setattr(interp.Search, "deepen", recording)
     prog = parse_program(src, "deep.fj")
     report = analyze(prog, load_guideline(fixture("parity.gl")), fuel=32,
                      entries=["A.ok"])
@@ -114,32 +115,36 @@ def test_search_stops_deepening_once_every_run_terminates(monkeypatch):
 def test_a_fruitless_search_judges_each_accepted_lasso_once(monkeypatch):
     # without its stubs serve() polls null and logs forever, which the
     # liveness guideline accepts; the verdict fails but no run is a witness,
-    # and every level repeats the lower levels' cycles
+    # and each level records only the cycles its one new call closes
     prog = parse_program(read_fixture("serve.fj"), "serve.fj")
     gl = load_guideline(fixture("serve_liveness.gl"))
     judged = []
-    accepts_lasso = profiles.ProfileMonoid.accepts_lasso
+    accepts_lasso_of = profiles.ProfileMonoid.accepts_lasso_of
 
     def recording(monoid, stem, cycle):
-        judged.append((tuple(stem), tuple(cycle)))
-        return accepts_lasso(monoid, stem, cycle)
+        judged.append((monoid, stem, cycle))
+        return accepts_lasso_of(monoid, stem, cycle)
 
-    monkeypatch.setattr(profiles.ProfileMonoid, "accepts_lasso", recording)
+    monkeypatch.setattr(profiles.ProfileMonoid, "accepts_lasso_of", recording)
     report = analyze(prog, gl, fuel=20, entries=["Server.serve"])
     assert report.verdict == "fail"
     assert report.counterexamples == []
     lassos = {(run.trace[:c.stem_end], run.trace[c.stem_end:c.cycle_end])
               for level in range(1, 21)
-              for run in cli.enumerate_traces(prog, "Server.serve", level)
+              for run in interp.enumerate_traces(prog, "Server.serve", level)
               for c in run.cycles}
-    assert sorted(judged) == sorted(lassos)
-    assert len(judged) == 45  # 10 serve() calls; 330 when judged per level
+    assert len(judged) == len(lassos) == 45  # 10 serve() calls
+    (monoid,) = {m for m, _, _ in judged}
+    # each lasso's stem and cycle are judged by their profiles
+    assert sorted((stem, cycle) for _, stem, cycle in judged) == sorted(
+        (monoid.profile_of_word(stem), monoid.profile_of_word(cycle))
+        for stem, cycle in lassos)
 
 
 def test_a_fruitless_search_copies_no_trace_per_candidate():
-    # the 100 levels' runs record 41,650 candidates, 1,225 of them at fuel
-    # 100, where the run nests 50 serve() calls; each candidate is four
-    # offsets into its run's trace, not a copy of up to 50 events
+    # the search records 1,225 candidates, the last ones at fuel 100, where
+    # the run nests 50 serve() calls; each candidate is four offsets into
+    # its run's trace, not a copy of up to 50 events
     prog = parse_program(read_fixture("serve.fj"), "serve.fj")
     gl = load_guideline(fixture("serve_liveness.gl"))
     tracemalloc.start()
@@ -842,6 +847,24 @@ def test_main_exit_three_on_deep_program_without_traceback(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("guidecheck: error: internal limit:")
     assert "Traceback" not in done.stderr
+
+
+def test_a_search_nests_more_calls_than_the_recursion_limit(tmp_path, capsys):
+    # grow() calls itself on a new node that links to the old one, so no
+    # call repeats an open call's configuration and no candidate is judged;
+    # the runs nest one call more per level, past Python's recursion limit
+    fuel = sys.getrecursionlimit() + 100
+    program = ("class Node extends Object {\n    Node next;\n"
+               "    Object grow() {\n        Node n = new[n] Node();\n"
+               "        n.next = this;\n        return n.grow();\n    }\n"
+               "    Object bad() {\n        return null;\n    }\n}\n")
+    code, out, err = analyze_sources(
+        tmp_path, capsys, program, read_fixture("parity.gl"),
+        "--entry", "Node.grow", "--fuel", str(fuel))
+    # bad() returns the empty word, which parity rejects; no run of grow()
+    # emits or ends, so the search deepens to the last level and finds none
+    assert (code, err) == (1, "")
+    assert "returns:FAIL" in out and "counterexample" not in out
 
 
 def test_main_passes_a_method_of_five_thousand_statements(tmp_path, capsys):

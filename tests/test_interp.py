@@ -1,7 +1,8 @@
 """Reference interpreter: outcomes, dispatch, exceptions, fuel, stubs.
 
-Everything here runs through enumerate_traces so fuel accounting and cycle
-detection see the same code paths the analyses rely on.
+Everything here runs through enumerate_traces or interp.Search, so fuel
+accounting, forking and cycle detection see the same code paths the
+analyses rely on.
 """
 
 import pytest
@@ -17,8 +18,10 @@ from region_satisfaction import (
     value_satisfies,
 )
 from guidecheck import interp
+from guidecheck.cli import find_counterexample
 from guidecheck.fjast import ClassDecl, Emit, Let, MethodDecl, Null, Program
 from guidecheck.fjparser import parse_program
+from guidecheck.guideline import load_guideline
 from guidecheck.interp import (
     CastStuck,
     Obj,
@@ -354,7 +357,8 @@ def _entries(prog):
 def _enumeration_cases():
     """(label, program, entry, fuel, stubs): every fixture entry, both
     corpora, serve.fj at fuel 1 to 6, a program whose null stub results
-    get stuck between branches, and a stub with no scripted choice."""
+    get stuck between branches, a stub with no scripted choice, and runs
+    that share a field and an environment when they fork."""
     prog = parse_program(STUCK_BETWEEN_BRANCHES)
     specs = parse_config("R.tick() -> Unknown emits a | b\n", ("a", "b"))
     yield "stuck", prog, "M.go", 2, specs
@@ -362,6 +366,8 @@ def _enumeration_cases():
     # one choice is its shortest word
     specs = parse_config("R.tick() -> Null emits a a a a a\n", ("a", "b"))
     yield "long-words", parse_program(STUB_PROG), "M.go", 2, specs
+    specs = parse_config("R.tick() -> Unknown emits eps\n", ("a", "b"))
+    yield "forked-state", parse_program(FORKED_STATE), "M.go", 4, specs
     serve_cfg = read_fixture("serve.cfg")
     for path in sorted(FIXTURES.glob("*.fj")):
         prog = parse_program(path.read_text(encoding="utf-8"), path.name)
@@ -393,6 +399,26 @@ def test_enumeration_matches_the_restart_reference_run_for_run():
     assert cases >= 50
 
 
+# The runs fork at tick, and each must see only its own state: the first
+# run writes seen before its twins read it, and suspends at id() with c
+# still to be read, which a twin binds before the first run resumes.
+FORKED_STATE = """
+class R { R tick() { return null; } }
+class M {
+    M seen;
+    Object id(R x) { return x; }
+    Object go() {
+        R r = new R(); R c = r.tick(); M z = null; M s = this.seen;
+        if (s == z) { emit a; } else { emit b; }
+        Object y = this.id(c); R n = null;
+        if (c == n) { emit a; } else { emit b; }
+        this.seen = this;
+        return this.go();
+    }
+}
+"""
+
+
 # A null result from the first or second tick is called on: stuck.
 STUCK_BETWEEN_BRANCHES = """
 class R { R tick() { return null; } }
@@ -403,22 +429,78 @@ class M { Object go() {
 """
 
 
-def test_enumeration_builds_one_evaluator_per_run(monkeypatch):
-    built = []
+def _search_runs_as_data(prog, entry, fuel, specs):
+    """The runs of a Search deepened to fuel: those each level ended and
+    those the last level suspended, in script order, each with every
+    candidate its execution recorded.  A level reports a candidate once,
+    on the first run in script order that holds it, so a run's candidates
+    are gathered from every level's report: those recorded where its
+    script and the recording run's agree up to the repeat."""
+    search = interp.Search(prog, entry, specs)
+    recorded, runs = [], []
+    for level in range(1, fuel + 1):
+        new = search.deepen()
+        recorded += [(run.script, c) for run in new for c in run.cycles]
+        runs += [run for run in new
+                 if level == fuel or not isinstance(run.outcome, OutOfFuel)]
+        if not search.frontier:
+            break
+    runs.sort(key=lambda run: run.script)
+    for run in runs:
+        run.cycles = [c for script, c in recorded
+                      if script[:c.cycle_choices]
+                      == run.script[:c.cycle_choices]]
+    return _runs_as_data(runs)
 
-    class Counting(interp.Evaluator):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(interp, "Evaluator", Counting)
+def test_the_resumed_search_matches_the_restart_reference_run_for_run():
+    cases = 0
+    for label, prog, entry, fuel, specs in _enumeration_cases():
+        want = enumerate_by_restarts(prog, entry, fuel, specs)
+        got = _search_runs_as_data(prog, entry, fuel, specs)
+        assert got == _runs_as_data(want), (label, entry, fuel)
+        cases += 1
+    assert cases >= 50
+
+
+def _executed_calls(monkeypatch):
+    """The (script prefix, call number) of each call a run executes from
+    now on: the call's configuration is keyed once per executed call."""
+    executed = []
+    canonical_key = interp.Evaluator._canonical_key
+
+    def recording(ev, cls, method, roots):
+        executed.append((tuple(ev.script[:ev.script_pos]), ev.calls))
+        return canonical_key(ev, cls, method, roots)
+
+    monkeypatch.setattr(interp.Evaluator, "_canonical_key", recording)
+    return executed
+
+
+def test_a_search_executes_each_script_prefix_and_call_once(monkeypatch):
+    executed = _executed_calls(monkeypatch)
+    # without its stubs serve() polls null and logs forever: one run, one
+    # new call per level, where re-running each level from the entry
+    # executed F(F+1)/2
     prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    gl = load_guideline(str(FIXTURES / "serve_liveness.gl"))
+    assert find_counterexample(prog, gl, "Server.serve", 60) is None
+    assert executed == [((), call) for call in range(1, 61)]
+    # with them, every level forks three ways: each state once, against
+    # one execution per state per run of the restart reference
     specs = parse_config(read_fixture("serve.cfg"), sorted(prog.alphabet))
-    for fuel in range(1, 6):
-        built.clear()
-        runs = enumerate_traces(prog, "Server.serve", fuel, specs)
-        assert len(runs) == 3 ** fuel
-        assert len(built) == len(runs)
+    fuel = 5
+    search = interp.Search(prog, "Server.serve", specs)
+    executed.clear()
+    for _ in range(fuel):
+        search.deepen()
+    searched = list(executed)
+    executed.clear()
+    for level in range(1, fuel + 1):
+        enumerate_by_restarts(prog, "Server.serve", level, specs)
+    assert len(searched) == len(set(searched)) == len(set(executed))
+    assert set(searched) == set(executed)
+    assert len(executed) > 2 * len(searched)
 
 
 def test_a_long_let_chain_runs_without_deepening_the_stack():

@@ -70,10 +70,19 @@ REGION_META_ONLY = ("prog",)
 # copies neither, and tuple equality compares candidates.
 CANDIDATE_COPIES = ("stem_trace", "cycle_trace", "stem_script",
                     "cycle_script", "key")
+# The recursive evaluator and its restart queue: control flows through the
+# step loop's frames, not through exceptions and Python calls, and a stub
+# choice forks the run's state rather than queue a script to re-run.
+RESTARTED_SCRIPTS = ("_ScriptExhausted", "_Thrown", "_OutOfFuelExc",
+                     "_CastStuckExc", "_RULES")
+RESTARTING_RUN = ("pending", "exhausted", "_stub_call", "_eval")
 # Defined in the package but referred to only from tests/: the one-file
-# entry point, and the members of the EffectDomain interface that the
-# reference domains and the domain-law tests use.
-UNREFERENCED_BY_DESIGN = {"parse_program", "fin_bottom", "mix_of_eps"}
+# entry point, the members of the EffectDomain interface that the
+# reference domains and the domain-law tests use, and the interpreter's
+# one-level view of an entry's runs, which the soundness tests read (the
+# counterexample search deepens through interp.Search instead).
+UNREFERENCED_BY_DESIGN = {"parse_program", "fin_bottom", "mix_of_eps",
+                          "enumerate_traces"}
 PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -97,7 +106,8 @@ def test_test_only_functions_stay_out_of_the_package():
     owners = [("ProfileMonoid", ProfileMonoid(g), MONOID_ONLY),
               ("EffectDomain", EffectDomain, DOMAIN_ONLY),
               ("ProfileDomain", ProfileDomain(g), DOMAIN_ONLY),
-              ("interp", interp, INTERP_ONLY),
+              ("interp", interp, INTERP_ONLY + RESTARTED_SCRIPTS),
+              ("Evaluator", interp.Evaluator, RESTARTING_RUN),
               ("CycleCandidate", interp.CycleCandidate, CANDIDATE_COPIES),
               ("fjparser", fjparser, PARSER_ONLY),
               ("GuidelineAutomaton", g, AUTOMATON_ONLY),
