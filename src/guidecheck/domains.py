@@ -5,7 +5,9 @@ words (method effects while control still returns) and one for languages that
 mix finite and infinite words (whole-program behaviours, including
 divergence) — together with the regular operators the analysis composes
 effects with: join, concatenation, Kleene star and infinite iteration.
-Inference runs to a fixpoint, so a domain's finite elements must compare
+A stub's regex reaches a domain through these operators too, its letters
+through ``alpha_word`` (``intrinsics.Regex.alpha``), so the interface takes
+no automaton.  Inference runs to a fixpoint, so a domain's finite elements must compare
 exactly with ``==``, and it caps its re-typings by ``fin_height``, a bound
 on the chains among the elements built so far.  They must hash too: the
 solver finds equal equations by hashing their coefficients.  The verdict
@@ -17,11 +19,11 @@ and can answer whether everything an element denotes is accepted by the
 guideline.  It drives the verdict.  Its monoid is the guideline's own
 (``profiles.monoid_of``), which the counterexample search reads too; its
 height is the count of profiles interned so far plus one, so the analysis
-never closes the monoid.  The analysis needs no equality on mixed elements
-and no membership probes, so the interface has none; the test suite adds
-them, on the profile domain through a subclass that canonicalizes mixed
-elements, and in two reference domains behind the same interface, a
-language-level one over NFAs and a four-point toy domain.
+never closes the monoid.  The analysis needs no equality on mixed elements,
+no membership probes and no abstraction of an NFA, so the interface has
+none; the test suite adds them, on the profile domain through a subclass
+that canonicalizes mixed elements, and in two reference domains behind the
+same interface, a language-level one over NFAs and a four-point toy domain.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 from .guideline import GuidelineAutomaton
-from .oracle import Nfa
 from .profiles import FIN_BOTTOM, MIX_BOTTOM, MixAbs, monoid_of
 
 
@@ -56,9 +57,6 @@ class EffectDomain(ABC):
 
     @abstractmethod
     def alpha_word(self, w: Sequence[str]): ...
-
-    @abstractmethod
-    def alpha_nfa(self, nfa: Nfa): ...
 
     @abstractmethod
     def star(self, x): ...
@@ -123,9 +121,6 @@ class ProfileDomain(EffectDomain):
         if not w:
             return self.monoid.fin_eps
         return frozenset({self.monoid.profile_of_word(w)})
-
-    def alpha_nfa(self, nfa):
-        return self.monoid.alpha_nfa(nfa)
 
     def star(self, x):
         return self.monoid.star(x)

@@ -279,10 +279,10 @@ def seed_intrinsics(
     the program (``intrinsics.validate_against_program``): every region a
     pattern names is one of the program's."""
     for (cls, method), spec in sorted(specs.items()):
-        t_fin = domain.alpha_nfa(spec.emit_nfa)
+        t_fin = spec.emits.alpha(domain)
         h = {}
         if spec.throw_region is not None:
-            h[spec.throw_region] = domain.alpha_nfa(spec.throw_nfa)
+            h[spec.throw_region] = spec.throws.alpha(domain)
         row = ({spec.result_region: t_fin}, h, {})  # one row per stub
         for c in prog.classes:
             if stub_lookup(specs, prog, c.name, method) is not spec:

@@ -24,6 +24,12 @@ synthetic allocation label no region pattern matches).  The words tried are
 the language's first ``STUB_WORD_LIMIT`` in shortlex order up to length
 ``STUB_WORD_MAXLEN``, or its shortest word when none is that short.  Stubs
 never throw at run time; the throws clause only widens the analyzed summary.
+
+A regex (``|``, juxtaposition, ``*``, ``eps``, parentheses) parses to a
+postfix term, read on a stack however deep it nests: into the effect domain
+by ``alpha_word`` and the domain's join, concatenation and star (a monoid
+morphism abstracts words, so this abstracts the language), into its least
+words, and into its shortest word.  ``eps`` may not also be a letter.
 """
 
 from __future__ import annotations
@@ -34,11 +40,17 @@ from typing import NamedTuple
 
 from .fjast import FjError, Program
 from .fjtypes import method_lookup
-from .oracle import Nfa, RegexError, regex_to_nfa
 from .regions import NULL_REGION, UNKNOWN, Region, RegionMeta, created_at
 
 STUB_WORD_MAXLEN = 4
 STUB_WORD_LIMIT = 3
+
+# the operators of a postfix term; a letter stands for itself
+EPS, UNION, CONCAT, STAR = "eps", "|", ".", "*"
+
+
+class RegexError(Exception):
+    pass
 
 
 class ConfigError(Exception):
@@ -54,6 +66,79 @@ class IntrinsicChoice(NamedTuple):
     word: tuple[str, ...]
 
 
+class Regex(NamedTuple):
+    """A parsed config regex: its term in postfix order, and the alphabet
+    whose order ranks its words."""
+    postfix: tuple[str, ...]
+    alphabet: tuple[str, ...]
+
+    def fold(self, leaf, union, concat, star):
+        """The term read bottom-up: leaf maps a letter or ``EPS`` to a
+        value, and union, concat and star combine their operands' values."""
+        stack = []
+        for tok in self.postfix:
+            if tok == STAR:
+                stack[-1] = star(stack[-1])
+            elif tok == UNION or tok == CONCAT:
+                right = stack.pop()
+                op = union if tok == UNION else concat
+                stack[-1] = op(stack[-1], right)
+            else:
+                stack.append(leaf(tok))
+        return stack.pop()
+
+    def alpha(self, domain):
+        """The abstraction of the regex's language in domain."""
+        return self.fold(
+            lambda tok: domain.alpha_word(() if tok == EPS else (tok,)),
+            domain.fin_join, domain.fin_concat, domain.star)
+
+    def words(self, max_len: int, limit: int) -> list[tuple[str, ...]]:
+        """The first ``limit`` words up to length max_len, shortlex by the
+        alphabet's order.  A subterm keeps its ``limit`` least words of each
+        length: a union's or a concatenation's are made of its operands'."""
+        rank = {a: i for i, a in enumerate(self.alphabet)}
+
+        def least(ws):
+            return sorted(set(ws))[:limit]
+
+        def leaf(tok):
+            out = [[] for _ in range(max_len + 1)]
+            if tok == EPS:
+                out[0] = [()]
+            else:
+                out[1] = [(rank[tok],)]
+            return out
+
+        def union(x, y):
+            return [least(xs + ys) for xs, ys in zip(x, y)]
+
+        def concat(x, y):
+            return [least(u + v for i in range(n + 1)
+                          for u in x[i] for v in y[n - i])
+                    for n in range(max_len + 1)]
+
+        def star(x):
+            # from ε, one factor more a round, until the lists settle
+            out = leaf(EPS)
+            while (nxt := union(out, concat(out, x))) != out:
+                out = nxt
+            return out
+
+        layers = self.fold(leaf, union, concat, star)
+        ranked = [w for layer in layers for w in layer][:limit]
+        return [tuple(self.alphabet[i] for i in w) for w in ranked]
+
+    def shortest_word(self) -> tuple[str, ...]:
+        """The language's least word in shortlex order: a union's least
+        branch, a concatenation's parts' least words joined, ε for a star."""
+        rank = {a: i for i, a in enumerate(self.alphabet)}
+        word = self.fold(lambda tok: () if tok == EPS else (rank[tok],),
+                         lambda x, y: min(x, y, key=lambda w: (len(w), w)),
+                         lambda x, y: x + y, lambda x: ())
+        return tuple(self.alphabet[i] for i in word)
+
+
 _set = object.__setattr__  # how IntrinsicSpec.__init__ sets its fields
 
 
@@ -62,17 +147,17 @@ class IntrinsicSpec:
 
     def __init__(self, cls: str, method: str,
                  arg_patterns: tuple[Region | None, ...],
-                 result_region: Region, emit_nfa: Nfa,
+                 result_region: Region, emits: Regex,
                  throw_region: Region | None = None,
-                 throw_nfa: Nfa | None = None):
+                 throws: Regex | None = None):
         _set(self, "cls", cls)
         _set(self, "method", method)
         # one region per parameter, None for the wildcard ``_``
         _set(self, "arg_patterns", arg_patterns)
         _set(self, "result_region", result_region)
-        _set(self, "emit_nfa", emit_nfa)
+        _set(self, "emits", emits)
         _set(self, "throw_region", throw_region)
-        _set(self, "throw_nfa", throw_nfa)
+        _set(self, "throws", throws)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -89,8 +174,8 @@ class IntrinsicSpec:
     def _choices(self) -> list[IntrinsicChoice]:
         # no regex of the config grammar denotes the empty language, so a
         # stub always has a choice
-        words = (list(self.emit_nfa.words(STUB_WORD_MAXLEN, STUB_WORD_LIMIT))
-                 or [self.emit_nfa.shortest_word()])
+        words = (self.emits.words(STUB_WORD_MAXLEN, STUB_WORD_LIMIT)
+                 or [self.emits.shortest_word()])
         out = [IntrinsicChoice(0, w) for w in words]
         if self.result_region == UNKNOWN:
             out += [IntrinsicChoice(1, w) for w in words]
@@ -154,7 +239,7 @@ def _parse_line(line: str, alphabet) -> IntrinsicSpec:
     result_region = _parse_region(words[0])
     if result_region not in (NULL_REGION, UNKNOWN):
         raise ConfigError("result region must be Null or Unknown")
-    throw_region = throw_nfa = None
+    throw_region = throws = None
     if "throws" in words[2:]:
         ti = words.index("throws", 2)
         emits = " ".join(words[2:ti])
@@ -162,7 +247,7 @@ def _parse_line(line: str, alphabet) -> IntrinsicSpec:
         if len(rest) < 2:
             raise ConfigError("throws needs '<region> <regex>'")
         throw_region = _parse_region(rest[0])
-        throw_nfa = regex_to_nfa(" ".join(rest[1:]), alphabet)
+        throws = parse_regex(" ".join(rest[1:]), alphabet)
     else:
         emits = " ".join(words[2:])
     if not emits:
@@ -170,9 +255,81 @@ def _parse_line(line: str, alphabet) -> IntrinsicSpec:
     return IntrinsicSpec(
         cls=cls, method=method, arg_patterns=arg_patterns,
         result_region=result_region,
-        emit_nfa=regex_to_nfa(emits, alphabet),
-        throw_region=throw_region, throw_nfa=throw_nfa,
+        emits=parse_regex(emits, alphabet),
+        throw_region=throw_region, throws=throws,
     )
+
+
+def parse_regex(src: str, alphabet) -> Regex:
+    """The term of a config regex: ``|`` binds loosest, then juxtaposition,
+    then ``*``, and both binary operators group to the left.  A stack of
+    open groups stands in for a recursive descent; each error is raised at
+    the token where that descent would raise it."""
+    postfix: list[str] = []
+    # per open group, the whole regex outermost: the alternatives closed so
+    # far, and the pieces read of the current one
+    groups = [[0, 0]]
+    for tok in [*_regex_tokens(src), None]:
+        group = groups[-1]
+        alts, pieces = group
+        if tok in ("|", ")", None):
+            if not pieces:
+                raise RegexError(f"empty alternative in regex {src!r}")
+            if pieces > 1:
+                postfix.append(CONCAT)
+            if alts:
+                postfix.append(UNION)
+            if tok == "|":
+                group[:] = [alts + 1, 0]
+            elif tok == ")":
+                if len(groups) == 1:
+                    raise RegexError(f"trailing input in regex {src!r}")
+                groups.pop()  # the group is a piece of the one around it
+            elif len(groups) > 1:
+                raise RegexError(f"unbalanced parentheses in {src!r}")
+        elif tok == "*":
+            if not pieces:
+                raise RegexError(f"unexpected '*' in regex {src!r}")
+            postfix.append(STAR)
+        else:
+            if pieces > 1:
+                postfix.append(CONCAT)  # the piece before this one is whole
+            group[1] = pieces + 1
+            if tok == "(":
+                groups.append([0, 0])
+            elif tok == EPS:
+                if EPS in alphabet:
+                    raise RegexError(f"'eps' in regex {src!r} is both the "
+                                     "empty word and a letter of the alphabet")
+                postfix.append(EPS)
+            elif tok not in alphabet:
+                raise RegexError(f"letter {tok!r} not in the alphabet")
+            else:
+                postfix.append(tok)
+    return Regex(tuple(postfix), tuple(alphabet))
+
+
+def _regex_tokens(src: str) -> list[str]:
+    tokens: list[str] = []
+    i = 0
+    while i < len(src):
+        c = src[i]
+        if c.isspace():
+            i += 1
+        elif c in "()|*":
+            tokens.append(c)
+            i += 1
+        elif c.isalnum() or c == "_":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(src[i:j])
+            i = j
+        else:
+            raise RegexError(f"bad character {c!r} in regex {src!r}")
+    if not tokens:
+        raise RegexError("empty regex")
+    return tokens
 
 
 def load_config(path: str, alphabet) -> dict[tuple[str, str], IntrinsicSpec]:

@@ -186,30 +186,6 @@ class ProfileMonoid:
 
     # -- FinAbs operations ----------------------------------------------------
 
-    def alpha_nfa(self, nfa) -> FinAbs:
-        """Profiles of all words of an NFA, by pair reachability.
-
-        Explores (NFA state set, profile) pairs; both components live in
-        finite spaces, so the walk terminates.
-        """
-        start = (nfa.initial, self.eps)
-        seen = {start}
-        queue = [start]
-        out: set[int] = set()
-        while queue:
-            sset, p = queue.pop()
-            if sset & nfa.accepting:
-                out.add(p)
-            for a in self.g.alphabet:
-                nxt = nfa.step(sset, a)
-                if not nxt:
-                    continue
-                item = (nxt, self.compose(p, self.letters[a]))
-                if item not in seen:
-                    seen.add(item)
-                    queue.append(item)
-        return frozenset(out)
-
     def concat_fin(self, a: FinAbs, b: FinAbs) -> FinAbs:
         # most products are cached: look them up here, saving a call each
         out = []

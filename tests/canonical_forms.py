@@ -13,7 +13,8 @@ automaton's full realizable monoid.  Saturated sets are canonical forms.
 
 ``CanonicalMonoid`` adds these to ``ProfileMonoid``; ``CanonicalDomain`` is
 the ``ProfileDomain`` built over it, with the language equality, inclusion
-and membership probes the reference domains also offer.
+and membership probes the reference domains also offer, and their
+abstraction of an NFA (``profile_reference.alpha_nfa``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterable, Sequence
 from guidecheck.domains import ProfileDomain
 from guidecheck.guideline import GuidelineAutomaton
 from guidecheck.profiles import FinAbs, MixAbs, ProfileMonoid
+from profile_reference import alpha_nfa
 
 
 class CanonicalMonoid(ProfileMonoid):
@@ -51,11 +53,11 @@ class CanonicalMonoid(ProfileMonoid):
         (anything with a ``fin`` NFA and ``inf`` pairs of NFAs denoting U·V^ω):
         stems are profiles of U·V^k, cycles are idempotent profiles of V⁺,
         keeping the linked pairs."""
-        fin = self.alpha_nfa(lang.fin)
+        fin = alpha_nfa(self, lang.fin)
         pairs: set[tuple[int, int]] = set()
         for u_nfa, v_nfa in lang.inf:
-            heads = self.alpha_nfa(u_nfa)
-            body = self.s_plus(self.alpha_nfa(v_nfa))
+            heads = alpha_nfa(self, u_nfa)
+            body = self.s_plus(alpha_nfa(self, v_nfa))
             stems = set(heads)
             for p in heads:
                 for m in body:
@@ -164,6 +166,9 @@ class CanonicalDomain(ProfileDomain):
 
     def fin_eq(self, x, y) -> bool:
         return x == y
+
+    def alpha_nfa(self, nfa):
+        return alpha_nfa(self.monoid, nfa)
 
     def alpha_words(self, words):
         out = self.fin_bottom()

@@ -8,8 +8,8 @@ from pathlib import Path
 import guidecheck
 from canonical_forms import CanonicalDomain
 from guidecheck.guideline import GuidelineAutomaton, load_guideline
-from guidecheck.oracle import Nfa
 from language_oracle import WordLang, nfa_nonempty_part
+from nfa import Nfa
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

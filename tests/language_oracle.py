@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from guidecheck.domains import EffectDomain
 from guidecheck.guideline import GuidelineAutomaton
-from guidecheck.oracle import Nfa, nfa_concat, nfa_star, nfa_union
+from nfa import Nfa, nfa_concat, nfa_star, nfa_union
 from nfa_reading import NfaReading
 from nfa_words import nfa_accepts, nfa_full, nfa_is_empty, nfa_none, nfa_word
 

@@ -1,19 +1,23 @@
-"""Regular languages of finite words: the NFA toolbox the analysis needs.
+"""ε-free NFAs and the regular operations on them, for the tests.
 
 ``Nfa`` is a plain ε-free NFA with integer states and possibly several
 initial states; the regular operations (union, concatenation, star) are
 implemented with letter-bridging constructions so the result stays ε-free.
-The profile domain abstracts an ``Nfa`` into transition profiles
-(``profiles.ProfileMonoid.alpha_nfa``).
 
-A small regex dialect (union ``|``, concatenation by juxtaposition, ``*``,
-``eps``, parentheses) compiles to an ``Nfa``; it is used by the external-call
-configuration and by tests.
+``regex_to_nfa`` compiles the stub config's regex dialect (union ``|``,
+concatenation by juxtaposition, ``*``, ``eps``, parentheses) by recursive
+descent.  The package reads a regex as a term folded in the effect domain
+(``guidecheck.intrinsics.Regex``); this second reading, with
+``profile_reference.alpha_nfa``'s product walk, is the independent oracle
+the term's abstraction and word lists are checked against.  It shares only
+the tokenizer and the error type with the package.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
+
+from guidecheck.intrinsics import RegexError, _regex_tokens
 
 
 class Nfa(NamedTuple):
@@ -145,10 +149,6 @@ def nfa_star(a: Nfa) -> Nfa:
 # -- regex ------------------------------------------------------------------
 
 
-class RegexError(Exception):
-    pass
-
-
 def regex_to_nfa(src: str, alphabet: Sequence[str]) -> Nfa:
     tokens = _regex_tokens(src)
     pos = 0
@@ -204,25 +204,3 @@ def regex_to_nfa(src: str, alphabet: Sequence[str]) -> Nfa:
         raise RegexError(f"trailing input in regex {src!r}")
     return out
 
-
-def _regex_tokens(src: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c in "()|*":
-            tokens.append(c)
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(src[i:j])
-            i = j
-        else:
-            raise RegexError(f"bad character {c!r} in regex {src!r}")
-    if not tokens:
-        raise RegexError("empty regex")
-    return tokens

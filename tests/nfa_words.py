@@ -1,15 +1,15 @@
 """NFA builders, word membership and emptiness that only the tests use.
 
-The analysis builds its NFAs from stub regexes (``oracle.regex_to_nfa``)
-and never asks one whether it accepts a word or any word at all; the tests
-use these helpers to write down expected languages and to probe them.
+The analysis builds no NFAs; the tests build them with ``nfa.regex_to_nfa``
+and these helpers to write down expected languages, and probe them here for
+a word or for any word at all.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from guidecheck.oracle import Nfa, nfa_union
+from nfa import Nfa, nfa_union
 
 
 def nfa_none(alphabet: Sequence[str]) -> Nfa:

@@ -6,7 +6,9 @@ included).  The package packs the same sets into bit rows and names each
 profile by its index in the monoid (``guidecheck.profiles``).  This module
 decodes an index back into triples and keeps the triple form and its
 operations, so the tests can state profiles by hand and check the packed
-operations against the plain definitions.
+operations against the plain definitions.  It also keeps the abstraction
+of an NFA by a product walk (``alpha_nfa``), the oracle that the package's
+fold of a stub regex in the profile domain is checked against.
 """
 
 from __future__ import annotations
@@ -73,6 +75,31 @@ def decode_mtable(m: ProfileMonoid, mtable: dict) -> dict:
     return {sig: tuple({key: decode_fin(m, a) for key, a in part.items()}
                        for part in row)
             for sig, row in mtable.items()}
+
+
+def alpha_nfa(m: ProfileMonoid, nfa) -> frozenset[int]:
+    """The profiles in m of all words of an NFA, by pair reachability.
+
+    Explores (NFA state set, profile) pairs; both components live in
+    finite spaces, so the walk terminates.
+    """
+    start = (nfa.initial, m.eps)
+    seen = {start}
+    queue = [start]
+    out: set[int] = set()
+    while queue:
+        sset, p = queue.pop()
+        if sset & nfa.accepting:
+            out.add(p)
+        for a in m.g.alphabet:
+            nxt = nfa.step(sset, a)
+            if not nxt:
+                continue
+            item = (nxt, m.compose(p, m.letters[a]))
+            if item not in seen:
+                seen.add(item)
+                queue.append(item)
+    return frozenset(out)
 
 
 def compose_triples(r1: Triples, r2: Triples) -> Triples:

@@ -33,6 +33,7 @@ from language_oracle import (
     lang_concat_fin,
     lang_omega,
 )
+from nfa import Nfa, nfa_concat, nfa_star, nfa_union
 from nfa_reading import NfaReading
 from nfa_words import nfa_of_words
 from region_satisfaction import heap_satisfies, value_satisfies
@@ -63,7 +64,6 @@ from guidecheck.interp import (
     enumerate_traces,
 )
 from guidecheck.intrinsics import load_config, parse_config
-from guidecheck.oracle import Nfa, nfa_concat, nfa_star, nfa_union
 from guidecheck.regions import NULL_REGION, UNKNOWN, Sig, created_at, region_meta
 from guidecheck.solver import EquationSystem, solve
 

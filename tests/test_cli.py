@@ -947,6 +947,83 @@ def test_main_scripts_a_stub_whose_words_are_all_long(tmp_path, capsys):
             "violation)") in capsys.readouterr().out
 
 
+def test_main_reads_a_stub_regex_nested_past_the_recursion_limit(
+        tmp_path, capsys):
+    # the regex is parsed and read on explicit stacks: 3,000 parentheses
+    # deep, it ends in its verdict
+    regex = "(" * 3000 + "a | eps" + ")*" * 3000 + " b"
+    code, out, err = analyze_sources(
+        tmp_path, capsys,
+        "class R { R tick() { return null; } }\n"
+        "class M { Object go() { R r = new R(); R x = r.tick(); "
+        "return null; } }\n", AB_ANY, "--entry", "M.go",
+        config=f"R.tick() -> Null emits {regex}\n")
+    assert (code, err) == (0, "")
+    assert out.endswith("verdict: pass\n")
+
+
+def test_main_exit_two_on_eps_where_the_alphabet_has_a_letter_eps(
+        tmp_path, capsys):
+    # the stub's eps could be the empty word or the event eps, which n()
+    # emits and the guideline rejects
+    program = ("class A extends Object { Object m() { return null; }"
+               " Object n() { emit eps; return null; } }\n")
+    guideline = ("alphabet: eps ok\nstates: s\ninitial: s\naccepting: s\n"
+                 "trans: s ok s\n")
+    code, out, err = analyze_sources(tmp_path, capsys, program, guideline,
+                                     config="A.m() -> Null emits eps\n")
+    assert (code, out) == (2, "")
+    assert err == ("guidecheck: error: line 1: 'eps' in regex 'eps' is both "
+                   "the empty word and a letter of the alphabet\n")
+
+
+# serve.fj with stubs that emit, through a union, a star and a throws clause
+SERVE_RICH_REPORTS = {
+    "serve_safety.gl": (
+        '(Server, Null, ask, [Null])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Null, ask, [Unknown])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Unknown, ask, [Null])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Unknown, ask, [Unknown])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Null, poll, [])  returns:ok, throws:ok, diverges:ok\n'
+        '(Server, Unknown, poll, [])  returns:ok, throws:ok, diverges:ok\n'
+        '(Server, Unknown, serve, [])  returns:ok, throws:FAIL, diverges:FAIL\n'
+        "counterexample: Server.serve: prefix 'authcheck access access' "
+        'admits no accepted extension (dead at position 3) (found at fuel 1; '
+        'no run with less fuel shows a violation)\n'
+        '(counterexamples come from a bounded enumeration of runs; not '
+        'finding one proves nothing)\n'
+        'verdict: fail\n'
+    ),
+    "serve_liveness.gl": (
+        '(Server, Null, ask, [Null])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Null, ask, [Unknown])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Unknown, ask, [Null])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Unknown, ask, [Unknown])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Null, poll, [])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Unknown, poll, [])  returns:FAIL, throws:ok, diverges:ok\n'
+        '(Server, Unknown, serve, [])  returns:ok, throws:ok, diverges:FAIL\n'
+        "counterexample: Server.serve: diverges emitting 'authcheck access' "
+        'forever; the infinite trace is rejected (found at fuel 2; no run '
+        'with less fuel shows a violation)\n'
+        '(counterexamples come from a bounded enumeration of runs; not '
+        'finding one proves nothing)\n'
+        'verdict: fail\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("gl_name", sorted(SERVE_RICH_REPORTS))
+def test_main_pins_the_report_of_stubs_with_union_star_and_throws(
+        gl_name, capsys):
+    code = run_main("--program", fixture("serve.fj"),
+                    "--guideline", fixture(gl_name),
+                    "--config", fixture("serve_rich.cfg"),
+                    "--entry", "Server.serve", "--fuel", "6")
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, SERVE_RICH_REPORTS[gl_name], "")
+
+
 def test_main_has_no_mode_option(capsys):
     with pytest.raises(SystemExit) as exc:
         run_main("--program", fixture("serve.fj"),

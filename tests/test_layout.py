@@ -3,7 +3,7 @@
 Reference code used only by the tests (the language-level and toy domains,
 the solver's naive fixpoints, the canonical forms of the profile domain,
 the triple form of profiles, the region satisfaction checks, the program
-printer and the NFA builders) lives under tests/.  A module in the package
+printer, the NFAs and their builders) lives under tests/.  A module in the package
 that ``guidecheck analyze`` never imports, one of the moved functions back
 in the package, or a name that nothing in src/ or perfbench/ refers to is
 test-only code drifting back.  The package keeps one relation algebra, the
@@ -11,6 +11,9 @@ packed profiles: the guideline automaton composes no relations of its own.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +25,6 @@ from guidecheck.domains import EffectDomain, ProfileDomain
 from guidecheck.fjast import FjError
 from guidecheck.guideline import parse_guideline
 from guidecheck.intrinsics import parse_config
-from guidecheck.oracle import Nfa
 from guidecheck.profiles import ProfileMonoid
 from guidecheck.regions import region_meta
 
@@ -43,11 +45,14 @@ INTERP_ONLY = ("value_satisfies", "store_satisfies", "heap_satisfies",
                "first_heap_violation")
 # The printer behind the round-trip test; its code lives in tests/fjprinter.py.
 PARSER_ONLY = ("print_program", "_render_body", "_render_stmt", "_render_expr")
-# The NFA builders and word membership; their code lives in tests/nfa_words.py.
-NFA_ONLY = ("none", "word", "of_words", "full", "accepts", "is_empty")
+# The NFAs stub regexes once compiled to, their regular operations, and the
+# product walk that abstracted them; tests/nfa.py and tests/profile_reference.py
+# keep them as the oracle the package's fold of a regex term is checked against.
+NFA_TOOLBOX = ("Nfa", "regex_to_nfa", "nfa_union", "nfa_concat", "nfa_star",
+               "alpha_nfa")
 # A Program is typed when it is built and never changed after.
 PROGRAM_ONLY = ("set_typing",)
-# Fields nothing read: a stub keeps its languages as NFAs, and an error
+# Fields nothing read: a stub keeps its languages as regex terms, and an error
 # its message only in its text.
 SPEC_ONLY = ("emit_src", "throw_src")
 FJ_ERROR_ONLY = ("message",)
@@ -111,7 +116,6 @@ def test_test_only_functions_stay_out_of_the_package():
               ("CycleCandidate", interp.CycleCandidate, CANDIDATE_COPIES),
               ("fjparser", fjparser, PARSER_ONLY),
               ("GuidelineAutomaton", g, AUTOMATON_ONLY),
-              ("Nfa", Nfa, NFA_ONLY),
               ("ClassTable", ClassTable, CLASSTABLE_ONLY),
               ("inference", inference,
                INFERENCE_ONLY + TWO_TIER_CAP + PER_REGION_RULE),
@@ -128,6 +132,25 @@ def test_test_only_functions_stay_out_of_the_package():
     back = [f"{label}.{name}" for label, owner, names in owners
             for name in names if hasattr(owner, name)]
     assert back == []
+
+
+def test_the_nfa_toolbox_stays_out_of_the_package():
+    assert importlib.util.find_spec("guidecheck.oracle") is None
+    modules = [importlib.import_module(f"guidecheck.{path.stem}")
+               for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"]
+    owners = [*modules, *(cls for module in modules
+                          for _, cls in inspect.getmembers(module, inspect.isclass)
+                          if cls.__module__ == module.__name__)]
+    back = [f"{getattr(owner, '__name__', owner)}.{name}" for owner in owners
+            for name in NFA_TOOLBOX if hasattr(owner, name)]
+    assert back == []
+    # nor does any package module name them, as a definition or a call
+    named = sorted(
+        f"{path.name}:{name}" for path in PACKAGE_DIR.glob("*.py")
+        for tree in [ast.parse(path.read_text(encoding="utf-8"))]
+        for name in {*_definitions(tree), *_references(tree)}
+        if name in NFA_TOOLBOX)
+    assert named == []
 
 
 def test_the_guideline_module_does_not_import_profiles():

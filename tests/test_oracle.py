@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from guidecheck.oracle import (
+from nfa import (
     Nfa,
     RegexError,
     nfa_concat,

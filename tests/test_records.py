@@ -149,7 +149,7 @@ def test_stub_specs_refuse_assignment_and_keep_their_choices():
     for spec in specs.values():
         choices = spec.choices()
         assert choices and spec.choices() is choices  # computed once
-        for name in ("cls", "method", "emit_nfa", "throw_region", "extra"):
+        for name in ("cls", "method", "emits", "throw_region", "extra"):
             with pytest.raises(AttributeError):
                 setattr(spec, name, None)
         with pytest.raises(AttributeError):

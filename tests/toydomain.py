@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from guidecheck.domains import EffectDomain
-from guidecheck.oracle import Nfa
 from language_oracle import nfa_nonempty_part
+from nfa import Nfa
 from nfa_words import nfa_is_empty
 
 EMPTY, EPS, APLUS, ASTAR = "0", "eps", "a+", "a*"
