@@ -19,11 +19,13 @@ and can answer whether everything an element denotes is accepted by the
 guideline.  It drives the verdict.  Its monoid is the guideline's own
 (``profiles.monoid_of``), which the counterexample search reads too; its
 height is the count of profiles interned so far plus one, so the analysis
-never closes the monoid.  The analysis needs no equality on mixed elements,
-no membership probes and no abstraction of an NFA, so the interface has
-none; the test suite adds them, on the profile domain through a subclass
-that canonicalizes mixed elements, and in two reference domains behind the
-same interface, a language-level one over NFAs and a four-point toy domain.
+never closes the monoid.  The analysis needs no finite bottom (an entry
+absent from a table stands for it), no mixed element of the empty word,
+no equality on mixed elements, no membership probes and no abstraction of
+an NFA, so the interface has none; the test suite adds them, on the
+profile domain through a subclass that canonicalizes mixed elements, and in
+two reference domains behind the same interface, a language-level one over
+NFAs and a four-point toy domain.
 """
 
 from __future__ import annotations
@@ -32,16 +34,13 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 from .guideline import GuidelineAutomaton
-from .profiles import FIN_BOTTOM, MIX_BOTTOM, MixAbs, monoid_of
+from .profiles import MIX_BOTTOM, monoid_of
 
 
 class EffectDomain(ABC):
     alphabet: tuple[str, ...]
 
     # -- finite-word lattice -------------------------------------------------
-
-    @abstractmethod
-    def fin_bottom(self): ...
 
     @abstractmethod
     def fin_is_bottom(self, x) -> bool: ...
@@ -78,9 +77,6 @@ class EffectDomain(ABC):
     @abstractmethod
     def omega(self, x): ...
 
-    @abstractmethod
-    def mix_of_eps(self): ...
-
     # -- guideline verdict (profile domain only) ---------------------------------
 
     def accepts_fin(self, x) -> bool:
@@ -101,9 +97,6 @@ class ProfileDomain(EffectDomain):
         self.guideline = guideline
         self.alphabet = guideline.alphabet
         self.monoid = monoid_of(guideline)
-
-    def fin_bottom(self):
-        return FIN_BOTTOM
 
     def fin_is_bottom(self, x) -> bool:
         return not x
@@ -139,9 +132,6 @@ class ProfileDomain(EffectDomain):
 
     def omega(self, x):
         return self.monoid.omega(x)
-
-    def mix_of_eps(self):
-        return MixAbs(self.monoid.fin_eps, frozenset())
 
     def accepts_fin(self, x) -> bool:
         return self.monoid.accepts_fin(x)

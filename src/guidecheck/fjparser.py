@@ -1,4 +1,4 @@
-"""Surface lexer, parser and desugarer for the object language.
+"""Surface lexer and parser for the object language.
 
 The surface syntax is a small Java-like statement language::
 
@@ -12,14 +12,16 @@ The surface syntax is a small Java-like statement language::
         }
     }
 
-Statement sequences desugar into let chains with fresh ``$``-variables,
-locals into lets, and ``return e;`` simply ends the chain.  Allocation sites
-may carry an explicit label (``new[l1] Node()``); unlabeled sites get
-``file:line:col``.  The parser builds a Program from the raw classes, and
-building it types every method once (``fjast.Program``): the receiver
-annotations on calls and field accesses are filled in, a name error raises,
-and the typing violations stay on the Program.  The printer behind the
-round-trip test lives in ``tests/fjprinter.py``.
+The parser reads statement sequences straight into the let-normal core,
+with no separate desugaring pass: a sequence becomes a let chain with fresh
+``$``-variables, a local a let, and ``return e;`` simply ends the chain.
+Allocation sites may carry an explicit label (``new[l1] Node()``);
+unlabeled sites get ``file:line:col``.  The parser builds a Program from
+the raw classes, and building it types every method once
+(``fjast.Program``): the receiver annotations on calls and field accesses
+are filled in, a name error raises, and the typing violations stay on the
+Program.  The printer behind the round-trip test lives in
+``tests/fjprinter.py``.
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.filename = filename
+        self.fresh = 0  # the number of the method body's next $t variable
+        self.unreachable: Pos | None = None  # a statement after a return
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
@@ -198,31 +202,61 @@ class _Parser:
                     break
                 self.advance()
         self.expect(")")
+        self.fresh, self.unreachable = 0, None
         body = self.block()
-        return MethodDecl(cls.val, name.val, tuple(params), _desugar(body), pos=name.pos)
+        if self.unreachable is not None:
+            raise FjError("unreachable statements after return",
+                          self.unreachable)
+        return MethodDecl(cls.val, name.val, tuple(params), body, pos=name.pos)
 
     # -- statements ---------------------------------------------------------
 
-    def block(self) -> list[tuple]:
+    def block(self) -> Expr:
+        """The block's let chain, built as its statements are read: a local
+        binds its variable, every other statement but the last a fresh
+        ``$t`` variable, named once its nested blocks are, and the last
+        statement or ``return e`` ends the chain.  A block of any length
+        costs no stack, only a nested block does.  A statement after a
+        return is an error once the method body is read, so that a syntax
+        error later in the body is the one reported."""
         self.expect("{")
-        stmts = []
-        while self.peek().val != "}":
-            stmts.append(self.stmt())
+        spine = []  # (var, decl, init, pos) of each Let, outermost first
+        tail: Expr = Null()
+        while (t := self.peek()).val != "}":
+            if t.val == "return":
+                self.advance()
+                tail = self.expr()
+                self.expect(";")
+                if self.peek().val != "}" and self.unreachable is None:
+                    self.unreachable = self.peek().pos
+            elif (t.kind == "id" and t.val not in _KEYWORDS
+                  and self.peek(1).kind == "id"):
+                cls = self.ident("class")
+                var = self.ident("variable")
+                self.expect("=")
+                e = self.expr()
+                self.expect(";")
+                spine.append((var.val, cls.val, e, t.pos))
+            else:
+                node = self.stmt(t)
+                if self.peek().val == "}":
+                    tail = node
+                else:  # node starts where the statement does, at node.pos
+                    spine.append((f"$t{self.fresh}", None, node, node.pos))
+                    self.fresh += 1
         self.expect("}")
-        return stmts
+        for var, decl, init, pos in reversed(spine):
+            tail = Let(var, decl, init, tail, pos=pos)
+        return tail
 
-    def stmt(self) -> tuple:
-        t = self.peek()
+    def stmt(self, t: Token) -> Expr:
+        """A statement that is neither a local nor a return; t is its first
+        token, not yet read."""
         if t.val == "emit":
             self.advance()
             ev = self.ident("event name")
             self.expect(";")
-            return ("emit", ev.val, t.pos)
-        if t.val == "return":
-            self.advance()
-            e = self.expr()
-            self.expect(";")
-            return ("return", e, t.pos)
+            return Emit(ev.val, pos=t.pos)
         if t.val == "if":
             self.advance()
             self.expect("(")
@@ -233,12 +267,12 @@ class _Parser:
             then = self.block()
             self.expect("else")
             els = self.block()
-            return ("if", left.val, right.val, then, els, t.pos)
+            return If(left.val, right.val, then, els, pos=t.pos)
         if t.val == "throw":
             self.advance()
             e = self.expr()
             self.expect(";")
-            return ("throw", e, t.pos)
+            return Throw(e, pos=t.pos)
         if t.val == "try":
             self.advance()
             body = self.block()
@@ -248,17 +282,10 @@ class _Parser:
             ev = self.ident("variable")
             self.expect(")")
             handler = self.block()
-            return ("try", body, ec.val, ev.val, handler, t.pos)
-        if t.kind == "id" and t.val not in _KEYWORDS and self.peek(1).kind == "id":
-            cls = self.ident("class")
-            var = self.ident("variable")
-            self.expect("=")
-            e = self.expr()
-            self.expect(";")
-            return ("local", cls.val, var.val, e, t.pos)
+            return TryCatch(body, ec.val, ev.val, handler, pos=t.pos)
         e = self.expr()
         self.expect(";")
-        return ("expr", e, t.pos)
+        return e
 
     # -- expressions --------------------------------------------------------
 
@@ -310,57 +337,6 @@ class _Parser:
             value = self.ident("variable")
             return SetField(recv.val, "", member.val, value.val, pos=t.pos)
         return GetField(recv.val, "", member.val, pos=t.pos)
-
-
-def _desugar(stmts: list[tuple]) -> Expr:
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"$t{counter[0] - 1}"
-
-    def go(items: list[tuple]) -> Expr:
-        """The chain of items, built in a loop: a block of any length costs
-        no stack, only a nested block does."""
-        spine = []  # (var, decl, init, pos) of each Let, outermost first
-        tail: Expr = Null()
-        for i, head in enumerate(items):
-            last = i + 1 == len(items)
-            tag = head[0]
-            if tag == "local":
-                _, cls, var, e, pos = head
-                spine.append((var, cls, e, pos))
-                continue
-            if tag == "return":
-                _, tail, pos = head
-                if not last:
-                    raise FjError("unreachable statements after return",
-                                  items[i + 1][-1])
-                break
-            if tag == "emit":
-                _, ev, pos = head
-                node: Expr = Emit(ev, pos=pos)
-            elif tag == "if":
-                _, left, right, then, els, pos = head
-                node = If(left, right, go(then), go(els), pos=pos)
-            elif tag == "throw":
-                _, e, pos = head
-                node = Throw(e, pos=pos)
-            elif tag == "try":
-                _, body, ec, ev, handler, pos = head
-                node = TryCatch(go(body), ec, ev, go(handler), pos=pos)
-            else:
-                assert tag == "expr"
-                _, node, pos = head
-            if last:
-                tail = node
-            else:
-                spine.append((fresh(), None, node, pos))
-        for var, decl, init, pos in reversed(spine):
-            tail = Let(var, decl, init, tail, pos=pos)
-        return tail
-
-    return go(stmts)
 
 
 def parse_program(

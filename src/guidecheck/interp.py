@@ -19,12 +19,12 @@ checks reject such programs, so reaching one is a bug in the caller's setup.
 
 Calls that resolve to an external-call stub consume no fuel and are driven by
 a script: each stub call takes the next scripted choice (which emitted word,
-and null versus a fresh object).  ``enumerate_traces`` explores all scripts
-depth-first in lexicographic choice order, which makes the set of runs for a
-given fuel bound reproducible.  It executes each script prefix once: a run
-that reaches a stub past the end of its script forks there.  Each larger
-choice gets a copy of the state, with the choice appended to its script, to
-run later; the run itself takes the least choice and goes on.  A replay
+and null versus a fresh object).  The search explores all scripts depth-first
+in lexicographic choice order, which makes the set of runs for a given fuel
+bound reproducible.  It executes each script prefix once: a run that reaches
+a stub past the end of its script forks there.  Each larger choice gets a
+copy of the state, with the choice appended to its script, to run later;
+the run itself takes the least choice and goes on.  A replay
 (``replay_entry``) does not fork; it stops at that point instead.
 
 A run that needs fuel it does not have suspends at the call, with its state
@@ -173,13 +173,13 @@ class Evaluator:
     until it ends or suspends.  ``fuel`` is the number of non-stub calls
     the run may make and ``calls`` the number it has made; raising
     ``fuel`` and running again resumes a run suspended for want of it.
-    ``cycles`` holds the run's candidates; those before ``new_from`` were
-    recorded before it forked from another run, which holds them too.  A
-    run and its forks share one cache of method resolution."""
+    ``cycles`` holds the candidates the run recorded itself: a fork starts
+    with none, those recorded before it forked stay with the run it forked
+    from.  A run and its forks share one cache of method resolution."""
 
     __slots__ = ("prog", "specs", "fuel", "calls", "script", "script_pos",
-                 "trace", "heap", "frames", "cycles", "new_from", "_opens",
-                 "_at", "_next_loc", "_next_ext", "_dispatch", "_field_names")
+                 "trace", "heap", "frames", "cycles", "_opens", "_at",
+                 "_next_loc", "_next_ext", "_dispatch", "_field_names")
 
     def __init__(
         self,
@@ -198,7 +198,6 @@ class Evaluator:
         self.heap: dict[int, Obj] = {}
         self.frames: list[tuple] = []
         self.cycles: list[CycleCandidate] = []
-        self.new_from = 0
         # canonical key -> (trace length, script position) at each open
         # call with that key, outermost first
         self._opens: dict[tuple, list] = {}
@@ -219,11 +218,6 @@ class Evaluator:
         if md.params:
             raise ValueError(f"entry {cls}.{method} must take no parameters")
         self._at = (self._alloc(cls, "$entry"), method, [])
-
-    def run_entry(self, cls: str, method: str):
-        """Run the entry, without forking, to an outcome."""
-        self.start(cls, method)
-        return self.run()
 
     def run(self, forks: list | None = None):
         """Step the run from where it stands until it ends or suspends, and
@@ -428,8 +422,7 @@ class Evaluator:
             twin.trace = self.trace.copy()
             twin.heap = self.heap.copy()
             twin.frames = self.frames.copy()
-            twin.cycles = self.cycles.copy()
-            twin.new_from = len(self.cycles)
+            twin.cycles = []
             twin._opens = {key: same.copy()
                            for key, same in self._opens.items() if same}
             twin._at = at
@@ -486,14 +479,11 @@ def _split_entry(entry: str) -> tuple[str, str]:
     return cls, method
 
 
-def _explore(roots: list, ended: int, entry: str,
-             forked_cycles: bool) -> tuple[list, list]:
+def _explore(roots: list, ended: int, entry: str) -> tuple[list, list]:
     """Run each root, and the runs forked from it, depth first, until each
     ends or suspends.  Returns their runs in lexicographic script order and
-    the suspended runs.  A run holds all its candidates or, with
-    forked_cycles false, none recorded before it forked.  ``ended`` runs of
-    the same level are held elsewhere; with them, a level may hold at most
-    MAX_RUNS runs."""
+    the suspended runs.  ``ended`` runs of the same level are held
+    elsewhere; with them, a level may hold at most MAX_RUNS runs."""
     runs: list[TraceRun] = []
     suspended: list[Evaluator] = []
     for root in roots:
@@ -506,8 +496,7 @@ def _explore(roots: list, ended: int, entry: str,
             except EvalStuck as exc:
                 outcome, stuck = None, exc
             trace = tuple(ev.trace) if outcome is None else outcome.trace
-            cycles = ev.cycles if forked_cycles else ev.cycles[ev.new_from:]
-            runs.append(TraceRun(tuple(ev.script), trace, outcome, cycles,
+            runs.append(TraceRun(tuple(ev.script), trace, outcome, ev.cycles,
                                  stuck))
             if stuck is not None:
                 continue
@@ -516,19 +505,6 @@ def _explore(roots: list, ended: int, entry: str,
             if ended + len(runs) > MAX_RUNS:
                 raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs, suspended
-
-
-def enumerate_traces(
-    prog: Program,
-    entry: str,
-    fuel: int = DEFAULT_FUEL,
-    intrinsics: dict | None = None,
-) -> list[TraceRun]:
-    """Every complete run of entry ('Class.method', no parameters) under the
-    fuel bound, one per stub-choice script, in lexicographic script order."""
-    root = Evaluator(prog, intrinsics, fuel)
-    root.start(*_split_entry(entry))
-    return _explore([root], 0, entry, True)[0]
 
 
 class Search:
@@ -551,11 +527,10 @@ class Search:
         lower level end the same way at this one and are not repeated."""
         for ev in self.frontier:
             ev.fuel += 1
-        runs, self.frontier = _explore(self.frontier, self.ended, self.entry,
-                                       False)
+        runs, self.frontier = _explore(self.frontier, self.ended, self.entry)
         self.ended += len(runs) - len(self.frontier)
         for ev in self.frontier:
-            ev.cycles, ev.new_from = [], 0
+            ev.cycles = []  # its TraceRun of this level holds the old list
         return runs
 
 
@@ -566,7 +541,8 @@ def replay_entry(
     fuel: int,
     intrinsics: dict | None = None,
 ) -> Evaluator:
-    """Re-run one script (used to validate divergence candidates)."""
+    """Re-run one script without forking, to check a divergence candidate."""
     ev = Evaluator(prog, intrinsics, fuel, script)
-    ev.run_entry(*_split_entry(entry))
+    ev.start(*_split_entry(entry))
+    ev.run()
     return ev

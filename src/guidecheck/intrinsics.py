@@ -11,7 +11,8 @@ Left of ``->``: class, method and one region pattern per parameter (``_``
 matches every region, otherwise ``Null``, ``Unknown`` or ``@label``).  Right:
 the region of the returned value (``Null`` or ``Unknown``), the language of
 events the call may emit, and optionally the region and event language of
-thrown exceptions.
+thrown exceptions.  The first bare ``throws`` after ``emits`` starts that
+clause, so an emitted letter named throws is written ``(throws)``.
 
 ``parse_config`` checks each line; ``validate_against_program`` checks each
 stub against the program, every ``@label`` included, before the analysis.
@@ -244,14 +245,21 @@ def _parse_line(line: str, alphabet) -> IntrinsicSpec:
         ti = words.index("throws", 2)
         emits = " ".join(words[2:ti])
         rest = words[ti + 1:]
-        if len(rest) < 2:
-            raise ConfigError("throws needs '<region> <regex>'")
-        throw_region = _parse_region(rest[0])
-        throws = parse_regex(" ".join(rest[1:]), alphabet)
+        try:
+            if len(rest) < 2:
+                raise ConfigError("throws needs '<region> <regex>'")
+            throw_region = _parse_region(rest[0])
+            throws = parse_regex(" ".join(rest[1:]), alphabet)
+            if not emits:
+                raise ConfigError("missing emitted-events regex")
+        except ConfigError as exc:
+            if "throws" not in alphabet:
+                raise
+            raise ConfigError(
+                f"{exc}; a bare 'throws' starts the throws clause, so the "
+                "letter throws is written '(throws)'") from None
     else:
         emits = " ".join(words[2:])
-    if not emits:
-        raise ConfigError("missing emitted-events regex")
     return IntrinsicSpec(
         cls=cls, method=method, arg_patterns=arg_patterns,
         result_region=result_region,

@@ -26,7 +26,8 @@ finite part, abstract languages of finite and infinite words (``MixAbs``).
 These carry union, concatenation, Kleene star and an infinite-iteration
 operator, and an acceptance check against the automaton.  The same masks
 decide single words for the counterexample search: a finite word, the first
-dead prefix of a word, and a lasso stem·cycle^ω.
+dead prefix of a word, and a lasso stem·cycle^ω given the profiles of its
+stem and cycle.
 
 Two MixAbs values that denote the same language can differ in their raw pair
 sets (a pair may be rotated through a factorization of its cycle).
@@ -245,13 +246,6 @@ class ProfileMonoid:
             if not starts[p]:
                 return i + 1
         return None
-
-    def accepts_lasso(self, stem: Sequence[str], cycle: Sequence[str]) -> bool:
-        """Büchi acceptance of stem·cycle^ω (cycle must be nonempty)."""
-        if not cycle:
-            raise ValueError("cycle must be nonempty")
-        v = self.profile_of_word(cycle)
-        return self.accepts_lasso_of(self.profile_of_word(stem), v)
 
     def accepts_lasso_of(self, stem: int, cycle: int) -> bool:
         """Büchi acceptance of u·v^ω for any words u of profile stem and v

@@ -11,11 +11,12 @@ return.
 connected components and solves them callees first.  When a component is
 reached, every callee outside it already has its final value, so each such
 edge folds straight into the constant: const ⊔= U·η(callee).  Inside the
-component, variables are eliminated in the given order (by default the
-canonical signature order): rewrite the current equation with the earlier
-members' solved forms, split off the self-coefficient A, and replace
-δ = A·δ ⊔ F by δ = A*·F ⊔ A^ω, distributing A* over F's terms; a
-back-substitution pass over the component then closes every form.
+component, variables are eliminated in the order of ``system.sigs``, for
+a table's system the canonical signature order: rewrite the current
+equation with the earlier members' solved forms, split off the
+self-coefficient A, and replace δ = A·δ ⊔ F by δ = A*·F ⊔ A^ω,
+distributing A* over F's terms; a back-substitution pass over the
+component then closes every form.
 
 The work is per block, not per signature.  Signatures that share a row
 share one right-hand side object, so the components are first taken over
@@ -45,7 +46,7 @@ solve of one equation per signature) are in ``tests/solver_reference.py``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .classtable import ClassTable, by_id, once_per_object
 from .effexpr import dict_drop_bottom, dict_join, dict_scale
@@ -123,18 +124,11 @@ def components(nodes: Iterable, successors: Callable) -> list:
     return out
 
 
-def solve(system: EquationSystem, domain, order: Sequence | None = None) -> dict:
-    """η of every signature, in ``system.sigs`` order.  ``order`` is the
-    elimination order inside a multi-member component; by default
-    ``system.sigs``."""
+def solve(system: EquationSystem, domain) -> dict:
+    """η of every signature, in ``system.sigs`` order, which is also the
+    elimination order inside a multi-member component."""
     rhs = system.rhs
-    if order is not None:
-        order = list(order)
-        if len(order) != len(system.sigs) or set(order) != set(system.sigs):
-            raise ValueError(
-                "order must be a permutation of the system variables")
-    rank = {var: i for i, var in enumerate(
-        system.sigs if order is None else order)}
+    rank = {var: i for i, var in enumerate(system.sigs)}
 
     # the block graph: a node per distinct right-hand side object, with an
     # edge to the right-hand side of each callee

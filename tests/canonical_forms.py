@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from guidecheck.domains import ProfileDomain
 from guidecheck.guideline import GuidelineAutomaton
-from guidecheck.profiles import FinAbs, MixAbs, ProfileMonoid
+from guidecheck.profiles import FIN_BOTTOM, FinAbs, MixAbs, ProfileMonoid
 from profile_reference import alpha_nfa
 
 
@@ -164,6 +164,9 @@ class CanonicalDomain(ProfileDomain):
         super().__init__(guideline)
         self.monoid = CanonicalMonoid(guideline)
 
+    def fin_bottom(self):
+        return FIN_BOTTOM
+
     def fin_eq(self, x, y) -> bool:
         return x == y
 
@@ -175,6 +178,9 @@ class CanonicalDomain(ProfileDomain):
         for w in words:
             out = self.fin_join(out, self.alpha_word(w))
         return out
+
+    def mix_of_eps(self):
+        return MixAbs(self.monoid.fin_eps, frozenset())
 
     def fin_to_mix(self, x):
         """Embed a finite-word element as a mixed element with no infinite part."""

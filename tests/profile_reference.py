@@ -8,7 +8,8 @@ decodes an index back into triples and keeps the triple form and its
 operations, so the tests can state profiles by hand and check the packed
 operations against the plain definitions.  It also keeps the abstraction
 of an NFA by a product walk (``alpha_nfa``), the oracle that the package's
-fold of a stub regex in the profile domain is checked against.
+fold of a stub regex in the profile domain is checked against, and
+``WordReading``, which judges lassos of words on a monoid.
 """
 
 from __future__ import annotations
@@ -208,3 +209,24 @@ def accepts_lasso(g: GuidelineAutomaton, stem: Sequence[str],
             if starts & {q for q, b, q2 in e if q == q2 and b == 1}:
                 return True
     return False
+
+
+class WordReading:
+    """A monoid that judges a lasso from its words, as ``NfaReading`` does:
+    ``accepts_lasso`` takes the profiles of stem and cycle to
+    ``ProfileMonoid.accepts_lasso_of``, the check the search makes, and
+    every other name is the monoid's."""
+
+    def __init__(self, monoid: ProfileMonoid):
+        self.monoid = monoid
+
+    def __getattr__(self, name: str):
+        return getattr(self.monoid, name)
+
+    def accepts_lasso(self, stem: Sequence[str], cycle: Sequence[str]) -> bool:
+        """Büchi acceptance of stem·cycle^ω (cycle must be nonempty)."""
+        if not cycle:
+            raise ValueError("cycle must be nonempty")
+        m = self.monoid
+        return m.accepts_lasso_of(m.profile_of_word(stem),
+                                  m.profile_of_word(cycle))

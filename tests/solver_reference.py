@@ -18,7 +18,6 @@ on self-loops is the reason the solver exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from guidecheck.effexpr import dict_join, dict_scale
 from guidecheck.regions import Sig
@@ -87,15 +86,12 @@ def naive_gfp(system: EquationSystem, domain, cap: int = 1000) -> dict:
     raise RuntimeError("gfp iteration failed to converge within its cap")
 
 
-def solve_per_signature(system: EquationSystem, domain,
-                        order: Sequence | None = None) -> dict:
+def solve_per_signature(system: EquationSystem, domain) -> dict:
     """The solve that ran every signature's equation on its own: the one
     ``guidecheck.solver.solve`` replaced by a solve per block, which must
-    give an equal (``==``) η."""
-    order = list(order) if order is not None else list(system.sigs)
-    if len(order) != len(system.sigs) or set(order) != set(system.sigs):
-        raise ValueError("order must be a permutation of the system variables")
-    rank = {var: i for i, var in enumerate(order)}
+    give an equal (``==``) η.  Like it, it eliminates a component's
+    variables in ``system.sigs`` order."""
+    rank = {var: i for i, var in enumerate(system.sigs)}
     eta: dict = {}
 
     def substitute(form: _LinForm, var, sub: _LinForm) -> _LinForm:

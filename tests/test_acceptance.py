@@ -27,6 +27,7 @@ from conftest import (
 )
 import corpus as soundness_corpus
 import taint_corpus
+from interp_reference import enumerate_traces
 from language_oracle import (
     OracleDomain,
     bounded_equiv as lang_bounded_equiv,
@@ -57,12 +58,7 @@ from guidecheck.fjparser import parse_program
 from guidecheck.fjtypes import fj_typecheck
 from guidecheck.guideline import GuidelineAutomaton, load_guideline
 from guidecheck.inference import check_well_typed, infer
-from guidecheck.interp import (
-    OutOfFuel,
-    Terminated,
-    Thrown,
-    enumerate_traces,
-)
+from guidecheck.interp import OutOfFuel, Terminated, Thrown
 from guidecheck.intrinsics import load_config, parse_config
 from guidecheck.regions import NULL_REGION, UNKNOWN, Sig, created_at, region_meta
 from guidecheck.solver import EquationSystem, solve
@@ -596,7 +592,7 @@ def test_solver_is_order_invariant_and_exact():
         assert verify_fixpoint(system, reference, dom), name
         for trial in range(10):
             order = rng.sample(system.sigs, len(system.sigs))
-            eta = solve(system, dom, order=order)
+            eta = solve(EquationSystem(order, system.rhs), dom)
             for sig in system.sigs:
                 assert dom.mix_eq(eta[sig], reference[sig]), \
                     f"{name}: {sig} differs under order {trial}"

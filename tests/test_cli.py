@@ -17,6 +17,7 @@ import pytest
 
 import taint_corpus
 from conftest import FIXTURES, fixture, fresh_python_env, read_fixture
+from interp_reference import enumerate_traces
 from nfa_reading import NfaReading
 from report_reference import streamed
 from guidecheck import cli, fjtypes, inference, interp, profiles
@@ -131,7 +132,7 @@ def test_a_fruitless_search_judges_each_accepted_lasso_once(monkeypatch):
     assert report.counterexamples == []
     lassos = {(run.trace[:c.stem_end], run.trace[c.stem_end:c.cycle_end])
               for level in range(1, 21)
-              for run in interp.enumerate_traces(prog, "Server.serve", level)
+              for run in enumerate_traces(prog, "Server.serve", level)
               for c in run.cycles}
     assert len(judged) == len(lassos) == 45  # 10 serve() calls
     (monoid,) = {m for m, _, _ in judged}
@@ -825,6 +826,52 @@ def test_main_checks_every_stub_label_before_inference(
                     "--config", str(cfg))
     assert code == 2
     assert capsys.readouterr().err == f"guidecheck: error: {message}\n"
+
+
+THROWS_HINT = ("; a bare 'throws' starts the throws clause, so the letter "
+               "throws is written '(throws)'")
+
+
+@pytest.mark.parametrize("letters, stub, message", [
+    ("throws ok", "A.m() -> Null emits ok throws",
+     "line 1: throws needs '<region> <regex>'" + THROWS_HINT),
+    ("throws ok", "A.m() -> Null emits throws ok",
+     "line 1: throws needs '<region> <regex>'" + THROWS_HINT),
+    ("throws ok", "A.m() -> Null emits ok throws throws ok",
+     "line 1: bad region 'throws'" + THROWS_HINT),
+    ("throws ok", "A.m() -> Null emits throws Unknown ok",
+     "line 1: missing emitted-events regex" + THROWS_HINT),
+    # without the letter the messages are as before
+    ("ok fail", "A.m() -> Null emits ok throws",
+     "line 1: throws needs '<region> <regex>'"),
+    ("ok fail", "A.m() -> Null emits throws Unknown ok",
+     "line 1: missing emitted-events regex"),
+    # the letter in parentheses, and a bare one inside the clause
+    ("throws ok", "A.m() -> Null emits (throws)", None),
+    ("throws ok", "A.m() -> Null emits ok throws Unknown throws", None),
+], ids=["clause-without-region", "empty-emits", "letter-as-region",
+        "empty-emits-with-clause", "no-letter-clause-without-region",
+        "no-letter-empty-emits", "parenthesized", "letter-in-the-clause"])
+def test_a_stub_over_a_letter_named_throws(letters, stub, message, tmp_path,
+                                           monkeypatch, capsys):
+    # the first bare throws after emits starts the throws clause
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.fj").write_text(
+        "class A { Object m() { return null; } }\n"
+        "class M { Object go() { A a = new A(); return a.m(); } }\n",
+        encoding="utf-8")
+    (tmp_path / "m.gl").write_text(
+        f"alphabet: {letters}\nstates: q\ninitial: q\naccepting: q\n"
+        + "".join(f"trans: q {a} q\n" for a in letters.split()),
+        encoding="utf-8")
+    (tmp_path / "m.cfg").write_text(stub + "\n", encoding="utf-8")
+    code = run_main("--program", "m.fj", "--guideline", "m.gl",
+                    "--config", "m.cfg")
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"guidecheck: error: {message}\n")
 
 
 def test_main_exit_three_on_deep_program_without_traceback(tmp_path):

@@ -1,4 +1,5 @@
-"""Lexer/parser/desugarer tests, plus the static well-typedness check."""
+"""Lexer and parser tests, the let chains the parser builds included, plus
+the static well-typedness check."""
 
 import pytest
 
@@ -117,6 +118,35 @@ def test_return_must_be_last():
     src = "class C { C m() { return null; emit a; } }"
     with pytest.raises(FjError, match="return"):
         parse_program(src)
+
+
+def test_fresh_variables_are_named_after_their_nested_blocks():
+    # a statement gets its $t name once the blocks inside it are read, so
+    # the if's name comes after the one in its then-block
+    src = ("class A { Object m(A x, A y) { emit a; if (x == y) { emit a; "
+           "emit a; } else { emit a; } emit a; return null; } }")
+    body = parse_program(src).by_name["A"].methods[0].body
+    names = [e.var for e in subexprs(body) if isinstance(e, Let)]
+    assert names == ["$t0", "$t2", "$t1", "$t3"]
+
+
+@pytest.mark.parametrize("src, message", [
+    # a syntax error later in the same method wins
+    ("class A { Object m() { return null; emit a; x.f = ; } }",
+     "1:51: expected variable, found ';'"),
+    # the method is rejected before a later method is read
+    ("class A { Object m() { return null; emit a; } Object n() { ; } }",
+     "1:37: unreachable statements after return"),
+    # reported where the statement after the return starts, a local too
+    ("class A { Object m(A x, A y) { if (x == y) { return null; A z = null; }"
+     " else { emit a; } return null; } }",
+     "1:59: unreachable statements after return"),
+])
+def test_a_statement_after_return_is_reported_once_the_body_is_read(
+        src, message):
+    with pytest.raises(FjError) as exc:
+        parse_program(src)
+    assert str(exc.value) == message
 
 
 def test_missing_else_is_an_error():

@@ -1,7 +1,8 @@
 """Guideline automata: parsing, finite reading, and Büchi lasso acceptance.
 
 The analysis reads words on the guideline's profile monoid
-(``ProfileMonoid.accepts_finite``, ``dead_position``, ``accepts_lasso``).
+(``ProfileMonoid.accepts_finite``, ``dead_position``, and
+``accepts_lasso_of``, read on words through ``profile_reference.WordReading``).
 Those checks are validated against the automaton read state set by state
 set (tests/nfa_reading.py), and the lasso check also against a brute-force
 search of the configuration graph of the ultimately periodic word and the
@@ -28,7 +29,7 @@ from conftest import (
 )
 from nfa_reading import NfaReading
 from profile_reference import accepts_lasso as lasso_by_relation_powers
-from profile_reference import compose_triples, rel_of_word, triples_of
+from profile_reference import WordReading, compose_triples, rel_of_word, triples_of
 
 
 def load(name):
@@ -134,7 +135,7 @@ def test_parity_membership():
 
 def test_dead_position():
     g = load("double_letter.gl")
-    for reading in (monoid_of(g), NfaReading(g)):
+    for reading in (WordReading(monoid_of(g)), NfaReading(g)):
         assert reading.dead_position(["a", "a"]) is None
         # qf has no outgoing edges, so a third letter kills the run
         assert reading.dead_position(["a", "a", "b"]) == 3
@@ -165,7 +166,7 @@ def test_letter_rel_marks_accepting_endpoints():
 
 def test_parity_lassos():
     g = load("parity.gl")
-    m = monoid_of(g)
+    m = WordReading(monoid_of(g))
     assert m.accepts_lasso([], ["a"])  # visits odd every other step
     assert m.accepts_lasso(["a"], ["a", "a"]) is True
     assert m.accepts_lasso([], ["a", "a"]) is True  # run still crosses odd
@@ -173,7 +174,7 @@ def test_parity_lassos():
 
 
 def test_liveness_fixture_rejects_silent_debtor():
-    m = monoid_of(load("serve_liveness.gl"))
+    m = WordReading(monoid_of(load("serve_liveness.gl")))
     # access then nothing but more accesses: owing forever
     assert not m.accepts_lasso(["access"], ["access"])
     assert m.accepts_lasso([], ["log"])
@@ -183,14 +184,14 @@ def test_liveness_fixture_rejects_silent_debtor():
 
 def test_cycle_must_be_nonempty():
     g = load("parity.gl")
-    for reading in (monoid_of(g), NfaReading(g)):
+    for reading in (WordReading(monoid_of(g)), NfaReading(g)):
         with pytest.raises(ValueError):
             reading.accepts_lasso(["a"], [])
 
 
 def test_lasso_rotation_and_unrolling_invariance():
     g = load("double_letter.gl")
-    m = monoid_of(g)
+    m = WordReading(monoid_of(g))
     rng = random.Random(11)
     for _ in range(60):
         u = [rng.choice(g.alphabet) for _ in range(rng.randrange(3))]
@@ -207,7 +208,7 @@ def test_lasso_against_bruteforce_on_random_automata():
     checked = 0
     for _ in range(150):
         g = random_automaton(rng)
-        m, reading = monoid_of(g), NfaReading(g)
+        m, reading = WordReading(monoid_of(g)), NfaReading(g)
         letters = list(g.alphabet)
         for _ in range(12):
             u = [rng.choice(letters) for _ in range(rng.randrange(3))]
@@ -223,7 +224,7 @@ def test_lasso_against_the_relation_power_reduction():
     rng = random.Random(20261018)
     for _ in range(150):
         g = random_automaton(rng)
-        m = monoid_of(g)
+        m = WordReading(monoid_of(g))
         for _ in range(12):
             u = [rng.choice(g.alphabet) for _ in range(rng.randrange(3))]
             v = [rng.choice(g.alphabet) for _ in range(1, 5)]
@@ -233,7 +234,7 @@ def test_lasso_against_the_relation_power_reduction():
 
 def test_lasso_exhaustive_small_words():
     g = load("serve_safety.gl")
-    m, reading = monoid_of(g), NfaReading(g)
+    m, reading = WordReading(monoid_of(g)), NfaReading(g)
     for ul in range(3):
         for vl in range(1, 3):
             for u in itertools.product(g.alphabet, repeat=ul):
@@ -256,7 +257,7 @@ def test_profile_checks_match_the_nfa_reading():
     automata += [bench_sized_automaton(rng) for _ in range(20)]
     lassos = 0
     for g in automata:
-        m, reading = ProfileMonoid(g), NfaReading(g)
+        m, reading = WordReading(ProfileMonoid(g)), NfaReading(g)
         for w in all_words(g.alphabet, 6):
             assert m.accepts_finite(w) == reading.accepts_finite(w), (g, w)
             assert m.dead_position(w) == reading.dead_position(w), (g, w)

@@ -419,7 +419,7 @@ def test_demand_driven_tables_are_contained_in_the_full_ones():
             for sig in narrow.analyzed:
                 for part, whole in zip(narrow.mtable[sig], full.mtable[sig]):
                     for key, value in part.items():
-                        assert d.fin_leq(value, whole.get(key, d.fin_bottom())), (
+                        assert d.fin_leq(value, whole.get(key, profiles.FIN_BOTTOM)), (
                             name, entry, sig, key)
             smaller_methods += any(narrow.mtable[sig] != full.mtable[sig]
                                    for sig in narrow.analyzed)

@@ -1,8 +1,9 @@
 """Reference interpreter: outcomes, dispatch, exceptions, fuel, stubs.
 
-Everything here runs through enumerate_traces or interp.Search, so fuel
-accounting, forking and cycle detection see the same code paths the
-analyses rely on.
+Everything here runs through interp.Search or enumerate_traces, the
+one-level enumerator of tests/interp_reference.py, which steps the same
+forking runs; so fuel accounting, forking and cycle detection see the same
+code paths the analyses rely on.
 """
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import corpus
 import taint_corpus
 from conftest import FIXTURES, read_fixture
-from interp_reference import enumerate_by_restarts
+from interp_reference import enumerate_by_restarts, enumerate_traces
 from region_satisfaction import (
     first_heap_violation,
     heap_satisfies,
@@ -28,7 +29,6 @@ from guidecheck.interp import (
     OutOfFuel,
     Terminated,
     Thrown,
-    enumerate_traces,
     replay_entry,
 )
 from guidecheck.intrinsics import parse_config

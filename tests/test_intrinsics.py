@@ -14,13 +14,13 @@ import pytest
 
 import corpus
 from conftest import FIXTURES, fixture, read_fixture
+from interp_reference import enumerate_traces
 from nfa import Nfa, nfa_concat, nfa_star, nfa_union, regex_to_nfa
 from profile_reference import alpha_nfa, decode_fin
 from guidecheck import cli
 from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import GuidelineAutomaton, load_guideline, parse_guideline
-from guidecheck.interp import enumerate_traces
 from guidecheck.intrinsics import (
     EPS,
     STUB_WORD_LIMIT,

@@ -5,9 +5,11 @@ the solver's naive fixpoints, the canonical forms of the profile domain,
 the triple form of profiles, the region satisfaction checks, the program
 printer, the NFAs and their builders) lives under tests/.  A module in the package
 that ``guidecheck analyze`` never imports, one of the moved functions back
-in the package, or a name that nothing in src/ or perfbench/ refers to is
-test-only code drifting back.  The package keeps one relation algebra, the
-packed profiles: the guideline automaton composes no relations of its own.
+in the package, a name that nothing in src/ or perfbench/ refers to, a
+method that nothing there reads as an attribute, or an import its module
+never uses is test-only code drifting back.  The package keeps one relation
+algebra, the packed profiles: the guideline automaton composes no relations
+of its own.
 """
 
 import ast
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from conftest import PACKAGE_DIR, fresh_python_env
-from guidecheck import fjparser, guideline, inference, interp, profiles
+from guidecheck import fjparser, guideline, inference, interp, profiles, solver
 from guidecheck.classtable import ClassTable
 from guidecheck.domains import EffectDomain, ProfileDomain
 from guidecheck.fjast import FjError
@@ -33,18 +35,26 @@ from guidecheck.regions import region_meta
 TRIPLE_HELPERS = ("profile_of_triples", "triples_of", "compose_triples",
                   "pack", "unpack", "triples", "describe", "decode",
                   "decode_fin", "decode_mix", "decode_mtable", "omega_triples")
+# The word-form lasso check: the search judges a lasso by the profiles of its
+# stem and cycle (accepts_lasso_of); tests/profile_reference.WordReading
+# reads words through it.
 MONOID_ONLY = ("saturate", "factorizations", "normalize_mix", "mix_eq",
                "mix_leq", "extendable_into", "alpha_lang", "alpha_words",
                "member_fin", "member_up_word", "_factor_cache", "_sat_cache",
-               *TRIPLE_HELPERS)
+               "accepts_lasso", *TRIPLE_HELPERS)
 # The second relation algebra the automaton once carried.
 AUTOMATON_ONLY = ("compose_rel", "rel_of_word", "letter_rel", "_letter_rels")
+# The finite bottom and the mixed empty word are members of the reference
+# domains and of tests/canonical_forms.CanonicalDomain; the analysis uses
+# neither.
 DOMAIN_ONLY = ("fin_eq", "alpha_words", "fin_to_mix", "mix_top", "member_fin",
-               "member_up", "mix_eq", "mix_leq")
+               "member_up", "mix_eq", "mix_leq", "fin_bottom", "mix_of_eps")
 INTERP_ONLY = ("value_satisfies", "store_satisfies", "heap_satisfies",
                "first_heap_violation")
 # The printer behind the round-trip test; its code lives in tests/fjprinter.py.
-PARSER_ONLY = ("print_program", "_render_body", "_render_stmt", "_render_expr")
+# The parser builds let chains as it reads: no statement tuples to desugar.
+PARSER_ONLY = ("print_program", "_render_body", "_render_stmt", "_render_expr",
+               "_desugar")
 # The NFAs stub regexes once compiled to, their regular operations, and the
 # product walk that abstracted them; tests/nfa.py and tests/profile_reference.py
 # keep them as the oracle the package's fold of a regex term is checked against.
@@ -81,13 +91,16 @@ CANDIDATE_COPIES = ("stem_trace", "cycle_trace", "stem_script",
 RESTARTED_SCRIPTS = ("_ScriptExhausted", "_Thrown", "_OutOfFuelExc",
                      "_CastStuckExc", "_RULES")
 RESTARTING_RUN = ("pending", "exhausted", "_stub_call", "_eval")
+# The one-level view of an entry's runs, which the soundness tests read, and
+# what served it: a fork holding its parent's candidates.  It lives in
+# tests/interp_reference.py; the search deepens through interp.Search.
+ONE_LEVEL_ENUMERATOR = ("enumerate_traces", "new_from", "forked_cycles")
+# Names that no package module may define or name, a parameter included.
+NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, "_desugar", "fin_bottom",
+                 "mix_of_eps", "accepts_lasso")
 # Defined in the package but referred to only from tests/: the one-file
-# entry point, the members of the EffectDomain interface that the
-# reference domains and the domain-law tests use, and the interpreter's
-# one-level view of an entry's runs, which the soundness tests read (the
-# counterexample search deepens through interp.Search instead).
-UNREFERENCED_BY_DESIGN = {"parse_program", "fin_bottom", "mix_of_eps",
-                          "enumerate_traces"}
+# entry point.
+UNREFERENCED_BY_DESIGN = {"parse_program"}
 PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -111,8 +124,10 @@ def test_test_only_functions_stay_out_of_the_package():
     owners = [("ProfileMonoid", ProfileMonoid(g), MONOID_ONLY),
               ("EffectDomain", EffectDomain, DOMAIN_ONLY),
               ("ProfileDomain", ProfileDomain(g), DOMAIN_ONLY),
-              ("interp", interp, INTERP_ONLY + RESTARTED_SCRIPTS),
-              ("Evaluator", interp.Evaluator, RESTARTING_RUN),
+              ("interp", interp,
+               INTERP_ONLY + RESTARTED_SCRIPTS + ONE_LEVEL_ENUMERATOR),
+              ("Evaluator", interp.Evaluator,
+               RESTARTING_RUN + ONE_LEVEL_ENUMERATOR),
               ("CycleCandidate", interp.CycleCandidate, CANDIDATE_COPIES),
               ("fjparser", fjparser, PARSER_ONLY),
               ("GuidelineAutomaton", g, AUTOMATON_ONLY),
@@ -193,20 +208,106 @@ def _references(tree: ast.Module):
             yield node.name.rsplit(".", 1)[-1]
 
 
-def test_every_package_name_is_used_outside_the_tests():
-    def tree(path):
-        return ast.parse(path.read_text(encoding="utf-8"), str(path))
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")  # Python calls these
+
+
+def test_every_package_name_is_used_outside_the_tests():
     users = [*PACKAGE_DIR.glob("*.py"), *PERFBENCH_DIR.glob("*.py")]
-    referenced = {name for path in users for name in _references(tree(path))}
+    referenced = {name for path in users for name in _references(_tree(path))}
     unused = sorted(
         f"{path.stem}.{name}"
         for path in PACKAGE_DIR.glob("*.py")
-        for name in _definitions(tree(path))
+        for name in _definitions(_tree(path))
         if name not in referenced and name not in UNREFERENCED_BY_DESIGN
-        and not (name.startswith("__") and name.endswith("__"))  # Python calls these
+        and not _dunder(name)
     )
     assert unused == []
+
+
+def _unread_methods(defining: dict, readers: list) -> list:
+    """module.Class.method of each method the trees in ``defining`` (module
+    name -> tree) define in a class body that no tree of ``readers`` reads
+    as an attribute.  A bare name of the same spelling does not count."""
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Store)}
+    return sorted(
+        f"{module}.{cls.name}.{item.name}"
+        for module, tree in defining.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name not in read and not _dunder(item.name))
+
+
+def test_every_package_method_is_read_as_an_attribute():
+    package = {path.stem: _tree(path) for path in PACKAGE_DIR.glob("*.py")}
+    readers = [*package.values(),
+               *map(_tree, PERFBENCH_DIR.glob("*.py"))]
+    assert _unread_methods(package, readers) == []
+    # the guard sees a method that a function of its name would hide
+    probe = ast.parse("class M:\n    def accepts_lasso(self, u, v): ...\n"
+                      "def accepts_lasso(g, u, v): ...\n"
+                      "accepts_lasso(None, (), ('a',))\n")
+    assert _unread_methods({"probe": probe}, [probe]) == [
+        "probe.M.accepts_lasso"]
+    read = ast.parse("m.accepts_lasso((), ('a',))")
+    assert _unread_methods({"probe": probe}, [probe, read]) == []
+
+
+def _unused_imports(tree: ast.Module):
+    """The names a module's imports bind that it never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_package_import_is_used():
+    unused = sorted(f"{path.name}:{name}"
+                    for path in PACKAGE_DIR.glob("*.py")
+                    for name in _unused_imports(_tree(path)))
+    assert unused == []
+    # the guard sees imports left behind by a deletion
+    probe = ast.parse("from typing import Iterable, Sequence\n"
+                      "from .profiles import FIN_BOTTOM, MIX_BOTTOM, MixAbs\n"
+                      "import os.path\n"
+                      "def f(xs: Iterable):\n    return MIX_BOTTOM\n")
+    assert sorted(_unused_imports(probe)) == [
+        "FIN_BOTTOM", "MixAbs", "Sequence", "os"]
+
+
+def _names(tree: ast.Module):
+    """What a module defines or names, its functions' parameters included."""
+    yield from _definitions(tree)
+    yield from _references(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.arg
+
+
+def test_moved_and_deleted_names_are_named_nowhere_in_the_package():
+    named = sorted(f"{path.name}:{name}" for path in PACKAGE_DIR.glob("*.py")
+                   for name in set(_names(_tree(path)))
+                   if name in NAMED_NOWHERE)
+    assert named == []
+    # the elimination order is the system's signature order
+    assert list(inspect.signature(solver.solve).parameters) == [
+        "system", "domain"]
+    # the guard sees a parameter and a call
+    probe = ast.parse("def _explore(roots, ended, entry, forked_cycles): ...\n"
+                      "runs = interp.enumerate_traces(prog, entry)\n")
+    assert sorted(set(_names(probe)) & set(NAMED_NOWHERE)) == [
+        "enumerate_traces", "forked_cycles"]
 
 
 # The class tables stay closed under the hierarchy only if every write goes

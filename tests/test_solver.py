@@ -91,19 +91,11 @@ def test_elimination_order_does_not_matter_here():
     system = EquationSystem(
         [D1, D2], {D1: {D1: aa, D2: a}, D2: {D2: aa}}
     )
-    eta_fwd = solve(system, PAR, order=[D1, D2])
-    eta_bwd = solve(system, PAR, order=[D2, D1])
+    eta_fwd = solve(system, PAR)
+    eta_bwd = solve(EquationSystem([D2, D1], system.rhs), PAR)
     for d in (D1, D2):
         assert PAR.mix_eq(eta_fwd[d], eta_bwd[d])
     assert verify_fixpoint(system, eta_fwd, PAR)
-
-
-def test_order_must_be_a_permutation():
-    system = EquationSystem([D1, D2], {D1: {}, D2: {}})
-    with pytest.raises(ValueError, match="permutation"):
-        solve(system, PAR, order=[D1])
-    with pytest.raises(ValueError, match="permutation"):
-        solve(system, PAR, order=[D1, D1])
 
 
 # b only at an a-count divisible by three, then b forever
@@ -152,7 +144,8 @@ def test_cycle_calling_a_self_loop_matches_the_hand_solution():
 
     rng = random.Random(7)
     for _ in range(20):
-        shuffled = solve(system, GATE, order=rng.sample(system.sigs, 5))
+        shuffled = solve(
+            EquationSystem(rng.sample(system.sigs, 5), system.rhs), GATE)
         for d in system.sigs:
             assert GATE.mix_eq(shuffled[d], eta[d]), d
 
@@ -247,9 +240,8 @@ def test_shared_right_hand_sides_on_cycles_solve_as_each_signature_alone():
     assert list(eta) == d
     rng = random.Random(5)
     for _ in range(10):
-        order = rng.sample(d, len(d))
-        assert solve(system, PAR, order=order) == solve_per_signature(
-            system, PAR, order=order)
+        shuffled = EquationSystem(rng.sample(d, len(d)), rhs)
+        assert solve(shuffled, PAR) == solve_per_signature(shuffled, PAR)
 
 
 def _inferred_systems(demand_driven):
