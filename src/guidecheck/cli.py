@@ -409,12 +409,15 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
     traces, and a candidate found at fuel L repeats within L calls, so its
     stem and two cycles take at most 2L+1 calls, under the replay's fuel of
     4L+8.  The replay is deterministic in its script, so a rejected
-    candidate is confirmed at the level that judges it or at none."""
+    candidate is confirmed at the level that judges it or at none.  A run
+    keeps the profiles of its trace's prefixes across levels, so a level
+    composes only the letters it added to the trace."""
     for run in runs:
         if isinstance(run.outcome, (Terminated, Thrown)):
             w = run.outcome.trace
-            if not monoid.accepts_finite(w):
-                pos = monoid.dead_position(w)
+            prefixes = monoid.prefix_profiles(run.prefixes, w)
+            if not monoid.accepts_finite_of(prefixes[-1]):
+                pos = monoid.dead_position(prefixes)
                 return Counterexample(
                     entry, "finite-trace", w,
                     position=pos if pos is not None else len(w),
@@ -423,7 +426,7 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
     for run in runs:
         if isinstance(run.outcome, OutOfFuel):
             w = run.outcome.trace
-            pos = monoid.dead_position(w)
+            pos = monoid.dead_position(monoid.prefix_profiles(run.prefixes, w))
             if pos is not None:
                 return Counterexample(entry, "dead-prefix", w, position=pos)
 
@@ -442,17 +445,17 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
 def _lasso_verdicts(monoid, run) -> Iterator[tuple]:
     """Each of run's candidates, in order, with whether the guideline
     accepts its trace: stem·cycle^ω, or the stem alone when the cycle is
-    empty.  The stems are prefixes of one trace, so their profiles are
-    built left to right once per run; the candidates one call records end
-    their cycles at the same offset, so the cycles' profiles are built
-    right to left from there, each letter composed once."""
+    empty.  The stems are prefixes of the run's trace, whose profiles the
+    run keeps across levels (``prefix_profiles``); the candidates one call
+    records end their cycles at the same offset, so the cycles' profiles
+    are built right to left from there, each letter composed once."""
+    if not run.cycles:
+        return
     trace, letters, compose = run.trace, monoid.letters, monoid.compose
-    prefix = [monoid.eps]  # prefix[i]: the profile of trace[:i]
+    prefix = monoid.prefix_profiles(run.prefixes, trace)
     end = start = None
     suffix: dict = {}  # i -> the profile of trace[i:end], for i >= start
     for cand in run.cycles:
-        while len(prefix) <= cand.stem_end:
-            prefix.append(compose(prefix[-1], letters[trace[len(prefix) - 1]]))
         stem = prefix[cand.stem_end]
         if cand.cycle_end == cand.stem_end:
             yield cand, monoid.accepts_finite_of(stem)

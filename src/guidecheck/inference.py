@@ -86,7 +86,9 @@ def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
     of one region is bound directly; values in several regions are joined
     when the rest of the spine does not read the variable, so cannot tell
     them apart, and otherwise the rest is typed per reading (``_then``).
-    The effects are folded back from the spine's tail."""
+    The effects are folded prefix first: concatenation distributes over
+    join, so scaling the tail once by the product of the bindings' values
+    gives the values, and the key order, of folding back from the tail."""
     domain = ty.domain
     frames = []  # (u, h, s) per binding: the effect of reaching its body
     ups: list = []
@@ -109,13 +111,20 @@ def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
         e = e.body
     else:
         tail = _rule(ty, gamma, e)
-    t, h, s = tail.t, tail.h, tail.s
+    if not frames:
+        return Effects(tail.t, tail.h, tail.s, ups + tail.fupdates)
+    # prefix first: binding i's own throws and calls follow u₁·…·uᵢ₋₁, and
+    # the tail's effects follow the whole product, scaled once
     concat, join = domain.fin_concat, domain.fin_join
-    for u, h0, s0 in reversed(frames):
-        t = dict_scale(u, t, concat)
-        h = dict_join(h0, dict_scale(u, h, concat), join)
-        s = dict_join(s0, dict_scale(u, s, concat), join)
-    return Effects(t, h, s, ups + tail.fupdates)
+    prefix, h, s = frames[0]
+    for u, h0, s0 in frames[1:]:
+        h = dict_join(h, dict_scale(prefix, h0, concat), join)
+        s = dict_join(s, dict_scale(prefix, s0, concat), join)
+        prefix = concat(prefix, u)
+    return Effects(dict_scale(prefix, tail.t, concat),
+                   dict_join(h, dict_scale(prefix, tail.h, concat), join),
+                   dict_join(s, dict_scale(prefix, tail.s, concat), join),
+                   ups + tail.fupdates)
 
 
 def _rule(ty: _Typing, gamma: dict, e: Expr) -> Effects:

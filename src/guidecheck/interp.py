@@ -175,11 +175,15 @@ class Evaluator:
     ``fuel`` and running again resumes a run suspended for want of it.
     ``cycles`` holds the candidates the run recorded itself: a fork starts
     with none, those recorded before it forked stay with the run it forked
-    from.  A run and its forks share one cache of method resolution."""
+    from.  ``prefixes`` is the caller's, one entry per prefix of the trace
+    that it has judged (the search keeps each prefix's profile there), so
+    that a run resumed at the next level keeps them; a fork starts with a
+    copy, since its trace starts with the same letters.  A run and its
+    forks share one cache of method resolution."""
 
     __slots__ = ("prog", "specs", "fuel", "calls", "script", "script_pos",
-                 "trace", "heap", "frames", "cycles", "_opens", "_at",
-                 "_next_loc", "_next_ext", "_dispatch", "_field_names")
+                 "trace", "prefixes", "heap", "frames", "cycles", "_opens",
+                 "_at", "_next_loc", "_next_ext", "_dispatch", "_field_names")
 
     def __init__(
         self,
@@ -195,6 +199,7 @@ class Evaluator:
         self.script: list[IntrinsicChoice] = list(script)
         self.script_pos = 0
         self.trace: list[str] = []
+        self.prefixes: list = []
         self.heap: dict[int, Obj] = {}
         self.frames: list[tuple] = []
         self.cycles: list[CycleCandidate] = []
@@ -420,6 +425,7 @@ class Evaluator:
             twin.script = [*self.script, choice]
             twin.script_pos = self.script_pos
             twin.trace = self.trace.copy()
+            twin.prefixes = self.prefixes.copy()
             twin.heap = self.heap.copy()
             twin.frames = self.frames.copy()
             twin.cycles = []
@@ -461,14 +467,16 @@ class Evaluator:
 
 class TraceRun:
     """One run.  ``trace`` is its outcome's trace, or the trace so far when
-    it is stuck; its cycle candidates index into it and into ``script``."""
+    it is stuck; its cycle candidates index into it and into ``script``.
+    ``prefixes`` is its evaluator's list of the same name."""
 
     def __init__(self, script: tuple, trace: tuple, outcome, cycles: list,
-                 stuck: EvalStuck | None = None):
+                 prefixes: list, stuck: EvalStuck | None = None):
         self.script = script
         self.trace = trace
         self.outcome = outcome
         self.cycles = cycles
+        self.prefixes = prefixes
         self.stuck = stuck
 
 
@@ -497,7 +505,7 @@ def _explore(roots: list, ended: int, entry: str) -> tuple[list, list]:
                 outcome, stuck = None, exc
             trace = tuple(ev.trace) if outcome is None else outcome.trace
             runs.append(TraceRun(tuple(ev.script), trace, outcome, ev.cycles,
-                                 stuck))
+                                 ev.prefixes, stuck))
             if stuck is not None:
                 continue
             if isinstance(outcome, OutOfFuel):

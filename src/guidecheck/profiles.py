@@ -2,39 +2,51 @@
 
 A profile records, for a finite word, which states the automaton can read
 the word between, and whether such a path visits an accepting state
-(endpoints included).  It is stored as bit rows over the state indices:
-``zero[i]`` has bit j set iff some path reads the word from state i to state
-j without an accepting visit, and ``one[i]`` has bit j set iff some path
-from i to j visits an accepting state.  A word may connect i to j both ways,
-so both masks are kept.  Collapsing them into "some path accepts" preserves
-acceptance but merges profiles, which changes the monoid's size and so the
-lattice height that caps inference; the rows are exact instead.
+(endpoints included).  It is stored as two n×n bit matrices over the n
+state indices: ``zero`` has bit (i, j) set iff some path reads the word
+from state i to state j without an accepting visit, and ``one`` has bit
+(i, j) set iff some path from i to j visits an accepting state.  A word may
+connect i to j both ways, so both matrices are kept.  Collapsing them into
+"some path accepts" preserves acceptance but merges profiles, which changes
+the monoid's size and so the lattice height that caps inference; the
+matrices are exact instead.  Each matrix is packed into one ``int``, row i
+at bits i·n to i·n + n - 1, so bit (i, j) is bit i·n + j.
 
-A profile is the dense ``int`` its monoid gives it when interning its rows:
-the monoid keeps the rows, the empty-word tag and the acceptance masks in
-lists by index, and caches composition in one dict per left operand.
-Indices are local to one monoid; two monoids over one guideline may number
-the same profile differently.  Profiles of the empty word are tagged: the
-empty word's profile has the same rows as some nonempty words on degenerate
-automata, but the two behave differently under the infinite iteration, so
-the tag is part of the interning key.
+A profile is the dense ``int`` its monoid gives it when interning its
+matrices: the monoid keeps the matrices, the empty-word tag and the
+acceptance masks in lists by index, and caches composition in one dict per
+left operand.  Indices are local to one monoid; two monoids over one
+guideline may number the same profile differently.  Profiles of the empty
+word are tagged: the empty word's profile has the same matrices as some
+nonempty words on degenerate automata, but the two behave differently
+under the infinite iteration, so the tag is part of the interning key.
 
-Composition ORs the rows of the right operand over the set bits of the
-left's.  Sets of profiles abstract languages of finite words (``FinAbs``);
-pairs of a stem profile and an idempotent cycle profile, together with a
-finite part, abstract languages of finite and infinite words (``MixAbs``).
+Composition works a column at a time, on whole matrices: for each state m,
+column m of the left matrix is spread into whole rows (the rows i that
+reach m), and ANDed with row m of the right matrix copied into every row
+(the states m reaches); the product ORs these n terms.  Paths at b = 0 so
+far take the right operand's bit, paths at b = 1 stay at 1.  A profile's
+copied rows are built on its first use as a right operand.  ε̂, the
+empty word's profile, is a two-sided identity on the profiles of words, so
+a set holding ε̂ alone concatenates as the identity, and a closure needs
+only the nonempty generators.
+
+Sets of profiles abstract languages of finite words (``FinAbs``); pairs of
+a stem profile and an idempotent cycle profile, together with a finite
+part, abstract languages of finite and infinite words (``MixAbs``).
 These carry union, concatenation, Kleene star and an infinite-iteration
 operator, and an acceptance check against the automaton.  The same masks
-decide single words for the counterexample search: a finite word, the first
-dead prefix of a word, and a lasso stem·cycle^ω given the profiles of its
-stem and cycle.
+decide single words for the counterexample search, given the profiles of
+a word's prefixes: a finite word, the first dead prefix of a word, and a
+lasso stem·cycle^ω given the profiles of its stem and cycle.
 
 Two MixAbs values that denote the same language can differ in their raw pair
 sets (a pair may be rotated through a factorization of its cycle).
 Acceptance is invariant under that rotation, so the analysis works on raw
 pair sets and never needs a canonical form.  Rotation saturation, which gives
-one, the membership probes for finite and ultimately periodic words, and the
-decoding of an index back into rows live with the tests.
+one, the membership probes for finite and ultimately periodic words, the
+decoding of an index back into triples and the row-loop product the column
+product replaced live with the tests.
 """
 
 from __future__ import annotations
@@ -50,8 +62,6 @@ from .guideline import GuidelineAutomaton
 # means a bug.  Every profile is interned by ``ProfileMonoid.profile``, so
 # the cap holds for every closure the operators and the search run.
 MONOID_CAP = 20000
-
-Rows = tuple[int, ...]  # one bitmask over the state indices per state
 
 
 class MixAbs(NamedTuple):
@@ -79,38 +89,50 @@ class ProfileMonoid:
         n = len(g.states)
         index = {q: i for i, q in enumerate(g.states)}
         accepting = [q in g.accepting for q in g.states]
-        self._initial = [index[q] for q in g.initial]
+        self._full = (1 << n) - 1  # every bit of row 0
+        self._col = sum(1 << i * n for i in range(n))  # bit 0 of every row
+        self._diagonal = sum(1 << i * n + i for i in range(n))
+        self._n = n
+        self._initial = [index[q] * n for q in g.initial]  # their rows' shifts
         self._accepting_mask = sum(1 << i for i in range(n) if accepting[i])
-        self._interned: dict[tuple[Rows, Rows, bool], int] = {}
-        # by profile index: the rows and tag, the states the word reaches
-        # from an initial state, whether one of those accepts, and the states
-        # the word loops on through an accepting visit
-        self.zero: list[Rows] = []
-        self.one: list[Rows] = []
+        self._interned: dict[tuple[int, int, bool], int] = {}
+        # by profile index: the matrices and tag, the states the word
+        # reaches from an initial state, whether one of those accepts, and
+        # the states the word loops on through an accepting visit
+        self.zero: list[int] = []
+        self.one: list[int] = []
         self.empty: list[bool] = []
         self._starts: list[int] = []
         self._accepts: list[bool] = []
         self._loops: list[int] = []
         self._mul: list[dict[int, int]] = []  # _mul[p1][p2] == p1·p2
+        # by profile index, once it has been a right operand: its nonzero
+        # rows m, as m with row m of zero, of one and of both, each copied
+        # into every row
+        self._copies: list[list[tuple[int, int, int, int]] | None] = []
+        # S⁺ of a set of nonempty-word profiles, by that set
+        self._closures: dict[frozenset[int], frozenset[int]] = {}
+        self._idempotent: dict[int, int] = {}  # a cycle's idempotent power
         # ε̂ connects each state to itself, through an accepting visit iff
         # the state is accepting; a letter's rows are its transitions
         self.eps = self.profile(
-            tuple(0 if accepting[i] else 1 << i for i in range(n)),
-            tuple(1 << i if accepting[i] else 0 for i in range(n)),
+            sum(1 << i * n + i for i in range(n) if not accepting[i]),
+            sum(1 << i * n + i for i in range(n) if accepting[i]),
             empty=True,
         )
         self.fin_eps: FinAbs = frozenset({self.eps})
-        zero = {a: [0] * n for a in g.alphabet}
-        one = {a: [0] * n for a in g.alphabet}
+        zero = dict.fromkeys(g.alphabet, 0)
+        one = dict.fromkeys(g.alphabet, 0)
         for q, a, q2 in g.transitions:
             i, j = index[q], index[q2]
-            (one if accepting[i] or accepting[j] else zero)[a][i] |= 1 << j
+            bit = 1 << i * n + j
+            (one if accepting[i] or accepting[j] else zero)[a] |= bit
         self.letters: dict[str, int] = {
-            a: self.profile(tuple(zero[a]), tuple(one[a])) for a in g.alphabet
+            a: self.profile(zero[a], one[a]) for a in g.alphabet
         }
 
-    def profile(self, zero: Rows, one: Rows, empty: bool = False) -> int:
-        """The index of the profile with these rows and tag; raises
+    def profile(self, zero: int, one: int, empty: bool = False) -> int:
+        """The index of the profile with these matrices and tag; raises
         ``RuntimeError`` rather than intern more than ``MONOID_CAP`` profiles
         besides ε̂."""
         key = (zero, one, empty)
@@ -119,17 +141,24 @@ class ProfileMonoid:
             if len(self.zero) > MONOID_CAP:
                 raise RuntimeError("profile monoid exceeded size cap")
             p = self._interned[key] = len(self.zero)
+            row, both = self._full, zero | one
             starts = 0
-            for i in self._initial:
-                starts |= zero[i] | one[i]
+            for shift in self._initial:
+                starts |= both >> shift & row
+            loops = 0
+            diagonal = one & self._diagonal  # bit (q, q) is bit q·(n + 1)
+            while diagonal:
+                low = diagonal & -diagonal
+                loops |= 1 << (low.bit_length() - 1) // (self._n + 1)
+                diagonal ^= low
             self.zero.append(zero)
             self.one.append(one)
             self.empty.append(empty)
             self._starts.append(starts)
             self._accepts.append(bool(starts & self._accepting_mask))
-            self._loops.append(
-                sum(1 << q for q, row in enumerate(one) if row >> q & 1))
+            self._loops.append(loops)
             self._mul.append({})
+            self._copies.append(None)
         return p
 
     @cached_property
@@ -144,25 +173,38 @@ class ProfileMonoid:
         out = products.get(p2)
         if out is not None:
             return out
-        zero2, one2 = self.zero[p2], self.one[p2]
-        zero, one = [], []
-        for z1, o1 in zip(self.zero[p1], self.one[p1]):
-            z = o = 0
-            while z1:  # b = 0 so far: the right row decides the bit
-                low = z1 & -z1
-                m = low.bit_length() - 1
-                z |= zero2[m]
-                o |= one2[m]
-                z1 ^= low
-            while o1:  # b = 1 so far: every path on stays b = 1
-                low = o1 & -o1
-                m = low.bit_length() - 1
-                o |= zero2[m] | one2[m]
-                o1 ^= low
-            zero.append(z)
-            one.append(o)
+        rows = self._copies[p2]
+        if rows is None:
+            rows = self._copies[p2] = self._copied_rows(p2)
+        z1, o1, col, full = self.zero[p1], self.one[p1], self._col, self._full
+        zero = one = 0
+        for m, z2, o2, b2 in rows:
+            # the rows of p1 that reach state m, at b = 0 and at b = 1 so
+            # far, each spread to whole rows: at b = 0 the right operand's
+            # row decides the bit, at b = 1 every path on stays at b = 1
+            zm = z1 >> m & col
+            om = o1 >> m & col
+            if zm:
+                zm *= full
+                zero |= zm & z2
+                one |= zm & o2
+            if om:
+                one |= om * full & b2
         out = products[p2] = self.profile(
-            tuple(zero), tuple(one), self.empty[p1] and self.empty[p2])
+            zero, one, self.empty[p1] and self.empty[p2])
+        return out
+
+    def _copied_rows(self, p: int) -> list[tuple[int, int, int, int]]:
+        """Per state m that p's word leaves, m with row m of p's zero, of its
+        one and of both, each copied into every row."""
+        n, row, col = self._n, self._full, self._col
+        zero, one = self.zero[p], self.one[p]
+        out = []
+        for m in range(n):
+            z = (zero >> m * n & row) * col
+            o = (one >> m * n & row) * col
+            if z | o:
+                out.append((m, z, o, z | o))
         return out
 
     def profile_of_word(self, word: Sequence[str]) -> int:
@@ -185,10 +227,24 @@ class ProfileMonoid:
                     frontier.append(q)
         return frozenset(seen)
 
+    def _closure(self, a: FinAbs) -> frozenset[int]:
+        """S⁺ of a's nonempty-word profiles, closed once per such set: the
+        solve takes the star and the ω of each self-loop coefficient."""
+        gens = frozenset([p for p in a if not self.empty[p]])
+        out = self._closures.get(gens)
+        if out is None:
+            out = self._closures[gens] = self.s_plus(gens)
+        return out
+
     # -- FinAbs operations ----------------------------------------------------
 
     def concat_fin(self, a: FinAbs, b: FinAbs) -> FinAbs:
-        # most products are cached: look them up here, saving a call each
+        # ε̂ is a two-sided identity; most products are cached, so they are
+        # looked up here, saving a call each
+        if a == self.fin_eps:
+            return b
+        if b == self.fin_eps:
+            return a
         out = []
         for p in a:
             products = self._mul[p]
@@ -198,18 +254,17 @@ class ProfileMonoid:
         return frozenset(out)
 
     def star(self, a: FinAbs) -> FinAbs:
-        return self.fin_eps | self.s_plus(a)
+        """ε̂ and S⁺ of a's other profiles: ε̂ is the only empty-tagged
+        profile, and a two-sided identity on the profiles of nonempty
+        words, so it adds no product."""
+        return self.fin_eps | self._closure(a)
 
     def omega(self, a: FinAbs) -> MixAbs:
         """Abstraction of (γ a)^ω: finite words from infinitely many ε picks,
-        infinite words as linked stem/idempotent-cycle pairs.
-
-        ε̂ is the only empty-tagged profile, and a two-sided identity on the
-        profiles of nonempty words, so with ε̂ ∈ a the star of a is ε̂ and
-        S⁺ of the other generators."""
-        gens = [p for p in a if not self.empty[p]]
-        splus = self.s_plus(gens)
-        fin = self.fin_eps | splus if len(gens) < len(a) else FIN_BOTTOM
+        infinite words as linked stem/idempotent-cycle pairs.  With ε̂ ∈ a
+        the finite part is the star of a."""
+        splus = self._closure(a)
+        fin = self.fin_eps | splus if self.eps in a else FIN_BOTTOM
         # stems with an ε̂ prefix factor are covered by s ∈ S⁺ itself;
         # a bare ε̂ stem never satisfies s·e = s since e is nonempty.
         idempotents = [e for e in splus if self.compose(e, e) == e]
@@ -218,34 +273,51 @@ class ProfileMonoid:
         return MixAbs(fin, pairs)
 
     def concat_fin_mix(self, a: FinAbs, x: MixAbs) -> MixAbs:
+        if a == self.fin_eps:
+            return x
         fin = self.concat_fin(a, x.fin)
-        inf = frozenset(
-            (self.compose(p, s), e) for p in a for (s, e) in x.inf
-        )
-        return MixAbs(fin, inf)
+        out = []
+        for p in a:
+            products = self._mul[p]
+            for s, e in x.inf:
+                ps = products.get(s)
+                out.append((self.compose(p, s) if ps is None else ps, e))
+        return MixAbs(fin, frozenset(out))
 
     def mix_join(self, x: MixAbs, y: MixAbs) -> MixAbs:
         return MixAbs(x.fin | y.fin, x.inf | y.inf)
 
     # -- acceptance of words ---------------------------------------------------
 
-    def accepts_finite(self, word: Sequence[str]) -> bool:
-        """The automaton accepts word under the NFA reading."""
-        return self.accepts_finite_of(self.profile_of_word(word))
+    def prefix_profiles(self, prefixes: list[int],
+                        word: Sequence[str]) -> list[int]:
+        """prefixes, the profiles of the first prefixes of word (none at
+        first), extended in place so that prefixes[i] is the profile of
+        word[:i] for every i: only the letters past its end are composed,
+        so a list kept while word grows composes each letter once."""
+        if not prefixes:
+            prefixes.append(self.eps)
+        p, compose, letters = prefixes[-1], self.compose, self.letters
+        for a in word[len(prefixes) - 1:]:
+            p = compose(p, letters[a])
+            prefixes.append(p)
+        return prefixes
 
     def accepts_finite_of(self, p: int) -> bool:
         """The automaton accepts the words of profile p (NFA reading)."""
         return self._accepts[p]
 
-    def dead_position(self, word: Sequence[str]) -> int | None:
-        """The length of the shortest prefix of word that no run from an
-        initial state reads, or None if some run reads all of word."""
-        p, starts, letters = self.eps, self._starts, self.letters
-        for i, a in enumerate(word):
-            p = self.compose(p, letters[a])
-            if not starts[p]:
-                return i + 1
-        return None
+    def dead_position(self, prefixes: list[int]) -> int | None:
+        """The length of the shortest prefix of a word that no run from an
+        initial state reads, or None if some run reads all of the word,
+        given the profiles of every prefix of the word (``prefix_profiles``).
+        A prefix no run reads has no extension that a run reads, so the
+        last profile tells whether there is one."""
+        starts = self._starts
+        if len(prefixes) == 1 or starts[prefixes[-1]]:
+            return None
+        return next(i for i in range(1, len(prefixes))
+                    if not starts[prefixes[i]])
 
     def accepts_lasso_of(self, stem: int, cycle: int) -> bool:
         """Büchi acceptance of u·v^ω for any words u of profile stem and v
@@ -255,11 +327,17 @@ class ProfileMonoid:
         for a word w with profile e, so it is accepted iff a state that u·w
         reaches from an initial state loops on e through an accepting
         visit: the test ``accepts_mix`` makes of the pair (stem·e, e),
-        exact for ultimately periodic words (Büchi 1962)."""
-        e = cycle
-        while self.compose(e, e) != e:  # some power of v is idempotent
-            e = self.compose(e, cycle)
-        s = self.compose(stem, e)
+        exact for ultimately periodic words (Büchi 1962).  Each cycle's
+        idempotent power is found once."""
+        e = self._idempotent.get(cycle)
+        if e is None:
+            e = cycle
+            while self.compose(e, e) != e:  # some power of v is idempotent
+                e = self.compose(e, cycle)
+            self._idempotent[cycle] = e
+        s = self._mul[stem].get(e)
+        if s is None:
+            s = self.compose(stem, e)
         return bool(self._starts[s] & self._loops[e])
 
     # -- acceptance of abstractions --------------------------------------------

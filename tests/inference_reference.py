@@ -13,6 +13,10 @@ value they bind (``_sequence``), whether or not they read it, recursing at
 every binding; the sweep types with it, so the tests check the rule keyed by
 reading against it as well.
 
+``typeff_right_fold`` is the package's spine loop as it folded a let
+spine back from its tail, scaling the effects once per binding; the tests
+check the prefix-first fold that replaced it against it, table for table.
+
 ``check_per_signature`` is the re-check before it worked per typing group
 and row object: it checks every signature's row on its own, and the tests
 check that ``check_well_typed`` reports the same offenses in the same order.
@@ -27,6 +31,7 @@ directly, wherever pinned entries lie between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 from guidecheck.classtable import join_triple
@@ -52,6 +57,8 @@ from guidecheck.inference import (
     Effects,
     Offense,
     _body_env,
+    _rule,
+    _then,
     _typed,
     _Typing,
     bodied_sigs,
@@ -138,6 +145,40 @@ def typeff(
         return _sequence(prog, meta, table, domain, gamma, e.var, e.handler,
                          caught, body.t, escaped, body.s, body.fupdates)
     raise AssertionError(f"unhandled expression {e!r}")
+
+
+def typeff_right_fold(ty: _Typing, gamma: dict, e: Expr) -> Effects:
+    """``guidecheck.inference.typeff`` as it was before the prefix-first
+    fold: the same spine loop, the effects folded back from the spine's
+    tail, T, H and S scaled by each binding's value in turn."""
+    domain = ty.domain
+    frames = []  # (u, h, s) per binding: the effect of reaching its body
+    ups: list = []
+    while isinstance(e, Let):
+        if not frames:
+            gamma = dict(gamma)  # the spine's bindings extend a copy
+        first = _rule(ty, gamma, e.init)
+        ups += first.fupdates
+        if len(first.t) == 1:
+            ((r, u),) = first.t.items()
+            gamma[e.var] = r
+        elif first.t and e.var not in ty.reads[id(e.body)]:
+            u = reduce(domain.fin_join, first.t.values())
+        else:
+            tail = _then(ty, gamma, e.var, e.body, first.t, {}, first.h,
+                         first.s, [])
+            break
+        frames.append((u, first.h, first.s))
+        e = e.body
+    else:
+        tail = _rule(ty, gamma, e)
+    t, h, s = tail.t, tail.h, tail.s
+    concat, join = domain.fin_concat, domain.fin_join
+    for u, h0, s0 in reversed(frames):
+        t = dict_scale(u, t, concat)
+        h = dict_join(h0, dict_scale(u, h, concat), join)
+        s = dict_join(s0, dict_scale(u, s, concat), join)
+    return Effects(t, h, s, ups + tail.fupdates)
 
 
 def _sequence(prog: Program, meta: RegionMeta, table, domain, gamma: dict,

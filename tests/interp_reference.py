@@ -63,7 +63,8 @@ def enumerate_traces(
             k = len(twin.script) - 1
             inherited[twin] = [c for c in cycles if c.cycle_choices <= k]
         trace = tuple(ev.trace) if outcome is None else outcome.trace
-        runs.append(TraceRun(tuple(ev.script), trace, outcome, cycles, stuck))
+        runs.append(TraceRun(tuple(ev.script), trace, outcome, cycles, [],
+                             stuck))
         if stuck is None and len(runs) > MAX_RUNS:
             raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs
@@ -86,13 +87,13 @@ def enumerate_by_restarts(
             outcome = ev.run()
         except EvalStuck as stuck:
             runs.append(TraceRun(script, tuple(ev.trace), None, ev.cycles,
-                                 stuck=stuck))
+                                 [], stuck=stuck))
             continue
         if isinstance(outcome, ScriptEnd):
             for choice in sorted(outcome.choices, reverse=True):
                 pending.append(script + (choice,))
             continue
-        runs.append(TraceRun(script, outcome.trace, outcome, ev.cycles))
+        runs.append(TraceRun(script, outcome.trace, outcome, ev.cycles, []))
         if len(runs) > MAX_RUNS:
             raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs

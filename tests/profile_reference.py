@@ -2,11 +2,13 @@
 
 A profile used to be a set of triples (q, b, q'): some path reads the word
 from q to q', with b = 1 iff it visits an accepting state (endpoints
-included).  The package packs the same sets into bit rows and names each
-profile by its index in the monoid (``guidecheck.profiles``).  This module
-decodes an index back into triples and keeps the triple form and its
-operations, so the tests can state profiles by hand and check the packed
-operations against the plain definitions.  It also keeps the abstraction
+included).  The package packs the same sets into two bit matrices, one int
+each, and names each profile by its index in the monoid
+(``guidecheck.profiles``).  This module decodes an index back into triples
+and keeps the triple form and its operations, so the tests can state
+profiles by hand and check the packed operations against the plain
+definitions, and the row-loop product the column product replaced
+(``RowLoopMonoid``).  It also keeps the abstraction
 of an NFA by a product walk (``alpha_nfa``), the oracle that the package's
 fold of a stub regex in the profile domain is checked against, and
 ``WordReading``, which judges lassos of words on a monoid.
@@ -22,6 +24,19 @@ from guidecheck.profiles import MixAbs, ProfileMonoid
 Triples = frozenset  # of (state, bit, state)
 
 
+def rows_of(m: ProfileMonoid, matrix: int) -> list[int]:
+    """A packed matrix of m as one bitmask per state: row i of the matrix
+    sits at bits i·n to i·n + n - 1."""
+    n = len(m.g.states)
+    return [matrix >> i * n & (1 << n) - 1 for i in range(n)]
+
+
+def pack(m: ProfileMonoid, rows: Sequence[int]) -> int:
+    """Rows over m's states, one bitmask per state, as a packed matrix."""
+    n = len(m.g.states)
+    return sum(row << i * n for i, row in enumerate(rows))
+
+
 def profile_of_triples(m: ProfileMonoid, triples: Iterable,
                        empty: bool = False) -> int:
     """The index in m of the profile that holds exactly these triples,
@@ -32,7 +47,7 @@ def profile_of_triples(m: ProfileMonoid, triples: Iterable,
     one = [0] * len(states)
     for q, b, q2 in triples:
         (one if b else zero)[index[q]] |= 1 << index[q2]
-    return m.profile(tuple(zero), tuple(one), empty)
+    return m.profile(pack(m, zero), pack(m, one), empty)
 
 
 def triples_of(m: ProfileMonoid, p: int) -> Triples:
@@ -40,10 +55,45 @@ def triples_of(m: ProfileMonoid, p: int) -> Triples:
     names = m.g.states
     return frozenset(
         (q, b, names[j])
-        for q, z, o in zip(names, m.zero[p], m.one[p])
+        for q, z, o in zip(names, rows_of(m, m.zero[p]), rows_of(m, m.one[p]))
         for b, row in ((0, z), (1, o))
         for j in range(len(names)) if row >> j & 1
     )
+
+
+class RowLoopMonoid(ProfileMonoid):
+    """The monoid with the product the package used before it multiplied
+    a column at a time: each row of the product ORs the right operand's
+    rows over the set bits of the left operand's row.  The cache, the
+    interning and every other operator are the package's."""
+
+    def compose(self, p1: int, p2: int) -> int:
+        products = self._mul[p1]
+        out = products.get(p2)
+        if out is not None:
+            return out
+        zero2, one2 = rows_of(self, self.zero[p2]), rows_of(self, self.one[p2])
+        zero, one = [], []
+        for z1, o1 in zip(rows_of(self, self.zero[p1]),
+                          rows_of(self, self.one[p1])):
+            z = o = 0
+            while z1:  # b = 0 so far: the right row decides the bit
+                low = z1 & -z1
+                m = low.bit_length() - 1
+                z |= zero2[m]
+                o |= one2[m]
+                z1 ^= low
+            while o1:  # b = 1 so far: every path on stays b = 1
+                low = o1 & -o1
+                m = low.bit_length() - 1
+                o |= zero2[m] | one2[m]
+                o1 ^= low
+            zero.append(z)
+            one.append(o)
+        out = products[p2] = self.profile(
+            pack(self, zero), pack(self, one),
+            self.empty[p1] and self.empty[p2])
+        return out
 
 
 def describe(m: ProfileMonoid, p: int) -> str:
@@ -212,16 +262,28 @@ def accepts_lasso(g: GuidelineAutomaton, stem: Sequence[str],
 
 
 class WordReading:
-    """A monoid that judges a lasso from its words, as ``NfaReading`` does:
+    """A monoid that judges words, as ``NfaReading`` does, through the
+    checks the search makes on profiles: ``accepts_finite`` and
+    ``dead_position`` read the profiles of a word's prefixes, and
     ``accepts_lasso`` takes the profiles of stem and cycle to
-    ``ProfileMonoid.accepts_lasso_of``, the check the search makes, and
-    every other name is the monoid's."""
+    ``ProfileMonoid.accepts_lasso_of``; every other name is the monoid's."""
 
     def __init__(self, monoid: ProfileMonoid):
         self.monoid = monoid
 
     def __getattr__(self, name: str):
         return getattr(self.monoid, name)
+
+    def accepts_finite(self, word: Sequence[str]) -> bool:
+        """The automaton accepts word under the NFA reading."""
+        m = self.monoid
+        return m.accepts_finite_of(m.prefix_profiles([], word)[-1])
+
+    def dead_position(self, word: Sequence[str]) -> int | None:
+        """The length of the shortest prefix of word that no run from an
+        initial state reads, or None if some run reads all of word."""
+        m = self.monoid
+        return m.dead_position(m.prefix_profiles([], word))
 
     def accepts_lasso(self, stem: Sequence[str], cycle: Sequence[str]) -> bool:
         """Büchi acceptance of stem·cycle^ω (cycle must be nonempty)."""

@@ -1,7 +1,7 @@
 """Guideline automata: parsing, finite reading, and Büchi lasso acceptance.
 
 The analysis reads words on the guideline's profile monoid
-(``ProfileMonoid.accepts_finite``, ``dead_position``, and
+(``ProfileMonoid.accepts_finite_of``, ``dead_position`` and
 ``accepts_lasso_of``, read on words through ``profile_reference.WordReading``).
 Those checks are validated against the automaton read state set by state
 set (tests/nfa_reading.py), and the lasso check also against a brute-force
@@ -121,14 +121,14 @@ def test_comments_and_blank_lines_ignored():
     g = parse_guideline(
         "# a comment\nalphabet: a b\n\nstates: s\ninitial: s\naccepting: s\ntrans: s a s\n"
     )
-    assert monoid_of(g).accepts_finite(["a"])
+    assert WordReading(monoid_of(g)).accepts_finite(["a"])
 
 
 # --- finite reading ----------------------------------------------------------
 
 
 def test_parity_membership():
-    m = monoid_of(load("parity.gl"))
+    m = WordReading(monoid_of(load("parity.gl")))
     for k in range(9):
         assert m.accepts_finite(["a"] * k) == (k % 2 == 1)
 

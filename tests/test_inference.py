@@ -458,6 +458,77 @@ def test_keyed_rule_matches_the_per_region_rule(demand_driven):
     assert bodies >= 130
 
 
+def _key_orders(mtable: dict) -> list:
+    return [[list(part) for part in row] for row in mtable.values()]
+
+
+# a spine whose bindings each may throw, from their own regions, and call
+# their own methods, so the fold's key order shows in H and S
+SPINE_THROWS = """
+class Oops extends Object { }
+class Main extends Object {
+    Object f() { emit a; if (this == this) { throw new[t1] Oops(); }
+                 else { return null; } }
+    Object g() { emit b; if (this == this) { throw new[t2] Oops(); }
+                 else { return null; } }
+    Object k() { if (this == this) { throw new[t3] Oops(); }
+                 else { return null; } }
+    Object go() { Object x = this.g(); emit a; Object y = this.f();
+                  emit b; Object w = this.k(); return this.go(); }
+}
+"""
+
+
+def _fold_cases():
+    yield from reference_cases()
+    d = ProfileDomain(parse_guideline(
+        "alphabet: a b\nstates: p q\ninitial: p\naccepting: q\n"
+        "trans: p a q\ntrans: q b p\ntrans: q a q\n"))
+    prog = parse_program(SPINE_THROWS, alphabet=d.alphabet)
+    yield "spine_throws", prog, d, {}
+
+
+@pytest.mark.parametrize("demand_driven", [False, True],
+                         ids=["full", "demand-driven"])
+def test_prefix_first_fold_matches_the_right_fold(demand_driven, monkeypatch):
+    """Concatenation distributes over join, so folding a let spine prefix
+    first gives the tables the old fold back from the tail gives: ``==``,
+    keys in the same order, on one shared monoid per guideline.  Each body
+    typed against the finished table agrees too, key order included."""
+    bodies = 0
+    orders = set()
+    for name, prog, d, specs in _fold_cases():
+        meta = region_meta(prog)
+        for entries in ([[e] for e in entry_points(prog)] if demand_driven
+                        else [None]):
+            table = infer(prog, d, intrinsics=specs, entries=entries,
+                          meta=meta)
+            with monkeypatch.context() as patch:
+                patch.setattr(inference, "typeff",
+                              inference_reference.typeff_right_fold)
+                old = infer(prog, d, intrinsics=specs, entries=entries,
+                            meta=meta)
+            assert table.mtable == old.mtable, (name, entries)
+            assert _key_orders(table.mtable) == _key_orders(old.mtable), (
+                name, entries)
+            assert table.ftable == old.ftable, (name, entries)
+            for group in table.groups:
+                body, gamma = inference._body_env(group[0], prog)
+                got = typeff(_Typing(prog, meta, table, d, table.reads),
+                             gamma, body)
+                want = inference_reference.typeff_right_fold(
+                    _Typing(prog, meta, table, d, table.reads), gamma, body)
+                assert got.triple() == want.triple(), (name, group[0])
+                assert [list(part) for part in got.triple()] == [
+                    list(part) for part in want.triple()], (name, group[0])
+                assert got.fupdates == want.fupdates, (name, group[0])
+                orders.add(tuple(map(len, got.triple())))
+                bodies += 1
+    assert bodies >= 110
+    assert max(h for _, h, _ in orders) >= 3 and max(
+        s for _, _, s in orders) >= 3
+
+
 def _let_chain(k):
     """k Nodes read from a three-region field and never read again."""
     return ("class Node extends Object { Node f;\n  Object go() {\n"

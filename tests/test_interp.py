@@ -32,6 +32,7 @@ from guidecheck.interp import (
     replay_entry,
 )
 from guidecheck.intrinsics import parse_config
+from guidecheck.profiles import ProfileMonoid
 from guidecheck.regions import NULL_REGION, UNKNOWN, created_at, region_meta
 
 
@@ -501,6 +502,40 @@ def test_a_search_executes_each_script_prefix_and_call_once(monkeypatch):
     assert len(searched) == len(set(searched)) == len(set(executed))
     assert set(searched) == set(executed)
     assert len(executed) > 2 * len(searched)
+
+
+def test_a_resumed_run_composes_each_letter_of_its_trace_once(monkeypatch):
+    """The run keeps the profiles of its trace's prefixes across levels, so
+    the whole fruitless search composes each letter of the one run's trace
+    once, where judging each level from the entry composed the whole
+    trace again."""
+    prefix_profiles = ProfileMonoid.prefix_profiles
+    compose = ProfileMonoid.compose
+    calls = composed = longest = 0
+    inside = False
+
+    def counting(m, prefixes, word):
+        nonlocal calls, longest, inside
+        calls += 1
+        longest = max(longest, len(word))
+        inside = True
+        try:
+            return prefix_profiles(m, prefixes, word)
+        finally:
+            inside = False
+
+    def counting_compose(m, p1, p2):
+        nonlocal composed
+        composed += inside
+        return compose(m, p1, p2)
+
+    monkeypatch.setattr(ProfileMonoid, "prefix_profiles", counting)
+    monkeypatch.setattr(ProfileMonoid, "compose", counting_compose)
+    prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    gl = load_guideline(str(FIXTURES / "serve_liveness.gl"))
+    assert find_counterexample(prog, gl, "Server.serve", 60) is None
+    assert calls >= 60 and longest >= 30
+    assert composed == longest
 
 
 def test_a_long_let_chain_runs_without_deepening_the_stack():

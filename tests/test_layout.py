@@ -35,13 +35,16 @@ from guidecheck.regions import region_meta
 TRIPLE_HELPERS = ("profile_of_triples", "triples_of", "compose_triples",
                   "pack", "unpack", "triples", "describe", "decode",
                   "decode_fin", "decode_mix", "decode_mtable", "omega_triples")
-# The word-form lasso check: the search judges a lasso by the profiles of its
-# stem and cycle (accepts_lasso_of); tests/profile_reference.WordReading
-# reads words through it.
+# The word-form checks: the search judges a word by the profiles of its
+# prefixes (accepts_finite_of, dead_position) and a lasso by the profiles of
+# its stem and cycle (accepts_lasso_of); tests/profile_reference.WordReading
+# reads words through them.  The row-loop product is
+# tests/profile_reference.RowLoopMonoid's.
 MONOID_ONLY = ("saturate", "factorizations", "normalize_mix", "mix_eq",
                "mix_leq", "extendable_into", "alpha_lang", "alpha_words",
                "member_fin", "member_up_word", "_factor_cache", "_sat_cache",
-               "accepts_lasso", *TRIPLE_HELPERS)
+               "accepts_lasso", "accepts_finite", "rows_of",
+               *TRIPLE_HELPERS)
 # The second relation algebra the automaton once carried.
 AUTOMATON_ONLY = ("compose_rel", "rel_of_word", "letter_rel", "_letter_rels")
 # The finite bottom and the mixed empty word are members of the reference

@@ -13,7 +13,11 @@ import pytest
 from guidecheck import profiles
 from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
-from guidecheck.guideline import load_guideline, parse_guideline
+from guidecheck.guideline import (
+    GuidelineAutomaton,
+    load_guideline,
+    parse_guideline,
+)
 from guidecheck.inference import infer
 from guidecheck.profiles import (
     FIN_BOTTOM,
@@ -30,6 +34,7 @@ from language_oracle import lang_omega
 from nfa import Nfa
 from nfa_words import nfa_accepts, nfa_full, nfa_of_words, nfa_word
 from profile_reference import profile_of_triples, triples_of
+from reference_cases import reference_cases
 
 
 def load_monoid(name):
@@ -471,3 +476,156 @@ def test_the_analysis_builds_only_dense_indices():
         built += [p for x in eta.values() for pair in x.inf for p in pair]
         assert any(x.inf for x in eta.values())
         assert built and all(type(p) is int and 0 <= p < n for p in built)
+
+
+# -- the packed kernel on automata of 1 to 12 states -------------------------
+
+
+def _sized_automaton(rng, n):
+    """A guideline of n states over two letters, about two transitions per
+    state and letter, so that the monoid stays small enough for the
+    triple reference to close."""
+    letters = ("a", "b")
+    states = [f"q{i}" for i in range(n)]
+    accepting = [q for q in states if rng.random() < 0.4] or [states[-1]]
+    initial = [q for q in states if rng.random() < 0.3] or [states[0]]
+    trans = [(q, a, q2) for q in states for a in letters for q2 in states
+             if rng.random() < min(1.0, 2 / n)]
+    return GuidelineAutomaton(letters, states, initial, accepting, trans)
+
+
+def test_packed_kernel_matches_the_triple_reference_up_to_twelve_states():
+    """From n = 6 on a matrix has more than 30 bits, so it spans several
+    of the interpreter's integer digits; the column product, ω and the
+    acceptance masks must agree with the triples at every size, on word
+    profiles and on arbitrary ones, with both tags."""
+    rng = random.Random(43)
+    tagged = 0
+    for n in range(1, 13):
+        for _ in range(3):
+            g = _sized_automaton(rng, n)
+            m = ProfileMonoid(g)
+            for _ in range(30):
+                p, q = _operand(rng, m), _operand(rng, m)
+                pq = m.compose(p, q)
+                assert triples_of(m, pq) == ref.compose_triples(
+                    triples_of(m, p), triples_of(m, q)), (g, p, q)
+                assert m.empty[pq] == (m.empty[p] and m.empty[q])
+                tagged += m.empty[p] or m.empty[q]
+                fin = frozenset({p, pq})
+                assert m.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
+                x = MixAbs(fin, frozenset({(p, q), (pq, q)}))
+                assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
+            for k in range(4):
+                a = _words_profiles(rng, m, rng.randint(0, 2),
+                                    with_eps=k % 2 == 0)
+                x = m.omega(a)
+                assert ref.decode_mix(m, x) == ref.omega_triples(
+                    g, ref.decode_fin(m, a)), (g, a)
+                assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, a)
+    assert tagged > 100
+
+
+def _drive(rng, m):
+    """One fixed mix of the operators on m: the closure, words, products,
+    stars, ω and concatenations of small sets, all drawn from rng."""
+    m.elements
+    words = [[rng.choice(m.g.alphabet) for _ in range(rng.randrange(6))]
+             for _ in range(20)]
+    built = [m.profile_of_word(w) for w in words]
+    for _ in range(20):
+        a = frozenset(rng.sample(built, rng.randint(1, 3)))
+        b = frozenset(rng.sample(built, rng.randint(1, 3)))
+        m.concat_fin_mix(m.concat_fin(a, b), m.omega(b))
+        m.star(a)
+
+
+def test_the_row_loop_product_interns_the_same_profiles_in_the_same_order():
+    """The column product replaced the row loop kept in
+    ``profile_reference.RowLoopMonoid``: on benchmark-sized automata both
+    intern the same profiles under the same indices, and the analysis of a
+    program builds the same tables."""
+    rng = random.Random(44)
+    for _ in range(4):
+        g = bench_sized_automaton(rng)
+        seed = rng.random()
+        packed, rows = ProfileMonoid(g), ref.RowLoopMonoid(g)
+        for m in (packed, rows):
+            _drive(random.Random(seed), m)
+        assert len(packed.zero) == len(rows.zero) > 100
+        assert [ref.describe(packed, p) for p in range(len(packed.zero))] == [
+            ref.describe(rows, p) for p in range(len(rows.zero))]
+        tables = []
+        for monoid in (ProfileMonoid(g), ref.RowLoopMonoid(g)):
+            domain = ProfileDomain(g)
+            domain.monoid = monoid
+            prog = parse_program(THREE_LETTER_LOOP, alphabet=domain.alphabet)
+            table = infer(prog, domain)
+            eta = solve(EquationSystem.from_table(table, domain), domain)
+            tables.append((table.mtable, eta, [
+                ref.describe(monoid, p) for p in range(len(monoid.zero))]))
+        assert tables[0] == tables[1]
+
+
+# -- algebra laws the operators rely on --------------------------------------
+
+
+def test_eps_hat_concatenates_as_the_identity():
+    """``concat_fin`` returns the other operand when one side is {ε̂}, and
+    ``concat_fin_mix`` its mixed operand when the finite one is; the
+    elementwise products agree, and ``star`` closes the nonempty
+    generators only, which gives the star of the whole set."""
+    rng = random.Random(45)
+    automata = [random_automaton(rng) for _ in range(20)]
+    automata += [bench_sized_automaton(rng) for _ in range(3)]
+    for g in automata:
+        m = ProfileMonoid(g)
+        for k in range(6):
+            a = _words_profiles(rng, m, rng.randint(1, 3), with_eps=k % 2 == 0)
+            elementwise = frozenset(m.compose(m.eps, p) for p in a)
+            assert m.concat_fin(m.fin_eps, a) is a
+            assert m.concat_fin(a, m.fin_eps) is a
+            assert elementwise == a == frozenset(
+                m.compose(p, m.eps) for p in a), (g, a)
+            assert m.star(a) == m.fin_eps | m.s_plus(a), (g, a)
+            x = m.omega(a)
+            assert m.concat_fin_mix(m.fin_eps, x) is x
+            assert x.inf == frozenset(
+                (m.compose(m.eps, s), e) for s, e in x.inf), (g, a)
+            assert m.concat_fin(a, a) == frozenset(
+                m.compose(p, q) for p in a for q in a), (g, a)
+
+
+def test_the_solve_closes_each_self_loop_coefficient_once(monkeypatch):
+    """``eliminate`` takes the star and the ω of each self-loop
+    coefficient, and both read one S⁺ closure: on every reference case
+    the solve closes no set twice, and at most once per self-loop."""
+    closed: dict = {}  # monoid id -> the generator sets closed
+    loops = runs = 0
+    s_plus = ProfileMonoid.s_plus
+
+    def counting(m, gens):
+        nonlocal runs
+        gens = list(gens)
+        runs += 1
+        key = frozenset(gens)
+        assert key not in closed.setdefault(id(m), set()), key
+        closed[id(m)].add(key)
+        return s_plus(m, gens)
+
+    star = ProfileDomain.star
+
+    def counting_star(domain, x):
+        nonlocal loops
+        loops += 1
+        return star(domain, x)
+
+    cases = list(reference_cases())
+    tables = [(d, infer(prog, d, intrinsics=specs))
+              for _, prog, d, specs in cases]
+    monkeypatch.setattr(ProfileMonoid, "s_plus", counting)
+    monkeypatch.setattr(ProfileDomain, "star", counting_star)
+    for d, table in tables:
+        solve(EquationSystem.from_table(table, d), d)
+    assert loops > 10
+    assert 0 < runs <= loops, (runs, loops)
