@@ -5,11 +5,14 @@ over the guideline's profile domain, the divergence equations and their
 closed-form solution, then one accept/reject verdict per signature — its
 returning effects, its throwing effects and its divergence effects must all
 be accepted by the guideline.  When a verdict fails and entry points are
-given, ``find_counterexample`` searches interpreter runs for a concrete
-witness: a rejected complete trace, a prefix no accepted word extends, or a
-diverging execution whose infinite trace the guideline rejects (validated by
-replaying its script).  The search deepens the fuel one call at a time, so
-the witness it reports needs the least fuel of any.
+given, a search of interpreter runs looks for a concrete witness: a
+rejected complete trace, a prefix no accepted word extends, or a diverging
+execution whose infinite trace the guideline rejects (validated by replaying
+its script).  ``analyze`` hands it the domain's profile monoid, so the
+search judges traces on the profiles and products the verdict built;
+``find_counterexample``, the search on its own, builds a monoid of its own.
+The search deepens the fuel one call at a time, so the witness it reports
+needs the least fuel of any.
 
 Exit codes: 0 all signatures conform, 1 some verdict failed, 2 the inputs
 were unusable (an input file that cannot be read or is not UTF-8, parse,
@@ -52,7 +55,7 @@ from .intrinsics import (
     stub_lookup,
     validate_against_program,
 )
-from .profiles import monoid_of
+from .profiles import ProfileMonoid
 from .regions import Sig, region_meta
 from .solver import EquationSystem, solve
 
@@ -307,7 +310,7 @@ def analyze(
     counterexamples = []
     if not all_ok and entries:
         for entry in sorted(entries):
-            ce = find_counterexample(prog, guideline, entry, fuel, specs)
+            ce = _counterexample(prog, domain.monoid, entry, fuel, specs)
             if ce is not None:
                 counterexamples.append(ce)
 
@@ -379,10 +382,16 @@ def find_counterexample(
     returned with its level, so no run with less fuel shows a violation.
     A run that ended at a lower level was searched there, and ends the same
     way at every higher one.  The search stops early once a level suspends
-    no run.  Traces are checked on the guideline's profile monoid, the one
-    the analysis built, so most products are cached.
+    no run.  Traces are checked on a profile monoid of the guideline built
+    for this search; ``analyze`` hands the search the monoid its domain
+    built instead, so most products are cached.
     """
-    monoid = monoid_of(guideline)
+    return _counterexample(prog, ProfileMonoid(guideline), entry, fuel,
+                           intrinsics)
+
+
+def _counterexample(prog, monoid, entry, fuel, intrinsics):
+    """``find_counterexample`` on the given monoid of the guideline."""
     search = Search(prog, entry, intrinsics)
     for level in range(1, fuel + 1):
         runs = search.deepen()

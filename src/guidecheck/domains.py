@@ -7,17 +7,20 @@ divergence) — together with the regular operators the analysis composes
 effects with: join, concatenation, Kleene star and infinite iteration.
 A stub's regex reaches a domain through these operators too, its letters
 through ``alpha_word`` (``intrinsics.Regex.alpha``), so the interface takes
-no automaton.  Inference runs to a fixpoint, so a domain's finite elements must compare
-exactly with ``==``, and it caps its re-typings by ``fin_height``, a bound
-on the chains among the elements built so far.  They must hash too: the
-solver finds equal equations by hashing their coefficients.  The verdict
-judges each distinct finite and mixed element once, by hash.
+no automaton.  Inference runs to a fixpoint, so a domain's finite elements
+must compare exactly with ``==``, and it caps its re-typings by
+``fin_height``, a bound on the chains among the elements built so far.
+They must hash too: the solver finds equal equations by hashing their
+coefficients.  The verdict judges each distinct finite and mixed element
+once, by hash.
 
 ``ProfileDomain`` interprets both lattices over the transition profiles of a
 guideline automaton; it is finite, has exact equality on finite elements,
 and can answer whether everything an element denotes is accepted by the
-guideline.  It drives the verdict.  Its monoid is the guideline's own
-(``profiles.monoid_of``), which the counterexample search reads too; its
+guideline.  It drives the verdict.  The domain owns the lattice operators
+and builds the ``profiles.ProfileMonoid`` they compose single profiles on;
+``cli.analyze`` hands that monoid to the counterexample search, so the
+search reuses its interned profiles and cached products.  The domain's
 height is the count of profiles interned so far plus one, so the analysis
 never closes the monoid.  The analysis needs no finite bottom (an entry
 absent from a table stands for it), no mixed element of the empty word,
@@ -34,7 +37,7 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 from .guideline import GuidelineAutomaton
-from .profiles import MIX_BOTTOM, monoid_of
+from .profiles import FIN_BOTTOM, MIX_BOTTOM, MixAbs, ProfileMonoid
 
 
 class EffectDomain(ABC):
@@ -96,7 +99,9 @@ class ProfileDomain(EffectDomain):
     def __init__(self, guideline: GuidelineAutomaton):
         self.guideline = guideline
         self.alphabet = guideline.alphabet
-        self.monoid = monoid_of(guideline)
+        self.monoid = ProfileMonoid(guideline)
+        # S⁺ of a set of nonempty-word profiles, by that set
+        self._closures: dict[frozenset[int], frozenset[int]] = {}
 
     def fin_is_bottom(self, x) -> bool:
         return not x
@@ -105,7 +110,21 @@ class ProfileDomain(EffectDomain):
         return x | y
 
     def fin_concat(self, x, y):
-        return self.monoid.concat_fin(x, y)
+        # ε̂ is a two-sided identity; most products are cached, so they are
+        # looked up here, saving a call each
+        m = self.monoid
+        if x == m.fin_eps:
+            return y
+        if y == m.fin_eps:
+            return x
+        mul, compose = m.mul, m.compose
+        out = []
+        for p in x:
+            products = mul[p]
+            for q in y:
+                pq = products.get(q)
+                out.append(compose(p, q) if pq is None else pq)
+        return frozenset(out)
 
     def fin_leq(self, x, y) -> bool:
         return x <= y
@@ -115,8 +134,21 @@ class ProfileDomain(EffectDomain):
             return self.monoid.fin_eps
         return frozenset({self.monoid.profile_of_word(w)})
 
+    def _closure(self, x) -> frozenset[int]:
+        """S⁺ of x's nonempty-word profiles, closed once per such set: the
+        solve takes the star and the ω of each self-loop coefficient."""
+        m = self.monoid
+        gens = frozenset([p for p in x if not m.empty[p]])
+        out = self._closures.get(gens)
+        if out is None:
+            out = self._closures[gens] = m.s_plus(gens)
+        return out
+
     def star(self, x):
-        return self.monoid.star(x)
+        """ε̂ and S⁺ of x's other profiles: ε̂ is the only empty-tagged
+        profile, and a two-sided identity on the profiles of nonempty
+        words, so it adds no product."""
+        return self.monoid.fin_eps | self._closure(x)
 
     def mix_bottom(self):
         return MIX_BOTTOM
@@ -125,19 +157,52 @@ class ProfileDomain(EffectDomain):
         return not x.fin and not x.inf
 
     def mix_join(self, x, y):
-        return self.monoid.mix_join(x, y)
+        return MixAbs(x.fin | y.fin, x.inf | y.inf)
 
     def fin_mix_concat(self, u, m):
-        return self.monoid.concat_fin_mix(u, m)
+        mon = self.monoid
+        if u == mon.fin_eps:
+            return m
+        fin = self.fin_concat(u, m.fin)
+        mul, compose = mon.mul, mon.compose
+        out = []
+        for p in u:
+            products = mul[p]
+            for s, e in m.inf:
+                ps = products.get(s)
+                out.append((compose(p, s) if ps is None else ps, e))
+        return MixAbs(fin, frozenset(out))
 
     def omega(self, x):
-        return self.monoid.omega(x)
+        """Abstraction of (γ x)^ω: finite words from infinitely many ε picks,
+        infinite words as linked stem/idempotent-cycle pairs.  With ε̂ ∈ x
+        the finite part is the star of x."""
+        m = self.monoid
+        splus = self._closure(x)
+        fin = m.fin_eps | splus if m.eps in x else FIN_BOTTOM
+        # stems with an ε̂ prefix factor are covered by s ∈ S⁺ itself;
+        # a bare ε̂ stem never satisfies s·e = s since e is nonempty.
+        compose = m.compose
+        idempotents = [e for e in splus if compose(e, e) == e]
+        pairs = frozenset((s, e) for e in idempotents for s in splus
+                          if compose(s, e) == s)
+        return MixAbs(fin, pairs)
 
     def accepts_fin(self, x) -> bool:
-        return self.monoid.accepts_fin(x)
+        """Every finite word denoted by x is accepted by the automaton."""
+        accepts = self.monoid.accepts
+        return all(accepts[p] for p in x)
 
     def accepts_mix(self, m) -> bool:
-        return self.monoid.accepts_mix(m)
+        """Every word denoted by m (finite under the NFA reading, infinite
+        under the Büchi reading) is accepted: each stem reaches, from an
+        initial state, a state its cycle loops on through an accepting
+        visit.  Invariant under rotating a pair through a factorization of
+        its cycle, so checked on the raw pairs."""
+        mon = self.monoid
+        accepts, starts, loops = mon.accepts, mon.starts, mon.loops
+        return all(accepts[p] for p in m.fin) and all(
+            starts[s] & loops[e] for s, e in m.inf)
 
     def fin_height(self) -> int:
         """Every finite element built so far is a set of the profiles the

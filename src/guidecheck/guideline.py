@@ -8,8 +8,8 @@ is the union of both readings.
 This module parses and validates the automaton; it reads no words itself.
 Both readings are decided on the automaton's transition profiles
 (``profiles.ProfileMonoid``): the verdict on sets of profiles, and each
-counterexample on the profiles of its words.  The guideline remembers the
-monoid that everything checking against it shares.
+counterexample on the profiles of its words.  The automaton holds no
+monoid; the profile domain builds one over it (``domains.ProfileDomain``).
 
 File format (line oriented, ``#`` starts a comment)::
 
@@ -57,10 +57,6 @@ class GuidelineAutomaton:
                 raise GuidelineError(f"undeclared state in transition {q} {a} {q2}")
             if a not in self.alphabet:
                 raise GuidelineError(f"undeclared letter {a}")
-        # A weak reference to the profile monoid over this automaton, which
-        # profiles.monoid_of builds on first use: the analysis and the
-        # search share it while either holds it.
-        self.monoid_ref = None
 
     def __repr__(self) -> str:
         return (

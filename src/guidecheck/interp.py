@@ -13,9 +13,11 @@ objects cannot see each other's writes.
 
 Four outcomes: normal termination, an uncaught exception, fuel exhaustion
 (each non-stub method call takes one unit of fuel, so every run is finite),
-and a failed cast.  Genuinely stuck configurations — unbound variables, field
-access or calls on null, throwing null — raise ``EvalStuck``; the static
-checks reject such programs, so reaching one is a bug in the caller's setup.
+and a failed cast.  Stuck configurations — an unbound variable, a field
+read or a call through null, throwing null — raise ``EvalStuck``, and the
+run ends there with no outcome (``TraceRun.stuck``).  The static checks
+reject unbound variables only: a well-typed program may read a field of,
+call or throw a variable that holds null, so a run of it may get stuck.
 
 Calls that resolve to an external-call stub consume no fuel and are driven by
 a script: each stub call takes the next scripted choice (which emitted word,

@@ -228,10 +228,11 @@ def _parse_line(line: str, alphabet) -> IntrinsicSpec:
     cls, dot, method = clsmeth.partition(".")
     if not dot or not cls or not method:
         raise ConfigError(f"expected 'Class.method', got {clsmeth!r}")
-    arg_patterns = tuple(
-        None if p == "_" else _parse_region(p)
-        for p in (p.strip() for p in argpart.split(",")) if p
-    )
+    pieces = [p.strip() for p in argpart.split(",")] if argpart.strip() else []
+    if "" in pieces:
+        raise ConfigError(f"empty argument pattern in {head!r}")
+    arg_patterns = tuple(None if p == "_" else _parse_region(p)
+                         for p in pieces)
 
     words = tail.split()
     if len(words) < 3 or words[1] != "emits":

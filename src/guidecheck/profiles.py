@@ -14,12 +14,13 @@ at bits i·n to i·n + n - 1, so bit (i, j) is bit i·n + j.
 
 A profile is the dense ``int`` its monoid gives it when interning its
 matrices: the monoid keeps the matrices, the empty-word tag and the
-acceptance masks in lists by index, and caches composition in one dict per
-left operand.  Indices are local to one monoid; two monoids over one
-guideline may number the same profile differently.  Profiles of the empty
-word are tagged: the empty word's profile has the same matrices as some
-nonempty words on degenerate automata, but the two behave differently
-under the infinite iteration, so the tag is part of the interning key.
+acceptance masks in public lists by index, and caches composition in one
+dict per left operand (``mul``).  Indices are local to one monoid; two
+monoids over one guideline may number the same profile differently.
+Profiles of the empty word are tagged: the empty word's profile has the
+same matrices as some nonempty words on degenerate automata, but the two
+behave differently under the infinite iteration, so the tag is part of the
+interning key.
 
 Composition works a column at a time, on whole matrices: for each state m,
 column m of the left matrix is spread into whole rows (the rows i that
@@ -31,27 +32,25 @@ empty word's profile, is a two-sided identity on the profiles of words, so
 a set holding ε̂ alone concatenates as the identity, and a closure needs
 only the nonempty generators.
 
-Sets of profiles abstract languages of finite words (``FinAbs``); pairs of
-a stem profile and an idempotent cycle profile, together with a finite
-part, abstract languages of finite and infinite words (``MixAbs``).
-These carry union, concatenation, Kleene star and an infinite-iteration
-operator, and an acceptance check against the automaton.  The same masks
-decide single words for the counterexample search, given the profiles of
-a word's prefixes: a finite word, the first dead prefix of a word, and a
-lasso stem·cycle^ω given the profiles of its stem and cycle.
+The monoid works on one profile at a time.  Sets of profiles abstract
+languages of finite words (``FinAbs``); pairs of a stem profile and an
+idempotent cycle profile, together with a finite part, abstract languages
+of finite and infinite words (``MixAbs``).  Their union, concatenation,
+Kleene star, infinite iteration and acceptance check are the lattice
+operators of ``domains.ProfileDomain``, which reads the product cache and
+the acceptance masks here.  The same masks decide single words for the
+counterexample search, given the profiles of a word's prefixes: a finite
+word, the first dead prefix of a word, and a lasso stem·cycle^ω given the
+profiles of its stem and cycle.
 
-Two MixAbs values that denote the same language can differ in their raw pair
-sets (a pair may be rotated through a factorization of its cycle).
-Acceptance is invariant under that rotation, so the analysis works on raw
-pair sets and never needs a canonical form.  Rotation saturation, which gives
-one, the membership probes for finite and ultimately periodic words, the
-decoding of an index back into triples and the row-loop product the column
-product replaced live with the tests.
+Rotation saturation, which gives MixAbs values a canonical form, the
+membership probes for finite and ultimately periodic words, the decoding of
+an index back into triples and the row-loop product the column product
+replaced live with the tests.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -60,7 +59,7 @@ from .guideline import GuidelineAutomaton
 # Hard cap on the profiles one monoid interns, ε̂ aside; the analyses here are
 # meant for small specification automata, and a blow-up almost certainly
 # means a bug.  Every profile is interned by ``ProfileMonoid.profile``, so
-# the cap holds for every closure the operators and the search run.
+# the cap holds for every closure the domain's operators and the search run.
 MONOID_CAP = 20000
 
 
@@ -78,10 +77,10 @@ MIX_BOTTOM = MixAbs(frozenset(), frozenset())
 class ProfileMonoid:
     """The profiles of one automaton, with composition.
 
-    Profiles are interned as the operators compose them, up to
-    ``MONOID_CAP``.  ``elements``, the closure of the letter profiles under
-    composition (the profiles of all finite words), is computed on first
-    use only; the analysis never asks for it.
+    Profiles are interned as they are composed, up to ``MONOID_CAP``.
+    ``elements``, the closure of the letter profiles under composition (the
+    profiles of all finite words), is computed on first use only; the
+    analysis never asks for it.
     """
 
     def __init__(self, g: GuidelineAutomaton):
@@ -97,21 +96,20 @@ class ProfileMonoid:
         self._accepting_mask = sum(1 << i for i in range(n) if accepting[i])
         self._interned: dict[tuple[int, int, bool], int] = {}
         # by profile index: the matrices and tag, the states the word
-        # reaches from an initial state, whether one of those accepts, and
-        # the states the word loops on through an accepting visit
+        # reaches from an initial state, whether one of those accepts, the
+        # states the word loops on through an accepting visit, and the
+        # products with it on the left, mul[p1][p2] == p1·p2
         self.zero: list[int] = []
         self.one: list[int] = []
         self.empty: list[bool] = []
-        self._starts: list[int] = []
-        self._accepts: list[bool] = []
-        self._loops: list[int] = []
-        self._mul: list[dict[int, int]] = []  # _mul[p1][p2] == p1·p2
+        self.starts: list[int] = []
+        self.accepts: list[bool] = []
+        self.loops: list[int] = []
+        self.mul: list[dict[int, int]] = []
         # by profile index, once it has been a right operand: its nonzero
         # rows m, as m with row m of zero, of one and of both, each copied
         # into every row
         self._copies: list[list[tuple[int, int, int, int]] | None] = []
-        # S⁺ of a set of nonempty-word profiles, by that set
-        self._closures: dict[frozenset[int], frozenset[int]] = {}
         self._idempotent: dict[int, int] = {}  # a cycle's idempotent power
         # ε̂ connects each state to itself, through an accepting visit iff
         # the state is accepting; a letter's rows are its transitions
@@ -154,10 +152,10 @@ class ProfileMonoid:
             self.zero.append(zero)
             self.one.append(one)
             self.empty.append(empty)
-            self._starts.append(starts)
-            self._accepts.append(bool(starts & self._accepting_mask))
-            self._loops.append(loops)
-            self._mul.append({})
+            self.starts.append(starts)
+            self.accepts.append(bool(starts & self._accepting_mask))
+            self.loops.append(loops)
+            self.mul.append({})
             self._copies.append(None)
         return p
 
@@ -169,7 +167,7 @@ class ProfileMonoid:
     # -- monoid structure ---------------------------------------------------
 
     def compose(self, p1: int, p2: int) -> int:
-        products = self._mul[p1]
+        products = self.mul[p1]
         out = products.get(p2)
         if out is not None:
             return out
@@ -227,66 +225,6 @@ class ProfileMonoid:
                     frontier.append(q)
         return frozenset(seen)
 
-    def _closure(self, a: FinAbs) -> frozenset[int]:
-        """S⁺ of a's nonempty-word profiles, closed once per such set: the
-        solve takes the star and the ω of each self-loop coefficient."""
-        gens = frozenset([p for p in a if not self.empty[p]])
-        out = self._closures.get(gens)
-        if out is None:
-            out = self._closures[gens] = self.s_plus(gens)
-        return out
-
-    # -- FinAbs operations ----------------------------------------------------
-
-    def concat_fin(self, a: FinAbs, b: FinAbs) -> FinAbs:
-        # ε̂ is a two-sided identity; most products are cached, so they are
-        # looked up here, saving a call each
-        if a == self.fin_eps:
-            return b
-        if b == self.fin_eps:
-            return a
-        out = []
-        for p in a:
-            products = self._mul[p]
-            for q in b:
-                pq = products.get(q)
-                out.append(self.compose(p, q) if pq is None else pq)
-        return frozenset(out)
-
-    def star(self, a: FinAbs) -> FinAbs:
-        """ε̂ and S⁺ of a's other profiles: ε̂ is the only empty-tagged
-        profile, and a two-sided identity on the profiles of nonempty
-        words, so it adds no product."""
-        return self.fin_eps | self._closure(a)
-
-    def omega(self, a: FinAbs) -> MixAbs:
-        """Abstraction of (γ a)^ω: finite words from infinitely many ε picks,
-        infinite words as linked stem/idempotent-cycle pairs.  With ε̂ ∈ a
-        the finite part is the star of a."""
-        splus = self._closure(a)
-        fin = self.fin_eps | splus if self.eps in a else FIN_BOTTOM
-        # stems with an ε̂ prefix factor are covered by s ∈ S⁺ itself;
-        # a bare ε̂ stem never satisfies s·e = s since e is nonempty.
-        idempotents = [e for e in splus if self.compose(e, e) == e]
-        pairs = frozenset((s, e) for e in idempotents for s in splus
-                          if self.compose(s, e) == s)
-        return MixAbs(fin, pairs)
-
-    def concat_fin_mix(self, a: FinAbs, x: MixAbs) -> MixAbs:
-        if a == self.fin_eps:
-            return x
-        fin = self.concat_fin(a, x.fin)
-        out = []
-        for p in a:
-            products = self._mul[p]
-            for s, e in x.inf:
-                ps = products.get(s)
-                out.append((self.compose(p, s) if ps is None else ps, e))
-        return MixAbs(fin, frozenset(out))
-
-    def mix_join(self, x: MixAbs, y: MixAbs) -> MixAbs:
-        return MixAbs(x.fin | y.fin, x.inf | y.inf)
-
     # -- acceptance of words ---------------------------------------------------
 
     def prefix_profiles(self, prefixes: list[int],
@@ -305,7 +243,7 @@ class ProfileMonoid:
 
     def accepts_finite_of(self, p: int) -> bool:
         """The automaton accepts the words of profile p (NFA reading)."""
-        return self._accepts[p]
+        return self.accepts[p]
 
     def dead_position(self, prefixes: list[int]) -> int | None:
         """The length of the shortest prefix of a word that no run from an
@@ -313,7 +251,7 @@ class ProfileMonoid:
         given the profiles of every prefix of the word (``prefix_profiles``).
         A prefix no run reads has no extension that a run reads, so the
         last profile tells whether there is one."""
-        starts = self._starts
+        starts = self.starts
         if len(prefixes) == 1 or starts[prefixes[-1]]:
             return None
         return next(i for i in range(1, len(prefixes))
@@ -326,46 +264,16 @@ class ProfileMonoid:
         With e the idempotent power of v's profile, the word is u·w·w·w···
         for a word w with profile e, so it is accepted iff a state that u·w
         reaches from an initial state loops on e through an accepting
-        visit: the test ``accepts_mix`` makes of the pair (stem·e, e),
-        exact for ultimately periodic words (Büchi 1962).  Each cycle's
-        idempotent power is found once."""
+        visit: the test ``ProfileDomain.accepts_mix`` makes of the pair
+        (stem·e, e), exact for ultimately periodic words (Büchi 1962).
+        Each cycle's idempotent power is found once."""
         e = self._idempotent.get(cycle)
         if e is None:
             e = cycle
             while self.compose(e, e) != e:  # some power of v is idempotent
                 e = self.compose(e, cycle)
             self._idempotent[cycle] = e
-        s = self._mul[stem].get(e)
+        s = self.mul[stem].get(e)
         if s is None:
             s = self.compose(stem, e)
-        return bool(self._starts[s] & self._loops[e])
-
-    # -- acceptance of abstractions --------------------------------------------
-
-    def accepts_fin(self, a: FinAbs) -> bool:
-        """Every finite word denoted by a is accepted by the automaton."""
-        accepts = self._accepts
-        return all(accepts[p] for p in a)
-
-    def accepts_mix(self, x: MixAbs) -> bool:
-        """Every word denoted by x (finite under the NFA reading, infinite
-        under the Büchi reading) is accepted: each stem reaches, from an
-        initial state, a state its cycle loops on through an accepting
-        visit.  Invariant under rotating a pair through a factorization of
-        its cycle, so checked on the raw pairs."""
-        starts, loops = self._starts, self._loops
-        return self.accepts_fin(x.fin) and all(
-            starts[s] & loops[e] for s, e in x.inf)
-
-
-def monoid_of(g: GuidelineAutomaton) -> ProfileMonoid:
-    """The guideline's monoid, built when none is alive: the analysis and
-    the counterexample search share its interned profiles and cached
-    products.  The guideline holds it weakly, since the monoid refers back
-    to the guideline and a cycle would outlive the analysis until the next
-    cyclic collection."""
-    m = g.monoid_ref() if g.monoid_ref is not None else None
-    if m is None:
-        m = ProfileMonoid(g)
-        g.monoid_ref = weakref.ref(m)
-    return m
+        return bool(self.starts[s] & self.loops[e])

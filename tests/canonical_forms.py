@@ -11,10 +11,10 @@ and inclusion therefore go through rotation saturation: close the pair set
 under (s, e) ↦ (s·χ, ξ·e·χ) for every factorization e = χ·ξ over the
 automaton's full realizable monoid.  Saturated sets are canonical forms.
 
-``CanonicalMonoid`` adds these to ``ProfileMonoid``; ``CanonicalDomain`` is
-the ``ProfileDomain`` built over it, with the language equality, inclusion
-and membership probes the reference domains also offer, and their
-abstraction of an NFA (``profile_reference.alpha_nfa``).
+``CanonicalMonoid`` adds these to ``ProfileMonoid``.  ``CanonicalDomain``
+is the ``ProfileDomain`` whose lattice operators compose on one, with the
+language equality, inclusion and membership probes the reference domains
+also offer, and their abstraction of an NFA (``profile_reference.alpha_nfa``).
 """
 
 from __future__ import annotations
@@ -162,6 +162,7 @@ class CanonicalMonoid(ProfileMonoid):
 class CanonicalDomain(ProfileDomain):
     def __init__(self, guideline: GuidelineAutomaton):
         super().__init__(guideline)
+        # before any operator runs, so every profile is the canonical one's
         self.monoid = CanonicalMonoid(guideline)
 
     def fin_bottom(self):

@@ -68,7 +68,7 @@ class RowLoopMonoid(ProfileMonoid):
     interning and every other operator are the package's."""
 
     def compose(self, p1: int, p2: int) -> int:
-        products = self._mul[p1]
+        products = self.mul[p1]
         out = products.get(p2)
         if out is not None:
             return out

@@ -274,25 +274,35 @@ def test_analyze_never_closes_the_profile_monoid(monkeypatch):
 
 
 def test_the_search_reads_the_monoid_the_analysis_built(monkeypatch):
-    domains, searched = [], []
+    """``analyze`` hands its domain's monoid to the search, which builds
+    none of its own."""
+    domains, searched, built = [], [], []
 
     class Recording(cli.ProfileDomain):
         def __init__(self, guideline):
             super().__init__(guideline)
             domains.append(self)
 
-    real = cli.monoid_of
+    class Counting(cli.ProfileMonoid):
+        def __init__(self, guideline):
+            super().__init__(guideline)
+            built.append(self)
 
-    def recording(guideline):
-        searched.append(real(guideline))
-        return searched[-1]
+    real = cli._counterexample
+
+    def recording(prog, monoid, *rest):
+        searched.append(monoid)
+        return real(prog, monoid, *rest)
 
     monkeypatch.setattr(cli, "ProfileDomain", Recording)
-    monkeypatch.setattr(cli, "monoid_of", recording)
+    monkeypatch.setattr(cli, "ProfileMonoid", Counting)
+    monkeypatch.setattr(cli, "_counterexample", recording)
     prog, gl, cfg = serve_inputs("serve_liveness.gl")
-    analyze(prog, gl, intrinsics=cfg, fuel=FUEL, entries=["Server.serve"])
+    report = analyze(prog, gl, intrinsics=cfg, fuel=FUEL,
+                     entries=["Server.serve"])
     (domain,) = domains
-    assert searched and all(m is domain.monoid for m in searched)
+    assert report.counterexamples
+    assert searched == [domain.monoid] and built == []
 
 
 def test_demand_driven_restricts_to_reachable():
@@ -411,13 +421,13 @@ def test_a_repeated_entry_is_searched_and_reported_once(monkeypatch, capsys):
     assert run_main(*args, "--entry", "Server.serve") == 1
     once = capsys.readouterr().out
     searched = []
-    real = cli.find_counterexample
+    real = cli._counterexample
 
-    def recording(prog, guideline, entry, *rest):
+    def recording(prog, monoid, entry, *rest):
         searched.append(entry)
-        return real(prog, guideline, entry, *rest)
+        return real(prog, monoid, entry, *rest)
 
-    monkeypatch.setattr(cli, "find_counterexample", recording)
+    monkeypatch.setattr(cli, "_counterexample", recording)
     assert run_main(*args, "--entry", "Server.serve",
                     "--entry", "Server.serve") == 1
     assert capsys.readouterr().out == once
@@ -808,11 +818,15 @@ def test_main_reports_config_and_option_errors_before_typing_violations(
 @pytest.mark.parametrize("config, message", [
     ("Server.ask(@nowhere) -> Unknown emits eps\n",
      "no allocation site labelled 'nowhere'"),
+    # an empty pattern is no pattern: read as none, the stub would pass
+    ("Server.poll(,) -> Unknown emits eps\n",
+     "line 1: empty argument pattern in 'Server.poll(,)'"),
     # Server.ask sorts first, but the arity error of Server.poll wins
     ("Server.poll(_) -> Unknown emits eps\n"
      "Server.ask(@nowhere) -> Unknown emits eps\n",
      "stub Server.poll has 1 pattern(s), method declares 0 parameter(s)"),
-], ids=["bad-argument-label", "arity-before-argument-label"])
+], ids=["bad-argument-label", "empty-argument-pattern",
+        "arity-before-argument-label"])
 def test_main_checks_every_stub_label_before_inference(
         config, message, tmp_path, monkeypatch, capsys):
     def no_inference(*args, **kwargs):
@@ -1096,6 +1110,26 @@ def analyze_sources(tmp_path, capsys, program, guideline, *argv, config=None):
                     "--guideline", str(tmp_path / "rules.gl"), *argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# No accepting state, so every word is rejected; each program's only run
+# gets stuck on null after emitting a.
+NOTHING_ACCEPTED = "alphabet: a\nstates: q\ninitial: q\n"
+
+
+@pytest.mark.parametrize("program, part", [
+    ("class A { Object m() { emit a; throw null; } }", "throws"),
+    ("class A { A f; Object m() { A x = null; emit a; A y = x.f; "
+     "return y; } }", "returns"),
+], ids=["throw-null", "field-read-through-null"])
+def test_a_fail_only_a_stuck_run_shows_has_no_witness(tmp_path, capsys,
+                                                     program, part):
+    # the type checks allow both programs; the search drops the stuck run
+    code, out, err = analyze_sources(tmp_path, capsys, program,
+                                     NOTHING_ACCEPTED, "--entry", "A.m")
+    assert (code, err) == (1, "")
+    assert f"{part}:FAIL" in out and out.endswith("verdict: fail\n")
+    assert "counterexample" not in out
 
 
 # Only C.m emits bad, and the stub on P.m sits between C and G; x.m()

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from guidecheck.guideline import GuidelineAutomaton, GuidelineError, parse_guideline
-from guidecheck.profiles import ProfileMonoid, monoid_of
+from guidecheck.profiles import ProfileMonoid
 
 from conftest import (
     all_words,
@@ -121,21 +121,21 @@ def test_comments_and_blank_lines_ignored():
     g = parse_guideline(
         "# a comment\nalphabet: a b\n\nstates: s\ninitial: s\naccepting: s\ntrans: s a s\n"
     )
-    assert WordReading(monoid_of(g)).accepts_finite(["a"])
+    assert WordReading(ProfileMonoid(g)).accepts_finite(["a"])
 
 
 # --- finite reading ----------------------------------------------------------
 
 
 def test_parity_membership():
-    m = WordReading(monoid_of(load("parity.gl")))
+    m = WordReading(ProfileMonoid(load("parity.gl")))
     for k in range(9):
         assert m.accepts_finite(["a"] * k) == (k % 2 == 1)
 
 
 def test_dead_position():
     g = load("double_letter.gl")
-    for reading in (WordReading(monoid_of(g)), NfaReading(g)):
+    for reading in (WordReading(ProfileMonoid(g)), NfaReading(g)):
         assert reading.dead_position(["a", "a"]) is None
         # qf has no outgoing edges, so a third letter kills the run
         assert reading.dead_position(["a", "a", "b"]) == 3
@@ -166,7 +166,7 @@ def test_letter_rel_marks_accepting_endpoints():
 
 def test_parity_lassos():
     g = load("parity.gl")
-    m = WordReading(monoid_of(g))
+    m = WordReading(ProfileMonoid(g))
     assert m.accepts_lasso([], ["a"])  # visits odd every other step
     assert m.accepts_lasso(["a"], ["a", "a"]) is True
     assert m.accepts_lasso([], ["a", "a"]) is True  # run still crosses odd
@@ -174,7 +174,7 @@ def test_parity_lassos():
 
 
 def test_liveness_fixture_rejects_silent_debtor():
-    m = WordReading(monoid_of(load("serve_liveness.gl")))
+    m = WordReading(ProfileMonoid(load("serve_liveness.gl")))
     # access then nothing but more accesses: owing forever
     assert not m.accepts_lasso(["access"], ["access"])
     assert m.accepts_lasso([], ["log"])
@@ -184,14 +184,14 @@ def test_liveness_fixture_rejects_silent_debtor():
 
 def test_cycle_must_be_nonempty():
     g = load("parity.gl")
-    for reading in (WordReading(monoid_of(g)), NfaReading(g)):
+    for reading in (WordReading(ProfileMonoid(g)), NfaReading(g)):
         with pytest.raises(ValueError):
             reading.accepts_lasso(["a"], [])
 
 
 def test_lasso_rotation_and_unrolling_invariance():
     g = load("double_letter.gl")
-    m = WordReading(monoid_of(g))
+    m = WordReading(ProfileMonoid(g))
     rng = random.Random(11)
     for _ in range(60):
         u = [rng.choice(g.alphabet) for _ in range(rng.randrange(3))]
@@ -208,7 +208,7 @@ def test_lasso_against_bruteforce_on_random_automata():
     checked = 0
     for _ in range(150):
         g = random_automaton(rng)
-        m, reading = WordReading(monoid_of(g)), NfaReading(g)
+        m, reading = WordReading(ProfileMonoid(g)), NfaReading(g)
         letters = list(g.alphabet)
         for _ in range(12):
             u = [rng.choice(letters) for _ in range(rng.randrange(3))]
@@ -224,7 +224,7 @@ def test_lasso_against_the_relation_power_reduction():
     rng = random.Random(20261018)
     for _ in range(150):
         g = random_automaton(rng)
-        m = WordReading(monoid_of(g))
+        m = WordReading(ProfileMonoid(g))
         for _ in range(12):
             u = [rng.choice(g.alphabet) for _ in range(rng.randrange(3))]
             v = [rng.choice(g.alphabet) for _ in range(1, 5)]
@@ -234,7 +234,7 @@ def test_lasso_against_the_relation_power_reduction():
 
 def test_lasso_exhaustive_small_words():
     g = load("serve_safety.gl")
-    m, reading = WordReading(monoid_of(g)), NfaReading(g)
+    m, reading = WordReading(ProfileMonoid(g)), NfaReading(g)
     for ul in range(3):
         for vl in range(1, 3):
             for u in itertools.product(g.alphabet, repeat=ul):

@@ -84,11 +84,22 @@ def test_comments_blank_lines_and_duplicates():
         ("A.m() -> Null emits c", "not in the alphabet"),
         ("A.m() -> Null emits a throws Unknown", "throws needs"),
         ("A.m(junk) -> Null emits a", "bad region"),
+        ("A.m(,) -> Null emits a", "empty argument pattern in 'A.m\\(,\\)'"),
+        ("A.m(_,,_) -> Null emits a", "empty argument pattern"),
+        ("A.m(_,) -> Null emits a", "empty argument pattern"),
+        ("A.m(, Null) -> Null emits a", "empty argument pattern"),
+        ("A.m( , ) -> Null emits a", "empty argument pattern"),
     ],
 )
 def test_parse_errors(line, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config(line + "\n", AB)
+
+
+def test_blank_parentheses_declare_no_pattern():
+    assert one("A.m( ) -> Null emits a\n").arg_patterns == ()
+    assert one("A.m( _ ,Null ) -> Null emits a\n").arg_patterns == (
+        None, NULL_REGION)
 
 
 def test_error_carries_line_number():
@@ -319,9 +330,9 @@ def _nfa_alpha(term, domain):
 
 
 def test_a_fresh_monoid_interns_other_profiles_under_the_fold():
-    # monoid_of keeps one monoid per guideline object: parse twice for two
-    folded, walked = (ProfileDomain(parse_guideline(FRESH_GUIDELINE))
-                      for _ in range(2))
+    # each domain builds a monoid of its own, over one guideline too
+    g = parse_guideline(FRESH_GUIDELINE)
+    folded, walked = ProfileDomain(g), ProfileDomain(g)
     term = parse_regex(FRESH_REGEX, AB)
     x, y = term.alpha(folded), _nfa_alpha(term, walked)
     assert decode_fin(folded.monoid, x) == decode_fin(walked.monoid, y)

@@ -98,9 +98,18 @@ RESTARTING_RUN = ("pending", "exhausted", "_stub_call", "_eval")
 # what served it: a fork holding its parent's candidates.  It lives in
 # tests/interp_reference.py; the search deepens through interp.Search.
 ONE_LEVEL_ENUMERATOR = ("enumerate_traces", "new_from", "forked_cycles")
+# The registry through which the search once found the analysis's monoid:
+# the guideline held it weakly.  The domain builds the monoid and analyze
+# hands it to the search.
+MONOID_REGISTRY = ("monoid_of", "monoid_ref", "weakref")
 # Names that no package module may define or name, a parameter included.
-NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, "_desugar", "fin_bottom",
-                 "mix_of_eps", "accepts_lasso")
+NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, *MONOID_REGISTRY, "_desugar",
+                 "fin_bottom", "mix_of_eps", "accepts_lasso")
+# The lattice operators over sets of profiles and (stem, cycle) pairs, with
+# the S⁺ cache star and ω share: ProfileDomain's, under its interface
+# names.  The monoid works on one profile at a time.
+SET_LEVEL = ("concat_fin", "concat_fin_mix", "star", "omega", "mix_join",
+             "accepts_fin", "accepts_mix", "_closure", "_closures")
 # Defined in the package but referred to only from tests/: the one-file
 # entry point.
 UNREFERENCED_BY_DESIGN = {"parse_program"}
@@ -311,6 +320,62 @@ def test_moved_and_deleted_names_are_named_nowhere_in_the_package():
                       "runs = interp.enumerate_traces(prog, entry)\n")
     assert sorted(set(_names(probe)) & set(NAMED_NOWHERE)) == [
         "enumerate_traces", "forked_cycles"]
+    # and an import; an attribute only ever set is no name read, so the
+    # automaton itself is checked for the registry's
+    probe = ast.parse("import weakref\nself.monoid_ref = None\n")
+    assert sorted(set(_names(probe)) & set(NAMED_NOWHERE)) == ["weakref"]
+    g = parse_guideline("alphabet: a\nstates: q\ninitial: q\n")
+    assert [name for name in MONOID_REGISTRY if hasattr(g, name)] == []
+
+
+def test_the_monoid_leaves_the_lattice_operators_to_the_domain():
+    g = parse_guideline("alphabet: a\nstates: q\ninitial: q\naccepting: q\n"
+                        "trans: q a q\n")
+    monoid = ProfileMonoid(g)
+    assert [name for name in SET_LEVEL if hasattr(monoid, name)] == []
+
+
+def _forwarders(tree: ast.Module) -> list:
+    """The methods of ProfileDomain whose body, a docstring aside, is one
+    ``return self.monoid.<method>(...)``."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef)
+                and node.name == "ProfileDomain"):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            body = [stmt for stmt in item.body
+                    if not (isinstance(stmt, ast.Expr)
+                            and isinstance(stmt.value, ast.Constant))]
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Attribute)
+                    and call.func.value.attr == "monoid"
+                    and isinstance(call.func.value.value, ast.Name)
+                    and call.func.value.value.id == "self"):
+                out.append(item.name)
+    return out
+
+
+def test_no_profile_domain_method_only_forwards_to_the_monoid():
+    tree = _tree(PACKAGE_DIR / "domains.py")
+    assert _forwarders(tree) == []
+    # the guard sees a forwarder, and not a method that reads the monoid
+    probe = ast.parse(
+        "class ProfileDomain:\n"
+        "    def star(self, x):\n"
+        "        \"\"\"S*.\"\"\"\n"
+        "        return self.monoid.star(x)\n"
+        "    def alpha_word(self, w):\n"
+        "        return frozenset({self.monoid.profile_of_word(w)})\n"
+        "    def fin_height(self):\n"
+        "        return len(self.monoid.zero) + 1\n")
+    assert _forwarders(probe) == ["star"]
 
 
 # The class tables stay closed under the hierarchy only if every write goes

@@ -29,7 +29,13 @@ from guidecheck.solver import EquationSystem, solve
 
 import profile_reference as ref
 from canonical_forms import CanonicalMonoid
-from conftest import all_words, bench_sized_automaton, fixture, random_automaton
+from conftest import (
+    all_words,
+    bench_sized_automaton,
+    fixture,
+    load_domain,
+    random_automaton,
+)
 from language_oracle import lang_omega
 from nfa import Nfa
 from nfa_words import nfa_accepts, nfa_full, nfa_of_words, nfa_word
@@ -64,7 +70,9 @@ def brute_profile(m, word):
 
 # Hand-computed profiles over parity.gl (states even/odd, odd accepting,
 # a toggles): one a always crosses an accepting endpoint, two a's loop.
-PAR = load_monoid("parity.gl")
+# The set-level operators are PAR_DOMAIN's, over PAR.
+PAR_DOMAIN = load_domain("parity.gl")
+PAR = PAR_DOMAIN.monoid
 P_A = profile_of_triples(PAR, {("even", 1, "odd"), ("odd", 1, "even")})
 P_AA = profile_of_triples(PAR, {("even", 1, "even"), ("odd", 1, "odd")})
 
@@ -101,17 +109,18 @@ def test_profile_composition_is_a_homomorphism():
 
 def test_empty_word_tag_distinguishes_degenerate_profiles():
     # one accepting state with an a-self-loop: P(a) has the same triples as ε̂
-    m = ProfileMonoid(
+    d = ProfileDomain(
         parse_guideline(
             "alphabet: a\nstates: q\ninitial: q\naccepting: q\ntrans: q a q\n"
         )
     )
+    m = d.monoid
     pa = m.profile_of_word(["a"])
     assert triples_of(m, pa) == triples_of(m, m.eps)
     assert pa != m.eps
     # and the tag is what keeps aω alive: ε̂ alone can never build a cycle pair
-    assert m.omega(frozenset({pa})).inf
-    assert m.omega(frozenset({m.eps})).inf == frozenset()
+    assert d.omega(frozenset({pa})).inf
+    assert d.omega(frozenset({m.eps})).inf == frozenset()
 
 
 def test_elements_cover_all_word_profiles():
@@ -122,17 +131,18 @@ def test_elements_cover_all_word_profiles():
 
 
 def test_elements_close_on_first_use_only():
-    m = ProfileMonoid(load_guideline(fixture("serve_liveness.gl")))
-    m.omega(frozenset({m.profile_of_word(["log"])}))
+    d = ProfileDomain(load_guideline(fixture("serve_liveness.gl")))
+    m = d.monoid
+    d.omega(frozenset({m.profile_of_word(["log"])}))
     assert "elements" not in m.__dict__
     assert m.elements is m.elements
     assert "elements" in m.__dict__
 
 
 @pytest.mark.parametrize("close", [
-    lambda m: m.elements,
-    lambda m: m.star(frozenset(m.letters.values())),
-    lambda m: m.profile_of_word(["a"] * 3),
+    lambda d: d.monoid.elements,
+    lambda d: d.star(frozenset(d.monoid.letters.values())),
+    lambda d: d.monoid.profile_of_word(["a"] * 3),
 ], ids=["elements", "star", "word"])
 def test_every_closure_raises_past_the_monoid_cap(monkeypatch, close):
     g = load_guideline(fixture("count_mod3.gl"))
@@ -141,10 +151,10 @@ def test_every_closure_raises_past_the_monoid_cap(monkeypatch, close):
     assert full > letters + 1
     # ε̂ and the letters fit under the cap, so construction succeeds
     monkeypatch.setattr(profiles, "MONOID_CAP", letters)
-    m = ProfileMonoid(g)
+    d = ProfileDomain(g)
     with pytest.raises(RuntimeError, match="profile monoid exceeded size cap"):
-        close(m)
-    assert len(m.zero) == letters + 1  # nothing interned past the cap
+        close(d)
+    assert len(d.monoid.zero) == letters + 1  # nothing interned past the cap
     # at the monoid's own size less ε̂, the closure fits exactly
     monkeypatch.setattr(profiles, "MONOID_CAP", full - 1)
     assert len(ProfileMonoid(g).elements) == full
@@ -183,33 +193,33 @@ def test_alpha_nfa_on_random_pairs():
 
 def test_concat_star_frozen_values_on_parity():
     a1 = frozenset({P_A})
-    assert PAR.concat_fin(a1, a1) == frozenset({P_AA})
-    assert PAR.star(a1) == frozenset({PAR.eps, P_A, P_AA})
-    assert PAR.concat_fin(FIN_BOTTOM, a1) == FIN_BOTTOM
+    assert PAR_DOMAIN.fin_concat(a1, a1) == frozenset({P_AA})
+    assert PAR_DOMAIN.star(a1) == frozenset({PAR.eps, P_A, P_AA})
+    assert PAR_DOMAIN.fin_concat(FIN_BOTTOM, a1) == FIN_BOTTOM
 
 
 def test_omega_on_parity():
-    x = PAR.omega(frozenset({P_A}))
+    x = PAR_DOMAIN.omega(frozenset({P_A}))
     assert x.fin == FIN_BOTTOM  # no ε in the base language
     assert x.inf == frozenset({(P_A, P_AA), (P_AA, P_AA)})
-    assert PAR.accepts_mix(x)  # a^ω alternates through odd forever
+    assert PAR_DOMAIN.accepts_mix(x)  # a^ω alternates through odd forever
     assert PAR.member_up_word([], ["a"], x)
     assert PAR.member_up_word(["a"], ["a", "a"], x)
 
 
 def test_omega_with_epsilon_keeps_finite_unfoldings():
-    x = PAR.omega(frozenset({PAR.eps, P_A}))
+    x = PAR_DOMAIN.omega(frozenset({PAR.eps, P_A}))
     assert PAR.member_fin([], x.fin)  # picking ε forever emits nothing
     assert PAR.member_fin(["a"], x.fin)
     assert PAR.member_up_word([], ["a"], x)
-    assert PAR.omega(FIN_BOTTOM) == MIX_BOTTOM
+    assert PAR_DOMAIN.omega(FIN_BOTTOM) == MIX_BOTTOM
 
 
 def test_accepts_fin_quantifies_over_every_member():
-    assert PAR.accepts_fin(frozenset({P_A}))
-    assert not PAR.accepts_fin(frozenset({P_AA}))  # aa ends in even
-    assert not PAR.accepts_fin(frozenset({P_A, P_AA}))
-    assert PAR.accepts_fin(FIN_BOTTOM)  # vacuous
+    assert PAR_DOMAIN.accepts_fin(frozenset({P_A}))
+    assert not PAR_DOMAIN.accepts_fin(frozenset({P_AA}))  # aa ends in even
+    assert not PAR_DOMAIN.accepts_fin(frozenset({P_A, P_AA}))
+    assert PAR_DOMAIN.accepts_fin(FIN_BOTTOM)  # vacuous
 
 
 # Two states bouncing on a/b; P(ab) ≠ P(ba), so rotations genuinely move pairs.
@@ -254,8 +264,8 @@ def test_mix_eq_modulo_saturation():
 def test_mix_leq_is_a_partial_order_on_samples():
     m = PAR
     bot = MIX_BOTTOM
-    x = m.omega(frozenset({P_A}))
-    y = m.mix_join(x, MixAbs(frozenset({P_A}), frozenset()))
+    x = PAR_DOMAIN.omega(frozenset({P_A}))
+    y = PAR_DOMAIN.mix_join(x, MixAbs(frozenset({P_A}), frozenset()))
     assert m.mix_leq(bot, x) and m.mix_leq(x, y)
     assert not m.mix_leq(y, x)
     assert m.mix_leq(x, x)
@@ -265,7 +275,8 @@ def test_acceptance_invariant_under_saturation():
     rng = random.Random(34)
     for _ in range(30):
         g = random_automaton(rng)
-        m = CanonicalMonoid(g)
+        d = load_domain(g)
+        m = d.monoid
         elems = sorted(m.elements, key=lambda p: ref.describe(m, p))
         pairs = set()
         for _ in range(3):
@@ -274,7 +285,7 @@ def test_acceptance_invariant_under_saturation():
                 pairs.add((s, e))
         x = MixAbs(frozenset(), frozenset(pairs))
         y = m.normalize_mix(x)
-        assert m.accepts_mix(x) == m.accepts_mix(y)
+        assert d.accepts_mix(x) == d.accepts_mix(y)
         for _ in range(5):
             u = [rng.choice(g.alphabet) for _ in range(rng.randrange(3))]
             v = [rng.choice(g.alphabet) for _ in range(1, 3)]
@@ -284,7 +295,7 @@ def test_acceptance_invariant_under_saturation():
 def test_extendable_into():
     # parity: a extends to aa, so P(a) reaches the {P(aa)} target
     assert PAR.extendable_into(P_A, [frozenset({P_AA})], [])
-    assert PAR.extendable_into(P_A, [], [PAR.omega(frozenset({P_A}))])
+    assert PAR.extendable_into(P_A, [], [PAR_DOMAIN.omega(frozenset({P_A}))])
     assert not PAR.extendable_into(P_A, [], [])
     # first_letter: nothing leaves qa, so a P(b)-shaped target is unreachable
     m = load_monoid("first_letter.gl")
@@ -295,12 +306,13 @@ def test_extendable_into():
 
 def test_alpha_lang_matches_omega_on_pure_iteration():
     for name in ("parity.gl", "double_letter.gl", "count_mod3.gl"):
-        m = load_monoid(name)
+        d = load_domain(name)
+        m = d.monoid
         base = nfa_of_words([("a",), ("b", "b")], m.g.alphabet) if len(
             m.g.alphabet
         ) > 1 else Nfa.letter("a", m.g.alphabet)
         got = m.alpha_lang(lang_omega(base))
-        want = m.omega(ref.alpha_nfa(m, base))
+        want = d.omega(ref.alpha_nfa(m, base))
         assert m.mix_eq(got, want)
 
 
@@ -358,13 +370,14 @@ def test_packed_acceptance_agrees_with_triple_definitions():
     rng = random.Random(37)
     for _ in range(200):
         g = random_automaton(rng)
-        m = ProfileMonoid(g)
+        d = ProfileDomain(g)
+        m = d.monoid
         fin = frozenset(_operand(rng, m) for _ in range(rng.randrange(3)))
         inf = frozenset((_operand(rng, m), _operand(rng, m))
                         for _ in range(rng.randrange(3)))
-        assert m.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
+        assert d.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
         x = MixAbs(fin, inf)
-        assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
+        assert d.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
 
 
 def test_profiles_are_interned_per_monoid_and_equal_across_monoids():
@@ -417,9 +430,10 @@ def test_omega_matches_its_two_closure_reference():
     rng = random.Random(40)
     for k in range(60):
         g = random_automaton(rng)
-        m = ProfileMonoid(g)
+        d = ProfileDomain(g)
+        m = d.monoid
         a = _words_profiles(rng, m, rng.randint(0, 3), with_eps=k % 2 == 0)
-        got = ref.decode_mix(m, m.omega(a))
+        got = ref.decode_mix(m, d.omega(a))
         assert got == ref.omega_triples(g, ref.decode_fin(m, a)), (g, a)
 
 
@@ -427,7 +441,8 @@ def test_operators_agree_with_triples_on_bench_sized_automata():
     rng = random.Random(41)
     for _ in range(4):
         g = bench_sized_automaton(rng)
-        m = ProfileMonoid(g)
+        d = ProfileDomain(g)
+        m = d.monoid
         for _ in range(40):
             p, q = _operand(rng, m), _operand(rng, m)
             assert triples_of(m, m.compose(p, q)) == ref.compose_triples(
@@ -436,15 +451,15 @@ def test_operators_agree_with_triples_on_bench_sized_automata():
             fin = frozenset(_operand(rng, m) for _ in range(rng.randrange(3)))
             inf = frozenset((_operand(rng, m), _operand(rng, m))
                             for _ in range(rng.randrange(3)))
-            assert m.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
+            assert d.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
             x = MixAbs(fin, inf)
-            assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
+            assert d.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
         for k in range(6):
             a = _words_profiles(rng, m, rng.randint(1, 2), with_eps=k % 2 == 0)
-            x = m.omega(a)
+            x = d.omega(a)
             assert ref.decode_mix(m, x) == ref.omega_triples(
                 g, ref.decode_fin(m, a)), (g, a)
-            assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, a)
+            assert d.accepts_mix(x) == ref.accepts_mix(m, x), (g, a)
 
 
 # emits every letter, loops through two methods, and diverges, so inference,
@@ -504,7 +519,8 @@ def test_packed_kernel_matches_the_triple_reference_up_to_twelve_states():
     for n in range(1, 13):
         for _ in range(3):
             g = _sized_automaton(rng, n)
-            m = ProfileMonoid(g)
+            d = ProfileDomain(g)
+            m = d.monoid
             for _ in range(30):
                 p, q = _operand(rng, m), _operand(rng, m)
                 pq = m.compose(p, q)
@@ -513,22 +529,31 @@ def test_packed_kernel_matches_the_triple_reference_up_to_twelve_states():
                 assert m.empty[pq] == (m.empty[p] and m.empty[q])
                 tagged += m.empty[p] or m.empty[q]
                 fin = frozenset({p, pq})
-                assert m.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
+                assert d.accepts_fin(fin) == ref.accepts_fin(m, fin), (g, fin)
                 x = MixAbs(fin, frozenset({(p, q), (pq, q)}))
-                assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
+                assert d.accepts_mix(x) == ref.accepts_mix(m, x), (g, x)
             for k in range(4):
                 a = _words_profiles(rng, m, rng.randint(0, 2),
                                     with_eps=k % 2 == 0)
-                x = m.omega(a)
+                x = d.omega(a)
                 assert ref.decode_mix(m, x) == ref.omega_triples(
                     g, ref.decode_fin(m, a)), (g, a)
-                assert m.accepts_mix(x) == ref.accepts_mix(m, x), (g, a)
+                assert d.accepts_mix(x) == ref.accepts_mix(m, x), (g, a)
     assert tagged > 100
 
 
-def _drive(rng, m):
-    """One fixed mix of the operators on m: the closure, words, products,
-    stars, ω and concatenations of small sets, all drawn from rng."""
+def _domain_over(monoid):
+    """A profile domain whose operators compose on the given monoid."""
+    domain = ProfileDomain(monoid.g)
+    domain.monoid = monoid
+    return domain
+
+
+def _drive(rng, d):
+    """One fixed mix of the operators on d's monoid: the closure, words,
+    products, stars, ω and concatenations of small sets, all drawn from
+    rng."""
+    m = d.monoid
     m.elements
     words = [[rng.choice(m.g.alphabet) for _ in range(rng.randrange(6))]
              for _ in range(20)]
@@ -536,8 +561,8 @@ def _drive(rng, m):
     for _ in range(20):
         a = frozenset(rng.sample(built, rng.randint(1, 3)))
         b = frozenset(rng.sample(built, rng.randint(1, 3)))
-        m.concat_fin_mix(m.concat_fin(a, b), m.omega(b))
-        m.star(a)
+        d.fin_mix_concat(d.fin_concat(a, b), d.omega(b))
+        d.star(a)
 
 
 def test_the_row_loop_product_interns_the_same_profiles_in_the_same_order():
@@ -551,14 +576,13 @@ def test_the_row_loop_product_interns_the_same_profiles_in_the_same_order():
         seed = rng.random()
         packed, rows = ProfileMonoid(g), ref.RowLoopMonoid(g)
         for m in (packed, rows):
-            _drive(random.Random(seed), m)
+            _drive(random.Random(seed), _domain_over(m))
         assert len(packed.zero) == len(rows.zero) > 100
         assert [ref.describe(packed, p) for p in range(len(packed.zero))] == [
             ref.describe(rows, p) for p in range(len(rows.zero))]
         tables = []
         for monoid in (ProfileMonoid(g), ref.RowLoopMonoid(g)):
-            domain = ProfileDomain(g)
-            domain.monoid = monoid
+            domain = _domain_over(monoid)
             prog = parse_program(THREE_LETTER_LOOP, alphabet=domain.alphabet)
             table = infer(prog, domain)
             eta = solve(EquationSystem.from_table(table, domain), domain)
@@ -571,28 +595,29 @@ def test_the_row_loop_product_interns_the_same_profiles_in_the_same_order():
 
 
 def test_eps_hat_concatenates_as_the_identity():
-    """``concat_fin`` returns the other operand when one side is {ε̂}, and
-    ``concat_fin_mix`` its mixed operand when the finite one is; the
+    """``fin_concat`` returns the other operand when one side is {ε̂}, and
+    ``fin_mix_concat`` its mixed operand when the finite one is; the
     elementwise products agree, and ``star`` closes the nonempty
     generators only, which gives the star of the whole set."""
     rng = random.Random(45)
     automata = [random_automaton(rng) for _ in range(20)]
     automata += [bench_sized_automaton(rng) for _ in range(3)]
     for g in automata:
-        m = ProfileMonoid(g)
+        d = ProfileDomain(g)
+        m = d.monoid
         for k in range(6):
             a = _words_profiles(rng, m, rng.randint(1, 3), with_eps=k % 2 == 0)
             elementwise = frozenset(m.compose(m.eps, p) for p in a)
-            assert m.concat_fin(m.fin_eps, a) is a
-            assert m.concat_fin(a, m.fin_eps) is a
+            assert d.fin_concat(m.fin_eps, a) is a
+            assert d.fin_concat(a, m.fin_eps) is a
             assert elementwise == a == frozenset(
                 m.compose(p, m.eps) for p in a), (g, a)
-            assert m.star(a) == m.fin_eps | m.s_plus(a), (g, a)
-            x = m.omega(a)
-            assert m.concat_fin_mix(m.fin_eps, x) is x
+            assert d.star(a) == m.fin_eps | m.s_plus(a), (g, a)
+            x = d.omega(a)
+            assert d.fin_mix_concat(m.fin_eps, x) is x
             assert x.inf == frozenset(
                 (m.compose(m.eps, s), e) for s, e in x.inf), (g, a)
-            assert m.concat_fin(a, a) == frozenset(
+            assert d.fin_concat(a, a) == frozenset(
                 m.compose(p, q) for p in a for q in a), (g, a)
 
 
