@@ -412,81 +412,85 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
     witnessed by a repeated call configuration and validated by replay —
     whose trace stem·cycle^ω the guideline rejects.
 
-    Each run holds only the candidates that calls of this level recorded,
-    so each candidate is judged once per search, at the first level that
-    finds it.  That loses no witness: acceptance depends only on the
-    traces, and a candidate found at fuel L repeats within L calls, so its
-    stem and two cycles take at most 2L+1 calls, under the replay's fuel of
-    4L+8.  The replay is deterministic in its script, so a rejected
-    candidate is confirmed at the level that judges it or at none.  A run
-    keeps the profiles of its trace's prefixes across levels, so a level
-    composes only the letters it added to the trace."""
+    Each run holds only the repeats that calls of this level recorded, so
+    each lasso is judged once per search, at the first level that finds
+    it.  That loses no witness: acceptance depends only on the traces, and
+    a lasso found at fuel L repeats within L calls, so its stem and two
+    cycles take at most 2L+1 calls, under the replay's fuel of 4L+8.  The
+    replay is deterministic in its script, so a rejected lasso is confirmed
+    at the level that judges it or at none.  A run keeps the profiles of
+    its trace's prefixes across levels, so a level composes only the
+    letters it added to the trace."""
     for run in runs:
         if isinstance(run.outcome, (Terminated, Thrown)):
-            w = run.outcome.trace
-            prefixes = monoid.prefix_profiles(run.prefixes, w)
+            prefixes = monoid.prefix_profiles(run.prefixes, run.trace)
             if not monoid.accepts_finite_of(prefixes[-1]):
                 pos = monoid.dead_position(prefixes)
                 return Counterexample(
-                    entry, "finite-trace", w,
-                    position=pos if pos is not None else len(w),
+                    entry, "finite-trace", tuple(run.trace),
+                    position=pos if pos is not None else len(run.trace),
                 )
 
     for run in runs:
         if isinstance(run.outcome, OutOfFuel):
-            w = run.outcome.trace
-            pos = monoid.dead_position(monoid.prefix_profiles(run.prefixes, w))
+            pos = monoid.dead_position(
+                monoid.prefix_profiles(run.prefixes, run.trace))
             if pos is not None:
-                return Counterexample(entry, "dead-prefix", w, position=pos)
+                return Counterexample(entry, "dead-prefix", tuple(run.trace),
+                                      position=pos)
 
     for run in runs:
-        for cand, accepted in _lasso_verdicts(monoid, run):
+        for stem, end, accepted in _lasso_verdicts(monoid, run):
             if accepted:
                 continue
-            if _replay_confirms(prog, entry, run, cand, fuel, intrinsics):
-                stem = run.trace[:cand.stem_end]
-                cycle = run.trace[cand.stem_end:cand.cycle_end]
+            if _replay_confirms(prog, entry, run, stem, end, fuel, intrinsics):
+                stem_end, cycle_end = stem[0], end[0]
+                cycle = tuple(run.trace[stem_end:cycle_end])
                 kind = "divergence" if cycle else "silent-divergence"
-                return Counterexample(entry, kind, stem, cycle=cycle)
+                return Counterexample(entry, kind,
+                                      tuple(run.trace[:stem_end]), cycle=cycle)
     return None
 
 
 def _lasso_verdicts(monoid, run) -> Iterator[tuple]:
-    """Each of run's candidates, in order, with whether the guideline
-    accepts its trace: stem·cycle^ω, or the stem alone when the cycle is
-    empty.  The stems are prefixes of the run's trace, whose profiles the
-    run keeps across levels (``prefix_profiles``); the candidates one call
-    records end their cycles at the same offset, so the cycles' profiles
-    are built right to left from there, each letter composed once."""
+    """For each of run's repeats in order, and each open call it repeats,
+    outermost first: the (trace length, script position) pairs at the open
+    call and at the repeat, and whether the guideline accepts the lasso's
+    trace, stem·cycle^ω, or the stem alone when the cycle is empty.  The
+    stems are prefixes of the run's trace, whose profiles the run keeps
+    across levels (``prefix_profiles``); the cycles of one repeat end at
+    the same offset, so their profiles are built right to left from
+    there, each letter composed once."""
     if not run.cycles:
         return
     trace, letters, compose = run.trace, monoid.letters, monoid.compose
     prefix = monoid.prefix_profiles(run.prefixes, trace)
-    end = start = None
-    suffix: dict = {}  # i -> the profile of trace[i:end], for i >= start
-    for cand in run.cycles:
-        stem = prefix[cand.stem_end]
-        if cand.cycle_end == cand.stem_end:
-            yield cand, monoid.accepts_finite_of(stem)
-            continue
-        if cand.cycle_end != end:
-            end = start = cand.cycle_end
-            suffix = {end: monoid.eps}
-        while start > cand.stem_end:
-            start -= 1
-            suffix[start] = compose(letters[trace[start]], suffix[start + 1])
-        yield cand, monoid.accepts_lasso_of(stem, suffix[cand.stem_end])
+    for end, opens in run.cycles:
+        cycle_end = start = end[0]
+        suffix = {cycle_end: monoid.eps}  # i -> profile of trace[i:cycle_end]
+        for stem in opens:
+            stem_end = stem[0]
+            if stem_end == cycle_end:
+                yield stem, end, monoid.accepts_finite_of(prefix[stem_end])
+                continue
+            while start > stem_end:
+                start -= 1
+                suffix[start] = compose(letters[trace[start]],
+                                        suffix[start + 1])
+            yield stem, end, monoid.accepts_lasso_of(prefix[stem_end],
+                                                     suffix[stem_end])
 
 
-def _replay_confirms(prog, entry, run, cand, fuel, intrinsics) -> bool:
-    """Re-run the candidate's choices with the cycle pumped three times; the
-    trace must follow stem·cycle·cycle."""
-    script = run.script[:cand.cycle_choices]
-    pumped = script + script[cand.stem_choices:] * 2
+def _replay_confirms(prog, entry, run, stem, end, fuel, intrinsics) -> bool:
+    """Re-run the lasso's choices with the cycle pumped three times; the
+    trace must follow stem·cycle·cycle.  stem and end are the (trace
+    length, script position) pairs at the open call and at its repeat."""
+    (stem_end, stem_choices), (cycle_end, cycle_choices) = stem, end
+    script = run.script[:cycle_choices]
+    pumped = script + script[stem_choices:] * 2
     ev = replay_entry(prog, entry, pumped, fuel * 4 + 8, intrinsics)
-    expected = (run.trace[:cand.cycle_end]
-                + run.trace[cand.stem_end:cand.cycle_end])
-    return tuple(ev.trace[:len(expected)]) == expected
+    expected = run.trace[:cycle_end] + run.trace[stem_end:cycle_end]
+    return ev.trace[:len(expected)] == expected
 
 
 # -- command line ----------------------------------------------------------------

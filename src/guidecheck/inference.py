@@ -222,7 +222,7 @@ def catch_split(h: dict, exc_cls: str, prog: Program,
     """Split throw entries h at a handler for exc_cls into those it may
     catch and those that may escape it, holding some class that is no
     subclass of exc_cls.  Null holds only NullType, below every class, so
-    it is caught, vacuously: nothing in it is ever thrown."""
+    it is caught, as a run's handler catches a thrown null."""
     caught, escaped = {}, {}
     for r, u in h.items():
         subclass = [preceq(prog, c, exc_cls) for c in meta.cls_of(r)]

@@ -13,11 +13,13 @@ objects cannot see each other's writes.
 
 Four outcomes: normal termination, an uncaught exception, fuel exhaustion
 (each non-stub method call takes one unit of fuel, so every run is finite),
-and a failed cast.  Stuck configurations — an unbound variable, a field
-read or a call through null, throwing null — raise ``EvalStuck``, and the
-run ends there with no outcome (``TraceRun.stuck``).  The static checks
-reject unbound variables only: a well-typed program may read a field of,
-call or throw a variable that holds null, so a run of it may get stuck.
+and a failed cast.  A thrown null is an exception like any other: NullType
+lies below every class, so every handler catches it, as inference assumes.
+Stuck configurations — an unbound variable, a field access or a call
+through null — raise ``EvalStuck``, and the run ends there with no outcome
+(``Evaluator.stuck``).  The static checks reject unbound variables only: a
+well-typed program may read a field of or call a variable that holds null,
+so a run of it may get stuck.
 
 Calls that resolve to an external-call stub consume no fuel and are driven by
 a script: each stub call takes the next scripted choice (which emitted word,
@@ -37,18 +39,20 @@ higher one, so the search executes each (script prefix, call) state once:
 iterative deepening (Korf, 1985) that keeps its frontier rather than
 recomputing it.
 
-While running, the evaluator records repeat-configuration candidates: a call
-whose canonical configuration (dynamic receiver class, method, and the
-reachable heap up to location renaming) equals that of an ancestor call still
-open.  Replaying the choices made between the two entries yields an
-infinite run, so each candidate denotes a real diverging execution with trace
+While running, the evaluator records repeats: a call whose canonical
+configuration (dynamic receiver class, method, and the reachable heap up to
+location renaming) equals that of calls still open.  Replaying the choices
+made between an open call's entry and the repeat yields an infinite run, so
+each open call of a repeat denotes a real diverging execution with trace
 stem·cycle^ω; the analysis uses them to exhibit divergence counterexamples.
-A candidate copies nothing: it is four offsets into its run's trace and script.
+A repeat is one record and copies nothing: the (trace length, script
+position) pair at the repeat and the tuple of those pairs at the open calls
+of its key, outermost first.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .fjast import (
     Call,
@@ -85,44 +89,43 @@ class Obj:
 
 
 # -- outcomes ----------------------------------------------------------------
+# A run's trace and script are its own (``Evaluator.trace``, ``.script``):
+# an outcome copies neither.
 
 
 class Terminated:
-    def __init__(self, value: Value, heap: dict, trace: tuple):
+    def __init__(self, value: Value, heap: dict):
         self.value = value
         self.heap = heap
-        self.trace = trace
 
 
 class Thrown:
-    def __init__(self, location: int, heap: dict, trace: tuple):
+    def __init__(self, location: Value, heap: dict):
         self.location = location
         self.heap = heap
-        self.trace = trace
 
 
 class OutOfFuel:
-    def __init__(self, trace: tuple):
-        self.trace = trace
+    pass
 
 
 class ScriptEnd:
     """A run without forks stopped at a stub call past its script's end;
     choices are the stub's."""
 
-    def __init__(self, trace: tuple, choices: list):
-        self.trace = trace
+    def __init__(self, choices: list):
         self.choices = choices
 
 
 class CastStuck:
-    def __init__(self, trace: tuple, pos=None):
-        self.trace = trace
+    def __init__(self, pos=None):
         self.pos = pos
 
 
 class EvalStuck(Exception):
-    """A configuration with no rule: rejected statically, fatal dynamically."""
+    """A configuration with no rule: an unbound variable, or a field read,
+    field write or call through null.  The static checks rule out the
+    first only; the run ends there, with no outcome."""
 
     def __init__(self, kind: str, detail: str, pos=None):
         self.kind = kind
@@ -130,25 +133,11 @@ class EvalStuck(Exception):
         super().__init__(f"{kind}: {detail}")
 
 
-class CycleCandidate(NamedTuple):
-    """Evidence of divergence: re-entering an open call in an identical
-    canonical configuration, as offsets into the run's trace and script.
-    stem_end and stem_choices are the trace length and script position at
-    the open call, cycle_end and cycle_choices at the repeat.  Replaying
-    script[stem_choices:cycle_choices] forever after script[:stem_choices]
-    produces the trace trace[:stem_end]·trace[stem_end:cycle_end]^ω."""
-
-    stem_end: int
-    cycle_end: int
-    stem_choices: int
-    cycle_choices: int
-
-
 # Continuation frames are tuples whose first item names the frame.
 _LET = 0     # (_LET, let, env, owned): bind the value, then run let.body
 _RETURN = 1  # (_RETURN, key): the end of a call; closes its open call
 _CAST = 2    # (_CAST, cast): check the value against cast.cls
-_THROW = 3   # (_THROW, throw): throw the value
+_THROW = 3   # (_THROW,): throw the value
 _TRY = 4     # (_TRY, try, env): run try.handler on an exception it catches
 
 # What the step loop does next: evaluate an expression, hand a value to the
@@ -175,17 +164,22 @@ class Evaluator:
     until it ends or suspends.  ``fuel`` is the number of non-stub calls
     the run may make and ``calls`` the number it has made; raising
     ``fuel`` and running again resumes a run suspended for want of it.
-    ``cycles`` holds the candidates the run recorded itself: a fork starts
-    with none, those recorded before it forked stay with the run it forked
-    from.  ``prefixes`` is the caller's, one entry per prefix of the trace
-    that it has judged (the search keeps each prefix's profile there), so
-    that a run resumed at the next level keeps them; a fork starts with a
-    copy, since its trace starts with the same letters.  A run and its
-    forks share one cache of method resolution."""
+    The search sets ``outcome`` to what ``run`` last returned, or sets
+    ``stuck`` to the ``EvalStuck`` it raised.  ``trace`` and ``script``
+    only grow, so offsets into them stay valid as the run goes on.
+    ``cycles`` holds the repeats the run recorded itself, one record per
+    call that repeats open calls (see the module's docstring): a fork
+    starts with none, those recorded before it forked stay with the run it
+    forked from.  ``prefixes`` is the caller's, one entry per prefix of
+    the trace that it has judged (the search keeps each prefix's profile
+    there), so that a run resumed at the next level keeps them; a fork
+    starts with a copy, since its trace starts with the same letters.  A
+    run and its forks share one cache of method resolution."""
 
     __slots__ = ("prog", "specs", "fuel", "calls", "script", "script_pos",
-                 "trace", "prefixes", "heap", "frames", "cycles", "_opens",
-                 "_at", "_next_loc", "_next_ext", "_dispatch", "_field_names")
+                 "trace", "prefixes", "heap", "frames", "cycles", "outcome",
+                 "stuck", "_opens", "_at", "_next_loc", "_next_ext",
+                 "_dispatch", "_field_names")
 
     def __init__(
         self,
@@ -204,7 +198,11 @@ class Evaluator:
         self.prefixes: list = []
         self.heap: dict[int, Obj] = {}
         self.frames: list[tuple] = []
-        self.cycles: list[CycleCandidate] = []
+        # ((trace length, script position) at a repeat, the tuple of those
+        # at the open calls it repeats)
+        self.cycles: list[tuple] = []
+        self.outcome = None
+        self.stuck: EvalStuck | None = None
         # canonical key -> (trace length, script position) at each open
         # call with that key, outermost first
         self._opens: dict[tuple, list] = {}
@@ -250,7 +248,7 @@ class Evaluator:
                     choices = spec.choices()
                     if forks is None:
                         self._at = (recv, method, args)
-                        return ScriptEnd(tuple(trace), choices)
+                        return ScriptEnd(choices)
                     if len(choices) > 1:
                         self._fork((recv, method, args), choices, forks)
                     self.script.append(choices[0])
@@ -258,18 +256,18 @@ class Evaluator:
                 mode = _VALUE
             elif self.calls >= self.fuel:
                 self._at = (recv, method, args)
-                return OutOfFuel(tuple(trace))
+                return OutOfFuel()
             else:
                 self.calls += 1
                 key = self._canonical_key(cls, method, [recv, *args])
                 here = (len(trace), self.script_pos)
                 same = opens.get(key)
                 if same is None:
-                    same = opens[key] = []
-                for stem_end, stem_choices in same:
-                    self.cycles.append(
-                        CycleCandidate(stem_end, here[0], stem_choices, here[1]))
-                same.append(here)
+                    opens[key] = [here]
+                else:
+                    if same:
+                        self.cycles.append((here, tuple(same)))
+                    same.append(here)
                 frames.append((_RETURN, key))
                 env = {"this": recv}
                 for p, v in zip(md.params, args):
@@ -321,7 +319,7 @@ class Evaluator:
                         e, owned = e.expr, False
                         continue
                     elif kind is Throw:
-                        frames.append((_THROW, e))
+                        frames.append((_THROW,))
                         e, owned = e.expr, False
                         continue
                     elif kind is TryCatch:
@@ -333,7 +331,7 @@ class Evaluator:
                     mode = _VALUE
                 elif mode == _VALUE:
                     if not frames:
-                        return Terminated(value, heap, tuple(trace))
+                        return Terminated(value, heap)
                     frame = frames.pop()
                     tag = frame[0]
                     if tag == _LET:
@@ -349,24 +347,21 @@ class Evaluator:
                         cast = frame[1]
                         if value is not None and not preceq(
                                 prog, heap[value].cls, cast.cls):
-                            return CastStuck(tuple(trace), cast.pos)
+                            return CastStuck(cast.pos)
                     elif tag == _THROW:
-                        if value is None:
-                            raise EvalStuck("throw-null",
-                                            "thrown expression is null",
-                                            frame[1].pos)
                         mode = _RAISE
                     # a _TRY frame's body ended normally: nothing to do
-                else:  # _RAISE: value is the thrown location
+                else:  # _RAISE: value is the thrown value
                     if not frames:
-                        return Thrown(value, heap, tuple(trace))
+                        return Thrown(value, heap)
                     frame = frames.pop()
                     tag = frame[0]
                     if tag == _RETURN:
                         opens[frame[1]].pop()
                     elif tag == _TRY:
                         _, catch, env = frame
-                        if preceq(prog, heap[value].cls, catch.exc_cls):
+                        if value is None or preceq(prog, heap[value].cls,
+                                                   catch.exc_cls):
                             env = dict(env)
                             env[catch.var] = value
                             e, owned = catch.handler, True
@@ -431,6 +426,7 @@ class Evaluator:
             twin.heap = self.heap.copy()
             twin.frames = self.frames.copy()
             twin.cycles = []
+            twin.outcome = twin.stuck = None
             twin._opens = {key: same.copy()
                            for key, same in self._opens.items() if same}
             twin._at = at
@@ -467,21 +463,6 @@ class Evaluator:
 # -- public API ----------------------------------------------------------------
 
 
-class TraceRun:
-    """One run.  ``trace`` is its outcome's trace, or the trace so far when
-    it is stuck; its cycle candidates index into it and into ``script``.
-    ``prefixes`` is its evaluator's list of the same name."""
-
-    def __init__(self, script: tuple, trace: tuple, outcome, cycles: list,
-                 prefixes: list, stuck: EvalStuck | None = None):
-        self.script = script
-        self.trace = trace
-        self.outcome = outcome
-        self.cycles = cycles
-        self.prefixes = prefixes
-        self.stuck = stuck
-
-
 def _split_entry(entry: str) -> tuple[str, str]:
     cls, _, method = entry.partition(".")
     if not method:
@@ -491,26 +472,22 @@ def _split_entry(entry: str) -> tuple[str, str]:
 
 def _explore(roots: list, ended: int, entry: str) -> tuple[list, list]:
     """Run each root, and the runs forked from it, depth first, until each
-    ends or suspends.  Returns their runs in lexicographic script order and
-    the suspended runs.  ``ended`` runs of the same level are held
-    elsewhere; with them, a level may hold at most MAX_RUNS runs."""
-    runs: list[TraceRun] = []
+    ends, suspends or gets stuck.  Returns the runs in lexicographic script
+    order and the suspended ones.  ``ended`` runs of the same level are
+    held elsewhere; with them, a level may hold at most MAX_RUNS runs."""
+    runs: list[Evaluator] = []
     suspended: list[Evaluator] = []
     for root in roots:
         stack = [root]
         while stack:
             ev = stack.pop()
-            stuck = None
+            runs.append(ev)
             try:
-                outcome = ev.run(stack)
+                ev.outcome = ev.run(stack)
             except EvalStuck as exc:
-                outcome, stuck = None, exc
-            trace = tuple(ev.trace) if outcome is None else outcome.trace
-            runs.append(TraceRun(tuple(ev.script), trace, outcome, ev.cycles,
-                                 ev.prefixes, stuck))
-            if stuck is not None:
+                ev.outcome, ev.stuck = None, exc
                 continue
-            if isinstance(outcome, OutOfFuel):
+            if isinstance(ev.outcome, OutOfFuel):
                 suspended.append(ev)
             if ended + len(runs) > MAX_RUNS:
                 raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
@@ -529,18 +506,18 @@ class Search:
         self.frontier: list[Evaluator] = [root]  # the suspended runs
         self.ended = 0  # runs that ended at a lower level
 
-    def deepen(self) -> list[TraceRun]:
+    def deepen(self) -> list[Evaluator]:
         """The next level's new runs, in lexicographic script order: each
         suspended run gets one more unit of fuel and resumes, forking at
         stub calls, until it ends or suspends again.  Each run holds the
-        candidates recorded at this level only.  The runs that ended at a
-        lower level end the same way at this one and are not repeated."""
+        repeats recorded at this level only, until the next level starts.
+        The runs that ended at a lower level end the same way at this one
+        and are not repeated."""
         for ev in self.frontier:
             ev.fuel += 1
+            ev.cycles = []
         runs, self.frontier = _explore(self.frontier, self.ended, self.entry)
         self.ended += len(runs) - len(self.frontier)
-        for ev in self.frontier:
-            ev.cycles = []  # its TraceRun of this level holds the old list
         return runs
 
 
@@ -554,5 +531,5 @@ def replay_entry(
     """Re-run one script without forking, to check a divergence candidate."""
     ev = Evaluator(prog, intrinsics, fuel, script)
     ev.start(*_split_entry(entry))
-    ev.run()
+    ev.outcome = ev.run()
     return ev

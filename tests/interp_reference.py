@@ -4,14 +4,15 @@
 run that reaches a stub past the end of its script forks there, each larger
 choice getting a copy of the state, and goes on with the least choice.
 ``interp.Search`` goes further and resumes, at each fuel level, the runs the
-last level suspended; a forked run there holds only the candidates it
+last level suspended; a forked run there holds only the repeats it
 recorded itself, where a run here holds all of its own.
 
 ``enumerate_by_restarts`` shares neither: it replays every script from the
 entry, and a run whose script runs out at a stub is replayed from scratch
 once per choice of that stub, each with the script extended by that choice.
 Its runs must agree with the interpreter's, one for one and in the same
-order.
+order.  Both return the runs themselves: evaluators with their
+``outcome`` or ``stuck`` set, as ``interp.Search`` returns them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from guidecheck.interp import (
     EvalStuck,
     Evaluator,
     ScriptEnd,
-    TraceRun,
 )
 
 
@@ -39,33 +39,31 @@ def enumerate_traces(
     entry: str,
     fuel: int = DEFAULT_FUEL,
     intrinsics: dict | None = None,
-) -> list[TraceRun]:
+) -> list[Evaluator]:
     """Every complete run of entry ('Class.method', no parameters) under the
     fuel bound, one per stub-choice script, in lexicographic script order.
-    A run forked at script position k holds, ahead of its own candidates,
-    those of the run it forked from with ``cycle_choices <= k``: the ones
-    that run recorded before it took its choice at k."""
+    A run forked at script position k holds, ahead of its own repeats,
+    those of the run it forked from recorded at script position k or
+    less: the ones that run recorded before it took its choice at k."""
     root = Evaluator(prog, intrinsics, fuel)
     root.start(*_split_entry(entry))
-    runs: list[TraceRun] = []
+    runs: list[Evaluator] = []
     stack = [root]
     inherited = {root: []}
     while stack:
         ev = stack.pop()
         depth = len(stack)
-        stuck = None
+        runs.append(ev)
         try:
-            outcome = ev.run(stack)
+            ev.outcome = ev.run(stack)
         except EvalStuck as exc:
-            outcome, stuck = None, exc
-        cycles = inherited.pop(ev) + ev.cycles
+            ev.stuck = exc
+        ev.cycles = inherited.pop(ev) + ev.cycles
         for twin in stack[depth:]:
             k = len(twin.script) - 1
-            inherited[twin] = [c for c in cycles if c.cycle_choices <= k]
-        trace = tuple(ev.trace) if outcome is None else outcome.trace
-        runs.append(TraceRun(tuple(ev.script), trace, outcome, cycles, [],
-                             stuck))
-        if stuck is None and len(runs) > MAX_RUNS:
+            inherited[twin] = [(end, opens) for end, opens in ev.cycles
+                               if end[1] <= k]
+        if ev.stuck is None and len(runs) > MAX_RUNS:
             raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs
 
@@ -75,25 +73,25 @@ def enumerate_by_restarts(
     entry: str,
     fuel: int = DEFAULT_FUEL,
     intrinsics: dict | None = None,
-) -> list[TraceRun]:
+) -> list[Evaluator]:
     cls, method = _split_entry(entry)
-    runs: list[TraceRun] = []
+    runs: list[Evaluator] = []
     pending: list[tuple] = [()]
     while pending:
         script = pending.pop()
         ev = Evaluator(prog, intrinsics, fuel, script)
         try:
             ev.start(cls, method)
-            outcome = ev.run()
+            ev.outcome = ev.run()
         except EvalStuck as stuck:
-            runs.append(TraceRun(script, tuple(ev.trace), None, ev.cycles,
-                                 [], stuck=stuck))
+            ev.stuck = stuck
+            runs.append(ev)
             continue
-        if isinstance(outcome, ScriptEnd):
-            for choice in sorted(outcome.choices, reverse=True):
+        if isinstance(ev.outcome, ScriptEnd):
+            for choice in sorted(ev.outcome.choices, reverse=True):
                 pending.append(script + (choice,))
             continue
-        runs.append(TraceRun(script, outcome.trace, outcome, ev.cycles, []))
+        runs.append(ev)
         if len(runs) > MAX_RUNS:
             raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs

@@ -506,15 +506,15 @@ def test_soundness_sweep_over_corpus():
 
         for run in enumerate_traces(prog, entry, fuel, specs):
             assert run.stuck is None, f"{name}: stuck run {run.stuck}"
-            out = run.outcome
+            out, trace = run.outcome, tuple(run.trace)
             if isinstance(out, Terminated):
                 seen.add("terminated")
                 homes = [r for r, u in live_t.items()
-                         if dom.member_fin(out.trace, u)
+                         if dom.member_fin(trace, u)
                          and value_satisfies(out.value, out.heap, r)]
                 if not homes:
                     violations.append(
-                        f"{name}: terminated trace {out.trace} has no "
+                        f"{name}: terminated trace {trace} has no "
                         f"T entry with a matching result region")
                 if not heap_satisfies(out.heap, table.fields_at, prog, meta):
                     violations.append(f"{name}: final heap escapes the "
@@ -522,11 +522,11 @@ def test_soundness_sweep_over_corpus():
             elif isinstance(out, Thrown):
                 seen.add("thrown")
                 homes = [r for r, u in live_h.items()
-                         if dom.member_fin(out.trace, u)
+                         if dom.member_fin(trace, u)
                          and value_satisfies(out.location, out.heap, r)]
                 if not homes:
                     violations.append(
-                        f"{name}: thrown trace {out.trace} has no H entry "
+                        f"{name}: thrown trace {trace} has no H entry "
                         f"with a matching exception region")
                 if not heap_satisfies(out.heap, table.fields_at, prog, meta):
                     violations.append(f"{name}: heap at throw escapes the "
@@ -534,12 +534,12 @@ def test_soundness_sweep_over_corpus():
             else:
                 assert isinstance(out, OutOfFuel)
                 seen.add("out-of-fuel")
-                p = mon.profile_of_word(out.trace)
+                p = mon.profile_of_word(trace)
                 fins = (list(live_t.values()) + list(live_h.values())
                         + [eta[sig].fin])
                 if not mon.extendable_into(p, fins, [eta[sig]]):
                     violations.append(
-                        f"{name}: fuel-stopped prefix {out.trace} extends "
+                        f"{name}: fuel-stopped prefix {trace} extends "
                         f"into no inferred behaviour")
         kinds_by_program[name] = seen
 

@@ -130,10 +130,12 @@ def test_a_fruitless_search_judges_each_accepted_lasso_once(monkeypatch):
     report = analyze(prog, gl, fuel=20, entries=["Server.serve"])
     assert report.verdict == "fail"
     assert report.counterexamples == []
-    lassos = {(run.trace[:c.stem_end], run.trace[c.stem_end:c.cycle_end])
+    lassos = {(tuple(run.trace[:stem_end]),
+               tuple(run.trace[stem_end:cycle_end]))
               for level in range(1, 21)
               for run in enumerate_traces(prog, "Server.serve", level)
-              for c in run.cycles}
+              for (cycle_end, _), opens in run.cycles
+              for stem_end, _ in opens}
     assert len(judged) == len(lassos) == 45  # 10 serve() calls
     (monoid,) = {m for m, _, _ in judged}
     # each lasso's stem and cycle are judged by their profiles
@@ -1112,24 +1114,34 @@ def analyze_sources(tmp_path, capsys, program, guideline, *argv, config=None):
     return code, captured.out, captured.err
 
 
-# No accepting state, so every word is rejected; each program's only run
-# gets stuck on null after emitting a.
+# No accepting state, so every word is rejected.
 NOTHING_ACCEPTED = "alphabet: a\nstates: q\ninitial: q\n"
 
 
 @pytest.mark.parametrize("program, part", [
-    ("class A { Object m() { emit a; throw null; } }", "throws"),
     ("class A { A f; Object m() { A x = null; emit a; A y = x.f; "
      "return y; } }", "returns"),
-], ids=["throw-null", "field-read-through-null"])
+], ids=["field-read-through-null"])
 def test_a_fail_only_a_stuck_run_shows_has_no_witness(tmp_path, capsys,
                                                      program, part):
-    # the type checks allow both programs; the search drops the stuck run
+    # the type checks allow the program; the search drops the stuck run
     code, out, err = analyze_sources(tmp_path, capsys, program,
                                      NOTHING_ACCEPTED, "--entry", "A.m")
     assert (code, err) == (1, "")
     assert f"{part}:FAIL" in out and out.endswith("verdict: fail\n")
     assert "counterexample" not in out
+
+
+def test_a_run_that_throws_null_is_a_finite_trace_witness(tmp_path, capsys):
+    # the run throws null, as inference assumes; its trace is rejected
+    code, out, err = analyze_sources(
+        tmp_path, capsys, "class A { Object m() { emit a; throw null; } }",
+        NOTHING_ACCEPTED, "--entry", "A.m")
+    assert (code, err) == (1, "")
+    assert "throws:FAIL" in out and out.endswith("verdict: fail\n")
+    assert ("counterexample: A.m: run emits 'a', rejected at position 1 "
+            "(found at fuel 1; no run with less fuel shows a violation)"
+            in out.splitlines())
 
 
 # Only C.m emits bad, and the stub on P.m sits between C and G; x.m()

@@ -57,7 +57,7 @@ class Cell { Cell next; Cell go() {
     )
     out = run.outcome
     assert isinstance(out, Terminated)
-    assert out.trace == ("wrote",)
+    assert run.trace == ["wrote"]
     assert out.heap[out.value].label == "two"
     # the entry receiver plus the two allocations
     assert sorted(o.label for o in out.heap.values()) == ["$entry", "one", "two"]
@@ -72,7 +72,7 @@ class M { Object go() { A x = new B(); return x.cry(); } }
 """,
         "M.go",
     )
-    assert run.outcome.trace == ("sub",)
+    assert run.trace == ["sub"]
 
 
 def test_inherited_method_runs_on_subclass_instance():
@@ -84,7 +84,7 @@ class M { Object go() { B x = new B(); return x.cry(); } }
 """,
         "M.go",
     )
-    assert run.outcome.trace == ("base",)
+    assert run.trace == ["base"]
 
 
 def test_upcast_noop_downcast_stuck_nullcast_fine():
@@ -122,7 +122,7 @@ class M { Object go() {
         "M.go",
     )
     assert isinstance(run.outcome, Terminated)
-    assert run.outcome.trace == ("caught",)
+    assert run.trace == ["caught"]
 
 
 def test_uncaught_throw_propagates_with_location():
@@ -139,7 +139,7 @@ class M { Object go() {
     )
     out = run.outcome
     assert isinstance(out, Thrown)
-    assert out.trace == ("before",)
+    assert run.trace == ["before"]
     assert out.heap[out.location].cls == "E" and out.heap[out.location].label == "es"
 
 
@@ -155,7 +155,34 @@ class M { Object go() {
         "M.go",
     )
     assert isinstance(run.outcome, Thrown)
-    assert run.outcome.trace == ("seen",)
+    assert run.trace == ["seen"]
+
+
+def test_a_handler_catches_a_thrown_null_and_binds_it():
+    # NullType lies below every class, so the handler for E catches null
+    run = single_run(
+        """
+class E { }
+class M { Object go() {
+    E x = null;
+    try { emit before; throw x; } catch (E e) {
+        E z = null;
+        if (e == z) { emit isnull; } else { emit object; }
+    }
+    return null;
+} }
+""",
+        "M.go",
+    )
+    assert run.stuck is None and isinstance(run.outcome, Terminated)
+    assert run.trace == ["before", "isnull"]
+
+
+def test_an_uncaught_null_is_thrown():
+    run = single_run("class M { Object go() { emit a; throw null; } }",
+                     "M.go")
+    assert run.stuck is None and isinstance(run.outcome, Thrown)
+    assert run.outcome.location is None and run.trace == ["a"]
 
 
 def test_stuck_configurations_are_reported_not_crashed():
@@ -183,7 +210,7 @@ class M { Object go() {
 """,
         "M.go",
     )
-    assert run.outcome.trace == ("same",)
+    assert run.trace == ["same"]
 
 
 DIVERGE = """
@@ -195,26 +222,27 @@ def test_out_of_fuel_records_cycle_candidates():
     runs = enumerate_traces(parse_program(DIVERGE), "L.spin", fuel=8)
     (run,) = runs
     assert isinstance(run.outcome, OutOfFuel)
-    assert run.outcome.trace == ("t",) * 8
-    assert run.trace is run.outcome.trace
+    assert run.trace == ["t"] * 8
     # the entry opens at trace length 0 and repeats after one emit, with no
-    # stub choice in between
-    assert run.cycles[0] == (0, 1, 0, 0)
-    cand = run.cycles[0]
-    assert run.trace[cand.stem_end:cand.cycle_end] == ("t",)
-    assert run.script[cand.stem_choices:cand.cycle_choices] == ()
+    # stub choice in between; each later call repeats every open call, and
+    # records them in one tuple, outermost first
+    assert run.cycles[:2] == [((1, 0), ((0, 0),)),
+                              ((2, 0), ((0, 0), (1, 0)))]
+    assert len(run.cycles) == 7
+    (cycle_end, cycle_choices), ((stem_end, stem_choices),) = run.cycles[0]
+    assert run.trace[stem_end:cycle_end] == ["t"]
+    assert run.script[stem_choices:cycle_choices] == []
 
 
 def test_cycle_candidate_replays_to_a_longer_prefix():
     prog = parse_program(DIVERGE)
     (run,) = enumerate_traces(prog, "L.spin", fuel=6)
-    cand = run.cycles[0]
-    stem = run.script[:cand.stem_choices]
-    cycle = run.script[cand.stem_choices:cand.cycle_choices]
+    (cycle_end, cycle_choices), ((stem_end, stem_choices),) = run.cycles[0]
+    stem = run.script[:stem_choices]
+    cycle = run.script[stem_choices:cycle_choices]
     ev = replay_entry(prog, "L.spin", stem + cycle * 3, fuel=40)
-    want = (run.trace[:cand.stem_end]
-            + run.trace[cand.stem_end:cand.cycle_end] * 3)
-    assert tuple(ev.trace[: len(want)]) == want
+    want = run.trace[:stem_end] + run.trace[stem_end:cycle_end] * 3
+    assert ev.trace[: len(want)] == want
 
 
 def test_silent_divergence_has_empty_cycle_trace():
@@ -224,8 +252,49 @@ def test_silent_divergence_has_empty_cycle_trace():
         fuel=5,
     )
     assert isinstance(run.outcome, OutOfFuel)
-    assert run.outcome.trace == ()
-    assert run.cycles and run.cycles[0].stem_end == run.cycles[0].cycle_end
+    assert run.trace == []
+    (cycle_end, _), ((stem_end, _),) = run.cycles[0]
+    assert stem_end == cycle_end
+
+
+# Each go() with an object from tick calls go() twice on the same receiver:
+# both calls repeat the entry, the second after the first has returned.
+REPEATED_TWICE = """
+class R { R tick() { return null; } }
+class M { Object go() {
+    emit a; R r = new R(); R x = r.tick(); R z = null;
+    if (x == z) { return null; }
+    else { Object y = this.go(); return this.go(); }
+} }
+"""
+
+
+def test_a_repeat_record_is_a_snapshot_of_the_open_calls():
+    prog = parse_program(REPEATED_TWICE)
+    specs = parse_config("R.tick() -> Unknown emits eps\n", ("a",))
+    null, fresh = specs["R", "tick"].choices()
+    ev = replay_entry(prog, "M.go", [fresh, null, null], 8, specs)
+    assert isinstance(ev.outcome, Terminated)
+    assert ev.trace == ["a", "a", "a"]
+    # the first repeat's open calls were popped to the entry and pushed
+    # again by the second; its record still holds the entry alone
+    assert ev.cycles == [((1, 1), ((0, 0),)), ((2, 2), ((0, 0),))]
+
+
+def test_a_fruitless_search_records_each_repeating_call_once():
+    # without its stubs serve() polls null and logs forever: to fuel 20 the
+    # run nests 10 serve() calls, and each but the first records one
+    # repeat of all the serve() calls still open, 45 open calls in all
+    prog = parse_program(read_fixture("serve.fj"), "serve.fj")
+    search = interp.Search(prog, "Server.serve")
+    records = []
+    for _ in range(20):
+        (run,) = search.deepen()
+        records += run.cycles
+    assert [len(opens) for _, opens in records] == list(range(1, 10))
+    assert sum(len(opens) for _, opens in records) == 45
+    # outermost first, each serve() call two calls and one letter deeper
+    assert records[-1][1] == tuple((k, 0) for k in range(9))
 
 
 def test_entry_validation():
@@ -248,7 +317,7 @@ def test_stub_scripts_branch_per_word():
     prog = parse_program(STUB_PROG)
     specs = parse_config("R.tick() -> Null emits a | b b\n", ("a", "b"))
     runs = enumerate_traces(prog, "M.go", intrinsics=specs)
-    assert sorted(r.outcome.trace for r in runs) == [("a",), ("b", "b")]
+    assert sorted(r.trace for r in runs) == [["a"], ["b", "b"]]
     for r in runs:
         assert isinstance(r.outcome, Terminated) and r.outcome.value is None
         assert len(r.script) == 1
@@ -261,7 +330,7 @@ def test_stub_words_are_capped_not_enumerated_forever():
     specs = parse_config("R.tick() -> Null emits a*\n", ("a", "b"))
     runs = enumerate_traces(prog, "M.go", intrinsics=specs)
     # shortlex sample of a*, capped at three words
-    assert [r.outcome.trace for r in runs] == [(), ("a",), ("a", "a")]
+    assert [r.trace for r in runs] == [[], ["a"], ["a", "a"]]
 
 
 def test_stubs_do_not_consume_fuel():
@@ -344,9 +413,8 @@ def test_heap_satisfaction_against_field_table():
 
 
 def _runs_as_data(runs):
-    """What a run shows: its script, outcome kind, trace and cycles."""
-    return [(r.script, type(r.outcome).__name__,
-             None if r.outcome is None else r.outcome.trace,
+    """What a run shows: its script, outcome kind, trace and repeats."""
+    return [(tuple(r.script), type(r.outcome).__name__, tuple(r.trace),
              r.stuck and r.stuck.kind, r.cycles) for r in runs]
 
 
@@ -433,24 +501,24 @@ class M { Object go() {
 def _search_runs_as_data(prog, entry, fuel, specs):
     """The runs of a Search deepened to fuel: those each level ended and
     those the last level suspended, in script order, each with every
-    candidate its execution recorded.  A level reports a candidate once,
-    on the first run in script order that holds it, so a run's candidates
-    are gathered from every level's report: those recorded where its
-    script and the recording run's agree up to the repeat."""
+    repeat its execution recorded.  A level reports a repeat once, on the
+    first run in script order that holds it, so a run's repeats are
+    gathered from every level's report: those recorded where its script
+    and the recording run's agree up to the repeat."""
     search = interp.Search(prog, entry, specs)
     recorded, runs = [], []
     for level in range(1, fuel + 1):
         new = search.deepen()
-        recorded += [(run.script, c) for run in new for c in run.cycles]
+        recorded += [(tuple(run.script), c) for run in new
+                     for c in run.cycles]
         runs += [run for run in new
                  if level == fuel or not isinstance(run.outcome, OutOfFuel)]
         if not search.frontier:
             break
     runs.sort(key=lambda run: run.script)
     for run in runs:
-        run.cycles = [c for script, c in recorded
-                      if script[:c.cycle_choices]
-                      == run.script[:c.cycle_choices]]
+        run.cycles = [(end, opens) for script, (end, opens) in recorded
+                      if script[:end[1]] == tuple(run.script[:end[1]])]
     return _runs_as_data(runs)
 
 
@@ -547,4 +615,4 @@ def test_a_long_let_chain_runs_without_deepening_the_stack():
     prog = Program([ClassDecl("M", "Object", (), (go,))])
     (run,) = enumerate_traces(prog, "M.go")
     assert isinstance(run.outcome, Terminated)
-    assert run.outcome.trace == ("a",) * 5000
+    assert run.trace == ["a"] * 5000

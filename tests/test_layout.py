@@ -84,10 +84,6 @@ PER_REGION_RULE = ("_sequence", "_env_reads", "_type_group", "_catchable",
 # A profile is an index into its monoid; no class holds its rows.
 PROFILES_ONLY = ("Profile",)
 REGION_META_ONLY = ("prog",)
-# A cycle candidate is four offsets into its run's trace and script: it
-# copies neither, and tuple equality compares candidates.
-CANDIDATE_COPIES = ("stem_trace", "cycle_trace", "stem_script",
-                    "cycle_script", "key")
 # The recursive evaluator and its restart queue: control flows through the
 # step loop's frames, not through exceptions and Python calls, and a stub
 # choice forks the run's state rather than queue a script to re-run.
@@ -102,9 +98,13 @@ ONE_LEVEL_ENUMERATOR = ("enumerate_traces", "new_from", "forked_cycles")
 # the guideline held it weakly.  The domain builds the monoid and analyze
 # hands it to the search.
 MONOID_REGISTRY = ("monoid_of", "monoid_ref", "weakref")
+# A run's snapshot beside its evaluator, and a tuple per open call that a
+# call repeats: the search hands on the evaluators themselves, and a call
+# that repeats open calls records them in one tuple.
+RUN_COPIES = ("TraceRun", "CycleCandidate")
 # Names that no package module may define or name, a parameter included.
-NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, *MONOID_REGISTRY, "_desugar",
-                 "fin_bottom", "mix_of_eps", "accepts_lasso")
+NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, *MONOID_REGISTRY, *RUN_COPIES,
+                 "_desugar", "fin_bottom", "mix_of_eps", "accepts_lasso")
 # The lattice operators over sets of profiles and (stem, cycle) pairs, with
 # the S⁺ cache star and ω share: ProfileDomain's, under its interface
 # names.  The monoid works on one profile at a time.
@@ -137,10 +137,10 @@ def test_test_only_functions_stay_out_of_the_package():
               ("EffectDomain", EffectDomain, DOMAIN_ONLY),
               ("ProfileDomain", ProfileDomain(g), DOMAIN_ONLY),
               ("interp", interp,
-               INTERP_ONLY + RESTARTED_SCRIPTS + ONE_LEVEL_ENUMERATOR),
+               INTERP_ONLY + RESTARTED_SCRIPTS + ONE_LEVEL_ENUMERATOR
+               + RUN_COPIES),
               ("Evaluator", interp.Evaluator,
                RESTARTING_RUN + ONE_LEVEL_ENUMERATOR),
-              ("CycleCandidate", interp.CycleCandidate, CANDIDATE_COPIES),
               ("fjparser", fjparser, PARSER_ONLY),
               ("GuidelineAutomaton", g, AUTOMATON_ONLY),
               ("ClassTable", ClassTable, CLASSTABLE_ONLY),
