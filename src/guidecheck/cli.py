@@ -424,7 +424,7 @@ def _witness_in(prog, monoid, entry, runs, fuel, intrinsics):
     for run in runs:
         if isinstance(run.outcome, (Terminated, Thrown)):
             prefixes = monoid.prefix_profiles(run.prefixes, run.trace)
-            if not monoid.accepts_finite_of(prefixes[-1]):
+            if not monoid.accepts[prefixes[-1]]:
                 pos = monoid.dead_position(prefixes)
                 return Counterexample(
                     entry, "finite-trace", tuple(run.trace),
@@ -456,11 +456,12 @@ def _lasso_verdicts(monoid, run) -> Iterator[tuple]:
     """For each of run's repeats in order, and each open call it repeats,
     outermost first: the (trace length, script position) pairs at the open
     call and at the repeat, and whether the guideline accepts the lasso's
-    trace, stem·cycle^ω, or the stem alone when the cycle is empty.  The
-    stems are prefixes of the run's trace, whose profiles the run keeps
-    across levels (``prefix_profiles``); the cycles of one repeat end at
-    the same offset, so their profiles are built right to left from
-    there, each letter composed once."""
+    trace, stem·cycle^ω.  An empty cycle has profile ε̂, and stem·ε̂^ω is
+    accepted exactly when the stem is as a finite word.  The stems are
+    prefixes of the run's trace, whose profiles the run keeps across levels
+    (``prefix_profiles``); the cycles of one repeat end at the same offset,
+    so their profiles are built right to left from there, each letter
+    composed once."""
     if not run.cycles:
         return
     trace, letters, compose = run.trace, monoid.letters, monoid.compose
@@ -470,9 +471,6 @@ def _lasso_verdicts(monoid, run) -> Iterator[tuple]:
         suffix = {cycle_end: monoid.eps}  # i -> profile of trace[i:cycle_end]
         for stem in opens:
             stem_end = stem[0]
-            if stem_end == cycle_end:
-                yield stem, end, monoid.accepts_finite_of(prefix[stem_end])
-                continue
             while start > stem_end:
                 start -= 1
                 suffix[start] = compose(letters[trace[start]],

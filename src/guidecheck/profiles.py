@@ -241,10 +241,6 @@ class ProfileMonoid:
             prefixes.append(p)
         return prefixes
 
-    def accepts_finite_of(self, p: int) -> bool:
-        """The automaton accepts the words of profile p (NFA reading)."""
-        return self.accepts[p]
-
     def dead_position(self, prefixes: list[int]) -> int | None:
         """The length of the shortest prefix of a word that no run from an
         initial state reads, or None if some run reads all of the word,
@@ -259,13 +255,16 @@ class ProfileMonoid:
 
     def accepts_lasso_of(self, stem: int, cycle: int) -> bool:
         """Büchi acceptance of u·v^ω for any words u of profile stem and v
-        of profile cycle, v nonempty.
+        of profile cycle.
 
         With e the idempotent power of v's profile, the word is u·w·w·w···
         for a word w with profile e, so it is accepted iff a state that u·w
         reaches from an initial state loops on e through an accepting
         visit: the test ``ProfileDomain.accepts_mix`` makes of the pair
         (stem·e, e), exact for ultimately periodic words (Büchi 1962).
+        The cycle may be ε̂, an empty v: ε̂ is idempotent and loops on
+        exactly the accepting states, so u·ε^ω, the silent divergence
+        after u, is accepted iff the automaton accepts u (``accepts``).
         Each cycle's idempotent power is found once."""
         e = self._idempotent.get(cycle)
         if e is None:

@@ -10,30 +10,29 @@ return.
 (JACM 1981): it splits the call graph (signature → callee) into strongly
 connected components and solves them callees first.  When a component is
 reached, every callee outside it already has its final value, so each such
-edge folds straight into the constant: const ⊔= U·η(callee).  Inside the
-component, variables are eliminated in the order of ``system.sigs``, for
-a table's system the canonical signature order: rewrite the current
-equation with the earlier members' solved forms, split off the
-self-coefficient A, and replace δ = A·δ ⊔ F by δ = A*·F ⊔ A^ω,
-distributing A* over F's terms; a back-substitution pass over the
-component then closes every form.
+edge folds straight into the constant: const ⊔= U·η(callee) (``form_of``).
+Inside the component, variables are eliminated in the order of
+``system.sigs``, for a table's system the canonical signature order:
+rewrite the current equation with the earlier members' solved forms, split
+off the self-coefficient A, and replace δ = A·δ ⊔ F by δ = A*·F ⊔ A^ω
+(``close``), distributing A* over F's terms; a back-substitution pass over
+the component then folds the later members' values into every constant.
 
 The work is per block, not per signature.  Signatures that share a row
 share one right-hand side object, so the components are first taken over
 the distinct right-hand sides, an edge running to each callee's right-hand
 side.  A cycle of signatures maps to a cycle there, so each of its
-signatures is called from inside its component of right-hand sides.  In
-each such component, callees first, the signatures called from inside it
-are split into components and solved on their own; every other holder of
-a right-hand side calls only solved signatures, so they all share one
-solve of its equation.  A component without a cycle calls none of its
-own signatures, so each of its right-hand sides is solved once.  A
-one-member equation is hash-consed: signatures whose equations are equal
-once each callee is replaced by its block, and the signature itself by a
-marker, get one η, so the domain operators run once per block; the work
-left per signature is a few built-in calls to group the right-hand sides
-and to hand out η.  Inside a multi-member component the elimination is
-quadratic in the size of that component.
+signatures is called from inside its component of right-hand sides.  Each
+such component, callees first, is solved in two steps.  Its signatures
+called from inside it are split into components, and each of those, of one
+member or more, is eliminated, each member its own block.  Every other
+holder of a right-hand side calls only solved signatures, so ``settle``
+solves it by ``form_of`` alone, hash-consed: equations equal once each
+callee is replaced by its block get one η, so the domain operators run once
+per block; the work left per signature is a few built-in calls to group the
+right-hand sides and to hand out η.  Called components are not hash-consed,
+as two of them rarely have equal equations.  Inside a multi-member
+component the elimination is quadratic in the size of that component.
 
 The result is a fixpoint of the system, η(δ) = S(η)(δ) exactly, and the
 elimination order does not affect it; η is equal (``==``) to what solving
@@ -50,7 +49,6 @@ from typing import Callable, Iterable
 
 from .classtable import ClassTable, by_id, once_per_object
 from .effexpr import dict_drop_bottom, dict_join, dict_scale
-from .regions import Sig
 
 
 class EquationSystem:
@@ -126,7 +124,7 @@ def components(nodes: Iterable, successors: Callable) -> list:
 
 def solve(system: EquationSystem, domain) -> dict:
     """η of every signature, in ``system.sigs`` order, which is also the
-    elimination order inside a multi-member component."""
+    elimination order inside a component."""
     rhs = system.rhs
     rank = {var: i for i, var in enumerate(system.sigs)}
 
@@ -138,43 +136,45 @@ def solve(system: EquationSystem, domain) -> dict:
     holding = Counter(map(id, rhs.values()))  # node -> its holders' count
 
     etas: list = []  # the η of each block
-    equations: dict = {}  # a one-member equation's key -> its block
+    equations: dict = {}  # a settled equation's key -> its block
     node_block: dict = {}  # node -> the block of its holders not in sig_block
-    sig_block: dict = {}  # a signature solved on its own -> its block
+    sig_block: dict = {}  # a signature eliminated on its own -> its block
 
     def block_of(callee) -> int:
         b = sig_block.get(callee)
         return node_block[id(rhs[callee])] if b is None else b
 
-    def blocks(eq: dict, var=None) -> list:
-        """The block of each of eq's callees, in its order, var as -1."""
-        return [-1 if callee == var else sig_block[callee]
-                if callee in sig_block else node_block[id(rhs[callee])]
-                for callee in eq]
+    def form_of(eq: dict, inside) -> _LinForm:
+        """eq with each callee outside inside folded into the constant by
+        its block's η, the others kept as coefficients."""
+        form = _LinForm({}, domain.mix_bottom())
+        for callee, u in eq.items():
+            if callee in inside:
+                form.coeffs[callee] = u
+            else:
+                form.const = domain.mix_join(form.const, domain.fin_mix_concat(
+                    u, etas[block_of(callee)]))
+        return form
 
-    def known(eq: dict, callee_blocks: list) -> int | None:
-        """The block of an equal one-member equation solved before, if any:
-        the equation up to its own name, callees by block.  If there is
-        none, the key is kept for the block solved next."""
-        key = frozenset(zip(callee_blocks, eq.values()))
-        b = equations.get(key)
-        if b is None:
-            equations[key] = len(etas)
-        return b
+    def close(form: _LinForm, var) -> _LinForm:
+        """form, δ = A·δ ⊔ F with A var's coefficient, as δ = A*·F ⊔ A^ω."""
+        a = form.coeffs.pop(var, None)
+        if a is not None and not domain.fin_is_bottom(a):
+            star = domain.star(a)
+            form.coeffs = dict_scale(star, form.coeffs, domain.fin_concat)
+            form.const = domain.mix_join(
+                domain.fin_mix_concat(star, form.const), domain.omega(a))
+        return form
 
     def settle(eq: dict) -> int:
         """The block of the signatures holding eq that no member of their
-        component calls: each is a one-member component, calling no
-        signature unsolved."""
-        callee_blocks = blocks(eq)
-        b = known(eq, callee_blocks)
+        component calls: each calls only solved signatures, so equations
+        equal up to their callees' blocks share one."""
+        key = frozenset(zip(map(block_of, eq), eq.values()))
+        b = equations.get(key)
         if b is None:
-            b = len(etas)
-            const = domain.mix_bottom()
-            for callee_block, u in zip(callee_blocks, eq.values()):
-                const = domain.mix_join(
-                    const, domain.fin_mix_concat(u, etas[callee_block]))
-            etas.append(const)
+            b = equations[key] = len(etas)
+            etas.append(form_of(eq, ()).const)
         return b
 
     def substitute(form: _LinForm, var, sub: _LinForm) -> _LinForm:
@@ -196,56 +196,29 @@ def solve(system: EquationSystem, domain) -> dict:
         inside = set(members)
         solved: dict = {}
         for i, var in enumerate(members):
-            form = _LinForm({}, domain.mix_bottom())
-            for callee, u in rhs[var].items():
-                if callee in inside:
-                    form.coeffs[callee] = u
-                else:
-                    form.const = domain.mix_join(
-                        form.const,
-                        domain.fin_mix_concat(u, etas[block_of(callee)]))
+            form = form_of(rhs[var], inside)
             for prev in members[:i]:
                 form = substitute(form, prev, solved[prev])
-            self_coeff = form.coeffs.pop(var, None)
-            if self_coeff is not None and not domain.fin_is_bottom(self_coeff):
-                star = domain.star(self_coeff)
-                form.coeffs = dict_scale(star, form.coeffs, domain.fin_concat)
-                form.const = domain.mix_join(
-                    domain.fin_mix_concat(star, form.const),
-                    domain.omega(self_coeff),
-                )
-            solved[var] = form
+            solved[var] = close(form, var)
 
         for var in reversed(members):
             form = solved[var]
-            for later, u in sorted(form.coeffs.items(),
-                                   key=lambda kv: Sig.sort_key(kv[0])):
-                form.const = domain.mix_join(
-                    form.const,
-                    domain.fin_mix_concat(u, etas[sig_block[later]]))
             sig_block[var] = len(etas)
-            etas.append(form.const)
+            etas.append(domain.mix_join(form.const,
+                                        form_of(form.coeffs, ()).const))
 
     for comp in components(succ, succ.__getitem__):
         # a cycle of signatures maps to a cycle of nodes, so every signature
         # on one is called from inside its component: the called ones are
-        # solved on their own, and the other holders of a node, which call
-        # only solved signatures, share one solve
+        # eliminated component by component, and the other holders of a
+        # node, which call only solved signatures, are settled
         inside = set(comp)
         called = list(dict.fromkeys(
             callee for node in comp for callee in eqs[node]
             if id(rhs[callee]) in inside))
         for sub in components(called, lambda sig: [
                 callee for callee in rhs[sig] if id(rhs[callee]) in inside]):
-            if len(sub) > 1:
-                eliminate(sorted(sub, key=rank.__getitem__))
-                continue
-            eq = rhs[sub[0]]
-            b = known(eq, blocks(eq, sub[0]))
-            if b is None:
-                eliminate(sub)
-            else:
-                sig_block[sub[0]] = b
+            eliminate(sorted(sub, key=rank.__getitem__))
         solved = Counter(id(rhs[sig]) for sig in called)
         for node in comp:
             if holding[node] > solved[node]:

@@ -1,7 +1,7 @@
 """The guideline read directly as an automaton, state set by state set.
 
 The analysis decides every witness on the profile monoid
-(``ProfileMonoid.accepts_finite_of``, ``dead_position`` and
+(the ``ProfileMonoid.accepts`` mask, ``dead_position`` and
 ``accepts_lasso_of``).
 ``NfaReading`` decides the same questions without profiles: the finite
 reading steps the set of reachable states letter by letter, and the Büchi

@@ -263,10 +263,11 @@ def accepts_lasso(g: GuidelineAutomaton, stem: Sequence[str],
 
 class WordReading:
     """A monoid that judges words, as ``NfaReading`` does, through the
-    checks the search makes on profiles: ``accepts_finite`` and
-    ``dead_position`` read the profiles of a word's prefixes, and
-    ``accepts_lasso`` takes the profiles of stem and cycle to
-    ``ProfileMonoid.accepts_lasso_of``; every other name is the monoid's."""
+    checks the search makes on profiles: ``accepts_finite`` reads the
+    ``accepts`` mask of a word's profile and ``dead_position`` the profiles
+    of its prefixes, and ``accepts_lasso`` takes the profiles of stem and
+    cycle to ``ProfileMonoid.accepts_lasso_of``; every other name is the
+    monoid's."""
 
     def __init__(self, monoid: ProfileMonoid):
         self.monoid = monoid
@@ -277,7 +278,7 @@ class WordReading:
     def accepts_finite(self, word: Sequence[str]) -> bool:
         """The automaton accepts word under the NFA reading."""
         m = self.monoid
-        return m.accepts_finite_of(m.prefix_profiles([], word)[-1])
+        return m.accepts[m.prefix_profiles([], word)[-1]]
 
     def dead_position(self, word: Sequence[str]) -> int | None:
         """The length of the shortest prefix of word that no run from an

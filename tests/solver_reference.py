@@ -2,9 +2,8 @@
 
 ``apply_system`` is one application S(η) of the divergence equations, and
 ``verify_fixpoint`` checks η(δ) = S(η)(δ) exactly.  ``solve_per_signature``
-is the solver before one-member equations were solved once per block: it
-eliminates every signature's equation on its own, and the tests check that
-``solve`` gives an equal η.
+is the solver before it worked per block: it eliminates every signature's
+equation on its own, and the tests check that ``solve`` gives an equal η.
 
 ``approx_eta`` is the executable reference: descend from the top element
 (all finite and infinite words) by iterating the system inside a concrete

@@ -1,7 +1,7 @@
 """Guideline automata: parsing, finite reading, and Büchi lasso acceptance.
 
 The analysis reads words on the guideline's profile monoid
-(``ProfileMonoid.accepts_finite_of``, ``dead_position`` and
+(the ``ProfileMonoid.accepts`` mask, ``dead_position`` and
 ``accepts_lasso_of``, read on words through ``profile_reference.WordReading``).
 Those checks are validated against the automaton read state set by state
 set (tests/nfa_reading.py), and the lasso check also against a brute-force

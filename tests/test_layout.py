@@ -36,7 +36,7 @@ TRIPLE_HELPERS = ("profile_of_triples", "triples_of", "compose_triples",
                   "pack", "unpack", "triples", "describe", "decode",
                   "decode_fin", "decode_mix", "decode_mtable", "omega_triples")
 # The word-form checks: the search judges a word by the profiles of its
-# prefixes (accepts_finite_of, dead_position) and a lasso by the profiles of
+# prefixes (the accepts mask, dead_position) and a lasso by the profiles of
 # its stem and cycle (accepts_lasso_of); tests/profile_reference.WordReading
 # reads words through them.  The row-loop product is
 # tests/profile_reference.RowLoopMonoid's.
@@ -102,9 +102,13 @@ MONOID_REGISTRY = ("monoid_of", "monoid_ref", "weakref")
 # call repeats: the search hands on the evaluators themselves, and a call
 # that repeats open calls records them in one tuple.
 RUN_COPIES = ("TraceRun", "CycleCandidate")
+# The forwarder to the acceptance mask: the search reads ``accepts`` and
+# judges a silent divergence as the lasso stem·ε̂^ω.
+FINITE_FORWARDER = ("accepts_finite_of",)
 # Names that no package module may define or name, a parameter included.
 NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, *MONOID_REGISTRY, *RUN_COPIES,
-                 "_desugar", "fin_bottom", "mix_of_eps", "accepts_lasso")
+                 *FINITE_FORWARDER, "_desugar", "fin_bottom", "mix_of_eps",
+                 "accepts_lasso")
 # The lattice operators over sets of profiles and (stem, cycle) pairs, with
 # the S⁺ cache star and ω share: ProfileDomain's, under its interface
 # names.  The monoid works on one profile at a time.

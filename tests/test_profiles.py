@@ -6,6 +6,8 @@ profile values for the one-letter parity automaton were worked out by hand
 rows are checked against the string-triple reference of profile_reference.py.
 """
 
+import glob
+import itertools
 import random
 
 import pytest
@@ -654,3 +656,41 @@ def test_the_solve_closes_each_self_loop_coefficient_once(monkeypatch):
         solve(EquationSystem.from_table(table, d), d)
     assert loops > 10
     assert 0 < runs <= loops, (runs, loops)
+
+
+def _consistent_profiles(m):
+    """Every profile m can hold: bit (i, j) of zero only between two
+    rejecting states, as a path that visits no accepting state, endpoints
+    included, must; one profile per such pair of matrices."""
+    n, g = len(m.g.states), m.g
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    rejecting = {i for i, q in enumerate(g.states) if q not in g.accepting}
+    for picks in itertools.product(range(4), repeat=len(pairs)):
+        zero = one = 0
+        for (i, j), pick in zip(pairs, picks):
+            if pick & 1 and not {i, j} <= rejecting:
+                break
+            zero |= (pick & 1) << i * n + j
+            one |= (pick >> 1) << i * n + j
+        else:
+            yield m.profile(zero, one)
+
+
+def test_a_silent_divergence_is_accepted_as_its_stem_is():
+    # stem·ε̂^ω, the lasso of a silent divergence: ε̂ is its own idempotent
+    # and loops on exactly the accepting states, so the lasso check reads
+    # the stem as a finite word
+    stems = []
+    for path in sorted(glob.glob(fixture("*.gl"))):
+        m = ProfileMonoid(load_guideline(path))
+        more = _consistent_profiles(m) if len(m.g.states) <= 3 else []
+        stems.append((m, [*m.elements, *more]))
+    assert len(stems) == 7
+    rng = random.Random(43)
+    for _ in range(200):
+        m = ProfileMonoid(random_automaton(rng))
+        stems.append((m, list(m.elements)))
+    for m, profiles_of_m in stems:
+        for p in profiles_of_m:
+            assert m.accepts_lasso_of(p, m.eps) == m.accepts[p], (m.g, p)
+    assert sum(len(ps) for _, ps in stems) > 3_000

@@ -203,7 +203,8 @@ def test_from_table_reads_the_callsite_component():
 def test_equations_share_a_block_only_when_equal():
     """D1 and D2 call the same silent loop after prefixes of different
     parity, so they differ; D4 loops silently on itself as D3 does, so
-    they share a block."""
+    they are equal, though each is a called component eliminated into a
+    block of its own."""
     eps = PAR.alpha_word(())
     a = PAR.alpha_word(("a",))
     aa = PAR.alpha_word(("a", "a"))
@@ -215,6 +216,40 @@ def test_equations_share_a_block_only_when_equal():
     assert eta[d1] != eta[d2]
     assert eta[d3] == eta[d4]
     assert verify_fixpoint(system, eta, PAR)
+
+
+class _CountingConcat:
+    """A domain that counts its ``fin_mix_concat`` calls and forwards every
+    other name."""
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.concats = 0
+
+    def __getattr__(self, name):
+        return getattr(self.domain, name)
+
+    def fin_mix_concat(self, u, m):
+        self.concats += 1
+        return self.domain.fin_mix_concat(u, m)
+
+
+def test_uncalled_equal_equations_share_a_block():
+    """D1 and D2 hold distinct but equal right-hand sides over D3, a
+    self-loop solved before them, and nothing calls them: they are settled
+    into one block, so they get one η and the domain concatenates once
+    for both."""
+    a = PAR.alpha_word(("a",))
+    d1, d2, d3 = (sig(f"D{i}") for i in range(1, 4))
+    system = EquationSystem([d1, d2, d3], {
+        d1: {d3: a}, d2: {d3: a}, d3: {d3: a}})
+    assert system.rhs[d1] is not system.rhs[d2]
+    counting = _CountingConcat(PAR)
+    eta = solve(system, counting)
+    assert eta == solve_per_signature(system, PAR)
+    assert eta[d1] is eta[d2]
+    # one concatenation closes D3's self-loop, one settles D1 and D2
+    assert counting.concats == 2
 
 
 def test_shared_right_hand_sides_on_cycles_solve_as_each_signature_alone():
