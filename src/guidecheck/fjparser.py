@@ -67,18 +67,24 @@ _KEYWORDS = {
     "null",
 }
 
-# One alternative per token class.  '[' opens a raw label (labels may contain
-# ':' and '.') and is in no other class, so an unclosed one matches nothing.
-# ``\w+`` also matches runs starting with a digit such as '1' or '²'; _lex
-# rejects those.
+# One scan: each match swallows the blanks before it and ends in one token
+# class, so the matches tile the text and ``finditer`` yields every token in
+# order.  '[' opens a raw label (labels may contain ':' and '.') and is in no
+# other class, so an unclosed one falls through to ``bad``, any character no
+# class takes; ``end`` takes the blanks at the end of the text.  ``\w+`` also
+# matches runs starting with a digit such as '1' or '²'; _lex rejects those.
 _TOKEN = re.compile(
     r"""
-      (?P<newline>\n)
-    | (?P<blank>[ \t\r]+)
+    [ \t\r]*
+    (?:
+      (?P<id>\w+)
+    | (?P<punct>==|[{}();,.=\]])
+    | (?P<newline>\n)
     | (?P<comment>//[^\n]*)
     | \[(?P<label>[^\]]*)\]
-    | (?P<punct>==|[{}();,.=\]])
-    | (?P<id>\w+)
+    | (?P<end>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -96,31 +102,39 @@ class Token(NamedTuple):
 
 
 def _lex(text: str) -> list[Token]:
+    """The tokens of text, ending in "eof".  A column counts the characters
+    since the last newline token, so a label spanning a newline does not
+    advance the line count."""
     toks: list[Token] = []
-    line, col, i, n = 1, 1, 0, len(text)
-    match = _TOKEN.match
-    while i < n:
-        m = match(text, i)
-        c = text[i]
-        if m is None or (m.lastgroup == "id" and not (c.isalpha() or c == "_")):
-            msg = "unterminated '['" if c == "[" else f"unexpected character {c!r}"
-            raise FjError(msg, Pos(line, col))
-        kind, j = m.lastgroup, m.end()
-        if kind == "newline":
-            line, col, i = line + 1, 1, j
-            continue
-        if kind == "label":
-            # a label spanning a newline does not advance the line count
+    line, line_start = 1, 0  # the line's number and its first index
+    new = tuple.__new__
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "id":
+            val = m.group(kind)
+            c = val[0]
+            if not (c.isalpha() or c == "_"):
+                raise FjError(f"unexpected character {c!r}",
+                              Pos(line, start - line_start + 1))
+            toks.append(new(Token, ("id", val, line, start - line_start + 1)))
+        elif kind == "punct":
+            toks.append(new(Token, ("punct", m.group(kind), line,
+                                    start - line_start + 1)))
+        elif kind == "newline":
+            line, line_start = line + 1, start + 1
+        elif kind == "label":
+            col = start - line_start  # that of the '[' before the label
             toks.append(Token("punct", "[", line, col))
-            inner = m.group("label").strip()
+            inner = m.group(kind).strip()
             if inner:
                 toks.append(Token("label", inner, line, col + 1))
-            toks.append(Token("punct", "]", line, col + j - i - 1))
-        elif kind in ("punct", "id"):
-            toks.append(Token(kind, m.group(), line, col))
-        col += j - i
-        i = j
-    toks.append(Token("eof", "", line, col))
+            toks.append(Token("punct", "]", line, m.end() - line_start))
+        elif kind == "bad":
+            c = m.group(kind)
+            msg = "unterminated '['" if c == "[" else f"unexpected character {c!r}"
+            raise FjError(msg, Pos(line, start - line_start + 1))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 

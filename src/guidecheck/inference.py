@@ -86,15 +86,26 @@ def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
     of one region is bound directly; values in several regions are joined
     when the rest of the spine does not read the variable, so cannot tell
     them apart, and otherwise the rest is typed per reading (``_then``).
-    The effects are folded prefix first: concatenation distributes over
-    join, so scaling the tail once by the product of the bindings' values
-    gives the values, and the key order, of folding back from the tail."""
+    A run of consecutive ``emit``s is typed as one word, still one step
+    per emit: α is a monoid morphism, so α(a₁)·…·α(aₖ) = α(a₁…aₖ).  The
+    effects are folded prefix first: concatenation distributes over join,
+    so scaling the tail once by the product of the bindings' values gives
+    the values, and the key order, of folding back from the tail."""
     domain = ty.domain
     frames = []  # (u, h, s) per binding: the effect of reaching its body
     ups: list = []
     while isinstance(e, Let):
         if not frames:
             gamma = dict(gamma)  # the spine's bindings extend a copy
+        if isinstance(e.init, Emit):
+            word = []
+            while isinstance(e, Let) and isinstance(e.init, Emit):
+                word.append(e.init.event)
+                gamma[e.var] = NULL_REGION
+                e = e.body
+            ty.work += len(word)
+            frames.append((domain.alpha_word(word), {}, {}))
+            continue
         first = _rule(ty, gamma, e.init)
         ups += first.fupdates
         if len(first.t) == 1:
@@ -114,12 +125,15 @@ def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
     if not frames:
         return Effects(tail.t, tail.h, tail.s, ups + tail.fupdates)
     # prefix first: binding i's own throws and calls follow u₁·…·uᵢ₋₁, and
-    # the tail's effects follow the whole product, scaled once
+    # the tail's effects follow the whole product, scaled once; most
+    # bindings neither throw nor call
     concat, join = domain.fin_concat, domain.fin_join
     prefix, h, s = frames[0]
     for u, h0, s0 in frames[1:]:
-        h = dict_join(h, dict_scale(prefix, h0, concat), join)
-        s = dict_join(s, dict_scale(prefix, s0, concat), join)
+        if h0:
+            h = dict_join(h, dict_scale(prefix, h0, concat), join)
+        if s0:
+            s = dict_join(s, dict_scale(prefix, s0, concat), join)
         prefix = concat(prefix, u)
     return Effects(dict_scale(prefix, tail.t, concat),
                    dict_join(h, dict_scale(prefix, tail.h, concat), join),

@@ -1,10 +1,11 @@
 """Programs the tests run whole analyses on, against the references.
 
-``reference_cases`` yields the soundness corpus, the taint corpus and every
-fixture program under every fixture guideline whose alphabet covers it;
-``entry_points`` gives a program's parameterless methods, the entries of
-its demand-driven runs; ``ladder`` builds ROADMAP family (b), the wide
-tables whose signatures share a few rows and equations.
+``reference_cases`` yields the soundness corpus, the taint corpus, every
+fixture program and the ``emit_runs`` program under every fixture guideline
+whose alphabet covers it; ``entry_points`` gives a program's parameterless
+methods, the entries of its demand-driven runs; ``ladder`` builds ROADMAP
+family (b), the wide tables whose signatures share a few rows and
+equations.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from guidecheck.intrinsics import load_config, parse_config
 
 def reference_cases(make_domain=ProfileDomain):
     """(name, program, domain, stub specs) over the soundness corpus, the
-    taint corpus, and every fixture program under every fixture guideline
-    whose alphabet covers it; one domain per guideline, made by
-    make_domain."""
+    taint corpus, and every fixture program and the ``emit_runs`` program
+    under every fixture guideline whose alphabet covers it; one domain per
+    guideline, made by make_domain."""
     domains = {}
 
     def domain_of(gl_name):
@@ -48,6 +49,13 @@ def reference_cases(make_domain=ProfileDomain):
             if fj.name == "serve.fj":
                 specs = load_config(fixture("serve.cfg"), d.alphabet)
             yield f"{fj.name}/{gl.name}", prog, d, specs
+    runs = emit_runs(3, 3, 6)
+    for gl in sorted(FIXTURES.glob("*.gl")):
+        d = domain_of(gl.name)
+        if {"a", "b"} <= set(d.alphabet):
+            yield (f"emit_runs/{gl.name}",
+                   parse_program(runs, "emit_runs.fj", alphabet=d.alphabet),
+                   d, {})
 
 
 def entry_points(prog):
@@ -72,3 +80,53 @@ def ladder(nodes, tags):
             "class Main extends Object { Object go() { emit a; "
             + " ".join(allocs + links)
             + " Node r = x0.step(x0, x0); return this.go(); } }\n")
+
+
+def emit_runs(classes, methods, emits):
+    """The call-chain benchmark's shape scaled down, with runs of emits
+    wherever a run can stand in a spine.  Each C{i}.m{j} runs a third of
+    its emits at the head of its body, calls its successor, runs a third
+    between that call and a call of its class's leaf, and runs the rest just
+    before it returns.  The last method calls Spots.guarded, and Spots puts
+    runs in both branches of an if, in a try body and in its handler, before
+    a throw, and directly before a Let of a two-region field that the rest
+    of the spine reads, so is typed once per region."""
+    letter = 0
+
+    def run(n):
+        nonlocal letter
+        letter += n
+        return " ".join(f"emit {'ab'[(letter - i) % 3 == 0]};"
+                        for i in range(n))
+
+    third = emits // 3
+    out = ["class Oops extends Object { }",
+           "class Cell extends Object { Cell f; }",
+           "class Spots extends Object { Cell f;",
+           f"  Object branch() {{ {run(2)} if (this == this) {{ {run(3)}"
+           f" return this; }} else {{ {run(2)} return null; }} }}",
+           f"  Object guarded() {{ try {{ {run(3)}"
+           f" Object t = this.branch(); {run(2)} throw new[o1] Oops(); }}"
+           f" catch (Oops e) {{ {run(3)} return e; }} }}",
+           f"  Object boom() {{ {run(3)} throw new[o2] Oops(); }}",
+           f"  Object pick() {{ Cell p = new[p] Cell();"
+           f" Cell q = new[q] Cell(); p.f = q; q.f = p; this.f = p;"
+           f" this.f = q; {run(3)} Cell c = this.f; {run(2)} Cell d = c.f;"
+           f" {run(1)} return d; }}",
+           "}"]
+    for i in range(classes):
+        out.append(f"class C{i} extends Object {{")
+        out.append(f"  Object leaf() {{ {run(2)} return this; }}")
+        for j in range(methods):
+            if j + 1 < methods:
+                call = f"Object r = this.m{j + 1}();"
+            elif i + 1 < classes:
+                call = (f"C{i + 1} nx = new[k{i + 1}] C{i + 1}();"
+                        f" Object r = nx.m0();")
+            else:
+                call = "Spots sp = new[sp] Spots(); Object r = sp.guarded();"
+            out.append(f"  Object m{j}() {{ {run(third)} {call} {run(third)}"
+                       f" Object u = this.leaf();"
+                       f" {run(emits - 2 * third)} return r; }}")
+        out.append("}")
+    return "\n".join(out) + "\n"

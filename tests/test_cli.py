@@ -453,6 +453,29 @@ def test_main_json_report_to_file(tmp_path, capsys):
     assert data["counterexamples"][0]["cycle"] == ["authcheck", "access"]
 
 
+def test_a_long_straight_line_method_fails_with_its_whole_trace(tmp_path,
+                                                                capsys):
+    # 5,000 emits in one run, typed as one word, then one the guideline
+    # has no transition for
+    n = 5000
+    program = tmp_path / "long.fj"
+    program.write_text("class M extends Object {\n  Object go() {\n"
+                       + "    emit a;\n" * n
+                       + "    emit b;\n    return null;\n  }\n}\n",
+                       encoding="utf-8")
+    guideline = tmp_path / "no_b.gl"
+    guideline.write_text("alphabet: a b\nstates: s\ninitial: s\n"
+                         "accepting: s\ntrans: s a s\n", encoding="utf-8")
+    code = run_main("--program", str(program), "--guideline", str(guideline),
+                    "--entry", "M.go", "--report", "json")
+    assert code == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "fail"
+    (cex,) = data["counterexamples"]
+    assert cex["kind"] == "finite-trace"
+    assert cex["trace"] == ["a"] * n + ["b"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,8 @@
 """Lexer and parser tests, the let chains the parser builds included, plus
 the static well-typedness check."""
 
+import random
+
 import pytest
 
 from guidecheck.fjast import (
@@ -29,6 +31,7 @@ from guidecheck.fjtypes import fj_typecheck, lub, preceq
 
 from conftest import read_fixture
 from fjprinter import print_program
+from lexer_reference import lex_per_position
 
 
 SMALL = """
@@ -88,6 +91,40 @@ def test_lexer_error_positions(text, message):
     with pytest.raises(FjError) as exc:
         _lex(text)
     assert str(exc.value) == message
+
+
+# The pieces random texts are drawn from: ids (one starting with a digit,
+# some not ASCII), the punctuation, blanks, comments, labels (one spanning a
+# newline, one unterminated) and characters no token class takes.
+LEX_PIECES = (
+    "x", "Node", "_t1", "\u00e9t\u00e9", "\u00b2a", "1a", "9", "new", "emit",
+    "==", "=", "{", "}", "(", ")", ";", ",", ".", "]",
+    " ", "\t", "\r", "  \t", "\n", "\r\n",
+    "// note", "// [x ==\n", "//",
+    "[l1]", "[ file.fj:3:4 ]", "[]", "[a\nb]", "[ \n ]", "[open",
+    "$", "\x0c", "/", "\u00a0",
+)
+
+
+def _lexed(lex, text):
+    """lex's tokens of text, or its error as (message, line, column)."""
+    try:
+        return [tuple(t) for t in lex(text)]
+    except FjError as exc:
+        return (str(exc), exc.pos.line, exc.pos.col)
+
+
+def test_the_one_scan_lexer_matches_the_per_position_reference():
+    rng = random.Random(29)
+    errors = 0
+    for _ in range(600):
+        text = "".join(rng.choice(LEX_PIECES)
+                       for _ in range(rng.randint(0, 12)))
+        got = _lexed(_lex, text)
+        assert got == _lexed(lex_per_position, text), repr(text)
+        errors += isinstance(got, tuple)
+    # both outcomes are drawn often
+    assert 100 < errors < 500
 
 
 def test_end_of_input_after_a_trailing_comment_is_where_the_input_ends():

@@ -1,5 +1,6 @@
 """Region-and-effect typing of method bodies, and the table fixpoint."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -7,11 +8,13 @@ import pytest
 import inference_reference
 from inference_reference import infer_by_sweeps
 from profile_reference import decode_mtable
-from reference_cases import entry_points, ladder, reference_cases
+from inference_reference import check_per_signature
+from reference_cases import emit_runs, entry_points, ladder, reference_cases
 
 from guidecheck import inference, profiles
 from guidecheck.classtable import init_table
 from guidecheck.domains import ProfileDomain
+from guidecheck.effexpr import dict_scale
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import parse_guideline
 from guidecheck.inference import (
@@ -539,15 +542,18 @@ def _let_chain(k):
 
 
 class _CountingWords(ProfileDomain):
-    """The profile domain, counting the calls to ``alpha_word``: one per
-    leaf a typing visits."""
+    """The profile domain, counting the calls to ``alpha_word``, one per
+    leaf or run of emits a typing visits, and keeping the nonempty words."""
 
     def __init__(self, guideline):
         super().__init__(guideline)
         self.words = 0
+        self.nonempty = []
 
     def alpha_word(self, word):
         self.words += 1
+        if word:
+            self.nonempty.append(tuple(word))
         return super().alpha_word(word)
 
 
@@ -564,6 +570,92 @@ def test_let_chain_typing_grows_linearly_with_the_bindings():
     steps = [b - a for a, b in zip(counts, counts[1:])]
     assert steps[0] > 0
     assert steps == [steps[0], 2 * steps[0], 4 * steps[0]], counts
+
+
+TWO_LETTER_GUIDELINE = (
+    "alphabet: a b\nstates: p q\ninitial: p\naccepting: p\n"
+    "trans: p a q\ntrans: q b p\ntrans: q a q\n"
+)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 50])
+def test_a_run_of_k_emits_is_k_steps_and_one_word(k):
+    prog = parse_program("class A extends Object {\n"
+                         "  Object f() { return this; }\n  Object go() { "
+                         + "emit a; " * k + "Object r = this.f(); "
+                         + "emit b; " * k + "return r; } }")
+    d = _CountingWords(parse_guideline(TWO_LETTER_GUIDELINE))
+    table = infer(prog, d)
+    body, gamma = inference._body_env(Sig("A", UNKNOWN, "go", ()), prog)
+    typings = []
+    for rule in (typeff, inference_reference.typeff_right_fold):
+        ty = _Typing(prog, region_meta(prog), table, d, table.reads)
+        d.nonempty.clear()
+        typings.append((rule(ty, gamma, body).triple(), ty.work,
+                        list(d.nonempty)))
+    (got, steps, words), (want, old_steps, old_words) = typings
+    assert got == want
+    # one step per emit, the call and the returned variable, as per statement
+    assert steps == old_steps == 2 * k + 2
+    assert words == [("a",) * k, ("b",) * k]
+    assert old_words == [("a",)] * k + [("b",)] * k
+
+
+def _emit_run_cases():
+    return [case for case in reference_cases()
+            if case[0].startswith("emit_runs/")]
+
+
+def test_emit_runs_type_as_per_statement_and_recheck_as_per_signature(
+        monkeypatch):
+    """The reference case with runs of emits wherever a run can stand:
+    every body typed against the finished table gives the per-statement
+    fold's effects in as many steps, and the re-check, of the table and of
+    one with an a put before every T entry, reports what the per-signature
+    re-check does."""
+    cases = _emit_run_cases()
+    assert len(cases) == 3
+    then_calls = []
+    found = 0
+    then = inference._then
+    monkeypatch.setattr(inference, "_then", lambda ty, gamma, var, *rest: (
+        then_calls.append(var), then(ty, gamma, var, *rest))[1])
+    for name, prog, d, specs in cases:
+        meta = region_meta(prog)
+        table = infer(prog, d, intrinsics=specs, meta=meta)
+        for group in table.groups:
+            body, gamma = inference._body_env(group[0], prog)
+            got = _Typing(prog, meta, table, d, table.reads)
+            want = _Typing(prog, meta, table, d, table.reads)
+            assert typeff(got, gamma, body).triple() == (
+                inference_reference.typeff_right_fold(
+                    want, gamma, body).triple()), (name, group[0])
+            assert got.work == want.work, (name, group[0])
+        assert check_well_typed(prog, table, d) == []
+        assert check_per_signature(prog, table, d) == []
+        a = d.alpha_word(("a",))
+        for sig, (t, h, s) in table.mtable.items():
+            table.mtable[sig] = (dict_scale(a, t, d.fin_concat), h, s)
+        offenses = [str(o) for o in check_well_typed(prog, table, d)]
+        assert offenses == [str(o) for o in
+                            check_per_signature(prog, table, d)]
+        found += len(offenses)
+    assert found > 20
+    # the handler, and the two-region cell the rest of Spots.pick reads
+    assert {"e", "c"} <= set(then_calls)
+
+
+def test_emit_runs_are_typed_one_word_each():
+    src = emit_runs(3, 3, 6)
+    runs = {tuple(re.findall(r"emit (\w+);", run))
+            for run in re.findall(r"(?:emit \w+; )+", src)}
+    d = _CountingWords(parse_guideline(TWO_LETTER_GUIDELINE))
+    prog = parse_program(src, alphabet=d.alphabet)
+    table = infer(prog, d)
+    d.nonempty.clear()
+    assert check_well_typed(prog, table, d) == []
+    # the re-check types every run, each as one word
+    assert set(d.nonempty) == runs
 
 
 def _chain_program(n):

@@ -3,13 +3,13 @@
 Reference code used only by the tests (the language-level and toy domains,
 the solver's naive fixpoints, the canonical forms of the profile domain,
 the triple form of profiles, the region satisfaction checks, the program
-printer, the NFAs and their builders) lives under tests/.  A module in the package
-that ``guidecheck analyze`` never imports, one of the moved functions back
-in the package, a name that nothing in src/ or perfbench/ refers to, a
-method that nothing there reads as an attribute, or an import its module
-never uses is test-only code drifting back.  The package keeps one relation
-algebra, the packed profiles: the guideline automaton composes no relations
-of its own.
+printer, the per-position lexer, the NFAs and their builders) lives under
+tests/.  A module in the package that ``guidecheck analyze`` never imports,
+one of the moved functions back in the package, a name that nothing in src/
+or perfbench/ refers to, a method that nothing there reads as an attribute,
+or an import its module never uses is test-only code drifting back.  The
+package keeps one relation algebra, the packed profiles: the guideline
+automaton composes no relations of its own.
 """
 
 import ast
@@ -56,8 +56,10 @@ INTERP_ONLY = ("value_satisfies", "store_satisfies", "heap_satisfies",
                "first_heap_violation")
 # The printer behind the round-trip test; its code lives in tests/fjprinter.py.
 # The parser builds let chains as it reads: no statement tuples to desugar.
+# The lexer that matched at each position is the one-scan lexer's reference,
+# in tests/lexer_reference.py.
 PARSER_ONLY = ("print_program", "_render_body", "_render_stmt", "_render_expr",
-               "_desugar")
+               "_desugar", "lex_per_position")
 # The NFAs stub regexes once compiled to, their regular operations, and the
 # product walk that abstracted them; tests/nfa.py and tests/profile_reference.py
 # keep them as the oracle the package's fold of a regex term is checked against.

@@ -10,19 +10,21 @@ signature at a time, so neither should hold the whole report.
 
     PYTHONPATH=src python tests/wide_ladder.py [NODES TAGS]
 
-Peak RSS is read with ``getrusage(RUSAGE_CHILDREN)``, the largest of the
-children waited for so far: after the text run it is that run's peak, and
-after the JSON run the larger of the two.
+Each run is waited for with a blocking ``os.wait4``, which does not poll,
+so its wall seconds resolve to the millisecond, and its peak RSS is the
+``ru_maxrss`` of that child alone.  A run still going after 600 seconds
+is killed, and its exit code is then -9.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import resource
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 from reference_cases import ladder
@@ -33,28 +35,36 @@ MAIN = ("import sys; from guidecheck.cli import main; "
         "sys.exit(main(sys.argv[1:]))")
 
 
+def run(argv: list) -> dict:
+    """Exit code, wall seconds and peak RSS (MiB) of one child running
+    argv with this process's environment."""
+    start = time.perf_counter()
+    child = subprocess.Popen(argv)
+    timer = threading.Timer(600, os.kill, (child.pid, signal.SIGKILL))
+    timer.start()
+    try:
+        _, status, usage = os.wait4(child.pid, 0)
+    finally:
+        timer.cancel()
+    seconds = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here
+    return {"exit": child.returncode, "seconds": round(seconds, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
 def measure(nodes: int, tags: int, directory: str) -> dict:
-    """Exit code, seconds and peak RSS (MiB) of each report form, text
-    first, each in a fresh interpreter with this one's environment."""
+    """The run of each report form, text first, each in a fresh
+    interpreter."""
     program = os.path.join(directory, "ladder.fj")
     guideline = os.path.join(directory, "one_state.gl")
     with open(program, "w", encoding="utf-8") as fh:
         fh.write(ladder(nodes, tags))
     with open(guideline, "w", encoding="utf-8") as fh:
         fh.write(ONE_STATE)
-    out = {}
-    for form in ("text", "json"):
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-c", MAIN, "analyze", "--program", program,
-             "--guideline", guideline, "--report", form,
-             "--out", os.path.join(directory, f"report.{form}")],
-            timeout=600)
-        seconds = time.perf_counter() - start
-        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-        out[form] = {"exit": done.returncode, "seconds": round(seconds, 3),
-                     "peak_rss_mb": round(peak, 1)}
-    return out
+    return {form: run([sys.executable, "-c", MAIN, "analyze", "--program",
+                       program, "--guideline", guideline, "--report", form,
+                       "--out", os.path.join(directory, f"report.{form}")])
+            for form in ("text", "json")}
 
 
 def problems(result: dict) -> list:
