@@ -59,8 +59,6 @@ class ClassTable:
         self.supers = supers
         self.pinned: set = set()
         self.analyzed: set | None = None  # demand-driven: the sigs activated
-        # the read sets infer typed with (reads_of)
-        self.reads: dict | None = None
         # infer's typing groups of the bodied signatures, for the re-check
         self.groups: list | None = None
 

@@ -6,10 +6,11 @@ label.  The surface statement language (locals, sequencing, ``return``) is
 desugared into this core by the parser; fresh variables introduced by
 desugaring start with ``$`` and can never clash with source identifiers.
 
-Nodes are immutable records (``Node``).  Positions are kept on nodes for
-error reporting but excluded from equality and hashing, so a program printed
-and reparsed compares equal to the original; ``replace`` keeps a node's
-position unless it is given a new one.
+Nodes are records (``Node``) whose ``__setattr__`` raises.  Their one write
+is the empty receiver annotation of a call or field access, filled in place
+by ``fjtypes`` while the node's Program is built.  Positions are kept on
+nodes for error reporting but excluded from equality and hashing, so a
+program printed and reparsed compares equal to the original.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ _set = object.__setattr__  # how a node's __init__ sets its fields
 
 
 class Node:
-    """An immutable record whose fields are its ``__slots__``, in the order
-    of its constructor's parameters.  Equality and the hash cover every
-    field but ``pos``."""
+    """A record whose fields are its ``__slots__``, in the order of its
+    constructor's parameters; none can be assigned.  Equality and the hash
+    cover every field but ``pos``."""
 
     __slots__ = ()
 
@@ -46,15 +47,6 @@ class Node:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
-
-    def replace(self, **changes) -> "Node":
-        """This node with the given fields changed and the others, its
-        position included, kept."""
-        values = [changes.pop(n, getattr(self, n)) for n in self.__slots__]
-        if changes:
-            raise TypeError(f"{self.__class__.__qualname__} has no field "
-                            f"{next(iter(changes))!r}")
-        return self.__class__(*values)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -163,7 +155,7 @@ class Call(Expr):
     def __init__(self, recv: str, recv_cls: str, method: str,
                  args: tuple[str, ...], pos: Pos | None = None):
         _set(self, "recv", recv)
-        # static class of the receiver, filled by the parser
+        # static class of the receiver; empty ones are filled by typing
         _set(self, "recv_cls", recv_cls)
         _set(self, "method", method)
         _set(self, "args", args)
@@ -232,6 +224,39 @@ def subexprs(e: Expr) -> Iterator[Expr]:
             stack += (e.handler, e.body)
 
 
+def _read_sets(nodes: list[Expr], out: dict) -> frozenset[str]:
+    """The variables the body listed in preorder in nodes reads before
+    binding them.  Read backward, each node finds its children's read sets
+    on a stack, the first child on top.  Stores those of each ``Let`` body
+    and handler in out by the node's id, one set shared along a spine."""
+    stack: list[frozenset[str]] = []
+    pop, push = stack.pop, stack.append
+    for e in reversed(nodes):
+        if isinstance(e, Let):
+            init, names = pop(), pop()
+            out[id(e.body)] = names
+            if e.var in names or not init <= names:
+                names = (names - {e.var}) | init
+        elif isinstance(e, (Cast, Throw)):
+            names = pop()
+        elif isinstance(e, If):
+            names = pop() | pop() | {e.left, e.right}
+        elif isinstance(e, TryCatch):
+            body, handler = pop(), pop()
+            out[id(e.handler)] = handler
+            names = body | (handler - {e.var})
+        elif isinstance(e, Var):
+            names = frozenset((e.name,))
+        elif isinstance(e, Call):
+            names = frozenset((e.recv, *e.args))
+        elif isinstance(e, (GetField, SetField)):
+            names = frozenset((e.recv, e.value) if isinstance(e, SetField) else (e.recv,))
+        else:
+            names = frozenset()
+        push(names)
+    return pop()
+
+
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
@@ -284,10 +309,11 @@ class Program:
 
     Construction validates shape-level well-formedness (unique class names,
     an acyclic parent relation rooted at Object, no field redeclaration along
-    a chain, unique allocation labels), then types every body once with
-    ``fjtypes.typed_classes``: ``classes`` holds the bodies with their
-    receiver annotations filled in, and ``violations`` the typing violations
-    that walk found.  A name error raises FjError.  When ``alphabet`` is
+    a chain, unique allocation labels), reads each body in one pass
+    (``_read_bodies``), then types every body once with
+    ``fjtypes.check_classes``, which fills the empty receiver annotations
+    of the classes it is given in place; ``violations`` holds the typing
+    violations it found.  A name error raises FjError.  When ``alphabet`` is
     given, every emitted event must belong to it.  A Program is never
     changed after construction.
     """
@@ -309,13 +335,10 @@ class Program:
         self._fields: dict[str, tuple[FieldDecl, ...]] = {}
         for c in self.classes:
             self._fields[c.name] = self._collect_fields(c)
-        self._collect_labels_and_events()
-        # typing changes nothing but method bodies, so the shape checks,
-        # labels and alphabet above hold for the typed classes too
+        self._read_bodies()
         violations: list[FjError] = []
-        self.classes = tuple(fjtypes.typed_classes(
-            self, violations, None if alphabet is None else frozenset(alphabet)))
-        self.by_name = {c.name: c for c in self.classes}
+        fjtypes.check_classes(
+            self, violations, None if alphabet is None else frozenset(alphabet))
         self.violations: tuple[FjError, ...] = tuple(violations)
 
     def _check_acyclic(self) -> None:
@@ -357,18 +380,30 @@ class Program:
             return ()
         return self._fields[cls]
 
-    def _collect_labels_and_events(self) -> None:
+    def _read_bodies(self) -> None:
+        """One pass over each body's nodes in preorder: forward, the sites,
+        events and calls (``calls``, by the body's id), where a duplicate
+        label raises; backward, the read sets (``reads``, by the id of each
+        method body, ``Let`` body and handler), a property of the syntax
+        and so computed with the program."""
         labels: dict[str, frozenset[str]] = {}  # label -> class allocated there
         events: set[str] = set()
+        self.reads: dict[int, frozenset[str]] = {}
+        self.calls: dict[int, list[Call]] = {}
         for c in self.classes:
             for m in c.methods:
-                for e in subexprs(m.body):
+                nodes = list(subexprs(m.body))
+                calls = self.calls[id(m.body)] = []
+                for e in nodes:
                     if isinstance(e, New):
                         if e.label in labels:
                             raise FjError(f"duplicate allocation label {e.label}", e.pos)
                         labels[e.label] = frozenset({e.cls})
                     elif isinstance(e, Emit):
                         events.add(e.event)
+                    elif isinstance(e, Call):
+                        calls.append(e)
+                self.reads[id(m.body)] = _read_sets(nodes, self.reads)
         self.labels: tuple[str, ...] = tuple(labels)
         self.alphabet: frozenset[str] = frozenset(events)
         self._label_classes = labels

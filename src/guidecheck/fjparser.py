@@ -16,12 +16,12 @@ The parser reads statement sequences straight into the let-normal core,
 with no separate desugaring pass: a sequence becomes a let chain with fresh
 ``$``-variables, a local a let, and ``return e;`` simply ends the chain.
 Allocation sites may carry an explicit label (``new[l1] Node()``);
-unlabeled sites get ``file:line:col``.  The parser builds a Program from
-the raw classes, and building it types every method once
-(``fjast.Program``): the receiver annotations on calls and field accesses
-are filled in, a name error raises, and the typing violations stay on the
-Program.  The printer behind the round-trip test lives in
-``tests/fjprinter.py``.
+unlabeled sites get ``file:line:col``; a label ends on its line.  The
+parser builds a Program from the raw classes, which it keeps: it reads each
+body in one pass and types every method once, filling the empty receiver
+annotations in place (``fjast.Program``).  A name error raises, and the
+typing violations stay on the Program.  The printer behind the round-trip
+test lives in ``tests/fjprinter.py``.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ _KEYWORDS = {
 
 # One scan: each match swallows the blanks before it and ends in one token
 # class, so the matches tile the text and ``finditer`` yields every token in
-# order.  '[' opens a raw label (labels may contain ':' and '.') and is in no
-# other class, so an unclosed one falls through to ``bad``, any character no
-# class takes; ``end`` takes the blanks at the end of the text.  ``\w+`` also
+# order.  '[' opens a raw label (labels may contain ':' and '.', not a
+# newline) and is in no other class, so one not closed on its line falls
+# through to ``bad``, any character no class takes; ``end`` takes the blanks
+# at the end of the text.  ``\w+`` also
 # matches runs starting with a digit such as '1' or '²'; _lex rejects those.
 _TOKEN = re.compile(
     r"""
@@ -81,7 +82,7 @@ _TOKEN = re.compile(
     | (?P<punct>==|[{}();,.=\]])
     | (?P<newline>\n)
     | (?P<comment>//[^\n]*)
-    | \[(?P<label>[^\]]*)\]
+    | \[(?P<label>[^\]\n]*)\]
     | (?P<end>\Z)
     | (?P<bad>.)
     )
@@ -103,8 +104,7 @@ class Token(NamedTuple):
 
 def _lex(text: str) -> list[Token]:
     """The tokens of text, ending in "eof".  A column counts the characters
-    since the last newline token, so a label spanning a newline does not
-    advance the line count."""
+    since the last newline token; no other token holds a newline."""
     toks: list[Token] = []
     line, line_start = 1, 0  # the line's number and its first index
     new = tuple.__new__

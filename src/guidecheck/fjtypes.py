@@ -2,13 +2,13 @@
 
 The class hierarchy is single-inheritance with Object on top and NullType
 below every class; neither is ever declared.  ``check_method`` is the only
-place that works out static classes: one walk returns a body with its
-receiver annotations filled in.  Name errors (unbound variable, unknown
-class or member, event outside the alphabet) raise FjError; typing
-violations are collected and the walk goes on.  ``typed_classes`` adds the
-redeclaration and invariant-override checks and types every body; a
-Program runs it once, when it is built, and keeps the typed bodies and the
-violations, which ``fj_typecheck`` reads.
+place that works out static classes: one walk over a body, which fills each
+empty receiver annotation in place (``_receiver``), the one write to a node,
+made while its Program is built; ``Node.__setattr__`` still raises.  Name
+errors (unknown variable, class, member or event) raise FjError; typing
+violations are collected and the walk goes on.  ``check_classes`` adds the
+redeclaration and override checks and types every body; a Program runs it
+once, when it is built, and keeps the violations for ``fj_typecheck``.
 """
 
 from __future__ import annotations
@@ -101,22 +101,19 @@ def fj_typecheck(prog: Program) -> list[FjError]:
     return list(prog.violations)
 
 
-def typed_classes(
+def check_classes(
     prog: Program,
     errors: list[FjError],
     alphabet: frozenset[str] | None = None,
-) -> list[ClassDecl]:
-    """prog's classes with every body typed by ``check_method``.  Per class,
+) -> None:
+    """Type every body of prog's classes with ``check_method``.  Per class,
     the declaration checks, the override checks, then each method append
     their violations to errors in that order.  A name error raises."""
-    classes = []
     for c in prog.classes:
         _check_declarations(c, errors)
         _check_overrides(prog, c, errors)
-        methods = tuple(check_method(prog, c.name, md, errors, alphabet)
-                        for md in c.methods)
-        classes.append(c.replace(methods=methods))
-    return classes
+        for md in c.methods:
+            check_method(prog, c.name, md, errors, alphabet)
 
 
 def check_method(
@@ -125,24 +122,23 @@ def check_method(
     md: MethodDecl,
     errors: list[FjError],
     alphabet: frozenset[str] | None = None,
-) -> MethodDecl:
-    """Type md's body in class cls and return md with every receiver
-    annotation filled in.  Raises FjError at the first name error; appends
-    each typing violation to errors and goes on.  When ``alphabet`` is given,
-    every emitted event must belong to it."""
+) -> None:
+    """Type md's body in class cls, filling every empty receiver annotation
+    in place.  Raises FjError at the first name error; appends each typing
+    violation to errors and goes on.  When ``alphabet`` is given, every
+    emitted event must belong to it."""
     for p in md.params:
         if p.cls != OBJECT and p.cls not in prog.by_name:
             raise FjError(f"unknown parameter class {p.cls}", md.pos)
     env = {"this": cls, **{p.name: p.cls for p in md.params}}
     if not known_class(prog, md.result):
         errors.append(FjError(f"unknown result class {md.result}", md.pos))
-        body, _ = _type_expr(prog, env, md.body, [], alphabet)
+        _type_expr(prog, env, md.body, [], alphabet)
     else:
-        body, t = _type_expr(prog, env, md.body, errors, alphabet)
+        t = _type_expr(prog, env, md.body, errors, alphabet)
         if not preceq(prog, t, md.result):
             errors.append(FjError(f"body of {cls}.{md.name} has type {t}, "
                                   f"not a subclass of declared {md.result}", md.pos))
-    return md if body is md.body else md.replace(body=body)
 
 
 def _check_declarations(c: ClassDecl, errors: list[FjError]) -> None:
@@ -185,36 +181,33 @@ def _check_overrides(prog: Program, c: ClassDecl, errors: list[FjError]) -> None
 
 def _type_expr(
     prog: Program, env: dict[str, str], e: Expr, errors: list[FjError], alphabet
-) -> tuple[Expr, str]:
-    """The static class of e, and e with its receiver annotations filled.
-    At each node the name errors raise before any violation is appended."""
+) -> str:
+    """The static class of e.  At each node the name errors raise before any
+    violation is appended."""
     if isinstance(e, Var):
-        return e, _lookup(env, e.name, e.pos)
+        return _lookup(env, e.name, e.pos)
     if isinstance(e, Null):
-        return e, NULL_TYPE
+        return NULL_TYPE
     if isinstance(e, New):
         if e.cls not in prog.by_name:
             raise FjError(f"cannot allocate undeclared class {e.cls}", e.pos)
-        return e, e.cls
+        return e.cls
     if isinstance(e, Emit):
         if alphabet is not None and e.event not in alphabet:
             raise FjError(f"event {e.event} is not in the declared alphabet", e.pos)
-        return e, NULL_TYPE
+        return NULL_TYPE
     if isinstance(e, Cast):
         if e.cls != OBJECT and e.cls not in prog.by_name:
             raise FjError(f"unknown cast class {e.cls}", e.pos)
-        inner, _ = _type_expr(prog, env, e.expr, errors, alphabet)
-        return (e if inner is e.expr else e.replace(expr=inner)), e.cls
+        _type_expr(prog, env, e.expr, errors, alphabet)
+        return e.cls
     if isinstance(e, Let):
         return _type_spine(prog, env, e, errors, alphabet)
     if isinstance(e, If):
         _lookup(env, e.left, e.pos)
         _lookup(env, e.right, e.pos)
-        then, t1 = _type_expr(prog, env, e.then, errors, alphabet)
-        els, t2 = _type_expr(prog, env, e.els, errors, alphabet)
-        if then is not e.then or els is not e.els:
-            e = e.replace(then=then, els=els)
-        return e, lub(prog, t1, t2)
+        return lub(prog, _type_expr(prog, env, e.then, errors, alphabet),
+                   _type_expr(prog, env, e.els, errors, alphabet))
     if isinstance(e, Call):
         rt, ann = _receiver(prog, env, e)
         try:
@@ -231,7 +224,7 @@ def _type_expr(
                     errors.append(
                         FjError(f"argument {a}: {t} is not a subclass of {p.cls}", e.pos)
                     )
-        return (e if e.recv_cls else e.replace(recv_cls=ann)), md.result
+        return md.result
     if isinstance(e, (GetField, SetField)):
         rt, ann = _receiver(prog, env, e)
         fc = field_class(prog, ann, e.fname)
@@ -241,35 +234,31 @@ def _type_expr(
         _check_annotation(prog, e, rt, ann, errors)
         if not preceq(prog, t, fc):
             errors.append(FjError(f"assigning {t} into field {e.fname}: {fc}", e.pos))
-        return (e if e.recv_cls else e.replace(recv_cls=ann)), t
+        return t
     if isinstance(e, Throw):
-        inner, _ = _type_expr(prog, env, e.expr, errors, alphabet)
-        return (e if inner is e.expr else e.replace(expr=inner)), NULL_TYPE
+        _type_expr(prog, env, e.expr, errors, alphabet)
+        return NULL_TYPE
     if isinstance(e, TryCatch):
-        body, t1 = _type_expr(prog, env, e.body, errors, alphabet)
+        t1 = _type_expr(prog, env, e.body, errors, alphabet)
         if e.exc_cls != OBJECT and e.exc_cls not in prog.by_name:
             raise FjError(f"unknown exception class {e.exc_cls}", e.pos)
         if e.var in env:
             errors.append(FjError(f"variable {e.var} already declared", e.pos))
         env2 = dict(env)
         env2[e.var] = e.exc_cls
-        handler, t2 = _type_expr(prog, env2, e.handler, errors, alphabet)
-        if body is not e.body or handler is not e.handler:
-            e = e.replace(body=body, handler=handler)
-        return e, lub(prog, t1, t2)
+        t2 = _type_expr(prog, env2, e.handler, errors, alphabet)
+        return lub(prog, t1, t2)
     raise AssertionError(f"unhandled expression {e!r}")
 
 
 def _type_spine(
     prog: Program, env: dict[str, str], e: Let, errors: list[FjError], alphabet
-) -> tuple[Expr, str]:
+) -> str:
     """``_type_expr`` of a let spine, followed in a loop: each init, then
-    each binding's checks, in order, and the tail; the spine is rebuilt
-    from the tail up where a node below it changed."""
-    spine = []  # (Let, its typed init), outermost first
+    each binding's checks, in order, and the tail."""
     env = dict(env)
     while isinstance(e, Let):
-        init, t1 = _type_expr(prog, env, e.init, errors, alphabet)
+        t1 = _type_expr(prog, env, e.init, errors, alphabet)
         if e.decl is not None and e.decl != OBJECT and e.decl not in prog.by_name:
             raise FjError(f"unknown class {e.decl}", e.pos)
         if e.var in env:
@@ -279,14 +268,8 @@ def _type_spine(
                 FjError(f"initializer of {e.var} has type {t1}, expected {e.decl}", e.pos)
             )
         env[e.var] = e.decl if e.decl is not None else t1
-        spine.append((e, init))
         e = e.body
-    body, t = _type_expr(prog, env, e, errors, alphabet)
-    for let, init in reversed(spine):
-        if init is not let.init or body is not let.body:
-            let = let.replace(init=init, body=body)
-        body = let
-    return body, t
+    return _type_expr(prog, env, e, errors, alphabet)
 
 
 def _lookup(env: dict[str, str], name: str, pos) -> str:
@@ -297,11 +280,14 @@ def _lookup(env: dict[str, str], name: str, pos) -> str:
 
 def _receiver(prog: Program, env: dict[str, str], e) -> tuple[str, str]:
     """The static class of e's receiver, and the class whose members e uses:
-    its annotation if it has one, else that static class."""
+    its annotation if it has one, else that static class, which then fills
+    the annotation in place: the one write to a node."""
     rt = _lookup(env, e.recv, e.pos)
     ann = e.recv_cls or rt
     if ann not in prog.by_name:
         raise FjError(f"receiver {e.recv} has type {ann}, which has no members", e.pos)
+    if not e.recv_cls:
+        object.__setattr__(e, "recv_cls", ann)
     return rt, ann
 
 

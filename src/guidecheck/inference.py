@@ -12,11 +12,12 @@ signatures of a typing group share once.
 
 Environments map variable names (including ``this``) to regions.  A typing
 of a node looks its environment up only at the variables the node reads
-(``reads_of``), so one key, the node and its reading (``_key``), shares
-typings: of a body among the signatures that resolve to it (Sharir and
-Pnueli's summaries, 1981), of a ``Let`` body or handler among the value
-regions it binds (Might and Shivers' abstract garbage collection, 2006),
-and of the latter across the whole re-check.
+(``Program.reads``, a property of the syntax computed with the program), so
+one key, the node and its reading (``_key``), shares typings: of a body
+among the signatures that resolve to it (Sharir and Pnueli's summaries,
+1981), of a ``Let`` body or handler among the value regions it binds (Might
+and Shivers' abstract garbage collection, 2006), and of the latter across
+the whole re-check.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .fjast import (
     Throw,
     TryCatch,
     Var,
-    subexprs,
 )
 from .fjtypes import method_lookup, methods_of, preceq
 from .intrinsics import stub_lookup
@@ -65,17 +65,16 @@ TYPING_WORK_CAP = 1 << 18  # the most steps (_rule) of one body's typing
 
 class _Typing:
     """What a typing reads besides its environment: the program, its
-    regions, a table, the domain and the read sets (``reads_of``), with the
+    regions, a table, the domain and the program's read sets, with the
     memo of typings by (node, reading), the steps taken so far and the
     field rows read; the method rows read are the keys of the typing's S."""
 
     def __init__(self, prog: Program, meta: RegionMeta, table: ClassTable,
-                 domain, reads: dict):
+                 domain):
         self.prog = prog
         self.meta = meta
         self.table = table
         self.domain = domain
-        self.reads = reads
         self.memo: dict = {}
         self.work = 0
         self.field_rows: set = set()
@@ -111,7 +110,7 @@ def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
         if len(first.t) == 1:
             ((r, u),) = first.t.items()
             gamma[e.var] = r
-        elif first.t and e.var not in ty.reads[id(e.body)]:
+        elif first.t and e.var not in ty.prog.reads[id(e.body)]:
             u = reduce(domain.fin_join, first.t.values())
         else:
             # the init's returning values go on to the body; its throws stay
@@ -221,7 +220,7 @@ def _typed(ty: _Typing, gamma: dict, e: Expr) -> Effects:
     steps, and only the multi-region variables live at once multiply them,
     as they multiply the per-region rule's typings; so here the steps are
     checked against ``TYPING_WORK_CAP``."""
-    key = _key(ty.reads, gamma, e)
+    key = _key(ty.prog.reads, gamma, e)
     eff = ty.memo.get(key)
     if eff is None:
         if ty.work > TYPING_WORK_CAP:
@@ -245,48 +244,6 @@ def catch_split(h: dict, exc_cls: str, prog: Program,
         if not all(subclass):
             escaped[r] = u
     return caught, escaped
-
-
-def reads_of(prog: Program) -> dict:
-    """The variables each method body, ``Let`` body and handler of prog
-    reads before binding them, keyed by the node's id: what a typing of the
-    node can observe of its environment.  One post-order pass."""
-    out: dict = {}
-    for c in prog.classes:
-        for md in c.methods:
-            out[id(md.body)] = _reads(md.body, out)
-    return out
-
-
-def _reads(e: Expr, out: dict) -> frozenset:
-    """The variables e reads before binding them.  Stores those of each
-    ``Let`` body and handler below e in out, one set shared along a spine
-    until a binding changes it."""
-    spine = []
-    while isinstance(e, Let):
-        spine.append(e)
-        e = e.body
-    if isinstance(e, (Cast, Throw)):
-        names = _reads(e.expr, out)
-    elif isinstance(e, If):
-        names = _reads(e.then, out) | _reads(e.els, out) | {e.left, e.right}
-    elif isinstance(e, TryCatch):
-        out[id(e.handler)] = handler = _reads(e.handler, out)
-        names = _reads(e.body, out) | (handler - {e.var})
-    elif isinstance(e, Var):
-        names = frozenset((e.name,))
-    elif isinstance(e, Call):
-        names = frozenset((e.recv, *e.args))
-    elif isinstance(e, (GetField, SetField)):
-        names = frozenset((e.recv, e.value) if isinstance(e, SetField) else (e.recv,))
-    else:
-        names = frozenset()
-    for let in reversed(spine):
-        out[id(let.body)] = names
-        init = _reads(let.init, out)
-        if let.var in names or not init <= names:
-            names = (names - {let.var}) | init
-    return names
 
 
 # -- the fixpoint --------------------------------------------------------------
@@ -338,7 +295,7 @@ def _body_env(sig: Sig, prog: Program) -> tuple:
     return md.body, _env(md, (sig.recv, *sig.args))
 
 
-def _typing_groups(sigs: list, prog: Program, reads: dict) -> list:
+def _typing_groups(sigs: list, prog: Program) -> list:
     """Split sigs into groups whose bodies type alike, by ``_key``: so
     inherited bodies are shared.  Groups come in the order of their first
     member in sigs, and members keep that order.  Each (class, method) is
@@ -351,7 +308,7 @@ def _typing_groups(sigs: list, prog: Program, reads: dict) -> list:
         if at is None:
             md, _ = method_lookup(prog, sig.cls, sig.method)
             at = where[sig.cls, sig.method] = _key(
-                reads, _env(md, range(1 + len(md.params))), md.body)
+                prog.reads, _env(md, range(1 + len(md.params))), md.body)
         body_id, positions = at
         regions = (sig.recv, *sig.args)
         key = (body_id, tuple([regions[i] for i in positions]))
@@ -363,15 +320,14 @@ def _callee_first(sigs: list, prog: Program) -> list:
     """Order signatures callees first: by the strongly connected component
     of their (class, method) node in the static call graph, then in their
     given order, the canonical one.  The graph's edges are the call sites
-    of each resolved body, plus one from each method to the same method at
-    every direct subclass, whose entry ``ClassTable.join_rows`` joins into
-    it."""
+    of each resolved body (``Program.calls``), plus one from each method to
+    the same method at every direct subclass, whose entry
+    ``ClassTable.join_rows`` joins into it."""
     succ: dict = {}
     for c in prog.classes:
         for mname, (md, _) in methods_of(prog, c.name).items():
             succ[(c.name, mname)] = [(e.recv_cls, e.method)
-                                     for e in subexprs(md.body)
-                                     if isinstance(e, Call)]
+                                     for e in prog.calls[id(md.body)]]
     for c in prog.classes:
         if c.parent in prog.by_name:
             for mname in methods_of(prog, c.parent):
@@ -419,9 +375,7 @@ def infer(
     table = init_table(prog, meta)
     seed_intrinsics(table, prog, meta, domain, specs)
     bodied = bodied_sigs(table, prog, meta, specs)
-    reads = table.reads = reads_of(prog)
-    groups = table.groups = _typing_groups(_callee_first(bodied, prog), prog,
-                                           reads)
+    groups = table.groups = _typing_groups(_callee_first(bodied, prog), prog)
     rank = {sig: i for i, members in enumerate(groups) for sig in members}
     readers: dict = {}  # row (field-table key or Sig) -> ranks of its readers
     queue: list = []  # heap of group ranks: the lowest, most callee-like, first
@@ -475,7 +429,7 @@ def infer(
             if typings > limit:
                 raise RuntimeError(
                     "inference failed to converge within its cap")
-        ty = _Typing(prog, meta, table, domain, reads)
+        ty = _Typing(prog, meta, table, domain)
         body, gamma = _body_env(groups[i][0], prog)
         eff = typeff(ty, gamma, body)
         for row in ty.field_rows | eff.s.keys():
@@ -543,7 +497,7 @@ def check_well_typed(
     if meta is None:
         meta = region_meta(prog)
     # one memo over the frozen table, for the continuations of every body
-    ty = _Typing(prog, meta, table, domain, table.reads)
+    ty = _Typing(prog, meta, table, domain)
     found: dict = {}  # sig -> its offenses as (part, detail), if any
     for members in table.groups:
         if table.analyzed is not None:

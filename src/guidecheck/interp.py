@@ -437,8 +437,9 @@ class Evaluator:
 
     def _canonical_key(self, cls: str, method: str, roots: list) -> tuple:
         """Configuration up to location renaming; unreachable heap ignored.
-        Objects are numbered in the order a walk from the roots meets them,
-        each field dict holds its names in sorted order (see _alloc)."""
+        Objects are numbered in the order a walk from the roots meets them;
+        one renders its class, label and field values, as every object of a
+        class holds the same field names in one order (``_alloc``)."""
         ids: dict[int, int] = {}
         order: list[int] = []
 
@@ -455,7 +456,7 @@ class Evaluator:
         rendering = []
         for loc in order:  # visit appends what each object reaches
             obj = self.heap[loc]
-            fields = tuple([(fn, visit(fv)) for fn, fv in obj.fields.items()])
+            fields = tuple([visit(fv) for fv in obj.fields.values()])
             rendering.append((obj.cls, obj.label, fields))
         return (cls, method, root_ids, tuple(rendering))
 

@@ -21,6 +21,12 @@ check the prefix-first fold that replaced it against it, table for table.
 and row object: it checks every signature's row on its own, and the tests
 check that ``check_well_typed`` reports the same offenses in the same order.
 
+``reads_of`` is the recursive post-order pass that computed the read sets
+before a Program computed them in its one pass over each body, and
+``callee_first_by_walk`` orders signatures callees first from a walk over
+each resolved body, before the Program listed the calls; the tests check
+``Program.reads`` and ``inference._callee_first`` against them.
+
 The reference keeps its own tables and closure, written apart from the
 mutators of ``guidecheck.classtable.ClassTable``: a field row per class
 that has the field, made to agree with the parent's row when the field is
@@ -51,6 +57,7 @@ from guidecheck.fjast import (
     Throw,
     TryCatch,
     Var,
+    subexprs,
 )
 from guidecheck.fjtypes import method_lookup, methods_of, preceq
 from guidecheck.inference import (
@@ -64,6 +71,7 @@ from guidecheck.inference import (
     bodied_sigs,
     seed_intrinsics,
 )
+from guidecheck.solver import components
 from guidecheck.regions import (
     NULL_REGION,
     UNKNOWN,
@@ -162,7 +170,7 @@ def typeff_right_fold(ty: _Typing, gamma: dict, e: Expr) -> Effects:
         if len(first.t) == 1:
             ((r, u),) = first.t.items()
             gamma[e.var] = r
-        elif first.t and e.var not in ty.reads[id(e.body)]:
+        elif first.t and e.var not in ty.prog.reads[id(e.body)]:
             u = reduce(domain.fin_join, first.t.values())
         else:
             tail = _then(ty, gamma, e.var, e.body, first.t, {}, first.h,
@@ -397,7 +405,7 @@ def check_per_signature(
     specs = intrinsics or {}
     sigs = [sig for sig in bodied_sigs(table, prog, meta, specs)
             if table.analyzed is None or sig in table.analyzed]
-    ty = _Typing(prog, meta, table, domain, table.reads)
+    ty = _Typing(prog, meta, table, domain)
     offenses: list[Offense] = []
     for sig in sigs:
         body, gamma = _body_env(sig, prog)
@@ -412,3 +420,64 @@ def check_per_signature(
                 if held is None or not domain.fin_leq(v, held):
                     offenses.append(Offense(sig, part, f"entry {k} not covered"))
     return offenses
+
+
+def reads_of(prog: Program) -> dict:
+    """The variables each method body, ``Let`` body and handler of prog
+    reads before binding them, keyed by the node's id: what a typing of the
+    node can observe of its environment.  One post-order pass."""
+    out: dict = {}
+    for c in prog.classes:
+        for md in c.methods:
+            out[id(md.body)] = _reads(md.body, out)
+    return out
+
+
+def _reads(e: Expr, out: dict) -> frozenset:
+    """The variables e reads before binding them.  Stores those of each
+    ``Let`` body and handler below e in out, one set shared along a spine
+    until a binding changes it."""
+    spine = []
+    while isinstance(e, Let):
+        spine.append(e)
+        e = e.body
+    if isinstance(e, (Cast, Throw)):
+        names = _reads(e.expr, out)
+    elif isinstance(e, If):
+        names = _reads(e.then, out) | _reads(e.els, out) | {e.left, e.right}
+    elif isinstance(e, TryCatch):
+        out[id(e.handler)] = handler = _reads(e.handler, out)
+        names = _reads(e.body, out) | (handler - {e.var})
+    elif isinstance(e, Var):
+        names = frozenset((e.name,))
+    elif isinstance(e, Call):
+        names = frozenset((e.recv, *e.args))
+    elif isinstance(e, (GetField, SetField)):
+        names = frozenset((e.recv, e.value) if isinstance(e, SetField) else (e.recv,))
+    else:
+        names = frozenset()
+    for let in reversed(spine):
+        out[id(let.body)] = names
+        init = _reads(let.init, out)
+        if let.var in names or not init <= names:
+            names = (names - {let.var}) | init
+    return names
+
+
+def callee_first_by_walk(sigs: list, prog: Program) -> list:
+    """sigs ordered as ``inference._callee_first`` orders them, with the
+    call graph's edges read by walking every resolved body."""
+    succ: dict = {}
+    for c in prog.classes:
+        for mname, (md, _) in methods_of(prog, c.name).items():
+            succ[(c.name, mname)] = [(e.recv_cls, e.method)
+                                     for e in subexprs(md.body)
+                                     if isinstance(e, Call)]
+    for c in prog.classes:
+        if c.parent in prog.by_name:
+            for mname in methods_of(prog, c.parent):
+                succ[(c.parent, mname)].append((c.name, mname))
+    comp_of = {node: i
+               for i, comp in enumerate(components(succ, succ.__getitem__))
+               for node in comp}
+    return sorted(sigs, key=lambda s: comp_of[s.cls, s.method])

@@ -13,6 +13,10 @@ once per choice of that stub, each with the script extended by that choice.
 Its runs must agree with the interpreter's, one for one and in the same
 order.  Both return the runs themselves: evaluators with their
 ``outcome`` or ``stuck`` set, as ``interp.Search`` returns them.
+
+``canonical_key_with_names`` is ``Evaluator._canonical_key`` as it rendered
+each field as a (name, id) pair; the tests check that the package's key,
+which renders ids only, tells calls apart exactly as it did.
 """
 
 from __future__ import annotations
@@ -95,3 +99,30 @@ def enumerate_by_restarts(
         if len(runs) > MAX_RUNS:
             raise RuntimeError(f"more than {MAX_RUNS} runs for {entry}")
     return runs
+
+
+def canonical_key_with_names(ev: Evaluator, cls: str, method: str,
+                             roots: list) -> tuple:
+    """The configuration of a call of method with receiver and arguments
+    roots, up to location renaming: the objects reachable from the roots,
+    numbered in the order a walk from them meets them, each with its class,
+    label and (field name, id) pairs."""
+    ids: dict[int, int] = {}
+    order: list[int] = []
+
+    def visit(v):
+        if v is None:
+            return None
+        i = ids.get(v)
+        if i is None:
+            i = ids[v] = len(order)
+            order.append(v)
+        return i
+
+    root_ids = tuple([visit(v) for v in roots])
+    rendering = []
+    for loc in order:  # visit appends what each object reaches
+        obj = ev.heap[loc]
+        fields = tuple([(fn, visit(fv)) for fn, fv in obj.fields.items()])
+        rendering.append((obj.cls, obj.label, fields))
+    return (cls, method, root_ids, tuple(rendering))

@@ -10,7 +10,8 @@ from guidecheck.fjast import FjError, Pos
 from guidecheck.fjparser import Token
 
 # One alternative per token class.  '[' opens a raw label (labels may contain
-# ':' and '.') and is in no other class, so an unclosed one matches nothing.
+# ':' and '.', not a newline) and is in no other class, so one not closed on
+# its line matches nothing.
 # ``\w+`` also matches runs starting with a digit such as '1' or '²';
 # lex_per_position rejects those.
 _TOKEN = re.compile(
@@ -18,7 +19,7 @@ _TOKEN = re.compile(
       (?P<newline>\n)
     | (?P<blank>[ \t\r]+)
     | (?P<comment>//[^\n]*)
-    | \[(?P<label>[^\]]*)\]
+    | \[(?P<label>[^\]\n]*)\]
     | (?P<punct>==|[{}();,.=\]])
     | (?P<id>\w+)
     """,
@@ -41,7 +42,6 @@ def lex_per_position(text: str) -> list[Token]:
             line, col, i = line + 1, 1, j
             continue
         if kind == "label":
-            # a label spanning a newline does not advance the line count
             toks.append(Token("punct", "[", line, col))
             inner = m.group("label").strip()
             if inner:

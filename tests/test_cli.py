@@ -583,6 +583,19 @@ def test_main_type_error_message_names_the_problem(tmp_path, capsys):
     assert "y" in capsys.readouterr().err
 
 
+def test_main_rejects_a_label_spanning_a_line(tmp_path, capsys):
+    # a label ends on its line, so no report splits a signature over two
+    # lines and no later position is a line short: the '[' is unterminated
+    bad = tmp_path / "bad.fj"
+    bad.write_text("class A extends Object {\n  Object m() {\n"
+                   "    A x = new[a\nb] A();\n    emit a;\n    return x;\n"
+                   "  }\n}\n", encoding="utf-8")
+    code = run_main("--program", str(bad), "--guideline", fixture("parity.gl"))
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "guidecheck: error: 3:14: unterminated '['\n")
+
+
 # One ill-typed program per front-end message: the lexer, the parser, the
 # Program's shape checks, the name errors and the typing violations.
 ILL_TYPED = [
@@ -798,7 +811,7 @@ def test_main_types_each_method_once_in_one_program(monkeypatch):
     prog, _, _ = serve_inputs("serve_liveness.gl")
     declared = [(c.name, md.name) for c in prog.classes for md in c.methods]
     check_method = fjtypes.check_method
-    collect = Program._collect_labels_and_events
+    collect = Program._read_bodies
     typed, collected = [], []
 
     def counting_check_method(prog, cls, md, *args):
@@ -810,7 +823,7 @@ def test_main_types_each_method_once_in_one_program(monkeypatch):
         collect(prog)
 
     monkeypatch.setattr(fjtypes, "check_method", counting_check_method)
-    monkeypatch.setattr(Program, "_collect_labels_and_events", counting_collect)
+    monkeypatch.setattr(Program, "_read_bodies", counting_collect)
     code = run_main("--program", fixture("serve.fj"),
                     "--guideline", fixture("serve_liveness.gl"),
                     "--config", fixture("serve.cfg"),

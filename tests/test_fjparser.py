@@ -24,12 +24,13 @@ from guidecheck.fjast import (
     Throw,
     TryCatch,
     Var,
+    _read_sets,
     subexprs,
 )
-from guidecheck.fjparser import _lex, parse_program, parse_programs
+from guidecheck.fjparser import _lex, _Parser, parse_program, parse_programs
 from guidecheck.fjtypes import fj_typecheck, lub, preceq
 
-from conftest import read_fixture
+from conftest import FIXTURES, read_fixture
 from fjprinter import print_program
 from lexer_reference import lex_per_position
 
@@ -63,7 +64,7 @@ def test_parse_shape():
 
 def test_lexer_kinds_and_positions():
     text = ("class\tA {\r\n  // note [x\n  A f; new[ file.fj:3:4 ] A();\n"
-            "  new[a\nb] x.y==z _\u00e99}")
+            "  new x.y==z _\u00e99}")
     toks = [tuple(t) for t in _lex(text)]
     assert toks == [
         ("id", "class", 1, 1), ("id", "A", 1, 7), ("punct", "{", 1, 9),
@@ -72,12 +73,14 @@ def test_lexer_kinds_and_positions():
         ("label", "file.fj:3:4", 3, 12), ("punct", "]", 3, 25),
         ("id", "A", 3, 27), ("punct", "(", 3, 28), ("punct", ")", 3, 29),
         ("punct", ";", 3, 30),
-        # a label spanning a newline does not advance the line count
-        ("id", "new", 4, 3), ("punct", "[", 4, 6), ("label", "a\nb", 4, 7),
-        ("punct", "]", 4, 10), ("id", "x", 4, 12), ("punct", ".", 4, 13),
-        ("id", "y", 4, 14), ("punct", "==", 4, 15), ("id", "z", 4, 17),
-        ("id", "_\u00e99", 4, 19), ("punct", "}", 4, 22), ("eof", "", 4, 23),
+        ("id", "new", 4, 3), ("id", "x", 4, 7), ("punct", ".", 4, 8),
+        ("id", "y", 4, 9), ("punct", "==", 4, 10), ("id", "z", 4, 12),
+        ("id", "_\u00e99", 4, 14), ("punct", "}", 4, 17), ("eof", "", 4, 18),
     ]
+    # a label may not span a newline: its '[' is left unterminated
+    with pytest.raises(FjError) as exc:
+        _lex(text.replace("new x", "new[a\nb] x"))
+    assert str(exc.value) == "4:6: unterminated '['"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -94,8 +97,9 @@ def test_lexer_error_positions(text, message):
 
 
 # The pieces random texts are drawn from: ids (one starting with a digit,
-# some not ASCII), the punctuation, blanks, comments, labels (one spanning a
-# newline, one unterminated) and characters no token class takes.
+# some not ASCII), the punctuation, blanks, comments, labels (two spanning a
+# newline, so unterminated, and one never closed) and characters no token
+# class takes.
 LEX_PIECES = (
     "x", "Node", "_t1", "\u00e9t\u00e9", "\u00b2a", "1a", "9", "new", "emit",
     "==", "=", "{", "}", "(", ")", ";", ",", ".", "]",
@@ -365,3 +369,89 @@ def test_a_hand_built_program_is_typed_when_it_is_built():
     with pytest.raises(FjError, match="event b is not in the declared alphabet"):
         Program([ClassDecl("A", OBJECT, (), (MethodDecl(OBJECT, "go", (), Emit("b")),))],
                 alphabet=("a",))
+
+
+def _raw_classes(text):
+    """The classes the parser reads from text, no Program built over them."""
+    return _Parser(_lex(text), "<input>").program()
+
+
+def _accesses(classes):
+    return [e for c in classes for md in c.methods for e in subexprs(md.body)
+            if isinstance(e, (Call, GetField, SetField))]
+
+
+FIXTURE_TEXTS = [path.read_text(encoding="utf-8")
+                 for path in sorted(FIXTURES.glob("*.fj"))]
+
+
+def test_a_program_keeps_its_classes_and_fills_their_annotations():
+    filled = 0
+    for text in FIXTURE_TEXTS:
+        raw = _raw_classes(text)
+        accesses = _accesses(raw)
+        assert not any(e.recv_cls for e in accesses)
+        prog = Program(raw)
+        assert len(prog.classes) == len(raw)
+        assert all(c is r for c, r in zip(prog.classes, raw))
+        assert all(prog.by_name[r.name] is r for r in raw)
+        assert all(e.recv_cls for e in accesses)
+        filled += len(accesses)
+    assert filled > 10
+
+
+# Each program has a typing violation.
+VIOLATING = [
+    "class A { } class B { Object m() { B y = new A(); return y; } }",
+    "class A { Object f(A x) { return x; } }\n"
+    "class B extends A { Object f(B y) { return y; } }",
+    "class A { A f; Object m(B b) { A x = b.f; return b.go(x); } }\n"
+    "class B extends A { Object go(B y) { return y; } }",
+]
+
+
+def test_a_second_program_over_the_same_classes_writes_no_node():
+    for text in VIOLATING + FIXTURE_TEXTS:
+        first = Program(_raw_classes(text))
+        nodes = [e for c in first.classes for md in c.methods
+                 for e in subexprs(md.body)]
+        before = [[getattr(e, n) for n in e.__slots__] for e in nodes]
+        second = Program(first.classes)
+        after = [[getattr(e, n) for n in e.__slots__] for e in nodes]
+        assert all(a is b for x, y in zip(before, after) for a, b in zip(x, y))
+        assert [str(e) for e in second.violations] == \
+            [str(e) for e in first.violations]
+    assert all(Program(_raw_classes(text)).violations for text in VIOLATING)
+    # a name error after the walk filled an annotation raises the same again
+    raw = _raw_classes("class A { A f; Object m(A x) { A y = x.f; return q; } }")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(FjError) as exc:
+            Program(raw)
+        errors.append(str(exc.value))
+    assert errors == ["1:50: unbound variable q"] * 2
+    assert [e.recv_cls for e in _accesses(raw)] == ["A"]
+
+
+def test_the_read_sets_of_a_deep_body_take_no_recursion():
+    # 5,000 nested ifs, each under a let binding a variable the if reads;
+    # typing this body still recurses, so the pass is fed it directly
+    body = Var("x")
+    for i in range(5000):
+        body = Let(f"v{i}", None, Var("y"), If("x", f"v{i}", body, Null()))
+    out = {}
+    assert _read_sets(list(subexprs(body)), out) == {"x", "y"}
+    assert len(out) == 5000
+    ifs = [e for e in subexprs(body) if isinstance(e, If)]
+    assert out[id(ifs[-1])] == {"x", "v0"}
+    assert all(out[id(e)] == {"x", "y", e.right} for e in ifs[:-1])
+
+
+def test_a_duplicate_label_is_reported_before_an_earlier_name_error():
+    # in walk order the unbound q comes first, but labels are read before
+    # any body is typed
+    src = ("class C { Object m() { Object y = q; C x = new[h] C(); "
+           "return new[h] C(); } }")
+    with pytest.raises(FjError) as exc:
+        parse_program(src)
+    assert str(exc.value) == "1:63: duplicate allocation label h"

@@ -10,6 +10,7 @@ from inference_reference import infer_by_sweeps
 from profile_reference import decode_mtable
 from inference_reference import check_per_signature
 from reference_cases import emit_runs, entry_points, ladder, reference_cases
+from conftest import FIXTURES
 
 from guidecheck import inference, profiles
 from guidecheck.classtable import init_table
@@ -23,7 +24,6 @@ from guidecheck.inference import (
     catch_split,
     check_well_typed,
     infer,
-    reads_of,
     typeff,
 )
 from guidecheck.intrinsics import parse_config
@@ -54,7 +54,7 @@ def body_of(prog, cls, idx=0):
 
 def typeff_in(prog, meta, table, domain, gamma, e):
     """typeff in a fresh typing of prog against table."""
-    return typeff(_Typing(prog, meta, table, domain, reads_of(prog)), gamma, e)
+    return typeff(_Typing(prog, meta, table, domain), gamma, e)
 
 
 # --- typeff, rule by rule ------------------------------------------------------
@@ -343,7 +343,7 @@ def test_typings_stay_within_the_cap_at_the_final_height(monkeypatch):
         table = infer(prog, d, intrinsics=specs)
         meta = region_meta(prog)
         groups = inference._typing_groups(
-            bodied_sigs(table, prog, meta, specs), prog, reads_of(prog))
+            bodied_sigs(table, prog, meta, specs), prog)
         assert len(typed) <= inference._typing_cap(
             table, meta, len(groups), d.fin_height()), name
         cases += 1
@@ -451,8 +451,7 @@ def test_keyed_rule_matches_the_per_region_rule(demand_driven):
                 if table.analyzed is not None and sig not in table.analyzed:
                     continue
                 body, gamma = inference._body_env(sig, prog)
-                got = typeff(_Typing(prog, meta, table, d, table.reads),
-                             gamma, body)
+                got = typeff(_Typing(prog, meta, table, d), gamma, body)
                 want = inference_reference.typeff(prog, meta, table, d,
                                                   gamma, body)
                 assert got.triple() == want.triple(), (name, sig)
@@ -517,10 +516,9 @@ def test_prefix_first_fold_matches_the_right_fold(demand_driven, monkeypatch):
             assert table.ftable == old.ftable, (name, entries)
             for group in table.groups:
                 body, gamma = inference._body_env(group[0], prog)
-                got = typeff(_Typing(prog, meta, table, d, table.reads),
-                             gamma, body)
+                got = typeff(_Typing(prog, meta, table, d), gamma, body)
                 want = inference_reference.typeff_right_fold(
-                    _Typing(prog, meta, table, d, table.reads), gamma, body)
+                    _Typing(prog, meta, table, d), gamma, body)
                 assert got.triple() == want.triple(), (name, group[0])
                 assert [list(part) for part in got.triple()] == [
                     list(part) for part in want.triple()], (name, group[0])
@@ -589,7 +587,7 @@ def test_a_run_of_k_emits_is_k_steps_and_one_word(k):
     body, gamma = inference._body_env(Sig("A", UNKNOWN, "go", ()), prog)
     typings = []
     for rule in (typeff, inference_reference.typeff_right_fold):
-        ty = _Typing(prog, region_meta(prog), table, d, table.reads)
+        ty = _Typing(prog, region_meta(prog), table, d)
         d.nonempty.clear()
         typings.append((rule(ty, gamma, body).triple(), ty.work,
                         list(d.nonempty)))
@@ -625,8 +623,8 @@ def test_emit_runs_type_as_per_statement_and_recheck_as_per_signature(
         table = infer(prog, d, intrinsics=specs, meta=meta)
         for group in table.groups:
             body, gamma = inference._body_env(group[0], prog)
-            got = _Typing(prog, meta, table, d, table.reads)
-            want = _Typing(prog, meta, table, d, table.reads)
+            got = _Typing(prog, meta, table, d)
+            want = _Typing(prog, meta, table, d)
             assert typeff(got, gamma, body).triple() == (
                 inference_reference.typeff_right_fold(
                     want, gamma, body).triple()), (name, group[0])
@@ -783,12 +781,36 @@ def test_inherited_bodies_share_one_typing_group():
     prog = parse_program(INHERITED)
     meta = region_meta(prog)
     table = init_table(prog, meta)
-    groups = inference._typing_groups(bodied_sigs(table, prog, meta, {}), prog,
-                                      reads_of(prog))
+    groups = inference._typing_groups(bodied_sigs(table, prog, meta, {}), prog)
     classes = [{sig.cls for sig in members} for members in groups
                if members[0].method == "who"]
     assert {"Base", "Sub"} in classes
     assert all("Over" not in c or c == {"Over"} for c in classes)
+
+
+def _read_set_programs():
+    """(name, program) over reference_cases, every fixture program without
+    an alphabet, and ladder(2, 6)."""
+    for name, prog, _, _ in reference_cases():
+        yield name, prog
+    for path in sorted(FIXTURES.glob("*.fj")):
+        yield path.name, parse_program(path.read_text(encoding="utf-8"),
+                                       path.name)
+    yield "ladder", parse_program(ladder(2, 6))
+
+
+def test_the_read_sets_and_call_order_match_the_walking_references():
+    programs = 0
+    for name, prog in _read_set_programs():
+        want = inference_reference.reads_of(prog)
+        assert prog.reads.keys() == want.keys(), name
+        assert prog.reads == want, name
+        meta = region_meta(prog)
+        sigs = bodied_sigs(init_table(prog, meta), prog, meta, {})
+        assert inference._callee_first(sigs, prog) == \
+            inference_reference.callee_first_by_walk(sigs, prog), name
+        programs += 1
+    assert programs >= 50
 
 
 def test_ladder_types_one_body_per_key(monkeypatch):

@@ -11,7 +11,11 @@ import pytest
 import corpus
 import taint_corpus
 from conftest import FIXTURES, read_fixture
-from interp_reference import enumerate_by_restarts, enumerate_traces
+from interp_reference import (
+    canonical_key_with_names,
+    enumerate_by_restarts,
+    enumerate_traces,
+)
 from region_satisfaction import (
     first_heap_violation,
     heap_satisfies,
@@ -530,6 +534,32 @@ def test_the_resumed_search_matches_the_restart_reference_run_for_run():
         assert got == _runs_as_data(want), (label, entry, fuel)
         cases += 1
     assert cases >= 50
+
+
+def test_call_keys_tell_calls_apart_as_keys_with_field_names_do(monkeypatch):
+    """The key renders field values only; on every enumeration case two
+    calls get equal keys exactly when the keys that also name each field
+    are equal."""
+    keyed = []  # (key, reference key) of each call keyed
+    canonical_key = interp.Evaluator._canonical_key
+
+    def both(ev, cls, method, roots):
+        key = canonical_key(ev, cls, method, roots)
+        keyed.append((key, canonical_key_with_names(ev, cls, method, roots)))
+        return key
+
+    monkeypatch.setattr(interp.Evaluator, "_canonical_key", both)
+    calls = distinct = 0
+    for label, prog, entry, fuel, specs in _enumeration_cases():
+        keyed.clear()
+        enumerate_traces(prog, entry, fuel, specs)
+        pairs = set(keyed)
+        assert len(pairs) == len({key for key, _ in pairs}) \
+            == len({named for _, named in pairs}), (label, entry, fuel)
+        calls += len(keyed)
+        distinct += len(pairs)
+    # most calls repeat a key, and many cases key more than one call
+    assert calls > 700 and 50 < distinct < calls / 5
 
 
 def _executed_calls(monkeypatch):

@@ -21,10 +21,18 @@ import sys
 from pathlib import Path
 
 from conftest import PACKAGE_DIR, fresh_python_env
-from guidecheck import fjparser, guideline, inference, interp, profiles, solver
-from guidecheck.classtable import ClassTable
+from guidecheck import (
+    fjparser,
+    fjtypes,
+    guideline,
+    inference,
+    interp,
+    profiles,
+    solver,
+)
+from guidecheck.classtable import ClassTable, init_table
 from guidecheck.domains import EffectDomain, ProfileDomain
-from guidecheck.fjast import FjError
+from guidecheck.fjast import FjError, Node
 from guidecheck.guideline import parse_guideline
 from guidecheck.intrinsics import parse_config
 from guidecheck.profiles import ProfileMonoid
@@ -107,10 +115,16 @@ RUN_COPIES = ("TraceRun", "CycleCandidate")
 # The forwarder to the acceptance mask: the search reads ``accepts`` and
 # judges a silent divergence as the lasso stem·ε̂^ω.
 FINITE_FORWARDER = ("accepts_finite_of",)
+# The body rebuilt to fill its receiver annotations, and the walks over the
+# bodies after the Program's one: typing fills the tree it is given, and the
+# Program's one pass per body keeps the read sets and the calls.  The
+# recursive read-set pass lives in tests/inference_reference.py.
+REBUILT_BODIES = ("typed_classes", "reads_of", "_reads",
+                  "_collect_labels_and_events")
 # Names that no package module may define or name, a parameter included.
 NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, *MONOID_REGISTRY, *RUN_COPIES,
-                 *FINITE_FORWARDER, "_desugar", "fin_bottom", "mix_of_eps",
-                 "accepts_lasso")
+                 *FINITE_FORWARDER, *REBUILT_BODIES, "_desugar", "fin_bottom",
+                 "mix_of_eps", "accepts_lasso")
 # The lattice operators over sets of profiles and (stem, cycle) pairs, with
 # the S⁺ cache star and ω share: ProfileDomain's, under its interface
 # names.  The monoid works on one profile at a time.
@@ -332,6 +346,20 @@ def test_moved_and_deleted_names_are_named_nowhere_in_the_package():
     assert sorted(set(_names(probe)) & set(NAMED_NOWHERE)) == ["weakref"]
     g = parse_guideline("alphabet: a\nstates: q\ninitial: q\n")
     assert [name for name in MONOID_REGISTRY if hasattr(g, name)] == []
+
+
+def test_a_body_is_built_once_and_read_once_before_typing():
+    # no node is rebuilt: Node has no replace, and fjtypes calls none
+    assert not hasattr(Node, "replace")
+    calls = [node.func.attr for node in ast.walk(_tree(Path(fjtypes.__file__)))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)]
+    assert "replace" not in calls and "append" in calls
+    # inference walks no body; the table keeps no read sets of its own
+    assert "subexprs" not in set(_names(_tree(Path(inference.__file__))))
+    prog = fjparser.parse_program("class A { Object m() { return this; } }")
+    table = init_table(prog, region_meta(prog))
+    assert not hasattr(table, "reads") and hasattr(table, "groups")
 
 
 def test_the_monoid_leaves_the_lattice_operators_to_the_domain():

@@ -120,18 +120,6 @@ def test_repr_names_every_field():
     assert repr(Var("x", Pos(1, 2))) == "Var(name='x', pos=Pos(line=1, col=2))"
 
 
-def test_replace_keeps_the_position_and_rejects_unknown_fields():
-    pos = Pos(1, 2)
-    for node in _nodes(pos):
-        same = node.replace()
-        assert same == node and same is not node and same.pos is pos
-    call = Call("x", "", "m", ("y",), pos).replace(recv_cls="A")
-    assert call == Call("x", "A", "m", ("y",)) and call.pos is pos
-    assert Var("x", pos).replace(pos=None).pos is None
-    with pytest.raises(TypeError, match="no field 'nam'"):
-        Var("x").replace(nam="y")
-
-
 def test_nodes_positions_and_parameters_refuse_assignment():
     for node in [*_nodes(Pos(1, 2)), Pos(1, 2), Param("A", "p")]:
         for name in node.__slots__:

@@ -107,7 +107,7 @@ def test_a_group_across_a_subclass_keeps_one_row():
     meta = region_meta(prog)
     table = infer(prog, ProfileDomain(ONE_LETTER), meta=meta)
     groups = inference._typing_groups(bodied_sigs(table, prog, meta, {}),
-                                      prog, table.reads)
+                                      prog)
     assert any({sig.cls for sig in members} == {"Base", "Sub"}
                for members in groups)
     for members in groups:
