@@ -3,9 +3,10 @@
 The field table maps (class declaring the field, region of the receiver,
 field name) to the set of regions the field's value may lie in; every row
 starts at {Null} because fields are null-initialized.  A field has one row
-per region, whichever class inheriting it reads or writes it.  The method
-table maps a signature — receiver class and region, method, argument
-regions — to an effect triple:
+per region, whichever class inheriting it reads or writes it: the row's
+class is the field's declaring class in the Program's field table.  The
+method table maps a signature — receiver class and region, method,
+argument regions — to an effect triple:
 
 * T: per result region, the finite event words of runs that return there;
 * H: per thrown-value region, the words of runs that end in that throw;
@@ -16,10 +17,11 @@ regions — to an effect triple:
 Both tables are closed at every write, so no pass ever closes them: the
 Unknown receiver row of a field absorbs every site row (``add_field``), and
 a method entry absorbs the entries of the same method at every subclass,
-since dispatch may pick any of them (``join_rows``).  Entries seeded from
-external-call stubs are pinned (``pin``): they are never widened, inference
-never re-analyzes them, and they are joined into the entries above them
-like any other.  These three methods are the only writers of the tables.
+since dispatch may pick any of them (``join_rows``, up the Program's
+chains).  Entries seeded from external-call stubs are pinned (``pin``):
+they are never widened, inference never re-analyzes them, and they are
+joined into the entries above them like any other.  These three methods
+are the only writers of the tables.
 
 Method rows are shared: every signature starts at the one ``EMPTY_ROW``,
 and a join gives the signatures that held one row object one new row
@@ -31,12 +33,11 @@ mutated in place, only replaced.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from typing import Callable, Collection
 
 from .effexpr import dict_join
 from .fjast import Program
-from .fjtypes import methods_of
 from .regions import NULL_REGION, UNKNOWN, Region, RegionMeta, Sig
 
 # effect triple: (T, H, S) as dicts keyed by Region / Region / Sig
@@ -50,13 +51,14 @@ class ClassTable:
     """The field and method tables.  Method rows are shared among
     signatures and never mutated in place: a writer replaces a row."""
 
-    def __init__(self, ftable: dict, mtable: dict, owner: dict, supers: dict):
+    def __init__(self, ftable: dict, mtable: dict, prog: Program):
         # (declaring cls, Region, fname) -> frozenset[Region]
         self.ftable = ftable
         self.mtable = mtable  # Sig -> (T, H, S)
-        self.owner = owner  # (cls, fname) -> the class declaring the field
-        # cls -> its declared proper superclasses, nearest first
-        self.supers = supers
+        # the program's hierarchy: cls -> its chain up to Object, and
+        # cls -> fname -> (declaration, declaring class)
+        self.chains = prog.chains
+        self.fields = prog.fields
         self.pinned: set = set()
         self.analyzed: set | None = None  # demand-driven: the sigs activated
         # infer's typing groups of the bodied signatures, for the re-check
@@ -64,7 +66,8 @@ class ClassTable:
 
     def field_row(self, cls: str, region: Region, fname: str) -> tuple:
         """The key of the row that class cls reads for field fname."""
-        return (self.owner.get((cls, fname)), region, fname)
+        field = self.fields[cls].get(fname)
+        return (None if field is None else field[1], region, fname)
 
     def fields_at(self, cls: str, region: Region, fname: str) -> frozenset:
         return self.ftable.get(self.field_row(cls, region, fname), frozenset())
@@ -114,7 +117,12 @@ class ClassTable:
         self._join_up(sig, _joiner(domain, row), [])
 
     def _join_up(self, sig: Sig, joined, grown: list) -> None:
-        for cls in self.supers[sig.cls]:
+        """Join into the same-shape entries above sig's, nearest first,
+        skipping pinned ones, up to the first that the join leaves
+        unchanged.  Every writer joins up, so each unpinned entry covers
+        the entries below it: nothing above an unchanged one can change."""
+        chain = self.chains[sig.cls]  # sig.cls, its parent, ..., Object
+        for cls in islice(chain, 1, len(chain) - 1):
             up = Sig(cls, sig.recv, sig.method, sig.args)
             if up not in self.mtable:
                 return  # declared below cls, so absent further up too
@@ -122,9 +130,10 @@ class ClassTable:
                 continue
             row = self.mtable[up]
             new = joined(row)
-            if new is not row:
-                self.mtable[up] = new
-                grown.append(up)
+            if new is row:
+                return
+            self.mtable[up] = new
+            grown.append(up)
 
 
 def once_per_object(f: Callable) -> Callable:
@@ -171,24 +180,17 @@ def init_table(prog: Program, meta: RegionMeta) -> ClassTable:
     and none sorts it again."""
     ftable = {}
     mtable = {}
-    owner = {}
-    supers = {}
     regions = sorted(meta.regions)
     for c in sorted(prog.classes, key=lambda c: c.name):
-        chain = prog.supers(c.name)[:-1]  # c, its parent, ..., below Object
-        supers[c.name] = tuple(chain[1:])
-        for cls in chain:
-            for fd in prog.by_name[cls].fields:
-                owner[(c.name, fd.name)] = cls
         for r in regions:
             for fd in c.fields:
                 ftable[(c.name, r, fd.name)] = frozenset({NULL_REGION})
-        for mname, (md, _) in sorted(methods_of(prog, c.name).items()):
+        for mname, (md, _) in sorted(prog.dispatch[c.name].items()):
             # (cls, recv, method, args) tuples in that order, made Sigs in C
             args = product(regions, repeat=len(md.params))
             sigs = map(_make_sig, product((c.name,), regions, (mname,), args))
             mtable.update(zip(sigs, repeat(EMPTY_ROW)))
-    return ClassTable(ftable, mtable, owner, supers)
+    return ClassTable(ftable, mtable, prog)
 
 
 def join_triple(domain, a: Triple, b: Triple) -> Triple:

@@ -38,7 +38,7 @@ from .classtable import by_id
 from .domains import ProfileDomain
 from .fjast import NULL_TYPE, FjError, Program
 from .fjparser import parse_programs
-from .fjtypes import fj_typecheck, method_lookup
+from .fjtypes import fj_typecheck
 from .guideline import GuidelineAutomaton, GuidelineError, parse_guideline
 from .inference import check_well_typed, infer
 from .interp import (
@@ -331,7 +331,7 @@ def _check_stub_calls(prog: Program, table, specs: dict, meta) -> None:
     called = {callee for _, _, s in table.mtable.values() for callee in s}
     targets = {Sig(c, sig.recv, sig.method, sig.args)
                for sig in called for c in meta.cls_of(sig.recv)
-               if c != NULL_TYPE and sig.cls in prog.supers(c)}
+               if c != NULL_TYPE and sig.cls in prog.chains[c]}
     problems = []
     for sig in sorted(targets - table.pinned, key=Sig.sort_key):
         spec = stub_lookup(specs, prog, sig.cls, sig.method)
@@ -353,12 +353,11 @@ def _check_entries(prog: Program, entries: list) -> None:
         if cls not in prog.by_name:
             problems.append(f"entry {entry}: no class {cls} in the program")
             continue
-        try:
-            md, _ = method_lookup(prog, cls, method)
-        except FjError:
+        target = prog.dispatch[cls].get(method)
+        if target is None:
             problems.append(f"entry {entry}: {cls} has no method {method}")
             continue
-        if md.params:
+        if target[0].params:
             problems.append(f"entry {entry}: an entry must take no parameters")
     if problems:
         raise AnalysisError(problems)

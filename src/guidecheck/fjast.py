@@ -8,9 +8,16 @@ desugaring start with ``$`` and can never clash with source identifiers.
 
 Nodes are records (``Node``) whose ``__setattr__`` raises.  Their one write
 is the empty receiver annotation of a call or field access, filled in place
-by ``fjtypes`` while the node's Program is built.  Positions are kept on
-nodes for error reporting but excluded from equality and hashing, so a
-program printed and reparsed compares equal to the original.
+by ``fjtypes`` while the node's Program is built, so such a node belongs to
+one body of one Program.  Positions are kept on nodes for error reporting
+but excluded from equality and hashing, so a program printed and reparsed
+compares equal to the original.
+
+A Program decides the class hierarchy once, when it is built: each class's
+chain up to Object, its dispatch table and its fields with their declaring
+classes (``Program._build_hierarchy``).  Subtyping, member lookup, the
+class tables, the interpreter and the command line's checks all read these
+tables; none walks a chain of its own.
 """
 
 from __future__ import annotations
@@ -309,13 +316,13 @@ class Program:
 
     Construction validates shape-level well-formedness (unique class names,
     an acyclic parent relation rooted at Object, no field redeclaration along
-    a chain, unique allocation labels), reads each body in one pass
-    (``_read_bodies``), then types every body once with
-    ``fjtypes.check_classes``, which fills the empty receiver annotations
-    of the classes it is given in place; ``violations`` holds the typing
-    violations it found.  A name error raises FjError.  When ``alphabet`` is
-    given, every emitted event must belong to it.  A Program is never
-    changed after construction.
+    a chain, unique allocation labels), decides the class hierarchy once
+    (``_build_hierarchy``), reads each body in one pass (``_read_bodies``),
+    then types every body once with ``fjtypes.check_classes``, which fills
+    the empty receiver annotations of the classes it is given in place;
+    ``violations`` holds the typing violations it found.  A name error
+    raises FjError.  When ``alphabet`` is given, every emitted event must
+    belong to it.  A Program is never changed after construction.
     """
 
     def __init__(self, classes: Sequence[ClassDecl],
@@ -331,63 +338,73 @@ class Program:
         for c in self.classes:
             if c.parent != OBJECT and c.parent not in self.by_name:
                 raise FjError(f"unknown superclass {c.parent} of {c.name}", c.pos)
-        self._check_acyclic()
-        self._fields: dict[str, tuple[FieldDecl, ...]] = {}
-        for c in self.classes:
-            self._fields[c.name] = self._collect_fields(c)
-        self._read_bodies()
+        self._build_hierarchy()
+        self._read_bodies(None if alphabet is None else frozenset(alphabet))
         violations: list[FjError] = []
-        fjtypes.check_classes(
-            self, violations, None if alphabet is None else frozenset(alphabet))
+        fjtypes.check_classes(self, violations)
         self.violations: tuple[FjError, ...] = tuple(violations)
 
-    def _check_acyclic(self) -> None:
+    def _build_hierarchy(self) -> None:
+        """The hierarchy, decided once for every layer to read, in one pass
+        over the classes, parents first.  Per class name:
+
+        * ``chains``: the class, its parent, ..., Object;
+        * ``dispatch``: method name -> (declaration, declaring class), the
+          nearest class winning, and within a class its first declaration;
+        * ``fields``: field name -> (declaration, declaring class), the
+          inherited ones first, in declaration order.
+
+        Object and NullType have empty dispatch and field tables; NullType,
+        below every class, has no chain.  A class that declares no method
+        (no field) shares its parent's table.  A class whose chain does not
+        reach Object raises, naming the first such class declared, as does
+        the first field redeclared down a chain, parents first."""
+        order: list[ClassDecl] = []  # every class after its parent
+        placed = {OBJECT}
         for c in self.classes:
-            seen = {c.name}
-            cur = c.parent
-            while cur != OBJECT:
-                if cur in seen:
+            path: dict[str, ClassDecl] = {}  # c's unplaced ancestors, c first
+            name = c.name
+            while name not in placed:
+                if name in path:
                     raise FjError(f"inheritance cycle through {c.name}", c.pos)
-                seen.add(cur)
-                cur = self.by_name[cur].parent
+                path[name] = self.by_name[name]
+                name = path[name].parent
+            placed.update(path)
+            order += reversed(path.values())
+        chains: dict[str, tuple[str, ...]] = {OBJECT: (OBJECT,)}
+        dispatch: dict[str, dict] = {OBJECT: {}, NULL_TYPE: {}}
+        fields: dict[str, dict] = {OBJECT: {}, NULL_TYPE: {}}
+        for c in order:
+            chains[c.name] = (c.name, *chains[c.parent])
+            own: dict[str, tuple[MethodDecl, str]] = {}
+            for md in c.methods:
+                own.setdefault(md.name, (md, c.name))
+            up = dispatch[c.parent]
+            dispatch[c.name] = {**up, **own} if own else up
+            up = fields[c.parent]
+            if c.fields:
+                up = dict(up)
+                for f in c.fields:
+                    if f.name in up:
+                        raise FjError(f"field {f.name} redeclared in {c.name}", f.pos)
+                    up[f.name] = (f, c.name)
+            fields[c.name] = up
+        self.chains = chains
+        self.dispatch = dispatch
+        self.fields = fields
 
-    def supers(self, cls: str) -> list[str]:
-        """The chain cls, parent, ..., Object (for declared cls)."""
-        chain = []
-        cur = cls
-        while cur != OBJECT:
-            chain.append(cur)
-            cur = self.by_name[cur].parent
-        chain.append(OBJECT)
-        return chain
-
-    def _collect_fields(self, c: ClassDecl) -> tuple[FieldDecl, ...]:
-        inherited: tuple[FieldDecl, ...] = ()
-        if c.parent != OBJECT:
-            inherited = self._fields.get(c.parent)
-            if inherited is None:
-                inherited = self._collect_fields(self.by_name[c.parent])
-        names = {f.name for f in inherited}
-        for f in c.fields:
-            if f.name in names:
-                raise FjError(f"field {f.name} redeclared in {c.name}", f.pos)
-            names.add(f.name)
-        return inherited + c.fields
-
-    def fields_of(self, cls: str) -> tuple[FieldDecl, ...]:
-        """Fields of a declared class, inherited ones included."""
-        if cls == OBJECT or cls == NULL_TYPE:
-            return ()
-        return self._fields[cls]
-
-    def _read_bodies(self) -> None:
+    def _read_bodies(self, alphabet: frozenset[str] | None) -> None:
         """One pass over each body's nodes in preorder: forward, the sites,
         events and calls (``calls``, by the body's id), where a duplicate
-        label raises; backward, the read sets (``reads``, by the id of each
-        method body, ``Let`` body and handler), a property of the syntax
-        and so computed with the program."""
+        label, an event outside alphabet (when given) and a call or field
+        access met twice raise, since typing fills a node's receiver
+        annotation for the one body it is in; backward, the read sets
+        (``reads``, by the id of each method body, ``Let`` body and
+        handler), a property of the syntax and so computed with the
+        program."""
         labels: dict[str, frozenset[str]] = {}  # label -> class allocated there
         events: set[str] = set()
+        accesses: set[int] = set()  # ids of the calls and field accesses
         self.reads: dict[int, frozenset[str]] = {}
         self.calls: dict[int, list[Call]] = {}
         for c in self.classes:
@@ -400,9 +417,17 @@ class Program:
                             raise FjError(f"duplicate allocation label {e.label}", e.pos)
                         labels[e.label] = frozenset({e.cls})
                     elif isinstance(e, Emit):
+                        if alphabet is not None and e.event not in alphabet:
+                            raise FjError(f"event {e.event} is not in the "
+                                          "declared alphabet", e.pos)
                         events.add(e.event)
-                    elif isinstance(e, Call):
-                        calls.append(e)
+                    elif isinstance(e, (Call, GetField, SetField)):
+                        if id(e) in accesses:
+                            raise FjError(f"one {e.__class__.__name__} node is "
+                                          "used twice; bodies share no nodes", e.pos)
+                        accesses.add(id(e))
+                        if isinstance(e, Call):
+                            calls.append(e)
                 self.reads[id(m.body)] = _read_sets(nodes, self.reads)
         self.labels: tuple[str, ...] = tuple(labels)
         self.alphabet: frozenset[str] = frozenset(events)

@@ -1,14 +1,16 @@
 """Subtyping, member lookup and the one typing walk over method bodies.
 
 The class hierarchy is single-inheritance with Object on top and NullType
-below every class; neither is ever declared.  ``check_method`` is the only
-place that works out static classes: one walk over a body, which fills each
-empty receiver annotation in place (``_receiver``), the one write to a node,
-made while its Program is built; ``Node.__setattr__`` still raises.  Name
-errors (unknown variable, class, member or event) raise FjError; typing
-violations are collected and the walk goes on.  ``check_classes`` adds the
-redeclaration and override checks and types every body; a Program runs it
-once, when it is built, and keeps the violations for ``fj_typecheck``.
+below every class; neither is ever declared.  Subtyping and member lookup
+read the chains, dispatch and field tables the Program decided when it was
+built.  ``check_method`` is the only place that works out static classes:
+one walk over a body, which fills each empty receiver annotation in place
+(``_receiver``), the one write to a node, made while its Program is built;
+``Node.__setattr__`` still raises.  Name errors (unknown variable, class or
+member) raise FjError; typing violations are collected and the walk goes
+on.  ``check_classes`` adds the redeclaration and override checks and types
+every body; a Program runs it once, when it is built, and keeps the
+violations for ``fj_typecheck``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def preceq(prog: Program, c: str, d: str) -> bool:
         return True
     if d == NULL_TYPE or c == OBJECT:
         return False
-    return d in prog.supers(c)
+    return d in prog.chains[c]
 
 
 def lub(prog: Program, c: str, d: str) -> str:
@@ -59,41 +61,24 @@ def lub(prog: Program, c: str, d: str) -> str:
         return d
     if preceq(prog, d, c):
         return c
-    for x in prog.supers(c):
-        if preceq(prog, d, x):
-            return x
-    return OBJECT
+    above = set(prog.chains[d])
+    return next(x for x in prog.chains[c] if x in above)
 
 
 def method_lookup(prog: Program, cls: str, m: str) -> tuple[MethodDecl, str]:
-    """Resolve m from cls upward; returns (declaration, declaring class)."""
+    """The declaration a call of m on cls runs, and its declaring class."""
     if cls in (OBJECT, NULL_TYPE):
         raise FjError(f"method {m} not found on {cls}")
-    for x in prog.supers(cls):
-        if x == OBJECT:
-            break
-        for md in prog.by_name[x].methods:
-            if md.name == m:
-                return md, x
-    raise FjError(f"method {m} not found along the superclass chain of {cls}")
-
-
-def methods_of(prog: Program, cls: str) -> dict[str, tuple[MethodDecl, str]]:
-    """All methods visible on cls (nearest declaration wins)."""
-    out: dict[str, tuple[MethodDecl, str]] = {}
-    if cls in (OBJECT, NULL_TYPE):
-        return out
-    for x in reversed(prog.supers(cls)[:-1]):
-        for md in prog.by_name[x].methods:
-            out[md.name] = (md, x)
-    return out
+    target = prog.dispatch[cls].get(m)
+    if target is None:
+        raise FjError(f"method {m} not found along the superclass chain of {cls}")
+    return target
 
 
 def field_class(prog: Program, cls: str, fname: str) -> str | None:
-    for f in prog.fields_of(cls):
-        if f.name == fname:
-            return f.cls
-    return None
+    """The declared class of field fname of cls, or None if cls has none."""
+    field = prog.fields[cls].get(fname)
+    return None if field is None else field[0].cls
 
 
 def fj_typecheck(prog: Program) -> list[FjError]:
@@ -101,11 +86,7 @@ def fj_typecheck(prog: Program) -> list[FjError]:
     return list(prog.violations)
 
 
-def check_classes(
-    prog: Program,
-    errors: list[FjError],
-    alphabet: frozenset[str] | None = None,
-) -> None:
+def check_classes(prog: Program, errors: list[FjError]) -> None:
     """Type every body of prog's classes with ``check_method``.  Per class,
     the declaration checks, the override checks, then each method append
     their violations to errors in that order.  A name error raises."""
@@ -113,29 +94,23 @@ def check_classes(
         _check_declarations(c, errors)
         _check_overrides(prog, c, errors)
         for md in c.methods:
-            check_method(prog, c.name, md, errors, alphabet)
+            check_method(prog, c.name, md, errors)
 
 
-def check_method(
-    prog: Program,
-    cls: str,
-    md: MethodDecl,
-    errors: list[FjError],
-    alphabet: frozenset[str] | None = None,
-) -> None:
+def check_method(prog: Program, cls: str, md: MethodDecl,
+                 errors: list[FjError]) -> None:
     """Type md's body in class cls, filling every empty receiver annotation
     in place.  Raises FjError at the first name error; appends each typing
-    violation to errors and goes on.  When ``alphabet`` is given, every
-    emitted event must belong to it."""
+    violation to errors and goes on."""
     for p in md.params:
         if p.cls != OBJECT and p.cls not in prog.by_name:
             raise FjError(f"unknown parameter class {p.cls}", md.pos)
     env = {"this": cls, **{p.name: p.cls for p in md.params}}
     if not known_class(prog, md.result):
         errors.append(FjError(f"unknown result class {md.result}", md.pos))
-        _type_expr(prog, env, md.body, [], alphabet)
+        _type_expr(prog, env, md.body, [])
     else:
-        t = _type_expr(prog, env, md.body, errors, alphabet)
+        t = _type_expr(prog, env, md.body, errors)
         if not preceq(prog, t, md.result):
             errors.append(FjError(f"body of {cls}.{md.name} has type {t}, "
                                   f"not a subclass of declared {md.result}", md.pos))
@@ -160,9 +135,7 @@ def _check_declarations(c: ClassDecl, errors: list[FjError]) -> None:
 
 
 def _check_overrides(prog: Program, c: ClassDecl, errors: list[FjError]) -> None:
-    if c.parent == OBJECT:
-        return
-    inherited = methods_of(prog, c.parent)
+    inherited = prog.dispatch[c.parent]
     for md in c.methods:
         if md.name in inherited:
             sup, where = inherited[md.name]
@@ -179,9 +152,8 @@ def _check_overrides(prog: Program, c: ClassDecl, errors: list[FjError]) -> None
                 )
 
 
-def _type_expr(
-    prog: Program, env: dict[str, str], e: Expr, errors: list[FjError], alphabet
-) -> str:
+def _type_expr(prog: Program, env: dict[str, str], e: Expr,
+               errors: list[FjError]) -> str:
     """The static class of e.  At each node the name errors raise before any
     violation is appended."""
     if isinstance(e, Var):
@@ -193,21 +165,19 @@ def _type_expr(
             raise FjError(f"cannot allocate undeclared class {e.cls}", e.pos)
         return e.cls
     if isinstance(e, Emit):
-        if alphabet is not None and e.event not in alphabet:
-            raise FjError(f"event {e.event} is not in the declared alphabet", e.pos)
         return NULL_TYPE
     if isinstance(e, Cast):
         if e.cls != OBJECT and e.cls not in prog.by_name:
             raise FjError(f"unknown cast class {e.cls}", e.pos)
-        _type_expr(prog, env, e.expr, errors, alphabet)
+        _type_expr(prog, env, e.expr, errors)
         return e.cls
     if isinstance(e, Let):
-        return _type_spine(prog, env, e, errors, alphabet)
+        return _type_spine(prog, env, e, errors)
     if isinstance(e, If):
         _lookup(env, e.left, e.pos)
         _lookup(env, e.right, e.pos)
-        return lub(prog, _type_expr(prog, env, e.then, errors, alphabet),
-                   _type_expr(prog, env, e.els, errors, alphabet))
+        return lub(prog, _type_expr(prog, env, e.then, errors),
+                   _type_expr(prog, env, e.els, errors))
     if isinstance(e, Call):
         rt, ann = _receiver(prog, env, e)
         try:
@@ -236,29 +206,28 @@ def _type_expr(
             errors.append(FjError(f"assigning {t} into field {e.fname}: {fc}", e.pos))
         return t
     if isinstance(e, Throw):
-        _type_expr(prog, env, e.expr, errors, alphabet)
+        _type_expr(prog, env, e.expr, errors)
         return NULL_TYPE
     if isinstance(e, TryCatch):
-        t1 = _type_expr(prog, env, e.body, errors, alphabet)
+        t1 = _type_expr(prog, env, e.body, errors)
         if e.exc_cls != OBJECT and e.exc_cls not in prog.by_name:
             raise FjError(f"unknown exception class {e.exc_cls}", e.pos)
         if e.var in env:
             errors.append(FjError(f"variable {e.var} already declared", e.pos))
         env2 = dict(env)
         env2[e.var] = e.exc_cls
-        t2 = _type_expr(prog, env2, e.handler, errors, alphabet)
+        t2 = _type_expr(prog, env2, e.handler, errors)
         return lub(prog, t1, t2)
     raise AssertionError(f"unhandled expression {e!r}")
 
 
-def _type_spine(
-    prog: Program, env: dict[str, str], e: Let, errors: list[FjError], alphabet
-) -> str:
+def _type_spine(prog: Program, env: dict[str, str], e: Let,
+                errors: list[FjError]) -> str:
     """``_type_expr`` of a let spine, followed in a loop: each init, then
     each binding's checks, in order, and the tail."""
     env = dict(env)
     while isinstance(e, Let):
-        t1 = _type_expr(prog, env, e.init, errors, alphabet)
+        t1 = _type_expr(prog, env, e.init, errors)
         if e.decl is not None and e.decl != OBJECT and e.decl not in prog.by_name:
             raise FjError(f"unknown class {e.decl}", e.pos)
         if e.var in env:
@@ -269,7 +238,7 @@ def _type_spine(
             )
         env[e.var] = e.decl if e.decl is not None else t1
         e = e.body
-    return _type_expr(prog, env, e, errors, alphabet)
+    return _type_expr(prog, env, e, errors)
 
 
 def _lookup(env: dict[str, str], name: str, pos) -> str:

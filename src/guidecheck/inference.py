@@ -43,7 +43,7 @@ from .fjast import (
     TryCatch,
     Var,
 )
-from .fjtypes import method_lookup, methods_of, preceq
+from .fjtypes import preceq
 from .intrinsics import stub_lookup
 from .regions import NULL_REGION, RegionMeta, Sig, created_at, region_meta
 from .solver import components
@@ -291,7 +291,7 @@ def _env(md, values) -> dict:
 
 def _body_env(sig: Sig, prog: Program) -> tuple:
     """The body sig resolves to, and the environment it is typed in."""
-    md, _ = method_lookup(prog, sig.cls, sig.method)
+    md, _ = prog.dispatch[sig.cls][sig.method]
     return md.body, _env(md, (sig.recv, *sig.args))
 
 
@@ -306,7 +306,7 @@ def _typing_groups(sigs: list, prog: Program) -> list:
     for sig in sigs:
         at = where.get((sig.cls, sig.method))
         if at is None:
-            md, _ = method_lookup(prog, sig.cls, sig.method)
+            md, _ = prog.dispatch[sig.cls][sig.method]
             at = where[sig.cls, sig.method] = _key(
                 prog.reads, _env(md, range(1 + len(md.params))), md.body)
         body_id, positions = at
@@ -325,13 +325,12 @@ def _callee_first(sigs: list, prog: Program) -> list:
     ``ClassTable.join_rows`` joins into it."""
     succ: dict = {}
     for c in prog.classes:
-        for mname, (md, _) in methods_of(prog, c.name).items():
+        for mname, (md, _) in prog.dispatch[c.name].items():
             succ[(c.name, mname)] = [(e.recv_cls, e.method)
                                      for e in prog.calls[id(md.body)]]
     for c in prog.classes:
-        if c.parent in prog.by_name:
-            for mname in methods_of(prog, c.parent):
-                succ[(c.parent, mname)].append((c.name, mname))
+        for mname in prog.dispatch[c.parent]:  # Object's is empty
+            succ[(c.parent, mname)].append((c.name, mname))
     comp_of = {node: i
                for i, comp in enumerate(components(succ, succ.__getitem__))
                for node in comp}
@@ -387,20 +386,24 @@ def infer(
             heapq.heappush(queue, i)
 
     active: set | None = None if entries is None else set()
+    below: dict = {}  # class -> its direct subclasses
+    for c in prog.classes:
+        below.setdefault(c.parent, []).append(c.name)
 
     def activate(sigs) -> None:
         """Demand-driven: make sigs active, with the same-shape signatures
-        at their subclasses, whose entries are joined into them."""
+        at their subclasses, whose entries are joined into them.  The
+        active set stays closed downward, so a signature activates the
+        ones at its direct subclasses, and each of those its own."""
         frontier = [s for s in sigs if s not in active]
         active.update(frontier)
         while frontier:
             sig = frontier.pop()
             if sig in rank:
                 push(rank[sig])
-            for c in prog.classes:
-                sub = Sig(c.name, sig.recv, sig.method, sig.args)
-                if (sig.cls in prog.supers(c.name) and sub in table.mtable
-                        and sub not in active):
+            for cls in below.get(sig.cls, ()):
+                sub = Sig(cls, sig.recv, sig.method, sig.args)
+                if sub in table.mtable and sub not in active:
                     active.add(sub)
                     frontier.append(sub)
 

@@ -21,6 +21,10 @@ through null — raise ``EvalStuck``, and the run ends there with no outcome
 well-typed program may read a field of or call a variable that holds null,
 so a run of it may get stuck.
 
+A call dispatches on the receiver's dynamic class through the dispatch table
+the Program decided when it was built, and a new object holds its class's
+fields in the order of the Program's field table.
+
 Calls that resolve to an external-call stub consume no fuel and are driven by
 a script: each stub call takes the next scripted choice (which emitted word,
 and null versus a fresh object).  The search explores all scripts depth-first
@@ -70,7 +74,7 @@ from .fjast import (
     Var,
 )
 from .fjtypes import method_lookup, preceq
-from .intrinsics import IntrinsicChoice, stub_lookup
+from .intrinsics import IntrinsicChoice
 
 DEFAULT_FUEL = 32
 MAX_RUNS = 100000  # most runs one fuel level may hold, ended ones included
@@ -174,12 +178,12 @@ class Evaluator:
     the trace that it has judged (the search keeps each prefix's profile
     there), so that a run resumed at the next level keeps them; a fork
     starts with a copy, since its trace starts with the same letters.  A
-    run and its forks share one cache of method resolution."""
+    call is resolved in the Program's dispatch table, one lookup, and an
+    object's fields are its class's, in the Program's field order."""
 
     __slots__ = ("prog", "specs", "fuel", "calls", "script", "script_pos",
                  "trace", "prefixes", "heap", "frames", "cycles", "outcome",
-                 "stuck", "_opens", "_at", "_next_loc", "_next_ext",
-                 "_dispatch", "_field_names")
+                 "stuck", "_opens", "_at", "_next_loc", "_next_ext")
 
     def __init__(
         self,
@@ -209,9 +213,6 @@ class Evaluator:
         self._at: tuple | None = None  # (receiver, method, arguments)
         self._next_loc = 0
         self._next_ext = 0
-        # (dynamic class, method) -> (declaration, stub spec or None)
-        self._dispatch: dict = {}
-        self._field_names: dict[str, list[str]] = {}  # class -> sorted names
 
     # -- public driving ------------------------------------------------------
 
@@ -219,7 +220,7 @@ class Evaluator:
         """Set the run at a fresh cls receiver's call of its parameterless
         method.  The entry goes through the call rule itself, so fuel and
         cycle detection treat it like any other call."""
-        md, _ = self._resolve(cls, method)
+        md, _ = method_lookup(self.prog, cls, method)
         if md.params:
             raise ValueError(f"entry {cls}.{method} must take no parameters")
         self._at = (self._alloc(cls, "$entry"), method, [])
@@ -233,16 +234,16 @@ class Evaluator:
         of the script pushes there a copy of the run for each larger choice,
         largest first, and the run goes on with the least."""
         heap, frames, trace = self.heap, self.frames, self.trace
-        prog, dispatch, opens = self.prog, self._dispatch, self._opens
+        prog, specs, opens = self.prog, self.specs, self._opens
+        dispatch = prog.dispatch
         recv, method, args = self._at
         self._at = None
         while True:
             # -- the call of method on recv with args ---------------------------
             cls = heap[recv].cls
-            target = dispatch.get((cls, method))
-            if target is None:
-                target = self._resolve(cls, method)
-            md, spec = target
+            md, declaring = (dispatch[cls].get(method)
+                             or method_lookup(prog, cls, method))  # a miss raises
+            spec = specs.get((declaring, method)) if specs else None
             if spec is not None:
                 if self.script_pos == len(self.script):
                     choices = spec.choices()
@@ -372,22 +373,8 @@ class Evaluator:
     def _alloc(self, cls: str, label: str) -> int:
         loc = self._next_loc
         self._next_loc += 1
-        names = self._field_names.get(cls)
-        if names is None:
-            names = self._field_names[cls] = sorted(
-                fd.name for fd in self.prog.fields_of(cls))
-        self.heap[loc] = Obj(cls, label, dict.fromkeys(names))
+        self.heap[loc] = Obj(cls, label, dict.fromkeys(self.prog.fields[cls]))
         return loc
-
-    def _resolve(self, cls: str, method: str) -> tuple:
-        """The declaration that a call of method on a cls receiver runs,
-        and the stub spec governing it (None for an ordinary method)."""
-        target = self._dispatch.get((cls, method))
-        if target is None:
-            md, _ = method_lookup(self.prog, cls, method)
-            target = self._dispatch[cls, method] = (
-                md, stub_lookup(self.specs, self.prog, cls, method))
-        return target
 
     def _stub_result(self, spec, md) -> Value:
         """Take the script's next choice for a call of spec: emit its word
@@ -431,8 +418,6 @@ class Evaluator:
                            for key, same in self._opens.items() if same}
             twin._at = at
             twin._next_loc, twin._next_ext = self._next_loc, self._next_ext
-            twin._dispatch = self._dispatch
-            twin._field_names = self._field_names
             forks.append(twin)
 
     def _canonical_key(self, cls: str, method: str, roots: list) -> tuple:

@@ -16,6 +16,9 @@ clause, so an emitted letter named throws is written ``(throws)``.
 
 ``parse_config`` checks each line; ``validate_against_program`` checks each
 stub against the program, every ``@label`` included, before the analysis.
+A stub names the class that declares its method, and governs every call
+that the Program's dispatch table resolves to that declaration, on a
+subclass that inherits it too (``stub_lookup``).
 
 The analysis seeds the method table with these summaries and never analyzes
 the stub bodies.  The interpreter replaces a stub call by a scripted choice:
@@ -388,11 +391,6 @@ def stub_lookup(
     prog: Program, cls: str, method: str,
 ) -> IntrinsicSpec | None:
     """The stub entry governing a call to method on class cls, if the
-    resolved declaration is a stub."""
-    if not specs:
-        return None
-    try:
-        _, declaring = method_lookup(prog, cls, method)
-    except FjError:
-        return None
-    return specs.get((declaring, method))
+    declaration it dispatches to is a stub."""
+    target = prog.dispatch[cls].get(method) if specs else None
+    return None if target is None else specs.get((target[1], method))

@@ -59,7 +59,7 @@ from guidecheck.fjast import (
     Var,
     subexprs,
 )
-from guidecheck.fjtypes import method_lookup, methods_of, preceq
+from guidecheck.fjtypes import method_lookup, preceq
 from guidecheck.inference import (
     Effects,
     Offense,
@@ -81,6 +81,7 @@ from guidecheck.regions import (
     created_at,
     region_meta,
 )
+from hierarchy_reference import fields_of, methods_of, supers
 
 
 def _eps(domain):
@@ -253,7 +254,7 @@ def _sweep_table(prog: Program, meta: RegionMeta) -> SweepTable:
     mtable = {}
     for c in prog.classes:
         for r in meta.regions:
-            for fd in prog.fields_of(c.name):
+            for fd in fields_of(prog, c.name):
                 ftable[(c.name, r, fd.name)] = frozenset({NULL_REGION})
         for mname, (md, _) in methods_of(prog, c.name).items():
             for recv in meta.regions:
@@ -269,8 +270,8 @@ def _close(table: SweepTable, prog: Program, meta: RegionMeta, domain) -> bool:
     while True:
         before = dict(ftable)
         for c in prog.classes:
-            parent_fields = {fd.name for fd in prog.fields_of(c.parent)}
-            for fd in prog.fields_of(c.name):
+            parent_fields = {fd.name for fd in fields_of(prog, c.parent)}
+            for fd in fields_of(prog, c.name):
                 rows = [ftable[(c.name, r, fd.name)] for r in meta.regions]
                 unknown = (c.name, UNKNOWN, fd.name)
                 ftable[unknown] = ftable[unknown].union(*rows)
@@ -290,7 +291,7 @@ def _close(table: SweepTable, prog: Program, meta: RegionMeta, domain) -> bool:
             continue
         joined = row
         for c in prog.classes:
-            if c.name != sig.cls and sig.cls in prog.supers(c.name):
+            if c.name != sig.cls and sig.cls in supers(prog, c.name):
                 sub = Sig(c.name, sig.recv, sig.method, sig.args)
                 joined = join_triple(domain, joined, mtable[sub])
         if joined != row:
@@ -373,7 +374,7 @@ def _expand_active(active: set, table: SweepTable, prog: Program) -> set:
     while frontier:
         sig = frontier.pop()
         for c in prog.classes:
-            if sig.cls not in prog.supers(c.name):
+            if sig.cls not in supers(prog, c.name):
                 continue
             sub = Sig(c.name, sig.recv, sig.method, sig.args)
             if sub in table.mtable and sub not in out:

@@ -15,9 +15,9 @@ import taint_corpus
 from conftest import FIXTURES, fixture
 from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
-from guidecheck.fjtypes import methods_of
 from guidecheck.guideline import load_guideline
 from guidecheck.intrinsics import load_config, parse_config
+from hierarchy_reference import methods_of
 
 
 def reference_cases(make_domain=ProfileDomain):

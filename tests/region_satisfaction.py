@@ -11,6 +11,7 @@ from __future__ import annotations
 from guidecheck.fjast import Program
 from guidecheck.interp import Value
 from guidecheck.regions import Region
+from hierarchy_reference import fields_of, supers
 
 
 def value_satisfies(value: Value, heap: dict, region: Region) -> bool:
@@ -38,11 +39,11 @@ def heap_satisfies(heap: dict, fields_at, prog: Program, meta) -> bool:
 def first_heap_violation(heap: dict, fields_at, prog: Program, meta):
     for loc in sorted(heap):
         obj = heap[loc]
-        supers = prog.supers(obj.cls) if obj.cls in prog.by_name else []
-        for c in supers:
+        chain = supers(prog, obj.cls) if obj.cls in prog.by_name else []
+        for c in chain:
             if c not in prog.by_name:
                 continue
-            for fd in prog.fields_of(c):
+            for fd in fields_of(prog, c):
                 v = obj.fields.get(fd.name)
                 for r in meta.regions:
                     if not value_satisfies(loc, heap, r):

@@ -818,9 +818,9 @@ def test_main_types_each_method_once_in_one_program(monkeypatch):
         typed.append((cls, md.name))
         return check_method(prog, cls, md, *args)
 
-    def counting_collect(prog):
+    def counting_collect(prog, *args):
         collected.append(prog)
-        collect(prog)
+        collect(prog, *args)
 
     monkeypatch.setattr(fjtypes, "check_method", counting_check_method)
     monkeypatch.setattr(Program, "_read_bodies", counting_collect)

@@ -121,10 +121,14 @@ FINITE_FORWARDER = ("accepts_finite_of",)
 # recursive read-set pass lives in tests/inference_reference.py.
 REBUILT_BODIES = ("typed_classes", "reads_of", "_reads",
                   "_collect_labels_and_events")
+# The walks and caches of the class hierarchy that each layer kept: the
+# Program decides chains, dispatch and field owners once, and every layer
+# reads its tables.  The walks live in tests/hierarchy_reference.py.
+HIERARCHY_WALKS = ("methods_of", "_collect_fields", "_resolve", "_field_names")
 # Names that no package module may define or name, a parameter included.
 NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, *MONOID_REGISTRY, *RUN_COPIES,
-                 *FINITE_FORWARDER, *REBUILT_BODIES, "_desugar", "fin_bottom",
-                 "mix_of_eps", "accepts_lasso")
+                 *FINITE_FORWARDER, *REBUILT_BODIES, *HIERARCHY_WALKS,
+                 "_desugar", "fin_bottom", "mix_of_eps", "accepts_lasso")
 # The lattice operators over sets of profiles and (stem, cycle) pairs, with
 # the S⁺ cache star and ω share: ProfileDomain's, under its interface
 # names.  The monoid works on one profile at a time.
