@@ -5,6 +5,9 @@ operands are always variables, and every allocation site carries a unique
 label.  The surface statement language (locals, sequencing, ``return``) is
 desugared into this core by the parser; fresh variables introduced by
 desugaring start with ``$`` and can never clash with source identifiers.
+A run of consecutive ``emit`` statements of one block is one ``Emit`` node,
+which holds the run's word: every layer reads, types and runs straight-line
+code once per run.
 
 Nodes are records (``Node``) whose ``__setattr__`` raises.  Their one write
 is the empty receiver annotation of a call or field access, filled in place
@@ -30,15 +33,18 @@ NULL_TYPE = "NullType"
 _set = object.__setattr__  # how a node's __init__ sets its fields
 
 
+_POSITIONS = ("pos", "event_pos")  # the fields equality does not cover
+
+
 class Node:
     """A record whose fields are its ``__slots__``, in the order of its
     constructor's parameters; none can be assigned.  Equality and the hash
-    cover every field but ``pos``."""
+    cover every field but the positions, ``pos`` and ``event_pos``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._compared = tuple(n for n in cls.__slots__ if n != "pos")
+        cls._compared = tuple(n for n in cls.__slots__ if n not in _POSITIONS)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, n) for n in self._compared])
@@ -124,11 +130,17 @@ class Cast(Expr):
 
 
 class Emit(Expr):
-    __slots__ = ("event", "pos")
+    """A run of consecutive ``emit`` statements of one block: its word,
+    where the run starts, and where each of its events is named, for the
+    error on an event outside the alphabet."""
 
-    def __init__(self, event: str, pos: Pos | None = None):
-        _set(self, "event", event)
+    __slots__ = ("events", "pos", "event_pos")
+
+    def __init__(self, events: tuple[str, ...], pos: Pos | None = None,
+                 event_pos: tuple[Pos, ...] | None = None):
+        _set(self, "events", events)
         _set(self, "pos", pos)
+        _set(self, "event_pos", event_pos)
 
 
 class Let(Expr):
@@ -395,11 +407,12 @@ class Program:
 
     def _read_bodies(self, alphabet: frozenset[str] | None) -> None:
         """One pass over each body's nodes in preorder: forward, the sites,
-        events and calls (``calls``, by the body's id), where a duplicate
-        label, an event outside alphabet (when given) and a call or field
-        access met twice raise, since typing fills a node's receiver
-        annotation for the one body it is in; backward, the read sets
-        (``reads``, by the id of each method body, ``Let`` body and
+        events (each of an ``Emit``'s word) and calls (``calls``, by the
+        body's id), where a duplicate label, an event outside alphabet
+        (when given, at the position of the statement that names it) and a
+        call or field access met twice raise, since typing fills a node's
+        receiver annotation for the one body it is in; backward, the read
+        sets (``reads``, by the id of each method body, ``Let`` body and
         handler), a property of the syntax and so computed with the
         program."""
         labels: dict[str, frozenset[str]] = {}  # label -> class allocated there
@@ -417,10 +430,14 @@ class Program:
                             raise FjError(f"duplicate allocation label {e.label}", e.pos)
                         labels[e.label] = frozenset({e.cls})
                     elif isinstance(e, Emit):
-                        if alphabet is not None and e.event not in alphabet:
-                            raise FjError(f"event {e.event} is not in the "
-                                          "declared alphabet", e.pos)
-                        events.add(e.event)
+                        if (alphabet is not None
+                                and not alphabet.issuperset(e.events)):
+                            i = next(i for i, ev in enumerate(e.events)
+                                     if ev not in alphabet)
+                            raise FjError(f"event {e.events[i]} is not in the "
+                                          "declared alphabet",
+                                          e.event_pos[i] if e.event_pos else e.pos)
+                        events.update(e.events)
                     elif isinstance(e, (Call, GetField, SetField)):
                         if id(e) in accesses:
                             raise FjError(f"one {e.__class__.__name__} node is "

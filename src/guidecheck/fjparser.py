@@ -15,6 +15,9 @@ The surface syntax is a small Java-like statement language::
 The parser reads statement sequences straight into the let-normal core,
 with no separate desugaring pass: a sequence becomes a let chain with fresh
 ``$``-variables, a local a let, and ``return e;`` simply ends the chain.
+The consecutive ``emit`` statements of a block are read as one run, one
+``Emit`` node holding their word and bound once; a run ends at a local, a
+``return``, any other statement and the end of its block.
 Allocation sites may carry an explicit label (``new[l1] Node()``);
 unlabeled sites get ``file:line:col``; a label ends on its line.  The
 parser builds a Program from the raw classes, which it keeps: it reads each
@@ -227,10 +230,10 @@ class _Parser:
 
     def block(self) -> Expr:
         """The block's let chain, built as its statements are read: a local
-        binds its variable, every other statement but the last a fresh
-        ``$t`` variable, named once its nested blocks are, and the last
-        statement or ``return e`` ends the chain.  A block of any length
-        costs no stack, only a nested block does.  A statement after a
+        binds its variable, every other statement (a run of emits is one)
+        but the last a fresh ``$t`` variable, named once its nested blocks
+        are, and the last statement or ``return e`` ends the chain.  A block
+        of any length costs no stack, only a nested block does.  A statement after a
         return is an error once the method body is read, so that a syntax
         error later in the body is the one reported."""
         self.expect("{")
@@ -264,13 +267,15 @@ class _Parser:
         return tail
 
     def stmt(self, t: Token) -> Expr:
-        """A statement that is neither a local nor a return; t is its first
-        token, not yet read."""
-        if t.val == "emit":
-            self.advance()
-            ev = self.ident("event name")
-            self.expect(";")
-            return Emit(ev.val, pos=t.pos)
+        """A statement that is neither a local nor a return, or a run of
+        consecutive emits; t is its first token, not yet read."""
+        if t.val == "emit":  # the run of emits that starts here
+            events, where = [], []
+            while self.peek().val == "emit":
+                where.append(self.advance().pos)
+                events.append(self.ident("event name").val)
+                self.expect(";")
+            return Emit(tuple(events), where[0], tuple(where))
         if t.val == "if":
             self.advance()
             self.expect("(")

@@ -2,7 +2,8 @@
 
 ``typeff`` types one expression under a region environment and a current
 table, producing the effect triple (T, H, S) described in ``classtable`` plus
-the field-table updates the expression demands.  ``infer`` types the method
+the field-table updates the expression demands; a run of emits, one
+``Emit`` node, is typed as its word's profile.  ``infer`` types the method
 bodies callees first from a worklist, writes the results through the
 table's own mutators, which keep it closed under the hierarchy, and
 re-types only the bodies that read a row that grew, until nothing grows.
@@ -85,26 +86,15 @@ def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
     of one region is bound directly; values in several regions are joined
     when the rest of the spine does not read the variable, so cannot tell
     them apart, and otherwise the rest is typed per reading (``_then``).
-    A run of consecutive ``emit``s is typed as one word, still one step
-    per emit: α is a monoid morphism, so α(a₁)·…·α(aₖ) = α(a₁…aₖ).  The
-    effects are folded prefix first: concatenation distributes over join,
-    so scaling the tail once by the product of the bindings' values gives
-    the values, and the key order, of folding back from the tail."""
+    The effects are folded prefix first: concatenation distributes over
+    join, so scaling the tail once by the product of the bindings' values
+    gives the values, and the key order, of folding back from the tail."""
     domain = ty.domain
     frames = []  # (u, h, s) per binding: the effect of reaching its body
     ups: list = []
     while isinstance(e, Let):
         if not frames:
             gamma = dict(gamma)  # the spine's bindings extend a copy
-        if isinstance(e.init, Emit):
-            word = []
-            while isinstance(e, Let) and isinstance(e.init, Emit):
-                word.append(e.init.event)
-                gamma[e.var] = NULL_REGION
-                e = e.body
-            ty.work += len(word)
-            frames.append((domain.alpha_word(word), {}, {}))
-            continue
         first = _rule(ty, gamma, e.init)
         ups += first.fupdates
         if len(first.t) == 1:
@@ -141,7 +131,9 @@ def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
 
 
 def _rule(ty: _Typing, gamma: dict, e: Expr) -> Effects:
-    """One step: the typing rule of e; a ``Let`` spine is ``typeff``'s."""
+    """One step: the typing rule of e; a ``Let`` spine is ``typeff``'s.
+    A run of emits is typed as one word, still one step per emit: α is a
+    monoid morphism, so α(a₁)·…·α(aₖ) = α(a₁…aₖ)."""
     ty.work += 1
     domain = ty.domain
     if isinstance(e, Var):
@@ -151,7 +143,8 @@ def _rule(ty: _Typing, gamma: dict, e: Expr) -> Effects:
     if isinstance(e, New):
         return Effects({created_at(e.label): domain.alpha_word(())}, {}, {}, [])
     if isinstance(e, Emit):
-        return Effects({NULL_REGION: domain.alpha_word((e.event,))}, {}, {}, [])
+        ty.work += len(e.events) - 1
+        return Effects({NULL_REGION: domain.alpha_word(e.events)}, {}, {}, [])
     if isinstance(e, Cast):
         # the value is unchanged; a failing cast has no outcome to cover
         return typeff(ty, gamma, e.expr)

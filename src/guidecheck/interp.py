@@ -6,10 +6,11 @@ in it, the calls still open, and a list of continuation frames, each saying
 what to do with the value the machine hands it (in the style of the CEK
 machine of Felleisen and Friedman, 1986).  ``Evaluator.run`` steps that
 state in a loop: no object-language call, block or handler nests a Python
-frame, so a run's depth is bounded by its fuel alone.  A value is a heap
-location or None for null.  An object is never changed once it is on the
-heap: a field write puts a new object at its location, so runs that share
-objects cannot see each other's writes.
+frame, so a run's depth is bounded by its fuel alone.  A run of emits,
+one ``Emit`` node, extends the trace by its whole word in one step.  A
+value is a heap location or None for null.  An object is never changed once
+it is on the heap: a field write puts a new object at its location, so runs
+that share objects cannot see each other's writes.
 
 Four outcomes: normal termination, an uncaught exception, fuel exhaustion
 (each non-stub method call takes one unit of fuel, so every run is finite),
@@ -59,6 +60,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fjast import (
+    NULL_TYPE,
     Call,
     Cast,
     Emit,
@@ -297,7 +299,7 @@ class Evaluator:
                         method = e.method
                         break
                     if kind is Emit:
-                        trace.append(e.event)
+                        trace.extend(e.events)
                         value = None
                     elif kind is Var:
                         value = _lookup(env, e.name, e.pos)
@@ -378,7 +380,8 @@ class Evaluator:
 
     def _stub_result(self, spec, md) -> Value:
         """Take the script's next choice for a call of spec: emit its word
-        and return null or a fresh object of the declared result class."""
+        and return null or a fresh object of the declared result class;
+        null when that class is NullType, whose only value it is."""
         choice = self.script[self.script_pos]
         if choice not in spec.choices():
             raise ValueError(
@@ -387,7 +390,7 @@ class Evaluator:
             )
         self.script_pos += 1
         self.trace.extend(choice.word)
-        if choice.rank == 0:
+        if choice.rank == 0 or md.result == NULL_TYPE:
             return None
         label = f"$ext{self._next_ext}"
         self._next_ext += 1

@@ -24,9 +24,10 @@ The analysis seeds the method table with these summaries and never analyzes
 the stub bodies.  The interpreter replaces a stub call by a scripted choice:
 which emitted word to append, and whether to return null or a fresh object of
 the declared result class (only in region Unknown, so fresh objects carry a
-synthetic allocation label no region pattern matches).  The words tried are
-the language's first ``STUB_WORD_LIMIT`` in shortlex order up to length
-``STUB_WORD_MAXLEN``, or its shortest word when none is that short.  Stubs
+synthetic allocation label no region pattern matches; null again when that
+class is NullType).  The words tried are the language's first
+``STUB_WORD_LIMIT`` in shortlex order up to length ``STUB_WORD_MAXLEN``, or
+its shortest word when none is that short.  Stubs
 never throw at run time; the throws clause only widens the analyzed summary.
 
 A regex (``|``, juxtaposition, ``*``, ``eps``, parentheses) parses to a

@@ -62,7 +62,7 @@ def _render_body(e: Expr, ind: str) -> list[str]:
 
 def _render_stmt(e: Expr, ind: str) -> list[str]:
     if isinstance(e, Emit):
-        return [f"{ind}emit {e.event};"]
+        return [f"{ind}emit {ev};" for ev in e.events]
     if isinstance(e, If):
         out = [f"{ind}if ({e.left} == {e.right}) {{"]
         out.extend(_render_body(e.then, ind + "  "))

@@ -14,8 +14,11 @@ every binding; the sweep types with it, so the tests check the rule keyed by
 reading against it as well.
 
 ``typeff_right_fold`` is the package's spine loop as it folded a let
-spine back from its tail, scaling the effects once per binding; the tests
-check the prefix-first fold that replaced it against it, table for table.
+spine back from its tail, scaling the effects once per binding, and typed
+emits one at a time, as when each was a node of its own: it folds the word
+of an ``Emit`` letter by letter, one step each.  The tests check the
+prefix-first fold that replaced it, and the one word per run, against it,
+table for table.
 
 ``check_per_signature`` is the re-check before it worked per typing group
 and row object: it checks every signature's row on its own, and the tests
@@ -103,7 +106,10 @@ def typeff(
     if isinstance(e, New):
         return Effects({created_at(e.label): _eps(domain)}, {}, {}, [])
     if isinstance(e, Emit):
-        return Effects({NULL_REGION: domain.alpha_word((e.event,))}, {}, {}, [])
+        # letter by letter, as per-statement emits were typed
+        word = reduce(domain.fin_concat,
+                      [domain.alpha_word((a,)) for a in e.events], _eps(domain))
+        return Effects({NULL_REGION: word}, {}, {}, [])
     if isinstance(e, Cast):
         # the value is unchanged; a failing cast has no outcome to cover
         return typeff(prog, meta, table, domain, gamma, e.expr)
@@ -158,14 +164,25 @@ def typeff(
 
 def typeff_right_fold(ty: _Typing, gamma: dict, e: Expr) -> Effects:
     """``guidecheck.inference.typeff`` as it was before the prefix-first
-    fold: the same spine loop, the effects folded back from the spine's
-    tail, T, H and S scaled by each binding's value in turn."""
+    fold and the word ``Emit``: the same spine loop, each event of a run a
+    binding of its own, the effects folded back from the spine's tail, T, H
+    and S scaled by each binding's value in turn."""
     domain = ty.domain
     frames = []  # (u, h, s) per binding: the effect of reaching its body
     ups: list = []
+
+    def letters(events):
+        ty.work += len(events)
+        frames.extend((domain.alpha_word((a,)), {}, {}) for a in events)
+
     while isinstance(e, Let):
         if not frames:
             gamma = dict(gamma)  # the spine's bindings extend a copy
+        if isinstance(e.init, Emit):
+            letters(e.init.events)
+            gamma[e.var] = NULL_REGION
+            e = e.body
+            continue
         first = _rule(ty, gamma, e.init)
         ups += first.fupdates
         if len(first.t) == 1:
@@ -180,6 +197,9 @@ def typeff_right_fold(ty: _Typing, gamma: dict, e: Expr) -> Effects:
         frames.append((u, first.h, first.s))
         e = e.body
     else:
+        if isinstance(e, Emit):  # a run's last event is the spine's tail
+            letters(e.events[:-1])
+            e = Emit(e.events[-1:])
         tail = _rule(ty, gamma, e)
     t, h, s = tail.t, tail.h, tail.s
     concat, join = domain.fin_concat, domain.fin_join

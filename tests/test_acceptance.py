@@ -159,10 +159,10 @@ def test_branch_correlated_effects_compose_exactly():
     )
     prog = Program([
         ClassDecl("A", OBJECT, (), (
-            MethodDecl(OBJECT, "f", (), Emit("a")),
+            MethodDecl(OBJECT, "f", (), Emit(("a",))),
         )),
         ClassDecl("B", "A", (), (
-            MethodDecl(OBJECT, "f", (), Emit("b")),
+            MethodDecl(OBJECT, "f", (), Emit(("b",))),
         )),
         ClassDecl("Driver", OBJECT, (), (
             MethodDecl(OBJECT, "run",

@@ -531,6 +531,34 @@ def test_main_exit_two_on_unusable_inputs(argv, capsys):
         assert "not_utf8.txt: not UTF-8 text" in err
 
 
+def test_a_stub_declared_to_return_nulltype_returns_null(tmp_path, capsys):
+    # null is the only value of NullType: either choice of the stub returns
+    # it, so the call through it gets each run stuck, and the search ends in
+    # the verdict, with no error and no witness
+    program = tmp_path / "poll.fj"
+    program.write_text("class A extends Object {\n"
+                       "  NullType poll() { return null; }\n"
+                       "  Object m() { emit a; return null; }\n"
+                       "  Object go() { A x = this.poll(); return x.m(); }\n"
+                       "}\n", encoding="utf-8")
+    config = tmp_path / "poll.cfg"
+    config.write_text("A.poll() -> Unknown emits eps\n", encoding="utf-8")
+    guideline = tmp_path / "no_a.gl"
+    guideline.write_text("alphabet: a\nstates: s\ninitial: s\naccepting: s\n",
+                         encoding="utf-8")
+    code = run_main("--program", str(program), "--guideline", str(guideline),
+                    "--config", str(config), "--entry", "A.go")
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.endswith("verdict: fail\n") and "counterexample" not in out
+    prog = parse_program(program.read_text(encoding="utf-8"))
+    specs = load_config(str(config), ("a",))
+    runs = enumerate_traces(prog, "A.go", FUEL, specs)
+    assert len(runs) == 2
+    assert [(ev.stuck.kind, ev.trace) for ev in runs] == [
+        ("call-on-null", [])] * 2
+
+
 def test_main_exit_two_on_a_redeclared_method(tmp_path, capsys):
     src = tmp_path / "twice.fj"
     src.write_text("class A { Object f() { emit a; return null; } "

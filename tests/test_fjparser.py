@@ -58,7 +58,7 @@ def test_parse_shape():
     assert body.init == GetField("this", "Pair", "fst")
     inner = body.body
     assert isinstance(inner, Let) and inner.decl is None
-    assert inner.init == Emit("a")
+    assert inner.init == Emit(("a",))
     assert inner.body == Var("p")
 
 
@@ -163,9 +163,11 @@ def test_return_must_be_last():
 
 def test_fresh_variables_are_named_after_their_nested_blocks():
     # a statement gets its $t name once the blocks inside it are read, so
-    # the if's name comes after the one in its then-block
-    src = ("class A { Object m(A x, A y) { emit a; if (x == y) { emit a; "
-           "emit a; } else { emit a; } emit a; return null; } }")
+    # the if's name comes after the one in its then-block; a run of emits
+    # is one statement
+    src = ("class A { Object m(A x, A y) { emit a; emit b; if (x == y) { "
+           "emit a; emit a; return x; } else { emit a; } emit a; "
+           "return null; } }")
     body = parse_program(src).by_name["A"].methods[0].body
     names = [e.var for e in subexprs(body) if isinstance(e, Let)]
     assert names == ["$t0", "$t2", "$t1", "$t3"]
@@ -229,7 +231,7 @@ class M { A go() { B b = new[k] B(); return b.id(b); } }
 def test_subexprs_walks_deep_nesting_in_preorder():
     body = Var("x")
     for _ in range(5000):
-        body = Let("x", None, Emit("a"), body)
+        body = Let("x", None, Emit(("a",)), body)
     kinds = [type(e) for e in subexprs(body)]
     assert len(kinds) == 10001
     assert kinds[:4] == [Let, Emit, Let, Emit] and kinds[-1] is Var
@@ -367,7 +369,7 @@ def test_a_hand_built_program_is_typed_when_it_is_built():
     with pytest.raises(FjError, match="unbound variable y"):
         Program([ClassDecl("A", OBJECT, (), (unbound,))])
     with pytest.raises(FjError, match="event b is not in the declared alphabet"):
-        Program([ClassDecl("A", OBJECT, (), (MethodDecl(OBJECT, "go", (), Emit("b")),))],
+        Program([ClassDecl("A", OBJECT, (), (MethodDecl(OBJECT, "go", (), Emit(("b",))),))],
                 alphabet=("a",))
 
 

@@ -640,7 +640,7 @@ def test_a_long_let_chain_runs_without_deepening_the_stack():
     # 5,000 statements built by hand: the parser's own depth limit stays out
     body = Null()
     for i in range(5000):
-        body = Let(f"x{i}", None, Emit("a"), body)
+        body = Let(f"x{i}", None, Emit(("a",)), body)
     go = MethodDecl("Object", "go", (), body)
     prog = Program([ClassDecl("M", "Object", (), (go,))])
     (run,) = enumerate_traces(prog, "M.go")

@@ -125,9 +125,13 @@ REBUILT_BODIES = ("typed_classes", "reads_of", "_reads",
 # Program decides chains, dispatch and field owners once, and every layer
 # reads its tables.  The walks live in tests/hierarchy_reference.py.
 HIERARCHY_WALKS = ("methods_of", "_collect_fields", "_resolve", "_field_names")
+# The per-statement shape of a run of emits, the word Emit's reference: it
+# lives in tests/per_statement.py, and no layer splits a word.
+PER_STATEMENT = ("split_emits", "parse_per_statement", "_Splitter")
 # Names that no package module may define or name, a parameter included.
 NAMED_NOWHERE = (*ONE_LEVEL_ENUMERATOR, *MONOID_REGISTRY, *RUN_COPIES,
                  *FINITE_FORWARDER, *REBUILT_BODIES, *HIERARCHY_WALKS,
+                 *PER_STATEMENT,
                  "_desugar", "fin_bottom", "mix_of_eps", "accepts_lasso")
 # The lattice operators over sets of profiles and (stem, cycle) pairs, with
 # the S⁺ cache star and ω share: ProfileDomain's, under its interface

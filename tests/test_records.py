@@ -78,7 +78,7 @@ def test_a_program_is_built_right_after_importing_fjast():
 
 def _nodes(pos):
     """One node of every class with fields, each carrying pos."""
-    body = Emit("a", pos)
+    body = Emit(("a", "b"), pos, (pos, pos))
     field = FieldDecl("A", "f", pos)
     return [
         Var("x", pos), Null(pos), New("A", "l", pos),
@@ -109,7 +109,10 @@ def test_nodes_compare_and_hash_without_their_positions():
         assert a.pos != b.pos
         assert a == b and hash(a) == hash(b)
     assert Var("x") != Var("y")
-    assert Var("x") != Emit("x")  # same fields, another class
+    assert Param("A", "f") != FieldDecl("A", "f")  # same fields, another class
+    # the position of each event of a run is a position too
+    assert Emit(("a", "b"), Pos(1, 2), (Pos(1, 2), Pos(1, 9))) == Emit(("a", "b"))
+    assert Emit(("a", "b")) != Emit(("b", "a"))
     assert Pos(1, 2) == Pos(1, 2) != Pos(2, 1)
     assert Param("A", "p") != Param("A", "q")
     assert MethodDecl("Object", "m", (Param("A", "p"),), Null()) != \
