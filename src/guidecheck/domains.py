@@ -20,7 +20,12 @@ and can answer whether everything an element denotes is accepted by the
 guideline.  It drives the verdict.  The domain owns the lattice operators
 and builds the ``profiles.ProfileMonoid`` they compose single profiles on;
 ``cli.analyze`` hands that monoid to the counterexample search, so the
-search reuses its interned profiles and cached products.  The domain's
+search reuses its interned profiles and cached products.  Inference's
+re-typings, the re-check and the solve's substitutions ask for the same
+concatenations many times, so the domain keeps each concatenation of two
+sets, and of a set and a mixed element, by its operand pair: each distinct
+pair is multiplied once, element by element, on the monoid's product cache.
+One domain serves one analysis, and its memo goes with it.  The domain's
 height is the count of profiles interned so far plus one, so the analysis
 never closes the monoid.  The analysis needs no finite bottom (an entry
 absent from a table stands for it), no mixed element of the empty word,
@@ -102,6 +107,9 @@ class ProfileDomain(EffectDomain):
         self.monoid = ProfileMonoid(guideline)
         # S⁺ of a set of nonempty-word profiles, by that set
         self._closures: dict[frozenset[int], frozenset[int]] = {}
+        # fin_concat and fin_mix_concat, by operand pair: a right operand
+        # is a FinAbs for one and a MixAbs for the other, so no key is both
+        self._products: dict[tuple, frozenset[int] | MixAbs] = {}
 
     def fin_is_bottom(self, x) -> bool:
         return not x
@@ -110,21 +118,25 @@ class ProfileDomain(EffectDomain):
         return x | y
 
     def fin_concat(self, x, y):
-        # ε̂ is a two-sided identity; most products are cached, so they are
-        # looked up here, saving a call each
+        # ε̂ is a two-sided identity; every other pair is multiplied once,
+        # and most of its element products are cached, so they are looked
+        # up here, saving a call each
         m = self.monoid
         if x == m.fin_eps:
             return y
         if y == m.fin_eps:
             return x
-        mul, compose = m.mul, m.compose
-        out = []
-        for p in x:
-            products = mul[p]
-            for q in y:
-                pq = products.get(q)
-                out.append(compose(p, q) if pq is None else pq)
-        return frozenset(out)
+        out = self._products.get((x, y))
+        if out is None:
+            mul, compose = m.mul, m.compose
+            products = []
+            for p in x:
+                row = mul[p]
+                for q in y:
+                    pq = row.get(q)
+                    products.append(compose(p, q) if pq is None else pq)
+            out = self._products[x, y] = frozenset(products)
+        return out
 
     def fin_leq(self, x, y) -> bool:
         return x <= y
@@ -163,15 +175,18 @@ class ProfileDomain(EffectDomain):
         mon = self.monoid
         if u == mon.fin_eps:
             return m
-        fin = self.fin_concat(u, m.fin)
-        mul, compose = mon.mul, mon.compose
-        out = []
-        for p in u:
-            products = mul[p]
-            for s, e in m.inf:
-                ps = products.get(s)
-                out.append((compose(p, s) if ps is None else ps, e))
-        return MixAbs(fin, frozenset(out))
+        out = self._products.get((u, m))
+        if out is None:
+            fin = self.fin_concat(u, m.fin)
+            mul, compose = mon.mul, mon.compose
+            pairs = []
+            for p in u:
+                row = mul[p]
+                for s, e in m.inf:
+                    ps = row.get(s)
+                    pairs.append((compose(p, s) if ps is None else ps, e))
+            out = self._products[u, m] = MixAbs(fin, frozenset(pairs))
+        return out
 
     def omega(self, x):
         """Abstraction of (γ x)^ω: finite words from infinitely many ε picks,

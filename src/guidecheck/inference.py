@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 
-from .classtable import ClassTable, init_table, once_per_object
+from .classtable import ClassTable, by_id, init_table
 from .effexpr import dict_join, dict_scale
 from .fjast import (
     Call,
@@ -507,12 +507,13 @@ def check_well_typed(
         fields = [("F", f"field row {key} lacks {region}")
                   for key, region in eff.fupdates
                   if region not in table.fields_at(*key)]
-        offenses_of = once_per_object(
-            lambda row: fields + _uncovered(domain, eff, row))
-        for sig in members:
-            mine = offenses_of(table.mtable[sig])
-            if mine:
-                found[sig] = mine
+        rows = list(map(table.mtable.__getitem__, members))
+        offenses = {key: mine for key, row in by_id(rows).items()
+                    if (mine := fields + _uncovered(domain, eff, row))}
+        if offenses:
+            for sig, row in zip(members, rows):
+                if id(row) in offenses:
+                    found[sig] = offenses[id(row)]
     return [Offense(sig, part, detail)
             for sig in sorted(found, key=Sig.sort_key)
             for part, detail in found[sig]]

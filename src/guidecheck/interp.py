@@ -60,7 +60,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fjast import (
-    NULL_TYPE,
     Call,
     Cast,
     Emit,
@@ -248,7 +247,7 @@ class Evaluator:
             spec = specs.get((declaring, method)) if specs else None
             if spec is not None:
                 if self.script_pos == len(self.script):
-                    choices = spec.choices()
+                    choices = spec.choices(md.result)
                     if forks is None:
                         self._at = (recv, method, args)
                         return ScriptEnd(choices)
@@ -380,17 +379,16 @@ class Evaluator:
 
     def _stub_result(self, spec, md) -> Value:
         """Take the script's next choice for a call of spec: emit its word
-        and return null or a fresh object of the declared result class;
-        null when that class is NullType, whose only value it is."""
+        and return null or a fresh object of the declared result class."""
         choice = self.script[self.script_pos]
-        if choice not in spec.choices():
+        if choice not in spec.choices(md.result):
             raise ValueError(
                 f"script choice {choice} not available for "
                 f"{spec.cls}.{spec.method}"
             )
         self.script_pos += 1
         self.trace.extend(choice.word)
-        if choice.rank == 0 or md.result == NULL_TYPE:
+        if choice.rank == 0:
             return None
         label = f"$ext{self._next_ext}"
         self._next_ext += 1

@@ -24,10 +24,10 @@ The analysis seeds the method table with these summaries and never analyzes
 the stub bodies.  The interpreter replaces a stub call by a scripted choice:
 which emitted word to append, and whether to return null or a fresh object of
 the declared result class (only in region Unknown, so fresh objects carry a
-synthetic allocation label no region pattern matches; null again when that
-class is NullType).  The words tried are the language's first
-``STUB_WORD_LIMIT`` in shortlex order up to length ``STUB_WORD_MAXLEN``, or
-its shortest word when none is that short.  Stubs
+synthetic allocation label no region pattern matches, and never when that
+class is NullType, whose only value is null).  The words tried are the
+language's first ``STUB_WORD_LIMIT`` in shortlex order up to length
+``STUB_WORD_MAXLEN``, or its shortest word when none is that short.  Stubs
 never throw at run time; the throws clause only widens the analyzed summary.
 
 A regex (``|``, juxtaposition, ``*``, ``eps``, parentheses) parses to a
@@ -43,7 +43,7 @@ import itertools
 from functools import cached_property
 from typing import NamedTuple
 
-from .fjast import FjError, Program
+from .fjast import NULL_TYPE, OBJECT, FjError, Program
 from .fjtypes import method_lookup
 from .regions import NULL_REGION, UNKNOWN, Region, RegionMeta, created_at
 
@@ -170,10 +170,12 @@ class IntrinsicSpec:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def choices(self) -> list[IntrinsicChoice]:
-        """The scripted outcomes of one call, sorted.  Computed once per
-        spec; callers must not modify the list."""
-        return self._choices
+    def choices(self, result_cls: str = OBJECT) -> list[IntrinsicChoice]:
+        """The scripted outcomes of one call of a method declared to return
+        result_cls, sorted; for NullType, whose only value is null, only
+        those that return null.  Computed once per spec; callers must not
+        modify the list."""
+        return self._null_choices if result_cls == NULL_TYPE else self._choices
 
     @cached_property
     def _choices(self) -> list[IntrinsicChoice]:
@@ -185,6 +187,10 @@ class IntrinsicSpec:
         if self.result_region == UNKNOWN:
             out += [IntrinsicChoice(1, w) for w in words]
         return sorted(out)
+
+    @cached_property
+    def _null_choices(self) -> list[IntrinsicChoice]:
+        return [c for c in self._choices if c.rank == 0]
 
     def arg_regions(self, meta: RegionMeta) -> list[tuple[Region, ...]]:
         """All argument-region tuples this spec seeds: each wildcard

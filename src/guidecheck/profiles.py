@@ -20,14 +20,17 @@ monoids over one guideline may number the same profile differently.
 Profiles of the empty word are tagged: the empty word's profile has the
 same matrices as some nonempty words on degenerate automata, but the two
 behave differently under the infinite iteration, so the tag is part of the
-interning key.
+interning key.  The key is one ``int``, zero | one << n² | empty << 2n².
 
 Composition works a column at a time, on whole matrices: for each state m,
 column m of the left matrix is spread into whole rows (the rows i that
 reach m), and ANDed with row m of the right matrix copied into every row
 (the states m reaches); the product ORs these n terms.  Paths at b = 0 so
 far take the right operand's bit, paths at b = 1 stay at 1.  A profile's
-copied rows are built on its first use as a right operand.  ε̂, the
+copied rows are built on its first use as a right operand, and its spread
+columns on its first use as a left operand.  Most products missing from
+the cache are profiles some other pair built before, so a miss looks its
+product's key up before it interns a profile.  ε̂, the
 empty word's profile, is a two-sided identity on the profiles of words, so
 a set holding ε̂ alone concatenates as the identity, and a closure needs
 only the nonempty generators.
@@ -38,7 +41,8 @@ idempotent cycle profile, together with a finite part, abstract languages
 of finite and infinite words (``MixAbs``).  Their union, concatenation,
 Kleene star, infinite iteration and acceptance check are the lattice
 operators of ``domains.ProfileDomain``, which reads the product cache and
-the acceptance masks here.  The same masks decide single words for the
+the acceptance masks here, and keeps the concatenations of sets by operand
+pair.  The same masks decide single words for the
 counterexample search, given the profiles of a word's prefixes: a finite
 word, the first dead prefix of a word, and a lasso stem·cycle^ω given the
 profiles of its stem and cycle.
@@ -94,7 +98,9 @@ class ProfileMonoid:
         self._n = n
         self._initial = [index[q] * n for q in g.initial]  # their rows' shifts
         self._accepting_mask = sum(1 << i for i in range(n) if accepting[i])
-        self._interned: dict[tuple[int, int, bool], int] = {}
+        self._one_shift, self._empty_shift = n * n, 2 * n * n
+        # by key zero | one << n² | empty << 2n², one int per profile
+        self._interned: dict[int, int] = {}
         # by profile index: the matrices and tag, the states the word
         # reaches from an initial state, whether one of those accepts, the
         # states the word loops on through an accepting visit, and the
@@ -108,8 +114,10 @@ class ProfileMonoid:
         self.mul: list[dict[int, int]] = []
         # by profile index, once it has been a right operand: its nonzero
         # rows m, as m with row m of zero, of one and of both, each copied
-        # into every row
+        # into every row; once it has been a left operand: per state m,
+        # column m of zero and of one, each spread to whole rows
         self._copies: list[list[tuple[int, int, int, int]] | None] = []
+        self._spreads: list[list[tuple[int, int]] | None] = []
         self._idempotent: dict[int, int] = {}  # a cycle's idempotent power
         # ε̂ connects each state to itself, through an accepting visit iff
         # the state is accepting; a letter's rows are its transitions
@@ -133,7 +141,7 @@ class ProfileMonoid:
         """The index of the profile with these matrices and tag; raises
         ``RuntimeError`` rather than intern more than ``MONOID_CAP`` profiles
         besides ε̂."""
-        key = (zero, one, empty)
+        key = zero | one << self._one_shift | empty << self._empty_shift
         p = self._interned.get(key)
         if p is None:
             if len(self.zero) > MONOID_CAP:
@@ -157,6 +165,7 @@ class ProfileMonoid:
             self.loops.append(loops)
             self.mul.append({})
             self._copies.append(None)
+            self._spreads.append(None)
         return p
 
     @cached_property
@@ -174,22 +183,28 @@ class ProfileMonoid:
         rows = self._copies[p2]
         if rows is None:
             rows = self._copies[p2] = self._copied_rows(p2)
-        z1, o1, col, full = self.zero[p1], self.one[p1], self._col, self._full
+        columns = self._spreads[p1]
+        if columns is None:
+            columns = self._spreads[p1] = self._spread_columns(p1)
         zero = one = 0
         for m, z2, o2, b2 in rows:
             # the rows of p1 that reach state m, at b = 0 and at b = 1 so
-            # far, each spread to whole rows: at b = 0 the right operand's
-            # row decides the bit, at b = 1 every path on stays at b = 1
-            zm = z1 >> m & col
-            om = o1 >> m & col
+            # far: at b = 0 the right operand's row decides the bit, at
+            # b = 1 every path on stays at b = 1
+            zm, om = columns[m]
             if zm:
-                zm *= full
                 zero |= zm & z2
                 one |= zm & o2
             if om:
-                one |= om * full & b2
-        out = products[p2] = self.profile(
-            zero, one, self.empty[p1] and self.empty[p2])
+                one |= om & b2
+        # most products are profiles built before: found by their key,
+        # they skip ``profile``'s call
+        empty = self.empty[p1] and self.empty[p2]
+        out = self._interned.get(
+            zero | one << self._one_shift | empty << self._empty_shift)
+        if out is None:
+            out = self.profile(zero, one, empty)
+        products[p2] = out
         return out
 
     def _copied_rows(self, p: int) -> list[tuple[int, int, int, int]]:
@@ -205,6 +220,14 @@ class ProfileMonoid:
                 out.append((m, z, o, z | o))
         return out
 
+    def _spread_columns(self, p: int) -> list[tuple[int, int]]:
+        """Per state m, column m of p's zero and of its one, each spread to
+        whole rows: row i is full where the word reaches m from i."""
+        full, col = self._full, self._col
+        zero, one = self.zero[p], self.one[p]
+        return [((zero >> m & col) * full, (one >> m & col) * full)
+                for m in range(self._n)]
+
     def profile_of_word(self, word: Sequence[str]) -> int:
         p = self.eps
         for a in word:
@@ -216,10 +239,14 @@ class ProfileMonoid:
         gens = list(gens)
         seen: set[int] = set(gens)
         frontier = list(gens)
+        mul, compose = self.mul, self.compose
         while frontier:
             p = frontier.pop()
+            products = mul[p]
             for q0 in gens:
-                q = self.compose(p, q0)
+                q = products.get(q0)
+                if q is None:
+                    q = compose(p, q0)
                 if q not in seen:
                     seen.add(q)
                     frontier.append(q)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import os
 import random
+import sys
 from pathlib import Path
 
 import guidecheck
@@ -12,6 +14,7 @@ from language_oracle import WordLang, nfa_nonempty_part
 from nfa import Nfa
 
 FIXTURES = Path(__file__).parent / "fixtures"
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def fixture(name: str) -> str:
@@ -39,6 +42,25 @@ def fresh_python_env() -> dict:
     paths = [str(PACKAGE_DIR.parent), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     return env
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded once under a name of its own."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def batch_automata() -> list[GuidelineAutomaton]:
+    """The guidelines of the benchmark's ``guideline-batch`` checks, under
+    their original names."""
+    return [GuidelineAutomaton(g.alphabet, g.states, g.initial, g.accepting,
+                               g.transitions)
+            for g in perfbench_workloads().batch_guidelines()]
 
 
 def random_automaton(rng: random.Random) -> GuidelineAutomaton:

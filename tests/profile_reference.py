@@ -7,17 +7,19 @@ each, and names each profile by its index in the monoid
 (``guidecheck.profiles``).  This module decodes an index back into triples
 and keeps the triple form and its operations, so the tests can state
 profiles by hand and check the packed operations against the plain
-definitions, and the row-loop product the column product replaced
-(``RowLoopMonoid``).  It also keeps the abstraction
-of an NFA by a product walk (``alpha_nfa``), the oracle that the package's
-fold of a stub regex in the profile domain is checked against, and
-``WordReading``, which judges lassos of words on a monoid.
+definitions, the row-loop product the column product replaced
+(``RowLoopMonoid``), and a domain that multiplies every pair of elements
+at each concatenation (``PlainProductDomain``).  It also keeps the
+abstraction of an NFA by a product walk (``alpha_nfa``), the oracle that
+the package's fold of a stub regex in the profile domain is checked
+against, and ``WordReading``, which judges lassos of words on a monoid.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from guidecheck.domains import ProfileDomain
 from guidecheck.guideline import GuidelineAutomaton
 from guidecheck.profiles import MixAbs, ProfileMonoid
 
@@ -94,6 +96,35 @@ class RowLoopMonoid(ProfileMonoid):
             pack(self, zero), pack(self, one),
             self.empty[p1] and self.empty[p2])
         return out
+
+
+class PlainProductDomain(ProfileDomain):
+    """The profile domain without its memo of concatenations by operand
+    pair: every call multiplies every pair of elements again, each through
+    ``compose``.  Its monoid is a ``RowLoopMonoid``, which knows nothing of
+    the column product's spread columns or its one-int lookup, so an
+    analysis through this domain shows the order in which the profiles
+    are interned without either."""
+
+    def __init__(self, guideline: GuidelineAutomaton):
+        super().__init__(guideline)
+        self.monoid = RowLoopMonoid(guideline)
+
+    def fin_concat(self, x, y):
+        m = self.monoid
+        if x == m.fin_eps:
+            return y
+        if y == m.fin_eps:
+            return x
+        return frozenset([m.compose(p, q) for p in x for q in y])
+
+    def fin_mix_concat(self, u, x):
+        m = self.monoid
+        if u == m.fin_eps:
+            return x
+        fin = self.fin_concat(u, x.fin)
+        return MixAbs(fin, frozenset([(m.compose(p, s), e)
+                                      for p in u for s, e in x.inf]))
 
 
 def describe(m: ProfileMonoid, p: int) -> str:

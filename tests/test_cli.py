@@ -26,7 +26,7 @@ from guidecheck.fjast import FjError, Program
 from guidecheck.fjparser import parse_program
 from guidecheck.fjtypes import fj_typecheck
 from guidecheck.guideline import load_guideline
-from guidecheck.intrinsics import load_config
+from guidecheck.intrinsics import load_config, parse_config
 
 FUEL = 6  # 3^fuel stub scripts in the worst case; keep it tame
 
@@ -532,9 +532,9 @@ def test_main_exit_two_on_unusable_inputs(argv, capsys):
 
 
 def test_a_stub_declared_to_return_nulltype_returns_null(tmp_path, capsys):
-    # null is the only value of NullType: either choice of the stub returns
-    # it, so the call through it gets each run stuck, and the search ends in
-    # the verdict, with no error and no witness
+    # null is the only value of NullType: the stub offers only its null
+    # choices, so the call through it gets each run stuck, and the search
+    # ends in the verdict, with no error and no witness
     program = tmp_path / "poll.fj"
     program.write_text("class A extends Object {\n"
                        "  NullType poll() { return null; }\n"
@@ -554,9 +554,14 @@ def test_a_stub_declared_to_return_nulltype_returns_null(tmp_path, capsys):
     prog = parse_program(program.read_text(encoding="utf-8"))
     specs = load_config(str(config), ("a",))
     runs = enumerate_traces(prog, "A.go", FUEL, specs)
-    assert len(runs) == 2
     assert [(ev.stuck.kind, ev.trace) for ev in runs] == [
-        ("call-on-null", [])] * 2
+        ("call-on-null", [])]
+    # one run per word the stub may emit, none forked for a fresh object
+    specs = parse_config("A.poll() -> Unknown emits eps | a | a a\n", ("a",))
+    runs = enumerate_traces(prog, "A.go", FUEL, specs)
+    assert [(ev.stuck.kind, ev.trace) for ev in runs] == [
+        ("call-on-null", []), ("call-on-null", ["a"]),
+        ("call-on-null", ["a", "a"])]
 
 
 def test_main_exit_two_on_a_redeclared_method(tmp_path, capsys):

@@ -6,13 +6,16 @@ profile values for the one-letter parity automaton were worked out by hand
 rows are checked against the string-triple reference of profile_reference.py.
 """
 
+import contextlib
 import glob
+import io
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from guidecheck import profiles
+from guidecheck import cli, profiles
 from guidecheck.domains import ProfileDomain
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import (
@@ -33,9 +36,11 @@ import profile_reference as ref
 from canonical_forms import CanonicalMonoid
 from conftest import (
     all_words,
+    batch_automata,
     bench_sized_automaton,
     fixture,
     load_domain,
+    perfbench_workloads,
     random_automaton,
 )
 from language_oracle import lang_omega
@@ -544,9 +549,9 @@ def test_packed_kernel_matches_the_triple_reference_up_to_twelve_states():
     assert tagged > 100
 
 
-def _domain_over(monoid):
+def _domain_over(monoid, domain_class=ProfileDomain):
     """A profile domain whose operators compose on the given monoid."""
-    domain = ProfileDomain(monoid.g)
+    domain = domain_class(monoid.g)
     domain.monoid = monoid
     return domain
 
@@ -567,11 +572,53 @@ def _drive(rng, d):
         d.star(a)
 
 
-def test_the_row_loop_product_interns_the_same_profiles_in_the_same_order():
+def _analyses(directory):
+    """(name, run) for each check of the benchmark's ``guideline-batch``
+    workload at seed 1, its inputs written to directory, and for each
+    fixture program under each fixture guideline that covers it: run()
+    analyzes it through ``cli`` and returns the exit code and the output,
+    or the report."""
+    workloads = perfbench_workloads()
+    workload = workloads.build("guideline-batch", 1)
+    workloads.write(workload, directory)
+    for check in workload.checks:
+        def main(argv=check.argv_in(directory)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            return code, out.getvalue()
+        yield check.name, main
+    for name, prog, d, specs in reference_cases():
+        if ".fj/" in name:
+            yield name, lambda prog=prog, g=d.guideline, specs=specs: (
+                cli.analyze(prog, g, specs).to_json())
+
+
+def _analyzed(monkeypatch, domain_class, run):
+    """What run() returns, and the one domain of domain_class that its
+    analysis built."""
+    built = []
+
+    class Recording(domain_class):
+        def __init__(self, guideline):
+            super().__init__(guideline)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "ProfileDomain", Recording)
+    out = run()
+    (domain,) = built
+    return out, domain
+
+
+def test_the_row_loop_product_interns_the_same_profiles_in_the_same_order(
+        monkeypatch, tmp_path):
     """The column product replaced the row loop kept in
     ``profile_reference.RowLoopMonoid``: on benchmark-sized automata both
     intern the same profiles under the same indices, and the analysis of a
-    program builds the same tables."""
+    program builds the same tables.  A whole analysis, with the domain's
+    products kept by operand pair, interns the same profiles in the same
+    order as one through ``profile_reference.PlainProductDomain``, which
+    multiplies every pair again on the row loop, and reports the same."""
     rng = random.Random(44)
     for _ in range(4):
         g = bench_sized_automaton(rng)
@@ -591,6 +638,109 @@ def test_the_row_loop_product_interns_the_same_profiles_in_the_same_order():
             tables.append((table.mtable, eta, [
                 ref.describe(monoid, p) for p in range(len(monoid.zero))]))
         assert tables[0] == tables[1]
+    analyses = 0
+    for name, run in _analyses(str(tmp_path)):
+        built = []
+        for domain_class in (ProfileDomain, ref.PlainProductDomain):
+            out, domain = _analyzed(monkeypatch, domain_class, run)
+            m = domain.monoid
+            built.append((out, m.zero, m.one, m.empty))
+        assert built[0] == built[1], name
+        analyses += 1
+    assert analyses == 8 + 9
+
+
+class _CountingRows(list):
+    """A monoid's ``mul`` that counts the rows read out of it: a product
+    of two profiles reads the row of its left operand."""
+
+    reads = 0
+
+    def __getitem__(self, p):
+        self.reads += 1
+        return super().__getitem__(p)
+
+
+def test_concatenations_equal_the_plain_products_and_repeat_none():
+    """On every fixture guideline and the benchmark's batch guidelines,
+    ``fin_concat`` and ``fin_mix_concat`` give what multiplying every pair
+    of elements gives, on random operands with the empty set and {ε̂} among
+    them.  Asked again for a pair, as equal copies of its operands, they
+    read no product and call no ``compose``."""
+    rng = random.Random(47)
+    automata = [load_guideline(path)
+                for path in sorted(glob.glob(fixture("*.gl")))]
+    automata += batch_automata()
+    assert len(automata) == 7 + 8
+    for g in automata:
+        d = ProfileDomain(g)
+        m = d.monoid
+        plain = _domain_over(m, ref.PlainProductDomain)
+        fins = [FIN_BOTTOM, m.fin_eps] + [
+            _words_profiles(rng, m, rng.randint(1, 4), with_eps=k % 3 == 0)
+            for k in range(8)]
+        words = sorted(set().union(*fins))
+        mixes = [MIX_BOTTOM, MixAbs(m.fin_eps, frozenset())] + [
+            MixAbs(rng.choice(fins), frozenset(
+                (rng.choice(words), rng.choice(words))
+                for _ in range(rng.randint(1, 3))))
+            for _ in range(6)]
+        expected = {}
+        for x in fins:
+            for y in fins:
+                expected[x, y] = plain.fin_concat(x, y)
+                assert d.fin_concat(x, y) == expected[x, y], (g, x, y)
+            for y in mixes:
+                expected[x, y] = plain.fin_mix_concat(x, y)
+                assert d.fin_mix_concat(x, y) == expected[x, y], (g, x, y)
+        rows = m.mul = _CountingRows(m.mul)
+        composed = []
+        m.compose = lambda p, q: composed.append((p, q))
+        asked = list(expected.items())
+        rng.shuffle(asked)
+        for (x, y), out in asked:
+            x = frozenset(x)
+            if type(y) is MixAbs:
+                assert d.fin_mix_concat(x, MixAbs(*y)) == out, (g, x, y)
+            else:
+                assert d.fin_concat(x, frozenset(y)) == out, (g, x, y)
+        assert (rows.reads, composed) == (0, []), g
+
+
+def test_each_pair_is_multiplied_at_most_once_per_analysis(
+        monkeypatch, tmp_path):
+    """Through each analysis of ``_analyses``, ``fin_concat`` and
+    ``fin_mix_concat`` read the products of an operand pair at most once,
+    however often inference, the re-check and the solve ask for it."""
+
+    class Counting(ProfileDomain):
+        def __init__(self, guideline):
+            super().__init__(guideline)
+            self.monoid.mul = _CountingRows(self.monoid.mul)
+            self.calls, self.multiplied = Counter(), Counter()
+
+        def _counted(self, concat, x, y):
+            rows = self.monoid.mul
+            before = rows.reads
+            out = concat(x, y)
+            key = (concat.__name__, x, y)
+            self.calls[key] += 1
+            self.multiplied[key] += rows.reads > before
+            return out
+
+        def fin_concat(self, x, y):
+            return self._counted(super().fin_concat, x, y)
+
+        def fin_mix_concat(self, u, m):
+            return self._counted(super().fin_mix_concat, u, m)
+
+    calls = repeats = 0
+    for name, run in _analyses(str(tmp_path)):
+        _, domain = _analyzed(monkeypatch, Counting, run)
+        assert max(domain.multiplied.values(), default=0) <= 1, name
+        calls += sum(domain.calls.values())
+        repeats += sum(domain.calls.values()) - len(domain.calls)
+    assert calls > 1000 and repeats > 500, (calls, repeats)
 
 
 # -- algebra laws the operators rely on --------------------------------------
