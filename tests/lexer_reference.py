@@ -1,6 +1,8 @@
 """The lexer that matched one token class at each position, kept as the
 reference for ``fjparser._lex``'s one scan: both must give the same tokens,
-and the same error at the same position, on every text."""
+and the same error at the same position, on every text, once each of
+``_lex``'s run tokens is split into the tokens of its statements
+(``expand_runs``)."""
 
 from __future__ import annotations
 
@@ -53,3 +55,18 @@ def lex_per_position(text: str) -> list[Token]:
         i = j
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+def expand_runs(toks: list[Token]) -> list[Token]:
+    """toks with each "run" token replaced by the tokens lex_per_position
+    gives its text, moved to where the run starts."""
+    out: list[Token] = []
+    for t in toks:
+        if t.kind != "run":
+            out.append(t)
+            continue
+        for u in lex_per_position(t.val)[:-1]:  # all but its eof
+            shift = t.col - 1 if u.line == 1 else 0
+            out.append(Token(u.kind, u.val, t.line + u.line - 1,
+                             u.col + shift))
+    return out

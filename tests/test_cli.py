@@ -589,6 +589,109 @@ def test_main_exit_two_on_an_unwritable_report_file(tmp_path, capsys):
     assert not out_path.exists()
 
 
+# The usage lines and messages the command line printed when it built its
+# parser on every call, at 80 columns.
+ANALYZE_USAGE = (
+    "usage: guidecheck analyze [-h] --program FILE --guideline FILE"
+    " [--config FILE]\n"
+    "                          [--fuel FUEL] [--entry Class.method]\n"
+    "                          [--demand-driven] [--report {text,json}]\n"
+    "                          [--out FILE]\n")
+ANALYZE_HELP = ANALYZE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --program FILE        source file (repeatable)
+  --guideline FILE
+  --config FILE         external-call stub declarations
+  --fuel FUEL           most interpreter calls per run in the counterexample
+                        search (at least 1)
+  --entry Class.method  entry point for counterexample search (repeatable)
+  --demand-driven       analyze only signatures reachable from --entry
+  --report {text,json}
+  --out FILE            write the report here
+"""
+TOP_USAGE = "usage: guidecheck [-h] {analyze} ...\n"
+TOP_HELP = TOP_USAGE + """
+Check event-emitting programs against an automaton guideline, including their
+infinite behaviours.
+
+positional arguments:
+  {analyze}
+    analyze   analyze programs against a guideline
+
+options:
+  -h, --help  show this help message and exit
+"""
+FILES = ["--program", "a.fj", "--guideline", "g.gl"]
+USAGE_CASES = [
+    ([], 2, "", TOP_USAGE + "guidecheck: error: the following arguments are "
+     "required: command\n"),
+    (["--help"], 0, TOP_HELP, ""),
+    (["analyze", "--help"], 0, ANALYZE_HELP, ""),
+    (["analyze"], 2, "", ANALYZE_USAGE + "guidecheck analyze: error: the "
+     "following arguments are required: --program, --guideline\n"),
+    (["frob"], 2, "", TOP_USAGE + "guidecheck: error: argument command: "
+     "invalid choice: 'frob' (choose from 'analyze')\n"),
+    (["analyze", *FILES, "--fuel", "0"], 2, "", ANALYZE_USAGE
+     + "guidecheck analyze: error: argument --fuel: must be at least 1, "
+     "got 0\n"),
+    (["analyze", *FILES, "--report", "xml"], 2, "", ANALYZE_USAGE
+     + "guidecheck analyze: error: argument --report: invalid choice: "
+     "'xml' (choose from 'text', 'json')\n"),
+    (["analyze", *FILES, "--bogus"], 2, "", TOP_USAGE
+     + "guidecheck: error: unrecognized arguments: --bogus\n"),
+]
+
+
+def _exit_and_output(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_the_parser_is_built_once_and_prints_as_before(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._argument_parser.cache_clear()
+    for _ in range(2):  # a second round reads the same parser
+        for argv, *expected in USAGE_CASES:
+            assert _exit_and_output(argv, capsys) == tuple(expected), argv
+    assert cli._argument_parser.cache_info().misses == 1
+
+
+def test_successive_calls_parse_their_own_lists():
+    parser = cli._argument_parser()
+    first = parser.parse_args(["analyze", "--program", "x.fj", "--program",
+                               "y.fj", "--guideline", "g.gl", "--entry",
+                               "A.m", "--entry", "B.n", "--demand-driven"])
+    second = parser.parse_args(["analyze", "--program", "z.fj",
+                                "--guideline", "g.gl"])
+    assert (first.program, first.entry, first.demand_driven) == (
+        ["x.fj", "y.fj"], ["A.m", "B.n"], True)
+    assert (second.program, second.entry, second.demand_driven) == (
+        ["z.fj"], None, False)
+    assert parser.parse_args(["analyze", *FILES]).program == ["a.fj"]
+
+
+def test_successive_checks_give_their_own_reports(capsys):
+    serve = ("--program", fixture("serve.fj"),
+             "--guideline", fixture("serve_liveness.gl"),
+             "--config", fixture("serve.cfg"), "--fuel", str(FUEL))
+    other = ("--program", fixture("list_last.fj"),
+             "--guideline", fixture("parity.gl"))
+    outcomes = []
+    for args in (serve + ("--entry", "Server.serve"), other,
+                 serve + ("--entry", "Server.serve"), serve, other):
+        code = run_main(*args)
+        outcomes.append((code, capsys.readouterr().out))
+    assert outcomes[0] == outcomes[2] and outcomes[1] == outcomes[4]
+    assert "counterexample:" in outcomes[0][1]
+    assert "counterexample:" not in outcomes[3][1]  # no --entry this time
+    assert outcomes[3][0] == 1 and outcomes[1] != outcomes[0]
+
+
 @pytest.mark.parametrize("fuel", ["0", "-3", "many"])
 def test_main_rejects_fuel_below_one(fuel, capsys):
     with pytest.raises(SystemExit) as exc:

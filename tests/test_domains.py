@@ -11,11 +11,16 @@ import itertools
 import pytest
 
 from guidecheck.domains import ProfileDomain
+from guidecheck.fjast import Emit, subexprs
+from guidecheck.fjparser import parse_program
 from guidecheck.guideline import load_guideline
+from guidecheck.inference import infer
+from guidecheck.profiles import ProfileMonoid
 
 from conftest import fixture, load_domain
 from language_oracle import OracleDomain
 from nfa_words import nfa_accepts, nfa_none, nfa_of_words
+from reference_cases import emit_runs
 from toydomain import APLUS, ASTAR, EMPTY, EPS, ToyDomain, ToyMix
 
 
@@ -180,3 +185,27 @@ def test_toy_mix_lattice():
         assert d.mix_eq(d.mix_join(v, bot), v)
     assert d.render_mix(ToyMix(APLUS, True)) == "a+ + a^w"
     assert d.render_mix(ToyMix(EPS, False)) == "{eps}"
+
+
+def test_a_word_is_composed_once_per_analysis(monkeypatch):
+    composed = []
+    real = ProfileMonoid.profile_of_word
+    monkeypatch.setattr(ProfileMonoid, "profile_of_word", lambda m, w: (
+        composed.append(tuple(w)), real(m, w))[1])
+    d = ProfileDomain(load_guideline(fixture("count_mod3.gl")))
+    # a list and a tuple are the same word
+    assert d.alpha_word(["a", "b"]) is d.alpha_word(("a", "b"))
+    assert composed == [("a", "b")]
+    assert d.alpha_word([]) == d.alpha_word(()) == d.monoid.fin_eps
+    prog = parse_program(emit_runs(3, 3, 6))
+    words = {e.events for c in prog.classes for m in c.methods
+             for e in subexprs(m.body) if isinstance(e, Emit)}
+    typings = []
+    alpha_word = d.alpha_word
+    monkeypatch.setattr(d, "alpha_word", lambda w: (
+        typings.append(tuple(w)), alpha_word(w))[1])
+    infer(prog, d)
+    typed = [w for w in typings if w]
+    assert len(typed) > 2 * len(set(typed))  # words are typed again and again
+    assert sorted(composed[1:]) == sorted(set(typed) - {("a", "b")})
+    assert set(typed) <= words

@@ -599,6 +599,29 @@ def test_a_run_of_k_emits_is_k_steps_and_one_word(k):
     assert old_words == [("a",)] * k + [("b",)] * k
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_an_emit_binding_is_typed_inline(k, monkeypatch):
+    # typeff binds an emit without a _rule call, one step per emit as before
+    prog = parse_program("class A extends Object {\n"
+                         "  Object f() { return this; }\n  Object go() { "
+                         + "emit a; " * k + "Object r = this.f(); "
+                         + "emit b; " * k + "return r; } }")
+    ruled = []
+    rule = inference._rule
+    monkeypatch.setattr(inference, "_rule", lambda ty, gamma, e: (
+        ruled.append(type(e).__name__), rule(ty, gamma, e))[1])
+    d = ProfileDomain(parse_guideline(TWO_LETTER_GUIDELINE))
+    table = infer(prog, d)
+    body, gamma = inference._body_env(Sig("A", UNKNOWN, "go", ()), prog)
+    want = inference_reference.typeff_right_fold(
+        _Typing(prog, region_meta(prog), table, d), gamma, body)
+    ty = _Typing(prog, region_meta(prog), table, d)
+    ruled.clear()
+    assert typeff(ty, gamma, body).triple() == want.triple()
+    assert ty.work == 2 * k + 2
+    assert ruled == ["Call", "Var"]  # the local's init and the result
+
+
 def _emit_run_cases():
     return [case for case in reference_cases()
             if case[0].startswith("emit_runs/")]
