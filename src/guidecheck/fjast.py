@@ -25,7 +25,7 @@ tables; none walks a chain of its own.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 OBJECT = "Object"
 NULL_TYPE = "NullType"
@@ -33,18 +33,21 @@ NULL_TYPE = "NullType"
 _set = object.__setattr__  # how a node's __init__ sets its fields
 
 
-_POSITIONS = ("pos", "event_pos")  # the fields equality does not cover
+_POSITIONS = ("pos", "_where")  # the fields equality does not cover
 
 
 class Node:
     """A record whose fields are its ``__slots__``, in the order of its
     constructor's parameters; none can be assigned.  Equality and the hash
-    cover every field but the positions, ``pos`` and ``event_pos``."""
+    cover every field but the positions, ``pos`` and ``_where``; ``repr``
+    shows the fields named by ``_shown``, by default every slot."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._compared = tuple(n for n in cls.__slots__ if n not in _POSITIONS)
+        if "_shown" not in cls.__dict__:
+            cls._shown = cls.__slots__
 
     def _values(self) -> tuple:
         return tuple([getattr(self, n) for n in self._compared])
@@ -58,7 +61,7 @@ class Node:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -132,15 +135,28 @@ class Cast(Expr):
 class Emit(Expr):
     """A run of consecutive ``emit`` statements of one block: its word,
     where the run starts, and where each of its events is named, for the
-    error on an event outside the alphabet."""
+    error on an event outside the alphabet.
 
-    __slots__ = ("events", "pos", "event_pos")
+    ``event_pos`` is a tuple of positions or a function of no arguments
+    that works them out, which each read of ``event_pos`` calls.  The
+    parser passes a function over the tokens it read the run from: only
+    that error reads the positions, so a parse builds no ``Pos`` per
+    event."""
+
+    __slots__ = ("events", "pos", "_where")
+    _shown = ("events", "pos", "event_pos")
 
     def __init__(self, events: tuple[str, ...], pos: Pos | None = None,
-                 event_pos: tuple[Pos, ...] | None = None):
+                 event_pos: tuple[Pos, ...] | Callable[[], tuple[Pos, ...]]
+                 | None = None):
         _set(self, "events", events)
         _set(self, "pos", pos)
-        _set(self, "event_pos", event_pos)
+        _set(self, "_where", event_pos)
+
+    @property
+    def event_pos(self) -> tuple[Pos, ...] | None:
+        where = self._where
+        return where() if callable(where) else where
 
 
 class Let(Expr):
@@ -434,9 +450,10 @@ class Program:
                                 and not alphabet.issuperset(e.events)):
                             i = next(i for i, ev in enumerate(e.events)
                                      if ev not in alphabet)
+                            where = e.event_pos
                             raise FjError(f"event {e.events[i]} is not in the "
                                           "declared alphabet",
-                                          e.event_pos[i] if e.event_pos else e.pos)
+                                          where[i] if where else e.pos)
                         events.update(e.events)
                     elif isinstance(e, (Call, GetField, SetField)):
                         if id(e) in accesses:

@@ -18,8 +18,9 @@ with no separate desugaring pass: a sequence becomes a let chain with fresh
 The consecutive ``emit`` statements of a block are read as one run, one
 ``Emit`` node holding their word and bound once; a run ends at a local, a
 ``return``, any other statement and the end of its block.  The lexer makes
-one token of a run of ``emit NAME ;`` statements, and the parser reads
-its names and positions off the token's text.
+one token of a run of ``emit NAME ;`` statements, and the parser reads its
+names off the token's text; the positions of a run's events are worked out
+from the tokens only when they are read.
 Allocation sites may carry an explicit label (``new[l1] Node()``);
 unlabeled sites get ``file:line:col``; a label ends on its line.  The
 parser builds a Program from the raw classes, which it keeps: it reads each
@@ -32,6 +33,7 @@ test lives in ``tests/fjprinter.py``.
 from __future__ import annotations
 
 import re
+from functools import partial
 from operator import itemgetter
 from typing import Iterable
 
@@ -142,6 +144,19 @@ def _run_positions(run: str, line: int, col: int) -> list[Pos]:
             where.append(Pos(line, j - k))
             col = len(s) - k + 1
     return where
+
+
+def _event_positions(read: list[Token]) -> tuple[Pos, ...]:
+    """Where each event of a run is named, from the tokens it was read
+    from: run tokens, and the ``emit`` of each statement no run token
+    took.  An ``Emit``'s ``event_pos`` calls this on each read."""
+    where: list[Pos] = []
+    for t in read:
+        if t.kind == "run":
+            where += _run_positions(t.val, t.line, t.col)
+        else:
+            where.append(t.pos)
+    return tuple(where)
 
 
 def _split_run(run: str, line: int, col: int) -> list[Token]:
@@ -354,19 +369,20 @@ class _Parser:
         """A statement that is neither a local nor a return, or a run of
         consecutive emits; t is its first token, not yet read."""
         if t.kind == "run" or t.val == "emit":  # the run that starts here
-            events, where = [], []
+            events, read = [], []
             while True:
                 t = self.peek()
                 if t.kind == "run":  # a run token is well formed
                     self.i += 1
                     events += _run_names(t.val)
-                    where += _run_positions(t.val, t.line, t.col)
+                    read.append(t)
                 elif t.val == "emit":
-                    where.append(self.advance().pos)
+                    read.append(self.advance())
                     events.append(self.ident("event name").val)
                     self.expect(";")
                 else:
-                    return Emit(tuple(events), where[0], tuple(where))
+                    return Emit(tuple(events), read[0].pos,
+                                partial(_event_positions, read))
         if t.val == "if":
             self.advance()
             self.expect("(")

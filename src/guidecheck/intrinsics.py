@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import NamedTuple
+from operator import itemgetter
 
 from .fjast import NULL_TYPE, OBJECT, FjError, Program
 from .fjtypes import method_lookup
@@ -64,18 +64,39 @@ class ConfigError(Exception):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-class IntrinsicChoice(NamedTuple):
-    """One scripted stub outcome: rank 0 returns null, rank 1 returns a fresh
-    object; word is the emitted event sequence."""
-    rank: int
-    word: tuple[str, ...]
+# IntrinsicChoice and Regex are plain tuple subclasses, which take less to
+# define on import than ``NamedTuple`` classes.
 
 
-class Regex(NamedTuple):
-    """A parsed config regex: its term in postfix order, and the alphabet
-    whose order ranks its words."""
-    postfix: tuple[str, ...]
-    alphabet: tuple[str, ...]
+class IntrinsicChoice(tuple):
+    """(rank, word): one scripted stub outcome.  Rank 0 returns null, rank 1
+    returns a fresh object; word is the emitted event sequence."""
+
+    __slots__ = ()
+    rank = property(itemgetter(0))
+    word = property(itemgetter(1))
+
+    def __new__(cls, rank: int, word: tuple[str, ...]) -> IntrinsicChoice:
+        return tuple.__new__(cls, (rank, word))
+
+    def __repr__(self) -> str:
+        return f"IntrinsicChoice(rank={self[0]!r}, word={self[1]!r})"
+
+
+class Regex(tuple):
+    """(postfix, alphabet): a parsed config regex, its term in postfix
+    order, and the alphabet whose order ranks its words."""
+
+    __slots__ = ()
+    postfix = property(itemgetter(0))
+    alphabet = property(itemgetter(1))
+
+    def __new__(cls, postfix: tuple[str, ...],
+                alphabet: tuple[str, ...]) -> Regex:
+        return tuple.__new__(cls, (postfix, alphabet))
+
+    def __repr__(self) -> str:
+        return f"Regex(postfix={self[0]!r}, alphabet={self[1]!r})"
 
     def fold(self, leaf, union, concat, star):
         """The term read bottom-up: leaf maps a letter or ``EPS`` to a

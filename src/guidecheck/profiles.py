@@ -56,7 +56,8 @@ replaced live with the tests.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .guideline import GuidelineAutomaton
 
@@ -67,9 +68,21 @@ from .guideline import GuidelineAutomaton
 MONOID_CAP = 20000
 
 
-class MixAbs(NamedTuple):
-    fin: frozenset[int]
-    inf: frozenset[tuple[int, int]]
+class MixAbs(tuple):
+    """(fin, inf): the profiles of the finite words, and the (stem, cycle)
+    profile pairs of the infinite ones.  A plain tuple subclass, which
+    takes less to define on import than a ``NamedTuple``."""
+
+    __slots__ = ()
+    fin = property(itemgetter(0))
+    inf = property(itemgetter(1))
+
+    def __new__(cls, fin: frozenset[int],
+                inf: frozenset[tuple[int, int]]) -> MixAbs:
+        return tuple.__new__(cls, (fin, inf))
+
+    def __repr__(self) -> str:
+        return f"MixAbs(fin={self[0]!r}, inf={self[1]!r})"
 
 
 FinAbs = frozenset  # of profile indices

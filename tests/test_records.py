@@ -5,11 +5,13 @@ Importing the command line compiles no methods and loads neither
 a Program can be built right after importing ``fjast``.  Syntax nodes
 compare and hash by value without their positions, ``replace`` keeps a
 node's position, and nodes, positions, parameters and stub specs refuse
-assignment.
+assignment.  The tuple records read, compare, hash, unpack and show as
+the named tuples they replace.
 """
 
 import subprocess
 import sys
+from collections import namedtuple
 
 import pytest
 
@@ -36,7 +38,8 @@ from guidecheck.fjast import (
     Var,
 )
 from guidecheck.guideline import load_guideline
-from guidecheck.intrinsics import parse_config
+from guidecheck.intrinsics import IntrinsicChoice, Regex, parse_config
+from guidecheck.profiles import MixAbs
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -121,6 +124,24 @@ def test_nodes_compare_and_hash_without_their_positions():
 
 def test_repr_names_every_field():
     assert repr(Var("x", Pos(1, 2))) == "Var(name='x', pos=Pos(line=1, col=2))"
+    shown = ("Emit(events=('a', 'b'), pos=Pos(line=1, col=2), "
+             "event_pos=(Pos(line=1, col=2), Pos(line=1, col=10)))")
+    where = (Pos(1, 2), Pos(1, 10))
+    assert repr(Emit(("a", "b"), Pos(1, 2), where)) == shown
+    assert repr(Emit(("a", "b"), Pos(1, 2), lambda: where)) == shown
+
+
+def test_an_emit_gives_back_its_positions_or_works_them_out_on_each_read():
+    where = (Pos(1, 2), Pos(1, 9))
+    assert Emit(("a", "b"), Pos(1, 2), where).event_pos is where
+    assert Emit(("a",)).event_pos is None
+    reads = []
+    emit = Emit(("a", "b"), Pos(1, 2), lambda: reads.append(1) or where)
+    assert reads == []
+    assert emit.event_pos == emit.event_pos == where and reads == [1, 1]
+    assert emit == Emit(("a", "b")) and hash(emit) == hash(Emit(("a", "b")))
+    with pytest.raises(AttributeError):
+        emit.event_pos = where
 
 
 def test_nodes_positions_and_parameters_refuse_assignment():
@@ -145,3 +166,23 @@ def test_stub_specs_refuse_assignment_and_keep_their_choices():
                 setattr(spec, name, None)
         with pytest.raises(AttributeError):
             del spec.cls
+
+
+TUPLE_RECORDS = [
+    (MixAbs, ("fin", "inf"), (frozenset({1, 2}), frozenset({(1, 2)}))),
+    (IntrinsicChoice, ("rank", "word"), (1, ("a", "b"))),
+    (Regex, ("postfix", "alphabet"), (("a", "b", "."), ("a", "b"))),
+]
+
+
+@pytest.mark.parametrize("cls, names, values", TUPLE_RECORDS)
+def test_a_tuple_record_behaves_as_the_named_tuple_it_replaces(cls, names,
+                                                               values):
+    named = namedtuple(cls.__name__, names)(*values)
+    record = cls(*values)
+    assert record == named == values and hash(record) == hash(values)
+    assert cls(**dict(zip(names, values))) == record
+    assert [getattr(record, n) for n in names] == [*record] == [*values]
+    assert repr(record) == repr(named)
+    with pytest.raises(AttributeError):
+        record.extra = None  # no instance dict

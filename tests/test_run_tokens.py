@@ -184,12 +184,38 @@ def test_an_event_outside_the_alphabet_in_mid_run_keeps_its_position():
     assert _parsed(lex_per_position, text, {"a", "b"}) == str(exc.value)
 
 
-def test_a_method_of_50000_emits_is_a_few_tokens():
-    text = ("class M extends Object {\n  Object go() {\n"
-            + "    emit a;\n" * 50000
-            + "    emit b;\n    return null;\n  }\n}\n")
+def _long_method(n: int, last: str) -> str:
+    """A method of n statements ``emit a;`` and ``emit last;``, one a line
+    from line 3, column 5."""
+    return ("class M extends Object {\n  Object go() {\n"
+            + "    emit a;\n" * n
+            + f"    emit {last};\n    return null;\n  }}\n}}\n")
+
+
+def test_a_method_of_50000_emits_is_a_few_tokens(monkeypatch):
+    text = _long_method(50000, "b")
     assert len(_lex(text)) == 17  # 150,019 tokens, one per emit, name and ';'
-    (emit,) = [e for e in subexprs(parse_program(text).classes[0].methods[0]
-                                   .body) if isinstance(e, Emit)]
+    built = []
+    init = Pos.__init__
+
+    def counted(self, line, col):
+        built.append((line, col))
+        init(self, line, col)
+
+    monkeypatch.setattr(Pos, "__init__", counted)
+    body = parse_program(text).classes[0].methods[0].body
+    # the parse works no event's position out: a parse that built one Pos
+    # per event built 50,001 more
+    assert len(built) < 50, len(built)
+    (emit,) = [e for e in subexprs(body) if isinstance(e, Emit)]
     assert emit.events == ("a",) * 50000 + ("b",)
     assert emit.event_pos == tuple(Pos(3 + i, 5) for i in range(50001))
+
+
+def test_an_event_outside_the_alphabet_ending_a_long_run_keeps_its_position():
+    text = _long_method(5000, "z")
+    assert [t.kind for t in _lex(text)].count("run") == 1
+    with pytest.raises(FjError) as exc:
+        parse_program(text, alphabet={"a", "b"})
+    assert str(exc.value) == "5003:5: event z is not in the declared alphabet"
+    assert _parsed(lex_per_position, text, {"a", "b"}) == str(exc.value)
