@@ -32,9 +32,9 @@ mutated in place, only replaced.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection
 from functools import partial
 from itertools import islice, product, repeat
-from typing import Callable, Collection
 
 from .effexpr import dict_join
 from .fjast import Program

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
+import re
 import sys
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .classtable import by_id
 from .domains import ProfileDomain
@@ -213,16 +212,15 @@ class Report:
     def _json_pieces(self) -> Iterator[str]:
         """The bytes of ``json.dumps(self.to_json(), indent=2,
         sort_keys=True)`` and a newline: the keys in sorted order, each
-        item of the two arrays rendered at depth 2 on its own.  Names and
-        region texts are escaped once each, as ``json`` escapes them."""
-        enc = functools.cache(encode_basestring_ascii)
+        item of the two arrays rendered at depth 2 on its own.  Names,
+        events and region texts are escaped once each, as ``json`` escapes
+        them."""
+        enc = functools.cache(_json_string)
         region = functools.cache(lambda r: enc(str(r)))
 
         def sig_json(s: SigReport) -> str:
             sig = s.sig
-            args = ("[\n        " + ",\n        ".join(map(region, sig.args))
-                    + "\n      ]" if sig.args else "[]")
-            return (f'{{\n      "args": {args},\n'
+            return (f'{{\n      "args": {_json_words(sig.args, region)},\n'
                     f'      "class": {enc(sig.cls)},\n'
                     f'      "diverges_ok": {_JSON_BOOL[s.diverges_ok]},\n'
                     f'      "method": {enc(sig.method)},\n'
@@ -231,10 +229,8 @@ class Report:
                     f'      "throws_ok": {_JSON_BOOL[s.throws_ok]}\n    }}')
 
         yield '{\n  "counterexamples": '
-        # few, so json renders them; an item's lines sit at depth 2
-        yield from _json_array(
-            json.dumps(c.to_json(), indent=2, sort_keys=True)
-            .replace("\n", "\n    ") for c in self.counterexamples)
+        yield from _json_array(_counterexample_json(c, enc)
+                               for c in self.counterexamples)
         yield ',\n  "signatures": '
         yield from _json_array(map(sig_json, self.signatures))
         yield f',\n  "verdict": {enc(self.verdict)}\n}}\n'
@@ -242,6 +238,56 @@ class Report:
 
 _TEXT_MARK = {True: "ok", False: "FAIL"}
 _JSON_BOOL = {True: "true", False: "false"}
+
+# What ``json``'s ASCII encoder escapes: a quote, a backslash and every
+# character outside printable ASCII, each by its short escape if it has one
+_JSON_ESCAPE = re.compile(r'([\\"]|[^\ -~])')
+_JSON_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f",
+                 "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_escape(match: re.Match) -> str:
+    c = match.group(0)
+    out = _JSON_ESCAPES.get(c)
+    if out is not None:
+        return out
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # past the BMP: a surrogate pair
+    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+
+
+def _json_string(s: str) -> str:
+    """s as a JSON string, as ``json.dumps(s)`` writes it."""
+    if _JSON_ESCAPE.search(s) is None:
+        return f'"{s}"'
+    return f'"{_JSON_ESCAPE.sub(_json_escape, s)}"'
+
+
+def _json_words(words: tuple, enc: Callable[..., str]) -> str:
+    """An array of words at depth 2 of an indent-2 dump, each rendered by
+    enc at depth 3."""
+    if not words:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(enc, words)) + "\n      ]"
+
+
+def _counterexample_json(c: Counterexample,
+                         enc: Callable[[str], str]) -> str:
+    """``json.dumps(c.to_json(), indent=2, sort_keys=True)`` at depth 2 of
+    an indent-2 dump, its strings rendered by enc."""
+    fields = []
+    if c.cycle is not None:
+        fields.append(f'"cycle": {_json_words(c.cycle, enc)}')
+    fields.append(f'"entry": {enc(c.entry)}')
+    if c.fuel is not None:
+        fields.append(f'"fuel": {c.fuel}')
+    fields.append(f'"kind": {enc(c.kind)}')
+    if c.position is not None:
+        fields.append(f'"position": {c.position}')
+    fields.append(f'"trace": {_json_words(c.trace, enc)}')
+    return "{\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 def _json_array(items: Iterable[str]) -> Iterator[str]:

@@ -39,7 +39,7 @@ NFAs and a four-point toy domain.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from collections.abc import Sequence
 
 from .guideline import GuidelineAutomaton
 from .profiles import FIN_BOTTOM, MIX_BOTTOM, MixAbs, ProfileMonoid

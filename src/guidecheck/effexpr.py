@@ -8,7 +8,7 @@ serves every domain instance.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 
 def dict_join(a: dict, b: dict, join: Callable) -> dict:

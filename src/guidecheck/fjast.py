@@ -25,7 +25,7 @@ tables; none walks a chain of its own.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 OBJECT = "Object"
 NULL_TYPE = "NullType"

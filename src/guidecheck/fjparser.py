@@ -33,9 +33,9 @@ test lives in ``tests/fjprinter.py``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from functools import partial
 from operator import itemgetter
-from typing import Iterable
 
 from .fjast import (
     OBJECT,

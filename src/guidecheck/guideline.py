@@ -23,7 +23,7 @@ File format (line oriented, ``#`` starts a comment)::
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class GuidelineError(Exception):

@@ -57,7 +57,7 @@ of its key, outermost first.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .fjast import (
     Call,

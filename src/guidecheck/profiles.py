@@ -32,8 +32,9 @@ columns on its first use as a left operand.  Most products missing from
 the cache are profiles some other pair built before, so a miss looks its
 product's key up before it interns a profile.  ε̂, the
 empty word's profile, is a two-sided identity on the profiles of words, so
-a set holding ε̂ alone concatenates as the identity, and a closure needs
-only the nonempty generators.
+its products with such a profile are cached as the profile is interned, a
+set holding ε̂ alone concatenates as the identity, and a closure needs only
+the nonempty generators.
 
 The monoid works on one profile at a time.  Sets of profiles abstract
 languages of finite words (``FinAbs``); pairs of a stem profile and an
@@ -55,9 +56,9 @@ replaced live with the tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .guideline import GuidelineAutomaton
 
@@ -112,6 +113,11 @@ class ProfileMonoid:
         self._initial = [index[q] * n for q in g.initial]  # their rows' shifts
         self._accepting_mask = sum(1 << i for i in range(n) if accepting[i])
         self._one_shift, self._empty_shift = n * n, 2 * n * n
+        # the bits (i, j) with i or j accepting: a word's zero matrix holds
+        # paths that visit no accepting state, so it has none of them
+        self._accepting_ends = sum(1 << i * n + j for i in range(n)
+                                   for j in range(n)
+                                   if accepting[i] or accepting[j])
         # by key zero | one << n² | empty << 2n², one int per profile
         self._interned: dict[int, int] = {}
         # by profile index: the matrices and tag, the states the word
@@ -177,6 +183,10 @@ class ProfileMonoid:
             self.accepts.append(bool(starts & self._accepting_mask))
             self.loops.append(loops)
             self.mul.append({})
+            if not zero & self._accepting_ends:
+                # ε̂, interned first as profile 0, is then a two-sided
+                # identity: the products are read, not built
+                self.mul[p][0] = self.mul[0][p] = p
             self._copies.append(None)
             self._spreads.append(None)
         return p

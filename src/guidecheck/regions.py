@@ -4,21 +4,24 @@ A region abstracts where a value comes from: the constant null, a specific
 allocation site, or anywhere (Unknown).  Regions other than Unknown are
 pairwise disjoint; Unknown overlaps everything.
 
-Regions and signatures are plain tuples, so every table keyed by them hashes
-and compares its keys in C.  A region's natural tuple order is the canonical
-one: the kinds sort as "null" < "site" < "unknown", then by label.
+Regions and signatures are named tuples, so every table keyed by them hashes
+and compares its keys in C, and their fields are read through C getters.  A
+region's natural tuple order is the canonical one: the kinds sort as
+"null" < "site" < "unknown", then by label.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .fjast import NULL_TYPE, Program
 
 
-class Region(NamedTuple):
-    kind: str  # "null" | "site" | "unknown"
-    label: str = ""
+class Region(namedtuple("Region", "kind label", defaults=("",))):
+    """A region: its kind, "null", "site" or "unknown", and a site's
+    label."""
+
+    __slots__ = ()
 
     def sort_key(self) -> "Region":
         """The region itself: its natural order is the canonical one."""
@@ -40,13 +43,11 @@ def created_at(label: str) -> Region:
     return Region("site", label)
 
 
-class Sig(NamedTuple):
-    """Method signature: receiver class, receiver region, method, arg regions."""
+class Sig(namedtuple("Sig", "cls recv method args")):
+    """Method signature: receiver class (a str), receiver region, method (a
+    str), and the argument regions (a tuple)."""
 
-    cls: str
-    recv: Region
-    method: str
-    args: tuple[Region, ...]
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         """Canonical order: class, method, receiver region, argument regions."""

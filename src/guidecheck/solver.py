@@ -45,7 +45,7 @@ solve of one equation per signature) are in ``tests/solver_reference.py``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .classtable import ClassTable, by_id, once_per_object
 from .effexpr import dict_drop_bottom, dict_join, dict_scale

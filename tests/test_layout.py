@@ -326,6 +326,39 @@ def test_every_package_import_is_used():
         "FIN_BOTTOM", "MixAbs", "Sequence", "os"]
 
 
+# Modules the package does without: ``json`` and ``typing`` cost start-up on
+# every check, and an import deferred into a function is paid again by each
+# check of a process that runs many.
+NOT_IMPORTED = ("json", "typing")
+
+
+def _imported_modules(tree: ast.Module):
+    """The absolute modules a module imports, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def _not_imported(tree: ast.Module) -> list:
+    return [name for name in _imported_modules(tree)
+            if name.partition(".")[0] in NOT_IMPORTED]
+
+
+def test_no_package_module_imports_json_or_typing():
+    imported = sorted(f"{path.name}:{name}"
+                      for path in PACKAGE_DIR.glob("*.py")
+                      for name in _not_imported(_tree(path)))
+    assert imported == []
+    # the guard sees an import at the top and one inside a function
+    probe = ast.parse("from typing import NamedTuple\n"
+                      "from collections.abc import Callable\n"
+                      "from .profiles import json\n"
+                      "def f():\n    import os, json.encoder\n")
+    assert _not_imported(probe) == ["typing", "json.encoder"]
+
+
 def _names(tree: ast.Module):
     """What a module defines or names, its functions' parameters included."""
     yield from _definitions(tree)

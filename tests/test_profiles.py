@@ -433,6 +433,56 @@ def test_eps_is_the_only_tagged_profile_and_a_two_sided_identity():
         assert [p for p in m.elements if m.empty[p]] == [m.eps]
 
 
+def test_eps_hat_products_are_set_at_interning_as_the_kernel_builds_them():
+    """The monoid sets ε̂·p and p·ε̂ to p as it interns a profile p whose
+    zero matrix avoids the accepting states, as every word's does; the
+    kernel, asked again without them, builds the same.  A profile with a
+    zero bit at an accepting state, which no word has, gets no such
+    entries, and its products with ε̂ are the kernel's."""
+    rng = random.Random(49)
+    automata = [random_automaton(rng) for _ in range(30)]
+    automata += [bench_sized_automaton(rng) for _ in range(4)]
+    unset = 0
+    for g in automata:
+        m = ProfileMonoid(g)
+        eps = m.eps
+        for p in [eps, *_words_profiles(rng, m, 12, with_eps=False)]:
+            assert m.mul[eps][p] == p == m.mul[p][eps], (g, p)
+            m.mul[eps].pop(p)
+            m.mul[p].pop(eps, None)
+            assert m.compose(eps, p) == p == m.compose(p, eps), (g, p)
+        if g.accepting:
+            q = next(iter(g.accepting))
+            p = profile_of_triples(m, {(q, 0, q)})
+            assert eps not in m.mul[p] and p not in m.mul[eps], g
+            assert ref.compose_triples(triples_of(m, eps), triples_of(m, p)) \
+                == triples_of(m, m.compose(eps, p)) != triples_of(m, p), g
+            unset += 1
+    assert unset > 20
+
+
+def test_no_analysis_builds_a_product_with_an_eps_hat_operand(
+        monkeypatch, tmp_path):
+    """Through each analysis of ``_analyses``, a ``guideline-batch`` pass
+    among them, ``compose`` is asked for products with an ε̂ operand and
+    finds each one set: none runs the kernel."""
+    compose = ProfileMonoid.compose
+    asked, built = 0, []
+
+    def counting(m, p1, p2):
+        nonlocal asked
+        if m.eps in (p1, p2):
+            asked += 1
+            if p2 not in m.mul[p1]:
+                built.append((p1, p2))
+        return compose(m, p1, p2)
+
+    monkeypatch.setattr(ProfileMonoid, "compose", counting)
+    for _, run in _analyses(str(tmp_path)):
+        run()
+    assert built == [] and asked > 100, (len(built), asked)
+
+
 def test_omega_matches_its_two_closure_reference():
     rng = random.Random(40)
     for k in range(60):

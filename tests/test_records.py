@@ -1,9 +1,9 @@
 """The package's records are plain classes.
 
-Importing the command line compiles no methods and loads neither
-``dataclasses`` nor ``inspect``; every module imports first on its own, and
-a Program can be built right after importing ``fjast``.  Syntax nodes
-compare and hash by value without their positions, ``replace`` keeps a
+Importing the command line compiles no methods and loads none of ``json``,
+``typing``, ``dataclasses`` and ``inspect``; every module imports first on
+its own, and a Program can be built right after importing ``fjast``.  Syntax
+nodes compare and hash by value without their positions, ``replace`` keeps a
 node's position, and nodes, positions, parameters and stub specs refuse
 assignment.  The tuple records read, compare, hash, unpack and show as
 the named tuples they replace.
@@ -42,15 +42,17 @@ from guidecheck.intrinsics import IntrinsicChoice, Regex, parse_config
 from guidecheck.profiles import MixAbs
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_no_json_typing_dataclasses_or_inspect():
+    # -S, as a site .pth file may load typing before any module of ours
     code = ("import sys\n"
             f"sys.path.insert(0, {str(PACKAGE_DIR.parent)!r})\n"
             "import guidecheck.cli\n"
-            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-I", "-c", code],
+            "print(*[name for name in ('json', 'typing', 'dataclasses', "
+            "'inspect') if name in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True, timeout=60,
                           check=True)
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == []
 
 
 def _fresh(code: str) -> subprocess.CompletedProcess:

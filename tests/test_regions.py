@@ -1,4 +1,4 @@
-"""Regions and signatures as plain tuples.
+"""Regions and signatures as named tuples.
 
 Their natural tuple order must equal the canonical order, written out here
 as explicit keys (kinds ranked null, site, unknown; signatures by class,
@@ -9,6 +9,9 @@ the C-level tuple hashes.
 
 import dataclasses
 import random
+from collections import namedtuple
+
+import pytest
 
 from guidecheck.regions import NULL_REGION, UNKNOWN, Region, Sig, created_at
 
@@ -69,3 +72,23 @@ def test_region_text_is_unchanged():
         ("Null", "Unknown", "@l1")
     assert str(Sig("A", UNKNOWN, "m", (NULL_REGION, created_at("x")))) == \
         "(A, Unknown, m, [Null, @x])"
+
+
+def test_regions_and_signatures_read_their_fields_as_named_tuples_do():
+    # the fields, defaults, repr and C field getters of collections.namedtuple,
+    # and no instance dict
+    getter = type(namedtuple("T", "x").x)
+    site = created_at("x")
+    sig = Sig("A", site, "m", (NULL_REGION,))
+    assert Region._fields == ("kind", "label")
+    assert Region._field_defaults == {"label": ""}
+    assert Sig._fields == ("cls", "recv", "method", "args")
+    assert (sig.cls, sig.recv, sig.method, sig.args) == tuple(sig)
+    assert repr(sig) == ("Sig(cls='A', recv=Region(kind='site', label='x'), "
+                         "method='m', args=(Region(kind='null', label=''),))")
+    for record in (site, sig):
+        cls = type(record)
+        assert all(type(getattr(cls, name)) is getter for name in cls._fields)
+        assert cls.__eq__ is tuple.__eq__
+        with pytest.raises(AttributeError):
+            record.extra = None

@@ -9,7 +9,9 @@ memory whatever the signature count, and a report that cannot be written
 ends in one error line and exit code 2.
 """
 
+import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +23,14 @@ from report_reference import json_reference, streamed, text_reference
 from wide_ladder import main as wide_ladder_main
 from wide_ladder import problems as wide_ladder_problems
 
-from guidecheck.cli import Counterexample, Report, SigReport, analyze
+from guidecheck.cli import (
+    Counterexample,
+    Report,
+    SigReport,
+    _counterexample_json,
+    _json_string,
+    analyze,
+)
 from guidecheck.fjparser import parse_program
 from guidecheck.guideline import parse_guideline
 from guidecheck.regions import NULL_REGION, UNKNOWN, Sig, created_at
@@ -78,6 +87,42 @@ def test_hand_built_reports_stream_as_rendered(verdict):
     for ce in cexs:
         assert_streams_as_rendered(Report(verdict, SIGS[:1], [ce]),
                                    ce.to_json())
+
+
+# Every character class json.dumps (ensure_ascii) treats on its own: a
+# quote, a backslash, each control character, DEL, Latin-1, other BMP
+# characters, an astral one (a surrogate pair) and lone surrogates
+ADVERSARIAL = ['"', "\\", *map(chr, range(0x20)), "\x7f", "é", "ÿ", "\u0100",
+               "€", "\uffff", "\U0001f600", "\U0010ffff", "\ud800", "\udfff",
+               "", " ~", 'a"b\\c\nd', "naïve \U0001f600 \x00 done",
+               "".join(map(chr, range(0x80)))]
+
+
+def test_the_escaper_writes_what_json_dumps_writes():
+    for text in ADVERSARIAL:
+        assert _json_string(text) == json.dumps(text), repr(text)
+    rng = random.Random(5)
+    alphabet = [chr(c) for c in (*range(0x100), 0x2028, 0xd800, 0xdc00,
+                                 0xfeff, 0x1f600, 0x10ffff)]
+    for _ in range(2000):
+        text = "".join(rng.choices(alphabet, k=rng.randrange(8)))
+        assert _json_string(text) == json.dumps(text), repr(text)
+
+
+def test_each_counterexample_renders_as_json_dumps_reindented():
+    cexs = [*_counterexamples(),
+            *(Counterexample(entry, kind, trace, cycle=trace[1:],
+                             position=len(trace), fuel=3)
+              for entry, kind, trace in (
+                  ("Café.go", "divergence", ("ä", 'q"u', "\\", "\t")),
+                  ("M.go", "finite-trace", tuple(ADVERSARIAL))))]
+    for c in cexs:
+        assert _counterexample_json(c, _json_string) == json.dumps(
+            c.to_json(), indent=2, sort_keys=True).replace("\n", "\n    "), \
+            c.to_json()
+    assert {c.kind for c in cexs} == {"finite-trace", "dead-prefix",
+                                      "silent-divergence", "divergence"}
+    assert {(c.trace == (), c.cycle == ()) for c in cexs} >= {(True, True)}
 
 
 # A class, an event and a site label that JSON escapes (ensure_ascii): a
