@@ -26,12 +26,12 @@ the divergence solve and the counterexample search).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from types import SimpleNamespace
 
 from .classtable import by_id
 from .domains import ProfileDomain
@@ -540,6 +540,8 @@ def _replay_confirms(prog, entry, run, stem, end, fuel, intrinsics) -> bool:
 
 
 def _at_least_one(text: str) -> int:
+    import argparse  # loaded already: only argparse calls this
+
     try:
         value = int(text)
     except ValueError:
@@ -550,14 +552,18 @@ def _at_least_one(text: str) -> int:
 
 
 def _read_text(path: str) -> str:
-    """The text of an input file; one that is not UTF-8 is unusable."""
+    """The text of an input file, less a leading byte-order mark (U+FEFF);
+    one that is not UTF-8 is unusable.  The mark is dropped after decoding
+    the whole file, not by ``utf-8-sig``, so the byte offset of a decoding
+    error counts from the start of the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise AnalysisError(
             [f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]
         ) from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _write_stdout(report: Report, form: str) -> None:
@@ -574,11 +580,62 @@ def _write_stdout(report: Report, form: str) -> None:
         raise
 
 
+# The options of ``analyze`` that take a value, by the attribute argparse
+# stores it in
+_VALUE_OPTIONS = {"--program": "program", "--guideline": "guideline",
+                  "--config": "config", "--fuel": "fuel", "--entry": "entry",
+                  "--report": "report", "--out": "out"}
+
+
+def _read_args(argv) -> SimpleNamespace | None:
+    """The attributes ``_argument_parser().parse_args(argv)`` returns, for
+    an ordinary ``analyze`` command line: its options spelled in full, each
+    value its own word, not starting with "-", and valid, with --program
+    and --guideline given.  None for any other command line (help, an
+    abbreviation, ``--opt=value``, a missing or invalid value), which goes
+    to argparse, the one source of help, usage and error texts."""
+    words = sys.argv[1:] if argv is None else list(argv)
+    if not words or words[0] != "analyze":
+        return None
+    args = SimpleNamespace(command="analyze", program=None, guideline=None,
+                           config=None, fuel=DEFAULT_FUEL, entry=None,
+                           demand_driven=False, report="text", out=None)
+    i = 1
+    while i < len(words):
+        option = words[i]
+        if option == "--demand-driven":
+            args.demand_driven = True
+            i += 1
+            continue
+        dest = _VALUE_OPTIONS.get(option)
+        if dest is None or i + 1 == len(words) or words[i + 1][:1] == "-":
+            return None
+        value = words[i + 1]
+        i += 2
+        if dest in ("program", "entry"):
+            value = (getattr(args, dest) or []) + [value]
+        elif dest == "fuel":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+            if value < 1:
+                return None
+        elif dest == "report" and value not in ("text", "json"):
+            return None
+        setattr(args, dest, value)
+    if args.program is None or args.guideline is None:
+        return None
+    return args
+
+
 @functools.cache
-def _argument_parser() -> argparse.ArgumentParser:
+def _argument_parser():
     """The command line's parser, built once per process, as parsing leaves
     it as it was: a caller that runs many checks in one process builds it
-    once."""
+    once.  A command line ``_read_args`` reads never builds it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="guidecheck",
         description="Check event-emitting programs against an automaton "
@@ -604,7 +661,7 @@ def _argument_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _argument_parser().parse_args(argv)
+    args = _read_args(argv) or _argument_parser().parse_args(argv)
 
     try:
         guideline = parse_guideline(_read_text(args.guideline))

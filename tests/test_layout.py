@@ -328,8 +328,11 @@ def test_every_package_import_is_used():
 
 # Modules the package does without: ``json`` and ``typing`` cost start-up on
 # every check, and an import deferred into a function is paid again by each
-# check of a process that runs many.
+# check of a process that runs many.  ``argparse`` is the exception: only
+# help and usage errors build the parser that imports it (once per process),
+# and a command line that a check runs reads no argparse
 NOT_IMPORTED = ("json", "typing")
+LOADED_LATE = ("argparse",)
 
 
 def _imported_modules(tree: ast.Module):
@@ -357,6 +360,29 @@ def test_no_package_module_imports_json_or_typing():
                       "from .profiles import json\n"
                       "def f():\n    import os, json.encoder\n")
     assert _not_imported(probe) == ["typing", "json.encoder"]
+
+
+def _top_level_imports(tree: ast.Module) -> list:
+    """The absolute modules in LOADED_LATE that a module imports outside
+    its functions and classes."""
+    outer = ast.Module(body=[node for node in tree.body if not isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))],
+        type_ignores=[])
+    return [name for name in _imported_modules(outer)
+            if name.partition(".")[0] in LOADED_LATE]
+
+
+def test_no_package_module_imports_argparse_at_the_top():
+    imported = sorted(f"{path.name}:{name}"
+                      for path in PACKAGE_DIR.glob("*.py")
+                      for name in _top_level_imports(_tree(path)))
+    assert imported == []
+    # the guard sees an import at the top, also one under an if, and
+    # leaves one inside a function
+    probe = ast.parse("import argparse\n"
+                      "if True:\n    from argparse import Namespace\n"
+                      "def f():\n    import argparse\n")
+    assert _top_level_imports(probe) == ["argparse", "argparse"]
 
 
 def _names(tree: ast.Module):
